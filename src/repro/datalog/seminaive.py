@@ -309,14 +309,16 @@ class _Store:
         # insert-only runs pay nothing for deletion support.
         self._positions: Dict[Tup, int] | None = None
 
-    def ensure_index(self, positions: Tuple[int, ...]) -> None:
-        if positions in self.indexes:
-            return
+    def _grouped(self, positions: Tuple[int, ...]) -> Dict[tuple, list]:
+        """The rows bucketed by their values at ``positions``."""
         index: Dict[tuple, list] = {}
-        for values, tup in self.rows:
-            key = tuple(values[p] for p in positions)
-            index.setdefault(key, []).append((values, tup))
-        self.indexes[positions] = index
+        for row in self.rows:
+            index.setdefault(tuple(row[0][p] for p in positions), []).append(row)
+        return index
+
+    def ensure_index(self, positions: Tuple[int, ...]) -> None:
+        if positions not in self.indexes:
+            self.indexes[positions] = self._grouped(positions)
 
     def insert(self, values: tuple, tup: Tup) -> None:
         if self._positions is not None:
@@ -358,6 +360,32 @@ class _Store:
                     del index[key]
         return values
 
+    def audit(self) -> str | None:
+        """Describe the first way the derived structures disagree with ``rows``.
+
+        Rows must be distinct and hold their tuple's values, every index must
+        equal the rows grouped by its key positions (no stale, missing or
+        duplicated entries) and the lazy position map must invert the row
+        list -- what swap-removal next to surviving rows could break.
+        """
+        tups = [tup for _, tup in self.rows]
+        if len(set(tups)) != len(tups):
+            return "a tuple is stored in more than one row"
+        for values, tup in self.rows:
+            if values != tup.values_for(self.attributes):
+                return f"row values {values!r} are not those of {tup!r}"
+        for positions, index in self.indexes.items():
+            expected = self._grouped(positions)
+            for key in index.keys() | expected.keys():
+                bucket, rows = index.get(key, ()), expected.get(key, ())
+                if len(bucket) != len(rows) or set(bucket) != set(rows):
+                    return f"index {positions} drifted from the rows at key {key!r}"
+        if self._positions is not None and self._positions != {
+            tup: i for i, tup in enumerate(tups)
+        }:
+            return "the tuple -> row position map drifted from the rows"
+        return None
+
 
 def _idb_schema(program: Program, database: Database, predicate: str) -> Schema:
     """Schema for an IDB predicate's store (mirrors DatalogResult.relation)."""
@@ -390,6 +418,16 @@ class _SemiNaiveEngine:
         self.collect = collect
         self.maintain_edb = maintain_edb
         self.semiring: Semiring = BooleanSemiring() if collect else database.semiring
+        # The attained-support bound on ``delete_edb``'s over-delete: licensed
+        # by a selective ``+`` whose ``may_attain`` can tell contributions
+        # apart.  The default hook (B) accepts even a zero summand of ``1``, so
+        # there -- as without the flag -- the traversal stays arithmetic-free.
+        semiring = self.semiring
+        self._attains = None
+        if semiring.selective_add and not semiring.may_attain(
+            semiring.one(), semiring.zero()
+        ):
+            self._attains = semiring.may_attain
         self.edb_annotations = collect_edb_annotations(program, database)
         self.instantiations: Set[Tuple[int, GroundAtom, Tuple[GroundAtom, ...]]] = set()
 
@@ -842,11 +880,21 @@ class _SemiNaiveEngine:
         driver_rows: Sequence[Tuple[tuple, Tup]],
         affected: Dict[str, Set[tuple]],
     ) -> None:
-        """Collect the head tuples ``plan`` derives from ``driver_rows``.
+        """Collect the head tuples ``plan`` dooms when ``driver_rows`` go.
 
-        The over-deletion half of DRed only needs *which* heads a removed
-        fact supports, not annotation products, so this is ``_fire`` without
-        the semiring arithmetic (and without instantiation recording).
+        The over-deletion half of DRed.  Under a selective ``+``
+        (``self._attains``) a head's stored annotation *is* one of its
+        contributions, so the traversal carries the body product -- the
+        stores still hold the pre-delete values while a round fires -- and
+        dooms a head only when this contribution may be that attained one.
+        Every other head keeps its value: none of its attaining derivations
+        touches a doomed atom, and (induction on annotation value, then on
+        derivation height, using ``a . b <= a``) neither do those of the
+        atoms they use.  Ties doom, which covers zero-cost cycles.
+
+        Without the bound all that matters is *which* heads a removed fact
+        supports, and this is ``_fire`` without the arithmetic (or
+        instantiation recording).
         """
         stores = self.stores
         steps = plan.steps
@@ -854,15 +902,25 @@ class _SemiNaiveEngine:
         env: List[Any] = [None] * plan.n_slots
         head_parts = plan.head_parts
         out = affected.setdefault(plan.head_relation, set())
+        attains = self._attains
+        mul = self.semiring.mul
+        head_store = stores[plan.head_relation]
+        head_known = head_store.relation._annotations
 
-        def descend(level: int) -> None:
+        # ``annotation``: the body product so far; None when ``attains`` is.
+        def descend(level: int, annotation: Any) -> None:
             if level == depth:
-                out.add(
-                    tuple(
-                        env[payload] if is_slot else payload
-                        for is_slot, payload in head_parts
-                    )
+                head = tuple(
+                    env[payload] if is_slot else payload
+                    for is_slot, payload in head_parts
                 )
+                if head in out:
+                    return
+                if attains:
+                    stored = head_known.get(self._tup_for(head_store, head))
+                    if stored is None or not attains(stored, annotation):
+                        return
+                out.add(head)
                 return
             step = steps[level]
             store = stores[step.predicate]
@@ -873,14 +931,16 @@ class _SemiNaiveEngine:
             bucket = store.indexes[step.key_positions].get(key)
             if not bucket:
                 return
-            for values, _ in bucket:
+            annotations = store.relation._annotations
+            for values, tup in bucket:
                 if step.match(values, env):
-                    descend(level + 1)
+                    descend(level + 1, attains and mul(annotation, annotations[tup]))
 
         driver = plan.driver
-        for values, _ in driver_rows:
+        driver_annotations = stores[driver.predicate].relation._annotations
+        for values, tup in driver_rows:
             if driver.match(values, env):
-                descend(0)
+                descend(0, attains and driver_annotations[tup])
 
     def _ensure_rederive_plans(self) -> None:
         if self._rederive_plans is not None:
@@ -957,16 +1017,18 @@ class _SemiNaiveEngine:
     ) -> Tuple[int, int, int]:
         """DRed deletion of EDB facts in annotate (idempotent) mode.
 
-        Over-deletes everything the removed facts transitively support --
-        per round, the maintained delta plans fire with the round's doomed
-        rows as drivers *before* those rows leave the stores, so derivations
-        whose body contains several co-deleted atoms are still caught --
-        then re-derives the survivors: each over-deleted atom is re-seeded
-        by a head-driven immediate-consequence evaluation over the shrunk
-        stores and the ordinary delta loop drains the consequences.  Exact
-        for idempotent addition by the usual semi-naive argument (the
-        surviving atoms' derivation sets are unchanged, and re-added
-        contributions are absorbed).
+        Over-deletes what the removed facts transitively support -- under a
+        selective ``+`` only the atoms whose annotation is attained through
+        them (:meth:`_fire_heads`), otherwise everything; per round, the
+        maintained delta plans fire with the round's doomed rows as drivers
+        *before* those rows leave the stores, so derivations whose body
+        contains several co-deleted atoms are still caught -- then
+        re-derives the survivors: each over-deleted atom is re-seeded by a
+        head-driven immediate-consequence evaluation over the shrunk stores
+        and the ordinary delta loop drains the consequences.  Exact for
+        idempotent addition by the usual semi-naive argument (every atom
+        left in place keeps its annotation, and re-added contributions are
+        absorbed).
 
         Returns ``(overdeleted, rederived, rounds)`` -- over-deleted and
         re-derived IDB row counts plus the total round count (over-delete

@@ -25,10 +25,12 @@ their derivations), which plain delta-plan firing cannot express; ``remove``
 therefore runs a **delete/rederive (DRed) pass** against the maintained
 state instead of rebuilding it:
 
-* **idempotent mode**: over-delete everything the removed facts transitively
-  support (the maintained delta plans fire with the doomed rows as drivers),
-  then re-derive the survivors head-first and drain the consequences with
-  ordinary delta rounds (``mode="dred"``);
+* **idempotent mode**: over-delete what the removed facts transitively
+  support (the maintained delta plans fire with the doomed rows as drivers;
+  where ``+`` selects a summand -- Tropical, Fuzzy, Viterbi -- only the atoms
+  whose annotation is *attained* through a doomed one), then re-derive the
+  survivors head-first and drain the consequences with ordinary delta rounds
+  (``mode="dred"``);
 * **collect mode**: the recorded rule instantiations *are* the support
   graph, so over-delete/rederive walks them without refiring a single join,
   and the exact annotations re-solve lazily from the pruned grounding.
@@ -121,7 +123,11 @@ class IncrementalDatalog:
         self._idempotent = self.semiring.idempotent_add
         self._result: DatalogResult | None = None
         self._rounds = 0
-        self.last_delete_mode: str | None = None
+        #: Work done by the last ``remove`` (always on; the ``incremental.delete``
+        #: span carries the same keys): ``mode``, ``overdeleted`` / ``rederived``
+        #: IDB atoms, ``rounds``, the IDB's ``idb_rows`` before the deletion and
+        #: whether the ``attained``-support bound applied (selective ``+``).
+        self.last_delete_stats: Dict[str, Any] | None = None
         self._start_engine()
 
     # -- engine lifecycle -------------------------------------------------------
@@ -328,7 +334,8 @@ class IncrementalDatalog:
         ever touched.  Entries may be bare rows or ``(row, annotation)``
         pairs (the annotation is ignored -- deletion removes the fact
         entirely).  Removing a fact that is not present is a defined no-op.
-        :attr:`last_delete_mode` records the strategy used.
+        :attr:`last_delete_mode` records the strategy used and
+        :attr:`last_delete_stats` the work it did.
 
         Returns the updated :attr:`result`.
         """
@@ -340,26 +347,46 @@ class IncrementalDatalog:
                 seen.add(tup)
                 if tup in base._annotations:
                     present.append(tup)
+        idb = self.program.idb_predicates
+        idb_rows = sum(len(self._engine.stores[p].rows) for p in idb)
         if not present:
             # Mirrors merge_delta's zero handling: deleting what is absent
             # leaves the maintained engine untouched.
-            self.last_delete_mode = "noop"
+            self._record_delete("noop", 0, 0, 0, idb_rows)
             return self.result
         with _trace.span(
             "incremental.delete", predicate=predicate, deletes=len(present)
         ) as sp:
-            self._delete(predicate, base, present, sp)
+            work = self._delete(predicate, base, present)
+            sp.set(**self._record_delete(*work, idb_rows))
         return self.result
 
+    @property
+    def last_delete_mode(self) -> str | None:
+        """The strategy the last ``remove`` used (``last_delete_stats["mode"]``)."""
+        return self.last_delete_stats and self.last_delete_stats["mode"]
+
+    def _record_delete(
+        self, mode: str, overdeleted: int, rederived: int, rounds: int, idb_rows: int
+    ) -> Dict[str, Any]:
+        self.last_delete_stats = {
+            "mode": mode,
+            "overdeleted": overdeleted,
+            "rederived": rederived,
+            "rounds": rounds,
+            "idb_rows": idb_rows,
+            "attained": mode == "dred" and self._engine._attains is not None,
+        }
+        return self.last_delete_stats
+
     def _delete(
-        self, predicate: str, base: KRelation, present: List[Tup], sp: Any
-    ) -> None:
+        self, predicate: str, base: KRelation, present: List[Tup]
+    ) -> Tuple[str, int, int, int]:
+        """Delete ``present``; return ``(mode, overdeleted, rederived, rounds)``."""
         if self._idempotent:
             changelog = self._engine.begin_changelog()
             try:
-                overdeleted, rederived, rounds = self._engine.delete_edb(
-                    predicate, present, self.max_iterations
-                )
+                work = self._engine.delete_edb(predicate, present, self.max_iterations)
             except DivergenceError:
                 # The rederive drain exhausted its budget mid-merge; the
                 # engine state is no longer trustworthy, so fall back to the
@@ -367,21 +394,12 @@ class IncrementalDatalog:
                 for tup in present:
                     base.discard(tup)
                 self._start_engine()
-                self.last_delete_mode = "rebuild"
-                sp.set(mode="rebuild")
-                return
+                return ("rebuild", 0, 0, self._rounds)
             finally:
                 self._engine.end_changelog()
-            self._rounds += rounds
+            self._rounds += work[2]
             self._patch_result(changelog)
-            self.last_delete_mode = "dred"
-            sp.set(
-                mode="dred",
-                overdeleted=overdeleted,
-                rederived=rederived,
-                rounds=rounds,
-            )
-            return
+            return ("dred", *work)
         # Collect mode.  Check the provenance license before the deleted
         # annotations leave the database.
         specializer = None
@@ -420,8 +438,7 @@ class IncrementalDatalog:
             mode = "provenance"
         else:
             self._result = None
-        self.last_delete_mode = mode
-        sp.set(mode=mode, overdeleted=overdeleted, rederived=rederived)
+        return (mode, overdeleted, rederived, 0)
 
     def _provenance_specializer(
         self, predicate: str, base: KRelation, present: List[Tup]
@@ -512,8 +529,9 @@ class IncrementalDatalog:
         The engine's ``edb_annotations`` must equal
         :func:`~repro.datalog.grounding.collect_edb_annotations` on the
         current database (the audit for mixed insert/delete batches), every
-        maintained store must satisfy the stored-zero invariant, and the row
-        lists must cover exactly the stored supports.  Raises
+        maintained store must satisfy the stored-zero invariant, the row
+        lists must cover exactly the stored supports, and every binding index
+        (and the removal position map) must mirror the row list.  Raises
         :class:`~repro.errors.DatalogError` on any mismatch.
         """
         engine = self._engine
@@ -532,6 +550,9 @@ class IncrementalDatalog:
                     f"store rows for {name!r} are out of sync with its relation "
                     f"({len(rows)} rows, {len(known)} annotations)"
                 )
+            problem = store.audit()
+            if problem:
+                raise DatalogError(f"store for {name!r}: {problem}")
             if not self._idempotent and name in self.program.edb_predicates:
                 support = set(self.database.relation(name)._annotations)
                 if known != support:

@@ -48,6 +48,7 @@ class InstrumentedSemiring(Semiring):
         # rewrites, datalog regimes, view deletion support) see the delegate.
         self.name = delegate.name
         self.idempotent_add = delegate.idempotent_add
+        self.selective_add = delegate.selective_add
         self.idempotent_mul = delegate.idempotent_mul
         self.is_omega_continuous = delegate.is_omega_continuous
         self.is_distributive_lattice = delegate.is_distributive_lattice
@@ -101,6 +102,9 @@ class InstrumentedSemiring(Semiring):
 
     def leq(self, a: Any, b: Any) -> bool:
         return self.delegate.leq(a, b)
+
+    def may_attain(self, total: Any, contribution: Any) -> bool:
+        return self.delegate.may_attain(total, contribution)
 
     def top(self) -> Any:
         return self.delegate.top()

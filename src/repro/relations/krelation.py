@@ -236,6 +236,8 @@ class KRelation:
             if combined != current:
                 if semiring.is_zero(combined):
                     store.discard(tup)
+                    # an earlier update of this batch may have reported it
+                    delta_store.discard(tup)
                 else:
                     store.set(tup, combined)
                     delta_store.set(tup, combined)

@@ -18,6 +18,13 @@ structure used by later sections of the paper:
 
 * ``idempotent_add`` -- whether ``a + a == a`` (true for lattices, false for
   bag and provenance semirings).
+* ``selective_add`` / :meth:`Semiring.may_attain` -- whether ``a + b`` is
+  always one of ``a``, ``b`` (``B``, Tropical, Fuzzy, Viterbi; *not* lattices
+  such as ``PosBool``, where ``a + b`` can differ from both).  A sum then
+  equals one of its summands, so removing a summand that is not the attained
+  one leaves the sum unchanged -- which lets incremental deletion
+  (:mod:`repro.incremental.datalog`) over-delete only the atoms whose
+  annotation is attained through a deleted fact.
 * ``is_omega_continuous`` -- whether the semiring is omega-continuous
   (Section 5), i.e. naturally ordered, with least upper bounds of
   omega-chains and operations continuous in each argument.  Datalog
@@ -42,7 +49,12 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import InvalidAnnotationError, SemiringError
 
-__all__ = ["Semiring"]
+__all__ = ["Semiring", "ATTAINED_RTOL"]
+
+#: Relative slack of the float ``may_attain`` overrides: a product of three or
+#: more floats depends on its association order, so a contribution counts as
+#: attained unless it is worse than the stored sum by more than this.
+ATTAINED_RTOL = 1e-9
 
 
 class Semiring:
@@ -62,6 +74,10 @@ class Semiring:
 
     #: Whether ``a + a == a`` for all elements.
     idempotent_add: bool = False
+
+    #: Whether ``a + b`` is ``a`` or ``b`` for all elements (``+`` *selects* a
+    #: summand: min, max, or).  Implies ``idempotent_add``; see ``may_attain``.
+    selective_add: bool = False
 
     #: Whether ``a . a == a`` for all elements (idempotent multiplication).
     idempotent_mul: bool = False
@@ -222,6 +238,21 @@ class Semiring:
         raise NotImplementedError(
             f"{self.name} does not provide a decision procedure for its natural order"
         )
+
+    def may_attain(self, total: Any, contribution: Any) -> bool:
+        """May ``contribution`` be the summand a ``selective_add`` ``total`` selected?
+
+        ``total`` is a stored sum and ``contribution`` one of its summands.
+        ``False`` promises that ``total`` stays the same without that summand,
+        so an override must err toward ``True`` (treating too many
+        contributions as attained only costs work, too few loses updates) and
+        belongs only where ``1`` is also the greatest element (``a . b <= a``),
+        which the deletion argument of :mod:`repro.datalog.seminaive` uses.
+        The default cannot tell contributions apart -- right for ``B``, whose
+        only non-zero value always attains; accepting even ``(1, 0)`` is how
+        callers learn that carrying products would be pointless.
+        """
+        return True
 
     def top(self) -> Any:
         """Return the greatest element, when ``has_top`` is ``True``."""

@@ -23,6 +23,7 @@ class BooleanSemiring(Semiring):
 
     name = "B"
     idempotent_add = True
+    selective_add = True  # ``may_attain`` stays the default: True always attains
     idempotent_mul = True
     is_omega_continuous = True
     is_distributive_lattice = True

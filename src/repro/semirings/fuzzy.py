@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import InvalidAnnotationError
-from repro.semirings.base import Semiring
+from repro.semirings.base import ATTAINED_RTOL, Semiring
 
 __all__ = ["FuzzySemiring", "ViterbiSemiring"]
 
@@ -27,6 +27,11 @@ def _check_unit_interval(value: Any, name: str) -> float:
     raise InvalidAnnotationError(f"{value!r} is not in [0, 1] (semiring {name})")
 
 
+def _may_attain_max(self, total: float, contribution: float) -> bool:
+    """Whether ``contribution`` is not strictly below ``total = max(...)``."""
+    return contribution >= total * (1.0 - ATTAINED_RTOL)
+
+
 class FuzzySemiring(Semiring):
     """``([0, 1], max, min, 0, 1)`` -- fuzzy membership degrees.
 
@@ -36,6 +41,7 @@ class FuzzySemiring(Semiring):
 
     name = "Fuzzy"
     idempotent_add = True
+    selective_add = True
     idempotent_mul = True
     is_omega_continuous = True
     is_distributive_lattice = True
@@ -66,6 +72,8 @@ class FuzzySemiring(Semiring):
     def top(self) -> float:
         return 1.0
 
+    may_attain = _may_attain_max
+
     def leq(self, a: float, b: float) -> bool:
         return self.coerce(a) <= self.coerce(b)
 
@@ -79,6 +87,7 @@ class ViterbiSemiring(Semiring):
 
     name = "Viterbi"
     idempotent_add = True
+    selective_add = True
     idempotent_mul = False
     is_omega_continuous = True
     is_distributive_lattice = False
@@ -108,6 +117,8 @@ class ViterbiSemiring(Semiring):
 
     def top(self) -> float:
         return 1.0
+
+    may_attain = _may_attain_max
 
     def leq(self, a: float, b: float) -> bool:
         return self.coerce(a) <= self.coerce(b)

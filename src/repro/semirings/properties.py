@@ -54,7 +54,9 @@ def check_semiring_axioms(
     * ``(K, +, 0)`` is a commutative monoid,
     * ``(K, ., 1)`` is a commutative monoid,
     * ``.`` distributes over ``+``,
-    * ``0`` annihilates ``.``.
+    * ``0`` annihilates ``.``,
+    * the declared ``idempotent_add`` / ``idempotent_mul`` / ``selective_add``
+      flags hold, and ``may_attain`` accepts the summand each sum selected.
     """
     report = PropertyReport(semiring.name)
     zero, one = semiring.zero(), semiring.one()
@@ -99,6 +101,14 @@ def check_semiring_axioms(
         for a in elements:
             if mul(a, a) != a:
                 report.add("declared · idempotence", f"{a} · {a} != {a}")
+    if semiring.selective_add:
+        for a, b in product(elements, repeat=2):
+            total = add(a, b)
+            selected = a if total == a else b
+            if total != selected:
+                report.add("declared selective +", f"{a} + {b} is neither")
+            elif not semiring.may_attain(total, selected):
+                report.add("may_attain", f"rejects the summand {selected} of {a} + {b}")
     return report
 
 

@@ -19,7 +19,7 @@ import math
 from typing import Any
 
 from repro.errors import InvalidAnnotationError
-from repro.semirings.base import Semiring
+from repro.semirings.base import ATTAINED_RTOL, Semiring
 from repro.semirings.numeric import NatInf
 
 __all__ = ["TropicalSemiring"]
@@ -35,6 +35,7 @@ class TropicalSemiring(Semiring):
 
     name = "Tropical"
     idempotent_add = True
+    selective_add = True
     is_omega_continuous = True
     has_top = True
     # min/+ is not a lattice in the (join, meet) sense used by Section 8.
@@ -71,6 +72,10 @@ class TropicalSemiring(Semiring):
 
     def top(self) -> float:
         return 0.0
+
+    def may_attain(self, total: float, contribution: float) -> bool:
+        """Whether ``contribution`` is not strictly costlier than ``total = min(...)``."""
+        return contribution <= total * (1.0 + ATTAINED_RTOL)
 
     def leq(self, a: float, b: float) -> bool:
         """Natural (semiring) order: smaller cost is *larger* in the order."""

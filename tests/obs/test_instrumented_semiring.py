@@ -18,6 +18,7 @@ from repro.workloads.paper_instances import section2_database, section2_query
 STRUCTURAL_FLAGS = [
     "name",
     "idempotent_add",
+    "selective_add",
     "idempotent_mul",
     "is_omega_continuous",
     "is_distributive_lattice",
@@ -52,6 +53,16 @@ class TestElementwiseDifferential:
         wrapped = instrument(any_semiring)
         for flag in STRUCTURAL_FLAGS:
             assert getattr(wrapped, flag) == getattr(any_semiring, flag), flag
+
+    def test_may_attain_routes_to_delegate_uncounted(self, any_semiring):
+        wrapped = instrument(any_semiring)
+        pool = [any_semiring.coerce(a) for a in sample_elements(any_semiring)]
+        for total in pool:
+            for contribution in pool:
+                assert wrapped.may_attain(total, contribution) == any_semiring.may_attain(
+                    total, contribution
+                )
+        assert wrapped.ops.total == 0
 
     def test_sum_product_match_delegate(self, any_semiring):
         wrapped = instrument(any_semiring)

@@ -211,6 +211,17 @@ class TestStoredZeroSweep:
         delta.check_consistency()
 
     @pytest.mark.parametrize("storage", BACKENDS)
+    def test_merge_delta_cancellation_within_one_batch_leaves_no_delta(self, storage):
+        # Regression: the first update reported the tuple, the second one
+        # cancelled it, and the stale report stayed in the returned delta.
+        relation = KRelation(get_semiring("z"), ["a"], storage=storage)
+        tup = relation._coerce_tuple(("1",))
+        delta = relation.merge_delta([(tup, -1), (tup, 1)])
+        assert len(relation) == 0 and len(delta) == 0
+        relation.check_consistency()
+        delta.check_consistency()
+
+    @pytest.mark.parametrize("storage", BACKENDS)
     def test_zero_update_of_an_absent_tuple_is_a_noop(self, storage):
         relation = KRelation(get_semiring("z"), ["a"], storage=storage)
         tup = relation._coerce_tuple(("9",))

@@ -24,6 +24,7 @@ from repro.semirings import (
     check_semiring_axioms,
     get_semiring,
 )
+from repro.semirings import PosBoolSemiring, TropicalSemiring
 from repro.semirings.base import Semiring
 from repro.semirings.properties import natural_order_is_partial_order
 
@@ -88,6 +89,12 @@ def test_semiring_axioms_on_random_elements(semiring, data):
         assert _eq(semiring, add(a, a), a)
     if semiring.idempotent_mul:
         assert _eq(semiring, mul(a, a), a)
+    # declared selectivity: + returns a summand, and the hook accepts it
+    if semiring.selective_add:
+        total = add(a, b)
+        assert total == a or total == b
+        assert semiring.idempotent_add
+        assert semiring.may_attain(total, a if total == a else b)
 
 
 @pytest.mark.parametrize("semiring", RING_SEMIRINGS, ids=lambda s: s.name)
@@ -136,6 +143,53 @@ def test_semirings_without_negation_refuse_negate(semiring):
 def test_commutative_semiring_axioms(semiring):
     report = check_semiring_axioms(semiring, sample_elements(semiring))
     assert report.ok, report.violations
+
+
+#: The semirings whose ``+`` selects a summand.  Lattices with incomparable
+#: elements (PosBool, Why), products and everything non-idempotent must not
+#: claim it: ``a + b`` there can differ from both summands.
+SELECTIVE_NAMES = {"B", "Tropical", "Fuzzy", "Viterbi"}
+
+
+@pytest.mark.parametrize("semiring", ALL_SEMIRINGS, ids=lambda s: s.name)
+def test_selective_add_is_declared_exactly_where_it_holds(semiring):
+    assert len(ALL_SEMIRINGS) == 13
+    assert semiring.selective_add == (semiring.name in SELECTIVE_NAMES)
+    pool = [semiring.coerce(a) for a in sample_elements(semiring)]
+    if semiring.selective_add:
+        assert all(semiring.add(a, b) in (a, b) for a in pool for b in pool)
+    # The hook discriminates only where products can differ; B's (the
+    # default) accepts everything, which keeps its traversal arithmetic-free.
+    discriminates = not semiring.may_attain(semiring.one(), semiring.zero())
+    assert discriminates == (semiring.name in SELECTIVE_NAMES - {"B"})
+
+
+def test_may_attain_tolerates_reassociated_float_products():
+    tropical, viterbi = get_semiring("tropical"), get_semiring("viterbi")
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    assert tropical.may_attain((0.1 + 0.2) + 0.3, 0.1 + (0.2 + 0.3))
+    assert tropical.may_attain(0.1 + (0.2 + 0.3), (0.1 + 0.2) + 0.3)
+    assert not tropical.may_attain(0.6, 0.6 + 1e-6)
+    assert tropical.may_attain(0.0, 0.0) and not tropical.may_attain(0.0, 1e-300)
+    assert (0.1 * 0.1) * 0.3 != 0.1 * (0.1 * 0.3)
+    assert viterbi.may_attain((0.1 * 0.1) * 0.3, 0.1 * (0.1 * 0.3))
+    assert viterbi.may_attain(0.1 * (0.1 * 0.3), (0.1 * 0.1) * 0.3)
+    assert not viterbi.may_attain(0.5, 0.5 - 1e-6)
+
+
+def test_wrongly_declared_selective_add_fails_axiom_check():
+    class ClaimsSelective(PosBoolSemiring):
+        selective_add = True
+
+    report = check_semiring_axioms(ClaimsSelective(), sample_elements(PosBoolSemiring()))
+    assert any("declared selective +" in v for v in report.violations)
+
+    class StrictHook(TropicalSemiring):
+        def may_attain(self, total, contribution):
+            return contribution < total  # rejects the attained summand itself
+
+    report = check_semiring_axioms(StrictHook(), [1.0, 2.5])
+    assert any("may_attain" in v for v in report.violations)
 
 
 @pytest.mark.parametrize("semiring", LATTICE_SEMIRINGS, ids=lambda s: s.name)

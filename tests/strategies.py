@@ -20,6 +20,8 @@ Conventions
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import strategies as st
 
 from repro.algebra import predicates
@@ -42,6 +44,8 @@ __all__ = [
     "PLANNER_SEMIRING_NAMES",
     "BASE_SCHEMAS",
     "annotation_for",
+    "inexact_annotation_for",
+    "annotations_close",
     "random_annotation",
     "semiring_elements",
     "programs",
@@ -108,6 +112,33 @@ def annotation_for(semiring: Semiring, index: int, draw) -> object:
     if "[[" in name:  # truncated power series N∞[[X]]
         return semiring.var(f"t{index}")
     return semiring.one()
+
+
+#: Costs / probabilities with no finite binary expansion: sums and products
+#: of three or more of them depend on the association order in the last bits.
+INEXACT_COSTS = (0.1, 0.2, 0.3, 0.7, 1.1, 2.3)
+INEXACT_PROBABILITIES = (0.1, 0.3, 1 / 3, 0.6, 0.7, 0.9)
+
+
+def inexact_annotation_for(semiring: Semiring, draw) -> float:
+    """A random *non-dyadic* float annotation for Tropical, Fuzzy or Viterbi.
+
+    :func:`annotation_for` draws exactly representable values so results can
+    be compared with ``==``; this leg deliberately does not, and its results
+    are compared with :func:`annotations_close`.
+    """
+    if semiring.name == "Tropical":
+        return draw(st.sampled_from(INEXACT_COSTS))
+    if semiring.name in ("Fuzzy", "Viterbi"):
+        return draw(st.sampled_from(INEXACT_PROBABILITIES))
+    raise ValueError(f"no inexact float annotations for {semiring.name}")
+
+
+def annotations_close(left: dict, right: dict, rel: float = 1e-9) -> bool:
+    """Same keys, and float values equal up to the relative tolerance ``rel``."""
+    return left.keys() == right.keys() and all(
+        math.isclose(left[key], right[key], rel_tol=rel, abs_tol=0.0) for key in left
+    )
 
 
 #: Alias used by callers that mirror ``repro.workloads.random_annotation``.
