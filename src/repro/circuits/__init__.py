@@ -37,6 +37,7 @@ from repro.circuits.evaluate import (
     to_polynomial,
     top_k_models,
     wmc,
+    wmc_many,
 )
 from repro.circuits.knowledge import (
     check_ddnnf,
@@ -101,6 +102,7 @@ __all__ = [
     "specialize",
     "restrict_vars",
     "wmc",
+    "wmc_many",
     "map_model",
     "top_k_models",
     "is_decomposable",

@@ -23,9 +23,10 @@ exists:
 * the compiler memoizes compiled results per restricted circuit
   (``self`` -- the compile cache), so equal cofactors compile once, which is
   exactly the OBDD node-merging rule;
-* one :class:`CircuitCompiler` can be shared across all the annotations of a
-  relation (as the probabilistic layer does), extending both caches across
-  answer tuples whose lineages overlap.
+* one :class:`CircuitCompiler` compiles all the annotations of a relation as
+  one multi-rooted diagram (:meth:`CircuitCompiler.compile_many`, as the
+  probabilistic layer does) and can be kept for later relations, extending
+  both caches across answer tuples and queries whose lineages overlap.
 
 The branching order is chosen by a small cost model
 (:func:`choose_variable_order`): the default ``"dfs"`` model orders
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from typing import Any, Container, Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from repro.circuits.knowledge import check_ddnnf, smooth
 from repro.circuits.nodes import (
@@ -92,16 +93,22 @@ def as_circuit(value: Any) -> Node:
     return CircuitSemiring().coerce(value)
 
 
-def _dfs_first_touch(roots: Sequence[Node]) -> Dict[str, int]:
-    """First-touch index of every variable in a deterministic DFS walk."""
+def _dfs_first_touch(
+    roots: Sequence[Node], done: Container[Node] = ()
+) -> Dict[str, int]:
+    """First-touch index of every variable in a deterministic DFS walk.
+
+    Nodes in ``done`` are not entered: a caller that already knows their
+    variables (the compiler's support table) only pays for new structure.
+    """
     order: Dict[str, int] = {}
-    seen: set[int] = set()
+    seen: set[Node] = set()
     stack: List[Node] = list(reversed(roots))
     while stack:
         node = stack.pop()
-        if node._id in seen:
+        if node in seen or node in done:
             continue
-        seen.add(node._id)
+        seen.add(node)
         if isinstance(node, Var):
             order.setdefault(node.name, len(order))
         elif isinstance(node, Not):
@@ -155,6 +162,10 @@ class CompiledCircuit:
     the Boolean abstraction (a world satisfies an ``N``-circuit iff it
     evaluates to non-zero), and is structurally deterministic and
     decomposable -- the inference passes below are exact single passes.
+    ``stats`` describes the batch the circuit was compiled in
+    (:meth:`CircuitCompiler.compile_many`; shared by its roots): ``roots``,
+    multi-rooted ``input_nodes`` / ``output_nodes``, ``variables``, and the
+    memo ``cache_hits`` / ``cache_misses`` the batch added.
     """
 
     source: Node
@@ -221,15 +232,20 @@ class CircuitCompiler:
     """Shannon-expansion compiler with persistent caches.
 
     One compiler instance should be reused for every annotation of a
-    relation: the compile cache (restricted circuit -> compiled node), the
-    conditioning cache and the support table are all keyed by interned node
-    identity, so lineages that share subcircuits share compilation work --
-    the same argument that makes :class:`CircuitEvaluator` relation-level.
+    relation -- :meth:`compile_many` takes them all at once: the compile
+    cache (restricted circuit -> compiled node), the cofactor tables and the
+    support table are keyed by the interned node itself, so lineages that
+    share subcircuits share compilation work -- the same argument that makes
+    :class:`CircuitEvaluator` relation-level.  Keying by the node (not its
+    id) keeps what the entries describe alive: hash-consing hands a repeated
+    query the very same nodes, so it hits at the root and adds no entries.
 
     ``order`` fixes the global branching order (an OBDD-style total order);
-    when omitted, the first :meth:`compile` call chooses one from its root
-    via the ``model`` cost model and later calls extend it on demand with
-    variables they see that the order does not yet contain.
+    when omitted, the first call chooses one from its roots via the
+    ``model`` cost model and later calls extend it on demand with variables
+    they see that the order does not yet contain.  Variable supports are
+    bitmasks over that order (bit ``i`` = ``order[i]``), so the branch
+    variable of a circuit is its lowest set bit.
     """
 
     def __init__(
@@ -243,9 +259,10 @@ class CircuitCompiler:
         if len(self._index) != len(self._order):
             raise SemiringError("variable order contains duplicates")
         self._explicit_order = order is not None
-        self._compiled: Dict[int, Node] = {}
-        self._cond: Dict[Tuple[int, str, int], Node] = {}
-        self._supports: Dict[int, FrozenSet[str]] = {}
+        self._compiled: Dict[Node, Node] = {}
+        #: (order index, bit) -> {node: node[order[index] := bit]}
+        self._cond: Dict[Tuple[int, int], Dict[Node, Node]] = {}
+        self._supports: Dict[Node, int] = {}
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -255,123 +272,137 @@ class CircuitCompiler:
         return tuple(self._order)
 
     # -- bookkeeping ---------------------------------------------------------
-    def _ensure_ordered(self, root: Node) -> None:
-        """Extend the global order with any new variables of ``root``."""
-        support = self._support(root)
-        missing = [name for name in support if name not in self._index]
+    def _ensure_ordered(self, roots: Sequence[Node]) -> None:
+        """Extend the global order with any new variables of ``roots``.
+
+        One sweep over all the roots; subcircuits whose support is already
+        known cannot mention a new variable and are not entered.
+        """
+        touch = _dfs_first_touch(roots, done=self._supports)
+        missing = [name for name in touch if name not in self._index]
         if not missing:
             return
         if self._explicit_order:
             raise SemiringError(
                 f"circuit mentions variables outside the fixed order: {sorted(missing)}"
             )
-        for name, _ in sorted(
-            _dfs_first_touch((root,)).items(), key=lambda item: item[1]
-        ) if self.model == "dfs" else [
-            (name, 0) for name in choose_variable_order(root, model=self.model)
-        ]:
-            if name not in self._index:
-                self._index[name] = len(self._order)
-                self._order.append(name)
+        if self.model != "dfs":
+            new = set(missing)
+            missing = [
+                name
+                for name in choose_variable_order(*roots, model=self.model)
+                if name in new
+            ]
+        for name in missing:
+            self._index[name] = len(self._order)
+            self._order.append(name)
 
-    def _support(self, node: Node) -> FrozenSet[str]:
-        """The variable support of ``node`` (cached across the compiler)."""
+    def _fill_supports(self, roots: Sequence[Node]) -> None:
+        """Record the variable support of every node under ``roots`` as a
+        bitmask over the global order (one walk of what is not yet known)."""
         supports = self._supports
-        cached = supports.get(node._id)
-        if cached is not None:
-            return cached
-        for current in iter_nodes(node):
-            if current._id in supports:
-                continue
+        index = self._index
+        for current in iter_nodes(*roots, done=supports):
             if isinstance(current, Var):
-                supports[current._id] = frozenset((current.name,))
+                supports[current] = 1 << index[current.name]
             elif isinstance(current, Const):
-                supports[current._id] = frozenset()
+                supports[current] = 0
             elif isinstance(current, Not):
-                supports[current._id] = supports[current.child._id]
+                supports[current] = supports[current.child]
             elif isinstance(current, Decision):
-                supports[current._id] = (
-                    supports[current.hi._id] | supports[current.lo._id] | {current.name}
+                supports[current] = (
+                    supports[current.hi]
+                    | supports[current.lo]
+                    | (1 << index[current.name])
                 )
             else:
-                merged: FrozenSet[str] = frozenset()
+                merged = 0
                 for child in current.children:
-                    merged = merged | supports[child._id]
-                supports[current._id] = merged
-        return supports[node._id]
+                    merged |= supports[child]
+                supports[current] = merged
+
+    def _support(self, node: Node) -> int:
+        """The support bitmask of ``node`` (cached across the compiler)."""
+        support = self._supports.get(node)
+        if support is None:
+            self._fill_supports((node,))
+            support = self._supports[node]
+        return support
+
+    def _names(self, support: int) -> Tuple[str, ...]:
+        """The variables of a support bitmask, in branching order."""
+        order = self._order
+        names = []
+        while support:
+            low = support & -support
+            names.append(order[low.bit_length() - 1])
+            support ^= low
+        return tuple(names)
 
     # -- conditioning --------------------------------------------------------
-    def _condition(self, root: Node, name: str, bit: int) -> Node:
-        """``root[name := bit]`` rebuilt through the simplifying factories.
+    def _condition(self, root: Node, index: int, bit: int) -> Node:
+        """``root[order[index] := bit]`` rebuilt through the simplifying
+        factories.
 
-        Memoized persistently per ``(node, variable, bit)``; subcircuits
-        whose support does not mention ``name`` are returned as-is without
-        descending, which is what makes repeated cofactoring cheap on DAGs
-        with locality.
+        Memoized persistently, one table per ``(variable, bit)``;
+        subcircuits whose support does not mention the variable are returned
+        as-is without descending, which is what makes repeated cofactoring
+        cheap on DAGs with locality.  Supports of ``root``'s DAG must be
+        known (:meth:`_fill_supports`).
         """
-        cache = self._cond
+        cache = self._cond.setdefault((index, bit), {})
+        done = cache.get(root)
+        if done is not None:
+            return done
+        supports = self._supports
+        name = self._order[index]
         stack: List[Node] = [root]
         while stack:
             node = stack[-1]
-            key = (node._id, name, bit)
-            if key in cache:
+            if node in cache:
                 stack.pop()
                 continue
-            if name not in self._support(node):
-                cache[key] = node
+            if not (supports[node] >> index) & 1:
+                cache[node] = node
                 stack.pop()
                 continue
             if isinstance(node, Var):
-                cache[key] = ONE if bit else ZERO
+                cache[node] = ONE if bit else ZERO
                 stack.pop()
             elif isinstance(node, Not):
-                cache[key] = ZERO if bit else ONE
+                cache[node] = ZERO if bit else ONE
                 stack.pop()
             elif isinstance(node, Decision):
                 if node.name == name:
                     branch = node.hi if bit else node.lo
-                    branch_key = (branch._id, name, bit)
-                    if branch_key in cache:
-                        cache[key] = cache[branch_key]
+                    if branch in cache:
+                        cache[node] = cache[branch]
                         stack.pop()
                     else:
                         stack.append(branch)
+                elif node.hi in cache and node.lo in cache:
+                    cache[node] = decision_node(
+                        node.name, cache[node.hi], cache[node.lo]
+                    )
+                    stack.pop()
                 else:
-                    hi_key = (node.hi._id, name, bit)
-                    lo_key = (node.lo._id, name, bit)
-                    if hi_key in cache and lo_key in cache:
-                        cache[key] = decision_node(
-                            node.name, cache[hi_key], cache[lo_key]
-                        )
-                        stack.pop()
-                    else:
-                        if lo_key not in cache:
-                            stack.append(node.lo)
-                        if hi_key not in cache:
-                            stack.append(node.hi)
+                    if node.lo not in cache:
+                        stack.append(node.lo)
+                    if node.hi not in cache:
+                        stack.append(node.hi)
             else:  # Sum / Prod
-                child_keys = [(child._id, name, bit) for child in node.children]
-                missing = [
-                    child
-                    for child, child_key in zip(node.children, child_keys)
-                    if child_key not in cache
-                ]
+                missing = [child for child in node.children if child not in cache]
                 if missing:
                     stack.extend(reversed(missing))
                 else:
-                    parts = [cache[child_key] for child_key in child_keys]
                     rebuild = sum_node if isinstance(node, Sum) else prod_node
-                    cache[key] = rebuild(*parts)
+                    cache[node] = rebuild(*[cache[child] for child in node.children])
                     stack.pop()
-        return cache[(root._id, name, bit)]
+        return cache[root]
 
     # -- the expansion -------------------------------------------------------
-    def _branch_variable(self, support: FrozenSet[str]) -> str:
-        index = self._index
-        return min(support, key=index.__getitem__)
-
     def _lookup(self, node: Node) -> Node | None:
-        compiled = self._compiled.get(node._id)
+        compiled = self._compiled.get(node)
         if compiled is not None:
             self.cache_hits += 1
         else:
@@ -386,70 +417,91 @@ class CircuitCompiler:
         stack: List[Node] = [root]
         while stack:
             node = stack[-1]
-            if node._id in compiled:
+            if node in compiled:
                 stack.pop()
                 continue
             if isinstance(node, Const):
-                compiled[node._id] = ZERO if node.value == 0 else ONE
+                compiled[node] = ZERO if node.value == 0 else ONE
                 stack.pop()
                 continue
-            name = self._branch_variable(self._support(node))
-            hi = self._condition(node, name, 1)
-            lo = self._condition(node, name, 0)
+            support = self._support(node)
+            index = (support & -support).bit_length() - 1  # earliest in the order
+            hi = self._condition(node, index, 1)
+            lo = self._condition(node, index, 0)
             hi_done = self._lookup(hi)
             lo_done = self._lookup(lo)
             if hi_done is not None and lo_done is not None:
-                compiled[node._id] = decision_node(name, hi_done, lo_done)
+                compiled[node] = decision_node(self._order[index], hi_done, lo_done)
                 stack.pop()
             else:
                 if lo_done is None:
                     stack.append(lo)
                 if hi_done is None:
                     stack.append(hi)
-        return compiled[root._id]
+        return compiled[root]
 
-    def compile(self, value: Any) -> CompiledCircuit:
-        """Compile a circuit / PosBool condition / polynomial to decision form.
+    def compile_many(self, values: Mapping[Any, Any]) -> Dict[Any, CompiledCircuit]:
+        """Compile all the annotations of a relation as one multi-rooted diagram.
 
-        Emits a ``circuit.compile`` span and updates the process-wide
-        :data:`repro.obs.metrics.compilation` counters, so compilation cost
-        shows up next to planning and execution in traces and
-        ``explain(analyze=True)`` reports.
+        ``values`` maps any key (an answer tuple, a ground atom) to a
+        circuit / PosBool condition / polynomial; the result maps each key
+        to its :class:`CompiledCircuit`.  The roots are ordered in one
+        sweep, expanded against the one memo and counted as one DAG; each
+        diagram is the very node a one-by-one :meth:`compile` in the same
+        sequence would return, under the same order.
+
+        Emits one ``circuit.compile`` span per batch and updates the
+        process-wide :data:`repro.obs.metrics.compilation` counters, so
+        compilation cost shows up next to planning and execution in traces
+        and ``explain(analyze=True)`` reports.
         """
-        root = as_circuit(value)
-        with span("circuit.compile", model=self.model) as sp:
+        sources = {key: as_circuit(value) for key, value in values.items()}
+        roots = list(sources.values())
+        with span("circuit.compile", model=self.model, roots=len(roots)) as sp:
             hits_before, misses_before = self.cache_hits, self.cache_misses
-            self._ensure_ordered(root)
-            compiled = self._compile_node(root)
-            support = self._support(root)
-            order = tuple(
-                name for name in self._order if name in support
-            )
-            input_nodes = node_count(root)
-            output_nodes = node_count(compiled)
-            hits = self.cache_hits - hits_before
-            misses = self.cache_misses - misses_before
+            self._ensure_ordered(roots)
+            self._fill_supports(roots)
+            supports = self._supports
+            diagrams = {key: self._compile_node(root) for key, root in sources.items()}
+            joint = 0
+            for root in roots:
+                joint |= supports[root]
             stats = {
-                "input_nodes": input_nodes,
-                "output_nodes": output_nodes,
-                "variables": len(order),
-                "cache_hits": hits,
-                "cache_misses": misses,
+                "roots": len(roots),
+                "input_nodes": node_count(*roots),
+                "output_nodes": node_count(*diagrams.values()),
+                "variables": joint.bit_count(),
+                "cache_hits": self.cache_hits - hits_before,
+                "cache_misses": self.cache_misses - misses_before,
                 "model": self.model,
             }
-            _compile_stats.compiles += 1
-            _compile_stats.cache_hits += hits
-            _compile_stats.cache_misses += misses
-            _compile_stats.input_nodes += input_nodes
-            _compile_stats.output_nodes += output_nodes
+            _compile_stats.batches += 1
+            _compile_stats.compiles += len(roots)
+            _compile_stats.cache_hits += stats["cache_hits"]
+            _compile_stats.cache_misses += stats["cache_misses"]
+            _compile_stats.input_nodes += stats["input_nodes"]
+            _compile_stats.output_nodes += stats["output_nodes"]
             sp.set(
-                input_nodes=input_nodes,
-                output_nodes=output_nodes,
-                variables=len(order),
-                cache_hits=hits,
-                cache_misses=misses,
+                input_nodes=stats["input_nodes"],
+                output_nodes=stats["output_nodes"],
+                variables=stats["variables"],
+                cache_hits=stats["cache_hits"],
+                cache_misses=stats["cache_misses"],
             )
-            return CompiledCircuit(source=root, root=compiled, order=order, stats=stats)
+            return {
+                key: CompiledCircuit(
+                    source=root,
+                    root=diagrams[key],
+                    order=self._names(supports[root]),
+                    stats=stats,
+                )
+                for key, root in sources.items()
+            }
+
+    def compile(self, value: Any) -> CompiledCircuit:
+        """Compile one circuit / PosBool condition / polynomial to decision
+        form: the one-root case of :meth:`compile_many`."""
+        return self.compile_many({None: value})[None]
 
 
 #: Module-level compile cache: one entry per (source root, order spec), LRU.

@@ -50,6 +50,7 @@ __all__ = [
     "specialize",
     "restrict_vars",
     "wmc",
+    "wmc_many",
     "map_model",
     "top_k_models",
 ]
@@ -80,7 +81,7 @@ class CircuitEvaluator:
         self.target = target
         self.valuation = {name: target.coerce(value) for name, value in valuation.items()}
         self.complement = complement
-        self._memo: Dict[int, Any] = {}
+        self._memo: Dict[Node, Any] = {}
 
     def _lookup(self, name: str) -> Any:
         try:
@@ -98,13 +99,13 @@ class CircuitEvaluator:
 
     def __call__(self, node: Node) -> Any:
         memo = self._memo
-        cached = memo.get(node.node_id)
+        cached = memo.get(node)
         if cached is not None:
             return cached
         target = self.target
-        for current in iter_nodes(node):
-            if current.node_id in memo:
-                continue
+        # Pruned by the memo: subcircuits evaluated for an earlier annotation
+        # are not walked again.
+        for current in iter_nodes(node, done=memo):
             if isinstance(current, Var):
                 value = self._lookup(current.name)
             elif isinstance(current, Const):
@@ -113,15 +114,15 @@ class CircuitEvaluator:
                 value = self._complemented(current.child.name)
             elif isinstance(current, Decision):
                 value = target.add(
-                    target.mul(self._lookup(current.name), memo[current.hi.node_id]),
-                    target.mul(self._complemented(current.name), memo[current.lo.node_id]),
+                    target.mul(self._lookup(current.name), memo[current.hi]),
+                    target.mul(self._complemented(current.name), memo[current.lo]),
                 )
             elif isinstance(current, Sum):
-                value = target.sum(memo[child.node_id] for child in current.children)
+                value = target.sum(memo[child] for child in current.children)
             else:
-                value = target.product(memo[child.node_id] for child in current.children)
-            memo[current.node_id] = value
-        return memo[node.node_id]
+                value = target.product(memo[child] for child in current.children)
+            memo[current] = value
+        return memo[node]
 
 
 def _const_in(target: Semiring, value: Any) -> Any:
@@ -298,37 +299,56 @@ def _weight(weights: Mapping[str, float], name: str) -> float:
     return p
 
 
-def wmc(root: Node, weights: Mapping[str, float]) -> float:
-    """Weighted model counting: ``P(root true)`` in one linear pass.
+def wmc_many(
+    roots: Mapping[Any, Node], weights: Mapping[str, float]
+) -> Dict[Any, float]:
+    """Weighted model counting of many circuits: ``P(root true)`` per key,
+    in one linear pass over their joint DAG.
 
     ``weights`` maps each variable to its (independent) marginal
-    probability.  Exact when ``root`` is deterministic and decomposable --
+    probability.  Exact when the roots are deterministic and decomposable --
     the compiler's output is, by construction; for hand-built NNF use
     :func:`repro.circuits.knowledge.check_ddnnf` first.  No smoothing is
     needed: a decision gate that skips variables marginalizes them
-    implicitly because ``p + (1-p) = 1``.
+    implicitly because ``p + (1-p) = 1``.  A node shared between roots --
+    the normal case for the diagrams of one relation -- is counted once, and
+    a weight is validated once, the first time the diagrams read it.
     """
-    memo: Dict[int, float] = {}
-    for current in iter_nodes(root):
+    memo: Dict[Node, float] = {}
+    checked: Dict[str, float] = {}
+
+    def weight(name: str) -> float:
+        p = checked.get(name)
+        if p is None:
+            p = checked[name] = _weight(weights, name)
+        return p
+
+    for current in iter_nodes(*roots.values()):
         if isinstance(current, Var):
-            value = _weight(weights, current.name)
+            value = weight(current.name)
         elif isinstance(current, Const):
             value = 0.0 if current.value == 0 else 1.0
         elif isinstance(current, Not):
-            value = 1.0 - _weight(weights, current.child.name)
+            value = 1.0 - weight(current.child.name)
         elif isinstance(current, Decision):
-            p = _weight(weights, current.name)
-            value = p * memo[current.hi.node_id] + (1.0 - p) * memo[current.lo.node_id]
+            p = weight(current.name)
+            value = p * memo[current.hi] + (1.0 - p) * memo[current.lo]
         elif isinstance(current, Sum):
             value = 0.0
             for child in current.children:
-                value += memo[child.node_id]
+                value += memo[child]
         else:
             value = 1.0
             for child in current.children:
-                value *= memo[child.node_id]
-        memo[current.node_id] = value
-    return memo[root.node_id]
+                value *= memo[child]
+        memo[current] = value
+    return {key: memo[root] for key, root in roots.items()}
+
+
+def wmc(root: Node, weights: Mapping[str, float]) -> float:
+    """Weighted model counting of one circuit: the one-root case of
+    :func:`wmc_many`."""
+    return wmc_many({None: root}, weights)[None]
 
 
 def _decision_levels(root: Node, order: Sequence[str]) -> Dict[int, int]:

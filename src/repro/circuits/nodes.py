@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from typing import Any, Dict, Iterable, Iterator, List, Tuple
+from typing import Any, Container, Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import InvalidAnnotationError
 from repro.obs.metrics import consing as _consing
@@ -417,30 +417,43 @@ ONE: Const = const(1)
 # exceed Python's recursion limit).
 # ----------------------------------------------------------------------
 
-def iter_nodes(*roots: Node) -> Iterator[Node]:
+def iter_nodes(*roots: Node, done: Container[Node] | None = None) -> Iterator[Node]:
     """Yield every distinct node reachable from ``roots`` in postorder.
 
-    Shared subcircuits are yielded once, which is what makes ``sum(1 for _)``
-    the honest DAG size rather than the expanded-tree size.
+    Children come before their parents and a node shared between
+    subcircuits -- or between roots -- is yielded once, which is what makes
+    ``sum(1 for _)`` the honest DAG size rather than the expanded-tree size.
+
+    ``done`` is the memo of a pass that has been over part of the DAG
+    before (any container of interned nodes; a dict keyed by node is the
+    usual one): a node in it is neither yielded nor descended into, so the
+    pass pays only for what it has not seen.  Membership is tested when a
+    node is reached, so entries the caller adds while iterating count.
     """
-    seen: set[int] = set()
+    if done is None:
+        done = ()
+    seen: set[Node] = set()
     stack: List[Tuple[Node, bool]] = [(root, False) for root in reversed(roots)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             yield node
             continue
-        if node._id in seen:
+        if node in seen or node in done:
             continue
-        seen.add(node._id)
-        stack.append((node, True))
+        seen.add(node)
         if isinstance(node, (Sum, Prod)):
-            stack.extend((child, False) for child in reversed(node.children))
-        elif isinstance(node, Not):
-            stack.append((node.child, False))
+            stack.append((node, True))
+            stack.extend([(child, False) for child in reversed(node.children)])
         elif isinstance(node, Decision):
+            stack.append((node, True))
             stack.append((node.lo, False))
             stack.append((node.hi, False))
+        elif isinstance(node, Not):
+            stack.append((node, True))
+            stack.append((node.child, False))
+        else:
+            yield node
 
 
 def node_count(*roots: Node) -> int:

@@ -59,9 +59,9 @@ class LatticeDatalogResult:
         """Knowledge-compile every condition to an ordered decision diagram.
 
         One :class:`~repro.circuits.compile.CircuitCompiler` (passed in or
-        created here) serves all atoms, so conditions that share clauses --
-        the normal case after a fixpoint -- share the compile cache and the
-        variable order.  Returns atom ->
+        created here) compiles all atoms as one multi-rooted diagram, so
+        conditions that share clauses -- the normal case after a fixpoint --
+        share the compile cache and the variable order.  Returns atom ->
         :class:`~repro.circuits.compile.CompiledCircuit`.
         """
         from repro.circuits.compile import CircuitCompiler
@@ -70,22 +70,21 @@ class LatticeDatalogResult:
             if self._compiled is not None:
                 return self._compiled
             compiler = CircuitCompiler()
-        compiled = {
-            atom: compiler.compile(cond) for atom, cond in self.conditions.items()
-        }
-        self._compiled = compiled
-        return compiled
+        self._compiled = compiler.compile_many(self.conditions)
+        return self._compiled
 
     def wmc(self, weights: Mapping[str, float]) -> Dict[GroundAtom, float]:
         """Exact probability of every atom under independent tuple marginals.
 
-        Compiles each condition and weighted-model-counts it -- the
-        probabilistic-datalog reading of Section 8 without constructing any
-        world space.
+        Compiles the conditions and weighted-model-counts the diagrams in
+        one pass -- the probabilistic-datalog reading of Section 8 without
+        constructing any world space.
         """
-        return {
-            atom: compiled.wmc(weights) for atom, compiled in self.compile().items()
-        }
+        from repro.circuits.evaluate import wmc_many
+
+        return wmc_many(
+            {atom: compiled.root for atom, compiled in self.compile().items()}, weights
+        )
 
     def evaluate(
         self,

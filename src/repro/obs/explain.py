@@ -200,7 +200,8 @@ class ExplainAnalyzeReport:
         when the logical optimizer ran first, else ``None``.
     compile_stats:
         Knowledge-compilation counters accumulated during the observed run
-        (circuit compiles, decision-memo hit rate, input/output DAG sizes):
+        (batches, compiled roots, decision-memo hit rate, multi-rooted
+        input/output DAG sizes):
         the cost of ``method="compile"`` probabilistic inference, first-class
         next to the semiring-op counts.  All zero for runs that never
         compile.
@@ -229,6 +230,7 @@ class ExplainAnalyzeReport:
         self.wall = wall
         self.optimization = optimization
         self.compile_stats = compile_stats or {
+            "batches": 0,
             "compiles": 0,
             "cache_hits": 0,
             "cache_misses": 0,
@@ -307,7 +309,8 @@ class ExplainAnalyzeReport:
             cs = self.compile_stats
             lines.append(
                 "compile: "
-                f"compiles={int(cs['compiles'])} "
+                f"batches={int(cs['batches'])} "
+                f"roots={int(cs['compiles'])} "
                 f"nodes_in={int(cs['input_nodes'])} "
                 f"nodes_out={int(cs['output_nodes'])} "
                 f"cache_hit_rate={cs['hit_rate']:.3f}"

@@ -107,22 +107,34 @@ class CompileStats:
     """Counters for knowledge compilation (:mod:`repro.circuits.compile`).
 
     Compilation is the potentially-exponential step of the inference stack,
-    so its cost is first-class: ``compiles`` counts :func:`compile_circuit`
-    calls, ``cache_hits``/``cache_misses`` count lookups in the
-    decision-node memo (a hit means a restricted subcircuit had already been
-    compiled -- the sharing that keeps the diagram polynomial when one
-    exists), ``input_nodes``/``output_nodes`` accumulate DAG sizes before
-    and after, so ``output_nodes / compiles`` is the mean compiled size.
-    Unlike the consing counters these are always on: compilation happens at
-    most once per distinct lineage, never inside per-tuple loops.
+    so its cost is first-class: ``batches`` counts
+    :meth:`~repro.circuits.compile.CircuitCompiler.compile_many` calls (a
+    one-circuit ``compile`` is a batch of one) and ``compiles`` the roots
+    they compiled -- one per answer tuple, however the tuples were batched;
+    ``cache_hits``/``cache_misses`` count lookups in the decision-node memo
+    (a hit means a restricted subcircuit had already been compiled -- the
+    sharing that keeps the diagram polynomial when one exists);
+    ``input_nodes``/``output_nodes`` accumulate, per batch, the size of the
+    multi-rooted DAG before and after (a node shared between the roots of a
+    batch counts once), so ``output_nodes / batches`` is the mean compiled
+    size of a relation.  Unlike the consing counters these are always on:
+    they move once per batch, never inside per-tuple loops.
     """
 
-    __slots__ = ("compiles", "cache_hits", "cache_misses", "input_nodes", "output_nodes")
+    __slots__ = (
+        "batches",
+        "compiles",
+        "cache_hits",
+        "cache_misses",
+        "input_nodes",
+        "output_nodes",
+    )
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
+        self.batches = 0
         self.compiles = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -137,6 +149,7 @@ class CompileStats:
 
     def snapshot(self) -> Dict[str, float]:
         return {
+            "batches": self.batches,
             "compiles": self.compiles,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
@@ -155,7 +168,8 @@ class CompileStats:
 
     def __repr__(self) -> str:
         return (
-            f"<CompileStats compiles={self.compiles} cache_hits={self.cache_hits} "
+            f"<CompileStats batches={self.batches} compiles={self.compiles} "
+            f"cache_hits={self.cache_hits} "
             f"cache_misses={self.cache_misses} output_nodes={self.output_nodes}>"
         )
 

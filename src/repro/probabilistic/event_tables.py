@@ -220,12 +220,13 @@ class EventTable:
         """Marginal probability of every support tuple."""
         if self._method(method) == "compile":
             from repro.circuits.compile import CircuitCompiler
+            from repro.circuits.evaluate import wmc_many
 
-            compiler = CircuitCompiler()
-            return {
-                tup: compiler.compile(node).wmc(self.space.marginals)
-                for tup, node in self.lineage.items()
-            }
+            compiled = CircuitCompiler().compile_many(dict(self.lineage.items()))
+            return wmc_many(
+                {tup: circuit.root for tup, circuit in compiled.items()},
+                self.space.marginals,
+            )
         return {tup: self.space.probability(event) for tup, event in self.relation.items()}
 
     def __len__(self) -> int:

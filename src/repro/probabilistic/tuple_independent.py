@@ -5,13 +5,13 @@ exact inference paths selected per call by ``method=``:
 
 * ``"compile"`` (the default for probabilities) -- evaluate the query over a
   *lineage* database annotated in ``Circ[X]`` (one variable per base event),
-  knowledge-compile each answer's provenance circuit to an ordered decision
-  diagram (:mod:`repro.circuits.compile`) and weighted-model-count it.  Cost
-  is governed by the compiled circuit size, not by ``2^n`` over the number
-  of uncertain tuples, so this scales far beyond enumeration reach -- the
-  standard lineage route to exact probabilistic query evaluation
-  (Jha-Suciu).  Top-k most-probable worlds and MAP come from the same
-  compiled form.
+  knowledge-compile the answers' provenance circuits to one multi-rooted
+  ordered decision diagram (:mod:`repro.circuits.compile`) and
+  weighted-model-count it in one pass.  Cost is governed by the compiled
+  circuit size, not by ``2^n`` over the number of uncertain tuples, so this
+  scales far beyond enumeration reach -- the standard lineage route to
+  exact probabilistic query evaluation (Jha-Suciu).  Top-k most-probable
+  worlds and MAP come from the same compiled form.
 * ``"enumerate"`` -- intensional evaluation over the explicitly constructed
   world space in ``P(Omega)`` (Fuhr-Roelleke, Figure 4 of the paper),
   exponential in the number of uncertain tuples.  It stays as the
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.algebra.ast import Query
+from repro.circuits.evaluate import CircuitEvaluator, wmc_many
 from repro.datalog.grounding import GroundAtom
 from repro.datalog.lattice_eval import (
     LatticeDatalogResult,
@@ -78,6 +79,7 @@ class ProbabilisticDatabase:
     _database: Database | None = field(default=None, init=False)
     _lineage: Database | None = field(default=None, init=False)
     _compiler: Any = field(default=None, init=False)
+    _marginals: Dict[str, float] | None = field(default=None, init=False)
 
     # -- declaration -------------------------------------------------------------
     def add_relation(
@@ -131,7 +133,9 @@ class ProbabilisticDatabase:
         from repro.circuits.nodes import var as circuit_var
         from repro.circuits.semiring import CircuitSemiring
 
-        self._collect_marginals()  # surface conflicting declarations early
+        # Declarations are frozen from here on, so the marginals are computed
+        # once; this also surfaces conflicting declarations early.
+        self._marginals = self._collect_marginals()
         semiring = CircuitSemiring()
         self._lineage = Database(semiring)
         for name, (attributes, rows) in self._declarations.items():
@@ -171,6 +175,8 @@ class ProbabilisticDatabase:
         """Event name -> declared marginal probability."""
         if self._space is not None:
             return self._space.marginals
+        if self._marginals is not None:
+            return self._marginals
         return self._collect_marginals()
 
     def marginal(self, event_name: str) -> float:
@@ -195,9 +201,22 @@ class ProbabilisticDatabase:
         )
 
     def _compile_annotations(self, lineage: KRelation) -> Dict[Tup, Any]:
-        """Compile every answer's lineage circuit (shared compiler/cache)."""
+        """Compile all answers' lineage circuits as one multi-rooted diagram
+        (shared compiler/cache)."""
         assert self._compiler is not None
-        return {tup: self._compiler.compile(node) for tup, node in lineage.items()}
+        return self._compiler.compile_many(dict(lineage.items()))
+
+    def _events_of(self, compiled: Dict[Any, Any]) -> Dict[Any, frozenset]:
+        """Read compiled diagrams back as events of the explicit world space
+        (negation = set complement), one shared evaluator for all of them."""
+        space = self.space
+        worlds = space.space.worlds
+        evaluator = CircuitEvaluator(
+            space.semiring,
+            {name: space.event(name) for name in space.marginals},
+            complement=lambda event: worlds - event,
+        )
+        return {key: evaluator(circuit.root) for key, circuit in compiled.items()}
 
     def query_events(
         self,
@@ -231,15 +250,8 @@ class ProbabilisticDatabase:
         lineage = self.query_lineage(
             query, optimize=optimize, executor=executor, storage=storage
         )
-        space = self.space
-        semiring = space.semiring
-        valuation = {name: space.event(name) for name in space.marginals}
-        worlds = space.space.worlds
-        result = KRelation(semiring, lineage.schema)
-        for tup, compiled in self._compile_annotations(lineage).items():
-            event = compiled.evaluate(
-                semiring, valuation, complement=lambda e: worlds - e
-            )
+        result = KRelation(self.space.semiring, lineage.schema)
+        for tup, event in self._events_of(self._compile_annotations(lineage)).items():
             if event:
                 result.set(tup, event)
         return result
@@ -268,11 +280,10 @@ class ProbabilisticDatabase:
         lineage = self.query_lineage(
             query, optimize=optimize, executor=executor, storage=storage
         )
-        marginals = self.marginals
-        return {
-            tup: compiled.wmc(marginals)
-            for tup, compiled in self._compile_annotations(lineage).items()
-        }
+        compiled = self._compile_annotations(lineage)
+        return wmc_many(
+            {tup: circuit.root for tup, circuit in compiled.items()}, self.marginals
+        )
 
     def query_top_k(
         self,
@@ -363,24 +374,26 @@ class ProbabilisticDatabase:
             program = Program.parse(program)
         if method == "enumerate":
             return evaluate_on_lattice(program, self.database, engine=engine)
-        provenance = self._datalog_conditions(program, engine=engine)
-        space = self.space
-        semiring = space.semiring
-        valuation = {name: space.event(name) for name in space.marginals}
-        worlds = space.space.worlds
-        compiled = provenance.compile(compiler=self._compiler)
-        relation = KRelation(semiring, self._datalog_output_schema(program))
-        for atom, circuit in compiled.items():
-            if atom.relation != program.output:
-                continue
-            event = circuit.evaluate(
-                semiring, valuation, complement=lambda e: worlds - e
-            )
+        compiled = self._compile_output(program, engine)
+        relation = KRelation(self.space.semiring, self._datalog_output_schema(program))
+        for tup, event in self._events_of(compiled).items():
             if event:
-                relation.set(
-                    Tup.from_values(relation.schema.attributes, atom.values), event
-                )
+                relation.set(tup, event)
         return relation
+
+    def _compile_output(self, program: Program, engine: str) -> Dict[Tup, Any]:
+        """The compiled condition of every output tuple of ``program``.
+
+        All derivable atoms are compiled as one multi-rooted diagram by the
+        database's compiler; the output predicate's are returned."""
+        provenance = self._datalog_conditions(program, engine=engine)
+        compiled = provenance.compile(compiler=self._compiler)
+        attributes = self._datalog_output_schema(program).attributes
+        return {
+            Tup.from_values(attributes, atom.values): circuit
+            for atom, circuit in compiled.items()
+            if atom.relation == program.output
+        }
 
     def _datalog_output_schema(self, program: Program):
         from repro.relations.schema import Schema
@@ -412,16 +425,10 @@ class ProbabilisticDatabase:
             return {tup: self.space.probability(event) for tup, event in events.items()}
         if isinstance(program, str):
             program = Program.parse(program)
-        provenance = self._datalog_conditions(program, engine=engine)
-        marginals = self.marginals
-        out: Dict[Tup, float] = {}
-        compiled = provenance.compile(compiler=self._compiler)
-        schema = self._datalog_output_schema(program)
-        for atom, circuit in compiled.items():
-            if atom.relation != program.output:
-                continue
-            out[Tup.from_values(schema.attributes, atom.values)] = circuit.wmc(marginals)
-        return out
+        compiled = self._compile_output(program, engine)
+        return wmc_many(
+            {tup: circuit.root for tup, circuit in compiled.items()}, self.marginals
+        )
 
     def datalog_top_k(
         self, program: Program | str, k: int, *, engine: str = "seminaive"
@@ -429,18 +436,11 @@ class ProbabilisticDatabase:
         """Per output tuple: the ``k`` most probable worlds deriving it."""
         if isinstance(program, str):
             program = Program.parse(program)
-        provenance = self._datalog_conditions(program, engine=engine)
         marginals = self.marginals
-        out: Dict[Tup, List[Tuple[float, Dict[str, bool]]]] = {}
-        compiled = provenance.compile(compiler=self._compiler)
-        schema = self._datalog_output_schema(program)
-        for atom, circuit in compiled.items():
-            if atom.relation != program.output:
-                continue
-            out[Tup.from_values(schema.attributes, atom.values)] = circuit.top_k(
-                marginals, k
-            )
-        return out
+        return {
+            tup: circuit.top_k(marginals, k)
+            for tup, circuit in self._compile_output(program, engine).items()
+        }
 
     def tuple_probability(self, relation_name: str, row: Any) -> float:
         """Probability that an input tuple is present (no world space needed)."""

@@ -12,6 +12,7 @@ from repro.circuits import (
     ONE,
     ZERO,
     CircuitCompiler,
+    CircuitEvaluator,
     Const,
     Decision,
     check_ddnnf,
@@ -19,12 +20,14 @@ from repro.circuits import (
     compile_circuit,
     eval_circuit,
     iter_nodes,
+    node_count,
     prod_node,
     restrict_vars,
     specialize,
     sum_node,
     var,
     wmc,
+    wmc_many,
 )
 from repro.circuits.compile import clear_compile_cache
 from repro.errors import SemiringError
@@ -214,3 +217,184 @@ class TestDeletionHomomorphism:
         assert specialize(restricted, NATURALS, survivors) == specialize(
             circuit, NATURALS, zeroed
         )
+
+
+class TestBatchCompile:
+    """``compile_many``: all the roots of a relation as one diagram;
+    ``compile`` is its one-root case."""
+
+    @staticmethod
+    def lineages():
+        a, b, c, d = (var(name) for name in NAMES)
+        shared = prod_node(a, b)
+        return {
+            "t1": sum_node(shared, c),
+            "t2": prod_node(sum_node(shared, d), c),
+            "t3": BoolExpr.var("d") | (BoolExpr.var("a") & BoolExpr.var("c")),
+            "t4": ONE,
+        }
+
+    def test_batch_equals_one_by_one_on_a_fresh_compiler(self):
+        batch_compiler, single = CircuitCompiler(), CircuitCompiler()
+        batch = batch_compiler.compile_many(self.lineages())
+        for key, value in self.lineages().items():
+            alone = single.compile(value)
+            assert batch[key].root is alone.root
+            assert batch[key].source is alone.source
+            assert batch[key].order == alone.order
+        assert batch_compiler.order == single.order
+        assert list(batch) == list(self.lineages())
+
+    def test_batch_stats_count_the_multi_rooted_dag_once(self):
+        before = compilation.snapshot()
+        lineages = self.lineages()
+        batch = CircuitCompiler().compile_many(lineages)
+        delta = compilation.delta(before)
+        assert delta["batches"] == 1 and delta["compiles"] == len(lineages)
+        stats = batch["t1"].stats
+        assert all(compiled.stats is stats for compiled in batch.values())
+        assert stats["roots"] == len(lineages)
+        assert stats["input_nodes"] == delta["input_nodes"] == node_count(
+            *(compiled.source for compiled in batch.values())
+        )
+        assert stats["output_nodes"] == delta["output_nodes"] == node_count(
+            *(compiled.root for compiled in batch.values())
+        )
+        assert stats["variables"] == 4
+        # Shared nodes once: less than the sum of the per-root sizes.
+        assert stats["input_nodes"] < sum(
+            node_count(compiled.source) for compiled in batch.values()
+        )
+
+    def test_an_empty_batch_is_an_empty_answer(self):
+        assert CircuitCompiler().compile_many({}) == {}
+
+    def test_explicit_order_must_cover_the_support_of_every_root(self):
+        compiler = CircuitCompiler(order=("a", "b"))
+        with pytest.raises(SemiringError, match=r"outside the fixed order: \['c', 'd'\]"):
+            compiler.compile_many(
+                {1: prod_node(var("a"), var("b")), 2: sum_node(var("c"), var("d"))}
+            )
+        # A refused batch leaves the compiler usable and its order untouched.
+        assert compiler.order == ("a", "b")
+        assert compiler.compile(prod_node(var("a"), var("b"))).order == ("a", "b")
+
+    def test_frequency_model_extends_the_order_deterministically(self):
+        lineages = self.lineages()
+        orders = []
+        for _ in range(2):
+            compiler = CircuitCompiler(model="frequency")
+            compiler.compile(prod_node(var("b"), var("c")))
+            first = compiler.order
+            compiler.compile_many(lineages)
+            assert compiler.order[: len(first)] == first  # extended, not reshuffled
+            orders.append(compiler.order)
+        assert orders[0] == orders[1]
+        assert set(orders[0]) == set(NAMES)
+
+    def test_wmc_many_equals_per_root_wmc(self):
+        batch = CircuitCompiler().compile_many(self.lineages())
+        weights = {"a": 0.3, "b": 0.6, "c": 0.25, "d": 0.9}
+        counted = wmc_many({key: c.root for key, c in batch.items()}, weights)
+        assert counted == {key: wmc(c.root, weights) for key, c in batch.items()}
+        assert counted["t4"] == 1.0
+
+    def test_weights_are_validated_once_with_the_same_messages(self):
+        diagram = compile_circuit(sum_node(prod_node(var("a"), var("b")), var("c"))).root
+        with pytest.raises(SemiringError, match="weights are missing variable 'c'"):
+            wmc(diagram, {"a": 0.5, "b": 0.5})
+        with pytest.raises(SemiringError, match="weight of 'b' must be a probability, got 1.5"):
+            wmc_many({"t": diagram}, {"a": 0.5, "b": 1.5, "c": 0.5})
+
+        class CountingWeights(dict):
+            reads = 0
+
+            def __getitem__(self, name):
+                CountingWeights.reads += 1
+                return dict.__getitem__(self, name)
+
+        batch = CircuitCompiler().compile_many(self.lineages())
+        wmc_many(
+            {key: c.root for key, c in batch.items()},
+            CountingWeights({"a": 0.3, "b": 0.6, "c": 0.25, "d": 0.9}),
+        )
+        assert CountingWeights.reads == 4  # once per variable, not per gate
+
+
+class TestRepeatedCompilation:
+    """The compiler's memos are keyed by the interned node, so what they
+    describe stays alive and an identical request finds it again."""
+
+    def test_recompiling_equal_circuits_hits_at_the_root_and_adds_nothing(self):
+        compiler = CircuitCompiler()
+
+        def lineages():  # rebuilt from scratch: only the compiler keeps them alive
+            return {
+                i: sum_node(
+                    prod_node(var(f"r{i}"), var(f"r{i + 1}")),
+                    prod_node(var(f"r{i + 1}"), var(f"r{i + 2}"), var("r0")),
+                )
+                for i in range(6)
+            }
+
+        first = compiler.compile_many(lineages())
+        sizes = (
+            len(compiler._compiled),
+            sum(len(table) for table in compiler._cond.values()),
+            len(compiler._supports),
+        )
+        for _ in range(4):
+            misses = compiler.cache_misses
+            again = compiler.compile_many(lineages())
+            assert compiler.cache_misses == misses
+            assert all(again[i].root is first[i].root for i in first)
+            assert sizes == (
+                len(compiler._compiled),
+                sum(len(table) for table in compiler._cond.values()),
+                len(compiler._supports),
+            )
+
+
+class TestScale:
+    """10^5-node circuits through the batch compiler, the counting pass, the
+    evaluator and ``specialize``: every pass is iterative."""
+
+    def test_deep_chain(self):
+        p, q = var("p"), var("q")
+        steps = 50_000
+        node = q
+        for _ in range(steps):
+            node = sum_node(prod_node(node, p), q)  # (...(q·p + q)·p + q...)
+        assert node_count(node) == 2 * steps + 2
+
+        compiler = CircuitCompiler(order=("p", "q"))
+        compiled = compiler.compile_many({"deep": node})["deep"]
+        # Support pass reached the bottom; the function is just ``q``.
+        assert compiled.order == ("p", "q")
+        assert compiled.stats["input_nodes"] == 2 * steps + 2
+        assert compiled.root is compile_circuit(q).root
+        assert wmc_many({"deep": compiled.root}, {"p": 0.5, "q": 0.25}) == {"deep": 0.25}
+        # The counting pass is iterative on the deep source as well.
+        assert wmc_many({"deep": node}, {"p": 0.0, "q": 0.25}) == {"deep": 0.25}
+        assert eval_circuit(node, {"p": 1, "q": 1}, NATURALS) == steps + 1
+        assert specialize(node, NATURALS, {"p": 0, "q": 3}) == 3
+
+    def test_wide_dag(self):
+        names = [f"w{i}" for i in range(450)]
+        pairs = itertools.islice(itertools.combinations(names, 2), 100_000)
+        lineages = {pair: prod_node(var(pair[0]), var(pair[1])) for pair in pairs}
+        assert len(lineages) == 100_000
+
+        compiler = CircuitCompiler()
+        compiled = compiler.compile_many(lineages)
+        assert set(compiler.order) == set(names)
+        stats = compiled["w0", "w1"].stats
+        assert stats["roots"] == 100_000 and stats["input_nodes"] == 100_450
+        weights = {name: 0.5 for name in names}
+        counted = wmc_many({pair: c.root for pair, c in compiled.items()}, weights)
+        assert set(counted.values()) == {0.25}
+        union = sum_node(*lineages.values())
+        evaluator = CircuitEvaluator(NATURALS, {name: 1 for name in names})
+        assert evaluator(union) == 100_000
+        assert [evaluator(root) for root in lineages.values()] == [1] * 100_000
+        assert specialize(union, NATURALS, {name: int(name == "w0") for name in names}) == 0

@@ -127,3 +127,62 @@ def test_node_ids_are_stable_and_ordered():
     assert tuple(child.node_id for child in s.children) == tuple(
         sorted(child.node_id for child in s.children)
     )
+
+
+class TestIterNodesContract:
+    """``iter_nodes(*roots, done=...)``: postorder, each node once across
+    roots, and nothing in ``done`` is yielded or descended into."""
+
+    @staticmethod
+    def dag():
+        a, b, c, d = var("a"), var("b"), var("c"), var("d")
+        shared = sum_node(a, b)
+        left = prod_node(shared, c)
+        right = prod_node(shared, d)
+        return a, b, c, d, shared, left, right
+
+    @staticmethod
+    def children(node):
+        return getattr(node, "children", ())
+
+    def test_children_before_parents_each_node_once_across_roots(self):
+        *_, shared, left, right = self.dag()
+        top = sum_node(left, right)
+        visited = list(iter_nodes(left, right, top, shared))
+        assert len(visited) == len(set(visited)) == 8
+        position = {node: i for i, node in enumerate(visited)}
+        for node in visited:
+            for child in self.children(node):
+                assert position[child] < position[node]
+
+    def test_pruned_nodes_are_neither_yielded_nor_descended(self):
+        a, b, c, d, shared, left, right = self.dag()
+        # `shared` is done: it and the leaves only it reaches (a, b) are skipped.
+        assert list(iter_nodes(left, right, done={shared})) == [c, left, d, right]
+        # A done root yields nothing at all.
+        assert list(iter_nodes(left, done={left: "memo value"})) == []
+        # Leaves under a done node are still yielded when reached another way.
+        top = sum_node(left, a)
+        assert set(iter_nodes(top, done={shared})) == {a, c, left, top}
+
+    def test_done_filled_during_iteration_is_honoured(self):
+        """The memoised passes add to their memo as they go: a node marked
+        done after the walk started is skipped when the walk reaches it."""
+        a, b, c, d, shared, left, right = self.dag()
+        done = set()
+        visited = []
+        for node in iter_nodes(left, right, done=done):
+            visited.append(node)
+            if node is left:
+                done.add(right)  # not reached yet: must not be entered
+        assert len(visited) == 5 and set(visited) == {a, b, shared, c, left}
+
+    def test_a_memoised_pass_walks_each_node_once_over_many_calls(self):
+        *_, left, right = self.dag()
+        memo = {}
+        walked = []
+        for root in (left, right, sum_node(left, right)):
+            for node in iter_nodes(root, done=memo):
+                walked.append(node)
+                memo[node] = True
+        assert len(walked) == len(set(walked)) == node_count(sum_node(left, right))

@@ -148,6 +148,26 @@ class TestApiSurface:
         assert "0x" not in rendered  # no memory addresses anywhere
         assert report.result.equal_to(query.evaluate(database))
 
+    def test_compile_line_reports_batches_and_roots(self):
+        from repro.circuits import CircuitCompiler, prod_node, sum_node, var
+        from repro.obs.metrics import compilation
+
+        report = _report()
+        assert "compile:" not in report.render(timings=False)  # nothing compiled
+        before = compilation.snapshot()
+        shared = prod_node(var("p"), var("q"))
+        compiler = CircuitCompiler()
+        compiler.compile_many({1: shared, 2: sum_node(shared, var("r"))})
+        compiler.compile(var("r"))
+        report.compile_stats = compilation.delta(before)
+        (line,) = [
+            line for line in report.render(timings=False).splitlines()
+            if line.startswith("compile:")
+        ]
+        # Multi-rooted sizes: p, q, r, p·q and the sum once, then r again.
+        assert line.startswith("compile: batches=2 roots=3 nodes_in=6 nodes_out=")
+        assert "cache_hit_rate=" in line
+
     def test_emits_span_when_tracing(self):
         database = section2_database(NaturalsSemiring())
         with tracing() as sink:

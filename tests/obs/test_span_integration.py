@@ -12,12 +12,16 @@ from repro.circuits import CircuitSemiring
 from repro.datalog import evaluate_program
 from repro.incremental import IncrementalDatalog, MaterializedView, UpdateBatch
 from repro.obs import tracing
-from repro.obs.metrics import consing
+from repro.obs.metrics import compilation, consing
 from repro.obs.trace import enabled
 from repro.planner import optimize
 from repro.semirings import BooleanSemiring, NaturalsSemiring
 from repro.workloads import random_graph_database, transitive_closure_program
-from repro.workloads.paper_instances import section2_database, section2_query
+from repro.workloads.paper_instances import (
+    figure4_probabilistic_database,
+    section2_database,
+    section2_query,
+)
 
 
 class TestEngineSpans:
@@ -138,6 +142,31 @@ class TestConsingMetrics:
             snapshot = consing.snapshot()
         assert snapshot["hits"] + snapshot["misses"] > 0
         assert not consing.enabled  # scope exit restored the gate
+
+
+class TestCompileSpans:
+    def test_a_query_compiles_its_answers_as_one_batch(self):
+        pdb = figure4_probabilistic_database()
+        before = compilation.snapshot()
+        with tracing() as sink:
+            answer = pdb.query_probabilities(section2_query())
+        (record,) = sink.find("circuit.compile")  # one span per batch, not per tuple
+        delta = compilation.delta(before)
+        assert record.attributes["roots"] == len(answer) == delta["compiles"]
+        assert delta["batches"] == 1
+        assert record.attributes["input_nodes"] == delta["input_nodes"] > 0
+        assert record.attributes["output_nodes"] == delta["output_nodes"] > 0
+        assert record.attributes["cache_misses"] == delta["cache_misses"] > 0
+
+    def test_a_single_compile_is_a_batch_of_one(self):
+        pdb = figure4_probabilistic_database()
+        before = compilation.snapshot()
+        with tracing() as sink:
+            pdb.tuple_probability("R", ("a", "b", "c"))
+        (record,) = sink.find("circuit.compile")
+        assert record.attributes["roots"] == 1
+        delta = compilation.delta(before)
+        assert (delta["batches"], delta["compiles"]) == (1, 1)
 
 
 class TestZeroSpanWhenDisabled:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.circuits import CircuitCompiler, wmc, wmc_many
 from repro.probabilistic import ProbabilisticDatabase
 from tests.strategies import BASE_SCHEMAS, DOMAIN, programs, ra_queries
 
@@ -188,6 +189,94 @@ class TestDatalog:
         seminaive = pdb.datalog_probabilities(program, engine="seminaive")
         naive = pdb.datalog_probabilities(program, engine="naive")
         _assert_probabilities_match(seminaive, naive, "engines")
+
+
+def _assert_batch_equals_per_root(lineages, weights, k):
+    """``compile_many`` / ``wmc_many`` against one-by-one ``compile`` /
+    ``wmc`` on a fresh compiler: the same diagram nodes, the same orders,
+    bit-identical floats, equal top-k lists.  Returns the batch's counts."""
+    batch_compiler, single = CircuitCompiler(), CircuitCompiler()
+    batch = batch_compiler.compile_many(lineages)
+    alone = {key: single.compile(value) for key, value in lineages.items()}
+    assert list(batch) == list(alone)
+    assert batch_compiler.order == single.order
+    counted = wmc_many({key: c.root for key, c in batch.items()}, weights)
+    for key, compiled in alone.items():
+        assert batch[key].root is compiled.root
+        assert batch[key].order == compiled.order
+        assert counted[key] == wmc(compiled.root, weights)  # exact, not approx
+        assert batch[key].top_k(weights, k) == compiled.top_k(weights, k)
+    return counted
+
+
+class TestBatchEqualsPerRoot:
+    @SETTINGS
+    @given(
+        probabilistic_databases(),
+        ra_queries(),
+        st.sampled_from(STORAGES),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_queries(self, pdb, query_and_schema, storage, k):
+        query, _ = query_and_schema
+        lineages = dict(pdb.query_lineage(query, storage=storage).items())
+        counted = _assert_batch_equals_per_root(lineages, pdb.marginals, k)
+        assert pdb.query_probabilities(query, storage=storage) == counted
+        enumerated = pdb.query_probabilities(query, method="enumerate", storage=storage)
+        _assert_probabilities_match(counted, enumerated, f"storage={storage}")
+
+    @SETTINGS
+    @given(st.data(), st.integers(min_value=1, max_value=3))
+    def test_datalog(self, data, k):
+        program = data.draw(programs())
+        pdb = data.draw(datalog_probabilistic_databases(program))
+        conditions = pdb._datalog_conditions(program).conditions
+        counted = _assert_batch_equals_per_root(conditions, pdb.marginals, k)
+        answer = pdb.datalog_probabilities(program)
+        output = {
+            atom.values: p for atom, p in counted.items() if atom.relation == program.output
+        }
+        attributes = pdb._datalog_output_schema(program).attributes
+        assert {tup.values_for(attributes): p for tup, p in answer.items()} == output
+        _assert_probabilities_match(
+            answer, pdb.datalog_probabilities(program, method="enumerate"), "datalog"
+        )
+
+
+class TestRepeatedQueries:
+    def test_identical_queries_hit_at_the_root_and_do_not_grow_the_caches(self):
+        """Regression: the compiler's caches were keyed by node *ids* that
+        held no reference, so the lineage of a finished call died and an
+        identical call recompiled from the root, leaving dead entries behind
+        in all three tables on every call."""
+        columns = 8  # the directed ladder: two rails and a rung per column
+        edges = [((c, 0), (c, 1)) for c in range(columns)]
+        for c in range(columns - 1):
+            edges += [((c, 0), (c + 1, 0)), ((c, 1), (c + 1, 1))]
+        pdb = ProbabilisticDatabase()
+        pdb.add_relation(
+            "R",
+            ["x", "y"],
+            [((f"n{s}", f"n{t}"), f"e{i}", 0.5 + i / 100) for i, (s, t) in enumerate(edges)],
+        )
+        program = "T(x, y) :- R(x, y)\nT(x, y) :- R(x, z), T(z, y)"
+        first = pdb.datalog_probabilities(program)
+        compiler = pdb._compiler
+
+        def entries(table):  # the cofactor memo, however its tables are nested
+            if not isinstance(table, dict):
+                return 1
+            return sum(entries(value) for value in table.values())
+
+        def sizes():
+            return len(compiler._compiled), entries(compiler._cond), len(compiler._supports)
+
+        before = sizes()
+        for _ in range(4):
+            misses = compiler.cache_misses
+            assert pdb.datalog_probabilities(program) == first
+            assert sizes() == before
+            assert compiler.cache_misses == misses
 
 
 class TestScale:
