@@ -177,9 +177,11 @@ def evaluate_program(
 
     ``storage`` selects the physical backend of the semi-naive engine's
     per-predicate stores (``"row"`` or ``"columnar"``; ``None`` defers to
-    ``REPRO_STORAGE``, then to the database's own backend).  A columnar
-    backend additionally engages whole-column round batching for linear
-    recursions over vectorizable semirings.  The naive engine ignores it.
+    ``REPRO_STORAGE``, then to the database's own backend).  On a columnar
+    backend the whole fixpoint runs array-resident
+    (:mod:`repro.datalog.arraystore`) for idempotent vector semirings and
+    programs of copy / single-join plans, with identical results.  The
+    naive engine ignores it.
 
     ``parallel`` (semi-naive engine only) runs the annotate-mode fixpoint
     rounds over a pool of shared-nothing worker processes

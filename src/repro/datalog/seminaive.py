@@ -43,6 +43,18 @@ pass**.  Divergent atoms are handled identically to the naive engine:
 always raises, and ``"skip"`` drops them while keeping the exact annotations
 of the convergent atoms.
 
+Array-resident rounds
+---------------------
+With columnar IDB stores, vector arithmetic for the (idempotent) semiring and
+a program whose every plan is a copy or a single bind-only equi-join -- linear
+and quadratic transitive closure, reachability, shortest path -- the same
+loop runs on :class:`repro.datalog.arraystore.ArrayState` instead: delta,
+totals and the merge stay in code arrays and the stores below are written by
+one flush when the loop ends.  Nothing selects it; the engine reads storage
+kind, semiring and plan shapes, and anything else (``round_declined`` says
+what) runs the row loop described above, which is also the only protocol
+(``_fire`` / ``_merge`` over dicts) the parallel coordinator speaks.
+
 The result is a :class:`~repro.datalog.fixpoint.DatalogResult` that agrees
 annotation-for-annotation with the naive engine (the differential
 property-test suite in ``tests/datalog/test_seminaive_vs_naive.py`` checks
@@ -54,8 +66,10 @@ where the speed comes from (see ``benchmarks/bench_seminaive.py``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
+from repro.datalog.arraystore import ArrayState, Declined, Recipe
 from repro.engine import vectorized as _vectorized
 from repro.engine.kernels import combine_contributions
 from repro.errors import DatalogError, DivergenceError
@@ -77,7 +91,6 @@ from repro.logic import Constant, Variable
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
 from repro.relations.schema import Schema
-from repro.relations.storage import ColumnarRowStore
 from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
 from repro.semirings.boolean import BooleanSemiring
@@ -268,6 +281,51 @@ def _compile_plan(
     )
 
 
+def _array_recipe(plan: _Plan) -> Recipe | None:
+    """How ``plan`` fires on code arrays, or ``None`` when it cannot.
+
+    It can when the plan is a copy (no non-driver atom) or a single
+    equi-join, driver and probed atom bind fresh distinct variables only (no
+    constants, no repeated variables -- those compile to ``_CHECK_*``
+    opcodes), the probe key references driver-bound slots only and every
+    head position is a bound variable.  This covers the recursion shapes
+    (linear and quadratic transitive closure, reachability, shortest path)
+    that dominate the fixpoint rounds.
+    """
+    if len(plan.steps) > 1:
+        return None
+    driver = plan.driver
+    step = plan.steps[0] if plan.steps else None
+    atoms = (driver,) if step is None else (driver, step)
+    if any(opcode != _BIND for atom in atoms for _, opcode, _ in atom.post):
+        return None
+    driver_positions = {payload: position for position, _, payload in driver.post}
+    step_positions: Dict[int, int] = {}
+    probe_key: List[int] = []
+    if step is not None:
+        step_positions = {payload: position for position, _, payload in step.post}
+        for is_slot, payload in step.key_parts:
+            if not is_slot:
+                return None
+            probe_key.append(driver_positions[payload])
+    head = []
+    for is_slot, payload in plan.head_parts:
+        if not is_slot:
+            return None
+        if payload in driver_positions:
+            head.append(("p", driver_positions[payload]))
+        else:
+            head.append(("b", step_positions[payload]))
+    return Recipe(
+        target=plan.head_relation,
+        driver=driver.predicate,
+        step=step and step.predicate,
+        probe_key=tuple(probe_key),
+        build_key=step.key_positions if step else (),
+        head=tuple(head),
+    )
+
+
 class _Store:
     """A predicate's facts: the backing KRelation plus positional-row indexes.
 
@@ -278,15 +336,7 @@ class _Store:
     tuples are inserted.
     """
 
-    __slots__ = (
-        "relation",
-        "attributes",
-        "rows",
-        "indexes",
-        "sorted_spec",
-        "append_only",
-        "_positions",
-    )
+    __slots__ = ("relation", "attributes", "rows", "indexes", "sorted_spec", "_positions")
 
     def __init__(self, relation: KRelation):
         self.relation = relation
@@ -301,10 +351,6 @@ class _Store:
         self.sorted_spec: Tuple[Tuple[str, int], ...] = tuple(
             sorted((a, i) for i, a in enumerate(self.attributes))
         )
-        #: False once any row was removed: the row order then no longer
-        #: mirrors the backing relation's insertion order, which disables
-        #: the columnar zero-copy annotation path (``_build_annotations``).
-        self.append_only = True
         # Lazy Tup -> position map, built on the first removal only so
         # insert-only runs pay nothing for deletion support.
         self._positions: Dict[Tup, int] | None = None
@@ -316,17 +362,27 @@ class _Store:
             index.setdefault(tuple(row[0][p] for p in positions), []).append(row)
         return index
 
+    def tup_for(self, values: tuple) -> Tup:
+        """The canonical tuple of a positional ``values`` row."""
+        return Tup._from_sorted_items(
+            tuple((a, values[i]) for a, i in self.sorted_spec)
+        )
+
     def ensure_index(self, positions: Tuple[int, ...]) -> None:
         if positions not in self.indexes:
             self.indexes[positions] = self._grouped(positions)
 
-    def insert(self, values: tuple, tup: Tup) -> None:
+    def extend(self, rows: Sequence[Tuple[tuple, Tup]]) -> None:
+        """Append new ``(values, tup)`` rows and hook them into every index."""
         if self._positions is not None:
-            self._positions[tup] = len(self.rows)
-        self.rows.append((values, tup))
+            base = len(self.rows)
+            for offset, (_, tup) in enumerate(rows):
+                self._positions[tup] = base + offset
+        self.rows.extend(rows)
         for positions, index in self.indexes.items():
-            key = tuple(values[p] for p in positions)
-            index.setdefault(key, []).append((values, tup))
+            for row in rows:
+                key = tuple(row[0][p] for p in positions)
+                index.setdefault(key, []).append(row)
 
     def remove(self, tup: Tup) -> tuple | None:
         """Drop ``tup``'s row (swap-with-last) and unhook it from every index.
@@ -340,24 +396,22 @@ class _Store:
         position = self._positions.pop(tup, None)
         if position is None:
             return None
-        values, _ = self.rows[position]
+        row = self.rows[position]
+        values = row[0]
         last = len(self.rows) - 1
         if position != last:
             moved = self.rows[last]
             self.rows[position] = moved
             self._positions[moved[1]] = position
         self.rows.pop()
-        self.append_only = False
         for positions, index in self.indexes.items():
             key = tuple(values[p] for p in positions)
-            bucket = index.get(key)
-            if bucket:
-                for i, (_, candidate) in enumerate(bucket):
-                    if candidate == tup:
-                        bucket.pop(i)
-                        break
-                if not bucket:
-                    del index[key]
+            bucket = index[key]
+            # Buckets hold the row objects themselves: found by identity,
+            # every other candidate differs in its (C-compared) values.
+            bucket.remove(row)
+            if not bucket:
+                del index[key]
         return values
 
     def audit(self) -> str | None:
@@ -435,18 +489,31 @@ class _SemiNaiveEngine:
 
         #: Physical backend for the IDB stores (explicit > env > database).
         self.storage_kind = resolve_execution_storage(storage, database)
-        # Whole-column round batching: with a columnar backend, a numpy
-        # runtime and vector arithmetic for the semiring, single-step plans
-        # (delta driver + one indexed atom, binds only) fire array-at-a-time
-        # (:func:`repro.engine.vectorized.fire_linear_join`) instead of the
-        # per-derivation descend loop.  Annotate mode only -- collect mode
-        # must record individual instantiations.
-        self._vector_ops = None
-        if not collect and self.storage_kind == "columnar":
-            self._vector_ops = _vectorized.vector_ops_for(self.semiring)
-        self._vec_recipes: Dict[int, Any] = {}
-        self._encoders: Dict[Tuple[str, int], "_vectorized.ColumnEncoder"] = {}
-        self._ann_arrays: Dict[str, Tuple[Any, int, Any]] = {}
+        #: Which loop ran last -- ``"array"`` (:mod:`repro.datalog.arraystore`)
+        #: or ``"rows"`` -- and why the array loop is not available:
+        #: ``"semiring"`` (collect mode, a non-idempotent ``+``, no vector
+        #: arithmetic or no numpy), ``"storage"`` (row IDB stores), ``"plan"``
+        #: (a plan without an array recipe) or, found on this instance when
+        #: the state was built, ``"value"`` (an annotation that does not lift)
+        #: and ``"radix"`` (row codes would leave ``int64``).  The
+        #: ``datalog.seed`` span carries the same two values.
+        self.round_path = "rows"
+        self.round_declined: str | None = None
+        # Annotate mode over an idempotent ``+`` only: collect mode records
+        # individual instantiations, and the idempotent carriers (float
+        # min/max, bool) are the ones whose vector arithmetic has no overflow
+        # guard that could trip in the middle of a run.
+        self._vector_ops = (
+            None
+            if collect or not self.semiring.idempotent_add
+            else _vectorized.vector_ops_for(self.semiring)
+        )
+        if self._vector_ops is None:
+            self.round_declined = "semiring"
+        elif self.storage_kind != "columnar":
+            self.round_declined = "storage"
+        self._recipes: Dict[int, Recipe] = {}
+        self._arrays: ArrayState | None = None
 
         idb = program.idb_predicates
         self.stores: Dict[str, _Store] = {}
@@ -502,6 +569,12 @@ class _SemiNaiveEngine:
         for plan in self.seed_plans + [p for ps in self.delta_plans.values() for p in ps]:
             for step in plan.steps:
                 self.stores[step.predicate].ensure_index(step.key_positions)
+            if self.round_declined is None:
+                recipe = _array_recipe(plan)
+                if recipe is None:
+                    self.round_declined = "plan"
+                else:
+                    self._recipes[id(plan)] = recipe
         # Head-driven plans for the deletion rederive pass, compiled lazily
         # on the first delete so insert-only maintenance pays nothing.
         self._sizes = sizes
@@ -532,134 +605,6 @@ class _SemiNaiveEngine:
         if log is not None:
             log.setdefault(predicate, set()).update(tups)
 
-    # -- whole-column plan firing ----------------------------------------------
-    def _vector_recipe(self, plan: _Plan):
-        """The ``(step predicate, key, head)`` wiring when ``plan`` is a
-        vectorizable single-step plan, else ``None``.
-
-        Vectorizable means: exactly one non-driver atom, driver and step
-        bind fresh distinct variables only (no constants, no repeated
-        variables -- those compile to ``_CHECK_*`` opcodes), the step's
-        probe key references driver-bound slots only, and every head
-        position is a bound variable.  This covers the linear recursion
-        shapes (transitive closure, reachability, shortest path) that
-        dominate the fixpoint rounds.
-        """
-        if len(plan.steps) != 1:
-            return None
-        driver, step = plan.driver, plan.steps[0]
-        if any(opcode != _BIND for _, opcode, _ in driver.post):
-            return None
-        driver_positions = {payload: position for position, _, payload in driver.post}
-        if any(opcode != _BIND for _, opcode, _ in step.post):
-            return None
-        step_positions = {payload: position for position, _, payload in step.post}
-        key = []
-        for position, (is_slot, payload) in zip(step.key_positions, step.key_parts):
-            if not is_slot or payload not in driver_positions:
-                return None
-            key.append((driver_positions[payload], position))
-        head = []
-        for is_slot, payload in plan.head_parts:
-            if not is_slot:
-                return None
-            if payload in driver_positions:
-                head.append(("p", driver_positions[payload]))
-            elif payload in step_positions:
-                head.append(("b", step_positions[payload]))
-            else:
-                return None
-        return step.predicate, key, head
-
-    def _build_column(self, predicate: str, position: int):
-        """The step relation's encoded column at ``position`` (incremental)."""
-        encoder = self._encoders.get((predicate, position))
-        rows = self.stores[predicate].rows
-        if encoder is not None and len(encoder) > len(rows):
-            # A removal shrank the store below the cached prefix: the encoder
-            # no longer mirrors the row order, rebuild it from scratch.
-            encoder = None
-        if encoder is None:
-            encoder = self._encoders[(predicate, position)] = _vectorized.ColumnEncoder()
-        if len(encoder) < len(rows):
-            encoder.extend(values[position] for values, _ in rows[len(encoder):])
-        return encoder.column()
-
-    def _build_annotations(self, predicate: str):
-        """The step relation's lifted annotation array, cached by store version.
-
-        EDB relations never mutate during a run, so their array is built
-        once for the whole fixpoint; IDB arrays are rebuilt in rounds whose
-        merge actually changed the predicate.
-        """
-        store = self.stores[predicate]
-        relation_store = store.relation._store
-        version = getattr(relation_store, "version", None)
-        cached = self._ann_arrays.get(predicate)
-        if cached is not None and cached[0] == version and cached[1] == len(store.rows):
-            return cached[2]
-        if (
-            isinstance(relation_store, ColumnarRowStore)
-            and store.append_only
-            and len(relation_store.tuples) == len(store.rows)
-        ):
-            # Both sequences grew append-only from the same update stream
-            # (``merge_delta`` appends, ``insert`` mirrors it), so equal
-            # length means identical order and the columnar store's parallel
-            # annotation list is already row-aligned.  A removal on either
-            # side reorders them independently (both discard by swapping
-            # with the last row), so any removed store (``append_only``
-            # False) takes the per-row lookup path below instead.
-            values = relation_store.annotations
-        else:
-            annotations = store.relation._annotations
-            values = [annotations[tup] for _, tup in store.rows]
-        array = self._vector_ops.to_array(values)
-        if version is not None:
-            self._ann_arrays[predicate] = (version, len(store.rows), array)
-        return array
-
-    def _fire_vectorized(
-        self, plan: _Plan, recipe, driver_rows, out, driver_annotations=None
-    ) -> bool:
-        step_predicate, key, head = recipe
-        ops = self._vector_ops
-        if not self.stores[step_predicate].rows:
-            return True
-        try:
-            probe_needed = {p for p, _ in key} | {k for side, k in head if side == "p"}
-            probe_cols = {
-                position: _vectorized._encode_column(
-                    [values[position] for values, _ in driver_rows]
-                )
-                for position in probe_needed
-            }
-            if driver_annotations is None:
-                driver_annotations = self.stores[
-                    plan.driver.predicate
-                ].relation._annotations
-            probe_ann = ops.to_array(
-                [driver_annotations[tup] for _, tup in driver_rows]
-            )
-            build_needed = {p for _, p in key} | {k for side, k in head if side == "b"}
-            build_cols = {
-                position: self._build_column(step_predicate, position)
-                for position in build_needed
-            }
-            build_ann = self._build_annotations(step_predicate)
-        except (TypeError, _vectorized._Fallback):
-            return False  # unhashable / unliftable values: row path instead
-        return _vectorized.fire_linear_join(
-            ops,
-            probe_cols,
-            probe_ann,
-            build_cols,
-            build_ann,
-            key,
-            head,
-            out[plan.head_relation],
-        )
-
     # -- one plan, one batch of driver rows -----------------------------------
     def _fire(
         self,
@@ -675,15 +620,6 @@ class _SemiNaiveEngine:
         together with their annotations instead of replicating the parent's
         IDB stores, so the rows may be absent from this engine's own store.
         """
-        if self._vector_ops is not None and driver_rows:
-            recipe = self._vec_recipes.get(id(plan), False)
-            if recipe is False:
-                recipe = self._vector_recipe(plan)
-                self._vec_recipes[id(plan)] = recipe
-            if recipe is not None and self._fire_vectorized(
-                plan, recipe, driver_rows, out, driver_annotations
-            ):
-                return
         semiring = self.semiring
         mul = semiring.mul
         stores = self.stores
@@ -754,37 +690,96 @@ class _SemiNaiveEngine:
                     descend(0, driver_annotations[tup])
 
     # -- the delta loop ---------------------------------------------------------
+    @contextmanager
+    def _array_loop(self) -> Iterator[ArrayState | None]:
+        """The array state one loop runs on, or ``None`` for the row loop.
+
+        The state is built lazily from the stores' rows -- at the first loop,
+        and again after something outside a loop dropped it -- and declined
+        for good (``round_declined``) when this instance does not fit.  What
+        the loop derives reaches the stores in one flush when the block ends,
+        also when it ends in a :class:`DivergenceError`: the stores then hold
+        the state reached, exactly like the row loop's.
+        """
+        if self._arrays is None and self.round_declined is None:
+            try:
+                self._arrays = ArrayState(self._vector_ops, self.stores, self._recipes)
+            except Declined as declined:
+                self.round_declined = declined.reason
+        arrays = self._arrays
+        self.round_path = "rows" if arrays is None else "array"
+        try:
+            yield arrays
+        finally:
+            if arrays is not None:
+                arrays.flush(self._log_changes)
+
+    def _fresh(self) -> Dict[str, Dict[tuple, Any]]:
+        return {predicate: {} for predicate in self.program.idb_predicates}
+
+    def _step(self, work: Iterable[Tuple[_Plan, Any]], arrays: ArrayState | None):
+        """Fire ``(plan, driver rows)`` pairs, then merge: the next delta.
+
+        Rows are ``(values, tup)`` lists on the row loop and position arrays
+        into ``arrays`` on the array loop; so is the returned delta.
+        """
+        if arrays is None:
+            fire, merge, out = self._fire, self._merge, self._fresh()
+        else:
+            fire, merge, out = arrays.fire, arrays.merge, {}
+        for plan, rows in work:
+            if len(rows):
+                fire(plan, rows, out)
+        return merge(out)
+
+    def _round(self, delta: Dict[str, Any], arrays: ArrayState | None):
+        """Fire every plan driven by a predicate of ``delta``; the next delta."""
+        return self._step(
+            [
+                (plan, rows)
+                for predicate, rows in delta.items()
+                for plan in self.delta_plans.get(predicate, ())
+            ],
+            arrays,
+        )
+
     def run(self, max_iterations: int) -> int:
         """Seed, then fire delta variants until a round changes nothing.
 
         Returns the number of rounds executed (the seed round counts, and so
         does the final round that merges an empty delta).
         """
-        with _trace.span(
-            "datalog.seed",
-            mode="collect" if self.collect else "annotate",
-            plans=len(self.seed_plans),
-        ) as sp:
-            out = self._fresh()
-            for plan in self.seed_plans:
-                self._fire(plan, self.stores[plan.driver.predicate].rows, out)
-            delta = self._merge(out)
-            if _trace.enabled():
-                sp.set(delta_rows=sum(len(rows) for rows in delta.values()))
-        return self._drain(delta, max_iterations, iterations=1)
-
-    def _fresh(self) -> Dict[str, Dict[tuple, Any]]:
-        return {predicate: {} for predicate in self.program.idb_predicates}
+        with self._array_loop() as arrays:
+            with _trace.span(
+                "datalog.seed",
+                mode="collect" if self.collect else "annotate",
+                plans=len(self.seed_plans),
+            ) as sp:
+                drivers = [plan.driver.predicate for plan in self.seed_plans]
+                if arrays is None:
+                    rows = [self.stores[predicate].rows for predicate in drivers]
+                else:
+                    rows = [arrays.all_rows(predicate) for predicate in drivers]
+                delta = self._step(zip(self.seed_plans, rows), arrays)
+                if _trace.enabled():
+                    sp.set(
+                        delta_rows=sum(len(rows) for rows in delta.values()),
+                        path=self.round_path,
+                    )
+                    if self.round_declined:
+                        sp.set(declined=self.round_declined)
+            return self._drain(delta, max_iterations, iterations=1, arrays=arrays)
 
     def _drain(
         self,
-        delta: Dict[str, List[Tuple[tuple, Tup]]],
+        delta: Dict[str, Any],
         max_iterations: int,
         *,
         iterations: int,
+        arrays: ArrayState | None = None,
     ) -> int:
         """Fire delta variants until a round changes nothing; return the round count."""
-        while any(delta.values()):
+        while any(len(rows) for rows in delta.values()):
             if iterations >= max_iterations:
                 raise DivergenceError(
                     f"datalog evaluation over {self.database.semiring.name} did not "
@@ -795,15 +790,9 @@ class _SemiNaiveEngine:
                 if _trace.enabled():
                     sp.set(
                         delta_rows=sum(len(rows) for rows in delta.values()),
-                        delta_predicates=sum(1 for rows in delta.values() if rows),
+                        delta_predicates=sum(1 for rows in delta.values() if len(rows)),
                     )
-                out = self._fresh()
-                for predicate, rows in delta.items():
-                    if not rows:
-                        continue
-                    for plan in self.delta_plans[predicate]:
-                        self._fire(plan, rows, out)
-                delta = self._merge(out)
+                delta = self._round(delta, arrays)
         return iterations
 
     def apply_edb_delta(
@@ -835,27 +824,24 @@ class _SemiNaiveEngine:
         new_tuples = {tup for tup, _ in updates if tup not in known}
         changed = relation.merge_delta(updates)
         self._log_changes(predicate, changed)
-        rows: List[Tuple[tuple, Tup]] = []
-        for tup in changed:
-            values = tup.values_for(store.attributes)
-            if tup in new_tuples:
-                store.insert(values, tup)
-            rows.append((values, tup))
+        rows = [(tup.values_for(store.attributes), tup) for tup in changed]
+        new_rows = [row for row in rows if row[1] in new_tuples]
+        store.extend(new_rows)
         if not rows:
             return 0
-        out = self._fresh()
-        for plan in self.delta_plans.get(predicate, ()):
-            self._fire(plan, rows, out)
-        delta = self._merge(out)
-        return self._drain(delta, max_iterations, iterations=1)
+        # The array state mirrors appended facts; a rewritten annotation (or
+        # facts it cannot take) drops it and the loop below rebuilds it.
+        if self._arrays is not None and not (
+            len(new_rows) == len(rows) and self._arrays.append(predicate, rows)
+        ):
+            self._arrays = None
+        with self._array_loop() as arrays:
+            if arrays is not None:
+                rows = arrays.locate(predicate, rows)
+            delta = self._round({predicate: rows}, arrays)
+            return self._drain(delta, max_iterations, iterations=1, arrays=arrays)
 
     # -- deletion (DRed) --------------------------------------------------------
-    def _invalidate_vector_state(self, predicate: str) -> None:
-        """Drop cached columns/annotation arrays after rows were removed."""
-        self._ann_arrays.pop(predicate, None)
-        for key in [k for k in self._encoders if k[0] == predicate]:
-            del self._encoders[key]
-
     def _remove_rows(self, predicate: str, rows: Sequence[Tuple[tuple, Tup]]) -> None:
         """Remove rows from a predicate's store *and* its backing relation."""
         if not rows:
@@ -866,13 +852,8 @@ class _SemiNaiveEngine:
             store.remove(tup)
             annotations.pop(tup, None)
         self._log_changes(predicate, (tup for _, tup in rows))
-        self._invalidate_vector_state(predicate)
-
-    @staticmethod
-    def _tup_for(store: _Store, values: tuple) -> Tup:
-        return Tup._from_sorted_items(
-            tuple((a, values[i]) for a, i in store.sorted_spec)
-        )
+        # Swap-removal reorders the rows the array state mirrors by position.
+        self._arrays = None
 
     def _fire_heads(
         self,
@@ -917,7 +898,7 @@ class _SemiNaiveEngine:
                 if head in out:
                     return
                 if attains:
-                    stored = head_known.get(self._tup_for(head_store, head))
+                    stored = head_known.get(head_store.tup_for(head))
                     if stored is None or not attains(stored, annotation):
                         return
                 out.add(head)
@@ -1072,7 +1053,7 @@ class _SemiNaiveEngine:
                 head_known = head_store.relation._annotations
                 next_rows = []
                 for values in heads:
-                    tup = self._tup_for(head_store, values)
+                    tup = head_store.tup_for(values)
                     if tup in head_known:
                         next_rows.append((values, tup))
                 if next_rows:
@@ -1095,15 +1076,21 @@ class _SemiNaiveEngine:
                 continue
             changed = head_store.relation.merge_delta(updates)
             self._log_changes(pred, changed)
-            new_rows = []
-            for tup in changed:
-                values = tup.values_for(head_store.attributes)
-                head_store.insert(values, tup)
-                new_rows.append((values, tup))
+            new_rows = [
+                (tup.values_for(head_store.attributes), tup) for tup in changed
+            ]
+            head_store.extend(new_rows)
             rederived += len(new_rows)
             delta[pred] = new_rows
         if any(delta.values()):
-            rounds = self._drain(delta, max_iterations, iterations=rounds)
+            # Phase 1 dropped the array state; it is rebuilt from the shrunk,
+            # re-seeded stores and the drain resumes on it.
+            with self._array_loop() as arrays:
+                if arrays is not None:
+                    delta = {p: arrays.locate(p, rows) for p, rows in delta.items()}
+                rounds = self._drain(
+                    delta, max_iterations, iterations=rounds, arrays=arrays
+                )
         return (overdeleted, rederived, rounds)
 
     def delete_support(
@@ -1204,7 +1191,7 @@ class _SemiNaiveEngine:
             dead_known = dead_store.relation._annotations
             rows = []
             for atom in atoms:
-                tup = self._tup_for(dead_store, atom.values)
+                tup = dead_store.tup_for(atom.values)
                 if tup in dead_known:
                     rows.append((atom.values, tup))
             self._remove_rows(pred, rows)
@@ -1244,12 +1231,8 @@ class _SemiNaiveEngine:
                 )
             changed = relation.merge_delta(updates)
             self._log_changes(predicate, changed)
-            rows: List[Tuple[tuple, Tup]] = []
-            for tup in changed:
-                values = by_tup[tup]
-                if tup in new_tuples:
-                    store.insert(values, tup)
-                rows.append((values, tup))
+            rows = [(by_tup[tup], tup) for tup in changed]
+            store.extend([row for row in rows if row[1] in new_tuples])
             delta[predicate] = rows
         return delta
 

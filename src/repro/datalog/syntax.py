@@ -99,6 +99,14 @@ class Program:
         self.rules = tuple(rules)
         if not self.rules:
             raise DatalogError("a datalog program needs at least one rule")
+        # ``rules`` is immutable from here on, so the predicate sets are
+        # computed once: ``GroundProgram.is_edb`` reads one per body atom.
+        self._idb = frozenset(rule.head.relation for rule in self.rules)
+        self._edb = (
+            frozenset(atom.relation for rule in self.rules for atom in rule.body)
+            - self._idb
+        )
+        self._predicates = self._idb | self._edb
         self.output = output or self.rules[0].head.relation
         if self.output not in self.idb_predicates:
             raise DatalogError(
@@ -123,20 +131,17 @@ class Program:
     @property
     def idb_predicates(self) -> frozenset[str]:
         """Predicates defined by some rule head (intensional relations)."""
-        return frozenset(rule.head.relation for rule in self.rules)
+        return self._idb
 
     @property
     def edb_predicates(self) -> frozenset[str]:
         """Predicates that only occur in rule bodies (extensional relations)."""
-        used = frozenset(
-            atom.relation for rule in self.rules for atom in rule.body
-        )
-        return used - self.idb_predicates
+        return self._edb
 
     @property
     def predicates(self) -> frozenset[str]:
         """All predicates mentioned by the program."""
-        return self.idb_predicates | self.edb_predicates
+        return self._predicates
 
     def arity(self, predicate: str) -> int:
         """Arity of a predicate as used by the program."""

@@ -87,7 +87,10 @@ __all__ = [
     "try_execute",
     "try_join",
     "try_project",
-    "ColumnEncoder",
+    "combine_codes",
+    "split_codes",
+    "group_codes",
+    "sort_codes",
     "fire_linear_join",
 ]
 
@@ -115,10 +118,11 @@ class _Fallback(Exception):
 class VectorOps:
     """Array-at-a-time ``(+, ., 0)`` for one numeric carrier.
 
-    ``to_array`` lifts a sequence of carrier values; ``mul`` multiplies two
-    annotation arrays elementwise; ``accumulate`` combines all contributions
-    landing in the same output group with the semiring's ``+`` (one
-    ``ufunc.at`` scatter); ``zero_mask`` flags groups that summed to the
+    ``to_array`` lifts a sequence of carrier values; ``mul`` multiplies and
+    ``add`` sums two annotation arrays elementwise (the semi-naive merge of a
+    round's totals into the stored column); ``accumulate`` combines all
+    contributions landing in the same output group with the semiring's ``+``
+    (one ``ufunc.at`` scatter); ``zero_mask`` flags groups that summed to the
     semiring zero (possible under Z's cancellation); ``to_python`` lowers a
     numpy scalar back to the exact carrier type the scalar engine uses.
     """
@@ -129,6 +133,9 @@ class VectorOps:
         raise NotImplementedError
 
     def mul(self, a, b):
+        raise NotImplementedError
+
+    def add(self, a, b):
         raise NotImplementedError
 
     def accumulate(self, values, group_ids, n_groups):
@@ -159,6 +166,13 @@ class _IntSumOps(VectorOps):
             if bound > _INT64_GUARD:
                 raise _Fallback
         return a * b
+
+    def add(self, a, b):
+        if len(a):
+            bound = int(_np.abs(a).max()) + int(_np.abs(b).max())
+            if bound > _INT64_GUARD:
+                raise _Fallback
+        return a + b
 
     def accumulate(self, values, group_ids, n_groups):
         if len(values):
@@ -198,6 +212,9 @@ class _FloatOps(VectorOps):
             return _np.minimum(a, b)
         return a * b
 
+    def add(self, a, b):
+        return self._add_ufunc(a, b)
+
     def accumulate(self, values, group_ids, n_groups):
         totals = _np.full(n_groups, self._zero, dtype=_np.float64)
         self._add_ufunc.at(totals, group_ids, values)
@@ -220,6 +237,9 @@ class _BoolOps(VectorOps):
 
     def mul(self, a, b):
         return a & b
+
+    def add(self, a, b):
+        return a | b
 
     def accumulate(self, values, group_ids, n_groups):
         totals = _np.zeros(n_groups, dtype=bool)
@@ -525,6 +545,21 @@ def _project_batch(batch: _Batch, attributes: Tuple[str, ...], ops: VectorOps) -
     return _group(batch, keep, tuple(attributes), ops)
 
 
+def _match_rows(sorted_codes, order, probe_codes):
+    """Every ``(probe row, build row)`` pair with equal codes, as two arrays.
+
+    ``sorted_codes`` / ``order`` are the build side's codes ascending and the
+    row each came from; every probe row finds its bucket with two binary
+    searches and the pairs are expanded without a Python-level loop.
+    """
+    lo = _np.searchsorted(sorted_codes, probe_codes, side="left")
+    counts = _np.searchsorted(sorted_codes, probe_codes, side="right") - lo
+    total = int(counts.sum())
+    probe_index = _np.repeat(_np.arange(len(probe_codes)), counts)
+    offsets = _np.arange(total) - _np.repeat(_np.cumsum(counts) - counts, counts)
+    return probe_index, order[_np.repeat(lo, counts) + offsets]
+
+
 def _join_batches(left: _Batch, right: _Batch, ops: VectorOps) -> _Batch:
     shared = sorted(set(left.columns) & set(right.columns))
     extras = tuple(a for a in right.display if a not in left.columns)
@@ -558,16 +593,7 @@ def _join_batches(left: _Batch, right: _Batch, ops: VectorOps) -> _Batch:
             build_codes, probe_codes, build_is_left = left_codes, right_codes, True
         else:
             build_codes, probe_codes, build_is_left = right_codes, left_codes, False
-        order = _np.argsort(build_codes, kind="stable")
-        sorted_codes = build_codes[order]
-        lo = _np.searchsorted(sorted_codes, probe_codes, side="left")
-        hi = _np.searchsorted(sorted_codes, probe_codes, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        probe_index = _np.repeat(_np.arange(len(probe_codes)), counts)
-        exclusive = _np.cumsum(counts) - counts
-        offsets = _np.arange(total) - _np.repeat(exclusive, counts)
-        build_index = order[_np.repeat(lo, counts) + offsets]
+        probe_index, build_index = _match_rows(*sort_codes(build_codes), probe_codes)
         if build_is_left:
             left_index, right_index = build_index, probe_index
         else:
@@ -603,133 +629,108 @@ def _rename_batch(batch: _Batch, mapping: Dict[str, str]) -> _Batch:
 
 
 # ---------------------------------------------------------------------------
-# Semi-naive round batching
+# Semi-naive round kernels (arrays in, arrays out)
 # ---------------------------------------------------------------------------
+#
+# The array-resident fixpoint of :mod:`repro.datalog.arraystore` encodes every
+# domain value once, through one interner, so code columns of different
+# predicates are directly comparable and a row's identity is the mixed-radix
+# number of its codes in a base (``radix``) fixed for the whole run.
 
 
-class ColumnEncoder:
-    """Incremental dictionary encoder for an append-only value stream.
+def combine_codes(columns: list, radix: int, n_rows: int):
+    """The mixed-radix row code of ``columns`` (first column most significant).
 
-    The semi-naive engine's per-predicate stores only ever *grow* during a
-    fixpoint run, so each round extends the encoding with the new suffix
-    instead of re-encoding the whole column (:meth:`extend` is the only
-    Python-level per-value work; :meth:`column` is a C-level array build).
-    Unhashable values raise ``TypeError`` out of :meth:`extend` -- callers
-    fall back to the row engine.
+    ``columns`` are ``int64`` code arrays of length ``n_rows`` with every code
+    below ``radix``; no columns give the all-zero code (one row identity: the
+    nullary tuple, or a join on no shared variable).
     """
+    if radix ** len(columns) > _INT64_GUARD:
+        raise _Fallback
+    if not columns:
+        return _np.zeros(n_rows, dtype=_np.int64)
+    combined = columns[0]
+    for column in columns[1:]:
+        combined = combined * radix + column
+    return combined
 
-    __slots__ = ("_table", "_alphabet", "_codes")
 
-    def __init__(self):
-        self._table: Dict[Any, int] = {}
-        self._alphabet: list = []
-        self._codes: list = []
+def split_codes(codes, radix: int, arity: int) -> list:
+    """Inverse of :func:`combine_codes`: the ``arity`` code columns of ``codes``."""
+    columns = []
+    for _ in range(arity):
+        codes, column = _np.divmod(codes, radix)
+        columns.append(column)
+    return columns[::-1]
 
-    def __len__(self) -> int:
-        return len(self._codes)
 
-    def extend(self, values: Iterable[Any]) -> None:
-        table, alphabet, codes = self._table, self._alphabet, self._codes
-        for value in values:
-            code = table.get(value)
-            if code is None:
-                code = len(alphabet)
-                table[value] = code
-                alphabet.append(value)
-            codes.append(code)
+def group_codes(ops: VectorOps, codes, values):
+    """``(distinct codes ascending, their totals)``: one ``+``-chain per code.
 
-    def column(self) -> _Col:
-        return _Col(
-            _np.array(self._codes, dtype=_np.int64), _object_array(self._alphabet)
-        )
+    The batched accumulation of the row engines' merge step, performed by one
+    ``ufunc.at`` scatter (exact: the vector carriers' ``+`` is insensitive to
+    regrouping).  Zero totals are kept -- the merge owns the stored-zero rule.
+    """
+    distinct, inverse = _np.unique(codes, return_inverse=True)
+    return distinct, ops.accumulate(values, inverse, len(distinct))
+
+
+def sort_codes(codes):
+    """``(codes ascending, the row each came from)``: a join's build index."""
+    order = _np.argsort(codes, kind="stable")
+    return codes[order], order
 
 
 def fire_linear_join(
     ops: VectorOps,
-    probe_cols: Dict[Any, _Col],
+    probe_cols: Dict[int, Any],
     probe_ann,
-    build_cols: Dict[Any, _Col],
+    build_cols: Dict[int, Any],
     build_ann,
+    build_index: Tuple[Any, Any],
     key: list,
     head: list,
-    emit: Dict[tuple, list],
-) -> bool:
+    radix: int,
+):
     """One whole-column semi-naive firing: delta ⋈ stored, grouped per head.
 
     ``probe_*`` hold the round's delta rows, ``build_*`` the full stored
-    relation of the single non-driver atom; ``key`` lists the
-    ``(probe key, build key)`` column pairs to equi-join on and ``head``
-    lists ``("p" | "b", key)`` sources for each head position.  Matching
-    pairs are found with the sorted-build / binary-search probe of
-    :func:`_join_batches`, annotations multiply array-at-a-time, and all
-    contributions to the same head tuple are combined with one ``ufunc.at``
-    scatter -- the batched accumulation of ``_merge``, performed before the
-    contributions ever become Python objects.  One grouped total per head
-    tuple is appended to ``emit`` (exact for these order-insensitive
-    carriers).  Returns ``False`` when an instance guard trips and the row
-    path should run instead.
+    relation of the single non-driver atom: ``*_cols`` map an atom position
+    to its ``int64`` code array (one interner, so codes compare across the
+    sides), ``*_ann`` are the lifted annotation arrays.  ``key`` lists the
+    probe positions equi-joined against ``build_index`` -- the build side's
+    :func:`sort_codes` over the :func:`combine_codes` of its matching
+    positions, which the caller keeps across rounds while the build side is
+    unchanged -- and ``head`` lists a ``("p" | "b", position)`` source per
+    head position.  Matching pairs come from :func:`_match_rows`,
+    annotations multiply array-at-a-time, and all contributions to the same
+    head tuple are combined by :func:`group_codes` before any of them
+    becomes a Python object.
+
+    Returns ``(head codes ascending, totals)`` -- each head tuple once, as
+    the :func:`combine_codes` of its positions -- or ``False`` when numpy is
+    missing or an instance guard (``int64`` overflow, ``radix ** width``)
+    trips and the row path should run instead.
     """
     if _np is None:
         return False
     try:
-        if len(probe_ann) == 0 or len(build_ann) == 0:
-            return True
-        pcodes = bcodes = None
-        radix = 1
-        for probe_key, build_key in key:
-            lcodes, rcodes, size = _align(probe_cols[probe_key], build_cols[build_key])
-            size = max(size, 1)
-            if pcodes is None:
-                pcodes, bcodes, radix = lcodes, rcodes, size
-            else:
-                if radix * size > _INT64_GUARD:
-                    raise _Fallback
-                pcodes = pcodes * size + lcodes
-                bcodes = bcodes * size + rcodes
-                radix *= size
-
-        if pcodes is None:  # no shared variables: cross product
-            n_probe, n_build = len(probe_ann), len(build_ann)
-            probe_index = _np.repeat(_np.arange(n_probe), n_build)
-            build_index = _np.tile(_np.arange(n_build), n_probe)
-        else:
-            order = _np.argsort(bcodes, kind="stable")
-            sorted_codes = bcodes[order]
-            lo = _np.searchsorted(sorted_codes, pcodes, side="left")
-            hi = _np.searchsorted(sorted_codes, pcodes, side="right")
-            counts = hi - lo
-            total = int(counts.sum())
-            if total == 0:
-                return True
-            probe_index = _np.repeat(_np.arange(len(pcodes)), counts)
-            exclusive = _np.cumsum(counts) - counts
-            offsets = _np.arange(total) - _np.repeat(exclusive, counts)
-            build_index = order[_np.repeat(lo, counts) + offsets]
-
-        ann = ops.mul(probe_ann[probe_index], build_ann[build_index])
-        out_cols = [
-            probe_cols[k].take(probe_index)
-            if side == "p"
-            else build_cols[k].take(build_index)
-            for side, k in head
-        ]
-        combined = _combine_codes(out_cols)
-        _, first_index, inverse = _np.unique(
-            combined, return_index=True, return_inverse=True
+        probe_codes = combine_codes(
+            [probe_cols[position] for position in key], radix, len(probe_ann)
         )
-        totals = ops.accumulate(ann, inverse, len(first_index))
-        # Zero totals are emitted too: the row path hands every combined
-        # batch to merge_delta, which owns the stored-zero invariant.
-        representatives = [
-            col.uniques[col.codes[first_index]].tolist() for col in out_cols
-        ]
-        for row, value in zip(zip(*representatives), totals.tolist()):
-            batch = emit.get(row)
-            if batch is None:
-                emit[row] = [value]
-            else:
-                batch.append(value)
-        return True
+        probe_rows, build_rows = _match_rows(*build_index, probe_codes)
+        ann = ops.mul(probe_ann[probe_rows], build_ann[build_rows])
+        head_codes = combine_codes(
+            [
+                probe_cols[position][probe_rows]
+                if side == "p"
+                else build_cols[position][build_rows]
+                for side, position in head
+            ],
+            radix,
+            len(ann),
+        )
+        return group_codes(ops, head_codes, ann)
     except _Fallback:
         return False
 

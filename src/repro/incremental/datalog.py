@@ -530,8 +530,9 @@ class IncrementalDatalog:
         :func:`~repro.datalog.grounding.collect_edb_annotations` on the
         current database (the audit for mixed insert/delete batches), every
         maintained store must satisfy the stored-zero invariant, the row
-        lists must cover exactly the stored supports, and every binding index
-        (and the removal position map) must mirror the row list.  Raises
+        lists must cover exactly the stored supports, every binding index
+        (and the removal position map) must mirror the row list, and so must
+        the array-resident state when the engine holds one.  Raises
         :class:`~repro.errors.DatalogError` on any mismatch.
         """
         engine = self._engine
@@ -560,3 +561,6 @@ class IncrementalDatalog:
                         f"boolean support of {name!r} diverged from the database "
                         f"({len(known)} maintained, {len(support)} in the database)"
                     )
+        problem = engine._arrays and engine._arrays.audit()
+        if problem:
+            raise DatalogError(f"array state: {problem}")

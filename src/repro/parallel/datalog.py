@@ -137,7 +137,11 @@ def run_engine_parallel(
 
     # -- seed round --------------------------------------------------------------
     with _trace.span(
-        "datalog.seed", mode="annotate", plans=len(engine.seed_plans), parallel=pool
+        "datalog.seed",
+        mode="annotate",
+        plans=len(engine.seed_plans),
+        parallel=pool,
+        path="rows",
     ) as sp:
         out = engine._fresh()
         tasks: List[tuple] = []

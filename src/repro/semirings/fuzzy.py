@@ -27,6 +27,13 @@ def _check_unit_interval(value: Any, name: str) -> float:
     raise InvalidAnnotationError(f"{value!r} is not in [0, 1] (semiring {name})")
 
 
+# ``add`` / ``mul`` below run once per derivation in the row engines.  Two
+# exact floats in ``[0, 1]`` (NaN fails the comparisons) are what ``coerce``
+# would hand back unchanged, so they skip the two calls -- the test is inlined
+# because a helper call would cost what it saves; every other operand takes
+# ``coerce`` and raises exactly as before.
+
+
 def _may_attain_max(self, total: float, contribution: float) -> bool:
     """Whether ``contribution`` is not strictly below ``total = max(...)``."""
     return contribution >= total * (1.0 - ATTAINED_RTOL)
@@ -54,9 +61,13 @@ class FuzzySemiring(Semiring):
         return 1.0
 
     def add(self, a: float, b: float) -> float:
+        if type(a) is float and type(b) is float and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0:
+            return a if a >= b else b  # the object max(a, b) returns
         return max(self.coerce(a), self.coerce(b))
 
     def mul(self, a: float, b: float) -> float:
+        if type(a) is float and type(b) is float and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0:
+            return a if a <= b else b  # the object min(a, b) returns
         return min(self.coerce(a), self.coerce(b))
 
     def contains(self, value: Any) -> bool:
@@ -100,9 +111,13 @@ class ViterbiSemiring(Semiring):
         return 1.0
 
     def add(self, a: float, b: float) -> float:
+        if type(a) is float and type(b) is float and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0:
+            return a if a >= b else b  # the object max(a, b) returns
         return max(self.coerce(a), self.coerce(b))
 
     def mul(self, a: float, b: float) -> float:
+        if type(a) is float and type(b) is float and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0:
+            return a * b
         return self.coerce(a) * self.coerce(b)
 
     def contains(self, value: Any) -> bool:

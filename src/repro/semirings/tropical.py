@@ -47,10 +47,18 @@ class TropicalSemiring(Semiring):
     def one(self) -> float:
         return 0.0
 
+    # ``add`` / ``mul`` run once per derivation in the row engines.  Two exact
+    # non-negative floats (``inf`` included; NaN fails ``>=``) are what
+    # ``coerce`` would hand back unchanged, so they skip the two calls; every
+    # other operand takes ``coerce`` and raises exactly as before.
     def add(self, a: float, b: float) -> float:
+        if type(a) is float and type(b) is float and a >= 0.0 and b >= 0.0:
+            return a if a <= b else b  # the object min(a, b) returns
         return min(self.coerce(a), self.coerce(b))
 
     def mul(self, a: float, b: float) -> float:
+        if type(a) is float and type(b) is float and a >= 0.0 and b >= 0.0:
+            return a + b
         a, b = self.coerce(a), self.coerce(b)
         return a + b
 

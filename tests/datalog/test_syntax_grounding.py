@@ -24,6 +24,18 @@ class TestParsing:
         assert program.edb_predicates == {"R"}
         assert program.is_recursive()
 
+    def test_predicate_sets_are_computed_once_and_survive_pickling(self):
+        import pickle
+
+        program = Program.parse("Q(x, y) :- R(x, y)\nP(x) :- Q(x, y), S(y)")
+        assert program.idb_predicates is program.idb_predicates
+        assert program.edb_predicates is program.edb_predicates
+        assert program.predicates is program.predicates == {"Q", "P", "R", "S"}
+        shipped = pickle.loads(pickle.dumps(program))  # what spawn workers get
+        assert shipped.idb_predicates == {"Q", "P"}
+        assert shipped.edb_predicates == {"R", "S"}
+        assert shipped.predicates == program.predicates
+
     def test_constants_and_comments(self):
         program = Program.parse("P(x) :- E(x, 'a')  % only edges into a")
         assert program.arity("E") == 2

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import InvalidAnnotationError, SemiringError
 from repro.semirings import (
@@ -19,6 +20,7 @@ from repro.semirings import (
     WitnessWhySemiring,
     witness_set,
 )
+from repro.semirings.numeric import INFINITY, NatInf
 
 
 class TestBooleanSemiring:
@@ -83,6 +85,48 @@ class TestFuzzyAndViterbi:
             FuzzySemiring().coerce(1.5)
         with pytest.raises(InvalidAnnotationError):
             ViterbiSemiring().coerce(-0.1)
+
+
+#: ``add`` / ``mul`` of the three float semirings as ``coerce`` defines them;
+#: the methods themselves skip ``coerce`` for two exact in-range floats.
+COERCED = {
+    TropicalSemiring: (min, lambda a, b: a + b),
+    FuzzySemiring: (max, min),
+    ViterbiSemiring: (max, lambda a, b: a * b),
+}
+
+_OPERANDS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from(
+        [0.0, -0.0, 1.0, 0.5, math.inf, -math.inf, math.nan, -1.0, 1.5, 0, 1, 2, -3]
+    ),
+    st.sampled_from([True, False, NatInf(0), NatInf(2), INFINITY, "1.0", None]),
+)
+
+
+def _outcome(thunk):
+    """``(type, repr)`` of the result -- ``repr`` tells ``-0.0`` from ``0.0``
+    and ``nan`` from itself -- or the exception's type and message."""
+    try:
+        value = thunk()
+    except InvalidAnnotationError as error:
+        return ("raised", str(error))
+    return (type(value), repr(value))
+
+
+@pytest.mark.parametrize("semiring_class", sorted(COERCED, key=lambda c: c.__name__))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=_OPERANDS, b=_OPERANDS)
+def test_float_fast_path_equals_the_coerce_definition(semiring_class, a, b):
+    semiring = semiring_class()
+    coerce = semiring.coerce
+    for method, combine in zip((semiring.add, semiring.mul), COERCED[semiring_class]):
+        expected = _outcome(lambda: combine(coerce(a), coerce(b)))
+        assert _outcome(lambda: method(a, b)) == expected
+        if expected[0] is float and combine in (min, max) and type(a) is type(b) is float:
+            # a selective operation hands back the very operand min/max would
+            assert method(a, b) is combine(a, b)
 
 
 class TestWhyProvenance:

@@ -236,12 +236,14 @@ def programs(draw) -> Program:
 
 
 @st.composite
-def edb_databases(draw, program: Program, semiring: Semiring) -> Database:
+def edb_databases(
+    draw, program: Program, semiring: Semiring, domain: tuple = DOMAIN
+) -> Database:
     """A random database providing every EDB relation ``program`` reads.
 
-    Relation sizes are small (0-6 tuples over a 4-value domain) so that even
-    quadratic recursive rules stay comfortably testable; annotations come
-    from :func:`annotation_for`.
+    Relation sizes are small (0-6 tuples over the 4-value ``DOMAIN`` unless
+    another ``domain`` is given) so that even quadratic recursive rules stay
+    comfortably testable; annotations come from :func:`annotation_for`.
     """
     database = Database(semiring)
     index = 0
@@ -251,7 +253,7 @@ def edb_databases(draw, program: Program, semiring: Semiring) -> Database:
         tuple_count = draw(st.integers(min_value=0, max_value=6))
         rows = draw(
             st.lists(
-                st.tuples(*([st.sampled_from(DOMAIN)] * arity)),
+                st.tuples(*([st.sampled_from(domain)] * arity)),
                 min_size=tuple_count,
                 max_size=tuple_count,
                 unique=True,
