@@ -1,13 +1,14 @@
-"""Evaluating circuits: one memoized pass instead of monomial-by-monomial.
+"""Evaluating circuits: one memoized sweep instead of monomial-by-monomial.
 
 ``Eval_v`` (Proposition 4.2) on the expanded polynomial touches every
 monomial separately; on the circuit the same homomorphism is a single
-bottom-up pass that visits each *distinct* DAG node once, so shared
+bottom-up sweep that visits each *distinct* DAG node once, so shared
 subexpressions are evaluated once no matter how many monomials they expand
-to.  :class:`CircuitEvaluator` keeps its memo table across calls, which
-extends the sharing across all the annotations of a relation -- the common
-case after a join-heavy query or a datalog fixpoint, where output tuples
-share most of their provenance.
+to.  :meth:`CircuitEvaluator.evaluate_many` sweeps the joint DAG of many
+roots at once and keeps its memo table across calls, which extends the
+sharing across all the annotations of a relation -- the common case after a
+join-heavy query or a datalog fixpoint, where output tuples share most of
+their provenance.
 
 The module also provides the exact/expanded bridges ``to_polynomial`` /
 ``from_polynomial`` (semantics-preserving by construction, used by the
@@ -19,9 +20,10 @@ Theorem 4.3 operationalized on the compact representation.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.circuits.nodes import (
+    ZERO,
     Const,
     Decision,
     Node,
@@ -30,16 +32,19 @@ from repro.circuits.nodes import (
     Sum,
     Var,
     const,
+    decision_node,
     iter_nodes,
+    not_node,
     prod_node,
     sum_node,
     var,
 )
+from repro.circuits.semiring import CircuitSemiring
 from repro.errors import SemiringError
 from repro.semirings.base import Semiring
 from repro.semirings.homomorphism import SemiringHomomorphism
 from repro.semirings.numeric import NatInf
-from repro.semirings.polynomial import Polynomial, _scale_in
+from repro.semirings.polynomial import Polynomial, PolynomialSemiring, _scale_in
 
 __all__ = [
     "CircuitEvaluator",
@@ -61,8 +66,8 @@ class CircuitEvaluator:
 
     One evaluator instance should be reused for every annotation of a
     relation (as :func:`specialize` does): the memo is keyed by interned
-    node, so subcircuits shared *between* annotations are also evaluated
-    only once.
+    node, so subcircuits shared *between* annotations -- or between two
+    relations evaluated one after the other -- are evaluated only once.
 
     Semirings have no subtraction, so ``Not``/``Decision`` gates (which only
     compiled circuits contain) need an explicit ``complement`` callable --
@@ -83,11 +88,24 @@ class CircuitEvaluator:
         self.complement = complement
         self._memo: Dict[Node, Any] = {}
 
+    # -- leaves and gates (the symbolic passes below override these) -------------
+    #: n-ary ``(sum, product)`` builders of a pass that rebuilds gates whole;
+    #: ``None`` folds a gate's children with ``target.add`` / ``target.mul``.
+    _gates: Tuple[Callable[..., Any], Callable[..., Any]] | None = None
+
     def _lookup(self, name: str) -> Any:
         try:
             return self.valuation[name]
         except KeyError:
             raise SemiringError(f"valuation is missing variable {name!r}") from None
+
+    def _constant(self, value: Any) -> Any:
+        """Embed a circuit constant into the target (``n`` as the n-fold sum of 1)."""
+        if isinstance(value, NatInf) and value.is_infinite:
+            # The infinite constant is the sum of infinitely many 1s; _scale_in
+            # implements the paper's treatment (idempotent -> 1, topped -> top).
+            return _scale_in(self.target, value, self.target.one())
+        return self.target.from_int(value)
 
     def _complemented(self, name: str) -> Any:
         if self.complement is None:
@@ -97,41 +115,46 @@ class CircuitEvaluator:
             )
         return self.complement(self._lookup(name))
 
-    def __call__(self, node: Node) -> Any:
-        memo = self._memo
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
-        target = self.target
-        # Pruned by the memo: subcircuits evaluated for an earlier annotation
-        # are not walked again.
-        for current in iter_nodes(node, done=memo):
-            if isinstance(current, Var):
+    def _decide(self, name: str, hi: Any, lo: Any) -> Any:
+        mul = self.target.mul
+        return self.target.add(mul(self._lookup(name), hi), mul(self._complemented(name), lo))
+
+    # -- the sweep ---------------------------------------------------------------
+    def evaluate_many(self, roots: Iterable[Node]) -> Dict[Node, Any]:
+        """Evaluate every root in one sweep of their joint DAG: ``{root: value}``.
+
+        The sweep is pruned by the memo -- a subcircuit evaluated for an
+        earlier root, or by an earlier call, is not walked again -- and a
+        k-ary gate is folded from its first child, so it costs the ``k - 1``
+        operations Definition 3.2 charges.
+        """
+        roots = tuple(roots)
+        memo, gates = self._memo, self._gates
+        add, mul = self.target.add, self.target.mul
+        for current in iter_nodes(*roots, done=memo):
+            kind = type(current)
+            if kind is Prod or kind is Sum:
+                children = current.children
+                if gates is None:
+                    op = mul if kind is Prod else add
+                    value = memo[children[0]]
+                    for child in children[1:]:
+                        value = op(value, memo[child])
+                else:
+                    value = gates[kind is Prod](*[memo[child] for child in children])
+            elif kind is Var:
                 value = self._lookup(current.name)
-            elif isinstance(current, Const):
-                value = _const_in(target, current.value)
-            elif isinstance(current, Not):
+            elif kind is Const:
+                value = self._constant(current.value)
+            elif kind is Not:
                 value = self._complemented(current.child.name)
-            elif isinstance(current, Decision):
-                value = target.add(
-                    target.mul(self._lookup(current.name), memo[current.hi]),
-                    target.mul(self._complemented(current.name), memo[current.lo]),
-                )
-            elif isinstance(current, Sum):
-                value = target.sum(memo[child] for child in current.children)
             else:
-                value = target.product(memo[child] for child in current.children)
+                value = self._decide(current.name, memo[current.hi], memo[current.lo])
             memo[current] = value
-        return memo[node]
+        return {root: memo[root] for root in roots}
 
-
-def _const_in(target: Semiring, value: Any) -> Any:
-    """Embed a circuit constant into ``target`` (``n`` as the n-fold sum of 1)."""
-    if isinstance(value, NatInf) and value.is_infinite:
-        # The infinite constant is the sum of infinitely many 1s; _scale_in
-        # implements the paper's treatment (idempotent -> 1, topped -> top).
-        return _scale_in(target, value, target.one())
-    return target.from_int(value)
+    def __call__(self, node: Node) -> Any:
+        return self.evaluate_many((node,))[node]
 
 
 def eval_circuit(node: Node, valuation: Mapping[str, Any], target_semiring: Semiring) -> Any:
@@ -153,8 +176,6 @@ def circuit_evaluation(
     :func:`repro.semirings.homomorphism.polynomial_evaluation`; by
     universality the two agree with ``to_polynomial`` in between.
     """
-    from repro.circuits.semiring import CircuitSemiring
-
     return SemiringHomomorphism(
         CircuitSemiring(),
         target,
@@ -172,27 +193,23 @@ def to_polynomial(node: Node) -> Polynomial:
     testing, display of small annotations, and interoperation, not on hot
     paths.
     """
-    memo: Dict[int, Polynomial] = {}
-    for current in iter_nodes(node):
-        if isinstance(current, (Not, Decision)):
-            raise SemiringError(
-                "compiled circuits (with negation/decision gates) have no N[X] "
-                "polynomial expansion; expand the source circuit instead"
-            )
-        if isinstance(current, Var):
-            value = Polynomial.var(current.name)
-        elif isinstance(current, Const):
-            value = Polynomial.constant(current.value)
-        elif isinstance(current, Sum):
-            value = Polynomial.zero()
-            for child in current.children:
-                value = value + memo[child.node_id]
-        else:
-            value = Polynomial.one()
-            for child in current.children:
-                value = value * memo[child.node_id]
-        memo[current.node_id] = value
-    return memo[node.node_id]
+    return _Expansion()(node)
+
+
+class _Expansion(CircuitEvaluator):
+    """The sweep read symbolically in ``N-inf[X]``: ``x -> x``, constants as given."""
+
+    def __init__(self) -> None:
+        super().__init__(PolynomialSemiring(allow_infinite_coefficients=True), {})
+
+    _lookup = staticmethod(Polynomial.var)
+    _constant = staticmethod(Polynomial.constant)
+
+    def _complemented(self, name: str) -> Any:
+        raise SemiringError(
+            "compiled circuits (with negation/decision gates) have no N[X] "
+            "polynomial expansion; expand the source circuit instead"
+        )
 
 
 def from_polynomial(polynomial: Polynomial | Any) -> Node:
@@ -228,31 +245,29 @@ def restrict_vars(node: Node, zero_variables: "frozenset[str] | set[str]") -> No
     deletion: with deleted EDB facts tagged by fresh variables, this removes
     exactly the derivations they supported.
     """
-    from repro.circuits.nodes import ONE, ZERO, decision_node
+    return _Restriction(zero_variables)(node)
 
-    memo: Dict[int, Node] = {}
-    for current in iter_nodes(node):
-        if isinstance(current, Var):
-            value = ZERO if current.name in zero_variables else current
-        elif isinstance(current, Const):
-            value = current
-        elif isinstance(current, Not):
-            # On compiled circuits the same homomorphism applies: a zeroed
-            # variable is certainly-absent, so its negation is certainly true.
-            value = ONE if current.child.name in zero_variables else current
-        elif isinstance(current, Decision):
-            if current.name in zero_variables:
-                value = memo[current.lo.node_id]
-            else:
-                value = decision_node(
-                    current.name, memo[current.hi.node_id], memo[current.lo.node_id]
-                )
-        elif isinstance(current, Sum):
-            value = sum_node(*(memo[child.node_id] for child in current.children))
-        else:
-            value = prod_node(*(memo[child.node_id] for child in current.children))
-        memo[current.node_id] = value
-    return memo[node.node_id]
+
+class _Restriction(CircuitEvaluator):
+    """The sweep read in ``Circ[X]`` with some variables at zero, the rest symbolic."""
+
+    def __init__(self, zero_variables: "frozenset[str] | set[str]") -> None:
+        super().__init__(CircuitSemiring(), {})
+        self.zero_variables = zero_variables
+
+    _gates = (sum_node, prod_node)  # a k-ary gate stays one k-ary gate
+    _constant = staticmethod(const)
+
+    def _lookup(self, name: str) -> Node:
+        return ZERO if name in self.zero_variables else var(name)
+
+    def _complemented(self, name: str) -> Node:
+        # On compiled circuits the same homomorphism applies: a zeroed
+        # variable is certainly-absent, so its negation is certainly true.
+        return not_node(self._lookup(name))
+
+    def _decide(self, name: str, hi: Node, lo: Node) -> Node:
+        return lo if name in self.zero_variables else decision_node(name, hi, lo)
 
 
 def specialize(
@@ -262,16 +277,17 @@ def specialize(
 
     This is "run the query once, read the answer in many semirings": the
     query is evaluated a single time over ``Circ[X]`` and each target
-    (bag, tropical, fuzzy, PosBool, probability, ...) is obtained by one
-    memoized pass over the shared provenance DAG.  For a
-    :class:`~repro.relations.krelation.KRelation` the evaluator (and hence
-    the memo) is shared across all tuples.
+    (bag, tropical, fuzzy, PosBool, probability, ...) is obtained by a
+    single sweep over the joint provenance DAG of all the annotations
+    (:meth:`CircuitEvaluator.evaluate_many`): every distinct gate is
+    evaluated once, then each tuple reads its value off the result.
     """
     from repro.relations.krelation import KRelation
 
     evaluator = CircuitEvaluator(target, valuation)
     if isinstance(value, KRelation):
-        return value.map_annotations(evaluator, target)
+        values = evaluator.evaluate_many(value.annotations())
+        return value.map_annotations(values.__getitem__, target)
     if isinstance(value, Node):
         return evaluator(value)
     raise SemiringError(

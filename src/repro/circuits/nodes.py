@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from typing import Any, Container, Dict, Iterable, Iterator, List, Tuple
+from typing import Any, Container, Dict, Iterable, Iterator, List
 
 from repro.errors import InvalidAnnotationError
 from repro.obs.metrics import consing as _consing
@@ -433,25 +433,24 @@ def iter_nodes(*roots: Node, done: Container[Node] | None = None) -> Iterator[No
     if done is None:
         done = ()
     seen: set[Node] = set()
-    stack: List[Tuple[Node, bool]] = [(root, False) for root in reversed(roots)]
+    # A gate waits on the stack under a ``None`` marker until its children are out.
+    stack: List[Node | None] = list(reversed(roots))
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            yield node
+        node = stack.pop()
+        if node is None:
+            yield stack.pop()
             continue
         if node in seen or node in done:
             continue
         seen.add(node)
-        if isinstance(node, (Sum, Prod)):
-            stack.append((node, True))
-            stack.extend([(child, False) for child in reversed(node.children)])
-        elif isinstance(node, Decision):
-            stack.append((node, True))
-            stack.append((node.lo, False))
-            stack.append((node.hi, False))
-        elif isinstance(node, Not):
-            stack.append((node, True))
-            stack.append((node.child, False))
+        kind = type(node)
+        if kind is Sum or kind is Prod:
+            stack += (node, None)
+            stack += reversed(node.children)
+        elif kind is Decision:
+            stack += (node, None, node.lo, node.hi)
+        elif kind is Not:
+            stack += (node, None, node.child)
         else:
             yield node
 

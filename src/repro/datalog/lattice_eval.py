@@ -123,11 +123,11 @@ class LatticeDatalogResult:
                 )
             from repro.circuits.evaluate import CircuitEvaluator
 
-            evaluator = CircuitEvaluator(lattice, coerced, complement=complement)
-            return {
-                atom: evaluator(compiled.root)
-                for atom, compiled in self.compile().items()
-            }
+            diagrams = self.compile()
+            values = CircuitEvaluator(lattice, coerced, complement=complement).evaluate_many(
+                compiled.root for compiled in diagrams.values()
+            )
+            return {atom: values[compiled.root] for atom, compiled in diagrams.items()}
         results: Dict[GroundAtom, Any] = {}
         for atom, condition in self.conditions.items():
             value = lattice.zero()

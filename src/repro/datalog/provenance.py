@@ -151,7 +151,7 @@ class DatalogCircuitProvenance:
         return {atom: to_polynomial(c) for atom, c in self.circuits.items()}
 
     def evaluate(self, semiring: Semiring, valuation: Mapping[str, object]) -> Dict[GroundAtom, object]:
-        """Evaluate every circuit in ``semiring`` with one shared memo pass.
+        """Evaluate every circuit in ``semiring`` in one sweep of their joint DAG.
 
         The circuit form of the factorization theorem (Theorem 6.4 restricted
         to polynomial provenance): subcircuits shared between atoms are
@@ -159,8 +159,8 @@ class DatalogCircuitProvenance:
         """
         from repro.circuits.evaluate import CircuitEvaluator
 
-        evaluator = CircuitEvaluator(semiring, valuation)
-        return {atom: evaluator(c) for atom, c in self.circuits.items()}
+        values = CircuitEvaluator(semiring, valuation).evaluate_many(self.circuits.values())
+        return {atom: values[c] for atom, c in self.circuits.items()}
 
     # Alias mirroring the module-level ``specialize`` naming.
     specialize = evaluate

@@ -216,7 +216,8 @@ class ProbabilisticDatabase:
             {name: space.event(name) for name in space.marginals},
             complement=lambda event: worlds - event,
         )
-        return {key: evaluator(circuit.root) for key, circuit in compiled.items()}
+        events = evaluator.evaluate_many(circuit.root for circuit in compiled.values())
+        return {key: events[circuit.root] for key, circuit in compiled.items()}
 
     def query_events(
         self,

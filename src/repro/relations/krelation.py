@@ -14,7 +14,8 @@ convenience methods (``union``, ``project``, ``select``, ``join``,
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping, MutableMapping, Tuple
+from collections.abc import Mapping
+from typing import Any, Callable, Iterable, Iterator, MutableMapping, Tuple
 
 from repro.errors import SchemaError, SemiringError
 from repro.relations.schema import Schema

@@ -11,7 +11,8 @@ merging of compatible tuples (natural join).
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Iterable, Iterator, Mapping, Tuple
+from collections.abc import Mapping
+from typing import Any, Dict, Iterable, Iterator, Tuple
 
 from repro.errors import SchemaError
 

@@ -23,12 +23,13 @@ datalog over ``Z`` is defined only through the finite-derivation fragment.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import InvalidAnnotationError, ParseError, SemiringError
 from repro.semirings.base import Semiring
 from repro.semirings.numeric import NatInf
-from repro.semirings.polynomial import Monomial, Polynomial
+from repro.semirings.polynomial import Polynomial
+from repro.semirings.terms import Monomial, SparseTerms, SparseTermSemiring, collect_terms
 
 __all__ = ["IntegerRing", "ZPolynomial", "IntegerPolynomialRing"]
 
@@ -76,7 +77,7 @@ class IntegerRing(Semiring):
         return n
 
 
-class ZPolynomial:
+class ZPolynomial(SparseTerms):
     """A polynomial over tuple-id variables with integer coefficients.
 
     The ``Z[X]`` counterpart of :class:`~repro.semirings.polynomial.Polynomial`
@@ -86,68 +87,32 @@ class ZPolynomial:
     variable parts, so conversions to and from ``N[X]`` are term-wise.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(
         self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()
     ):
-        collected: Dict[Monomial, int] = {}
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
-        for monomial, coefficient in pairs:
-            if not isinstance(monomial, Monomial):
-                raise InvalidAnnotationError(f"{monomial!r} is not a Monomial")
-            if isinstance(coefficient, bool) or not isinstance(coefficient, int):
-                raise InvalidAnnotationError(
-                    f"{coefficient!r} is not a valid Z[X] coefficient (need int)"
-                )
-            if coefficient:
-                updated = collected.get(monomial, 0) + coefficient
-                if updated:
-                    collected[monomial] = updated
-                else:
-                    collected.pop(monomial, None)
-        object.__setattr__(
-            self, "_terms", tuple(sorted(collected.items(), key=lambda kv: kv[0]))
-        )
+        self._terms = collect_terms(terms, _check_coefficient)
 
     # -- constructors ---------------------------------------------------------
     @classmethod
     def zero(cls) -> "ZPolynomial":
         """The zero polynomial."""
-        return cls(())
+        return _ZERO
 
     @classmethod
     def one(cls) -> "ZPolynomial":
         """The unit polynomial ``1``."""
-        return cls({Monomial.unit(): 1})
-
-    @classmethod
-    def var(cls, name: str) -> "ZPolynomial":
-        """The polynomial consisting of the single variable ``name``."""
-        return cls({Monomial.var(name): 1})
-
-    @classmethod
-    def constant(cls, value: int) -> "ZPolynomial":
-        """A constant polynomial."""
-        return cls({Monomial.unit(): value})
-
-    @classmethod
-    def monomial(cls, monomial: Monomial, coefficient: int = 1) -> "ZPolynomial":
-        """A single-term polynomial ``coefficient . monomial``."""
-        return cls({monomial: coefficient})
+        return _ONE
 
     @classmethod
     def of(cls, value: "ZPolynomial | Polynomial | Monomial | str | int") -> "ZPolynomial":
         """Coerce a variable name, integer, monomial or (N[X]) polynomial."""
         if isinstance(value, ZPolynomial):
             return value
-        if isinstance(value, Polynomial):
-            terms: Dict[Monomial, int] = {}
-            for monomial, coefficient in value.terms:
-                if isinstance(coefficient, NatInf):
-                    coefficient = coefficient.finite_value()
-                terms[monomial] = coefficient
-            return cls(terms)
+        if isinstance(value, Polynomial):  # term-wise: canonical order carries over
+            terms = ((m, c.finite_value() if isinstance(c, NatInf) else c) for m, c in value.terms)
+            return cls._of_terms(tuple(terms))
         if isinstance(value, Monomial):
             return cls.monomial(value)
         if isinstance(value, str):
@@ -159,39 +124,9 @@ class ZPolynomial:
         raise InvalidAnnotationError(f"{value!r} cannot be read as a Z[X] polynomial")
 
     # -- structure ------------------------------------------------------------
-    @property
-    def terms(self) -> Tuple[tuple[Monomial, int], ...]:
-        """Sorted (monomial, coefficient) pairs with non-zero coefficients."""
-        return self._terms
-
-    @property
-    def monomials(self) -> tuple[Monomial, ...]:
-        """The monomials with non-zero coefficient, in canonical order."""
-        return tuple(m for m, _ in self._terms)
-
-    @property
-    def variables(self) -> frozenset[str]:
-        """All variables occurring in the polynomial."""
-        result: set[str] = set()
-        for monomial, _ in self._terms:
-            result |= monomial.variables
-        return frozenset(result)
-
-    @property
-    def degree(self) -> int:
-        """Total degree (0 for the zero polynomial)."""
-        return max((m.degree for m, _ in self._terms), default=0)
-
     def coefficient(self, monomial: Monomial) -> int:
         """Coefficient of ``monomial`` (0 when absent)."""
-        for m, c in self._terms:
-            if m == monomial:
-                return c
-        return 0
-
-    def is_zero(self) -> bool:
-        """Whether this is the zero polynomial."""
-        return not self._terms
+        return self._lookup(monomial, 0)
 
     def to_polynomial(self) -> Polynomial:
         """The ``N[X]`` image, defined only when no coefficient is negative."""
@@ -199,55 +134,17 @@ class ZPolynomial:
             raise SemiringError(
                 f"{self} has negative coefficients and is not an N[X] polynomial"
             )
-        return Polynomial(dict(self._terms))
-
-    def drop_variables(self, variables: "frozenset[str] | set[str]") -> "ZPolynomial":
-        """Specialize ``variables`` to zero: drop every term mentioning one.
-
-        The ring twin of :meth:`Polynomial.drop_variables`, used by the
-        provenance-assisted deletion path over ``Z[X]`` annotations.
-        """
-        return ZPolynomial(
-            {m: c for m, c in self._terms if not (m.variables & variables)}
-        )
+        return Polynomial._of_terms(self._terms)
 
     # -- algebra ---------------------------------------------------------------
-    def __add__(self, other: "ZPolynomial | str | int") -> "ZPolynomial":
-        other = ZPolynomial.of(other)
-        terms: Dict[Monomial, int] = dict(self._terms)
-        for monomial, coefficient in other._terms:
-            terms[monomial] = terms.get(monomial, 0) + coefficient
-        return ZPolynomial(terms)
-
-    __radd__ = __add__
-
     def __neg__(self) -> "ZPolynomial":
-        return ZPolynomial({m: -c for m, c in self._terms})
+        return ZPolynomial._of_terms(tuple((m, -c) for m, c in self._terms))
 
     def __sub__(self, other: "ZPolynomial | str | int") -> "ZPolynomial":
         return self + (-ZPolynomial.of(other))
 
     def __rsub__(self, other: "ZPolynomial | str | int") -> "ZPolynomial":
         return ZPolynomial.of(other) + (-self)
-
-    def __mul__(self, other: "ZPolynomial | str | int") -> "ZPolynomial":
-        other = ZPolynomial.of(other)
-        terms: Dict[Monomial, int] = {}
-        for m1, c1 in self._terms:
-            for m2, c2 in other._terms:
-                monomial = m1 * m2
-                terms[monomial] = terms.get(monomial, 0) + c1 * c2
-        return ZPolynomial(terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "ZPolynomial":
-        if exponent < 0:
-            raise SemiringError("polynomials cannot be raised to negative powers")
-        result = ZPolynomial.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def evaluate(self, semiring: Semiring, valuation: Mapping[str, Any]) -> Any:
         """Evaluate in ``semiring`` under ``valuation``.
@@ -276,14 +173,8 @@ class ZPolynomial:
     def __hash__(self) -> int:
         return hash(("ZPolynomial", self._terms))
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __iter__(self) -> Iterator[tuple[Monomial, int]]:
         return iter(self._terms)
-
-    def __repr__(self) -> str:
-        return f"ZPolynomial({self})"
 
     def __str__(self) -> str:
         if not self._terms:
@@ -305,7 +196,19 @@ class ZPolynomial:
         return rendered
 
 
-class IntegerPolynomialRing(Semiring):
+def _check_coefficient(coefficient: Any) -> int:
+    if isinstance(coefficient, bool) or not isinstance(coefficient, int):
+        raise InvalidAnnotationError(
+            f"{coefficient!r} is not a valid Z[X] coefficient (need int)"
+        )
+    return coefficient
+
+
+_ZERO = ZPolynomial()
+_ONE = ZPolynomial({Monomial.unit(): 1})
+
+
+class IntegerPolynomialRing(SparseTermSemiring):
     """``(Z[X], +, ., 0, 1)`` -- provenance polynomials with integer coefficients.
 
     The most general commutative *ring* generated by the tuple ids: every
@@ -320,18 +223,7 @@ class IntegerPolynomialRing(Semiring):
     is_omega_continuous = False
     has_negation = True
     naturally_ordered = False
-
-    def zero(self) -> ZPolynomial:
-        return ZPolynomial.zero()
-
-    def one(self) -> ZPolynomial:
-        return ZPolynomial.one()
-
-    def add(self, a: ZPolynomial, b: ZPolynomial) -> ZPolynomial:
-        return ZPolynomial.of(a) + ZPolynomial.of(b)
-
-    def mul(self, a: ZPolynomial, b: ZPolynomial) -> ZPolynomial:
-        return ZPolynomial.of(a) * ZPolynomial.of(b)
+    _element, _zero, _one = ZPolynomial, _ZERO, _ONE
 
     def negate(self, value: ZPolynomial) -> ZPolynomial:
         return -ZPolynomial.of(value)

@@ -91,7 +91,7 @@ class NatInf:
         if (self.is_finite and self._value == 0) or (
             other.is_finite and other._value == 0
         ):
-            return NatInf(0)
+            return _ZERO
         if self.is_infinite or other.is_infinite:
             return INFINITY
         return NatInf(self._value * other._value)
@@ -102,7 +102,7 @@ class NatInf:
         if exponent < 0:
             raise SemiringError("negative exponents are undefined in N-inf")
         if exponent == 0:
-            return NatInf(1)
+            return _ONE
         if self.is_infinite:
             return INFINITY
         return NatInf(self._value**exponent)
@@ -139,6 +139,7 @@ class NatInf:
 
 #: The canonical infinite element of ``N-inf``.
 INFINITY = NatInf(None)
+_ZERO, _ONE = NatInf(0), NatInf(1)
 
 
 class NaturalsSemiring(Semiring):
@@ -197,10 +198,20 @@ class CompletedNaturalsSemiring(Semiring):
     has_top = True
 
     def zero(self) -> NatInf:
-        return NatInf(0)
+        return _ZERO
 
     def one(self) -> NatInf:
-        return NatInf(1)
+        return _ONE
+
+    def is_zero(self, value: Any) -> bool:
+        if isinstance(value, NatInf):
+            return value._value == 0
+        return value == _ZERO
+
+    def is_one(self, value: Any) -> bool:
+        if isinstance(value, NatInf):
+            return value._value == 1
+        return value == _ONE
 
     def add(self, a: NatInf, b: NatInf) -> NatInf:
         return NatInf.of(a) + NatInf.of(b)
@@ -215,7 +226,7 @@ class CompletedNaturalsSemiring(Semiring):
 
     def coerce(self, value: Any) -> NatInf:
         if isinstance(value, bool):
-            return NatInf(1) if value else NatInf(0)
+            return _ONE if value else _ZERO
         if isinstance(value, NatInf):
             return value
         if isinstance(value, int) and value >= 0:
@@ -235,7 +246,7 @@ class CompletedNaturalsSemiring(Semiring):
         """``a* = 1`` when ``a == 0``, infinity otherwise (e.g. ``1* = ∞``)."""
         a = NatInf.of(a)
         if a.is_finite and a.finite_value() == 0:
-            return NatInf(1)
+            return _ONE
         return INFINITY
 
     def format_value(self, value: Any) -> str:

@@ -26,151 +26,26 @@ fragment of the datalog provenance semiring of Section 6.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Any, Dict, Iterable, Mapping
 
 from repro.errors import InvalidAnnotationError, ParseError, SemiringError
 from repro.semirings.base import Semiring
 from repro.semirings.numeric import INFINITY, NatInf
+from repro.semirings.terms import (
+    Monomial,
+    SparseTerms,
+    SparseTermSemiring,
+    collect_terms,
+    cut_terms,
+)
 
 __all__ = ["Monomial", "Polynomial", "PolynomialSemiring", "ProvenancePolynomialSemiring"]
 
 
-class Monomial:
-    """A commutative monomial: a map from variable name to positive exponent.
-
-    The empty monomial (written ``1`` or epsilon in the paper) has no
-    variables and acts as the multiplicative unit.  Instances are immutable
-    and hashable and are ordered by (total degree, sorted variable powers),
-    which gives deterministic printing of polynomials.
-    """
-
-    __slots__ = ("_powers",)
-
-    def __init__(self, powers: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
-        items: Dict[str, int] = {}
-        pairs = powers.items() if isinstance(powers, Mapping) else powers
-        for variable, exponent in pairs:
-            if not isinstance(exponent, int) or exponent < 0:
-                raise InvalidAnnotationError(
-                    f"exponent of {variable!r} must be a non-negative int, got {exponent!r}"
-                )
-            if exponent:
-                items[str(variable)] = items.get(str(variable), 0) + exponent
-        object.__setattr__(self, "_powers", tuple(sorted(items.items())))
-
-    # -- constructors ---------------------------------------------------------
-    @classmethod
-    def unit(cls) -> "Monomial":
-        """The empty monomial ``1``."""
-        return cls(())
-
-    @classmethod
-    def var(cls, name: str, exponent: int = 1) -> "Monomial":
-        """The monomial ``name^exponent``."""
-        return cls(((name, exponent),))
-
-    @classmethod
-    def from_bag(cls, variables: Iterable[str]) -> "Monomial":
-        """Build a monomial from a multiset of variable occurrences.
-
-        ``from_bag(["r", "s", "s"])`` is ``r . s^2`` -- this matches the
-        paper's view of a derivation-tree fringe as a bag of leaf labels.
-        """
-        powers: Dict[str, int] = {}
-        for variable in variables:
-            powers[str(variable)] = powers.get(str(variable), 0) + 1
-        return cls(powers)
-
-    # -- structure ------------------------------------------------------------
-    @property
-    def powers(self) -> Tuple[tuple[str, int], ...]:
-        """Sorted tuple of (variable, exponent) pairs."""
-        return self._powers
-
-    @property
-    def variables(self) -> frozenset[str]:
-        """The variables occurring with non-zero exponent."""
-        return frozenset(v for v, _ in self._powers)
-
-    @property
-    def degree(self) -> int:
-        """Total degree (sum of exponents)."""
-        return sum(e for _, e in self._powers)
-
-    def exponent(self, variable: str) -> int:
-        """Exponent of ``variable`` (0 when absent)."""
-        for v, e in self._powers:
-            if v == variable:
-                return e
-        return 0
-
-    def is_unit(self) -> bool:
-        """Whether this is the empty monomial."""
-        return not self._powers
-
-    def divides(self, other: "Monomial") -> bool:
-        """Whether this monomial divides ``other`` (component-wise <=)."""
-        return all(other.exponent(v) >= e for v, e in self._powers)
-
-    # -- algebra ---------------------------------------------------------------
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        powers = dict(self._powers)
-        for variable, exponent in other._powers:
-            powers[variable] = powers.get(variable, 0) + exponent
-        return Monomial(powers)
-
-    def __pow__(self, exponent: int) -> "Monomial":
-        if exponent < 0:
-            raise SemiringError("monomials cannot have negative powers")
-        return Monomial({v: e * exponent for v, e in self._powers})
-
-    def evaluate(self, semiring: Semiring, valuation: Mapping[str, Any]) -> Any:
-        """Evaluate the monomial in ``semiring`` under ``valuation``."""
-        result = semiring.one()
-        for variable, exponent in self._powers:
-            if variable not in valuation:
-                raise SemiringError(f"valuation is missing variable {variable!r}")
-            result = semiring.mul(
-                result, semiring.power(valuation[variable], exponent)
-            )
-        return result
-
-    # -- protocol --------------------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self._powers == other._powers
-
-    def __hash__(self) -> int:
-        return hash(("Monomial", self._powers))
-
-    def __lt__(self, other: "Monomial") -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return (self.degree, self._powers) < (other.degree, other._powers)
-
-    def __iter__(self) -> Iterator[tuple[str, int]]:
-        return iter(self._powers)
-
-    def __repr__(self) -> str:
-        return f"Monomial({self})"
-
-    def __str__(self) -> str:
-        if not self._powers:
-            return "1"
-        parts = []
-        for variable, exponent in self._powers:
-            parts.append(variable if exponent == 1 else f"{variable}^{exponent}")
-        return "·".join(parts)
-
-
-_TERM_RE = re.compile(r"\s*([+])?\s*([^+]+)")
 _FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$|^(\d+|∞)$")
 
 
-class Polynomial:
+class Polynomial(SparseTerms):
     """A polynomial: a finite map from :class:`Monomial` to a coefficient.
 
     Coefficients are non-negative integers or :class:`NatInf` values; zero
@@ -179,53 +54,25 @@ class Polynomial:
 
     The arithmetic operators ``+`` and ``*`` implement the polynomial
     semiring operations; :meth:`evaluate` is the ``Eval_v`` homomorphism of
-    Proposition 4.2.
+    Proposition 4.2.  The constructor validates its input; results of
+    arithmetic are canonical by construction (:mod:`repro.semirings.terms`).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Monomial, Any] | Iterable[tuple[Monomial, Any]] = ()):
-        collected: Dict[Monomial, Any] = {}
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
-        for monomial, coefficient in pairs:
-            if not isinstance(monomial, Monomial):
-                raise InvalidAnnotationError(f"{monomial!r} is not a Monomial")
-            coefficient = _check_coefficient(coefficient)
-            if _is_zero_coefficient(coefficient):
-                continue
-            if monomial in collected:
-                collected[monomial] = collected[monomial] + coefficient
-            else:
-                collected[monomial] = coefficient
-        object.__setattr__(
-            self, "_terms", tuple(sorted(collected.items(), key=lambda kv: kv[0]))
-        )
+        self._terms = collect_terms(terms, _check_coefficient)
 
     # -- constructors ---------------------------------------------------------
     @classmethod
     def zero(cls) -> "Polynomial":
         """The zero polynomial."""
-        return cls(())
+        return _ZERO
 
     @classmethod
     def one(cls) -> "Polynomial":
         """The unit polynomial ``1``."""
-        return cls({Monomial.unit(): 1})
-
-    @classmethod
-    def var(cls, name: str) -> "Polynomial":
-        """The polynomial consisting of the single variable ``name``."""
-        return cls({Monomial.var(name): 1})
-
-    @classmethod
-    def constant(cls, value: int | NatInf) -> "Polynomial":
-        """A constant polynomial."""
-        return cls({Monomial.unit(): value})
-
-    @classmethod
-    def monomial(cls, monomial: Monomial, coefficient: int | NatInf = 1) -> "Polynomial":
-        """A single-term polynomial ``coefficient . monomial``."""
-        return cls({monomial: coefficient})
+        return _ONE
 
     @classmethod
     def of(cls, value: "Polynomial | Monomial | str | int | NatInf") -> "Polynomial":
@@ -254,7 +101,7 @@ class Polynomial:
         text = text.strip()
         if not text:
             return cls.zero()
-        terms: Dict[Monomial, Any] = {}
+        terms = []
         for raw_term in text.split("+"):
             raw_term = raw_term.strip()
             if not raw_term:
@@ -275,52 +122,18 @@ class Polynomial:
                     variable = match.group(1)
                     exponent = int(match.group(2)) if match.group(2) else 1
                     powers[variable] = powers.get(variable, 0) + exponent
-            monomial = Monomial(powers)
-            if monomial in terms:
-                terms[monomial] = terms[monomial] + coefficient
-            else:
-                terms[monomial] = coefficient
+            terms.append((Monomial(powers), coefficient))
         return cls(terms)
 
     # -- structure ------------------------------------------------------------
-    @property
-    def terms(self) -> Tuple[tuple[Monomial, Any], ...]:
-        """Sorted tuple of (monomial, coefficient) pairs with non-zero coefficients."""
-        return self._terms
-
-    @property
-    def monomials(self) -> tuple[Monomial, ...]:
-        """The monomials with non-zero coefficient, in canonical order."""
-        return tuple(m for m, _ in self._terms)
-
-    @property
-    def variables(self) -> frozenset[str]:
-        """All variables occurring in the polynomial."""
-        result: set[str] = set()
-        for monomial, _ in self._terms:
-            result |= monomial.variables
-        return frozenset(result)
-
-    @property
-    def degree(self) -> int:
-        """Total degree (0 for the zero polynomial)."""
-        return max((m.degree for m, _ in self._terms), default=0)
-
     def coefficient(self, monomial: Monomial | str) -> Any:
         """Coefficient of ``monomial`` (0 when absent)."""
         if isinstance(monomial, str):
             single = Polynomial.parse(monomial)
-            if len(single._terms) != 1 or not _is_one_coefficient(single._terms[0][1]):
+            if len(single._terms) != 1 or single._terms[0][1] != 1:
                 raise ParseError(f"{monomial!r} does not denote a single monomial")
             monomial = single._terms[0][0]
-        for m, c in self._terms:
-            if m == monomial:
-                return c
-        return 0
-
-    def is_zero(self) -> bool:
-        """Whether this is the zero polynomial."""
-        return not self._terms
+        return self._lookup(monomial, 0)
 
     def is_constant(self) -> bool:
         """Whether the polynomial has no variables."""
@@ -342,77 +155,20 @@ class Polynomial:
         return total
 
     # -- algebra ---------------------------------------------------------------
-    def __add__(self, other: "Polynomial | str | int") -> "Polynomial":
-        other = Polynomial.of(other)
-        terms: Dict[Monomial, Any] = dict(self._terms)
-        for monomial, coefficient in other._terms:
-            if monomial in terms:
-                terms[monomial] = terms[monomial] + coefficient
-            else:
-                terms[monomial] = coefficient
-        return Polynomial(terms)
-
-    __radd__ = __add__
-
-    def __mul__(self, other: "Polynomial | str | int") -> "Polynomial":
-        other = Polynomial.of(other)
-        terms: Dict[Monomial, Any] = {}
-        for m1, c1 in self._terms:
-            for m2, c2 in other._terms:
-                monomial = m1 * m2
-                coefficient = c1 * c2
-                if monomial in terms:
-                    terms[monomial] = terms[monomial] + coefficient
-                else:
-                    terms[monomial] = coefficient
-        return Polynomial(terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise SemiringError("polynomials cannot be raised to negative powers")
-        result = Polynomial.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def truncate(self, max_degree: int) -> "Polynomial":
         """Drop every term of total degree greater than ``max_degree``."""
-        return Polynomial(
-            {m: c for m, c in self._terms if m.degree <= max_degree}
-        )
+        return Polynomial._of_terms(cut_terms(self._terms, max_degree))
 
     def map_coefficients(self, function) -> "Polynomial":
         """Apply ``function`` to every coefficient (dropping resulting zeros)."""
         return Polynomial({m: function(c) for m, c in self._terms})
 
-    def drop_variables(self, variables: "frozenset[str] | set[str]") -> "Polynomial":
-        """Specialize ``variables`` to zero: drop every term mentioning one.
-
-        This is the evaluation homomorphism at ``v -> 0`` for the named
-        variables (identity elsewhere), computed without arithmetic.  It is
-        what makes provenance-assisted deletion exact: when a deleted EDB
-        fact is tagged with a fresh variable, its derivations are precisely
-        the monomials the variable occurs in (Theorem 6.5's view of the
-        annotation as a sum over derivation trees).
-        """
-        return Polynomial(
-            {m: c for m, c in self._terms if not (m.variables & variables)}
-        )
-
     def rename(self, mapping: Mapping[str, str]) -> "Polynomial":
         """Rename variables according to ``mapping`` (missing names unchanged)."""
-        terms: Dict[Monomial, Any] = {}
-        for monomial, coefficient in self._terms:
-            renamed = Monomial(
-                {mapping.get(v, v): e for v, e in monomial.powers}
-            )
-            if renamed in terms:
-                terms[renamed] = terms[renamed] + coefficient
-            else:
-                terms[renamed] = coefficient
-        return Polynomial(terms)
+        return Polynomial(
+            (Monomial((mapping.get(v, v), e) for v, e in monomial.powers), coefficient)
+            for monomial, coefficient in self._terms
+        )
 
     def evaluate(self, semiring: Semiring, valuation: Mapping[str, Any]) -> Any:
         """Evaluate in ``semiring`` under ``valuation`` (the ``Eval_v`` map).
@@ -463,25 +219,6 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(("Polynomial", self._terms))
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self})"
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        rendered = []
-        for monomial, coefficient in self._terms:
-            if monomial.is_unit():
-                rendered.append(str(coefficient))
-            elif _is_one_coefficient(coefficient):
-                rendered.append(str(monomial))
-            else:
-                rendered.append(f"{coefficient}·{monomial}")
-        return " + ".join(rendered)
-
 
 def _check_coefficient(coefficient: Any) -> Any:
     if isinstance(coefficient, bool):
@@ -495,14 +232,8 @@ def _check_coefficient(coefficient: Any) -> Any:
     )
 
 
-def _is_zero_coefficient(coefficient: Any) -> bool:
-    return (isinstance(coefficient, int) and coefficient == 0) or (
-        isinstance(coefficient, NatInf) and coefficient == NatInf(0)
-    )
-
-
-def _is_one_coefficient(coefficient: Any) -> bool:
-    return coefficient == 1 or coefficient == NatInf(1)
+_ZERO = Polynomial()
+_ONE = Polynomial({Monomial.unit(): 1})
 
 
 def _scale_in(semiring: Semiring, coefficient: Any, value: Any) -> Any:
@@ -524,7 +255,7 @@ def _scale_in(semiring: Semiring, coefficient: Any, value: Any) -> Any:
     return semiring.scale(count, value)
 
 
-class PolynomialSemiring(Semiring):
+class PolynomialSemiring(SparseTermSemiring):
     """The polynomial semiring ``K[X]`` with coefficients in ``N`` or ``N-inf``.
 
     The default instance (``allow_infinite_coefficients=False``) is ``N[X]``,
@@ -534,6 +265,7 @@ class PolynomialSemiring(Semiring):
 
     idempotent_add = False
     is_omega_continuous = False  # N[X] has no infinite sums; see power_series
+    _element, _zero, _one = Polynomial, _ZERO, _ONE
 
     def __init__(self, *, allow_infinite_coefficients: bool = False, name: str | None = None):
         self.allow_infinite_coefficients = allow_infinite_coefficients
@@ -541,18 +273,6 @@ class PolynomialSemiring(Semiring):
             self.name = name
         else:
             self.name = "N∞[X]" if allow_infinite_coefficients else "N[X]"
-
-    def zero(self) -> Polynomial:
-        return Polynomial.zero()
-
-    def one(self) -> Polynomial:
-        return Polynomial.one()
-
-    def add(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        return Polynomial.of(a) + Polynomial.of(b)
-
-    def mul(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        return Polynomial.of(a) * Polynomial.of(b)
 
     def contains(self, value: Any) -> bool:
         if not isinstance(value, Polynomial):

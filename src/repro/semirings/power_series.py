@@ -24,17 +24,27 @@ Figure 8) are stored exactly with ``truncation_degree=None``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Tuple
+from typing import Any, Iterable, Mapping
 
-from repro.errors import InvalidAnnotationError, SemiringError
+from repro.errors import SemiringError
 from repro.semirings.base import Semiring
-from repro.semirings.numeric import INFINITY, NatInf
-from repro.semirings.polynomial import Monomial, Polynomial
+from repro.semirings.numeric import NatInf
+from repro.semirings.polynomial import Polynomial
+from repro.semirings.terms import (
+    Monomial,
+    SparseTerms,
+    SparseTermSemiring,
+    Terms,
+    add_terms,
+    collect_terms,
+    cut_terms,
+    mul_terms,
+)
 
 __all__ = ["FormalPowerSeries", "PowerSeriesSemiring"]
 
 
-class FormalPowerSeries:
+class FormalPowerSeries(SparseTerms):
     """A formal power series in ``N-inf[[X]]``, truncated by total degree.
 
     Attributes
@@ -48,31 +58,26 @@ class FormalPowerSeries:
         degree up to which coefficients are exact.
     """
 
-    __slots__ = ("_terms", "_truncation_degree")
+    __slots__ = ("_truncation_degree",)
 
     def __init__(
         self,
         terms: Mapping[Monomial, Any] | Iterable[tuple[Monomial, Any]] = (),
         truncation_degree: int | None = None,
     ):
-        collected: Dict[Monomial, NatInf] = {}
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
-        for monomial, coefficient in pairs:
-            if not isinstance(monomial, Monomial):
-                raise InvalidAnnotationError(f"{monomial!r} is not a Monomial")
-            coefficient = NatInf.of(coefficient) if not isinstance(coefficient, NatInf) else coefficient
-            if coefficient == NatInf(0):
-                continue
-            if truncation_degree is not None and monomial.degree > truncation_degree:
-                continue
-            if monomial in collected:
-                collected[monomial] = collected[monomial] + coefficient
-            else:
-                collected[monomial] = coefficient
-        object.__setattr__(
-            self, "_terms", tuple(sorted(collected.items(), key=lambda kv: kv[0]))
-        )
-        object.__setattr__(self, "_truncation_degree", truncation_degree)
+        self._terms = collect_terms(terms, NatInf.of, truncation_degree)
+        self._truncation_degree = truncation_degree
+
+    @classmethod
+    def _of_terms(cls, terms: Terms, truncation_degree: int | None = None):
+        """Trusted constructor: canonical ``terms`` already cut at the degree."""
+        self = object.__new__(cls)
+        self._terms = terms
+        self._truncation_degree = truncation_degree
+        return self
+
+    def _like(self, terms: Terms) -> "FormalPowerSeries":
+        return FormalPowerSeries._of_terms(terms, self._truncation_degree)
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -99,9 +104,8 @@ class FormalPowerSeries:
         This is the embedding the paper uses in Proposition 6.2: a polynomial
         is a power series with finitely many non-zero coefficients.
         """
-        return cls(
-            {m: NatInf.of(c) for m, c in polynomial.terms}, truncation_degree
-        )
+        terms = tuple((m, NatInf.of(c)) for m, c in polynomial.terms)
+        return cls._of_terms(cut_terms(terms, truncation_degree), truncation_degree)
 
     @classmethod
     def of(
@@ -114,11 +118,6 @@ class FormalPowerSeries:
 
     # -- structure ------------------------------------------------------------
     @property
-    def terms(self) -> Tuple[tuple[Monomial, NatInf], ...]:
-        """Sorted (monomial, coefficient) pairs, zero coefficients omitted."""
-        return self._terms
-
-    @property
     def truncation_degree(self) -> int | None:
         """Degree up to which coefficients are exact, ``None`` when exact everywhere."""
         return self._truncation_degree
@@ -127,14 +126,6 @@ class FormalPowerSeries:
     def is_exact(self) -> bool:
         """Whether the series is known exactly (i.e. is a polynomial)."""
         return self._truncation_degree is None
-
-    @property
-    def variables(self) -> frozenset[str]:
-        """Variables occurring in the stored terms."""
-        result: set[str] = set()
-        for monomial, _ in self._terms:
-            result |= monomial.variables
-        return frozenset(result)
 
     def coefficient(self, monomial: Monomial) -> NatInf:
         """Coefficient of ``monomial``.
@@ -151,10 +142,7 @@ class FormalPowerSeries:
                 f"coefficient of {monomial} is beyond the truncation degree "
                 f"{self._truncation_degree}"
             )
-        for m, c in self._terms:
-            if m == monomial:
-                return c
-        return NatInf(0)
+        return self._lookup(monomial, NatInf(0))
 
     def to_polynomial(self) -> Polynomial:
         """Convert an exact series back into a polynomial.
@@ -163,7 +151,7 @@ class FormalPowerSeries:
         """
         if not self.is_exact:
             raise SemiringError("a truncated power series is not a polynomial")
-        return Polynomial({m: c for m, c in self._terms})
+        return Polynomial._of_terms(self._terms)
 
     # -- algebra ---------------------------------------------------------------
     def _combined_truncation(self, other: "FormalPowerSeries") -> int | None:
@@ -176,31 +164,19 @@ class FormalPowerSeries:
     def __add__(self, other: "FormalPowerSeries | Polynomial | str | int") -> "FormalPowerSeries":
         other = FormalPowerSeries.of(other)
         truncation = self._combined_truncation(other)
-        terms: Dict[Monomial, NatInf] = dict(self._terms)
-        for monomial, coefficient in other._terms:
-            if monomial in terms:
-                terms[monomial] = terms[monomial] + coefficient
-            else:
-                terms[monomial] = coefficient
-        return FormalPowerSeries(terms, truncation)
+        return FormalPowerSeries._of_terms(
+            add_terms(cut_terms(self._terms, truncation), cut_terms(other._terms, truncation)),
+            truncation,
+        )
 
     __radd__ = __add__
 
     def __mul__(self, other: "FormalPowerSeries | Polynomial | str | int") -> "FormalPowerSeries":
         other = FormalPowerSeries.of(other)
         truncation = self._combined_truncation(other)
-        terms: Dict[Monomial, NatInf] = {}
-        for m1, c1 in self._terms:
-            for m2, c2 in other._terms:
-                monomial = m1 * m2
-                if truncation is not None and monomial.degree > truncation:
-                    continue
-                coefficient = c1 * c2
-                if monomial in terms:
-                    terms[monomial] = terms[monomial] + coefficient
-                else:
-                    terms[monomial] = coefficient
-        return FormalPowerSeries(terms, truncation)
+        return FormalPowerSeries._of_terms(
+            mul_terms(self._terms, other._terms, truncation), truncation
+        )
 
     __rmul__ = __mul__
 
@@ -208,9 +184,7 @@ class FormalPowerSeries:
         """Return the series truncated to total degree ``max_degree``."""
         if self._truncation_degree is not None:
             max_degree = min(max_degree, self._truncation_degree)
-        return FormalPowerSeries(
-            {m: c for m, c in self._terms if m.degree <= max_degree}, max_degree
-        )
+        return FormalPowerSeries._of_terms(cut_terms(self._terms, max_degree), max_degree)
 
     def evaluate(self, semiring: Semiring, valuation: Mapping[str, Any]) -> Any:
         """Evaluate in an omega-continuous semiring (Proposition 6.3).
@@ -220,8 +194,7 @@ class FormalPowerSeries:
         directly in the target semiring (Theorem 6.4), which is what
         :mod:`repro.datalog.fixpoint` does.
         """
-        polynomial = Polynomial({m: c for m, c in self._terms})
-        return polynomial.evaluate(semiring, valuation)
+        return Polynomial._of_terms(self._terms).evaluate(semiring, valuation)
 
     # -- protocol --------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
@@ -237,31 +210,13 @@ class FormalPowerSeries:
     def __hash__(self) -> int:
         return hash(("FormalPowerSeries", self._terms, self._truncation_degree))
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __repr__(self) -> str:
-        return f"FormalPowerSeries({self})"
-
     def __str__(self) -> str:
-        if not self._terms:
-            rendered = "0"
-        else:
-            parts = []
-            for monomial, coefficient in self._terms:
-                if monomial.is_unit():
-                    parts.append(str(coefficient))
-                elif coefficient == NatInf(1):
-                    parts.append(str(monomial))
-                else:
-                    parts.append(f"{coefficient}·{monomial}")
-            rendered = " + ".join(parts)
-        if self._truncation_degree is not None:
-            rendered += f" + O(deg>{self._truncation_degree})"
-        return rendered
+        if self._truncation_degree is None:
+            return super().__str__()
+        return f"{super().__str__()} + O(deg>{self._truncation_degree})"
 
 
-class PowerSeriesSemiring(Semiring):
+class PowerSeriesSemiring(SparseTermSemiring):
     """``N-inf[[X]]`` truncated at a chosen total degree.
 
     The datalog provenance semiring of Definition 6.1.  Working with a fixed
@@ -279,12 +234,8 @@ class PowerSeriesSemiring(Semiring):
             raise SemiringError("truncation degree must be non-negative")
         self.truncation_degree = truncation_degree
         self.name = name or f"N∞[[X]] (deg ≤ {truncation_degree})"
-
-    def zero(self) -> FormalPowerSeries:
-        return FormalPowerSeries.zero(self.truncation_degree)
-
-    def one(self) -> FormalPowerSeries:
-        return FormalPowerSeries.one(self.truncation_degree)
+        self._zero = FormalPowerSeries.zero(truncation_degree)
+        self._one = FormalPowerSeries.one(truncation_degree)
 
     def var(self, name: str) -> FormalPowerSeries:
         """The series of a single tuple-id variable."""
@@ -301,6 +252,8 @@ class PowerSeriesSemiring(Semiring):
 
     def coerce(self, value: Any) -> FormalPowerSeries:
         series = FormalPowerSeries.of(value)
+        if series._truncation_degree == self.truncation_degree:
+            return series
         return series.truncate(self.truncation_degree)
 
     def leq(self, a: FormalPowerSeries, b: FormalPowerSeries) -> bool:
