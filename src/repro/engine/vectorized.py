@@ -13,12 +13,17 @@ loop per row; this module evaluates the same positive-algebra plans one
   build side once, finds every probe row's bucket with two binary searches
   (``searchsorted``) and expands the matching (build, probe) index pairs
   without a Python-level loop; annotations multiply array-at-a-time;
-* projections and unions group rows by integer-coded keys and combine all
-  annotation contributions per output group with a single ``ufunc.at``
-  scatter -- the batched ``+``-chain of :func:`~repro.engine.kernels.
-  accumulate_batches`, performed by the ufunc inner loop;
+* projections and unions group rows by the mixed-radix code of their kept
+  columns (:func:`group_codes`): when the codes span at most four times
+  the row count they index the totals directly (a presence mask, no sort),
+  otherwise one unstable ``np.unique`` sort numbers the groups; either way
+  one ``ufunc.at`` scatter combines all annotation contributions per group
+  -- the batched ``+``-chain of :func:`~repro.engine.kernels.
+  accumulate_batches`, performed by the ufunc inner loop -- and each kept
+  column is decoded back out of the distinct codes by ``divmod``;
 * canonical :class:`~repro.relations.tuples.Tup` objects are rebuilt only
-  for the final result rows.
+  for the final result rows, from one ``(attribute, value)`` pair per
+  distinct value of each column, shared by every row holding it.
 
 **Exactness.**  Only semirings whose carrier maps losslessly onto a numpy
 dtype are vectorized -- N and Z (``int64``, with explicit overflow guards
@@ -440,6 +445,8 @@ def _merged_col(left: _Col, right: _Col) -> _Col:
 
 def _combine_codes(columns: list) -> Any:
     """Mixed-radix combination of several columns' codes into one row code."""
+    if not columns:
+        raise _Fallback  # nullary keys: the row engine groups them
     combined = None
     radix = 1
     for column in columns:
@@ -455,18 +462,24 @@ def _combine_codes(columns: list) -> Any:
 
 
 def _group(batch: _Batch, keep: Tuple[str, ...], display: Tuple[str, ...], ops: VectorOps) -> _Batch:
-    """Group rows by the ``keep`` columns, accumulating annotations per group."""
-    n = len(batch)
-    if n == 0:
+    """Group rows by the ``keep`` columns, accumulating annotations per group.
+
+    The groups are the distinct mixed-radix codes of :func:`group_codes`;
+    each kept column's codes are decoded back out of them (``divmod`` by the
+    column's alphabet size, least significant first), so rows come out
+    ascending by key and no representative row is ever looked up.
+    """
+    if len(batch) == 0:
         return _Batch(display, {a: batch.columns[a] for a in keep}, batch.ann)
-    codes = _combine_codes([batch.columns[a] for a in keep])
-    _, first_index, inverse = _np.unique(
-        codes, return_index=True, return_inverse=True
-    )
-    totals = ops.accumulate(batch.ann, inverse, len(first_index))
+    kept = [batch.columns[a] for a in keep]
+    distinct, totals = group_codes(ops, _combine_codes(kept), batch.ann)
     alive = ~ops.zero_mask(totals)
-    representative = first_index[alive]
-    columns = {a: batch.columns[a].take(representative) for a in keep}
+    rest = distinct[alive]
+    decoded = []
+    for column in reversed(kept):
+        rest, codes = _np.divmod(rest, max(len(column.uniques), 1))
+        decoded.append(_Col(codes, column.uniques))
+    columns = dict(zip(keep, reversed(decoded)))
     return _Batch(display, columns, totals[alive])
 
 
@@ -669,8 +682,19 @@ def group_codes(ops: VectorOps, codes, values):
 
     The batched accumulation of the row engines' merge step, performed by one
     ``ufunc.at`` scatter (exact: the vector carriers' ``+`` is insensitive to
-    regrouping).  Zero totals are kept -- the merge owns the stored-zero rule.
+    regrouping).  Codes are non-negative; when their span (``max + 1``) is
+    at most four times the row count they address the totals directly -- a
+    presence mask gives the distinct codes in order, O(n) with no sort --
+    otherwise one unstable ``np.unique`` sort numbers the groups.  Zero
+    totals are kept -- the merge owns the stored-zero rule.
     """
+    n = len(codes)
+    span = int(codes.max()) + 1 if n else 0
+    if span <= 4 * n:
+        present = _np.zeros(span, dtype=bool)
+        present[codes] = True
+        distinct = _np.flatnonzero(present)
+        return distinct, ops.accumulate(values, codes, span)[distinct]
     distinct, inverse = _np.unique(codes, return_inverse=True)
     return distinct, ops.accumulate(values, inverse, len(distinct))
 
@@ -824,21 +848,27 @@ def _materialize(
             {a: column.take(alive) for a, column in batch.columns.items()},
             batch.ann[alive],
         )
+    attributes = tuple(sorted(batch.display))
+    if not attributes:
+        raise _Fallback  # nullary rows: the row engine builds them
     result = KRelation(semiring, Schema(batch.display), storage=storage)
     store = result._store
-    attributes = tuple(sorted(batch.display))
     # One C-level gather per column decodes it; .tolist() lowers numpy
     # scalars to the exact Python carrier types the scalar engine uses
     # (int64 -> int, float64 -> float, bool_ -> bool).
-    value_lists = [batch.columns[a].values().tolist() for a in attributes]
+    columns = [batch.columns[a] for a in attributes]
+    value_lists = [column.values().tolist() for column in columns]
     annotations = batch.ann.tolist()
     from_sorted = Tup._from_sorted_items
-    # Pre-pair each column with its attribute name once, so the per-row
-    # work is a single zip(*) step yielding ready-made sorted item tuples.
-    paired = [
-        [(attribute, value) for value in values]
-        for attribute, values in zip(attributes, value_lists)
-    ]
+    # Pair each distinct value with its attribute name once and gather the
+    # pairs out to rows, so the per-row work is a single zip(*) step over
+    # shared, ready-made (attribute, value) items.
+    paired = []
+    for attribute, column in zip(attributes, columns):
+        pairs = _np.empty(len(column.uniques), dtype=object)
+        for i, value in enumerate(column.uniques.tolist()):
+            pairs[i] = (attribute, value)
+        paired.append(pairs[column.codes].tolist())
     tuples = [from_sorted(row) for row in zip(*paired)]
     if isinstance(store, ColumnarRowStore):
         store.extend_rows(tuples, value_lists, annotations)

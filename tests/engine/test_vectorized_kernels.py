@@ -7,7 +7,10 @@ deliberate zero totals under a ring, its two instance guards),
 ``VectorOps.add``, exact group-by accumulation past int64, the
 numpy-missing degradation, and row/columnar equality
 of the semi-naive engine over every vectorizable semiring plus a
-non-vectorizable control.
+non-vectorizable control -- and the group-by itself: ``group_codes``
+against a dict oracle on both sides of its direct-addressing span
+threshold, ``_group``'s decode-from-key against the row engine, and the
+shared ``(attribute, value)`` pairs of materialized ``Tup``s.
 """
 
 from __future__ import annotations
@@ -295,3 +298,323 @@ def test_everything_degrades_gracefully_without_numpy(monkeypatch):
     row = evaluate_program(program, graph, engine="seminaive", storage="row")
     columnar = evaluate_program(program, graph, engine="seminaive", storage="columnar")
     assert row.annotations == columnar.annotations
+
+
+# ---------------------------------------------------------------------------
+# group_codes: direct addressing (span <= 4n) and the sort fallback
+# ---------------------------------------------------------------------------
+
+#: A carrier-valued sample per vectorizable semiring (registry name -> draw).
+CARRIER_DRAWS = {
+    "bag": lambda rng: rng.randrange(0, 50),
+    "z": lambda rng: rng.randrange(-20, 21),
+    "tropical": lambda rng: rng.choice([0.0, 0.5, 1.25, 3.0, float("inf")]),
+    "fuzzy": lambda rng: rng.choice([0.0, 0.125, 0.5, 0.75, 1.0]),
+    "viterbi": lambda rng: rng.choice([0.0, 0.0625, 0.25, 0.5, 1.0]),
+    "bool": lambda rng: rng.random() < 0.4,
+}
+
+N_CODES = 40
+
+
+def _span_codes(rng, shape):
+    """``N_CODES`` non-negative codes whose span lands in the named regime."""
+    if shape == "dense":
+        return [rng.randrange(N_CODES) for _ in range(N_CODES)]
+    if shape == "span_4n":  # max code 4n - 1: the last direct-addressed span
+        return [rng.randrange(4 * N_CODES) for _ in range(N_CODES - 1)] + [4 * N_CODES - 1]
+    if shape == "span_4n_plus_1":  # max code 4n: the first sorted span
+        return [rng.randrange(4 * N_CODES) for _ in range(N_CODES - 1)] + [4 * N_CODES]
+    return [rng.randrange(N_CODES) * 10**6 for _ in range(N_CODES)]  # sparse
+
+
+#: Whether each span regime should take the ``np.unique`` sort.
+SORTED_SPANS = {"dense": False, "span_4n": False, "span_4n_plus_1": True, "sparse": True}
+
+
+@pytest.fixture
+def unique_calls(monkeypatch):
+    """Count the ``np.unique`` sorts the kernels take."""
+    import numpy as np
+
+    calls = []
+    original = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    return calls
+
+
+@requires_numpy
+@pytest.mark.parametrize("shape", sorted(SORTED_SPANS))
+@pytest.mark.parametrize("name", sorted(CARRIER_DRAWS))
+def test_group_codes_matches_a_dict_oracle(name, shape, unique_calls):
+    import random
+
+    import numpy as np
+
+    rng = random.Random(f"{name}-{shape}")
+    semiring = get_semiring(name)
+    ops = vectorized.vector_ops_for(semiring)
+    codes = _span_codes(rng, shape)
+    values = [CARRIER_DRAWS[name](rng) for _ in codes]
+    oracle = {}
+    for code, value in zip(codes, values):
+        oracle[code] = semiring.add(oracle.get(code, semiring.zero()), value)
+
+    distinct, totals = vectorized.group_codes(
+        ops, np.array(codes, dtype=np.int64), ops.to_array(values)
+    )
+    assert distinct.tolist() == sorted(oracle)
+    assert dict(zip(distinct.tolist(), totals.tolist())) == oracle
+    assert bool(unique_calls) == SORTED_SPANS[shape]
+    assert all("return_index" not in call for call in unique_calls)
+
+
+@requires_numpy
+def test_group_codes_on_empty_input():
+    import numpy as np
+
+    ops = vectorized.vector_ops_for(get_semiring("bag"))
+    distinct, totals = vectorized.group_codes(
+        ops, np.zeros(0, dtype=np.int64), ops.to_array([])
+    )
+    assert distinct.tolist() == totals.tolist() == []
+
+
+@requires_numpy
+@pytest.mark.parametrize("scale", [1, 10**6])
+def test_group_codes_keeps_cancelled_z_totals(scale):
+    # The stored-zero rule belongs to the merge: a key whose contributions
+    # cancel under Z must still come back, with the exact total 0.
+    import numpy as np
+
+    ops = vectorized.vector_ops_for(get_semiring("z"))
+    codes = np.array([0, 1, 1, 2, 2], dtype=np.int64) * scale
+    distinct, totals = vectorized.group_codes(
+        ops, codes, ops.to_array([4, 5, -5, -1, 3])
+    )
+    assert distinct.tolist() == [0, scale, 2 * scale]
+    assert totals.tolist() == [4, 0, 2]
+
+
+#: Three contributions of 2**61 fit int64 each but trip ``count * |v|.max``.
+GUARD_VALUE = 1 << 61
+
+
+@requires_numpy
+@pytest.mark.parametrize(
+    "rows, keep, sorted_span",
+    [
+        # One key, three rows: span 1 is direct-addressed.
+        ([(("k", i), GUARD_VALUE) for i in range(3)], ("a",), False),
+        # Ten keys coded i * 10 + i: span 100 > 4 * 10 takes the sort.
+        ([((i, i), GUARD_VALUE) for i in range(10)], ("a", "b"), True),
+    ],
+)
+def test_try_execute_declines_when_group_totals_could_overflow(
+    rows, keep, sorted_span, unique_calls
+):
+    from repro import Database, Q
+
+    database = Database(get_semiring("bag"))
+    database.create("R", ["a", "b"], rows, storage="columnar")
+    query = Q.relation("R").project(*keep)
+    assert vectorized.try_execute(query, database) is None
+    assert bool(unique_calls) == sorted_span
+    exact = query.evaluate(database, executor="pipelined", storage="columnar")
+    assert sum(value for _, value in exact.items()) == len(rows) * GUARD_VALUE
+
+
+@requires_numpy
+@pytest.mark.parametrize("head_code, sorted_span", [(0, False), (10**6, True)])
+def test_fire_linear_join_declines_when_group_totals_could_overflow(
+    head_code, sorted_span, unique_calls
+):
+    import numpy as np
+
+    ops = vectorized.vector_ops_for(get_semiring("bag"))
+    key = np.zeros(3, dtype=np.int64)
+    head = np.full(3, head_code, dtype=np.int64)
+    fired = vectorized.fire_linear_join(
+        ops,
+        {0: key, 1: head},
+        ops.to_array([GUARD_VALUE] * 3),
+        [np.zeros(1, dtype=np.int64)],
+        ops.to_array([1]),
+        vectorized.sort_codes(np.zeros(1, dtype=np.int64)),
+        [0],
+        [("p", 1)],
+        1 << 20,
+    )
+    assert fired is False
+    assert bool(unique_calls) == sorted_span
+
+
+# ---------------------------------------------------------------------------
+# _group decodes kept columns from the key: equal to the row engine
+# ---------------------------------------------------------------------------
+
+
+def _vectorized_and_reference(query, database):
+    """The vectorized result (asserting it ran) and the naive row result."""
+    vector = vectorized.try_execute(query, database, storage="columnar")
+    assert vector is not None, "the plan should vectorize"
+    vector.check_consistency()
+    return vector, query.evaluate(database, executor="naive", storage="row")
+
+
+@requires_numpy
+@pytest.mark.parametrize("storage", ["row", "columnar"])
+class TestGroupDecode:
+    def _database(self, name="bag"):
+        from repro import Database
+
+        return Database(get_semiring(name))
+
+    def test_three_attribute_projection_with_a_size_one_alphabet(self, storage):
+        from repro import Q
+
+        database = self._database()
+        rows = [
+            ((a, "only", c, d), 1 + a + 2 * c + d)
+            for a in range(4)
+            for c in range(3)
+            for d in range(2)
+        ]
+        database.create("R", ["a", "b", "c", "d"], rows, storage=storage)
+        for keep in (("a", "b", "c"), ("c", "b", "a"), ("b", "d", "a")):
+            vector, reference = _vectorized_and_reference(
+                Q.relation("R").project(*keep), database
+            )
+            assert vector == reference
+
+    def test_alphabets_keep_values_a_selection_removed(self, storage):
+        from repro import Q
+        from repro.algebra.predicates import AttrNotEqualsConst
+
+        database = self._database("z")
+        rows = [
+            (("x", "p", 1), 3),
+            (("y", "p", 2), -2),
+            (("y", "q", 3), 5),
+            (("z", "q", 1), 7),
+            (("x", "r", 2), 1),
+            (("y", "p", 4), 2),  # cancels ("y", "p", 2): (p, y) drops out
+        ]
+        database.create("R", ["a", "b", "c"], rows, storage=storage)
+        for removed in ("p", "q"):
+            query = (
+                Q.relation("R")
+                .select(AttrNotEqualsConst("b", removed))
+                .project("b", "a")
+            )
+            vector, reference = _vectorized_and_reference(query, database)
+            assert vector == reference
+            assert removed not in {tup["b"] for tup in vector.support}
+
+    def test_union_over_disjoint_alphabets(self, storage):
+        from repro import Q
+
+        database = self._database()
+        database.create("R", ["a", "b"], [(("x", 1), 2), (("y", 2), 3)], storage=storage)
+        database.create("S", ["a", "b"], [(("u", 7), 5), (("v", 8), 7)], storage=storage)
+        database.create("T", ["a", "b"], [(("x", 1), 4), (("v", 8), 1)], storage=storage)
+        disjoint = Q.relation("R").union(Q.relation("S"))
+        vector, reference = _vectorized_and_reference(disjoint, database)
+        assert vector == reference
+        overlapping = disjoint.union(Q.relation("T")).project("b", "a")
+        vector, reference = _vectorized_and_reference(overlapping, database)
+        assert vector == reference
+
+    def test_hash_equal_values_form_one_group(self, storage):
+        from repro import Q
+
+        database = self._database()
+        rows = [((1, "x"), 2), ((1.0, "y"), 2), ((True, "z"), 3)]
+        database.create("R", ["a", "b"], rows, storage=storage)
+        vector, reference = _vectorized_and_reference(
+            Q.relation("R").project("a"), database
+        )
+        assert vector == reference
+        assert [(dict(tup._items), value) for tup, value in vector.items()] == [({"a": 1}, 7)]
+        assert [type(tup["a"]) for tup in vector.support] == [
+            type(tup["a"]) for tup in reference.support
+        ]
+
+    def test_rows_come_out_ascending_by_key(self, storage):
+        # Every value is first seen in ascending order, so each column's
+        # code order is its value order and ascending mixed-radix keys read
+        # as the lexicographic order of the kept values (in ``keep`` order).
+        from repro import Q
+
+        database = self._database()
+        rows = [((a, b, c), 1) for a in range(3) for b in range(4) for c in range(2)]
+        database.create("R", ["a", "b", "c"], rows, storage=storage)
+        for keep in (("a", "c"), ("c", "b"), ("b", "a", "c")):
+            vector, _ = _vectorized_and_reference(
+                Q.relation("R").project(*keep), database
+            )
+            keys = [tuple(tup[a] for a in keep) for tup, _ in vector.items()]
+            assert keys == sorted(keys)
+            assert len(keys) == len(set(keys))
+
+
+# ---------------------------------------------------------------------------
+# _materialize's shared (attribute, value) pairs build ordinary Tups
+# ---------------------------------------------------------------------------
+
+
+@requires_numpy
+def test_shared_pair_tuples_are_ordinary_tuples(monkeypatch):
+    from repro import Q
+    from repro.relations import tuples
+    from repro.relations.tuples import Tup
+    from tests.relations.test_serialization import roundtrip
+
+    # Debug mode re-validates every bulk-built row (sorted, distinct pairs).
+    monkeypatch.setattr(tuples, "_DEBUG_TUPLES", True)
+    database = random_graph_database(
+        get_semiring("bag"), nodes=12, edge_probability=0.35, seed=3
+    )
+    left = Q.relation("R").rename({"y": "mid"})
+    right = Q.relation("R").rename({"x": "mid"})
+    query = left.join(right).project("x", "y")
+    result, reference = _vectorized_and_reference(query, database)
+    assert result == reference
+    assert len(result) > 1
+    for tup in result.support:
+        plain = Tup(**dict(tup._items))
+        assert tup == plain
+        assert hash(tup) == hash(plain)
+    # Equal values in one column share one immutable pair object.
+    pairs = {}
+    for tup in result.support:
+        for pair in tup._items:
+            assert pairs.setdefault(pair, pair) is pair
+    clone = roundtrip(result)
+    assert clone == result
+    assert all(hash(tup) == hash(Tup(**dict(tup._items))) for tup in clone.support)
+
+
+@requires_numpy
+def test_nullary_plans_decline_to_the_row_engine():
+    # No columns means no key to group on and no pairs to build a Tup from:
+    # the vectorized path declines instead of dropping the one nullary row.
+    from repro import Database, Q
+
+    database = Database(get_semiring("bag"))
+    database.create("R", [], [((), 2)], storage="columnar")
+    database.create("S", [], [((), 3)], storage="columnar")
+    cases = [
+        (Q.relation("R"), 2),
+        (Q.relation("R").join(Q.relation("S")), 6),
+        (Q.relation("R").union(Q.relation("S")), 5),
+    ]
+    for query, total in cases:
+        assert vectorized.try_execute(query, database) is None
+        result = query.evaluate(database, executor="pipelined", storage="columnar")
+        assert [value for _, value in result.items()] == [total]
