@@ -15,9 +15,10 @@ memoized pass per valuation instead of monomial-by-monomial re-evaluation.
   ``top_k_models``) over compiled circuits;
 * :mod:`repro.circuits.knowledge` -- the structural property layer of the
   knowledge-compilation map (decomposability, determinism, smoothness);
-* :mod:`repro.circuits.compile` -- Shannon-expansion compilation of any
-  provenance circuit or PosBool condition into an ordered decision diagram,
-  the engine behind ``method="compile"`` probabilistic inference.
+* :mod:`repro.circuits.compile` -- compilation of any provenance circuit or
+  PosBool condition into its Shannon expansion, a reduced ordered decision
+  diagram built bottom-up by memoized apply: the engine behind
+  ``method="compile"`` probabilistic inference.
 """
 
 from repro.circuits.compile import (

@@ -3,37 +3,44 @@
 This is the bridge from provenance to *tractable* exact probabilistic
 inference (the Jha-Suciu route): the lineage of an answer tuple -- an
 ``N[X]``/``Circ[X]`` circuit or a ``PosBool(X)`` condition over the
-tuple-independent base facts -- is compiled by **Shannon expansion**
+tuple-independent base facts -- is compiled into its **Shannon expansion**
 
     f  =  x · f[x := 1]  +  ¬x · f[x := 0]
 
-into a DAG of :class:`~repro.circuits.nodes.Decision` gates.  The result is
+over a fixed variable order: a DAG of :class:`~repro.circuits.nodes.Decision`
+gates, the reduced ordered decision diagram of ``f``.  The result is
 deterministic and decomposable *by construction* (each gate branches on
-complementary literals of one variable and conditions that variable out of
-both branches), i.e. a d-DNNF/OBDD-style form in the Darwiche-Marquis
-knowledge-compilation map, on which weighted model counting, top-k model
-enumeration and MAP are single linear passes
-(:func:`repro.circuits.evaluate.wmc` and friends).
+complementary literals of one variable that neither branch mentions again),
+i.e. a d-DNNF/OBDD-style form in the Darwiche-Marquis knowledge-compilation
+map, on which weighted model counting, top-k model enumeration and MAP are
+single linear passes (:func:`repro.circuits.evaluate.wmc` and friends).
 
+The diagram is built bottom-up with Bryant's memoized *apply* (R. E. Bryant,
+"Graph-Based Algorithms for Boolean Function Manipulation", 1986): one
+postorder sweep gives every source gate the AND / OR of its children's
+diagrams, and no cofactor of the source is ever rebuilt.  Diagram nodes go
+through :func:`~repro.circuits.nodes.decision_node`, whose ``ite(x, f, f) =
+f`` rule and hash-consing make every result the *canonical* diagram of its
+function under the order -- the very node the top-down expansion returns.
 Three kinds of sharing keep compilation polynomial whenever a small diagram
 exists:
 
-* restricted circuits are built through the hash-consing factories, so
-  syntactically equal cofactors are *identical* nodes;
-* the compiler memoizes compiled results per restricted circuit
-  (``self`` -- the compile cache), so equal cofactors compile once, which is
-  exactly the OBDD node-merging rule;
+* hash-consing: equal diagrams are *identical* nodes, which is exactly the
+  OBDD node-merging rule;
+* the compiler memoizes the diagram of every source node and every apply
+  step ``(operator, a, b)`` it has taken, so shared subcircuits compile
+  once and equal sub-problems combine once;
 * one :class:`CircuitCompiler` compiles all the annotations of a relation as
   one multi-rooted diagram (:meth:`CircuitCompiler.compile_many`, as the
   probabilistic layer does) and can be kept for later relations, extending
-  both caches across answer tuples and queries whose lineages overlap.
+  both memos across answer tuples and queries whose lineages overlap.
 
 The branching order is chosen by a small cost model
 (:func:`choose_variable_order`): the default ``"dfs"`` model orders
 variables by first touch in a depth-first walk of the circuit, keeping
 co-occurring variables adjacent -- the right shape for the join/fixpoint
 lineages this system produces (series-parallel-ish), where locality bounds
-the live frontier of the expansion.  The ``"frequency"`` model (most shared
+the width of the diagram.  The ``"frequency"`` model (most shared
 variables first) is available for comparison, and an explicit order always
 wins.
 """
@@ -76,6 +83,7 @@ __all__ = [
 ]
 
 ORDER_MODELS = ("dfs", "frequency")
+_AND, _OR = 0, 1  # the apply operators
 
 
 def as_circuit(value: Any) -> Node:
@@ -99,7 +107,7 @@ def _dfs_first_touch(
     """First-touch index of every variable in a deterministic DFS walk.
 
     Nodes in ``done`` are not entered: a caller that already knows their
-    variables (the compiler's support table) only pays for new structure.
+    variables (the compiler's diagram memo) only pays for new structure.
     """
     order: Dict[str, int] = {}
     seen: set[Node] = set()
@@ -165,7 +173,8 @@ class CompiledCircuit:
     ``stats`` describes the batch the circuit was compiled in
     (:meth:`CircuitCompiler.compile_many`; shared by its roots): ``roots``,
     multi-rooted ``input_nodes`` / ``output_nodes``, ``variables``, and the
-    memo ``cache_hits`` / ``cache_misses`` the batch added.
+    ``cache_hits`` / ``cache_misses`` the batch added: one lookup per root in
+    the compiled-diagram memo plus one per non-terminal apply step.
     """
 
     source: Node
@@ -229,23 +238,24 @@ class CompiledCircuit:
 
 
 class CircuitCompiler:
-    """Shannon-expansion compiler with persistent caches.
+    """Ordered-decision-diagram compiler (bottom-up apply) with persistent memos.
 
     One compiler instance should be reused for every annotation of a
-    relation -- :meth:`compile_many` takes them all at once: the compile
-    cache (restricted circuit -> compiled node), the cofactor tables and the
-    support table are keyed by the interned node itself, so lineages that
-    share subcircuits share compilation work -- the same argument that makes
-    :class:`CircuitEvaluator` relation-level.  Keying by the node (not its
-    id) keeps what the entries describe alive: hash-consing hands a repeated
-    query the very same nodes, so it hits at the root and adds no entries.
+    relation -- :meth:`compile_many` takes them all at once: the diagram
+    memo (source node -> diagram), the support table and the apply memo
+    (``(operator, a, b)`` -> diagram) are keyed by the interned nodes
+    themselves, so lineages that share subcircuits share compilation work --
+    the same argument that makes :class:`CircuitEvaluator` relation-level.
+    Keying by the node (not its id) keeps what the entries describe alive:
+    hash-consing hands a repeated query the very same nodes, so it hits at
+    the root and adds no entries.
 
     ``order`` fixes the global branching order (an OBDD-style total order);
     when omitted, the first call chooses one from its roots via the
     ``model`` cost model and later calls extend it on demand with variables
-    they see that the order does not yet contain.  Variable supports are
-    bitmasks over that order (bit ``i`` = ``order[i]``), so the branch
-    variable of a circuit is its lowest set bit.
+    they see that the order does not yet contain.  Extending the order never
+    moves a known variable, so every memo entry stays valid.  Variable
+    supports are bitmasks over that order (bit ``i`` = ``order[i]``).
     """
 
     def __init__(
@@ -260,9 +270,9 @@ class CircuitCompiler:
             raise SemiringError("variable order contains duplicates")
         self._explicit_order = order is not None
         self._compiled: Dict[Node, Node] = {}
-        #: (order index, bit) -> {node: node[order[index] := bit]}
-        self._cond: Dict[Tuple[int, int], Dict[Node, Node]] = {}
         self._supports: Dict[Node, int] = {}
+        #: (_AND or _OR, a, b) -> the diagram of ``a op b``, with a._id < b._id
+        self._applied: Dict[Tuple[int, Node, Node], Node] = {}
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -275,10 +285,10 @@ class CircuitCompiler:
     def _ensure_ordered(self, roots: Sequence[Node]) -> None:
         """Extend the global order with any new variables of ``roots``.
 
-        One sweep over all the roots; subcircuits whose support is already
-        known cannot mention a new variable and are not entered.
+        One sweep over all the roots; subcircuits that are already compiled
+        cannot mention a new variable and are not entered.
         """
-        touch = _dfs_first_touch(roots, done=self._supports)
+        touch = _dfs_first_touch(roots, done=self._compiled)
         missing = [name for name in touch if name not in self._index]
         if not missing:
             return
@@ -297,38 +307,6 @@ class CircuitCompiler:
             self._index[name] = len(self._order)
             self._order.append(name)
 
-    def _fill_supports(self, roots: Sequence[Node]) -> None:
-        """Record the variable support of every node under ``roots`` as a
-        bitmask over the global order (one walk of what is not yet known)."""
-        supports = self._supports
-        index = self._index
-        for current in iter_nodes(*roots, done=supports):
-            if isinstance(current, Var):
-                supports[current] = 1 << index[current.name]
-            elif isinstance(current, Const):
-                supports[current] = 0
-            elif isinstance(current, Not):
-                supports[current] = supports[current.child]
-            elif isinstance(current, Decision):
-                supports[current] = (
-                    supports[current.hi]
-                    | supports[current.lo]
-                    | (1 << index[current.name])
-                )
-            else:
-                merged = 0
-                for child in current.children:
-                    merged |= supports[child]
-                supports[current] = merged
-
-    def _support(self, node: Node) -> int:
-        """The support bitmask of ``node`` (cached across the compiler)."""
-        support = self._supports.get(node)
-        if support is None:
-            self._fill_supports((node,))
-            support = self._supports[node]
-        return support
-
     def _names(self, support: int) -> Tuple[str, ...]:
         """The variables of a support bitmask, in branching order."""
         order = self._order
@@ -339,106 +317,104 @@ class CircuitCompiler:
             support ^= low
         return tuple(names)
 
-    # -- conditioning --------------------------------------------------------
-    def _condition(self, root: Node, index: int, bit: int) -> Node:
-        """``root[order[index] := bit]`` rebuilt through the simplifying
-        factories.
+    # -- construction ----------------------------------------------------------
+    def _apply(self, op: int, a: Node, b: Node) -> Node:
+        """The diagram of ``a AND b`` (``op=_AND``) or ``a OR b`` (``_OR``).
 
-        Memoized persistently, one table per ``(variable, bit)``;
-        subcircuits whose support does not mention the variable are returned
-        as-is without descending, which is what makes repeated cofactoring
-        cheap on DAGs with locality.  Supports of ``root``'s DAG must be
-        known (:meth:`_fill_supports`).
+        Both operands are diagrams over the compiler's order.  A step splits
+        them on the earlier of their top variables, combines the two pairs
+        of cofactors and joins the results with :func:`decision_node`.
+        Iterative (an explicit stack), so diagram depth is unbounded; every
+        non-terminal step is one lookup in the persistent apply memo.
         """
-        cache = self._cond.setdefault((index, bit), {})
-        done = cache.get(root)
-        if done is not None:
-            return done
-        supports = self._supports
-        name = self._order[index]
-        stack: List[Node] = [root]
+        unit, absorbing = (ONE, ZERO) if op == _AND else (ZERO, ONE)
+        memo = self._applied
+        index = self._index
+        hits = misses = 0
+        results: List[Node] = []
+        # A split waits under a ``(None, (key, name))`` entry until both of
+        # its branch results are on ``results``.
+        stack: List[tuple] = [(a, b)]
         while stack:
-            node = stack[-1]
-            if node in cache:
-                stack.pop()
-                continue
-            if not (supports[node] >> index) & 1:
-                cache[node] = node
-                stack.pop()
-                continue
-            if isinstance(node, Var):
-                cache[node] = ONE if bit else ZERO
-                stack.pop()
-            elif isinstance(node, Not):
-                cache[node] = ZERO if bit else ONE
-                stack.pop()
-            elif isinstance(node, Decision):
-                if node.name == name:
-                    branch = node.hi if bit else node.lo
-                    if branch in cache:
-                        cache[node] = cache[branch]
-                        stack.pop()
-                    else:
-                        stack.append(branch)
-                elif node.hi in cache and node.lo in cache:
-                    cache[node] = decision_node(
-                        node.name, cache[node.hi], cache[node.lo]
-                    )
-                    stack.pop()
+            a, b = stack.pop()
+            if a is None:
+                key, name = b
+                lo = results.pop()
+                results[-1] = memo[key] = decision_node(name, results[-1], lo)
+            elif a is b or b is unit:
+                results.append(a)
+            elif a is unit:
+                results.append(b)
+            elif a is absorbing or b is absorbing:
+                results.append(absorbing)
+            else:  # two decision nodes
+                if a._id > b._id:
+                    a, b = b, a
+                key = (op, a, b)
+                done = memo.get(key)
+                if done is not None:
+                    hits += 1
+                    results.append(done)
+                    continue
+                misses += 1
+                top_a, top_b = index[a.name], index[b.name]
+                if top_a <= top_b:
+                    name, a_hi, a_lo = a.name, a.hi, a.lo
                 else:
-                    if node.lo not in cache:
-                        stack.append(node.lo)
-                    if node.hi not in cache:
-                        stack.append(node.hi)
-            else:  # Sum / Prod
-                missing = [child for child in node.children if child not in cache]
-                if missing:
-                    stack.extend(reversed(missing))
-                else:
-                    rebuild = sum_node if isinstance(node, Sum) else prod_node
-                    cache[node] = rebuild(*[cache[child] for child in node.children])
-                    stack.pop()
-        return cache[root]
+                    name, a_hi, a_lo = b.name, a, a
+                b_hi, b_lo = (b.hi, b.lo) if top_b <= top_a else (b, b)
+                stack += ((None, (key, name)), (a_lo, b_lo), (a_hi, b_hi))
+        self.cache_hits += hits
+        self.cache_misses += misses
+        return results[0]
 
-    # -- the expansion -------------------------------------------------------
-    def _lookup(self, node: Node) -> Node | None:
-        compiled = self._compiled.get(node)
-        if compiled is not None:
-            self.cache_hits += 1
-        else:
-            self.cache_misses += 1
-        return compiled
-
-    def _compile_node(self, root: Node) -> Node:
+    def _compile_new(self, roots: Sequence[Node]) -> None:
+        """Give every not-yet-compiled node under ``roots`` its support
+        bitmask and diagram, in one postorder sweep: a variable is its
+        literal's diagram, a gate the AND / OR of its children's diagrams,
+        a source decision gate ``(x AND hi) OR (NOT x AND lo)``."""
         compiled = self._compiled
-        done = self._lookup(root)
-        if done is not None:
-            return done
-        stack: List[Node] = [root]
-        while stack:
-            node = stack[-1]
-            if node in compiled:
-                stack.pop()
-                continue
-            if isinstance(node, Const):
+        supports = self._supports
+        index = self._index
+        apply = self._apply
+
+        def top(diagram: Node) -> int:
+            return index[diagram.name] if type(diagram) is Decision else -1
+
+        for node in iter_nodes(*roots, done=compiled):
+            kind = type(node)
+            if kind is Var:
+                supports[node] = 1 << index[node.name]
+                compiled[node] = decision_node(node.name, ONE, ZERO)
+            elif kind is Not:
+                supports[node] = supports[node.child]
+                compiled[node] = decision_node(node.child.name, ZERO, ONE)
+            elif kind is Const:  # the Boolean abstraction: non-zero is true
+                supports[node] = 0
                 compiled[node] = ZERO if node.value == 0 else ONE
-                stack.pop()
-                continue
-            support = self._support(node)
-            index = (support & -support).bit_length() - 1  # earliest in the order
-            hi = self._condition(node, index, 1)
-            lo = self._condition(node, index, 0)
-            hi_done = self._lookup(hi)
-            lo_done = self._lookup(lo)
-            if hi_done is not None and lo_done is not None:
-                compiled[node] = decision_node(self._order[index], hi_done, lo_done)
-                stack.pop()
+            elif kind is Decision:
+                name = node.name
+                supports[node] = supports[node.hi] | supports[node.lo] | 1 << index[name]
+                compiled[node] = apply(
+                    _OR,
+                    apply(_AND, decision_node(name, ONE, ZERO), compiled[node.hi]),
+                    apply(_AND, decision_node(name, ZERO, ONE), compiled[node.lo]),
+                )
             else:
-                if lo_done is None:
-                    stack.append(lo)
-                if hi_done is None:
-                    stack.append(hi)
-        return compiled[root]
+                support = 0
+                for child in node.children:
+                    support |= supports[child]
+                supports[node] = support
+                # Fold latest top variable first: an operand whose variables
+                # all precede the diagram folded so far then costs its own
+                # size, not the accumulator's (a chain of clauses stays linear).
+                diagram, *rest = sorted(
+                    (compiled[child] for child in node.children), key=top, reverse=True
+                )
+                op = _OR if kind is Sum else _AND
+                for part in rest:
+                    diagram = apply(op, diagram, part)
+                compiled[node] = diagram
 
     def compile_many(self, values: Mapping[Any, Any]) -> Dict[Any, CompiledCircuit]:
         """Compile all the annotations of a relation as one multi-rooted diagram.
@@ -446,9 +422,9 @@ class CircuitCompiler:
         ``values`` maps any key (an answer tuple, a ground atom) to a
         circuit / PosBool condition / polynomial; the result maps each key
         to its :class:`CompiledCircuit`.  The roots are ordered in one
-        sweep, expanded against the one memo and counted as one DAG; each
-        diagram is the very node a one-by-one :meth:`compile` in the same
-        sequence would return, under the same order.
+        sweep, compiled in one sweep against the memos and counted as one
+        DAG; each diagram is the very node a one-by-one :meth:`compile` in
+        the same sequence would return, under the same order.
 
         Emits one ``circuit.compile`` span per batch and updates the
         process-wide :data:`repro.obs.metrics.compilation` counters, so
@@ -460,9 +436,12 @@ class CircuitCompiler:
         with span("circuit.compile", model=self.model, roots=len(roots)) as sp:
             hits_before, misses_before = self.cache_hits, self.cache_misses
             self._ensure_ordered(roots)
-            self._fill_supports(roots)
-            supports = self._supports
-            diagrams = {key: self._compile_node(root) for key, root in sources.items()}
+            compiled, supports = self._compiled, self._supports
+            fresh = {root for root in roots if root not in compiled}
+            self.cache_hits += len(roots) - len(fresh)
+            self.cache_misses += len(fresh)
+            self._compile_new(roots)
+            diagrams = {key: compiled[root] for key, root in sources.items()}
             joint = 0
             for root in roots:
                 joint |= supports[root]
@@ -526,8 +505,8 @@ def compile_circuit(
     Repeated compilation of the same (hash-consed) circuit under the same
     order specification returns the cached :class:`CompiledCircuit`.  For
     compiling *many related* circuits -- all the annotations of an answer
-    relation -- build one :class:`CircuitCompiler` instead, so intermediate
-    cofactors are shared too.  ``check=True`` re-verifies determinism and
+    relation -- build one :class:`CircuitCompiler` instead, so shared
+    subcircuits and apply steps are compiled once too.  ``check=True`` re-verifies determinism and
     decomposability structurally on the output (they hold by construction;
     the check is a linear-pass audit used by the tests).
     """

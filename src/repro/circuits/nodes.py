@@ -456,8 +456,29 @@ def iter_nodes(*roots: Node, done: Container[Node] | None = None) -> Iterator[No
 
 
 def node_count(*roots: Node) -> int:
-    """Number of distinct DAG nodes reachable from ``roots`` (with sharing)."""
-    return sum(1 for _ in iter_nodes(*roots))
+    """Number of distinct DAG nodes reachable from ``roots`` (with sharing).
+
+    A plain seen-set walk: the count needs no postorder, and skipping the
+    generator makes it cheap enough to run on every compiled batch.
+    """
+    seen: set[Node] = set(roots)
+    stack: List[Node] = list(seen)
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Sum or kind is Prod:
+            children: Iterable[Node] = node.children
+        elif kind is Decision:
+            children = (node.hi, node.lo)
+        elif kind is Not:
+            children = (node.child,)
+        else:
+            continue
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return len(seen)
 
 
 def circuit_depth(root: Node) -> int:

@@ -111,9 +111,11 @@ class CompileStats:
     :meth:`~repro.circuits.compile.CircuitCompiler.compile_many` calls (a
     one-circuit ``compile`` is a batch of one) and ``compiles`` the roots
     they compiled -- one per answer tuple, however the tuples were batched;
-    ``cache_hits``/``cache_misses`` count lookups in the decision-node memo
-    (a hit means a restricted subcircuit had already been compiled -- the
-    sharing that keeps the diagram polynomial when one exists);
+    ``cache_hits``/``cache_misses`` count one lookup per root in the
+    compiled-diagram memo plus one per non-terminal apply step in the apply
+    memo (a hit means that root, or that combination of two diagrams, had
+    already been compiled -- the sharing that keeps the diagram polynomial
+    when one exists);
     ``input_nodes``/``output_nodes`` accumulate, per batch, the size of the
     multi-rooted DAG before and after (a node shared between the roots of a
     batch counts once), so ``output_nodes / batches`` is the mean compiled
@@ -143,7 +145,7 @@ class CompileStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of decision-memo lookups served from the cache."""
+        """Fraction of root and apply-step lookups served from the memos."""
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
 

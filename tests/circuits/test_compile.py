@@ -1,8 +1,10 @@
-"""Shannon compilation to ordered decision diagrams: correctness against
-brute-force enumeration, structural guarantees, caches, and the interaction
-with the PR 8 deletion homomorphism (vars -> 0)."""
+"""Compilation to ordered decision diagrams (bottom-up apply): correctness
+against brute-force enumeration and node identity with the top-down Shannon
+reference, structural guarantees, memos, recursion safety, and the
+interaction with the PR 8 deletion homomorphism (vars -> 0)."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,12 @@ from repro.circuits import (
     check_ddnnf,
     choose_variable_order,
     compile_circuit,
+    const,
+    decision_node,
     eval_circuit,
     iter_nodes,
     node_count,
+    not_node,
     prod_node,
     restrict_vars,
     specialize,
@@ -32,11 +37,14 @@ from repro.circuits import (
 from repro.circuits.compile import clear_compile_cache
 from repro.errors import SemiringError
 from repro.obs.metrics import compilation
-from repro.semirings.numeric import NaturalsSemiring
+from repro.probabilistic import ProbabilisticDatabase
+from repro.semirings.numeric import INFINITY, NaturalsSemiring
 from repro.semirings.posbool import BoolExpr
+from tests.circuits.shannon_reference import shannon_compile
 
 NAMES = ("a", "b", "c", "d")
 NATURALS = NaturalsSemiring()
+POOL = tuple(f"v{i}" for i in range(8))
 
 
 @st.composite
@@ -47,6 +55,33 @@ def circuits(draw, depth: int = 3):
     op = sum_node if draw(st.booleans()) else prod_node
     width = draw(st.integers(min_value=1, max_value=3))
     return op(*(draw(circuits(depth=depth - 1)) for _ in range(width)))
+
+
+@st.composite
+def rich_circuits(draw, names, depth: int = 3):
+    """Random sources over ``names`` with every node kind the compiler
+    reads: constants (0, 1, 3, infinity), negated literals and decision
+    gates besides variables, sums and products."""
+    if depth == 0 or draw(st.integers(min_value=0, max_value=3)) == 0:
+        leaf = draw(st.sampled_from(("var", "var", "not", "const")))
+        if leaf == "const":
+            return const(draw(st.sampled_from((0, 1, 3, INFINITY))))
+        literal = var(draw(st.sampled_from(names)))
+        return not_node(literal) if leaf == "not" else literal
+    gate = draw(st.sampled_from(("sum", "prod", "decision")))
+    if gate == "decision":
+        hi, lo = draw(rich_circuits(names, depth - 1)), draw(rich_circuits(names, depth - 1))
+        return decision_node(draw(st.sampled_from(names)), hi, lo)
+    op = sum_node if gate == "sum" else prod_node
+    width = draw(st.integers(min_value=1, max_value=3))
+    return op(*(draw(rich_circuits(names, depth - 1)) for _ in range(width)))
+
+
+@st.composite
+def source_batches(draw):
+    """A pool of 6-8 variable names and 1-4 random sources over it."""
+    names = POOL[: draw(st.integers(min_value=6, max_value=8))]
+    return names, draw(st.lists(rich_circuits(names), min_size=1, max_size=4))
 
 
 def truth(circuit, assignment):
@@ -118,6 +153,59 @@ class TestCompilerCorrectness:
         assert compile_circuit(sum_node(ONE, var("a"))).root is ONE
 
 
+class TestAgainstShannonReference:
+    """Bottom-up apply returns the *identical* node the top-down Shannon
+    expansion does: both build the canonical reduced diagram of the order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        source_batches(),
+        st.sampled_from(("dfs", "frequency", "shuffled")),
+        st.randoms(use_true_random=False),
+    )
+    def test_compile_many_returns_the_reference_diagram(self, batch, model, rng):
+        names, sources = batch
+        if model == "shuffled":
+            order = list(names)
+            rng.shuffle(order)
+            compiler = CircuitCompiler(order=order)
+        else:
+            compiler = CircuitCompiler(model=model)
+        compiled = compiler.compile_many(dict(enumerate(sources)))
+        for key, source in enumerate(sources):
+            root, order = shannon_compile(source, compiler.order)
+            assert compiled[key].root is root
+            assert compiled[key].order == order
+            # Idempotence: a diagram compiles to itself under its order.
+            assert CircuitCompiler(order=compiler.order).compile(root).root is root
+        diagrams = [c.root for c in compiled.values()]
+        assert compiled[0].stats["output_nodes"] == len(list(iter_nodes(*diagrams)))
+        assert compiled[0].stats["input_nodes"] == len(list(iter_nodes(*sources)))
+
+    def test_ladder_conditions(self):
+        """The PosBool minimal-fringe conditions of TC over an 8-column
+        directed ladder: the lineage shape the probabilistic layer compiles."""
+        columns = 8
+        edges = [((c, 0), (c, 1)) for c in range(columns)]
+        for c in range(columns - 1):
+            edges += [((c, 0), (c + 1, 0)), ((c, 1), (c + 1, 1))]
+        pdb = ProbabilisticDatabase()
+        pdb.add_relation(
+            "R",
+            ["x", "y"],
+            [((f"n{s}", f"n{t}"), f"e{i}", 0.5) for i, (s, t) in enumerate(edges)],
+        )
+        program = "T(x, y) :- R(x, y)\nT(x, y) :- R(x, z), T(z, y)"
+        conditions = pdb._datalog_conditions(program).conditions
+        compiler = CircuitCompiler()
+        compiled = compiler.compile_many(conditions)
+        assert len(compiled) == 92  # the reachable pairs
+        for atom in conditions:
+            root, order = shannon_compile(compiled[atom].source, compiler.order)
+            assert compiled[atom].root is root
+            assert compiled[atom].order == order
+
+
 class TestOrdersAndCaches:
     def test_order_models(self):
         circuit = prod_node(sum_node(var("a"), var("b")), var("c"))
@@ -152,13 +240,18 @@ class TestOrdersAndCaches:
         assert compile_circuit(circuit, model="frequency") is not first
 
     def test_shared_compiler_shares_the_memo(self):
-        """Related lineages (same subcircuits) must hit the compile cache."""
+        """Related lineages share compiled work: a shared subcircuit is
+        compiled once, and an apply step taken before is a memo hit."""
         compiler = CircuitCompiler()
         base = prod_node(var("a"), var("b"))
         compiler.compile(base)
-        hits_before = compiler.cache_hits
+        known = len(compiler._compiled)
         compiler.compile(sum_node(base, var("c")))
-        assert compiler.cache_hits > hits_before
+        assert len(compiler._compiled) == known + 2  # only ``c`` and the new sum
+        hits, misses = compiler.cache_hits, compiler.cache_misses
+        # c·c compiles to c's diagram, so this root repeats the step OR(a·b, c).
+        compiler.compile(sum_node(base, prod_node(var("c"), var("c"))))
+        assert (compiler.cache_hits, compiler.cache_misses) == (hits + 1, misses + 1)
 
     def test_compile_metrics_accumulate(self):
         clear_compile_cache()
@@ -337,22 +430,68 @@ class TestRepeatedCompilation:
                 for i in range(6)
             }
 
+        def sizes():
+            return len(compiler._compiled), len(compiler._applied), len(compiler._supports)
+
         first = compiler.compile_many(lineages())
-        sizes = (
-            len(compiler._compiled),
-            sum(len(table) for table in compiler._cond.values()),
-            len(compiler._supports),
-        )
+        before = sizes()
+        assert before[1] > 0  # the lineages needed non-terminal apply steps
         for _ in range(4):
             misses = compiler.cache_misses
             again = compiler.compile_many(lineages())
             assert compiler.cache_misses == misses
             assert all(again[i].root is first[i].root for i in first)
-            assert sizes == (
-                len(compiler._compiled),
-                sum(len(table) for table in compiler._cond.values()),
-                len(compiler._supports),
-            )
+            assert sizes() == before
+
+
+class TestRecursionSafety:
+    """The sweep and the apply are iterative: diagrams deeper than the
+    interpreter's recursion limit compile, count and weigh."""
+
+    N = 3_000
+
+    @pytest.fixture(autouse=True)
+    def low_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)  # far below the diagram depths here
+        try:
+            yield
+        finally:
+            sys.setrecursionlimit(limit)
+
+    @pytest.mark.parametrize("gate", [prod_node, sum_node], ids=["and", "or"])
+    def test_chains(self, gate):
+        names = [f"c{i}" for i in range(self.N)]
+        literals = [var(name) for name in names]
+        node = literals[-1]
+        for literal in reversed(literals[:-1]):
+            node = gate(literal, node)  # c0 op (c1 op (... op c2999))
+        compiled = CircuitCompiler().compile_many({"chain": node})["chain"]
+        assert compiled.order == tuple(names)
+        assert compiled.size == self.N + 2  # one decision per variable
+        p = 0.9999 if gate is prod_node else 1e-4
+        probability = wmc_many({"chain": compiled.root}, {name: p for name in names})
+        expected = p**self.N if gate is prod_node else 1.0 - (1.0 - p) ** self.N
+        assert probability["chain"] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("creation", ["forward", "backward"])
+    def test_interleaved_clauses(self, creation):
+        """x0·y0 + x1·y1 + ... under x0 < y0 < x1 < y1 < ...: a diagram of
+        depth 6,000, linear whichever order the clauses were built in."""
+        xs = [var(f"x{i}") for i in range(self.N)]
+        ys = [var(f"y{i}") for i in range(self.N)]
+        built = range(self.N) if creation == "forward" else reversed(range(self.N))
+        clauses = sum_node(*(prod_node(xs[i], ys[i]) for i in built))
+        order = [f"{side}{i}" for i in range(self.N) for side in "xy"]
+        compiled = CircuitCompiler(order=order).compile(clauses)
+        assert compiled.size == 2 * self.N + 2
+        node, depth = compiled.root, 0
+        while isinstance(node, Decision):
+            node, depth = node.lo, depth + 1  # every x false: walks each pair
+        assert node is ZERO and depth == self.N
+        weights = {name: 0.5 for name in order}
+        miss = 0.75**self.N
+        assert wmc_many({0: compiled.root}, weights)[0] == pytest.approx(1.0 - miss)
 
 
 class TestScale:

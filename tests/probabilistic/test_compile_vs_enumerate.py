@@ -248,7 +248,7 @@ class TestRepeatedQueries:
         """Regression: the compiler's caches were keyed by node *ids* that
         held no reference, so the lineage of a finished call died and an
         identical call recompiled from the root, leaving dead entries behind
-        in all three tables on every call."""
+        in every table on every call."""
         columns = 8  # the directed ladder: two rails and a rung per column
         edges = [((c, 0), (c, 1)) for c in range(columns)]
         for c in range(columns - 1):
@@ -263,13 +263,8 @@ class TestRepeatedQueries:
         first = pdb.datalog_probabilities(program)
         compiler = pdb._compiler
 
-        def entries(table):  # the cofactor memo, however its tables are nested
-            if not isinstance(table, dict):
-                return 1
-            return sum(entries(value) for value in table.values())
-
         def sizes():
-            return len(compiler._compiled), entries(compiler._cond), len(compiler._supports)
+            return len(compiler._compiled), len(compiler._applied), len(compiler._supports)
 
         before = sizes()
         for _ in range(4):
