@@ -15,20 +15,25 @@ keeps, for the whole run:
   position, the lifted annotation array, and a **key index**: the rows' mixed
   -radix codes in ascending order with the row each belongs to;
 * per (predicate, join positions) the sorted build index the join kernel
-  probes, recomputed only after the predicate grew -- never for an EDB side.
+  probes, recomputed only after the predicate's rows changed (its
+  ``version`` moved) -- never for an unchanged EDB side.
 
 A round is ``delta positions -> fire (arrays in, grouped head codes + totals
 out) -> merge (one searchsorted into the key index, one elementwise +,
 changed = new != old, unknown heads appended) -> next delta positions``.
-The engine's ``_Store`` rows / indexes, the backing ``KRelation`` and the
-changelog learn about all of it in **one** :meth:`ArrayState.flush` when the
-loop ends: one ``Tup`` per derived atom per run, not one per contribution
-per round.
+The engine's ``_Store`` rows / indexes, the backing ``KRelation`` (either
+storage backend) and the changelog learn about all of it in **one**
+:meth:`ArrayState.flush` when the loop ends: one ``Tup`` per derived atom per
+run, not one per contribution per round.
 
 The state is a cache over the stores.  Row ``i`` of a predicate's arrays is
-row ``i`` of its ``_Store.rows`` (built in that order, flushed in that order),
-so it stays valid until something outside the loop reorders or rewrites a
-store; the engine then drops it and the next loop rebuilds it from the rows.
+row ``i`` of its ``_Store.rows`` (built in that order, flushed in that order).
+What the engine changes outside a loop it mirrors here: appended facts
+(:meth:`ArrayState.append`), rewritten annotations (:meth:`ArrayState.rewrite`)
+and the DRed pass's swap-with-last removals (:meth:`ArrayState.remove`).  The
+engine drops the state only when it cannot take an update -- a new constant
+outgrowing the radix, an annotation that does not lift -- and the next loop
+rebuilds it from the rows.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ class Recipe(NamedTuple):
 class _Columns:
     """One predicate's facts: code columns, annotations and the key index."""
 
-    __slots__ = ("cols", "ann", "keys", "rows", "synced", "touched", "_join")
+    __slots__ = ("cols", "ann", "keys", "rows", "synced", "touched", "version", "_join")
 
     def __init__(self, cols: list, ann, radix: int):
         self.cols = cols
@@ -87,6 +92,9 @@ class _Columns:
         self.synced = len(ann)
         #: positions of synced rows whose annotation moved since the last flush
         self.touched: List[Any] = []
+        #: bumped by every change to the rows (append, merge-append, remove):
+        #: a join index is valid for one version, whatever the row count
+        self.version = 0
         self._join: Dict[Tuple[int, ...], Tuple[int, Any]] = {}
 
     def decode(self, values_of: list, start: int = 0) -> Tuple[list, list]:
@@ -100,14 +108,14 @@ class _Columns:
         return value_lists, list(zip(*value_lists))
 
     def join_index(self, positions: Tuple[int, ...], radix: int):
-        """The build index on ``positions``, reused until the predicate grows."""
+        """The build index on ``positions``, reused while ``version`` stands."""
         cached = self._join.get(positions)
-        if cached is None or cached[0] != len(self.ann):
+        if cached is None or cached[0] != self.version:
             codes = _vectorized.combine_codes(
                 [self.cols[p] for p in positions], radix, len(self.ann)
             )
             cached = self._join[positions] = (
-                len(self.ann),
+                self.version,
                 _vectorized.sort_codes(codes),
             )
         return cached[1]
@@ -142,11 +150,9 @@ class ArrayState:
             raise Declined("radix")
         self.columns: Dict[str, _Columns] = {}
         for predicate, store in stores.items():
-            annotations = store.relation._annotations
-            try:
-                ann = ops.to_array([annotations[tup] for _, tup in store.rows])
-            except _vectorized._Fallback:
-                raise Declined("value") from None
+            ann = self._lift(predicate, store.rows)
+            if ann is None:
+                raise Declined("value")
             self.columns[predicate] = _Columns(encoded[predicate], ann, self.radix)
 
     def _encode(self, rows: Sequence[Tuple[tuple, Tup]], arity: int) -> list:
@@ -249,6 +255,7 @@ class ArrayState:
             columns.ann = _np.concatenate((columns.ann, totals[fresh]))
             columns.keys = _np.insert(columns.keys, at[fresh], fresh_codes)
             columns.rows = _np.insert(columns.rows, at[fresh], appended)
+            columns.version += 1
             changed = _np.concatenate((changed, appended))
         return changed
 
@@ -271,21 +278,30 @@ class ArrayState:
         )
         return columns.rows[_np.searchsorted(columns.keys, codes)]
 
+    def _lift(self, predicate: str, rows: Sequence[Tuple[tuple, Tup]]):
+        """The stored annotations of ``rows`` as an array, ``None`` if they do not lift."""
+        annotations = self.stores[predicate].relation._annotations
+        try:
+            return self.ops.to_array([annotations[tup] for _, tup in rows])
+        except _vectorized._Fallback:
+            return None
+
     def append(self, predicate: str, rows: Sequence[Tuple[tuple, Tup]]) -> bool:
-        """Mirror ``rows`` the store just gained at its end (an EDB insertion).
+        """Mirror ``rows`` the store just gained at its end (an EDB insertion,
+        a rederived atom).
 
         Returns ``False`` when the state cannot take them -- the domain
         outgrew the radix or an annotation does not lift -- and must be
         dropped.
         """
+        if not rows:
+            return True
         columns = self.columns[predicate]
         new_cols = self._encode(rows, len(columns.cols))
         if len(self.table) > self.radix:
             return False
-        annotations = self.stores[predicate].relation._annotations
-        try:
-            ann = self.ops.to_array([annotations[tup] for _, tup in rows])
-        except _vectorized._Fallback:
+        ann = self._lift(predicate, rows)
+        if ann is None:
             return False
         n = len(columns.ann)
         codes, order = _vectorized.sort_codes(
@@ -299,7 +315,59 @@ class ArrayState:
         ]
         columns.ann = _np.concatenate((columns.ann, ann))
         columns.synced = len(columns.ann)
+        columns.version += 1
         return True
+
+    def rewrite(self, predicate: str, rows: Sequence[Tuple[tuple, Tup]]) -> bool:
+        """Mirror the new stored annotations of ``rows`` the state already holds.
+
+        Returns ``False`` when one does not lift and the state must be dropped.
+        """
+        if not rows:
+            return True
+        ann = self._lift(predicate, rows)
+        if ann is None:
+            return False
+        self.columns[predicate].ann[self.locate(predicate, rows)] = ann
+        return True
+
+    def remove(self, predicate: str, positions: Sequence[int]) -> None:
+        """Mirror the store's swap-with-last removals at ``positions``, in order.
+
+        Each position is the one a removal vacated, taken after the removals
+        before it: the then-last row moved into it.  The moves compose into
+        one permutation in Python -- O(removed) -- and the columns, the
+        annotations and the key index are rewritten by one gather each.  The
+        state is flushed whenever the engine removes (between loops).
+        """
+        if not positions:
+            return
+        columns = self.columns[predicate]
+        n = len(columns.ann)
+        size = n
+        source: Dict[int, int] = {}  # position -> the original row now there
+        gone: List[int] = []
+        for position in positions:
+            size -= 1
+            gone.append(source.get(position, position))
+            moved = source.pop(size, size)
+            if position != size:
+                source[position] = moved
+        targets = _np.fromiter(source.keys(), dtype=_np.int64, count=len(source))
+        origins = _np.fromiter(source.values(), dtype=_np.int64, count=len(source))
+        for column in columns.cols + [columns.ann]:
+            column[targets] = column[origins]
+        columns.cols = [column[:size] for column in columns.cols]
+        columns.ann = columns.ann[:size]
+        live = _np.ones(n, dtype=bool)
+        live[gone] = False
+        relabel = _np.arange(n)
+        relabel[origins] = targets
+        indexed = live[columns.rows]
+        columns.keys = columns.keys[indexed]
+        columns.rows = relabel[columns.rows[indexed]]
+        columns.synced = size
+        columns.version += 1
 
     def flush(self, log: Callable[[str, Iterable[Tup]], None]) -> None:
         """Write everything the loop derived into the engine's stores.
@@ -331,8 +399,9 @@ class ArrayState:
             if n > columns.synced:
                 value_lists, heads = columns.decode(list(self.table), columns.synced)
                 tups = [store.tup_for(head) for head in heads]
-                # Only rule heads grow inside the loop, and the engine creates
-                # every IDB relation on the columnar backend the path requires.
+                # Only rule heads grow inside the loop: fresh IDB atoms, which
+                # either backend takes in bulk (the columns are ignored by one
+                # that keeps none).
                 relation_store.extend_rows(
                     tups,
                     [value_lists[i] for _, i in store.sorted_spec],

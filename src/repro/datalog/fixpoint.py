@@ -176,11 +176,11 @@ def evaluate_program(
 
     ``storage`` selects the physical backend of the semi-naive engine's
     per-predicate stores (``"row"`` or ``"columnar"``; ``None`` defers to
-    ``REPRO_STORAGE``, then to the database's own backend).  On a columnar
-    backend the whole fixpoint runs array-resident
-    (:mod:`repro.datalog.arraystore`) for idempotent vector semirings and
-    programs of copy / single-join plans, with identical results.  The
-    naive engine ignores it.
+    ``REPRO_STORAGE``, then to the database's own backend).  The backend does
+    not choose the algorithm: on either one the whole fixpoint runs
+    array-resident (:mod:`repro.datalog.arraystore`) for idempotent vector
+    semirings and programs of copy / single-join plans, with identical
+    results.  The naive engine ignores it.
     """
     _check_engine(engine)
     if isinstance(program, str):

@@ -45,14 +45,16 @@ of the convergent atoms.
 
 Array-resident rounds
 ---------------------
-With columnar IDB stores, vector arithmetic for the (idempotent) semiring and
-a program whose every plan is a copy or a single bind-only equi-join -- linear
-and quadratic transitive closure, reachability, shortest path -- the same
-loop runs on :class:`repro.datalog.arraystore.ArrayState` instead: delta,
-totals and the merge stay in code arrays and the stores below are written by
-one flush when the loop ends.  Nothing selects it; the engine reads storage
-kind, semiring and plan shapes, and anything else (``round_declined`` says
-what) runs the row loop described above (``_fire`` / ``_merge`` over dicts).
+With vector arithmetic for the (idempotent) semiring and a program whose every
+plan is a copy or a single bind-only equi-join -- linear and quadratic
+transitive closure, reachability, shortest path -- the same loop runs on
+:class:`repro.datalog.arraystore.ArrayState` instead, on row and columnar
+stores alike: delta, totals and the merge stay in code arrays and the stores
+below are written by one flush when the loop ends.  Nothing selects it; the
+engine reads semiring and plan shapes, and anything else (``round_declined``
+says what) runs the row loop described above (``_fire`` / ``_merge`` over
+dicts).  Maintenance keeps the state: EDB insertions, rewritten annotations,
+DRed removals and rederived atoms are mirrored in the arrays.
 
 The result is a :class:`~repro.datalog.fixpoint.DatalogResult` that agrees
 annotation-for-annotation with the naive engine (the differential
@@ -384,12 +386,13 @@ class _Store:
                 key = tuple(row[0][p] for p in positions)
                 index.setdefault(key, []).append(row)
 
-    def remove(self, tup: Tup) -> tuple | None:
+    def remove(self, tup: Tup) -> int | None:
         """Drop ``tup``'s row (swap-with-last) and unhook it from every index.
 
-        Returns the removed row's values, or ``None`` when the tuple is not
+        Returns the vacated position -- the last row now sits there unless
+        the removed row was the last -- or ``None`` when the tuple is not
         stored.  The caller is responsible for the backing relation's
-        annotation (see ``_SemiNaiveEngine._remove_rows``).
+        annotation and the array state (see ``_SemiNaiveEngine._remove_rows``).
         """
         if self._positions is None:
             self._positions = {tup_: i for i, (_, tup_) in enumerate(self.rows)}
@@ -412,7 +415,7 @@ class _Store:
             bucket.remove(row)
             if not bucket:
                 del index[key]
-        return values
+        return position
 
     def audit(self) -> str | None:
         """Describe the first way the derived structures disagree with ``rows``.
@@ -492,11 +495,11 @@ class _SemiNaiveEngine:
         #: Which loop ran last -- ``"array"`` (:mod:`repro.datalog.arraystore`)
         #: or ``"rows"`` -- and why the array loop is not available:
         #: ``"semiring"`` (collect mode, a non-idempotent ``+``, no vector
-        #: arithmetic or no numpy), ``"storage"`` (row IDB stores), ``"plan"``
-        #: (a plan without an array recipe) or, found on this instance when
-        #: the state was built, ``"value"`` (an annotation that does not lift)
-        #: and ``"radix"`` (row codes would leave ``int64``).  The
-        #: ``datalog.seed`` span carries the same two values.
+        #: arithmetic or no numpy), ``"plan"`` (a plan without an array
+        #: recipe) or, found on this instance when the state was built,
+        #: ``"value"`` (an annotation that does not lift) and ``"radix"`` (row
+        #: codes would leave ``int64``).  The storage backend plays no part.
+        #: The ``datalog.seed`` span carries the same two values.
         self.round_path = "rows"
         self.round_declined: str | None = None
         # Annotate mode over an idempotent ``+`` only: collect mode records
@@ -510,8 +513,6 @@ class _SemiNaiveEngine:
         )
         if self._vector_ops is None:
             self.round_declined = "semiring"
-        elif self.storage_kind != "columnar":
-            self.round_declined = "storage"
         self._recipes: Dict[int, Recipe] = {}
         self._arrays: ArrayState | None = None
 
@@ -687,7 +688,7 @@ class _SemiNaiveEngine:
         """The array state one loop runs on, or ``None`` for the row loop.
 
         The state is built lazily from the stores' rows -- at the first loop,
-        and again after something outside a loop dropped it -- and declined
+        and again after an update it could not take dropped it -- and declined
         for good (``round_declined``) when this instance does not fit.  What
         the loop derives reaches the stores in one flush when the block ends,
         also when it ends in a :class:`DivergenceError`: the stores then hold
@@ -821,10 +822,15 @@ class _SemiNaiveEngine:
         store.extend(new_rows)
         if not rows:
             return 0
-        # The array state mirrors appended facts; a rewritten annotation (or
-        # facts it cannot take) drops it and the loop below rebuilds it.
-        if self._arrays is not None and not (
-            len(new_rows) == len(rows) and self._arrays.append(predicate, rows)
+        # The array state takes the appended facts and the rewritten
+        # annotations of known ones; what it cannot take drops it, and the
+        # loop below rebuilds it.
+        arrays = self._arrays
+        if arrays is not None and not (
+            arrays.append(predicate, new_rows)
+            and arrays.rewrite(
+                predicate, [row for row in rows if row[1] not in new_tuples]
+            )
         ):
             self._arrays = None
         with self._array_loop() as arrays:
@@ -835,17 +841,21 @@ class _SemiNaiveEngine:
 
     # -- deletion (DRed) --------------------------------------------------------
     def _remove_rows(self, predicate: str, rows: Sequence[Tuple[tuple, Tup]]) -> None:
-        """Remove rows from a predicate's store *and* its backing relation."""
+        """Remove rows from a predicate's store, its backing relation and the
+        array state."""
         if not rows:
             return
         store = self.stores[predicate]
         annotations = store.relation._annotations
+        vacated = []
         for _, tup in rows:
-            store.remove(tup)
+            position = store.remove(tup)
+            if position is not None:
+                vacated.append(position)
             annotations.pop(tup, None)
         self._log_changes(predicate, (tup for _, tup in rows))
-        # Swap-removal reorders the rows the array state mirrors by position.
-        self._arrays = None
+        if self._arrays is not None:
+            self._arrays.remove(predicate, vacated)
 
     def _fire_heads(
         self,
@@ -1072,11 +1082,13 @@ class _SemiNaiveEngine:
                 (tup.values_for(head_store.attributes), tup) for tup in changed
             ]
             head_store.extend(new_rows)
+            if self._arrays is not None and not self._arrays.append(pred, new_rows):
+                self._arrays = None
             rederived += len(new_rows)
             delta[pred] = new_rows
         if any(delta.values()):
-            # Phase 1 dropped the array state; it is rebuilt from the shrunk,
-            # re-seeded stores and the drain resumes on it.
+            # Phase 1 mirrored its removals in the array state and the
+            # rederived atoms were appended to it: the drain resumes on it.
             with self._array_loop() as arrays:
                 if arrays is not None:
                     delta = {p: arrays.locate(p, rows) for p, rows in delta.items()}

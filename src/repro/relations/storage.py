@@ -106,6 +106,16 @@ class RowStore:
         """Remove ``tup`` if present; return whether it was stored."""
         raise NotImplementedError
 
+    def extend_rows(self, tuples: list, columns: Iterable[list], annotations: list) -> None:
+        """Bulk-append pre-aligned rows (the vectorized materialize paths).
+
+        ``tuples`` must be canonical, distinct and absent from the store;
+        ``columns`` are per-attribute value lists in the store's attribute
+        order, parallel to ``tuples`` and ``annotations`` -- a backend that
+        keeps no columns ignores them.
+        """
+        raise NotImplementedError
+
     # -- bulk access ----------------------------------------------------------
     def items(self) -> Iterable[Tuple[Tup, Any]]:
         raise NotImplementedError
@@ -150,6 +160,9 @@ class DictRowStore(RowStore):
 
     def discard(self, tup: Tup) -> bool:
         return self.data.pop(tup, _MISSING) is not _MISSING
+
+    def extend_rows(self, tuples: list, columns: Iterable[list], annotations: list) -> None:
+        self.data.update(zip(tuples, annotations))
 
     def items(self) -> Iterable[Tuple[Tup, Any]]:
         return self.data.items()
@@ -257,14 +270,9 @@ class ColumnarRowStore(RowStore):
         self.version += 1
 
     def extend_rows(self, tuples: list, columns: Iterable[list], annotations: list) -> None:
-        """Bulk-append pre-aligned rows (the vectorized materialize path).
-
-        ``tuples`` must be canonical, distinct and absent from the store;
-        ``columns`` must be per-attribute value lists in the store's
-        attribute order, parallel to ``tuples`` and ``annotations``.  One
-        position-index pass and one version bump replace ``len(tuples)``
-        individual :meth:`set` calls.
-        """
+        """One position-index pass and one version bump replace
+        ``len(tuples)`` individual :meth:`set` calls (contract: see
+        :meth:`RowStore.extend_rows`)."""
         base = len(self.tuples)
         self.tuples.extend(tuples)
         for column, new_values in zip(self.columns, columns):

@@ -1,11 +1,12 @@
 """The array-resident semi-naive loop against the row loop it replaces.
 
-With columnar IDB stores, vector arithmetic for an idempotent semiring and a
-program made of copy / single-join plans, ``_SemiNaiveEngine`` runs its rounds
-on :class:`repro.datalog.arraystore.ArrayState` and writes the stores once, at
-the end.  Nothing selects that path, so everything here compares it with the
-row loop (``storage="row"``) on the same input: identical annotations (floats
-bit for bit), round counts, derivable sets and -- after a
+With vector arithmetic for an idempotent semiring and a program made of copy /
+single-join plans, ``_SemiNaiveEngine`` runs its rounds on
+:class:`repro.datalog.arraystore.ArrayState` and writes the stores once, at
+the end -- on row and columnar stores alike.  Nothing selects that path, so
+everything here compares it with the row loop on the same input (reached by
+taking the vector arithmetic away, :func:`strategies.row_loop`): identical
+annotations (floats bit for bit), round counts, derivable sets and -- after a
 :class:`~repro.errors.DivergenceError` -- identical partial stores; and every
 way of *not* fitting the array path must leave the row result and say why
 (``round_declined`` / the ``datalog.seed`` span's ``declined``).
@@ -24,6 +25,7 @@ from strategies import (
     VARIABLE_NAMES,
     edb_databases,
     programs,
+    row_loop,
 )
 
 from repro.datalog import Program, Rule, evaluate_program
@@ -49,6 +51,9 @@ ARRAY_SEMIRING_NAMES = ("tropical", "fuzzy", "viterbi", "bool")
 #: (``dict`` equality), whichever spelling a relation happens to store.
 MIXED_DOMAIN = (1, 1.0, True, 0, False, 2, 2.0, 3, "a", "b")
 
+#: The storage backends: neither chooses the loop.
+STORAGES = ("row", "columnar")
+
 ARRAY_SETTINGS = settings(
     max_examples=40,
     deadline=None,
@@ -57,12 +62,20 @@ ARRAY_SETTINGS = settings(
 )
 
 
-def _evaluate(program, database, storage):
+def _evaluate(program, database, storage=None):
     """``(result, datalog.seed span attributes)`` of one semi-naive run."""
     with tracing() as sink:
         result = evaluate_program(program, database, engine="seminaive", storage=storage)
     (seed,) = sink.find("datalog.seed")
     return result, seed.attributes
+
+
+def _row_reference(program, database):
+    """:func:`_evaluate` on the row loop, which must say it declined."""
+    with row_loop():
+        result, seed = _evaluate(program, database)
+    assert (seed["path"], seed["declined"]) == ("rows", "semiring")
+    return result
 
 
 def _identical(left, right) -> bool:
@@ -72,12 +85,12 @@ def _identical(left, right) -> bool:
     return not isinstance(left, float) or math.copysign(1.0, left) == math.copysign(1.0, right)
 
 
-def _assert_same_result(row, columnar):
-    assert columnar.annotations == row.annotations
+def _assert_same_result(row, arrays):
+    assert arrays.annotations == row.annotations
     for atom, value in row.annotations.items():
-        assert _identical(columnar.annotations[atom], value), atom
-    assert columnar.iterations == row.iterations
-    assert columnar.ground.derivable == row.ground.derivable
+        assert _identical(arrays.annotations[atom], value), atom
+    assert arrays.iterations == row.iterations
+    assert arrays.ground.derivable == row.ground.derivable
 
 
 @st.composite
@@ -121,30 +134,32 @@ def test_array_rounds_equal_row_rounds(semiring_name, data):
     semiring = get_semiring(semiring_name)
     program = data.draw(array_programs())
     database = data.draw(edb_databases(program, semiring, domain=MIXED_DOMAIN))
-    row, row_seed = _evaluate(program, database, "row")
-    columnar, columnar_seed = _evaluate(program, database, "columnar")
-    assert (row_seed["path"], row_seed["declined"]) == ("rows", "storage")
-    assert columnar_seed["path"] == "array" and "declined" not in columnar_seed
-    _assert_same_result(row, columnar)
+    storage = data.draw(st.sampled_from(STORAGES), label="storage")
+    row = _row_reference(program, database)
+    arrays, seed = _evaluate(program, database, storage)
+    assert seed["path"] == "array" and "declined" not in seed
+    _assert_same_result(row, arrays)
 
 
 @pytest.mark.parametrize("semiring_name", ARRAY_SEMIRING_NAMES)
 @given(data=st.data())
 @ARRAY_SETTINGS
-def test_columnar_equals_row_on_arbitrary_programs(semiring_name, data):
+def test_either_storage_equals_the_row_loop_on_arbitrary_programs(semiring_name, data):
     # The general strategy mixes in constants, repeated variables and
     # three-atom bodies: some programs run on arrays, the others decline as
     # a whole -- either way the result is the row loop's.
     semiring = get_semiring(semiring_name)
     program = data.draw(programs())
     database = data.draw(edb_databases(program, semiring))
-    row, _ = _evaluate(program, database, "row")
-    columnar, seed = _evaluate(program, database, "columnar")
+    storage = data.draw(st.sampled_from(STORAGES), label="storage")
+    row = _row_reference(program, database)
+    result, seed = _evaluate(program, database, storage)
     assert (seed["path"], seed.get("declined")) in (("array", None), ("rows", "plan"))
-    _assert_same_result(row, columnar)
+    _assert_same_result(row, result)
 
 
-def test_copies_projections_and_nullary_heads():
+@pytest.mark.parametrize("storage", STORAGES)
+def test_copies_projections_and_nullary_heads(storage):
     program = Program.parse(
         """
         P(y, x) :- R(x, y)
@@ -156,25 +171,26 @@ def test_copies_projections_and_nullary_heads():
     database.create(
         "R", ["a", "b"], [((1, "u"), 2.0), ((2, "u"), 0.5), ((2, "v"), 4.0)]
     )
-    row, _ = _evaluate(program, database, "row")
-    columnar, seed = _evaluate(program, database, "columnar")
+    row = _row_reference(program, database)
+    arrays, seed = _evaluate(program, database, storage)
     assert seed["path"] == "array"
-    _assert_same_result(row, columnar)
-    values = {(atom.relation, atom.values): v for atom, v in columnar.annotations.items()}
+    _assert_same_result(row, arrays)
+    values = {(atom.relation, atom.values): v for atom, v in arrays.annotations.items()}
     assert values[("Q", ("u",))] == 0.5 and values[("N", ())] == 0.5
 
 
-def test_products_reaching_zero_are_never_stored():
+@pytest.mark.parametrize("storage", STORAGES)
+def test_products_reaching_zero_are_never_stored(storage):
     # 1e-200 * 1e-200 underflows to 0.0, Viterbi's zero: the two-hop atom is
     # not derived at all, on either path (Definition 3.1).
     database = Database(get_semiring("viterbi"))
     database.create("R", ["x", "y"], [(("a", "b"), 1e-200), (("b", "c"), 1e-200)])
     program = transitive_closure_program(linear=True)
-    row, _ = _evaluate(program, database, "row")
-    columnar, seed = _evaluate(program, database, "columnar")
+    row = _row_reference(program, database)
+    arrays, seed = _evaluate(program, database, storage)
     assert seed["path"] == "array"
-    _assert_same_result(row, columnar)
-    assert len(columnar.annotations) == 2
+    _assert_same_result(row, arrays)
+    assert len(arrays.annotations) == 2
 
 
 # -- flush: the stores the loop leaves behind -----------------------------------------------
@@ -182,6 +198,11 @@ def test_products_reaching_zero_are_never_stored():
 
 def _engine(program, database, storage, **options):
     return _SemiNaiveEngine(program, database, collect=False, storage=storage, **options)
+
+
+def _row_engine(program, database, **options):
+    with row_loop():
+        return _engine(program, database, None, **options)
 
 
 def _state(engine):
@@ -193,11 +214,12 @@ def _state(engine):
     )
 
 
+@pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("linear", (True, False))
-def test_flush_leaves_rows_indexes_and_relations_consistent(linear):
+def test_flush_leaves_rows_indexes_and_relations_consistent(linear, storage):
     database = chain_graph_database(get_semiring("tropical"), length=6, seed=3)
     program = transitive_closure_program(linear=linear)
-    engine = _engine(program, database, "columnar", maintain_edb=True)
+    engine = _engine(program, database, storage, maintain_edb=True)
     changelog = engine.begin_changelog()
     engine.run(100)
     assert engine.round_path == "array" and engine.round_declined is None
@@ -209,7 +231,8 @@ def test_flush_leaves_rows_indexes_and_relations_consistent(linear):
     # one flush wrote every derived tuple, and the changelog names each
     idb = engine.stores[program.output]
     assert changelog == {program.output: {tup for _, tup in idb.rows}}
-    reference = _engine(program, database, "row", maintain_edb=True)
+    assert idb.relation.storage == storage
+    reference = _row_engine(program, database, maintain_edb=True)
     reference.run(100)
     assert _state(engine) == _state(reference)
 
@@ -266,24 +289,22 @@ DECLINES = {
 }
 
 
+@pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("case", sorted(DECLINES))
-def test_declines_run_the_row_loop_before_touching_a_store(case):
+def test_declines_run_the_row_loop_before_touching_a_store(case, storage):
     text, make_database, reason = DECLINES[case]
     program, database = Program.parse(text), make_database()
-    engine = _engine(program, database, "columnar")
+    engine = _engine(program, database, storage)
     rounds = engine.run(100)
     assert (engine.round_path, engine.round_declined) == ("rows", reason)
     assert engine._arrays is None
-    reference = _engine(program, database, "row")
+    reference = _row_engine(program, database)
     assert reference.run(100) == rounds
-    assert (reference.round_path, reference.round_declined) == (
-        "rows",
-        "semiring" if reason == "semiring" else "storage",
-    )
+    assert (reference.round_path, reference.round_declined) == ("rows", "semiring")
     assert _state(engine) == _state(reference)
     assert all(problem is None for problem in _state(engine)[2])
     with tracing() as sink:
-        _engine(program, database, "columnar").run(100)
+        _engine(program, database, storage).run(100)
     (seed,) = sink.find("datalog.seed")
     assert (seed.attributes["path"], seed.attributes["declined"]) == ("rows", reason)
 
@@ -291,10 +312,10 @@ def test_declines_run_the_row_loop_before_touching_a_store(case):
 def test_collect_mode_and_missing_numpy_decline_as_semiring(monkeypatch):
     database = _graph()
     program = transitive_closure_program(linear=True)
-    collecting = _SemiNaiveEngine(program, database, collect=True, storage="columnar")
+    collecting = _SemiNaiveEngine(program, database, collect=True)
     assert collecting.round_declined == "semiring"
     monkeypatch.setattr(vectorized, "_np", None)
-    engine = _engine(program, database, "columnar")
+    engine = _engine(program, database, None)
     engine.run(100)
     assert (engine.round_path, engine.round_declined) == ("rows", "semiring")
 
@@ -306,17 +327,18 @@ def test_collect_mode_and_missing_numpy_decline_as_semiring(monkeypatch):
 def test_iteration_cap_leaves_the_row_loops_partial_state(linear):
     database = chain_graph_database(get_semiring("tropical"), length=8, seed=2)
     program = transitive_closure_program(linear=linear)
-    complete = evaluate_program(program, database, engine="seminaive", storage="row")
+    complete = evaluate_program(program, database, engine="seminaive")
     assert complete.iterations >= 5
-    states = {}
-    for storage in ("row", "columnar"):
+    reference = _row_engine(program, database)
+    with pytest.raises(DivergenceError, match="within 2 iterations"):
+        reference.run(2)
+    assert 0 < len(_state(reference)[0]) < len(complete.annotations)
+    for storage in STORAGES:
         engine = _engine(program, database, storage)
         with pytest.raises(DivergenceError, match="within 2 iterations"):
             engine.run(2)
-        states[storage] = _state(engine)
-        assert engine.round_path == ("array" if storage == "columnar" else "rows")
-    assert states["columnar"] == states["row"]
-    assert 0 < len(states["row"][0]) < len(complete.annotations)
+        assert engine.round_path == "array"
+        assert _state(engine) == _state(reference)
 
 
 # -- (f) spans ------------------------------------------------------------------------------
@@ -326,7 +348,7 @@ def test_array_loop_emits_seed_and_round_spans():
     database = chain_graph_database(get_semiring("bool"), length=6, seed=4)
     program = transitive_closure_program(linear=True)
     with tracing() as sink:
-        result = evaluate_program(program, database, engine="seminaive", storage="columnar")
+        result = evaluate_program(program, database, engine="seminaive")
     (seed,) = sink.find("datalog.seed")
     rounds = sink.find("datalog.round")
     assert seed.attributes["path"] == "array" and seed.attributes["mode"] == "annotate"

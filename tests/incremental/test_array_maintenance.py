@@ -1,18 +1,23 @@
-"""Maintenance on columnar stores resumes from the array-resident state.
+"""Maintenance resumes from the array-resident state, on either storage.
 
 ``tests/incremental/test_deletion.py`` already replays random insert / delete
-streams on both backends against fresh evaluation (and asserts the columnar
-legs ran on arrays); this file pins what is particular to the array state of
-:mod:`repro.datalog.arraystore` being a *cache over the stores*: which updates
-extend it, which drop it, that the rebuilt state resumes exactly, that the
-changelog a cached result is patched from names every tuple a flush wrote, and
-that :meth:`IncrementalDatalog.check_consistency` audits it.
+streams on both backends against fresh evaluation (and asserts they ran on
+arrays), and ``tests/incremental/test_stateful_datalog.py`` sweeps update
+interleavings; this file pins what is particular to the array state of
+:mod:`repro.datalog.arraystore` being a *cache over the stores*: that
+appended facts, rewritten annotations, DRed removals and rederived atoms are
+mirrored in place, that only a domain outgrowing the radix rebuilds it, that
+the join indexes follow removals, that the changelog a cached result is
+patched from names every tuple a flush wrote, and that
+:meth:`IncrementalDatalog.check_consistency` audits it.
 """
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+
+from strategies import row_loop
 
 from repro.datalog import evaluate_program
 from repro.engine import vectorized
@@ -29,21 +34,21 @@ pytestmark = pytest.mark.skipif(
 TC_LINEAR = "T(x, y) :- R(x, y)\nT(x, z) :- R(x, y), T(y, z)"
 TC_QUADRATIC = "T(x, y) :- R(x, y)\nT(x, z) :- T(x, y), T(y, z)"
 
+STORAGES = ("row", "columnar")
 NODES = tuple(f"n{i}" for i in range(7))
 COSTS = (0.5, 1.0, 2.0, 3.5)
 
 
-def _maintained(program=TC_LINEAR, rows=(), semiring_name="tropical"):
+def _maintained(program=TC_LINEAR, rows=(), semiring_name="tropical", storage="columnar"):
     database = Database(get_semiring(semiring_name))
-    database.create("R", ["x", "y"], list(rows), storage="columnar")
-    return IncrementalDatalog(program, database, storage="columnar"), database
+    database.create("R", ["x", "y"], list(rows), storage=storage)
+    return IncrementalDatalog(program, database, storage=storage), database
 
 
 def _assert_equals_rebuild(maintained, database):
     maintained.check_consistency()
-    fresh = evaluate_program(
-        maintained.program, database, engine="seminaive", storage="row"
-    )
+    with row_loop():
+        fresh = evaluate_program(maintained.program, database, engine="seminaive")
     assert maintained.result.annotations == fresh.annotations
     assert maintained.result.ground.derivable == fresh.ground.derivable
 
@@ -57,7 +62,8 @@ def _assert_equals_rebuild(maintained, database):
 )
 @given(data=st.data())
 def test_interleaved_stream_equals_a_rebuild_after_every_step(program, data):
-    maintained, database = _maintained(program)
+    storage = data.draw(st.sampled_from(STORAGES), label="storage")
+    maintained, database = _maintained(program, storage=storage)
     engine = maintained._engine
     edges = st.tuples(st.sampled_from(NODES), st.sampled_from(NODES))
     for _ in range(data.draw(st.integers(min_value=3, max_value=8), label="steps")):
@@ -75,8 +81,11 @@ def test_interleaved_stream_equals_a_rebuild_after_every_step(program, data):
     assert engine.round_path == "array" and engine.round_declined is None
 
 
-def test_appended_facts_extend_the_state_in_place():
-    maintained, database = _maintained(rows=[(("a", "b"), 1.0), (("b", "c"), 1.0)])
+@pytest.mark.parametrize("storage", STORAGES)
+def test_appended_facts_extend_the_state_in_place(storage):
+    maintained, database = _maintained(
+        rows=[(("a", "b"), 1.0), (("b", "c"), 1.0)], storage=storage
+    )
     state = maintained._engine._arrays
     assert state is not None and state.audit() is None
     maintained.insert("R", [(("c", "d"), 2.0), (("a", "c"), 5.0)])
@@ -85,25 +94,50 @@ def test_appended_facts_extend_the_state_in_place():
     _assert_equals_rebuild(maintained, database)
 
 
-def test_a_rewritten_annotation_drops_the_state_and_the_rebuilt_one_resumes():
-    maintained, database = _maintained(rows=[(("a", "b"), 4.0), (("b", "c"), 1.0)])
+@pytest.mark.parametrize("storage", STORAGES)
+def test_a_rewritten_annotation_is_written_into_the_state(storage):
+    maintained, database = _maintained(
+        rows=[(("a", "b"), 4.0), (("b", "c"), 1.0)], storage=storage
+    )
     state = maintained._engine._arrays
     maintained.insert("R", [(("a", "b"), 1.5)])  # a cheaper cost for a known edge
-    assert maintained._engine._arrays is not state
+    assert maintained._engine._arrays is state
     assert maintained._engine.round_path == "array"
     assert maintained.relation("T").annotation(("a", "c")) == 2.5
     _assert_equals_rebuild(maintained, database)
 
 
-def test_a_deletion_drops_the_state_and_the_next_loop_rebuilds_it():
+@pytest.mark.parametrize("storage", STORAGES)
+def test_a_deletion_that_rederives_keeps_the_state(storage):
     rows = [(("a", "b"), 1.0), (("b", "c"), 1.0), (("a", "c"), 5.0), (("c", "d"), 1.0)]
-    maintained, database = _maintained(rows=rows)
+    maintained, database = _maintained(rows=rows, storage=storage)
+    state = maintained._engine._arrays
     maintained.remove("R", [("b", "c")])
-    assert maintained.last_delete_mode == "dred"
+    stats = maintained.last_delete_stats
+    assert stats["mode"] == "dred" and stats["rederived"] > 0
+    assert maintained._engine._arrays is state  # removals mirrored, not dropped
+    assert maintained.relation("T").annotation(("a", "d")) == 6.0
     _assert_equals_rebuild(maintained, database)
     maintained.insert("R", [(("b", "c"), 0.5)])
+    assert maintained._engine._arrays is state
     assert maintained._engine.round_path == "array"
     assert maintained.relation("T").annotation(("a", "d")) == 2.5
+    _assert_equals_rebuild(maintained, database)
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+def test_join_indexes_follow_removals_then_as_many_appends(storage):
+    # R's build index on y is cached at three rows.  Two removals and two
+    # appends bring R back to three rows with other content: an index still
+    # taken for valid would match the new T(c, f)'s probe for y = c against
+    # the row that held (x, c) and now holds (h, i), deriving T(h, f).
+    rows = [(("a", "b"), 1.0), (("x", "c"), 1.0), (("y", "g"), 1.0)]
+    maintained, database = _maintained(rows=rows, storage=storage)
+    state = maintained._engine._arrays
+    maintained.remove("R", [("x", "c"), ("y", "g")])
+    maintained.insert("R", [(("h", "i"), 1.0), (("c", "f"), 1.0)])
+    assert maintained._engine._arrays is state
+    assert maintained.relation("T").annotation(("h", "f")) == float("inf")
     _assert_equals_rebuild(maintained, database)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from strategies import annotation_for, annotations_close, inexact_annotation_for
+from strategies import annotation_for, annotations_close, inexact_annotation_for, row_loop
 
 from repro.circuits import to_polynomial
 from repro.circuits.nodes import Node
@@ -100,9 +100,12 @@ def _normalize(annotations):
 
 
 def _assert_matches_fresh(maintained, database, same=None):
-    fresh = evaluate_program(
-        maintained.program, database, engine="seminaive", on_divergence="skip"
-    )
+    # Fresh on the row loop: the maintained engine runs the array loop
+    # wherever one exists, so this is also the array-vs-row differential.
+    with row_loop():
+        fresh = evaluate_program(
+            maintained.program, database, engine="seminaive", on_divergence="skip"
+        )
     assert maintained.result.divergent_atoms == fresh.divergent_atoms
     got, want = _normalize(maintained.result.annotations), _normalize(fresh.annotations)
     if same is None:
@@ -154,11 +157,10 @@ def _run_stream(program, semiring_name, storage, data, annotate, same=None):
             maintained.insert("R", entries)
         _assert_matches_fresh(maintained, database, same)
         maintained.check_consistency()
-    # Columnar stores resume on the array state wherever one exists: every
+    # Either storage resumes on the array state wherever one exists: every
     # shape but the three-atom body, over the idempotent vector semirings.
     on_arrays = (
-        storage == "columnar"
-        and vectorized.numpy_available()
+        vectorized.numpy_available()
         and semiring_name in FLOAT_SEMIRING_NAMES + ("bool",)
         and program != "three-atom"
     )

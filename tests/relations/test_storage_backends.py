@@ -74,6 +74,24 @@ def _tup(a, b):
     return Tup(a=a, b=b)
 
 
+class TestDictStore:
+    def test_extend_rows_equals_per_row_sets(self):
+        # The array-resident datalog flush writes either backend through
+        # extend_rows; the dict store keeps no columns and ignores them.
+        bulk = DictRowStore({_tup("x", 0): 7})
+        tuples = [_tup(f"y{i}", i) for i in range(5)]
+        bulk.extend_rows(
+            tuples,
+            [[f"y{i}" for i in range(5)], list(range(5))],
+            [10 * i + 1 for i in range(5)],
+        )
+        one_by_one = DictRowStore({_tup("x", 0): 7})
+        for i, tup in enumerate(tuples):
+            one_by_one.set(tup, 10 * i + 1)
+        assert list(bulk.items()) == list(one_by_one.items())
+        assert len(bulk) == 6 and bulk.get(tuples[3]) == 31
+
+
 class TestColumnarStoreLayout:
     def _populated(self):
         store = ColumnarRowStore(["a", "b"])

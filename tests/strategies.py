@@ -21,12 +21,15 @@ Conventions
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 from hypothesis import strategies as st
 
 from repro.algebra import predicates
 from repro.algebra.ast import Q
 from repro.datalog import Program, Rule
+from repro.engine import vectorized
 from repro.logic import Atom, Constant, Variable
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
@@ -46,6 +49,7 @@ __all__ = [
     "annotation_for",
     "inexact_annotation_for",
     "annotations_close",
+    "row_loop",
     "random_annotation",
     "semiring_elements",
     "programs",
@@ -139,6 +143,19 @@ def annotations_close(left: dict, right: dict, rel: float = 1e-9) -> bool:
     return left.keys() == right.keys() and all(
         math.isclose(left[key], right[key], rel_tol=rel, abs_tol=0.0) for key in left
     )
+
+
+@contextmanager
+def row_loop():
+    """Semi-naive engines built inside run the row loop, not the array loop.
+
+    Taking the semiring's vector arithmetic away makes the engine decline the
+    array loop with ``round_declined == "semiring"``: the row loop is the
+    reference every array-loop differential compares with, and no option of
+    the library selects it.
+    """
+    with mock.patch.object(vectorized, "vector_ops_for", lambda semiring: None):
+        yield
 
 
 #: Alias used by callers that mirror ``repro.workloads.random_annotation``.
