@@ -27,7 +27,7 @@ from repro.datalog.lattice_eval import (
     lattice_condition_provenance,
 )
 from repro.datalog.monomial_coefficient import MonomialCoefficientResult, monomial_coefficient
-from repro.datalog.seminaive import evaluate_program_seminaive, solve_ground_seminaive
+from repro.datalog.seminaive import evaluate_program_seminaive
 from repro.datalog.provenance import (
     DatalogCircuitProvenance,
     DatalogProvenance,
@@ -50,7 +50,6 @@ __all__ = [
     "immediate_consequence",
     "solve_ground",
     "evaluate_program_seminaive",
-    "solve_ground_seminaive",
     "AlgebraicSystem",
     "build_algebraic_system",
     "DerivationTree",

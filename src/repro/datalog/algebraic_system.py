@@ -16,17 +16,19 @@ shape of Figure 7(f)::
     y = n              v = s + v^2
     z = p              w = x·u + w·v
 
-Solving the system in a semiring ``K`` amounts to Kleene iteration of the
-polynomial functions under a valuation of the EDB variables into ``K``
-(Definition 5.5's least fixpoint).
+Solving the system in a semiring ``K`` under a valuation of the EDB variables
+into ``K`` (Definition 5.5's least fixpoint) is solving the grounding it was
+built from, so :meth:`AlgebraicSystem.solve` hands that grounding to the one
+ground solver of :mod:`repro.datalog.fixpoint`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping
+from typing import Any, Dict, Mapping
 
-from repro.errors import DatalogError, DivergenceError
+from repro.errors import DatalogError, SemiringError
+from repro.datalog.fixpoint import DEFAULT_MAX_ITERATIONS, solve_ground
 from repro.datalog.grounding import GroundAtom, GroundProgram, ground_program
 from repro.datalog.syntax import Program
 from repro.relations.database import Database
@@ -34,9 +36,6 @@ from repro.semirings.base import Semiring
 from repro.semirings.polynomial import Polynomial
 
 __all__ = ["AlgebraicSystem", "build_algebraic_system"]
-
-#: Safety cap for Kleene iteration over idempotent semirings.
-DEFAULT_MAX_ITERATIONS = 10_000
 
 
 @dataclass
@@ -113,192 +112,37 @@ class AlgebraicSystem:
         *,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         on_divergence: str = "top",
-        engine: str = "naive",
     ) -> Dict[GroundAtom, Any]:
         """Least solution of the system in ``semiring`` (Definition 5.5).
 
         ``valuation`` maps EDB variables into the target semiring; it defaults
-        to coercing the original EDB annotations.  Divergent components (atoms
-        with infinitely many derivations) are handled as in
-        :mod:`repro.datalog.fixpoint`: ``"top"`` assigns the semiring's top
-        element (an error when the semiring has none), ``"error"`` always
-        raises, and ``"skip"`` drops the divergent components from the
-        solution while keeping the exact values of the convergent ones.
-
-        ``engine="seminaive"`` replaces the round-robin Kleene iteration with
-        a dependency-aware worklist: after each round only the equations whose
-        right-hand side mentions a changed variable are re-evaluated.  The
-        least solution is the same (the worklist performs chaotic iteration
-        of the same monotone operator).
+        to coercing the original EDB annotations.  The right-hand sides are
+        ``T_q`` on the grounding, so the system is solved by re-annotating the
+        grounding under the valuation and handing it to the ground solver
+        (:func:`repro.datalog.fixpoint.solve_ground`).  A fact valued zero
+        leaves the grounding, which kills every rule that uses it and can
+        break cycles (setting ``r = 0`` in Figure 7 makes ``u`` finite again).
+        Divergent components (atoms with infinitely many derivations) are
+        handled as by the solver: ``"top"`` assigns the semiring's top element
+        (an error when the semiring has none), ``"error"`` always raises, and
+        ``"skip"`` drops the divergent components from the solution while
+        keeping the exact values of the convergent ones.
         """
-        if on_divergence not in ("top", "error", "skip"):
-            raise ValueError(
-                f"on_divergence must be 'top', 'error' or 'skip', got {on_divergence!r}"
-            )
-        from repro.datalog.fixpoint import _check_engine
-
-        _check_engine(engine)
-        if valuation is None:
-            valuation = {
-                variable: semiring.coerce(value)
-                for variable, value in self.edb_valuation.items()
-            }
-        else:
-            valuation = {v: semiring.coerce(x) for v, x in valuation.items()}
-
-        idb_atoms = list(self.idb_variables)
-        if semiring.idempotent_add:
-            divergent: frozenset[GroundAtom] = frozenset()
-        else:
-            # The structural divergence analysis must respect the valuation: an
-            # EDB fact evaluated to 0 disables every ground rule that uses it,
-            # which can break cycles (e.g. setting r = 0 in Figure 7 makes u
-            # finite again).
-            zero_edb = {
-                atom
-                for atom, variable in self.edb_variables.items()
-                if semiring.is_zero(valuation.get(variable, semiring.zero()))
-            }
-            divergent = self._divergent_atoms(zero_edb) & set(idb_atoms)
-            if divergent and (
-                on_divergence == "error"
-                or (on_divergence == "top" and not semiring.has_top)
-            ):
-                raise DivergenceError(
-                    f"{len(divergent)} equation(s) diverge in {semiring.name}"
-                )
-
-        values: Dict[str, Any] = {
-            self.idb_variables[atom]: semiring.zero() for atom in idb_atoms
-        }
-        # Under "skip" the divergent variables stay at zero during iteration:
-        # every rule of a *convergent* head that mentions a divergent atom is
-        # necessarily killed by a zero-valued EDB factor (otherwise the head
-        # would inherit infinitely many derivations), so the value substituted
-        # for the divergent variable never reaches a kept result.
-        if on_divergence == "top":
-            for atom in divergent:
-                values[self.idb_variables[atom]] = semiring.top()
-        finite_variables = [
-            self.idb_variables[atom] for atom in idb_atoms if atom not in divergent
-        ]
-
-        rounds = max_iterations
-        if not semiring.idempotent_add:
-            rounds = min(rounds, len(finite_variables) + 1)
-
-        if engine == "seminaive":
-            self._solve_worklist(semiring, valuation, values, finite_variables, rounds)
-        else:
-            for _ in range(rounds):
-                assignment = {**valuation, **values}
-                changed = False
-                for variable in finite_variables:
-                    new_value = self.equations[variable].evaluate(semiring, assignment)
-                    if new_value != values[variable]:
-                        values[variable] = new_value
-                        changed = True
-                if not changed:
-                    break
-            else:
-                if semiring.idempotent_add:
-                    raise DivergenceError(
-                        f"algebraic system did not converge within {max_iterations} iterations"
-                    )
-
-        if on_divergence == "skip":
-            return {
-                atom: values[self.idb_variables[atom]]
-                for atom in idb_atoms
-                if atom not in divergent
-            }
-        return {atom: values[self.idb_variables[atom]] for atom in idb_atoms}
-
-    def _solve_worklist(
-        self,
-        semiring: Semiring,
-        valuation: Mapping[str, Any],
-        values: Dict[str, Any],
-        finite_variables: list[str],
-        rounds: int,
-    ) -> None:
-        """Rounds of chaotic iteration re-evaluating only affected equations."""
-        finite = set(finite_variables)
-        dependents: Dict[str, set[str]] = {}
-        for variable in finite_variables:
-            for dependency in self.equations[variable].variables & finite:
-                dependents.setdefault(dependency, set()).add(variable)
-
-        dirty = set(finite_variables)
-        performed = 0
-        while dirty:
-            if performed >= rounds:
-                if semiring.idempotent_add:
-                    raise DivergenceError(
-                        f"algebraic system did not converge within {rounds} iterations"
-                    )
-                break
-            performed += 1
-            assignment = {**valuation, **values}
-            next_dirty: set[str] = set()
-            for variable in dirty:
-                new_value = self.equations[variable].evaluate(semiring, assignment)
-                if new_value != values[variable]:
-                    values[variable] = new_value
-                    next_dirty |= dependents.get(variable, set())
-            dirty = next_dirty
-
-    def _divergent_atoms(self, zero_edb: set[GroundAtom]) -> frozenset[GroundAtom]:
-        """Atoms with infinitely many derivations, ignoring rules killed by zero EDB facts."""
-        if not zero_edb:
-            return self.ground.atoms_with_infinite_derivations()
-        active_rules = [
-            rule
-            for rule in self.ground.ground_rules
-            if not any(body in zero_edb for body in rule.body)
-        ]
-        # Derivable atoms under the restricted rule set.
-        derivable: set[GroundAtom] = set(self.ground.edb_atoms) - zero_edb
-        changed = True
-        while changed:
-            changed = False
-            for rule in active_rules:
-                if rule.head in derivable:
-                    continue
-                if all(body in derivable for body in rule.body):
-                    derivable.add(rule.head)
-                    changed = True
-        # Dependency edges among derivable atoms; cycle atoms and their forward closure.
-        forward: Dict[GroundAtom, set[GroundAtom]] = {}
-        for rule in active_rules:
-            if rule.head not in derivable:
-                continue
-            if not all(body in derivable for body in rule.body):
-                continue
-            for body in rule.body:
-                forward.setdefault(body, set()).add(rule.head)
-        cyclic: set[GroundAtom] = set()
-        for start in list(forward):
-            # is `start` reachable from itself?
-            frontier, seen = list(forward.get(start, ())), set()
-            while frontier:
-                node = frontier.pop()
-                if node == start:
-                    cyclic.add(start)
-                    break
-                if node in seen:
-                    continue
-                seen.add(node)
-                frontier.extend(forward.get(node, ()))
-        reachable: set[GroundAtom] = set()
-        frontier = list(cyclic)
-        while frontier:
-            node = frontier.pop()
-            if node in reachable:
-                continue
-            reachable.add(node)
-            frontier.extend(forward.get(node, ()))
-        return frozenset(reachable & derivable)
+        source = self.edb_valuation if valuation is None else valuation
+        facts: Dict[GroundAtom, Any] = {}
+        for atom, variable in self.edb_variables.items():
+            if variable not in source:
+                raise SemiringError(f"valuation is missing variable {variable!r}")
+            value = semiring.coerce(source[variable])
+            if not semiring.is_zero(value):
+                facts[atom] = value
+        result = solve_ground(
+            self.ground.reannotate(facts),
+            semiring,
+            max_iterations=max_iterations,
+            on_divergence=on_divergence,
+        )
+        return result.annotations
 
     def solve_output(
         self,

@@ -9,14 +9,17 @@ derivation trees are reported with provenance ``infinity`` (the paper writes
 The paper's pseudo-code iterates a set ``T`` of derivation trees, moving a
 tuple into ``T-infinity`` as soon as some tree repeats a tuple along a root
 path or uses a ``T-infinity`` tuple.  The set of tuples classified infinite
-by that process is exactly the set of derivable tuples reachable from a
+by that process is exactly the set of derivable tuples on or downstream of a
 cycle of the grounded dependency graph, and for the remaining tuples the sum
-``Σ_τ Π_{l ∈ fringe(τ)} l`` can be computed by structural recursion because
-their dependency sub-graph is acyclic.  This implementation therefore runs
-the cycle analysis first (on the grounded program) and then evaluates the
-finite tuples by memoized recursion -- the same output as the literal
-tree-set iteration, without materializing exponentially many trees.  The
-test-suite cross-checks the result against brute-force tree enumeration
+``Σ_τ Π_{l ∈ fringe(τ)} l`` is the least fixpoint of ``T_q`` over ``N[X]``
+restricted to their acyclic dependency sub-graph.  This implementation
+therefore tags every EDB fact with its tuple-id variable and hands the
+grounding to the one ground solver (:func:`repro.datalog.fixpoint.solve_ground`)
+with ``on_divergence="skip"``: the skipped atoms are ``T-infinity`` and the
+others are solved in dependency order -- the same output as the literal
+tree-set iteration, without materializing exponentially many trees and
+without recursion, however deep the derivations.  The test-suite
+cross-checks the result against brute-force tree enumeration
 (:mod:`repro.datalog.derivations`) on small instances.
 """
 
@@ -26,14 +29,15 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping
 
 from repro.errors import DatalogError
+from repro.datalog.fixpoint import solve_ground
 from repro.datalog.grounding import GroundAtom, GroundProgram, ground_program
 from repro.datalog.syntax import Program
 from repro.relations.database import Database
 from repro.semirings.base import Semiring
 from repro.semirings.numeric import INFINITY, NatInf
-from repro.semirings.polynomial import Polynomial
+from repro.semirings.polynomial import Polynomial, ProvenancePolynomialSemiring
 
-__all__ = ["AllTreesResult", "all_trees", "default_edb_ids"]
+__all__ = ["AllTreesResult", "all_trees", "all_trees_of", "default_edb_ids"]
 
 
 @dataclass
@@ -125,39 +129,25 @@ def all_trees(
     if isinstance(program, str):
         program = Program.parse(program)
     ground = ground_program(program, database)
-    ids = dict(edb_ids) if edb_ids is not None else default_edb_ids(ground)
+    return all_trees_of(ground, default_edb_ids(ground) if edb_ids is None else edb_ids)
+
+
+def all_trees_of(ground: GroundProgram, edb_ids: Mapping[GroundAtom, str]) -> AllTreesResult:
+    """All-Trees on a program already grounded (the grounding is not repeated)."""
+    ids = dict(edb_ids)
     missing = ground.edb_atoms - set(ids)
     if missing:
         raise DatalogError(f"edb_ids is missing ids for {len(missing)} EDB fact(s)")
-
-    infinite = ground.atoms_with_infinite_derivations() & ground.idb_atoms
-    polynomials: Dict[GroundAtom, Polynomial] = {}
-    cache: Dict[GroundAtom, Polynomial] = {}
-
-    def provenance_of(atom: GroundAtom) -> Polynomial:
-        if ground.is_edb(atom):
-            return Polynomial.var(ids[atom])
-        if atom in cache:
-            return cache[atom]
-        total = Polynomial.zero()
-        for rule in ground.rules_with_head(atom):
-            product = Polynomial.one()
-            for body_atom in rule.body:
-                product = product * provenance_of(body_atom)
-            total = total + product
-        cache[atom] = total
-        return total
-
-    for atom in ground.idb_atoms:
-        if atom in infinite:
-            continue
-        polynomials[atom] = provenance_of(atom)
-
+    result = solve_ground(
+        ground.reannotate({atom: Polynomial.var(ids[atom]) for atom in ground.edb_atoms}),
+        ProvenancePolynomialSemiring(),
+        on_divergence="skip",
+    )
     return AllTreesResult(
         ground=ground,
         edb_ids=ids,
-        polynomials=polynomials,
-        infinite=frozenset(infinite),
+        polynomials=result.annotations,
+        infinite=result.divergent_atoms,
     )
 
 

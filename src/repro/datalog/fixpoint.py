@@ -4,39 +4,62 @@ Definition 5.1 gives the proof-theoretic semantics -- the annotation of an
 output tuple is the (possibly infinite) sum, over all its derivation trees,
 of the product of the leaf annotations -- and Theorem 5.6 shows it coincides
 with the least solution of the algebraic system ``Q-bar = T_q(R, Q-bar)``.
-This module computes that least fixpoint directly by Kleene iteration of the
-immediate-consequence operator on the grounded program.
+:func:`solve_ground` computes that least solution on a grounded program; it
+is the one solver behind the naive engine, the semi-naive engine's
+non-idempotent path, incremental maintenance, the algebraic systems of
+Definition 5.5, All-Trees and the provenance series and circuits.
 
 Termination strategy
 --------------------
-* For semirings with **idempotent addition** (all the lattices, tropical,
-  fuzzy, Viterbi, why-provenance) the iteration is monotone in the natural
-  order and reaches the fixpoint after finitely many rounds; a configurable
-  ``max_iterations`` guards against pathological cases.
-* For semirings with **non-idempotent addition** (``N``, ``N-inf``,
-  ``N[X]``, power series) the annotation of a tuple converges iff the tuple
-  has finitely many derivation trees.  The engine first identifies the atoms
-  with infinitely many derivations (reachability from a cycle of the grounded
-  dependency graph -- the same analysis All-Trees relies on); the remaining
-  atoms form an acyclic sub-program whose values converge within one round
-  per atom.  Atoms with infinitely many derivations get the semiring's top
-  element (``infinity`` in ``N-inf``, reproducing Figure 7(b)); if the
-  semiring has no top the evaluation raises :class:`DivergenceError`.
+The solver builds the grounded dependency graph once, over the *live* ground
+rules only: a rule is dead when one of its EDB facts is absent (annotated
+zero) or one of its IDB body atoms has no live derivation.  One Tarjan pass
+splits the graph into strongly connected components, listed in dependency
+order, and each component is solved once every component it reads is done:
+
+* an **acyclic** atom takes one application of the immediate-consequence
+  operator;
+* a **cyclic component under idempotent addition** (the lattices, tropical,
+  fuzzy, Viterbi, why-provenance) is iterated as a worklist until nothing
+  changes.  The iteration is monotone in the natural order and reaches the
+  fixpoint after finitely many rounds; ``max_iterations`` bounds the rounds
+  of any one component and raises :class:`DivergenceError` beyond them;
+* under **non-idempotent addition** (``N``, ``N-inf``, ``N[X]``, circuits)
+  an atom converges iff it has finitely many derivation trees, i.e. iff it
+  is neither on a cyclic component nor downstream of one (the analysis
+  All-Trees relies on).  These divergent atoms are decided before any value
+  is computed: ``on_divergence="top"`` assigns the semiring's top element
+  (``infinity`` in ``N-inf``, reproducing Figure 7(b)), ``"skip"`` drops
+  them, and ``"error"`` -- or ``"top"`` over a semiring without a top --
+  raises :class:`DivergenceError`;
+* in the **degree-truncated power series** semiring ``N-inf[[X]]`` a cyclic
+  component is iterated instead, up to its stabilisation bound, and the
+  coefficients still moving after it are infinite (see
+  :mod:`repro.datalog.provenance` for the bound).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Mapping
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Set
 
 from repro.errors import DivergenceError
-from repro.datalog.grounding import GroundAtom, GroundProgram, ground_program
+from repro.datalog.grounding import (
+    GroundAtom,
+    GroundProgram,
+    GroundRule,
+    ground_program,
+    is_cyclic,
+    strongly_connected_components,
+)
 from repro.datalog.syntax import Program
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
 from repro.relations.schema import Schema
 from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
+from repro.semirings.numeric import INFINITY
+from repro.semirings.power_series import FormalPowerSeries, PowerSeriesSemiring
 
 __all__ = [
     "DatalogResult",
@@ -46,7 +69,7 @@ __all__ = [
     "solve_ground",
 ]
 
-#: Hard ceiling on Kleene rounds for idempotent semirings (safety net only).
+#: Hard ceiling on the rounds of one cyclic component (safety net only).
 DEFAULT_MAX_ITERATIONS = 10_000
 
 
@@ -59,7 +82,9 @@ class DatalogResult:
     annotations:
         Final annotation of every derivable IDB ground atom.
     iterations:
-        Number of Kleene rounds performed.
+        Rounds performed: the semi-naive delta loop's rounds for idempotent
+        semirings, otherwise the most rounds any one component of the
+        instantiation needed (1 when every atom took a single application).
     divergent_atoms:
         Atoms whose annotation was set to the semiring's top element because
         they have infinitely many derivation trees (empty for idempotent
@@ -105,6 +130,24 @@ class DatalogResult:
         return self.relation(self.ground.program.output, database)
 
 
+def _consequence(
+    rules: Iterable[GroundRule], values: Mapping[GroundAtom, Any], semiring: Semiring
+) -> Any:
+    """``T_q`` for one atom: the sum over its rules of their body products."""
+    zero = semiring.zero()
+    one = semiring.one()
+    mul, is_zero = semiring.mul, semiring.is_zero
+    total = zero
+    for rule in rules:
+        product = one
+        for body_atom in rule.body:
+            product = mul(product, values.get(body_atom, zero))
+            if is_zero(product):
+                break
+        total = semiring.add(total, product)
+    return total
+
+
 def immediate_consequence(
     ground: GroundProgram,
     semiring: Semiring,
@@ -120,24 +163,13 @@ def immediate_consequence(
     ``current`` value.  This is exactly how the paper turns ``T_q`` into the
     right-hand sides of the algebraic system (Definition 5.5).
     """
-    zero = semiring.zero()
+    values = dict(current)
+    values.update(ground.edb_annotations)
     selected = ground.idb_atoms if atoms is None else atoms
-    updated: Dict[GroundAtom, Any] = {}
-    for atom in selected:
-        total = zero
-        for rule in ground.rules_with_head(atom):
-            product = semiring.one()
-            for body_atom in rule.body:
-                if ground.is_edb(body_atom):
-                    value = ground.edb_annotations.get(body_atom, zero)
-                else:
-                    value = current.get(body_atom, zero)
-                product = semiring.mul(product, value)
-                if semiring.is_zero(product):
-                    break
-            total = semiring.add(total, product)
-        updated[atom] = total
-    return updated
+    return {
+        atom: _consequence(ground.rules_with_head(atom), values, semiring)
+        for atom in selected
+    }
 
 
 def evaluate_program(
@@ -164,13 +196,14 @@ def evaluate_program(
       infinitely many), so the kept annotations are unaffected.  The skipped
       atoms are reported in ``DatalogResult.divergent_atoms``.
 
-    ``engine`` selects the evaluation strategy: ``"naive"`` (default) grounds
-    the program and Kleene-iterates the immediate-consequence operator --
-    the reference implementation, closest to the paper's Definition 5.5;
-    ``"seminaive"`` runs the delta-driven engine of
-    :mod:`repro.datalog.seminaive`, which produces identical annotations and
-    is asymptotically faster on recursive programs.  The engines differ in
-    one inspection detail: for idempotent semirings the semi-naive result's
+    ``engine`` selects how the fixpoint is reached: ``"naive"`` (default)
+    grounds the program and hands the instantiation to :func:`solve_ground`,
+    which solves it component by component; ``"seminaive"`` runs the
+    delta-driven engine of :mod:`repro.datalog.seminaive`, which never
+    grounds the program for idempotent semirings and derives the
+    instantiation semi-naively for the others before handing it to the same
+    solver.  The annotations are identical.  The engines differ in one
+    inspection detail: for idempotent semirings the semi-naive result's
     ``ground`` carries no rule instantiations (see
     :attr:`DatalogResult.ground`).
 
@@ -182,7 +215,8 @@ def evaluate_program(
     semirings and programs of copy / single-join plans, with identical
     results.  The naive engine ignores it.
     """
-    _check_engine(engine)
+    if engine not in ("naive", "seminaive"):
+        raise ValueError(f"engine must be 'naive' or 'seminaive', got {engine!r}")
     if isinstance(program, str):
         program = Program.parse(program)
     if engine == "seminaive":
@@ -195,54 +229,70 @@ def evaluate_program(
             on_divergence=on_divergence,
             storage=storage,
         )
-    semiring = database.semiring
-    ground = ground_program(program, database)
     return solve_ground(
-        ground,
-        semiring,
+        ground_program(program, database),
+        database.semiring,
         max_iterations=max_iterations,
         on_divergence=on_divergence,
     )
 
 
-def _check_engine(engine: str) -> None:
-    if engine not in ("naive", "seminaive"):
-        raise ValueError(
-            f"engine must be 'naive' or 'seminaive', got {engine!r}"
-        )
-
-
-def classify_divergence(
-    ground: GroundProgram, semiring: Semiring, on_divergence: str
-) -> tuple[frozenset[GroundAtom], set[GroundAtom]]:
-    """Split the derivable IDB atoms into ``(divergent, finite)`` sets.
-
-    The single place both engines apply the divergence policy: validates
-    ``on_divergence``, classifies nothing as divergent under idempotent
-    addition, and otherwise raises :class:`DivergenceError` when divergent
-    atoms exist but the policy (or the semiring's lack of a top element)
-    cannot absorb them.
-    """
+def check_on_divergence(on_divergence: str) -> None:
+    """Reject an ``on_divergence`` policy other than top / error / skip."""
     if on_divergence not in ("top", "error", "skip"):
         raise ValueError(
             f"on_divergence must be 'top', 'error' or 'skip', got {on_divergence!r}"
         )
-    idb_atoms = ground.idb_atoms
-    if semiring.idempotent_add:
-        return frozenset(), set(idb_atoms)
-    divergent = ground.atoms_with_infinite_derivations() & idb_atoms
-    finite = set(idb_atoms) - divergent
-    if divergent:
-        if on_divergence == "error" or (
-            on_divergence == "top" and not semiring.has_top
-        ):
-            raise DivergenceError(
-                f"{len(divergent)} tuple(s) have infinitely many derivations and "
-                f"{semiring.name} cannot represent the infinite sum "
-                "(use an ω-continuous semiring with a top element, e.g. N∞, "
-                "or on_divergence='skip' to keep only the convergent atoms)"
-            )
-    return divergent, finite
+
+
+def _live_dependencies(ground: GroundProgram) -> Dict[GroundAtom, Set[GroundAtom]]:
+    """IDB atom -> the IDB atoms its live rules read.
+
+    A rule is live when every EDB atom of its body is a fact of the grounding
+    and every IDB atom of its body has a live rule itself (least fixpoint,
+    one counter per rule).  A grounding keeps only non-zero facts, so a rule
+    with a zero EDB factor is dead -- and so is every cycle only such a rule
+    closes (setting ``r = 0`` in Figure 7 makes ``u`` finite).  Every IDB
+    atom of the grounding is a key, with no dependencies if it is not live.
+    """
+    idb = ground.program.idb_predicates
+    facts = ground.edb_annotations
+    rules = ground.ground_rules
+    reads: List[List[GroundAtom]] = []
+    pending: List[int] = []
+    waiting: Dict[GroundAtom, List[int]] = {}
+    ready: List[int] = []
+    for index, rule in enumerate(rules):
+        idb_reads: List[GroundAtom] = []
+        for atom in rule.body:
+            if atom.relation in idb:
+                idb_reads.append(atom)
+            elif atom not in facts:
+                break  # dead: never ready, never waiting
+        else:
+            if not idb_reads:
+                ready.append(index)
+            for atom in idb_reads:
+                waiting.setdefault(atom, []).append(index)
+        reads.append(idb_reads)
+        pending.append(len(idb_reads))
+
+    successors: Dict[GroundAtom, Set[GroundAtom]] = {
+        atom: set() for atom in ground.idb_atoms
+    }
+    live: Set[GroundAtom] = set()
+    while ready:
+        index = ready.pop()
+        head = rules[index].head
+        successors.setdefault(head, set()).update(reads[index])
+        if head in live:
+            continue
+        live.add(head)
+        for waiter in waiting.get(head, ()):
+            pending[waiter] -= 1
+            if pending[waiter] == 0:
+                ready.append(waiter)
+    return successors
 
 
 def solve_ground(
@@ -252,56 +302,153 @@ def solve_ground(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     on_divergence: str = "top",
 ) -> DatalogResult:
-    """Kleene-solve an already-grounded program in ``semiring``.
+    """Solve an already-grounded program in ``semiring``, component by component.
 
-    The engine core behind :func:`evaluate_program`, exposed so callers that
-    already hold a :class:`~repro.datalog.grounding.GroundProgram` (or a
-    re-annotated copy of one, as the circuit provenance path builds) can
-    solve it without grounding a second time.  ``ground.edb_annotations``
-    must already be elements of ``semiring``.
+    The one ground solver (see the module docstring for the strategy per
+    component).  Callers that already hold a
+    :class:`~repro.datalog.grounding.GroundProgram` -- or a re-annotated copy
+    of one, as the provenance paths and algebraic systems build -- solve it
+    here without grounding a second time.  ``ground.edb_annotations`` must
+    already be elements of ``semiring``; a fact it leaves out is zero.
     """
-    divergent, finite_atoms = classify_divergence(ground, semiring, on_divergence)
+    check_on_divergence(on_divergence)
+    successors = _live_dependencies(ground)
+    components = [
+        (component, is_cyclic(component, successors))
+        for component in strongly_connected_components(successors)
+    ]
+    series = isinstance(semiring, PowerSeriesSemiring)
 
-    values: Dict[GroundAtom, Any] = {atom: semiring.zero() for atom in finite_atoms}
-    # Under "top", divergent atoms are pinned to top from the start so that
-    # finite atoms depending on them (impossible by construction, but
-    # harmless) see the correct value; under "skip" they are absent and read
-    # as zero, which finite atoms never observe for the same reason.
+    divergent: Set[GroundAtom] = set()
+    if not (semiring.idempotent_add or series):
+        for component, cyclic in components:
+            if cyclic or divergent and any(
+                read in divergent for atom in component for read in successors[atom]
+            ):
+                divergent.update(component)
+        if divergent and (
+            on_divergence == "error" or (on_divergence == "top" and not semiring.has_top)
+        ):
+            raise DivergenceError(
+                f"{len(divergent)} tuple(s) have infinitely many derivations and "
+                f"{semiring.name} cannot represent the infinite sum "
+                "(use an ω-continuous semiring with a top element, e.g. N∞, "
+                "or on_divergence='skip' to keep only the convergent atoms)"
+            )
+
+    # EDB facts and IDB values share one map (their predicates are disjoint);
+    # skipped atoms stay absent and read as zero, which no convergent atom
+    # observes: a live rule reading a divergent atom makes its head divergent.
+    values: Dict[GroundAtom, Any] = dict(ground.edb_annotations)
     if divergent and on_divergence == "top":
-        top = semiring.top()
-        for atom in divergent:
-            values[atom] = top
+        values.update(dict.fromkeys(divergent, semiring.top()))
 
-    iterations = 0
-    # For non-idempotent semirings the finite sub-program is acyclic, so
-    # |finite atoms| + 1 rounds always suffice; idempotent semirings iterate
-    # until stability.
-    if not semiring.idempotent_add:
-        max_iterations = min(max_iterations, len(finite_atoms) + 1)
+    def consequence(atom: GroundAtom) -> Any:
+        return _consequence(ground.rules_with_head(atom), values, semiring)
 
-    while iterations < max_iterations:
-        iterations += 1
-        updated = immediate_consequence(ground, semiring, values, atoms=finite_atoms)
-        changed = False
-        for atom, value in updated.items():
-            if value != values[atom]:
-                values[atom] = value
-                changed = True
-        if not changed:
-            break
-    else:
-        if semiring.idempotent_add:
+    iterations = 1
+    for component, cyclic in components:
+        if component[0] in divergent:
+            continue
+        if not cyclic:
+            values[component[0]] = consequence(component[0])
+            continue
+        if series:
+            rounds = _stabilise_series(component, consequence, values, semiring)
+        else:
+            rounds = _iterate_to_fixpoint(
+                component, successors, consequence, values, semiring, max_iterations
+            )
+        iterations = max(iterations, rounds)
+
+    return DatalogResult(
+        annotations={atom: values[atom] for atom in successors if atom in values},
+        iterations=iterations,
+        divergent_atoms=frozenset(divergent),
+        ground=ground,
+    )
+
+
+def _iterate_to_fixpoint(
+    component: Sequence[GroundAtom],
+    successors: Mapping[GroundAtom, Set[GroundAtom]],
+    consequence: Callable[[GroundAtom], Any],
+    values: Dict[GroundAtom, Any],
+    semiring: Semiring,
+    max_iterations: int,
+) -> int:
+    """Worklist rounds over one cyclic component of an idempotent semiring.
+
+    Each round re-applies ``T_q`` to the members whose body values changed in
+    the previous one; returns the number of rounds.
+    """
+    readers: Dict[GroundAtom, List[GroundAtom]] = {atom: [] for atom in component}
+    for atom in component:
+        for read in successors[atom]:
+            if read in readers:
+                readers[read].append(atom)
+    zero = semiring.zero()
+    for atom in component:
+        values[atom] = zero
+    dirty = dict.fromkeys(component)
+    rounds = 0
+    while dirty:
+        if rounds >= max_iterations:
             raise DivergenceError(
                 f"datalog evaluation over {semiring.name} did not converge within "
                 f"{max_iterations} iterations"
             )
+        rounds += 1
+        changed: Dict[GroundAtom, None] = {}
+        for atom in dirty:
+            value = consequence(atom)
+            if value != values[atom]:
+                values[atom] = value
+                changed.update(dict.fromkeys(readers[atom]))
+        dirty = changed
+    return rounds
 
-    return DatalogResult(
-        annotations=values,
-        iterations=iterations,
-        divergent_atoms=divergent,
-        ground=ground,
-    )
+
+def _stabilise_series(
+    component: Sequence[GroundAtom],
+    consequence: Callable[[GroundAtom], Any],
+    values: Dict[GroundAtom, Any],
+    semiring: PowerSeriesSemiring,
+) -> int:
+    """Jacobi rounds over one cyclic component in truncated ``N-inf[[X]]``.
+
+    Round ``r`` accounts for every derivation whose part inside the component
+    is at most ``r`` high.  After the stabilisation bound every finite
+    coefficient is exact, and an infinite one grows again within
+    ``len(component)`` more rounds (see :mod:`repro.datalog.provenance`);
+    the coefficients that moved in those rounds are set to ``infinity``.
+    """
+    degree = semiring.truncation_degree
+    bound = (degree + 1) * (len(component) + 1) + 1
+    zero = semiring.zero()
+    for atom in component:
+        values[atom] = zero
+
+    def jacobi_round() -> bool:
+        updated = [(atom, consequence(atom)) for atom in component]
+        changed = any(value != values[atom] for atom, value in updated)
+        values.update(updated)
+        return changed
+
+    for rounds in range(1, bound + 1):
+        if not jacobi_round():
+            return rounds
+    settled = {atom: values[atom] for atom in component}
+    for _ in component:
+        jacobi_round()
+    for atom in component:
+        before, after = settled[atom], values[atom]
+        terms = {monomial: coefficient for monomial, coefficient in after.terms}
+        for monomial in terms.keys() | {monomial for monomial, _ in before.terms}:
+            if before.coefficient(monomial) != after.coefficient(monomial):
+                terms[monomial] = INFINITY
+        values[atom] = FormalPowerSeries(terms, degree)
+    return bound + len(component)
 
 
 def evaluate(

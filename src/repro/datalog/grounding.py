@@ -12,7 +12,19 @@ Monomial-Coefficient (Figure 9), and the finiteness analysis (Theorem 6.5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import GroundingError
 from repro.datalog.syntax import Program, Rule
@@ -26,6 +38,8 @@ __all__ = [
     "GroundProgram",
     "ground_program",
     "collect_edb_annotations",
+    "strongly_connected_components",
+    "is_cyclic",
 ]
 
 
@@ -137,16 +151,28 @@ class GroundProgram:
             for body_atom in rule.body:
                 if body_atom.relation in idb:
                     edges.setdefault(body_atom, set()).add(rule.head)
-        components = _strongly_connected_components(edges)
-        cyclic: set[GroundAtom] = set()
-        for component in components:
-            if len(component) > 1:
-                cyclic.update(component)
-            else:
-                (atom,) = component
-                if atom in edges.get(atom, ()):
-                    cyclic.add(atom)
-        return frozenset(cyclic)
+        return frozenset(
+            atom
+            for component in strongly_connected_components(edges)
+            if is_cyclic(component, edges)
+            for atom in component
+        )
+
+    def _downstream(self, atoms: frozenset[GroundAtom]) -> frozenset[GroundAtom]:
+        """``atoms`` and every derivable atom some rule derives from them."""
+        if not atoms:
+            return frozenset()
+        forward: Dict[GroundAtom, set[GroundAtom]] = {}
+        for source, target in self.dependency_edges():
+            forward.setdefault(source, set()).add(target)
+        reached: set[GroundAtom] = set()
+        frontier = list(atoms)
+        while frontier:
+            atom = frontier.pop()
+            if atom not in reached:
+                reached.add(atom)
+                frontier.extend(forward.get(atom, ()))
+        return frozenset(reached & self.derivable)
 
     def atoms_with_infinite_derivations(self) -> frozenset[GroundAtom]:
         """Derivable atoms possessing infinitely many derivation trees.
@@ -157,40 +183,27 @@ class GroundProgram:
         atoms).  This is the structural fact behind the termination argument
         of All-Trees and behind the ∞ entries in Figure 7(b).
         """
-        cyclic = self.atoms_on_cycles()
-        if not cyclic:
-            return frozenset()
-        forward: Dict[GroundAtom, set[GroundAtom]] = {}
-        for source, target in self.dependency_edges():
-            forward.setdefault(source, set()).add(target)
-        reachable: set[GroundAtom] = set()
-        frontier = list(cyclic)
-        while frontier:
-            current = frontier.pop()
-            if current in reachable:
-                continue
-            reachable.add(current)
-            frontier.extend(forward.get(current, ()))
-        return frozenset(reachable & self.derivable)
+        return self._downstream(self.atoms_on_cycles())
 
     def reannotate(self, edb_annotations: Mapping[GroundAtom, Any]) -> "GroundProgram":
         """A copy of this grounding with the EDB facts annotated differently.
 
         The provenance paths use this to re-run the same instantiation under
         an abstract tagging (circuit variables, polynomial variables, ...)
-        without grounding a second time.  ``edb_annotations`` must cover every
-        EDB fact of this grounding.
+        without grounding a second time, and algebraic systems to solve it
+        under a valuation.  A fact of this grounding that ``edb_annotations``
+        leaves out is annotated zero: it leaves the support, and the ground
+        solver treats every rule reading it as dead.
         """
-        missing = self.edb_atoms - set(edb_annotations)
-        if missing:
-            raise GroundingError(
-                f"reannotation is missing values for {len(missing)} EDB fact(s)"
-            )
         return GroundProgram(
             self.program,
             self.database,
             list(self.ground_rules),
-            {atom: edb_annotations[atom] for atom in self.edb_atoms},
+            {
+                atom: edb_annotations[atom]
+                for atom in self.edb_annotations
+                if atom in edb_annotations
+            },
             set(self.derivable),
         )
 
@@ -201,21 +214,7 @@ class GroundProgram:
         ``N[[X]]`` (all coefficients finite) iff the tuple is not part of such
         a cycle's downstream.
         """
-        cyclic = self.atoms_on_cycles(unit_rules_only=True)
-        if not cyclic:
-            return frozenset()
-        forward: Dict[GroundAtom, set[GroundAtom]] = {}
-        for source, target in self.dependency_edges():
-            forward.setdefault(source, set()).add(target)
-        reachable: set[GroundAtom] = set()
-        frontier = list(cyclic)
-        while frontier:
-            current = frontier.pop()
-            if current in reachable:
-                continue
-            reachable.add(current)
-            frontier.extend(forward.get(current, ()))
-        return frozenset(reachable & self.derivable)
+        return self._downstream(self.atoms_on_cycles(unit_rules_only=True))
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
@@ -329,57 +328,71 @@ def _match_body(
     yield from extend({}, 0)
 
 
-def _strongly_connected_components(
-    edges: Mapping[GroundAtom, set[GroundAtom]]
-) -> list[set[GroundAtom]]:
-    """Iterative Tarjan SCC over the (small) grounded dependency graph."""
-    index_counter = 0
-    indices: Dict[GroundAtom, int] = {}
-    lowlink: Dict[GroundAtom, int] = {}
-    on_stack: Set[GroundAtom] = set()
-    stack: List[GroundAtom] = []
-    components: list[set[GroundAtom]] = []
-    nodes = set(edges)
-    for targets in edges.values():
-        nodes |= targets
+def strongly_connected_components(
+    successors: Mapping[Hashable, Iterable[Hashable]]
+) -> List[List[Hashable]]:
+    """Tarjan's strongly connected components, iteratively (no recursion).
 
-    for root in nodes:
+    ``successors`` maps a node to the nodes it points to; nodes reached only
+    as successors take part too.  Every component is listed after all the
+    components reachable from it, so with edges pointing from an atom to the
+    atoms its rules read, the list is in dependency order.  The instantiation
+    solver, :meth:`GroundProgram.atoms_on_cycles` and Monomial-Coefficient's
+    bag graph all decompose their graphs with this one pass.
+    """
+    counter = 0
+    indices: Dict[Hashable, int] = {}
+    lowlink: Dict[Hashable, int] = {}
+    on_stack: Set[Hashable] = set()
+    stack: List[Hashable] = []
+    components: List[List[Hashable]] = []
+
+    for root in successors:
         if root in indices:
             continue
-        work: List[tuple[GroundAtom, Iterator[GroundAtom]]] = [
-            (root, iter(edges.get(root, ())))
-        ]
-        indices[root] = lowlink[root] = index_counter
-        index_counter += 1
+        indices[root] = lowlink[root] = counter
+        counter += 1
         stack.append(root)
         on_stack.add(root)
+        work: List[tuple[Hashable, Iterator[Hashable]]] = [
+            (root, iter(successors.get(root, ())))
+        ]
         while work:
-            node, successors = work[-1]
-            advanced = False
-            for successor in successors:
+            node, pending = work[-1]
+            for successor in pending:
                 if successor not in indices:
-                    indices[successor] = lowlink[successor] = index_counter
-                    index_counter += 1
+                    indices[successor] = lowlink[successor] = counter
+                    counter += 1
                     stack.append(successor)
                     on_stack.add(successor)
-                    work.append((successor, iter(edges.get(successor, ()))))
-                    advanced = True
+                    work.append((successor, iter(successors.get(successor, ()))))
                     break
-                if successor in on_stack:
-                    lowlink[node] = min(lowlink[node], indices[successor])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == indices[node]:
-                component: set[GroundAtom] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(component)
+                if successor in on_stack and indices[successor] < lowlink[node]:
+                    lowlink[node] = indices[successor]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[node] < lowlink[parent]:
+                        lowlink[parent] = lowlink[node]
+                if lowlink[node] == indices[node]:
+                    component: List[Hashable] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
     return components
+
+
+def is_cyclic(
+    component: Sequence[Hashable], successors: Mapping[Hashable, Iterable[Hashable]]
+) -> bool:
+    """Whether a strongly connected component contains a cycle (or a self-loop)."""
+    if len(component) > 1:
+        return True
+    (node,) = component
+    return node in successors.get(node, ())
+

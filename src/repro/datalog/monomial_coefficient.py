@@ -15,9 +15,11 @@ derivations of ``(t, mu)`` in this finite graph is then the familiar
 problem solved for All-Trees: pairs reachable from a cycle (necessarily a
 cycle of unit rules, since any sibling of a cyclic split would have to
 consume an empty bag and hence contributes nothing) have infinitely many
-derivations, i.e. coefficient ``infinity``; the rest are counted exactly by
-memoized recursion.  This matches the termination argument given for
-Figure 9 in the paper (cycles of unit rules are the only source of ∞).
+derivations, i.e. coefficient ``infinity``; the rest are counted exactly,
+one strongly connected component at a time in dependency order (no
+recursion, however deep the derivations).  This matches the termination
+argument given for Figure 9 in the paper (cycles of unit rules are the only
+source of ∞).
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ from typing import Dict, Iterator, List, Mapping, Tuple
 
 from repro.errors import DatalogError
 from repro.datalog.all_trees import default_edb_ids
-from repro.datalog.grounding import GroundAtom, GroundProgram, ground_program
+from repro.datalog.grounding import (
+    GroundAtom,
+    GroundProgram,
+    ground_program,
+    is_cyclic,
+    strongly_connected_components,
+)
 from repro.datalog.syntax import Program
 from repro.relations.database import Database
 from repro.semirings.numeric import INFINITY, NatInf
@@ -151,59 +159,46 @@ def _count_trees_with_fringe(
         return NatInf(0)
 
     # ------------------------------------------------------------------
-    # Step 3: nodes on (or downstream of) a derivable cycle have coefficient
-    # infinity; the rest are counted by memoized recursion over an acyclic
-    # sub-graph.
+    # Step 3: count in dependency order over the fully derivable
+    # alternatives.  A node on a cycle of them, or using a node with
+    # coefficient infinity, has coefficient infinity; every other node sums
+    # its alternatives' products of counts computed before it.
     # ------------------------------------------------------------------
-    dependency: Dict[tuple[GroundAtom, _Bag], set[tuple[GroundAtom, _Bag]]] = {}
-    for node, alternatives in edges.items():
-        if node not in derivable:
-            continue
-        for children in alternatives:
-            if all(child in derivable for child in children):
-                for child in children:
-                    dependency.setdefault(child, set()).add(node)
-    cyclic = _nodes_on_cycles(dependency)
+    alternatives_of = {
+        node: [
+            children
+            for children in alternatives
+            if all(child in derivable for child in children)
+        ]
+        for node, alternatives in edges.items()
+        if node in derivable
+    }
+    successors = {
+        node: {child for children in alternatives for child in children}
+        for node, alternatives in alternatives_of.items()
+    }
+    counts: Dict[tuple[GroundAtom, _Bag], int] = dict.fromkeys(leaf_nodes, 1)
     infinite: set[tuple[GroundAtom, _Bag]] = set()
-    frontier = list(cyclic)
-    while frontier:
-        node = frontier.pop()
-        if node in infinite:
+    for component in strongly_connected_components(successors):
+        if is_cyclic(component, successors) or any(
+            child in infinite for node in component for child in successors.get(node, ())
+        ):
+            infinite.update(component)
             continue
-        infinite.add(node)
-        frontier.extend(dependency.get(node, ()))
+        (node,) = component
+        if node in counts:
+            continue
+        total = 0
+        for children in alternatives_of[node]:
+            product = 1
+            for child in children:
+                product *= counts[child]
+            total += product
+        counts[node] = total
 
     if (root, target) in infinite:
         return INFINITY
-
-    cache: Dict[tuple[GroundAtom, _Bag], int] = {}
-
-    def count(node: tuple[GroundAtom, _Bag]) -> int:
-        if node in leaf_nodes:
-            return 1
-        atom, _bag = node
-        if ground.is_edb(atom):
-            return 0
-        if node in cache:
-            return cache[node]
-        total = 0
-        for children in edges.get(node, ()):
-            # Only fully derivable alternatives can contribute trees; skipping
-            # the others *before* recursing keeps the recursion inside the
-            # acyclic sub-graph (a cycle of derivable alternatives would have
-            # classified the root as infinite already).
-            if any(child not in derivable for child in children):
-                continue
-            product = 1
-            for child in children:
-                product *= count(child)
-                if product == 0:
-                    break
-            total += product
-        cache[node] = total
-        return total
-
-    return NatInf(count((root, target)))
+    return NatInf(counts[(root, target)])
 
 
 # ----------------------------------------------------------------------
@@ -245,63 +240,3 @@ def _sub_bags(bag: _Bag) -> Iterator[tuple[_Bag, _Bag]]:
             yield from recurse(index + 1, chosen + [count])
 
     yield from recurse(0, [])
-
-
-def _nodes_on_cycles(
-    dependency: Mapping[tuple, set],
-) -> set:
-    """Nodes lying on a directed cycle of the (child -> parent) dependency graph."""
-    # Iterative DFS-based detection via strongly connected components.
-    index_counter = 0
-    indices: Dict[tuple, int] = {}
-    lowlink: Dict[tuple, int] = {}
-    on_stack: set = set()
-    stack: list = []
-    cyclic: set = set()
-    nodes = set(dependency)
-    for targets in dependency.values():
-        nodes |= targets
-
-    for start in nodes:
-        if start in indices:
-            continue
-        work = [(start, iter(dependency.get(start, ())))]
-        indices[start] = lowlink[start] = index_counter
-        index_counter += 1
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for successor in successors:
-                if successor not in indices:
-                    indices[successor] = lowlink[successor] = index_counter
-                    index_counter += 1
-                    stack.append(successor)
-                    on_stack.add(successor)
-                    work.append((successor, iter(dependency.get(successor, ()))))
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    lowlink[node] = min(lowlink[node], indices[successor])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == indices[node]:
-                component = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    cyclic |= component
-                else:
-                    (only,) = component
-                    if only in dependency.get(only, ()):
-                        cyclic.add(only)
-    return cyclic

@@ -1,11 +1,11 @@
 """Semi-naive, delta-driven datalog evaluation (``engine="seminaive"``).
 
 The naive engine of :mod:`repro.datalog.fixpoint` first *grounds* the whole
-program (enumerating every rule instantiation from scratch in every round of
-a Boolean pre-fixpoint) and then Kleene-iterates the immediate-consequence
-operator over all ground rules until nothing changes.  Both steps redo work
-proportional to everything derived so far.  This module evaluates rules
-directly against :class:`~repro.relations.krelation.KRelation`s instead:
+program, enumerating every rule instantiation from scratch in every round of
+a Boolean pre-fixpoint -- work proportional to everything derived so far,
+redone each round -- and then solves the instantiation.  This module
+evaluates rules directly against
+:class:`~repro.relations.krelation.KRelation`s instead:
 
 * every rule is compiled once into a set of **join plans** -- one *seed*
   plan for rules whose body is entirely extensional and one *delta variant*
@@ -33,15 +33,11 @@ accumulation would double-count, and exact values exist only for atoms with
 finitely many derivation trees.  The engine therefore runs its delta-driven
 machinery once in *collect* mode over the Boolean support -- deriving every
 fact and recording every rule instantiation, which is the instantiation the
-naive engine computes far more expensively -- then reuses the existing
-cycle/finiteness analysis of :class:`~repro.datalog.grounding.GroundProgram`
-(``atoms_with_infinite_derivations``, exactly as the naive engine and
-All-Trees do) and evaluates the acyclic remainder in a **single topological
-pass**.  Divergent atoms are handled identically to the naive engine:
-``on_divergence="top"`` pins them to the semiring's top element (raising
-:class:`~repro.errors.DivergenceError` when there is none), ``"error"``
-always raises, and ``"skip"`` drops them while keeping the exact annotations
-of the convergent atoms.
+naive engine computes far more expensively -- then hands that grounding to
+the one ground solver, :func:`repro.datalog.fixpoint.solve_ground`, exactly
+as the naive engine does: the convergent atoms take one application of
+``T_q`` each, in dependency order, and the divergent ones (on or downstream
+of a cycle) follow ``on_divergence``.
 
 Array-resident rounds
 ---------------------
@@ -79,8 +75,8 @@ from repro.obs import trace as _trace
 from repro.datalog.fixpoint import (
     DEFAULT_MAX_ITERATIONS,
     DatalogResult,
-    classify_divergence,
-    immediate_consequence,
+    check_on_divergence,
+    solve_ground,
 )
 from repro.datalog.grounding import (
     GroundAtom,
@@ -97,7 +93,7 @@ from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
 from repro.semirings.boolean import BooleanSemiring
 
-__all__ = ["evaluate_program_seminaive", "solve_ground_seminaive"]
+__all__ = ["evaluate_program_seminaive"]
 
 # Post-match opcodes: bind a slot / check against a slot / check a constant.
 _BIND, _CHECK_SLOT, _CHECK_CONST = 0, 1, 2
@@ -1300,10 +1296,7 @@ def evaluate_program_seminaive(
     semiring regimes are handled.  Callers normally reach this through
     ``evaluate_program(..., engine="seminaive")``.
     """
-    if on_divergence not in ("top", "error", "skip"):
-        raise ValueError(
-            f"on_divergence must be 'top', 'error' or 'skip', got {on_divergence!r}"
-        )
+    check_on_divergence(on_divergence)
     if isinstance(program, str):
         program = Program.parse(program)
     semiring = database.semiring
@@ -1333,108 +1326,9 @@ def evaluate_program_seminaive(
     # iteration -- does not apply here, matching the naive engine whose
     # grounding pre-pass is equally uncapped.
     engine.run(max(max_iterations, DEFAULT_MAX_ITERATIONS))
-    ground = engine.ground_program()
-    return solve_ground_seminaive(
-        ground,
+    return solve_ground(
+        engine.ground_program(),
         semiring,
         max_iterations=max_iterations,
         on_divergence=on_divergence,
     )
-
-
-def solve_ground_seminaive(
-    ground: GroundProgram,
-    semiring: Semiring,
-    *,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    on_divergence: str = "top",
-) -> DatalogResult:
-    """Semi-naive solver for an already-grounded program.
-
-    The counterpart of :func:`repro.datalog.fixpoint.solve_ground`, used by
-    the provenance paths (which re-annotate a shared grounding with circuit
-    or polynomial variables).  Non-idempotent semirings are solved by one
-    topological pass over the convergent (acyclic) atoms after the usual
-    divergence analysis; idempotent semirings by rounds of a dependency-aware
-    worklist that only recomputes atoms whose rule bodies changed.
-    """
-    divergent, finite = classify_divergence(ground, semiring, on_divergence)
-    zero = semiring.zero()
-
-    def recompute(atom: GroundAtom, values: Dict[GroundAtom, Any]) -> Any:
-        # One application of T_q restricted to a single atom -- the same
-        # operator (and code) the naive engine iterates over all atoms.
-        return immediate_consequence(ground, semiring, values, atoms=(atom,))[atom]
-
-    values: Dict[GroundAtom, Any] = {}
-    if divergent and on_divergence == "top":
-        top = semiring.top()
-        for atom in divergent:
-            values[atom] = top
-
-    if not semiring.idempotent_add:
-        # One pass in dependency order: every rule body of a convergent atom
-        # only mentions EDB facts and convergent atoms evaluated earlier.
-        for atom in _topological_order(ground, finite):
-            values[atom] = recompute(atom, values)
-        iterations = 1
-    else:
-        values.update({atom: zero for atom in finite})
-        dependents: Dict[GroundAtom, Set[GroundAtom]] = {}
-        for rule in ground.ground_rules:
-            for body_atom in rule.body:
-                if body_atom in finite:
-                    dependents.setdefault(body_atom, set()).add(rule.head)
-        dirty: Set[GroundAtom] = set(finite)
-        iterations = 0
-        while dirty:
-            if iterations >= max_iterations:
-                raise DivergenceError(
-                    f"datalog evaluation over {semiring.name} did not converge within "
-                    f"{max_iterations} iterations"
-                )
-            iterations += 1
-            next_dirty: Set[GroundAtom] = set()
-            for atom in dirty:
-                updated = recompute(atom, values)
-                if updated != values[atom]:
-                    values[atom] = updated
-                    next_dirty |= dependents.get(atom, set())
-            dirty = next_dirty & finite
-
-    return DatalogResult(
-        annotations=values,
-        iterations=iterations,
-        divergent_atoms=divergent,
-        ground=ground,
-    )
-
-
-def _topological_order(
-    ground: GroundProgram, finite: Set[GroundAtom]
-) -> List[GroundAtom]:
-    """Kahn order of the finite IDB atoms under the grounded dependency graph."""
-    dependents: Dict[GroundAtom, List[GroundAtom]] = {}
-    in_degree: Dict[GroundAtom, int] = {atom: 0 for atom in finite}
-    for atom in finite:
-        seen: Set[GroundAtom] = set()
-        for rule in ground.rules_with_head(atom):
-            for body_atom in rule.body:
-                if body_atom in finite and body_atom not in seen:
-                    seen.add(body_atom)
-                    dependents.setdefault(body_atom, []).append(atom)
-                    in_degree[atom] += 1
-    queue = [atom for atom, degree in in_degree.items() if degree == 0]
-    order: List[GroundAtom] = []
-    while queue:
-        atom = queue.pop()
-        order.append(atom)
-        for dependent in dependents.get(atom, ()):
-            in_degree[dependent] -= 1
-            if in_degree[dependent] == 0:
-                queue.append(dependent)
-    if len(order) != len(finite):  # pragma: no cover - guarded by divergence analysis
-        raise DivergenceError(
-            "internal error: cycle among atoms classified as convergent"
-        )
-    return order

@@ -52,9 +52,14 @@ from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import DatalogError, DivergenceError
 from repro.obs import trace as _trace
-from repro.datalog.fixpoint import DEFAULT_MAX_ITERATIONS, DatalogResult
+from repro.datalog.fixpoint import (
+    DEFAULT_MAX_ITERATIONS,
+    DatalogResult,
+    check_on_divergence,
+    solve_ground,
+)
 from repro.datalog.grounding import GroundAtom, GroundProgram, collect_edb_annotations
-from repro.datalog.seminaive import _SemiNaiveEngine, solve_ground_seminaive
+from repro.datalog.seminaive import _SemiNaiveEngine
 from repro.datalog.syntax import Program
 from repro.incremental.delta import UpdateBatch
 from repro.relations.database import Database
@@ -99,10 +104,7 @@ class IncrementalDatalog:
         on_divergence: str = "top",
         storage: Any = None,
     ):
-        if on_divergence not in ("top", "error", "skip"):
-            raise ValueError(
-                f"on_divergence must be 'top', 'error' or 'skip', got {on_divergence!r}"
-            )
+        check_on_divergence(on_divergence)
         if isinstance(program, str):
             program = Program.parse(program)
         self.program = program
@@ -162,7 +164,7 @@ class IncrementalDatalog:
                 divergent_atoms=frozenset(),
                 ground=ground,
             )
-        return solve_ground_seminaive(
+        return solve_ground(
             engine.ground_program(),
             self.semiring,
             max_iterations=self.max_iterations,

@@ -1,18 +1,24 @@
 """Algorithm All-Trees (Figure 8, E8) and derivation-tree enumeration."""
 
+import inspect
+import sys
+
 import pytest
 
 from repro.datalog import (
     GroundAtom,
+    Program,
     all_trees,
     bag_multiplicities,
     count_derivation_trees,
+    datalog_provenance,
     enumerate_derivation_trees,
     ground_program,
+    monomial_coefficient,
 )
 from repro.errors import DatalogError
 from repro.relations import Database
-from repro.semirings import CompletedNaturalsSemiring, NatInf, Polynomial
+from repro.semirings import CompletedNaturalsSemiring, Monomial, NatInf, Polynomial
 from repro.semirings.numeric import INFINITY
 from repro.workloads import (
     chain_graph_database,
@@ -115,3 +121,54 @@ class TestAgainstBruteForceEnumeration:
             assert tree.size() >= 2
             leaves = list(tree.leaves())
             assert all(leaf.relation == "R" for leaf in leaves)
+
+
+class TestRecursionSafety:
+    """All-Trees, the series path and Monomial-Coefficient solve the
+    instantiation iteratively: derivations deeper than the interpreter's
+    remaining stack are fine."""
+
+    DEPTH = 100
+
+    @pytest.fixture(autouse=True)
+    def low_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        # Half as much headroom as the chain is deep: one frame per
+        # derivation level cannot finish.
+        sys.setrecursionlimit(len(inspect.stack()) + self.DEPTH // 2)
+        try:
+            yield
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def _edge_chain(self):
+        """``P(0), ..., P(DEPTH)``: ``P(k)`` is derived ``k + 1`` rules deep."""
+        database = Database(CompletedNaturalsSemiring())
+        database.create("S", ["x"], [((0,), 1)])
+        database.create("R", ["x", "y"], [((i, i + 1), 1) for i in range(self.DEPTH)])
+        return "P(x) :- S(x)\nP(y) :- P(x), R(x, y)", database
+
+    def test_all_trees_on_a_deep_chain(self):
+        program, database = self._edge_chain()
+        result = all_trees(program, database)
+        assert not result.infinite
+        deepest = result.provenance(GroundAtom("P", (self.DEPTH,)))
+        assert deepest.terms[0][0].degree == self.DEPTH + 1
+
+    def test_datalog_provenance_on_a_deep_chain(self):
+        program, database = self._edge_chain()
+        provenance = datalog_provenance(program, database)
+        deepest = provenance.provenance(GroundAtom("P", (self.DEPTH,)))
+        assert deepest.is_exact and len(deepest.terms) == 1
+
+    def test_monomial_coefficient_on_a_deep_unit_chain(self):
+        """``P0(x) :- S(x)`` then ``P{i}(x) :- P{i-1}(x)``: one leaf, a
+        derivation ``DEPTH`` unit rules deep."""
+        text = "P0(x) :- S(x)\n" + "\n".join(
+            f"P{i}(x) :- P{i - 1}(x)" for i in range(1, self.DEPTH)
+        )
+        program = Program.parse(text, output=f"P{self.DEPTH - 1}")
+        database = Database(CompletedNaturalsSemiring())
+        database.create("S", ["x"], [((0,), 1)])
+        result = monomial_coefficient(program, database, (0,), Monomial.var("t1"))
+        assert result.coefficient == NatInf(1)

@@ -1,6 +1,10 @@
 """Datalog provenance in N∞[[X]] (Section 6) and Monomial-Coefficient (Figure 9)."""
 
+import sys
+
 import pytest
+
+from repro.datalog import grounding
 
 from repro.datalog import (
     GroundAtom,
@@ -161,3 +165,26 @@ class TestSeriesCoefficientsAgainstTreeCounting:
                 1 for tree in trees if tree.fringe(figure7_edb_ids()) == Monomial.var("s", n)
             )
             assert series.coefficient(Monomial.var("s", n)) == NatInf(expected)
+
+
+def test_datalog_provenance_grounds_the_program_once(monkeypatch):
+    """The polynomials and the truncated series are both solved on the one
+    grounding the call holds; nothing grounds the program a second time."""
+    calls = []
+    original = grounding.ground_program
+
+    def spy(program, database):
+        calls.append(program)
+        return original(program, database)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro") and (
+            getattr(module, "ground_program", None) is original
+        ):
+            monkeypatch.setattr(module, "ground_program", spy)
+    for provenance in ("series", "circuit"):
+        calls.clear()
+        datalog_provenance(
+            figure7_program(), figure7_database(), edb_ids=figure7_edb_ids(), provenance=provenance
+        )
+        assert len(calls) == 1, provenance

@@ -3,10 +3,8 @@
 Covers the full ``on_divergence`` matrix on a cyclic instance -- raising
 :class:`DivergenceError` when the semiring cannot absorb an infinite sum,
 assigning the top element when it can (``N∞``, Figure 7(b)), and skipping
-the divergent atoms while keeping exact values -- plus the round-count
-regression: on an acyclic chain the semi-naive engine solves the program in
-a single topological pass where the naive engine Kleene-iterates once per
-path length.
+the divergent atoms while keeping exact values -- plus the round count: on
+an acyclic chain both engines solve the instantiation in a single pass.
 """
 
 from __future__ import annotations
@@ -85,33 +83,25 @@ def test_natinf_top_assignment_matches_figure_7b_semantics():
 
 
 def test_circuit_provenance_divergence_matrix():
-    """The circuit path forwards on_divergence to the semi-naive solver."""
+    """The circuit path forwards on_divergence to the ground solver."""
     bag = NaturalsSemiring()
     database = _cyclic_database(bag)
-    skip = datalog_circuit_provenance(TC, database, engine="seminaive")
+    skip = datalog_circuit_provenance(TC, database)
     assert skip.circuits == {}
-    assert skip.divergent == datalog_circuit_provenance(TC, database).divergent
+    assert skip.divergent == frozenset(skip.ground.idb_atoms)
     with pytest.raises(DivergenceError):
-        datalog_circuit_provenance(
-            TC, database, engine="seminaive", on_divergence="error"
-        )
+        datalog_circuit_provenance(TC, database, on_divergence="error")
 
 
-def test_seminaive_round_count_beats_naive_on_chain():
-    """Regression: on a chain the semi-naive engine needs strictly fewer rounds.
-
-    Under ``N`` the chain's grounding is acyclic, so the semi-naive engine
-    finishes in one topological pass while the naive engine performs one
-    Kleene round per path length (plus one to detect stability).
-    """
-    length = 12
-    database = chain_graph_database(NaturalsSemiring(), length=length)
+def test_acyclic_chain_is_solved_in_one_pass_by_both_engines():
+    """Under ``N`` the chain's grounding is acyclic: every atom takes one
+    application of ``T_q`` in dependency order, whichever engine found the
+    instantiation -- not one Kleene round per path length."""
+    database = chain_graph_database(NaturalsSemiring(), length=12)
     naive = evaluate_program(TC, database)
     seminaive = evaluate_program(TC, database, engine="seminaive")
     assert naive.annotations == seminaive.annotations
-    assert seminaive.iterations < naive.iterations
-    assert seminaive.iterations == 1
-    assert naive.iterations > length / 2
+    assert naive.iterations == seminaive.iterations == 1
 
 
 def test_invalid_on_divergence_is_rejected():

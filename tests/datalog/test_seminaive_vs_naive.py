@@ -1,16 +1,18 @@
 """Differential property tests: the semi-naive engine against the naive one.
 
-The naive Kleene engine is the reference implementation (closest to the
-paper's Definition 5.5); the semi-naive engine must agree with it
-annotation-for-annotation on every program, database and semiring.  This
+The naive engine (ground, then solve) is the reference implementation,
+closest to the paper's Definition 5.5; the semi-naive engine must agree with
+it annotation-for-annotation on every program, database and semiring.  This
 suite drives both engines with randomized programs and EDB databases from
 ``tests/strategies.py`` over every registry semiring the engines support,
 including the non-idempotent provenance semirings where the semi-naive
-engine takes its collect-then-topological path.
+engine collects the instantiation itself.
 
 ``on_divergence="skip"`` is used throughout so the same property holds for
 semirings without a top element (``N``, ``N[X]``, circuits): both engines
-must then also agree on *which* atoms they skipped.
+must then also agree on *which* atoms they skipped.  Below the engines both
+hand the instantiation to one ground solver, which
+``test_solver_vs_kleene.py`` checks against the global Kleene oracle.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from strategies import REGISTRY_SEMIRING_NAMES, programs_with_databases
 
 from repro.circuits import to_polynomial
-from repro.datalog import (
-    Program,
-    build_algebraic_system,
-    datalog_provenance,
-    evaluate_program,
-)
+from repro.datalog import Program, evaluate_program
 from repro.relations.database import Database
 from repro.semirings import Polynomial, get_semiring
 
@@ -86,65 +83,6 @@ def test_engines_agree_under_top_assignment(data):
         program, database, on_divergence="top", engine="seminaive"
     )
     _assert_engines_agree(database.semiring, naive, seminaive)
-
-
-@given(data=st.data())
-@settings(
-    max_examples=15,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_provenance_series_agree(data):
-    """The series path computes identical provenance under either engine."""
-    program, database = data.draw(programs_with_databases("bag"))
-    naive = datalog_provenance(program, database, truncation_degree=3)
-    seminaive = datalog_provenance(
-        program, database, truncation_degree=3, engine="seminaive"
-    )
-    assert set(naive.series) == set(seminaive.series)
-    for atom in naive.series:
-        assert naive.series[atom] == seminaive.series[atom], str(atom)
-    assert naive.classification == seminaive.classification
-
-
-@given(data=st.data())
-@settings(
-    max_examples=15,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_circuit_provenance_agrees(data):
-    """Circuit provenance from the shared grounding is structurally identical."""
-    program, database = data.draw(programs_with_databases("bag"))
-    naive = datalog_provenance(program, database, provenance="circuit")
-    seminaive = datalog_provenance(
-        program, database, provenance="circuit", engine="seminaive"
-    )
-    assert naive.divergent == seminaive.divergent
-    assert set(naive.circuits) == set(seminaive.circuits)
-    for atom, circuit in naive.circuits.items():
-        # Hash-consing makes structural equality an identity check.
-        assert seminaive.circuits[atom] is circuit, str(atom)
-
-
-@pytest.mark.parametrize("semiring_name", ["bool", "natinf", "tropical"])
-@given(data=st.data())
-@settings(
-    max_examples=15,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_algebraic_system_worklist_agrees(semiring_name, data):
-    """AlgebraicSystem.solve's dependency-aware worklist matches the naive loop."""
-    program, database = data.draw(programs_with_databases(semiring_name))
-    system = build_algebraic_system(program, database)
-    semiring = database.semiring
-    naive = system.solve(semiring, on_divergence="skip")
-    seminaive = system.solve(semiring, on_divergence="skip", engine="seminaive")
-    assert naive == seminaive
 
 
 def test_rejects_unknown_engine():

@@ -284,10 +284,22 @@ def edb_databases(
 
 
 @st.composite
-def programs_with_databases(draw, semiring_name: str):
-    """A (program, database) pair over the named registry semiring."""
+def programs_with_databases(draw, semiring_name: str, recursive: bool = False):
+    """A (program, database) pair over the named registry semiring.
+
+    With ``recursive`` the program also gets a rule whose body reads IDB
+    predicates only (a unit rule when the body has one atom), so that most
+    groundings have cycles -- and many have cycles of unit rules.
+    """
     semiring = get_semiring(semiring_name)
     program = draw(programs())
+    if recursive:
+        idb = tuple(sorted(program.idb_predicates))
+        arities = {predicate: program.arity(predicate) for predicate in program.predicates}
+        head = draw(st.sampled_from(idb))
+        program = Program(
+            list(program.rules) + [draw(_rule(head, arities, idb))], output=program.output
+        )
     database = draw(edb_databases(program, semiring))
     return program, database
 
