@@ -127,7 +127,6 @@ from repro.incremental import (
     apply_batch_to_database,
     apply_delta,
     batch_deltas,
-    view_delta,
 )
 from repro.engine import compile_query, execute
 from repro.obs import (
@@ -221,7 +220,6 @@ __all__ = [
     "UpdateBatch",
     "MaterializedView",
     "IncrementalDatalog",
-    "view_delta",
     "apply_delta",
     "batch_deltas",
     "apply_batch_to_database",

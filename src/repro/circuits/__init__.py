@@ -11,14 +11,14 @@ memoized pass per valuation instead of monomial-by-monomial re-evaluation.
   annotation semiring for K-relations and the datalog engine;
 * :mod:`repro.circuits.evaluate` -- the memoized ``Eval_v`` pass,
   polynomial converters, :func:`specialize` (one query, many semirings),
-  and the linear inference passes (``wmc`` / ``map_model`` /
-  ``top_k_models``) over compiled circuits;
+  and the linear inference passes over compiled circuits (``wmc`` and
+  ``top_k_models``, whose top-1 is the MAP assignment);
 * :mod:`repro.circuits.knowledge` -- the structural property layer of the
   knowledge-compilation map (decomposability, determinism, smoothness);
 * :mod:`repro.circuits.compile` -- compilation of any provenance circuit or
   PosBool condition into its Shannon expansion, a reduced ordered decision
-  diagram built bottom-up by memoized apply: the engine behind
-  ``method="compile"`` probabilistic inference.
+  diagram built bottom-up by memoized apply: the engine behind every
+  probability, top-k and MAP answer of :mod:`repro.probabilistic`.
 """
 
 from repro.circuits.compile import (
@@ -32,7 +32,6 @@ from repro.circuits.evaluate import (
     circuit_evaluation,
     eval_circuit,
     from_polynomial,
-    map_model,
     restrict_vars,
     specialize,
     to_polynomial,
@@ -104,7 +103,6 @@ __all__ = [
     "restrict_vars",
     "wmc",
     "wmc_many",
-    "map_model",
     "top_k_models",
     "is_decomposable",
     "is_deterministic",

@@ -199,18 +199,11 @@ class CompiledCircuit:
 
         return wmc(self.root, weights)
 
-    def map_model(
-        self, weights: Mapping[str, float]
-    ) -> Tuple[float, Dict[str, bool]] | None:
-        """The most probable satisfying assignment (or ``None`` if unsatisfiable)."""
-        from repro.circuits.evaluate import map_model
-
-        return map_model(self.root, weights, order=self.order)
-
     def top_k(
         self, weights: Mapping[str, float], k: int
     ) -> List[Tuple[float, Dict[str, bool]]]:
-        """The ``k`` most probable satisfying assignments, most probable first."""
+        """The ``k`` most probable satisfying assignments, most probable first
+        (``k = 1`` is the MAP assignment; empty when unsatisfiable)."""
         from repro.circuits.evaluate import top_k_models
 
         return top_k_models(self.root, weights, k, order=self.order)

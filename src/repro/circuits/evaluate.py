@@ -56,7 +56,6 @@ __all__ = [
     "restrict_vars",
     "wmc",
     "wmc_many",
-    "map_model",
     "top_k_models",
 ]
 
@@ -390,7 +389,7 @@ def _decision_levels(root: Node, order: Sequence[str]) -> Dict[int, int]:
             for branch in (current.hi, current.lo):
                 if levels[branch.node_id] <= level:
                     raise SemiringError(
-                        "map_model/top_k_models expect an *ordered* decision "
+                        "top_k_models expects an *ordered* decision "
                         "diagram (branches decide strictly later variables); "
                         "got an out-of-order edge at "
                         f"{current.name!r}"
@@ -398,85 +397,10 @@ def _decision_levels(root: Node, order: Sequence[str]) -> Dict[int, int]:
             levels[current.node_id] = level
         else:
             raise SemiringError(
-                "map_model/top_k_models run on compiled circuits only "
+                "top_k_models runs on compiled circuits only "
                 f"(decision gates and constants); found {type(current).__name__}"
             )
     return levels
-
-
-def map_model(
-    root: Node, weights: Mapping[str, float], *, order: Sequence[str]
-) -> Tuple[float, Dict[str, bool]] | None:
-    """The most probable satisfying assignment of a compiled circuit.
-
-    Max-product over the decision diagram, with *gap accounting*: an edge
-    that skips order levels contributes ``max(p, 1-p)`` per skipped
-    variable (the free variables take their individually most likely value).
-    Returns ``(probability, assignment)`` over every variable of ``order``,
-    or ``None`` when the circuit is unsatisfiable.  Ties break toward
-    ``True``/the hi branch, deterministically.
-    """
-    levels = _decision_levels(root, order)
-    probs = [_weight(weights, name) for name in order]
-    maxes = [max(p, 1.0 - p) for p in probs]
-
-    def gap(a: int, b: int) -> float:
-        value = 1.0
-        for i in range(a, b):
-            value *= maxes[i]
-        return value
-
-    best: Dict[int, float] = {}
-    sat: Dict[int, bool] = {}
-    for current in iter_nodes(root):
-        if isinstance(current, Const):
-            best[current.node_id] = 0.0 if current.value == 0 else 1.0
-            sat[current.node_id] = current.value != 0
-        else:
-            level = levels[current.node_id]
-            p = probs[level]
-            hi_value = (
-                p
-                * gap(level + 1, levels[current.hi.node_id])
-                * best[current.hi.node_id]
-            )
-            lo_value = (
-                (1.0 - p)
-                * gap(level + 1, levels[current.lo.node_id])
-                * best[current.lo.node_id]
-            )
-            best[current.node_id] = max(hi_value, lo_value)
-            sat[current.node_id] = sat[current.hi.node_id] or sat[current.lo.node_id]
-    if not sat[root.node_id]:
-        return None
-    probability = gap(0, levels[root.node_id]) * best[root.node_id]
-
-    assignment: Dict[str, bool] = {}
-
-    def fill_gap(a: int, b: int) -> None:
-        for i in range(a, b):
-            assignment[order[i]] = probs[i] >= 0.5
-
-    fill_gap(0, levels[root.node_id])
-    node = root
-    while not isinstance(node, Const):
-        level = levels[node.node_id]
-        p = probs[level]
-        hi_value = p * gap(level + 1, levels[node.hi.node_id]) * best[node.hi.node_id]
-        lo_value = (
-            (1.0 - p) * gap(level + 1, levels[node.lo.node_id]) * best[node.lo.node_id]
-        )
-        # Pick the better branch, but never a provably unsatisfiable one --
-        # with 0/1 weights both values can be 0 while only one branch has
-        # models at all.
-        hi_ok = sat[node.hi.node_id]
-        lo_ok = sat[node.lo.node_id]
-        take_hi = hi_ok and (not lo_ok or hi_value >= lo_value)
-        assignment[order[level]] = take_hi
-        child = node.hi if take_hi else node.lo
-        fill_gap(level + 1, levels[child.node_id])
-        node = child
-    return probability, assignment
 
 
 def _top_completions(

@@ -17,6 +17,11 @@ dominated monomials.  This module therefore evaluates the program once in
 the "datalog on c-tables" semantics the paper notes is new for incomplete
 databases -- and then specializes the result to any distributive lattice via
 the ``Eval_v`` homomorphism (Theorem 6.4 restricted to lattices).
+
+There is one path: the PosBool(X) fixpoint runs on the semi-naive engine,
+and :meth:`LatticeDatalogResult.evaluate` expands each condition's minimal
+monomials into meets and joins.  The probabilistic layer compiles the same
+conditions (:meth:`LatticeDatalogResult.compile`) for probabilities.
 """
 
 from __future__ import annotations
@@ -87,47 +92,20 @@ class LatticeDatalogResult:
         )
 
     def evaluate(
-        self,
-        lattice: Semiring,
-        valuation: Mapping[str, Any],
-        *,
-        method: str = "expand",
+        self, lattice: Semiring, valuation: Mapping[str, Any]
     ) -> Dict[GroundAtom, Any]:
         """Specialize every condition to a distributive lattice ``K``.
 
-        ``valuation`` maps tuple ids to lattice elements; with the default
-        ``method="expand"`` each condition's minimal monomials are mapped to
-        meets and joined, which is exactly evaluating the minimal-fringe
-        polynomial of the paper's modified All-Trees in ``K``.
-
-        ``method="compile"`` routes through the knowledge compiler instead:
-        conditions are compiled once and the decision diagrams are evaluated
-        in ``K``.  This needs a ``complement`` operation on the lattice
-        (i.e. a Boolean algebra, like ``P(Omega)``); the two methods agree
-        because lattice evaluation is pointwise Boolean under the Birkhoff
-        representation.
+        ``valuation`` maps tuple ids to lattice elements; each condition's
+        minimal monomials are mapped to meets and joined, which is exactly
+        evaluating the minimal-fringe polynomial of the paper's modified
+        All-Trees in ``K``.
         """
         if not lattice.is_distributive_lattice:
             raise DatalogError(
                 f"Section 8 evaluation needs a distributive lattice, got {lattice.name}"
             )
-        if method not in ("expand", "compile"):
-            raise DatalogError(f"unknown method {method!r} (use 'expand' or 'compile')")
         coerced = {k: lattice.coerce(v) for k, v in valuation.items()}
-        if method == "compile":
-            complement = getattr(lattice, "complement", None)
-            if complement is None:
-                raise DatalogError(
-                    f"method='compile' needs a complemented lattice; {lattice.name} "
-                    "has no complement operation"
-                )
-            from repro.circuits.evaluate import CircuitEvaluator
-
-            diagrams = self.compile()
-            values = CircuitEvaluator(lattice, coerced, complement=complement).evaluate_many(
-                compiled.root for compiled in diagrams.values()
-            )
-            return {atom: values[compiled.root] for atom, compiled in diagrams.items()}
         results: Dict[GroundAtom, Any] = {}
         for atom, condition in self.conditions.items():
             value = lattice.zero()
@@ -145,8 +123,6 @@ def lattice_condition_provenance(
     database: Database,
     *,
     edb_ids: Mapping[GroundAtom, str] | None = None,
-    engine: str = "naive",
-    storage: str | None = None,
 ) -> LatticeDatalogResult:
     """Compute the PosBool(X) ("minimal fringe") provenance of a datalog query.
 
@@ -154,10 +130,8 @@ def lattice_condition_provenance(
     here, since each EDB fact is re-tagged with its own Boolean variable.
     (``edb_ids`` need not be injective: mapping two facts to one variable
     declares them perfectly correlated, which is how the probabilistic layer
-    encodes shared events.)  ``engine`` selects the evaluation strategy of
-    the underlying PosBool(X) fixpoint (``"naive"`` or ``"seminaive"``, see
-    :func:`repro.datalog.fixpoint.evaluate_program`) and ``storage`` its
-    backend; the conditions are identical either way.
+    encodes shared events.)  The PosBool(X) fixpoint runs on the semi-naive
+    engine (:func:`repro.datalog.fixpoint.evaluate_program`).
     """
     if isinstance(program, str):
         program = Program.parse(program)
@@ -176,7 +150,7 @@ def lattice_condition_provenance(
             relation.set(tup, BoolExpr.var(ids[atom]))
         tagged.register(predicate, relation)
 
-    result = evaluate_program(program, tagged, engine=engine, storage=storage)
+    result = evaluate_program(program, tagged, engine="seminaive")
     conditions = {
         atom: value
         for atom, value in result.annotations.items()
@@ -185,15 +159,7 @@ def lattice_condition_provenance(
     return LatticeDatalogResult(edb_ids=ids, conditions=conditions, program=program)
 
 
-def evaluate_on_lattice(
-    program: Program | str,
-    database: Database,
-    *,
-    output_only: bool = True,
-    engine: str = "naive",
-    method: str = "expand",
-    storage: str | None = None,
-) -> KRelation:
+def evaluate_on_lattice(program: Program | str, database: Database) -> KRelation:
     """Terminating datalog evaluation when the database's semiring is a lattice.
 
     This is the end-to-end Section 8 pipeline: compute the PosBool(X)
@@ -201,14 +167,8 @@ def evaluate_on_lattice(
     to the fact's own annotation.  The sanity checks of the paper hold by
     construction: for ``K = B`` every derivable tuple gets ``true``; for
     ``K = PosBool(B)`` the result is the c-table datalog semantics; for
-    ``K = P(Omega)`` it generalizes probabilistic datalog.
-
-    ``engine="seminaive"`` runs the underlying PosBool(X) fixpoint through
-    the PR 2 delta-driven engine; the result is identical.
-    ``method="compile"`` specializes the conditions through the knowledge
-    compiler (requires a complemented lattice, e.g. ``P(Omega)``); again the
-    result is identical -- the probabilistic layer uses it for differential
-    checks.
+    ``K = P(Omega)`` it generalizes probabilistic datalog.  The relation
+    holds the output predicate's non-zero tuples.
     """
     if isinstance(program, str):
         program = Program.parse(program)
@@ -220,13 +180,11 @@ def evaluate_on_lattice(
     # One EDB scan serves both the tuple ids and the valuation.
     edb_annotations = collect_edb_annotations(program, database)
     ids = default_edb_ids(edb_annotations)
-    provenance = lattice_condition_provenance(
-        program, database, edb_ids=ids, engine=engine, storage=storage
-    )
+    provenance = lattice_condition_provenance(program, database, edb_ids=ids)
     valuation = {
         ids[atom]: annotation for atom, annotation in edb_annotations.items()
     }
-    values = provenance.evaluate(semiring, valuation, method=method)
+    values = provenance.evaluate(semiring, valuation)
 
     predicate = program.output
     arity = program.arity(predicate)
@@ -237,8 +195,6 @@ def evaluate_on_lattice(
         schema = Schema(head_names or [f"c{i + 1}" for i in range(arity)])
     relation = KRelation(semiring, schema)
     for atom, value in values.items():
-        if atom.relation != predicate or semiring.is_zero(value):
-            continue
-        if not output_only or atom.relation == predicate:
+        if atom.relation == predicate and not semiring.is_zero(value):
             relation.set(Tup.from_values(schema.attributes, atom.values), value)
     return relation

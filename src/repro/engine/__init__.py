@@ -6,8 +6,8 @@ machine work.  :mod:`repro.engine.compile` turns any positive-algebra query
 into a tree of pipelined operators (fused scan-select-project, hash join
 with cost-driven build-side selection, streaming union) with one batched
 annotation-accumulation pipeline breaker at the root, and
-:mod:`repro.engine.kernels` exposes the underlying relation-level kernels
-shared with view maintenance and the datalog delta rounds.
+:mod:`repro.engine.kernels` holds the row kernels it shares with the
+datalog delta rounds.
 
 Entry points::
 
@@ -23,8 +23,6 @@ from repro.engine.compile import compile_query, execute
 from repro.engine.kernels import (
     accumulate_batches,
     combine_contributions,
-    join_relations,
-    project_relation,
 )
 
 __all__ = [
@@ -32,6 +30,4 @@ __all__ = [
     "execute",
     "accumulate_batches",
     "combine_contributions",
-    "join_relations",
-    "project_relation",
 ]

@@ -1,13 +1,13 @@
 """Shared physical operator kernels over K-relations.
 
-The three hot paths of the system -- ad-hoc query evaluation
-(:mod:`repro.engine.compile`), materialized-view delta propagation
-(:mod:`repro.incremental.view`), and the semi-naive datalog rounds
-(:mod:`repro.datalog.seminaive`) -- all reduce to the same two primitives:
+Ad-hoc query evaluation (:mod:`repro.engine.compile`) and the semi-naive
+datalog rounds (:mod:`repro.datalog.seminaive`) reduce to the same
+primitives:
 
 * **hash join** with cost-driven build-side selection: the smaller input is
   loaded into a bucket index on the shared attributes and the larger one
-  probes it, so the work is proportional to the joinable pairs;
+  probes it, so the work is proportional to the joinable pairs
+  (:func:`hash_join_rows`);
 * **batched annotation accumulation**: contributions to the same output
   tuple are collected first and combined with *one* ``+``-chain per tuple
   (:func:`combine_contributions`), instead of interleaving a semiring
@@ -16,19 +16,16 @@ The three hot paths of the system -- ad-hoc query evaluation
   circuits, event sets) it also performs a single zero test per output
   tuple, which is where most of the win comes from.
 
-Everything here works positionally: a relation's tuples are flattened once
-into plain value tuples in sorted-attribute order (the order
-:class:`~repro.relations.tuples.Tup` stores internally), all per-row work
-happens on those value tuples, and canonical :class:`Tup` objects are
-rebuilt only for the final output.
+Everything here works positionally: rows are plain value tuples in
+sorted-attribute order (the order :class:`~repro.relations.tuples.Tup`
+stores internally), and canonical :class:`Tup` objects are rebuilt only for
+the final output (:func:`build_relation`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Tuple
 
-from repro.errors import QueryError
-from repro.obs import trace as _trace
 from repro.relations.krelation import KRelation
 from repro.relations.schema import Schema
 from repro.relations.tuples import Tup
@@ -37,11 +34,8 @@ from repro.semirings.base import Semiring
 __all__ = [
     "combine_contributions",
     "accumulate_batches",
-    "relation_rows",
     "build_relation",
     "hash_join_rows",
-    "join_relations",
-    "project_relation",
 ]
 
 
@@ -73,20 +67,6 @@ def accumulate_batches(
         if not is_zero(total):
             out[key] = total
     return out
-
-
-def relation_rows(relation: KRelation) -> Tuple[Tuple[str, ...], List[Tuple[tuple, Any]]]:
-    """Flatten a relation to ``(sorted attrs, [(value row, annotation), ...])``.
-
-    Rows come out in sorted-attribute order, read straight off each tuple's
-    internal sorted item list -- no per-attribute lookups.
-    """
-    attrs = tuple(sorted(relation.schema.attribute_set))
-    rows = [
-        (tuple(value for _, value in tup.items()), annotation)
-        for tup, annotation in relation.items()
-    ]
-    return attrs, rows
 
 
 def build_relation(
@@ -139,9 +119,7 @@ def hash_join_rows(
     row followed by the right side's ``right_extra`` columns and the
     annotation is ``left . right`` (Definition 3.2) regardless of which
     side was indexed.  When the build side is empty the probe side is never
-    consumed.  Both the relation-level kernel (:func:`join_relations`) and
-    the pipelined plan compiler's join node delegate here, so the join
-    semantics live in exactly one place.
+    consumed.  The pipelined plan compiler's join node delegates here.
 
     ``stats``, when given, is an object with ``build_size`` / ``probe_size``
     counters (see :class:`repro.obs.explain.NodeStats`); the build size is
@@ -179,112 +157,3 @@ def hash_join_rows(
                 yield probe_row + tuple(
                     build_row[i] for i in right_extra
                 ), mul(probe_annotation, build_annotation)
-
-
-def join_relations(left: KRelation, right: KRelation) -> KRelation:
-    """Natural-join kernel: cost-driven build side, batched accumulation.
-
-    Annotation semantics are Definition 3.2's ``left . right`` regardless of
-    which side is indexed.  Equivalent to :func:`repro.algebra.operators.join`
-    but works on positional value rows (no intermediate :class:`Tup`
-    construction) and combines duplicate-output contributions with one
-    ``+``-chain per output tuple.
-    """
-    if not _trace.enabled():
-        return _join_relations(left, right)
-    with _trace.span(
-        "kernel.join", left_rows=len(left), right_rows=len(right)
-    ) as sp:
-        result = _join_relations(left, right)
-        sp.set(out_rows=len(result))
-        return result
-
-
-def _shared_storage(*relations: KRelation) -> str | None:
-    """The backend kernel outputs should use: columnar only when all inputs are."""
-    if all(r.storage == "columnar" for r in relations):
-        return "columnar"
-    return None  # defer to the process-wide default
-
-
-def _join_relations(left: KRelation, right: KRelation) -> KRelation:
-    if left.semiring.name != right.semiring.name:
-        raise QueryError(
-            f"cannot combine relations over different semirings "
-            f"({left.semiring.name} vs {right.semiring.name})"
-        )
-    semiring = left.semiring
-    result_schema = left.schema.join(right.schema)
-    out_storage = _shared_storage(left, right)
-    if not left or not right:
-        return KRelation(semiring, result_schema, storage=out_storage)
-
-    if out_storage == "columnar":
-        from repro.engine import vectorized
-
-        result = vectorized.try_join(left, right)
-        if result is not None:
-            return result
-
-    left_attrs, left_rows = relation_rows(left)
-    right_attrs, right_rows = relation_rows(right)
-    left_set = set(left_attrs)
-    shared = sorted(left_set & set(right_attrs))
-    left_key = tuple(left_attrs.index(a) for a in shared)
-    right_key = tuple(right_attrs.index(a) for a in shared)
-    extra_positions = tuple(
-        i for i, a in enumerate(right_attrs) if a not in left_set
-    )
-    out_attrs = left_attrs + tuple(right_attrs[i] for i in extra_positions)
-
-    groups: Dict[tuple, List[Any]] = {}
-    for out_row, value in hash_join_rows(
-        semiring.mul,
-        left_rows,
-        right_rows,
-        left_key,
-        right_key,
-        extra_positions,
-        build_is_left=len(left_rows) <= len(right_rows),
-    ):
-        batch = groups.get(out_row)
-        if batch is None:
-            groups[out_row] = [value]
-        else:
-            batch.append(value)
-    return build_relation(semiring, out_attrs, groups, result_schema, storage=out_storage)
-
-
-def project_relation(relation: KRelation, attributes: Iterable[str]) -> KRelation:
-    """Projection kernel with batched accumulation of merged tuples."""
-    if not _trace.enabled():
-        return _project_relation(relation, attributes)
-    with _trace.span("kernel.project", in_rows=len(relation)) as sp:
-        result = _project_relation(relation, attributes)
-        sp.set(out_rows=len(result))
-        return result
-
-
-def _project_relation(relation: KRelation, attributes: Iterable[str]) -> KRelation:
-    target_schema = relation.schema.project(attributes)
-    out_storage = _shared_storage(relation)
-    if out_storage == "columnar":
-        from repro.engine import vectorized
-
-        result = vectorized.try_project(relation, tuple(target_schema.attributes))
-        if result is not None:
-            return result
-    attrs, rows = relation_rows(relation)
-    keep = tuple(attrs.index(a) for a in sorted(target_schema.attribute_set))
-    out_attrs = tuple(attrs[i] for i in keep)
-    groups: Dict[tuple, List[Any]] = {}
-    for row, annotation in rows:
-        key = tuple(row[i] for i in keep)
-        batch = groups.get(key)
-        if batch is None:
-            groups[key] = [annotation]
-        else:
-            batch.append(annotation)
-    return build_relation(
-        relation.semiring, out_attrs, groups, target_schema, storage=out_storage
-    )

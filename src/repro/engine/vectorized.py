@@ -90,8 +90,6 @@ __all__ = [
     "numpy_available",
     "vector_ops_for",
     "try_execute",
-    "try_join",
-    "try_project",
     "combine_codes",
     "split_codes",
     "group_codes",
@@ -907,47 +905,3 @@ def try_execute(
             return result
     except _Fallback:
         return None
-
-
-# ---------------------------------------------------------------------------
-# Relation-level kernels (for views and datalog merge paths)
-# ---------------------------------------------------------------------------
-
-
-def _relation_ops(*relations: KRelation) -> VectorOps | None:
-    """Vector ops when every input is columnar and the semiring vectorizes."""
-    if _np is None:
-        return None
-    if any(not isinstance(r._store, ColumnarRowStore) for r in relations):
-        return None
-    return vector_ops_for(relations[0].semiring)
-
-
-def try_join(left: KRelation, right: KRelation) -> KRelation | None:
-    """Vectorized natural join of two columnar relations (or ``None``)."""
-    ops = _relation_ops(left, right)
-    if ops is None:
-        return None
-    try:
-        batch = _join_batches(
-            _scan_batch(left, ops), _scan_batch(right, ops), ops
-        )
-        schema = left.schema.join(right.schema)
-        batch.display = tuple(schema.attributes)
-        return _materialize(batch, left.semiring, ops, "columnar")
-    except _Fallback:
-        return None
-
-
-def try_project(relation: KRelation, attributes: Iterable[str]) -> KRelation | None:
-    """Vectorized projection of a columnar relation (or ``None``)."""
-    attributes = tuple(attributes)
-    ops = _relation_ops(relation)
-    if ops is None:
-        return None
-    try:
-        batch = _project_batch(_scan_batch(relation, ops), attributes, ops)
-        return _materialize(batch, relation.semiring, ops, "columnar")
-    except _Fallback:
-        return None
-

@@ -8,14 +8,14 @@ is itself a query over the base relations and their change-valued deltas
 :mod:`repro.incremental.delta`).  Insertions work in any commutative
 semiring; deletions need additive inverses -- the ring capability
 ``has_negation`` provided by ``Z`` and ``Z[X]``
-(:mod:`repro.semirings.integers`) -- and fall back to bounded recomputation
-elsewhere.
+(:mod:`repro.semirings.integers`) -- and are otherwise maintained by a
+targeted delete/rederive pass (views) or DRed (datalog).
 
-Three entry points:
+Two entry points:
 
-* :func:`view_delta` -- the stateless delta-rule compiler;
 * :class:`MaterializedView` -- a query result maintained under
-  :class:`UpdateBatch` streams via a materialized operator tree;
+  :class:`UpdateBatch` streams via a materialized operator tree, each node
+  evaluated operator-at-a-time;
 * :class:`IncrementalDatalog` -- a semi-naive datalog fixpoint resumed
   in place on EDB insertions.
 """
@@ -26,7 +26,6 @@ from repro.incremental.delta import (
     apply_batch_to_database,
     apply_delta,
     batch_deltas,
-    view_delta,
 )
 from repro.incremental.view import MaterializedView
 
@@ -34,7 +33,6 @@ __all__ = [
     "UpdateBatch",
     "MaterializedView",
     "IncrementalDatalog",
-    "view_delta",
     "apply_delta",
     "batch_deltas",
     "apply_batch_to_database",

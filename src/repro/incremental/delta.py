@@ -1,4 +1,4 @@
-"""Delta K-relations: update batches and the delta-rule compiler.
+"""Delta K-relations: update batches and change-valued deltas.
 
 Because every positive-algebra operator is built from the semiring's ``+``
 and ``.``, the operators are *bilinear* in their inputs: evaluating a query
@@ -21,39 +21,25 @@ structures of :mod:`repro.semirings.integers`).  Deletions over other
 semirings are still maintained incrementally, just not as deltas:
 :class:`~repro.incremental.view.MaterializedView` runs a targeted
 delete/rederive pass and :class:`~repro.incremental.datalog.IncrementalDatalog`
-runs DRed (see those modules); only the stateless compiler here refuses
+runs DRed (see those modules); only :func:`batch_deltas` here refuses
 them.
 
-:func:`view_delta` is the direct, stateless compiler: it recursively applies
-the rules above against the *pre-update* database.  The stateful
-:class:`~repro.incremental.view.MaterializedView` avoids re-evaluating
-subqueries by materializing every operator node and using the equivalent
-two-term join rule ``ΔL ⋈ R_old ∪ L_new ⋈ ΔR``.
+:class:`~repro.incremental.view.MaterializedView` applies these rules to
+its materialized operator nodes, using the equivalent two-term join rule
+``ΔL ⋈ R_old ∪ L_new ⋈ ΔR`` so that no subquery is re-evaluated.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Tuple
+from typing import Any, Dict, Iterable, Mapping
 
-from repro.algebra import operators
-from repro.algebra.ast import (
-    EmptyRelation,
-    Join,
-    Project,
-    Query,
-    RelationRef,
-    Rename,
-    Select,
-    Union,
-)
-from repro.errors import QueryError, SemiringError
+from repro.errors import SemiringError
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
 from repro.relations.tuples import Tup
 
 __all__ = [
     "UpdateBatch",
-    "view_delta",
     "apply_delta",
     "batch_deltas",
     "apply_batch_to_database",
@@ -142,71 +128,6 @@ def apply_delta(relation: KRelation, delta: KRelation) -> Dict[Tup, Any]:
             annotations[tup] = combined
             changed[tup] = combined
     return changed
-
-
-def view_delta(
-    query: Query, database: Database, deltas: Mapping[str, KRelation]
-) -> KRelation:
-    """The change-valued delta of ``query`` under base-relation ``deltas``.
-
-    ``database`` must hold the *pre-update* state; ``deltas`` maps base
-    relation names to change-valued K-relations (see :func:`batch_deltas`).
-    The result is the delta relation ``Δq`` such that evaluating ``query``
-    after the update equals the old result ``+`` ``Δq`` tuple-wise -- exact
-    in every commutative semiring, because the operators are bilinear and the
-    delta annotations only ever enter through ``+`` and ``.``.
-
-    This is the stateless reference compiler: join nodes re-evaluate their
-    subqueries against ``database``.  Use
-    :class:`~repro.incremental.view.MaterializedView` to maintain those
-    intermediates instead of recomputing them per update.
-    """
-    if isinstance(query, RelationRef):
-        delta = deltas.get(query.name)
-        if delta is None:
-            return operators.empty(
-                database.semiring, database.relation(query.name).schema
-            )
-        return delta
-    if isinstance(query, EmptyRelation):
-        return operators.empty(database.semiring, query.schema)
-    if isinstance(query, Union):
-        return operators.union(
-            view_delta(query.left, database, deltas),
-            view_delta(query.right, database, deltas),
-        )
-    if isinstance(query, Project):
-        return operators.project(
-            view_delta(query.child, database, deltas), query.attributes
-        )
-    if isinstance(query, Select):
-        return operators.select(
-            view_delta(query.child, database, deltas), query.predicate
-        )
-    if isinstance(query, Rename):
-        return operators.rename(
-            view_delta(query.child, database, deltas), query.mapping
-        )
-    if isinstance(query, Join):
-        left_delta = view_delta(query.left, database, deltas)
-        right_delta = view_delta(query.right, database, deltas)
-        # The cross term also fixes the result schema; each old-side term is
-        # guarded so an untouched subquery is never re-evaluated just to be
-        # joined against a known-empty delta.
-        result = operators.join(left_delta, right_delta)
-        if left_delta:
-            result = operators.union(
-                result, operators.join(left_delta, query.right.evaluate(database))
-            )
-        if right_delta:
-            result = operators.union(
-                result, operators.join(query.left.evaluate(database), right_delta)
-            )
-        return result
-    raise QueryError(
-        f"no delta rule for query node {type(query).__name__}; "
-        "the delta compiler covers the positive algebra of Definition 3.2"
-    )
 
 
 def batch_deltas(database: Database, batch: UpdateBatch) -> Dict[str, KRelation]:

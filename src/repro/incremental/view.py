@@ -12,9 +12,10 @@ change-valued deltas bottom-up through the tree:
   re-evaluated -- the work per update is proportional to the deltas and the
   tuples they join with, not to the view size.
 
-Subtrees whose base relations are untouched by a batch are skipped
-entirely.  Deletions take one of three paths (``last_apply_mode`` records
-which ran):
+Every node is evaluated operator-at-a-time (:mod:`repro.algebra.operators`),
+both when the view is built and on every delta.  Subtrees whose base
+relations are untouched by a batch are skipped entirely.  Deletions take one
+of two paths (``last_apply_mode`` records which ran):
 
 * **ring** semirings (``has_negation``, e.g. ``Z`` or ``Z[X]``): a deletion
   is the negated annotation delta ``-R(t)`` and propagates through the
@@ -25,10 +26,7 @@ which ran):
   the projection groups they collapse into, and for joins the output keys
   reachable from a changed child tuple (found by probing the maintained
   children, each output recomputed in O(1) from the two child annotations)
-  (``"delete_rederive"``);
-* **bounded recomputation** -- re-evaluating the operator nodes whose
-  subtree reads a touched base relation -- remains only as the last-resort
-  fallback if the targeted pass fails (``"recompute"``).
+  (``"delete_rederive"``).
 """
 
 from __future__ import annotations
@@ -80,81 +78,38 @@ class _Node:
         self.base_names = query.relation_names()
 
 
-def _build(
-    query: Query, database: Database, executor: str = "naive", storage: str = "row"
-) -> _Node:
+def _build(query: Query, database: Database) -> _Node:
     """Compile ``query`` into a node tree, evaluating every subquery once."""
     if isinstance(query, RelationRef):
-        return _Node(query, [], database.relation(query.name).with_storage(storage))
+        return _Node(query, [], database.relation(query.name).copy())
     if isinstance(query, EmptyRelation):
         return _Node(query, [], operators.empty(database.semiring, query.schema))
-    children = [_build(child, database, executor, storage) for child in query.children()]
-    relation = _evaluate_node(query, children, database, executor, storage)
-    return _Node(query, children, relation)
+    children = [_build(child, database) for child in query.children()]
+    return _Node(query, children, _evaluate_node(query, children))
 
 
-def _join(left: KRelation, right: KRelation, executor: str) -> KRelation:
-    """The join used by materialization and delta propagation.
-
-    ``executor="pipelined"`` routes through the shared physical kernel
-    (:func:`repro.engine.kernels.join_relations`): cost-driven build-side
-    selection plus batched annotation accumulation.
-    """
-    if executor == "pipelined":
-        from repro.engine.kernels import join_relations
-
-        return join_relations(left, right)
-    return operators.join(left, right)
-
-
-def _project(relation: KRelation, attributes, executor: str) -> KRelation:
-    if executor == "pipelined":
-        from repro.engine.kernels import project_relation
-
-        return project_relation(relation, attributes)
-    return operators.project(relation, attributes)
-
-
-def _evaluate_node(
-    query: Query,
-    children: List[_Node],
-    database: Database,
-    executor: str = "naive",
-    storage: str = "row",
-) -> KRelation:
-    """Evaluate one operator from its children's materialized relations.
-
-    The materialization is pinned to the view's ``storage`` backend so that
-    every node the delta rules read from (leaf copies and operator results
-    alike) stays on the backend the caller selected -- under the pipelined
-    executor this is what lets the shared kernels keep taking the
-    vectorized path across repeated ``apply`` calls.
-    """
+def _evaluate_node(query: Query, children: List[_Node]) -> KRelation:
+    """Evaluate one operator from its children's materialized relations."""
     if isinstance(query, Union):
-        relation = operators.union(children[0].relation, children[1].relation)
-    elif isinstance(query, Project):
-        relation = _project(children[0].relation, query.attributes, executor)
-    elif isinstance(query, Select):
-        relation = operators.select(children[0].relation, query.predicate)
-    elif isinstance(query, Rename):
-        relation = operators.rename(children[0].relation, query.mapping)
-    elif isinstance(query, Join):
-        relation = _join(children[0].relation, children[1].relation, executor)
-    else:
-        raise QueryError(
-            f"cannot materialize query node {type(query).__name__}; "
-            "materialized views cover the positive algebra of Definition 3.2"
-        )
-    if relation.storage != storage:
-        relation = relation.with_storage(storage)
-    return relation
+        return operators.union(children[0].relation, children[1].relation)
+    if isinstance(query, Project):
+        return operators.project(children[0].relation, query.attributes)
+    if isinstance(query, Select):
+        return operators.select(children[0].relation, query.predicate)
+    if isinstance(query, Rename):
+        return operators.rename(children[0].relation, query.mapping)
+    if isinstance(query, Join):
+        return operators.join(children[0].relation, children[1].relation)
+    raise QueryError(
+        f"cannot materialize query node {type(query).__name__}; "
+        "materialized views cover the positive algebra of Definition 3.2"
+    )
 
 
 def _propagate(
     node: _Node,
     deltas: Mapping[str, KRelation],
     changed_out: Dict[Tup, Any] | None = None,
-    executor: str = "naive",
 ) -> KRelation:
     """Advance ``node`` (and its subtree) to the post-update state.
 
@@ -175,32 +130,22 @@ def _propagate(
         return delta
     if isinstance(query, Union):
         delta = operators.union(
-            _propagate(node.children[0], deltas, executor=executor),
-            _propagate(node.children[1], deltas, executor=executor),
+            _propagate(node.children[0], deltas), _propagate(node.children[1], deltas)
         )
     elif isinstance(query, Project):
-        delta = _project(
-            _propagate(node.children[0], deltas, executor=executor),
-            query.attributes,
-            executor,
-        )
+        delta = operators.project(_propagate(node.children[0], deltas), query.attributes)
     elif isinstance(query, Select):
-        delta = operators.select(
-            _propagate(node.children[0], deltas, executor=executor), query.predicate
-        )
+        delta = operators.select(_propagate(node.children[0], deltas), query.predicate)
     elif isinstance(query, Rename):
-        delta = operators.rename(
-            _propagate(node.children[0], deltas, executor=executor), query.mapping
-        )
+        delta = operators.rename(_propagate(node.children[0], deltas), query.mapping)
     elif isinstance(query, Join):
         left, right = node.children
         # Two-term bilinear rule: the left child advances first, so the
         # first term joins ΔL with R's *old* relation and the second joins
         # L's *new* relation with ΔR (absorbing the ΔL ⋈ ΔR cross term).
-        left_delta = _propagate(left, deltas, executor=executor)
-        delta = _join(left_delta, right.relation, executor)
-        right_delta = _propagate(right, deltas, executor=executor)
-        delta = operators.union(delta, _join(left.relation, right_delta, executor))
+        delta = operators.join(_propagate(left, deltas), right.relation)
+        right_delta = _propagate(right, deltas)
+        delta = operators.union(delta, operators.join(left.relation, right_delta))
     else:  # pragma: no cover - _build already rejected exotic nodes
         raise QueryError(f"no delta rule for {type(query).__name__}")
     applied = apply_delta(node.relation, delta)
@@ -359,24 +304,6 @@ def _delete_rederive(node: _Node, removed: Mapping[str, set], semiring) -> set:
     raise QueryError(f"no deletion rule for {type(query).__name__}")
 
 
-def _rebuild(
-    node: _Node,
-    database: Database,
-    touched: frozenset[str],
-    executor: str = "naive",
-    storage: str = "row",
-) -> None:
-    """Bounded recomputation: re-evaluate only subtrees reading ``touched``."""
-    if not (node.base_names & touched):
-        return
-    if isinstance(node.query, RelationRef):
-        node.relation = database.relation(node.query.name).with_storage(storage)
-        return
-    for child in node.children:
-        _rebuild(child, database, touched, executor, storage)
-    node.relation = _evaluate_node(node.query, node.children, database, executor, storage)
-
-
 class MaterializedView:
     """A query result kept up to date under base-relation update streams.
 
@@ -389,28 +316,6 @@ class MaterializedView:
         and the view in sync.
     name:
         Optional label used in ``repr``.
-    optimize:
-        Run ``query`` through the semiring-aware planner
-        (:func:`repro.planner.optimize`) before compiling the node tree.
-        The maintained relation is identical annotation-for-annotation --
-        the rewrites are exactly the Proposition 3.4 identities -- but both
-        the initial materialization and every delta propagation walk the
-        cheaper plan.  ``query`` keeps the original expression; the compiled
-        plan is available as :attr:`plan`.
-    executor:
-        ``"naive"`` (default) evaluates operator nodes through
-        :mod:`repro.algebra.operators`; ``"pipelined"`` routes the join and
-        projection nodes -- both in the initial materialization and in every
-        delta-propagation join -- through the shared physical kernels of
-        :mod:`repro.engine.kernels` (cost-driven build side, batched
-        annotation accumulation).  The maintained relation is identical.
-    storage:
-        Physical backend for every materialized relation in the node tree
-        (``"row"`` or ``"columnar"``; ``None`` defers to ``REPRO_STORAGE``,
-        then to the database's own backend).  With ``executor="pipelined"``
-        a columnar view routes its join and projection nodes through the
-        whole-column vectorized kernels on every delta propagation.  The
-        maintained annotations are identical on either backend.
 
     Usage::
 
@@ -423,40 +328,15 @@ class MaterializedView:
     support).
     """
 
-    def __init__(
-        self,
-        query: Query,
-        database: Database,
-        *,
-        name: str = "view",
-        optimize: bool = False,
-        executor: str = "naive",
-        storage: Any = None,
-    ):
+    def __init__(self, query: Query, database: Database, *, name: str = "view"):
         self.query = query
         self.database = database
         self.name = name
-        if executor not in ("naive", "pipelined"):
-            raise QueryError(
-                f"unknown executor {executor!r}; expected 'naive' or 'pipelined'"
-            )
-        self.executor = executor
-        from repro.engine.compile import resolve_execution_storage
-
-        #: The resolved physical backend of every materialized node.
-        self.storage = resolve_execution_storage(storage, database)
-        if optimize:
-            from repro.planner import optimize as _optimize
-
-            #: The compiled plan (the optimized query when ``optimize=True``).
-            self.plan = _optimize(query, database)
-        else:
-            self.plan = query
-        with _trace.span("view.build", view=name, executor=executor) as sp:
-            self._root = _build(self.plan, database, executor, self.storage)
+        with _trace.span("view.build", view=name) as sp:
+            self._root = _build(query, database)
             sp.set(rows=len(self._root.relation))
-        #: ``"incremental"``, ``"delete_rederive"`` or ``"recompute"`` -- how
-        #: the last :meth:`apply` ran (``None`` before the first apply).
+        #: ``"incremental"`` or ``"delete_rederive"`` -- how the last
+        #: :meth:`apply` ran (``None`` before the first apply).
         self.last_apply_mode: str | None = None
 
     # -- state ------------------------------------------------------------------
@@ -483,8 +363,7 @@ class MaterializedView:
 
         Insertions always propagate incrementally.  Batches containing
         deletions propagate as negated deltas when the semiring has negation,
-        and through the targeted delete/rederive pass otherwise (bounded
-        recomputation remains only as the last-resort fallback).  Returns the
+        and through the targeted delete/rederive pass otherwise.  Returns the
         changed view tuples mapped to their new annotations (zero = removed).
         """
         batch = UpdateBatch.of(batch)
@@ -502,7 +381,7 @@ class MaterializedView:
             deltas = batch_deltas(self.database, batch)
             apply_batch_to_database(self.database, batch)
             changed: Dict[Tup, Any] = {}
-            _propagate(self._root, deltas, changed, executor=self.executor)
+            _propagate(self._root, deltas, changed)
             self.last_apply_mode = "incremental"
             sp.set(changed=len(changed))
             return changed
@@ -512,8 +391,7 @@ class MaterializedView:
 
         Deletions apply first and propagate through :func:`_delete_rederive`
         (affected keys only); insertions then follow the ordinary
-        delta-propagation path.  Falls back to bounded recomputation only if
-        the targeted pass fails.
+        delta-propagation path.
         """
         changed: Dict[Tup, Any] = {}
         zero = self.semiring.zero()
@@ -527,28 +405,11 @@ class MaterializedView:
             }
             if tups:
                 removed[name] = tups
-        mode = "delete_rederive"
         if removed:
             apply_batch_to_database(
                 self.database, UpdateBatch(deletions=batch.deletions)
             )
-            old = dict(self._root.relation._annotations)
-            try:
-                affected = _delete_rederive(self._root, removed, self.semiring)
-            except QueryError:
-                # Last resort: the database already holds the post-delete
-                # state, so bounded recomputation from it is always sound.
-                touched = frozenset(removed)
-                _rebuild(
-                    self._root, self.database, touched, self.executor, self.storage
-                )
-                new = self._root.relation._annotations
-                affected = {
-                    tup
-                    for tup in set(old) | set(new)
-                    if old.get(tup) != new.get(tup)
-                }
-                mode = "recompute"
+            affected = _delete_rederive(self._root, removed, self.semiring)
             annotations = self._root.relation._annotations
             for tup in affected:
                 changed[tup] = annotations.get(tup, zero)
@@ -556,25 +417,13 @@ class MaterializedView:
             insertions = UpdateBatch(insertions=batch.insertions)
             deltas = batch_deltas(self.database, insertions)
             apply_batch_to_database(self.database, insertions)
-            _propagate(self._root, deltas, changed, executor=self.executor)
-        self.last_apply_mode = mode
-        return changed
-
-    def _apply_by_recompute(self, batch: UpdateBatch) -> Dict[Tup, Any]:
-        touched = batch.touched_relations
-        apply_batch_to_database(self.database, batch)
-        old = dict(self._root.relation._annotations)
-        _rebuild(self._root, self.database, touched, self.executor, self.storage)
-        self.last_apply_mode = "recompute"
-        new = self._root.relation._annotations
-        zero = self.semiring.zero()
-        changed = {tup: value for tup, value in new.items() if old.get(tup) != value}
-        changed.update({tup: zero for tup in old if tup not in new})
+            _propagate(self._root, deltas, changed)
+        self.last_apply_mode = "delete_rederive"
         return changed
 
     def refresh(self) -> KRelation:
         """Rebuild the whole view from the database (full recomputation)."""
-        self._root = _build(self.plan, self.database, self.executor, self.storage)
+        self._root = _build(self.query, self.database)
         return self._root.relation
 
     def __repr__(self) -> str:

@@ -202,8 +202,8 @@ class ExplainAnalyzeReport:
         Knowledge-compilation counters accumulated during the observed run
         (batches, compiled roots, decision-memo hit rate, multi-rooted
         input/output DAG sizes):
-        the cost of ``method="compile"`` probabilistic inference, first-class
-        next to the semiring-op counts.  All zero for runs that never
+        the cost of compiled probabilistic inference (probabilities, top-k
+        and MAP), first-class next to the semiring-op counts.  All zero for runs that never
         compile.
     """
 

@@ -12,7 +12,10 @@ Boolean event ``x_i`` with a marginal probability.  The sample space is then
 ``Omega = 2^{x_1..x_n}``, and this module constructs it explicitly (the
 domain is small in the paper's examples and in our benchmarks), which keeps
 probability computation exact rather than relying on independence-only
-shortcuts that fail for correlated output events.
+shortcuts that fail for correlated output events.  Explicit events are what
+event-returning APIs need; probabilities of tables that carry lineage are
+computed by knowledge compilation instead, and the world set is then never
+built.
 """
 
 from __future__ import annotations
@@ -125,11 +128,10 @@ class EventTable:
 
     Tuple-independent tables also carry a *lineage* companion: the same
     relation annotated in ``Circ[X]`` with one variable per base event.
-    Probability APIs then take ``method="compile"`` (knowledge-compile the
-    lineage and weighted-model-count it -- never touches the ``2^n`` world
-    set) or ``method="enumerate"`` (score the explicit event against the
-    world space, the historical oracle path).  The default is ``"compile"``
-    whenever lineage is available.
+    The probability APIs pick their path from what the table holds: with
+    lineage they knowledge-compile it and weighted-model-count the diagram
+    (never touching the ``2^n`` world set); without it they score the
+    explicit event against the world space.
     """
 
     def __init__(
@@ -187,15 +189,6 @@ class EventTable:
             self._relation = relation
         return self._relation
 
-    def _method(self, method: str | None) -> str:
-        if method is None:
-            return "compile" if self.lineage is not None else "enumerate"
-        if method not in ("compile", "enumerate"):
-            raise SemiringError(f"unknown method {method!r} (use 'compile' or 'enumerate')")
-        if method == "compile" and self.lineage is None:
-            raise SemiringError("this event table has no lineage; use method='enumerate'")
-        return method
-
     @property
     def schema(self) -> Schema:
         """The attribute schema."""
@@ -208,17 +201,17 @@ class EventTable:
         """The event annotating ``row``."""
         return self.relation.annotation(row)
 
-    def probability(self, row: Any, *, method: str | None = None) -> float:
+    def probability(self, row: Any) -> float:
         """Marginal probability that ``row`` is in the (random) relation."""
-        if self._method(method) == "compile":
+        if self.lineage is not None:
             from repro.circuits.compile import compile_circuit
 
             return compile_circuit(self.lineage.annotation(row)).wmc(self.space.marginals)
         return self.space.probability(self.event(row))
 
-    def probabilities(self, *, method: str | None = None) -> Dict[Tup, float]:
+    def probabilities(self) -> Dict[Tup, float]:
         """Marginal probability of every support tuple."""
-        if self._method(method) == "compile":
+        if self.lineage is not None:
             from repro.circuits.compile import CircuitCompiler
             from repro.circuits.evaluate import wmc_many
 

@@ -1,28 +1,27 @@
 """Tuple-independent probabilistic databases and exact query probabilities.
 
-This is the user-facing layer over the probabilistic machinery, with two
-exact inference paths selected per call by ``method=``:
+This is the user-facing layer over the probabilistic machinery.  Each entry
+point has one implementation, chosen by what it returns:
 
-* ``"compile"`` (the default for probabilities) -- evaluate the query over a
-  *lineage* database annotated in ``Circ[X]`` (one variable per base event),
-  knowledge-compile the answers' provenance circuits to one multi-rooted
-  ordered decision diagram (:mod:`repro.circuits.compile`) and
-  weighted-model-count it in one pass.  Cost is governed by the compiled
-  circuit size, not by ``2^n`` over the number of uncertain tuples, so this
-  scales far beyond enumeration reach -- the standard lineage route to
-  exact probabilistic query evaluation (Jha-Suciu).  Top-k most-probable
-  worlds and MAP come from the same compiled form.
-* ``"enumerate"`` -- intensional evaluation over the explicitly constructed
+* **events** (``query_events`` / ``datalog_events``) are sets of worlds, so
+  they come from intensional evaluation over the explicitly constructed
   world space in ``P(Omega)`` (Fuhr-Roelleke, Figure 4 of the paper),
-  exponential in the number of uncertain tuples.  It stays as the
-  differential oracle: on small spaces the two paths must agree exactly,
-  and the event-set representation (``query_events``) is inherently an
-  enumeration-world object.
+  exponential in the number of uncertain tuples;
+* **probabilities, top-k and MAP** come from compiled lineage: evaluate the
+  query over a *lineage* database annotated in ``Circ[X]`` (one variable per
+  base event), knowledge-compile the answers' provenance circuits to one
+  multi-rooted ordered decision diagram (:mod:`repro.circuits.compile`) and
+  weighted-model-count it in one pass.  Cost is governed by the compiled
+  circuit size, not by ``2^n`` over the number of uncertain tuples -- the
+  standard lineage route to exact probabilistic query evaluation
+  (Jha-Suciu) -- and the world space is never built.
 
-Correlations induced by *shared events* (two tuples declared with the same
-event name) are handled by both paths: the lineage database reuses one
-circuit variable per event name, so compilation sees exactly the
-dependence structure enumeration does.
+Theorem 4.3 (and Theorem 6.4 over distributive lattices, Section 8) makes
+the two agree: ``P(Omega)`` evaluation equals lineage evaluation followed by
+``Eval_v``; the differential tests check exactly that.  Correlations induced
+by *shared events* (two tuples declared with the same event name) survive
+into compilation because the lineage database reuses one circuit variable
+per event name.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.algebra.ast import Query
-from repro.circuits.evaluate import CircuitEvaluator, wmc_many
+from repro.circuits.evaluate import wmc_many
 from repro.datalog.grounding import GroundAtom
 from repro.datalog.lattice_eval import (
     LatticeDatalogResult,
@@ -47,13 +46,9 @@ from repro.relations.tuples import Tup
 
 __all__ = ["ProbabilisticDatabase"]
 
-METHODS = ("compile", "enumerate")
 
-
-def _check_method(method: str) -> str:
-    if method not in METHODS:
-        raise SemiringError(f"unknown method {method!r} (use 'compile' or 'enumerate')")
-    return method
+def _parsed(program: Program | str) -> Program:
+    return Program.parse(program) if isinstance(program, str) else program
 
 
 @dataclass
@@ -68,8 +63,8 @@ class ProbabilisticDatabase:
             (("d", "b", "e"), "y", 0.5),
             (("f", "g", "e"), "z", 0.1),
         ])
-        answer = pdb.query_probabilities(q)          # compiled inference
-        oracle = pdb.query_probabilities(q, method="enumerate")
+        answer = pdb.query_probabilities(q)   # compiled lineage
+        events = pdb.query_events(q)          # explicit worlds
     """
 
     _declarations: Dict[str, tuple[tuple[str, ...], list[tuple[Any, str, float]]]] = field(
@@ -105,12 +100,12 @@ class ProbabilisticDatabase:
         return marginals
 
     def _build(self) -> None:
-        """Materialize the enumeration-path database (``P(Omega)`` events).
+        """Materialize the ``P(Omega)`` database of explicit events.
 
         The world space itself stays lazy inside
         :class:`IndependentEventSpace`, but registering event tables forces
-        it, so this path is only entered by ``method="enumerate"`` calls and
-        direct :attr:`database`/:attr:`space` access.
+        it, so this is only entered by the event-returning methods and direct
+        :attr:`database`/:attr:`space` access.
         """
         if self._space is not None:
             return
@@ -187,160 +182,75 @@ class ProbabilisticDatabase:
             raise SemiringError(f"unknown event {event_name!r}") from None
 
     # -- querying -----------------------------------------------------------------
-    def query_lineage(
-        self,
-        query: Query,
-        *,
-        optimize: bool = True,
-        executor: str = "pipelined",
-        storage: str | None = None,
-    ) -> KRelation:
-        """Evaluate a query over the lineage database: a circuit per answer."""
-        return query.evaluate(
-            self.lineage_database, optimize=optimize, executor=executor, storage=storage
-        )
+    def query_lineage(self, query: Query) -> KRelation:
+        """Evaluate a query over the lineage database: a circuit per answer.
 
-    def _compile_annotations(self, lineage: KRelation) -> Dict[Tup, Any]:
+        Queries run through the semiring-aware planner and the pipelined
+        physical engine.
+        """
+        return query.evaluate(self.lineage_database, optimize=True, executor="pipelined")
+
+    def _compiled_answers(self, query: Query) -> Dict[Tup, Any]:
         """Compile all answers' lineage circuits as one multi-rooted diagram
         (shared compiler/cache)."""
+        lineage = self.query_lineage(query)
         assert self._compiler is not None
         return self._compiler.compile_many(dict(lineage.items()))
 
-    def _events_of(self, compiled: Dict[Any, Any]) -> Dict[Any, frozenset]:
-        """Read compiled diagrams back as events of the explicit world space
-        (negation = set complement), one shared evaluator for all of them."""
-        space = self.space
-        worlds = space.space.worlds
-        evaluator = CircuitEvaluator(
-            space.semiring,
-            {name: space.event(name) for name in space.marginals},
-            complement=lambda event: worlds - event,
-        )
-        events = evaluator.evaluate_many(circuit.root for circuit in compiled.values())
-        return {key: events[circuit.root] for key, circuit in compiled.items()}
-
-    def query_events(
-        self,
-        query: Query,
-        *,
-        optimize: bool = True,
-        executor: str = "pipelined",
-        method: str = "enumerate",
-        storage: str | None = None,
-    ) -> KRelation:
+    def query_events(self, query: Query) -> KRelation:
         """Evaluate a positive-algebra query, returning the event of each answer.
 
-        Events are subsets of the explicit world space, so both methods
-        force its construction; the default ``"enumerate"`` evaluates the
-        query directly over ``P(Omega)``, while ``"compile"`` evaluates the
-        compiled lineage into ``P(Omega)`` (negation = set complement).  The
-        answer events are identical -- ``"compile"`` exists here for the
-        differential tests; for scalable output use
-        :meth:`query_probabilities`.
-
-        Queries run through the semiring-aware planner by default
-        (``optimize=True``) and the pipelined physical engine
-        (``executor="pipelined"``); the answer events are identical in every
-        mode.
+        Events are subsets of the explicit world space, so this evaluates the
+        query directly over ``P(Omega)`` (planner on, pipelined engine).  For
+        scalable output use :meth:`query_probabilities`.
         """
-        _check_method(method)
-        if method == "enumerate":
-            return query.evaluate(
-                self.database, optimize=optimize, executor=executor, storage=storage
-            )
-        lineage = self.query_lineage(
-            query, optimize=optimize, executor=executor, storage=storage
-        )
-        result = KRelation(self.space.semiring, lineage.schema)
-        for tup, event in self._events_of(self._compile_annotations(lineage)).items():
-            if event:
-                result.set(tup, event)
-        return result
+        return query.evaluate(self.database, optimize=True, executor="pipelined")
 
-    def query_probabilities(
-        self,
-        query: Query,
-        *,
-        optimize: bool = True,
-        executor: str = "pipelined",
-        method: str = "compile",
-        storage: str | None = None,
-    ) -> Dict[Tup, float]:
+    def query_probabilities(self, query: Query) -> Dict[Tup, float]:
         """Evaluate a query and return the exact probability of each answer tuple.
 
-        ``method="compile"`` (default) weighted-model-counts the compiled
-        lineage -- never builds the world space.  ``method="enumerate"`` is
-        the Figure 4 oracle over explicit worlds.
+        Weighted-model-counts the compiled lineage; never builds the world
+        space.
         """
-        _check_method(method)
-        if method == "enumerate":
-            events = self.query_events(
-                query, optimize=optimize, executor=executor, storage=storage
-            )
-            return {tup: self.space.probability(event) for tup, event in events.items()}
-        lineage = self.query_lineage(
-            query, optimize=optimize, executor=executor, storage=storage
-        )
-        compiled = self._compile_annotations(lineage)
+        compiled = self._compiled_answers(query)
         return wmc_many(
             {tup: circuit.root for tup, circuit in compiled.items()}, self.marginals
         )
 
     def query_top_k(
-        self,
-        query: Query,
-        k: int,
-        *,
-        optimize: bool = True,
-        executor: str = "pipelined",
-        storage: str | None = None,
+        self, query: Query, k: int
     ) -> Dict[Tup, List[Tuple[float, Dict[str, bool]]]]:
         """Per answer tuple: the ``k`` most probable worlds that derive it.
 
         Worlds are returned as ``(probability, {event name: present})`` over
         the events the tuple's lineage depends on, most probable first --
-        the "most likely explanations" reading of provenance.  Compiled path
-        only (enumeration has no top-k shortcut).
+        the "most likely explanations" reading of provenance.
         """
-        lineage = self.query_lineage(
-            query, optimize=optimize, executor=executor, storage=storage
-        )
         marginals = self.marginals
         return {
             tup: compiled.top_k(marginals, k)
-            for tup, compiled in self._compile_annotations(lineage).items()
+            for tup, compiled in self._compiled_answers(query).items()
         }
 
     def query_map(
-        self,
-        query: Query,
-        *,
-        optimize: bool = True,
-        executor: str = "pipelined",
-        storage: str | None = None,
+        self, query: Query
     ) -> Dict[Tup, Tuple[float, Dict[str, bool]] | None]:
-        """Per answer tuple: the most probable world that derives it (MAP)."""
-        lineage = self.query_lineage(
-            query, optimize=optimize, executor=executor, storage=storage
-        )
-        marginals = self.marginals
+        """Per answer tuple: the most probable world that derives it (MAP),
+        i.e. the first entry of :meth:`query_top_k` with ``k = 1``."""
         return {
-            tup: compiled.map_model(marginals)
-            for tup, compiled in self._compile_annotations(lineage).items()
+            tup: models[0] if models else None
+            for tup, models in self.query_top_k(query, 1).items()
         }
 
     # -- datalog -------------------------------------------------------------------
-    def _datalog_conditions(
-        self, program: Program | str, *, engine: str = "seminaive"
-    ) -> LatticeDatalogResult:
+    def _datalog_conditions(self, program: Program | str) -> LatticeDatalogResult:
         """PosBool conditions of a program over *event-name* variables.
 
         The EDB id map sends every ground fact to its declared event name,
         so facts sharing an event share a condition variable -- the datalog
         counterpart of the shared-variable lineage database.
         """
-        if isinstance(program, str):
-            program = Program.parse(program)
+        program = _parsed(program)
         lineage = self.lineage_database
         ids: Dict[GroundAtom, str] = {}
         for predicate in program.edb_predicates:
@@ -350,44 +260,22 @@ class ProbabilisticDatabase:
             attributes = relation.schema.attributes
             for tup, node in relation.items():
                 ids[GroundAtom(predicate, tup.values_for(attributes))] = node.name
-        return lattice_condition_provenance(
-            program, lineage, edb_ids=ids, engine=engine
-        )
+        return lattice_condition_provenance(program, lineage, edb_ids=ids)
 
-    def datalog_events(
-        self,
-        program: Program | str,
-        *,
-        engine: str = "seminaive",
-        method: str = "enumerate",
-    ) -> KRelation:
+    def datalog_events(self, program: Program | str) -> KRelation:
         """Evaluate a datalog program (Section 8: P(Omega) is a finite lattice).
 
-        The underlying PosBool(X) condition fixpoint runs on the semi-naive
-        delta-driven engine by default (``engine="seminaive"``); pass
-        ``engine="naive"`` for the grounding-based reference path.  As with
-        :meth:`query_events`, events force the explicit world space;
-        ``method="compile"`` reads them off the compiled conditions and
-        exists for the differential tests.
+        As with :meth:`query_events`, events force the explicit world space:
+        the program's PosBool(X) conditions are evaluated in ``P(Omega)``.
         """
-        _check_method(method)
-        if isinstance(program, str):
-            program = Program.parse(program)
-        if method == "enumerate":
-            return evaluate_on_lattice(program, self.database, engine=engine)
-        compiled = self._compile_output(program, engine)
-        relation = KRelation(self.space.semiring, self._datalog_output_schema(program))
-        for tup, event in self._events_of(compiled).items():
-            if event:
-                relation.set(tup, event)
-        return relation
+        return evaluate_on_lattice(program, self.database)
 
-    def _compile_output(self, program: Program, engine: str) -> Dict[Tup, Any]:
+    def _compile_output(self, program: Program) -> Dict[Tup, Any]:
         """The compiled condition of every output tuple of ``program``.
 
         All derivable atoms are compiled as one multi-rooted diagram by the
         database's compiler; the output predicate's are returned."""
-        provenance = self._datalog_conditions(program, engine=engine)
+        provenance = self._datalog_conditions(program)
         compiled = provenance.compile(compiler=self._compiler)
         attributes = self._datalog_output_schema(program).attributes
         return {
@@ -406,41 +294,26 @@ class ProbabilisticDatabase:
         arity = program.arity(predicate)
         return Schema(head_names or [f"c{i + 1}" for i in range(arity)])
 
-    def datalog_probabilities(
-        self,
-        program: Program | str,
-        *,
-        engine: str = "seminaive",
-        method: str = "compile",
-    ) -> Dict[Tup, float]:
+    def datalog_probabilities(self, program: Program | str) -> Dict[Tup, float]:
         """Datalog evaluation with exact output probabilities.
 
-        ``method="compile"`` (default) compiles each output atom's
-        PosBool(X) condition -- over event-name variables -- and
-        weighted-model-counts it against the declared marginals, without
-        ever constructing the world space.
+        Compiles each output atom's PosBool(X) condition -- over event-name
+        variables -- and weighted-model-counts it against the declared
+        marginals, without ever constructing the world space.
         """
-        _check_method(method)
-        if method == "enumerate":
-            events = self.datalog_events(program, engine=engine)
-            return {tup: self.space.probability(event) for tup, event in events.items()}
-        if isinstance(program, str):
-            program = Program.parse(program)
-        compiled = self._compile_output(program, engine)
+        compiled = self._compile_output(_parsed(program))
         return wmc_many(
             {tup: circuit.root for tup, circuit in compiled.items()}, self.marginals
         )
 
     def datalog_top_k(
-        self, program: Program | str, k: int, *, engine: str = "seminaive"
+        self, program: Program | str, k: int
     ) -> Dict[Tup, List[Tuple[float, Dict[str, bool]]]]:
         """Per output tuple: the ``k`` most probable worlds deriving it."""
-        if isinstance(program, str):
-            program = Program.parse(program)
         marginals = self.marginals
         return {
             tup: circuit.top_k(marginals, k)
-            for tup, circuit in self._compile_output(program, engine).items()
+            for tup, circuit in self._compile_output(_parsed(program)).items()
         }
 
     def tuple_probability(self, relation_name: str, row: Any) -> float:

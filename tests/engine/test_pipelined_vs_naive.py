@@ -27,19 +27,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from strategies import (
-    BASE_SCHEMAS,
-    DOMAIN,
-    PLANNER_SEMIRING_NAMES,
-    annotation_for,
-    ra_queries,
-    view_databases,
-)
+from strategies import PLANNER_SEMIRING_NAMES, ra_queries, view_databases
 
 from repro.circuits import to_polynomial
-from repro.engine import join_relations, project_relation
 from repro.errors import QueryError
-from repro.incremental import MaterializedView, UpdateBatch, apply_batch_to_database
 from repro.semirings import get_semiring
 
 DIFFERENTIAL_SETTINGS = settings(
@@ -108,86 +99,6 @@ def test_pipelined_executor_agrees_on_optimized_plans(semiring_name, storage, da
     )
 
 
-@pytest.mark.parametrize("storage", STORAGE_BACKENDS)
-@pytest.mark.parametrize("semiring_name", PLANNER_SEMIRING_NAMES)
-@given(data=st.data())
-@DIFFERENTIAL_SETTINGS
-def test_relation_level_kernels_match_operators(semiring_name, storage, data):
-    """The shared join/projection kernels equal their logical counterparts.
-
-    On columnar inputs the kernels route through the vectorized whole-column
-    implementations for the semirings that support them; the result must
-    stay identical either way.
-    """
-    from repro.algebra import operators
-
-    semiring = get_semiring(semiring_name)
-    database = data.draw(view_databases(semiring), label="database")
-    left = database.relation("R").with_storage(storage)
-    right = database.relation("S").with_storage(storage)
-    joined = join_relations(left, right)
-    joined.check_consistency()
-    _assert_same_relation(
-        semiring,
-        operators.join(left, right),
-        joined,
-        f"join kernel over {semiring.name} on {storage} storage",
-    )
-    _assert_same_relation(
-        semiring,
-        operators.project(left, ["a"]),
-        project_relation(left, ["a"]),
-        f"projection kernel over {semiring.name} on {storage} storage",
-    )
-
-
-@pytest.mark.parametrize("storage", STORAGE_BACKENDS)
-@pytest.mark.parametrize("semiring_name", ("bag", "bool", "tropical", "posbool", "z"))
-@given(data=st.data())
-@settings(
-    max_examples=15,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_pipelined_materialized_views_maintain_identically(semiring_name, storage, data):
-    """A view maintained through the engine kernels stays equal to
-    recomputation of the original query under random insertion streams."""
-    semiring = get_semiring(semiring_name)
-    query, _schema = data.draw(ra_queries(), label="query")
-    database = data.draw(view_databases(semiring), label="database")
-    shadow = database.copy()
-    view = MaterializedView(
-        query, database, optimize=True, executor="pipelined", storage=storage
-    )
-    _assert_same_relation(
-        semiring, query.evaluate(shadow), view.relation, f"initial view: {query}"
-    )
-    index = 9000
-    for _ in range(data.draw(st.integers(min_value=1, max_value=3), label="batches")):
-        insertions = {}
-        for name in sorted(BASE_SCHEMAS):
-            attributes = BASE_SCHEMAS[name]
-            entries = []
-            for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
-                values = tuple(
-                    data.draw(st.sampled_from(DOMAIN)) for _ in attributes
-                )
-                index += 1
-                entries.append((values, annotation_for(semiring, index, data.draw)))
-            if entries:
-                insertions[name] = entries
-        batch = UpdateBatch(insertions=insertions)
-        view.apply(batch)
-        apply_batch_to_database(shadow, batch)
-        _assert_same_relation(
-            semiring,
-            query.evaluate(shadow),
-            view.relation,
-            f"maintained pipelined view: {query}\nplan: {view.plan}",
-        )
-
-
 def test_unknown_executor_is_rejected():
     from repro import Database, NaturalsSemiring, Q
 
@@ -195,5 +106,3 @@ def test_unknown_executor_is_rejected():
     database.create("R", ["a", "b"], [("1", "2")])
     with pytest.raises(QueryError):
         Q.relation("R").evaluate(database, executor="vectorized")
-    with pytest.raises(QueryError):
-        MaterializedView(Q.relation("R"), database, executor="vectorized")

@@ -1,20 +1,18 @@
 """Differential update-stream harness: incremental maintenance vs recompute.
 
-The delta compiler and :class:`MaterializedView` must agree with full
-recomputation *annotation-for-annotation* after every batch of a random
-update stream, for every supported semiring: insertions everywhere,
-deletions everywhere too -- through negated deltas over rings (``Z``,
-``Z[X]``) and through the targeted delete/rederive pass otherwise.  Queries
-are
-random positive-algebra expressions from ``tests/strategies.py``; a shadow
-copy of the database is updated independently so the comparison never trusts
-the view's own bookkeeping.
+:class:`MaterializedView` must agree with full recomputation
+*annotation-for-annotation* after every batch of a random update stream, for
+every supported semiring: insertions everywhere, deletions everywhere too --
+through negated deltas over rings (``Z``, ``Z[X]``) and through the targeted
+delete/rederive pass otherwise.  Queries are random positive-algebra
+expressions from ``tests/strategies.py``; a shadow copy of the database is
+updated independently so the comparison never trusts the view's own
+bookkeeping.
 
-The update-stream tests run on **both storage backends**: ``storage="row"``
-maintains dict-of-``Tup`` materializations, ``storage="columnar"`` keeps
-every node on the columnar store (routing repeated delta joins through the
-vectorized kernels when numpy is available) -- the maintained annotations
-must be identical either way.
+The update-stream tests run on **both storage backends**: the base relations
+are built on the row dict store or on the columnar store, and the view's
+leaf nodes copy them on that backend -- the maintained annotations must be
+identical either way.
 """
 
 from __future__ import annotations
@@ -35,9 +33,7 @@ from repro.incremental import (
     MaterializedView,
     UpdateBatch,
     apply_batch_to_database,
-    apply_delta,
     batch_deltas,
-    view_delta,
 )
 from repro.semirings import get_semiring
 
@@ -77,9 +73,9 @@ def _run_stream(semiring_name: str, data, *, allow_deletions: bool, storage="row
     semiring = get_semiring(semiring_name)
     query, _ = data.draw(ra_queries(), label="query")
     database = data.draw(view_databases(semiring), label="database")
+    database = database.with_storage(storage)
     shadow = database.copy()
-    view = MaterializedView(query, database, storage=storage)
-    assert view.relation.storage == storage
+    view = MaterializedView(query, database)
     assert view.relation.equal_to(query.evaluate(shadow))
     index = 1000
     batches = data.draw(st.integers(min_value=1, max_value=4), label="batches")
@@ -98,8 +94,7 @@ def _run_stream(semiring_name: str, data, *, allow_deletions: bool, storage="row
         view.relation.check_consistency()
         if batch.has_deletions:
             # rings delete through negated deltas, everything else through
-            # the targeted delete/rederive pass; bounded recomputation is
-            # only the last-resort fallback and must not engage here
+            # the targeted delete/rederive pass
             expected_mode = (
                 "incremental" if semiring.has_negation else "delete_rederive"
             )
@@ -129,34 +124,6 @@ def test_mixed_streams_match_recompute(semiring_name, storage, data):
     _run_stream(semiring_name, data, allow_deletions=True, storage=storage)
 
 
-@pytest.mark.parametrize("semiring_name", VIEW_SEMIRING_NAMES)
-@DIFFERENTIAL_SETTINGS
-@given(data=st.data())
-def test_view_delta_compiler_matches_recompute(semiring_name, data):
-    """The stateless delta compiler: old result + Δ == new result."""
-    semiring = get_semiring(semiring_name)
-    query, _ = data.draw(ra_queries(), label="query")
-    database = data.draw(view_databases(semiring), label="database")
-    batch, _ = _draw_batch(
-        data,
-        semiring,
-        database,
-        2000,
-        allow_deletions=semiring.has_negation,
-    )
-    deltas = batch_deltas(database, batch)
-    delta = view_delta(query, database, deltas)
-    result = query.evaluate(database)  # pre-update result
-    apply_batch_to_database(database, batch)
-    apply_delta(result, delta)
-    expected = query.evaluate(database)
-    assert result.equal_to(expected), (
-        f"delta compiler diverged over {semiring.name}\nquery: {query}\n"
-        f"old+delta:\n{result.to_table()}\nexpected:\n{expected.to_table()}"
-    )
-    result.check_consistency()
-
-
 def test_delete_rederive_triggers_without_negation():
     """Deletions over a semiring without negation use the targeted pass."""
     from repro import Database, NaturalsSemiring, Q
@@ -173,22 +140,6 @@ def test_delete_rederive_triggers_without_negation():
     assert not view.supports_deletions
     assert view.relation.equal_to(query.evaluate(database))
     assert changed  # the ('1','x') tuple left the view
-    view.relation.check_consistency()
-
-
-def test_bounded_recompute_remains_available_as_fallback():
-    """_apply_by_recompute still restores the view from the database."""
-    from repro import Database, NaturalsSemiring, Q
-
-    database = Database(NaturalsSemiring())
-    database.create("R", ["a", "b"], [(("1", "2"), 2), (("2", "3"), 1)])
-    database.create("S", ["b", "c"], [(("2", "x"), 3)])
-    query = Q.relation("R").join(Q.relation("S")).project("a", "c")
-    view = MaterializedView(query, database)
-    changed = view._apply_by_recompute(UpdateBatch(deletions={"R": [("1", "2")]}))
-    assert view.last_apply_mode == "recompute"
-    assert view.relation.equal_to(query.evaluate(database))
-    assert changed
     view.relation.check_consistency()
 
 

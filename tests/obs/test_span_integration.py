@@ -42,24 +42,6 @@ class TestEngineSpans:
         assert execute_span.attributes["semiring"] == "N"
         assert execute_span.attributes["out_rows"] == len(result)
 
-    def test_view_build_emits_kernel_spans(self):
-        # The relation-level kernels back the materialized-view operator
-        # tree under the pipelined executor; building a view over the
-        # example query runs both joins.
-        database = section2_database(NaturalsSemiring())
-        with tracing() as sink:
-            MaterializedView(section2_query(), database, executor="pipelined")
-        joins = sink.find("kernel.join")
-        projects = sink.find("kernel.project")
-        assert len(joins) == 2  # the example query joins R with itself twice
-        for record in joins:
-            assert record.attributes["left_rows"] == 3
-            assert record.attributes["right_rows"] == 3
-            assert record.attributes["out_rows"] == 5
-        assert projects  # projections of the two branches
-        for record in projects:
-            assert record.attributes["in_rows"] >= record.attributes["out_rows"] > 0
-
 
 class TestPlannerSpans:
     def test_optimize_emits_rewrite_and_reorder(self):

@@ -26,7 +26,6 @@ from strategies import (
 )
 
 from repro.circuits import to_polynomial
-from repro.incremental import MaterializedView, UpdateBatch, apply_batch_to_database
 from repro.planner import optimize, plan_signature
 from repro.semirings import get_semiring
 
@@ -114,49 +113,3 @@ def test_rewrites_without_schema_catalog_agree(semiring_name, data):
         plan.evaluate(database),
         f"schema-free optimize over {semiring.name}: {query} -> {plan}",
     )
-
-
-@pytest.mark.parametrize("semiring_name", ("bag", "bool", "tropical", "posbool", "z"))
-@given(data=st.data())
-@settings(
-    max_examples=15,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_optimized_materialized_views_maintain_identically(semiring_name, data):
-    """A view compiled from the optimized plan stays equal to recomputation
-    of the *original* query under random insertion streams."""
-    from strategies import BASE_SCHEMAS, DOMAIN, annotation_for
-
-    semiring = get_semiring(semiring_name)
-    query, _schema = data.draw(ra_queries(), label="query")
-    database = data.draw(view_databases(semiring), label="database")
-    shadow = database.copy()
-    view = MaterializedView(query, database, optimize=True)
-    _assert_same_relation(
-        semiring, query.evaluate(shadow), view.relation, f"initial view: {query}"
-    )
-    index = 5000
-    for _ in range(data.draw(st.integers(min_value=1, max_value=3), label="batches")):
-        insertions = {}
-        for name in sorted(BASE_SCHEMAS):
-            attributes = BASE_SCHEMAS[name]
-            entries = []
-            for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
-                values = tuple(
-                    data.draw(st.sampled_from(DOMAIN)) for _ in attributes
-                )
-                index += 1
-                entries.append((values, annotation_for(semiring, index, data.draw)))
-            if entries:
-                insertions[name] = entries
-        batch = UpdateBatch(insertions=insertions)
-        view.apply(batch)
-        apply_batch_to_database(shadow, batch)
-        _assert_same_relation(
-            semiring,
-            query.evaluate(shadow),
-            view.relation,
-            f"maintained optimized view: {query}\nplan: {view.plan}",
-        )

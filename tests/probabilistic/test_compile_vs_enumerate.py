@@ -1,13 +1,16 @@
-"""Differential harness: compiled inference vs the enumeration oracle.
+"""Differential harness: compiled inference vs the explicit world space.
 
-``method="compile"`` (knowledge-compile the lineage, weighted-model-count
-the diagram) must agree *exactly* with ``method="enumerate"`` (intensional
-evaluation over the explicit ``2^n`` world space) -- on probabilities, on
-answer events, and on the top-k most-probable worlds -- over random
-positive-algebra queries and random datalog programs, on both storage
-backends.  Event pools are small enough for the oracle and deliberately
-reused across tuples, so correlated answers (shared events) are exercised,
-not just the independent case.
+Probabilities, top-k and MAP come from compiled lineage (knowledge-compile
+the answers' circuits, weighted-model-count the diagram); events come from
+intensional evaluation over the explicit ``2^n`` world space in
+``P(Omega)``.  Theorem 4.3 (Theorem 6.4 for datalog, Section 8) makes them
+agree *exactly*: ``query_probabilities`` must equal ``space.probability`` of
+``query_events``, the compiled diagrams read back into ``P(Omega)`` must be
+the enumerated events, and the top-k worlds must be the oracle's k best --
+over random positive-algebra queries and random datalog programs.  Event
+pools are small enough for the oracle and deliberately reused across tuples,
+so correlated answers (shared events) are exercised, not just the
+independent case.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import CircuitCompiler, wmc, wmc_many
+from repro.circuits import CircuitCompiler, CircuitEvaluator, wmc, wmc_many
 from repro.probabilistic import ProbabilisticDatabase
 from tests.strategies import BASE_SCHEMAS, DOMAIN, programs, ra_queries
 
@@ -31,8 +34,6 @@ SETTINGS = settings(
 #: Small pool of event names -- reuse across tuples creates correlation.
 EVENT_POOL = ("e1", "e2", "e3", "e4", "e5", "e6")
 MARGINAL_POOL = (0.1, 0.25, 0.5, 0.75, 0.9)
-
-STORAGES = ("row", "columnar")
 
 
 @st.composite
@@ -95,26 +96,51 @@ def _assert_probabilities_match(compiled, enumerated, context):
         )
 
 
+def _event_probabilities(pdb, events):
+    """The oracle: each answer event scored against the explicit worlds."""
+    return {tup: pdb.space.probability(event) for tup, event in events.items()}
+
+
+def _read_back_events(pdb, compiled):
+    """Compiled diagrams evaluated in ``P(Omega)`` (negation = set
+    complement), one shared evaluator for all of them."""
+    space = pdb.space
+    worlds = space.space.worlds
+    evaluator = CircuitEvaluator(
+        space.semiring,
+        {name: space.event(name) for name in space.marginals},
+        complement=lambda event: worlds - event,
+    )
+    events = evaluator.evaluate_many(circuit.root for circuit in compiled.values())
+    return {key: events[circuit.root] for key, circuit in compiled.items()}
+
+
+def _assert_events_match(pdb, compiled, enumerated):
+    read_back = {
+        tup: event for tup, event in _read_back_events(pdb, compiled).items() if event
+    }
+    assert set(read_back) == set(enumerated.support)
+    for tup, event in read_back.items():
+        assert event == enumerated.annotation(tup), f"event mismatch on {tup}"
+
+
 class TestQueries:
     @SETTINGS
-    @given(probabilistic_databases(), ra_queries(), st.sampled_from(STORAGES))
-    def test_probabilities_match_oracle(self, pdb, query_and_schema, storage):
+    @given(probabilistic_databases(), ra_queries())
+    def test_probabilities_match_oracle(self, pdb, query_and_schema):
         query, _ = query_and_schema
-        compiled = pdb.query_probabilities(query, storage=storage)
-        enumerated = pdb.query_probabilities(query, method="enumerate", storage=storage)
-        _assert_probabilities_match(compiled, enumerated, f"storage={storage}")
+        _assert_probabilities_match(
+            pdb.query_probabilities(query),
+            _event_probabilities(pdb, pdb.query_events(query)),
+            "query",
+        )
 
     @SETTINGS
     @given(probabilistic_databases(), ra_queries())
     def test_events_match_oracle_exactly(self, pdb, query_and_schema):
         query, _ = query_and_schema
-        compiled = pdb.query_events(query, method="compile")
-        enumerated = pdb.query_events(query, method="enumerate")
-        assert set(compiled.support) == set(enumerated.support)
-        for tup in enumerated.support:
-            assert compiled.annotation(tup) == enumerated.annotation(tup), (
-                f"event mismatch on {tup}"
-            )
+        compiled = CircuitCompiler().compile_many(dict(pdb.query_lineage(query).items()))
+        _assert_events_match(pdb, compiled, pdb.query_events(query))
 
     @SETTINGS
     @given(probabilistic_databases(), ra_queries(), st.integers(min_value=1, max_value=4))
@@ -125,7 +151,7 @@ class TestQueries:
         top = pdb.query_top_k(query, k)
         if not top:
             return
-        events = pdb.query_events(query, method="enumerate")
+        events = pdb.query_events(query)
         space = pdb.space
         for tup, models in top.items():
             event = events.annotation(tup)
@@ -151,44 +177,35 @@ class TestQueries:
         query, _ = query_and_schema
         maps = pdb.query_map(query)
         top = pdb.query_top_k(query, 1)
+        events = pdb.query_events(query)
         assert set(maps) == set(top)
         for tup, best in maps.items():
             assert best is not None
             probability, assignment = best
-            top_probability, _ = top[tup][0]
-            assert probability == pytest.approx(top_probability, abs=1e-12)
+            assert (probability, assignment) == top[tup][0]
             assert math.isfinite(probability) and probability >= 0.0
+            world = frozenset(name for name, present in assignment.items() if present)
+            assert world in events.annotation(tup)
 
 
 class TestDatalog:
     @SETTINGS
-    @given(st.data(), st.sampled_from(STORAGES))
-    def test_datalog_probabilities_match_oracle(self, data, storage):
+    @given(st.data())
+    def test_datalog_probabilities_match_oracle(self, data):
         program = data.draw(programs())
         pdb = data.draw(datalog_probabilistic_databases(program))
-        compiled = pdb.datalog_probabilities(program)
-        enumerated = pdb.datalog_probabilities(program, method="enumerate")
-        _assert_probabilities_match(compiled, enumerated, f"storage={storage}")
+        _assert_probabilities_match(
+            pdb.datalog_probabilities(program),
+            _event_probabilities(pdb, pdb.datalog_events(program)),
+            "datalog",
+        )
 
     @SETTINGS
     @given(st.data())
     def test_datalog_events_match_oracle_exactly(self, data):
         program = data.draw(programs())
         pdb = data.draw(datalog_probabilistic_databases(program))
-        compiled = pdb.datalog_events(program, method="compile")
-        enumerated = pdb.datalog_events(program, method="enumerate")
-        assert set(compiled.support) == set(enumerated.support)
-        for tup in enumerated.support:
-            assert compiled.annotation(tup) == enumerated.annotation(tup)
-
-    @SETTINGS
-    @given(st.data())
-    def test_datalog_engines_agree_on_compiled_path(self, data):
-        program = data.draw(programs())
-        pdb = data.draw(datalog_probabilistic_databases(program))
-        seminaive = pdb.datalog_probabilities(program, engine="seminaive")
-        naive = pdb.datalog_probabilities(program, engine="naive")
-        _assert_probabilities_match(seminaive, naive, "engines")
+        _assert_events_match(pdb, pdb._compile_output(program), pdb.datalog_events(program))
 
 
 def _assert_batch_equals_per_root(lineages, weights, k):
@@ -211,19 +228,14 @@ def _assert_batch_equals_per_root(lineages, weights, k):
 
 class TestBatchEqualsPerRoot:
     @SETTINGS
-    @given(
-        probabilistic_databases(),
-        ra_queries(),
-        st.sampled_from(STORAGES),
-        st.integers(min_value=1, max_value=3),
-    )
-    def test_queries(self, pdb, query_and_schema, storage, k):
+    @given(probabilistic_databases(), ra_queries(), st.integers(min_value=1, max_value=3))
+    def test_queries(self, pdb, query_and_schema, k):
         query, _ = query_and_schema
-        lineages = dict(pdb.query_lineage(query, storage=storage).items())
+        lineages = dict(pdb.query_lineage(query).items())
         counted = _assert_batch_equals_per_root(lineages, pdb.marginals, k)
-        assert pdb.query_probabilities(query, storage=storage) == counted
-        enumerated = pdb.query_probabilities(query, method="enumerate", storage=storage)
-        _assert_probabilities_match(counted, enumerated, f"storage={storage}")
+        assert pdb.query_probabilities(query) == counted
+        enumerated = _event_probabilities(pdb, pdb.query_events(query))
+        _assert_probabilities_match(counted, enumerated, "query")
 
     @SETTINGS
     @given(st.data(), st.integers(min_value=1, max_value=3))
@@ -239,7 +251,7 @@ class TestBatchEqualsPerRoot:
         attributes = pdb._datalog_output_schema(program).attributes
         assert {tup.values_for(attributes): p for tup, p in answer.items()} == output
         _assert_probabilities_match(
-            answer, pdb.datalog_probabilities(program, method="enumerate"), "datalog"
+            answer, _event_probabilities(pdb, pdb.datalog_events(program)), "datalog"
         )
 
 

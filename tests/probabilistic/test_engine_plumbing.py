@@ -1,113 +1,12 @@
-"""The probabilistic frontend rides the planner and the fast engines.
+"""The explicit world space behind the event-returning probabilistic APIs.
 
-``ProbabilisticDatabase.query_events``/``datalog_events`` used to hard-code
-unoptimized naive evaluation, bypassing both the PR 2 semi-naive datalog
-engine and the PR 4 planner.  They now plumb ``optimize=``/``executor=``
-(queries) and ``engine=`` (datalog) through, with planner-on / semi-naive
-defaults.  These tests prove the answer *events* -- not just the
-probabilities -- are identical across every mode.
+``IndependentEventSpace`` builds its ``2^n`` worlds lazily and memoizes
+event probabilities; the compiled path never touches it.
 """
 
 from __future__ import annotations
 
 import pytest
-
-from repro.probabilistic import ProbabilisticDatabase
-from repro.relations import Tup
-from repro.workloads import (
-    figure4_probabilistic_database,
-    section2_query,
-    transitive_closure_program,
-)
-
-
-def _cyclic_pdb() -> ProbabilisticDatabase:
-    pdb = ProbabilisticDatabase()
-    pdb.add_relation(
-        "R",
-        ["x", "y"],
-        [
-            (("a", "b"), "e1", 0.5),
-            (("b", "c"), "e2", 0.5),
-            (("a", "c"), "e3", 0.2),
-            (("c", "a"), "e4", 0.5),
-        ],
-    )
-    return pdb
-
-
-def _assert_identical_events(reference, candidate, context):
-    assert reference.schema.attribute_set == candidate.schema.attribute_set, context
-    assert set(reference.support) == set(candidate.support), context
-    for tup in reference.support:
-        assert reference.annotation(tup) == candidate.annotation(tup), (
-            f"{context}: event mismatch on {tup}"
-        )
-
-
-class TestQueryPlumbing:
-    def test_all_query_modes_produce_identical_events(self):
-        pdb = figure4_probabilistic_database()
-        query = section2_query()
-        reference = pdb.query_events(query, optimize=False)
-        for optimize in (False, True):
-            for executor in ("naive", "pipelined"):
-                _assert_identical_events(
-                    reference,
-                    pdb.query_events(query, optimize=optimize, executor=executor),
-                    f"optimize={optimize}, executor={executor}",
-                )
-
-    def test_optimized_is_the_default(self):
-        """The planner-on default gives the same events as the old hard-coded
-        naive path (Proposition 3.4 over P(Omega))."""
-        pdb = figure4_probabilistic_database()
-        query = section2_query()
-        _assert_identical_events(
-            pdb.query_events(query, optimize=False),
-            pdb.query_events(query),
-            "default mode",
-        )
-
-    def test_probabilities_agree_across_modes(self):
-        pdb = figure4_probabilistic_database()
-        query = section2_query()
-        reference = pdb.query_probabilities(query, optimize=False)
-        fast = pdb.query_probabilities(query, optimize=True, executor="pipelined")
-        assert set(reference) == set(fast)
-        for tup, probability in reference.items():
-            assert fast[tup] == pytest.approx(probability)
-
-
-class TestPipelinedDefault:
-    """The pipelined executor is now the default for probabilistic queries."""
-
-    def test_signature_defaults_are_pipelined(self):
-        import inspect
-
-        for method in (
-            ProbabilisticDatabase.query_events,
-            ProbabilisticDatabase.query_probabilities,
-            ProbabilisticDatabase.query_lineage,
-        ):
-            assert (
-                inspect.signature(method).parameters["executor"].default
-                == "pipelined"
-            ), method.__name__
-
-    def test_default_matches_explicit_naive(self):
-        pdb = figure4_probabilistic_database()
-        query = section2_query()
-        _assert_identical_events(
-            pdb.query_events(query, executor="naive"),
-            pdb.query_events(query),
-            "pipelined default",
-        )
-        naive = pdb.query_probabilities(query, executor="naive")
-        default = pdb.query_probabilities(query)
-        assert set(naive) == set(default)
-        for tup, probability in naive.items():
-            assert default[tup] == pytest.approx(probability)
 
 
 class TestEventSpaceMemo:
@@ -139,34 +38,3 @@ class TestEventSpaceMemo:
         space.probability(space.event("e2"))
         assert len(space._probability_memo) == 2
         assert first == pytest.approx(0.5)
-
-
-class TestDatalogPlumbing:
-    def test_both_engines_produce_identical_events(self):
-        pdb = _cyclic_pdb()
-        program = transitive_closure_program()
-        _assert_identical_events(
-            pdb.datalog_events(program, engine="naive"),
-            pdb.datalog_events(program, engine="seminaive"),
-            "datalog engines",
-        )
-
-    def test_seminaive_is_the_default(self):
-        pdb = _cyclic_pdb()
-        program = transitive_closure_program()
-        _assert_identical_events(
-            pdb.datalog_events(program, engine="naive"),
-            pdb.datalog_events(program),
-            "default datalog engine",
-        )
-
-    def test_probabilities_agree_across_engines(self):
-        pdb = _cyclic_pdb()
-        program = transitive_closure_program()
-        naive = pdb.datalog_probabilities(program, engine="naive")
-        seminaive = pdb.datalog_probabilities(program, engine="seminaive")
-        assert set(naive) == set(seminaive)
-        for tup, probability in naive.items():
-            assert seminaive[tup] == pytest.approx(probability)
-        # Anchor to the known closed-form value from the paper's example.
-        assert seminaive[Tup(x="a", y="c")] == pytest.approx(0.4)

@@ -1,0 +1,116 @@
+"""Entry points with one implementation take no keyword that picks another.
+
+Theorem 4.3 (and Theorem 6.4 over distributive lattices) proves that the
+paths these keywords used to choose between return the same answer, so the
+choice lives in the differential tests, not in the API.  Passing any of the
+removed keywords is a ``TypeError``.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import BooleanSemiring, Database, MaterializedView, Q
+from repro.datalog import evaluate_on_lattice, lattice_condition_provenance
+from repro.probabilistic import EventTable, ProbabilisticDatabase
+
+PROGRAM = "T(x, y) :- R(x, y)\nT(x, y) :- R(x, z), T(z, y)"
+QUERY = Q.relation("R").project("x")
+EDGES = [("a", "b"), ("b", "c"), ("c", "a")]
+
+
+def _pdb() -> ProbabilisticDatabase:
+    pdb = ProbabilisticDatabase()
+    pdb.add_relation(
+        "R", ["x", "y"], [(edge, f"e{i}", 0.5) for i, edge in enumerate(EDGES)]
+    )
+    return pdb
+
+
+def _bool_database() -> Database:
+    database = Database(BooleanSemiring())
+    database.create("R", ["x", "y"], EDGES)
+    return database
+
+
+def _event_table() -> EventTable:
+    return EventTable.tuple_independent(["x", "y"], [(EDGES[0], "e0", 0.5)])
+
+
+def _lattice_evaluate(**kw):
+    result = lattice_condition_provenance(PROGRAM, _bool_database())
+    valuation = {name: True for name in result.edb_ids.values()}
+    return result.evaluate(BooleanSemiring(), valuation, **kw)
+
+
+CALLS = {
+    "ProbabilisticDatabase.query_lineage": lambda **kw: _pdb().query_lineage(QUERY, **kw),
+    "ProbabilisticDatabase.query_events": lambda **kw: _pdb().query_events(QUERY, **kw),
+    "ProbabilisticDatabase.query_probabilities": (
+        lambda **kw: _pdb().query_probabilities(QUERY, **kw)
+    ),
+    "ProbabilisticDatabase.query_top_k": lambda **kw: _pdb().query_top_k(QUERY, 2, **kw),
+    "ProbabilisticDatabase.query_map": lambda **kw: _pdb().query_map(QUERY, **kw),
+    "ProbabilisticDatabase.datalog_events": (
+        lambda **kw: _pdb().datalog_events(PROGRAM, **kw)
+    ),
+    "ProbabilisticDatabase.datalog_probabilities": (
+        lambda **kw: _pdb().datalog_probabilities(PROGRAM, **kw)
+    ),
+    "ProbabilisticDatabase.datalog_top_k": (
+        lambda **kw: _pdb().datalog_top_k(PROGRAM, 2, **kw)
+    ),
+    "EventTable.probability": lambda **kw: _event_table().probability(EDGES[0], **kw),
+    "EventTable.probabilities": lambda **kw: _event_table().probabilities(**kw),
+    "LatticeDatalogResult.evaluate": _lattice_evaluate,
+    "lattice_condition_provenance": (
+        lambda **kw: lattice_condition_provenance(PROGRAM, _bool_database(), **kw)
+    ),
+    "evaluate_on_lattice": lambda **kw: evaluate_on_lattice(PROGRAM, _bool_database(), **kw),
+    "MaterializedView": lambda **kw: MaterializedView(QUERY, _bool_database(), **kw),
+}
+
+QUERY_KNOBS = {"optimize": True, "executor": "pipelined", "storage": "row"}
+
+REMOVED = [
+    *(
+        (f"ProbabilisticDatabase.{name}", keyword, value)
+        for name in ("query_lineage", "query_events", "query_probabilities", "query_top_k", "query_map")
+        for keyword, value in QUERY_KNOBS.items()
+    ),
+    *(
+        (f"ProbabilisticDatabase.{name}", "method", "compile")
+        for name in ("query_events", "query_probabilities", "datalog_events", "datalog_probabilities")
+    ),
+    *(
+        (f"ProbabilisticDatabase.{name}", "engine", "seminaive")
+        for name in ("datalog_events", "datalog_probabilities", "datalog_top_k")
+    ),
+    ("EventTable.probability", "method", "compile"),
+    ("EventTable.probabilities", "method", "compile"),
+    ("LatticeDatalogResult.evaluate", "method", "expand"),
+    ("lattice_condition_provenance", "engine", "seminaive"),
+    ("lattice_condition_provenance", "storage", "row"),
+    ("evaluate_on_lattice", "engine", "seminaive"),
+    ("evaluate_on_lattice", "method", "expand"),
+    ("evaluate_on_lattice", "storage", "row"),
+    ("evaluate_on_lattice", "output_only", True),
+    *(("MaterializedView", keyword, value) for keyword, value in QUERY_KNOBS.items()),
+]
+
+
+def test_every_removed_keyword_is_listed_once():
+    assert len(REMOVED) == len(set(REMOVED)) == 34
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_the_call_runs_without_keywords(name):
+    CALLS[name]()
+
+
+@pytest.mark.parametrize(
+    "name, keyword, value", REMOVED, ids=[f"{n}-{k}" for n, k, _ in REMOVED]
+)
+def test_removed_keyword_is_a_type_error(name, keyword, value):
+    with pytest.raises(TypeError, match=keyword):
+        CALLS[name](**{keyword: value})
