@@ -70,7 +70,6 @@ class AllTreesResult:
 
     def output_provenance(self) -> Dict[GroundAtom, Polynomial | None]:
         """Provenance of the output predicate's atoms (``None`` marks infinity)."""
-        output = self.ground.program.output
         result: Dict[GroundAtom, Polynomial | None] = {}
         for atom in self.ground.output_atoms():
             result[atom] = None if atom in self.infinite else self.polynomials[atom]

@@ -74,21 +74,25 @@ def classify_provenance(ground: GroundProgram) -> FinitenessReport:
     """Classify every derivable IDB atom of a grounded program.
 
     The classification combines two reachability analyses on the grounded
-    dependency graph: atoms downstream of *any* cycle have infinitely many
-    derivation trees (their provenance is a proper series); among those, the
-    atoms downstream of a cycle of grounded *unit rules* additionally have an
-    infinite coefficient (Theorem 6.5).
+    dependency graph, both run on atom ids: atoms downstream of *any* cycle
+    have infinitely many derivation trees (their provenance is a proper
+    series); among those, the atoms downstream of a cycle of grounded *unit
+    rules* additionally have an infinite coefficient (Theorem 6.5).
     """
-    infinite_trees = ground.atoms_with_infinite_derivations()
-    infinite_coefficients = ground.atoms_with_unit_rule_cycles()
+    infinite_trees = ground.downstream_ids(ground.cyclic_ids())
+    infinite_coefficients = ground.downstream_ids(ground.cyclic_ids(unit_rules_only=True))
+    table, _ = ground.int_form()
     classification: Dict[GroundAtom, ProvenanceClass] = {}
-    for atom in ground.idb_atoms:
+    for atom, is_idb in enumerate(table.idb):
+        if not is_idb:
+            continue
         if atom in infinite_coefficients:
-            classification[atom] = ProvenanceClass.SERIES_INFINITE_COEFFICIENTS
+            provenance_class = ProvenanceClass.SERIES_INFINITE_COEFFICIENTS
         elif atom in infinite_trees:
-            classification[atom] = ProvenanceClass.SERIES_FINITE_COEFFICIENTS
+            provenance_class = ProvenanceClass.SERIES_FINITE_COEFFICIENTS
         else:
-            classification[atom] = ProvenanceClass.POLYNOMIAL
+            provenance_class = ProvenanceClass.POLYNOMIAL
+        classification[table.atom(atom)] = provenance_class
     return FinitenessReport(ground=ground, classification=classification)
 
 

@@ -45,9 +45,9 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Set
 
 from repro.errors import DivergenceError
 from repro.datalog.grounding import (
+    AtomTable,
     GroundAtom,
     GroundProgram,
-    GroundRule,
     ground_program,
     is_cyclic,
     strongly_connected_components,
@@ -73,6 +73,14 @@ __all__ = [
 DEFAULT_MAX_ITERATIONS = 10_000
 
 
+def idb_schema(program: Program, database: Database, predicate: str) -> Schema:
+    """The schema of ``predicate``'s relation: the database's, else the rule heads'."""
+    if predicate in database:
+        return database.relation(predicate).schema
+    names = program.head_attributes(predicate)
+    return Schema(names or [f"c{i + 1}" for i in range(program.arity(predicate))])
+
+
 @dataclass
 class DatalogResult:
     """Result of a datalog evaluation.
@@ -91,13 +99,14 @@ class DatalogResult:
         semirings).
     ground:
         The grounded program the evaluation ran on (useful for inspecting the
-        instantiation, e.g. in tests of Theorem 6.5).  Caveat: for idempotent
-        semirings the semi-naive engine never materializes the instantiation
-        (that is where its speed comes from), so its result's ``ground``
-        carries the derivable atoms and EDB annotations but an **empty rule
-        list**; use ``engine="naive"`` (or
-        :func:`~repro.datalog.grounding.ground_program`) when the ground
-        rules themselves are needed.
+        instantiation, e.g. in tests of Theorem 6.5): the collect run's
+        int-coded instantiation, whose :class:`GroundAtom` / ``GroundRule``
+        views are decoded on first read.  Caveat: for idempotent semirings
+        the semi-naive engine never records the instantiation (that is where
+        its speed comes from), so its result's ``ground`` carries the
+        derivable atoms and EDB annotations but an **empty rule list**; use
+        ``engine="naive"`` (or :func:`~repro.datalog.grounding.ground_program`)
+        when the ground rules themselves are needed.
     """
 
     annotations: Dict[GroundAtom, Any]
@@ -111,12 +120,7 @@ class DatalogResult:
         if predicate in self._relations:
             return self._relations[predicate]
         semiring = database.semiring
-        arity = self.ground.program.arity(predicate)
-        if predicate in database:
-            schema = database.relation(predicate).schema
-        else:
-            head_names = self.ground.program.head_attributes(predicate)
-            schema = Schema(head_names or [f"c{i + 1}" for i in range(arity)])
+        schema = idb_schema(self.ground.program, database, predicate)
         relation = KRelation(semiring, schema)
         for atom, annotation in self.annotations.items():
             if atom.relation != predicate or semiring.is_zero(annotation):
@@ -131,21 +135,33 @@ class DatalogResult:
 
 
 def _consequence(
-    rules: Iterable[GroundRule], values: Mapping[GroundAtom, Any], semiring: Semiring
-) -> Any:
-    """``T_q`` for one atom: the sum over its rules of their body products."""
-    zero = semiring.zero()
-    one = semiring.one()
-    mul, is_zero = semiring.mul, semiring.is_zero
-    total = zero
-    for rule in rules:
-        product = one
-        for body_atom in rule.body:
-            product = mul(product, values.get(body_atom, zero))
-            if is_zero(product):
-                break
-        total = semiring.add(total, product)
-    return total
+    table: AtomTable, values: List[Any], semiring: Semiring
+) -> Callable[[int], Any]:
+    """``T_q`` for one atom id: the sum over its rules of their body products."""
+    zero, one = semiring.zero(), semiring.one()
+    add, mul, is_zero = semiring.add, semiring.mul, semiring.is_zero
+    rules, by_head = table.rules, table.by_head
+
+    def consequence(atom: int) -> Any:
+        total = zero
+        for position in by_head[atom]:
+            product = one
+            for body_atom in rules[position][2]:
+                product = mul(product, values[body_atom])
+                if is_zero(product):
+                    break
+            total = add(total, product)
+        return total
+
+    return consequence
+
+
+def _initial_values(facts: Mapping[int, Any], size: int, semiring: Semiring) -> List[Any]:
+    """Zero for every atom id but the EDB facts, which take their annotation."""
+    values = [semiring.zero()] * size
+    for atom, value in facts.items():
+        values[atom] = value
+    return values
 
 
 def immediate_consequence(
@@ -163,13 +179,14 @@ def immediate_consequence(
     ``current`` value.  This is exactly how the paper turns ``T_q`` into the
     right-hand sides of the algebraic system (Definition 5.5).
     """
-    values = dict(current)
-    values.update(ground.edb_annotations)
+    table, facts = ground.int_form()
+    ids = {table.atom(i): i for i in range(len(table.atoms))}
+    values = _initial_values(facts, len(table.atoms), semiring)
+    for atom, value in current.items():
+        values[ids[atom]] = value
+    consequence = _consequence(table, values, semiring)
     selected = ground.idb_atoms if atoms is None else atoms
-    return {
-        atom: _consequence(ground.rules_with_head(atom), values, semiring)
-        for atom in selected
-    }
+    return {atom: consequence(ids[atom]) for atom in selected}
 
 
 def evaluate_program(
@@ -196,24 +213,21 @@ def evaluate_program(
       infinitely many), so the kept annotations are unaffected.  The skipped
       atoms are reported in ``DatalogResult.divergent_atoms``.
 
-    ``engine`` selects how the fixpoint is reached: ``"naive"`` (default)
-    grounds the program and hands the instantiation to :func:`solve_ground`,
-    which solves it component by component; ``"seminaive"`` runs the
-    delta-driven engine of :mod:`repro.datalog.seminaive`, which never
-    grounds the program for idempotent semirings and derives the
-    instantiation semi-naively for the others before handing it to the same
-    solver.  The annotations are identical.  The engines differ in one
-    inspection detail: for idempotent semirings the semi-naive result's
-    ``ground`` carries no rule instantiations (see
+    Over a non-idempotent semiring both engines do the same thing: the
+    program is grounded by :func:`~repro.datalog.grounding.ground_program`
+    (the semi-naive collect run) and the instantiation is handed to
+    :func:`solve_ground`, which solves it component by component on atom
+    ids.  ``engine`` matters for idempotent semirings only: ``"naive"``
+    (default) takes that same route, ``"seminaive"`` runs the delta-driven
+    round loops of :mod:`repro.datalog.seminaive`, which never record the
+    instantiation.  The annotations are identical; the semi-naive result's
+    ``ground`` then carries no rule instantiations (see
     :attr:`DatalogResult.ground`).
 
-    ``storage`` selects the physical backend of the semi-naive engine's
-    per-predicate stores (``"row"`` or ``"columnar"``; ``None`` defers to
-    ``REPRO_STORAGE``, then to the database's own backend).  The backend does
-    not choose the algorithm: on either one the whole fixpoint runs
-    array-resident (:mod:`repro.datalog.arraystore`) for idempotent vector
-    semirings and programs of copy / single-join plans, with identical
-    results.  The naive engine ignores it.
+    ``storage`` selects the backend of those round loops' IDB stores
+    (``"row"`` / ``"columnar"``; ``None`` defers to ``REPRO_STORAGE``, then
+    to the database's own backend); it never changes the algorithm or the
+    results, and the grounding route ignores it.
     """
     if engine not in ("naive", "seminaive"):
         raise ValueError(f"engine must be 'naive' or 'seminaive', got {engine!r}")
@@ -245,49 +259,45 @@ def check_on_divergence(on_divergence: str) -> None:
         )
 
 
-def _live_dependencies(ground: GroundProgram) -> Dict[GroundAtom, Set[GroundAtom]]:
-    """IDB atom -> the IDB atoms its live rules read.
+def _live_dependencies(table: AtomTable, facts: Mapping[int, Any]) -> List[List[int]]:
+    """Atom id -> the IDB atoms its live rules read.
 
     A rule is live when every EDB atom of its body is a fact of the grounding
     and every IDB atom of its body has a live rule itself (least fixpoint,
     one counter per rule).  A grounding keeps only non-zero facts, so a rule
     with a zero EDB factor is dead -- and so is every cycle only such a rule
-    closes (setting ``r = 0`` in Figure 7 makes ``u`` finite).  Every IDB
-    atom of the grounding is a key, with no dependencies if it is not live.
+    closes (setting ``r = 0`` in Figure 7 makes ``u`` finite).  EDB atoms and
+    IDB atoms that are not live read nothing.
     """
-    idb = ground.program.idb_predicates
-    facts = ground.edb_annotations
-    rules = ground.ground_rules
-    reads: List[List[GroundAtom]] = []
+    idb, rules = table.idb, table.rules
+    reads: List[List[int]] = []
     pending: List[int] = []
-    waiting: Dict[GroundAtom, List[int]] = {}
+    waiting: Dict[int, List[int]] = {}
     ready: List[int] = []
-    for index, rule in enumerate(rules):
-        idb_reads: List[GroundAtom] = []
-        for atom in rule.body:
-            if atom.relation in idb:
+    for position, (_, _, body) in enumerate(rules):
+        idb_reads: List[int] = []
+        for atom in body:
+            if idb[atom]:
                 idb_reads.append(atom)
             elif atom not in facts:
                 break  # dead: never ready, never waiting
         else:
             if not idb_reads:
-                ready.append(index)
+                ready.append(position)
             for atom in idb_reads:
-                waiting.setdefault(atom, []).append(index)
+                waiting.setdefault(atom, []).append(position)
         reads.append(idb_reads)
         pending.append(len(idb_reads))
 
-    successors: Dict[GroundAtom, Set[GroundAtom]] = {
-        atom: set() for atom in ground.idb_atoms
-    }
-    live: Set[GroundAtom] = set()
+    successors: List[List[int]] = [[] for _ in table.atoms]
+    live = [False] * len(table.atoms)
     while ready:
-        index = ready.pop()
-        head = rules[index].head
-        successors.setdefault(head, set()).update(reads[index])
-        if head in live:
+        position = ready.pop()
+        head = rules[position][1]
+        successors[head].extend(reads[position])
+        if live[head]:
             continue
-        live.add(head)
+        live[head] = True
         for waiter in waiting.get(head, ()):
             pending[waiter] -= 1
             if pending[waiter] == 0:
@@ -309,17 +319,21 @@ def solve_ground(
     :class:`~repro.datalog.grounding.GroundProgram` -- or a re-annotated copy
     of one, as the provenance paths and algebraic systems build -- solve it
     here without grounding a second time.  ``ground.edb_annotations`` must
-    already be elements of ``semiring``; a fact it leaves out is zero.
+    already be elements of ``semiring``; a fact it leaves out is zero.  The
+    solver runs on atom ids; only the returned atoms are decoded.
     """
     check_on_divergence(on_divergence)
-    successors = _live_dependencies(ground)
+    table, facts = ground.int_form()
+    idb = table.idb
+    successors = _live_dependencies(table, facts)
     components = [
         (component, is_cyclic(component, successors))
         for component in strongly_connected_components(successors)
+        if idb[component[0]]
     ]
     series = isinstance(semiring, PowerSeriesSemiring)
 
-    divergent: Set[GroundAtom] = set()
+    divergent: Set[int] = set()
     if not (semiring.idempotent_add or series):
         for component, cyclic in components:
             if cyclic or divergent and any(
@@ -336,15 +350,15 @@ def solve_ground(
                 "or on_divergence='skip' to keep only the convergent atoms)"
             )
 
-    # EDB facts and IDB values share one map (their predicates are disjoint);
-    # skipped atoms stay absent and read as zero, which no convergent atom
-    # observes: a live rule reading a divergent atom makes its head divergent.
-    values: Dict[GroundAtom, Any] = dict(ground.edb_annotations)
+    # EDB facts and IDB values share one vector; skipped atoms stay zero,
+    # which no convergent atom observes: a live rule reading a divergent
+    # atom makes its head divergent.
+    values = _initial_values(facts, len(table.atoms), semiring)
     if divergent and on_divergence == "top":
-        values.update(dict.fromkeys(divergent, semiring.top()))
-
-    def consequence(atom: GroundAtom) -> Any:
-        return _consequence(ground.rules_with_head(atom), values, semiring)
+        top = semiring.top()
+        for atom in divergent:
+            values[atom] = top
+    consequence = _consequence(table, values, semiring)
 
     iterations = 1
     for component, cyclic in components:
@@ -361,19 +375,23 @@ def solve_ground(
             )
         iterations = max(iterations, rounds)
 
+    skipped = divergent if on_divergence == "skip" else ()
+    atom = table.atom
     return DatalogResult(
-        annotations={atom: values[atom] for atom in successors if atom in values},
+        annotations={
+            atom(i): values[i] for i, is_idb in enumerate(idb) if is_idb and i not in skipped
+        },
         iterations=iterations,
-        divergent_atoms=frozenset(divergent),
+        divergent_atoms=frozenset(map(atom, divergent)),
         ground=ground,
     )
 
 
 def _iterate_to_fixpoint(
-    component: Sequence[GroundAtom],
-    successors: Mapping[GroundAtom, Set[GroundAtom]],
-    consequence: Callable[[GroundAtom], Any],
-    values: Dict[GroundAtom, Any],
+    component: Sequence[int],
+    successors: Sequence[Sequence[int]],
+    consequence: Callable[[int], Any],
+    values: List[Any],
     semiring: Semiring,
     max_iterations: int,
 ) -> int:
@@ -382,7 +400,7 @@ def _iterate_to_fixpoint(
     Each round re-applies ``T_q`` to the members whose body values changed in
     the previous one; returns the number of rounds.
     """
-    readers: Dict[GroundAtom, List[GroundAtom]] = {atom: [] for atom in component}
+    readers: Dict[int, List[int]] = {atom: [] for atom in component}
     for atom in component:
         for read in successors[atom]:
             if read in readers:
@@ -399,7 +417,7 @@ def _iterate_to_fixpoint(
                 f"{max_iterations} iterations"
             )
         rounds += 1
-        changed: Dict[GroundAtom, None] = {}
+        changed: Dict[int, None] = {}
         for atom in dirty:
             value = consequence(atom)
             if value != values[atom]:
@@ -410,9 +428,9 @@ def _iterate_to_fixpoint(
 
 
 def _stabilise_series(
-    component: Sequence[GroundAtom],
-    consequence: Callable[[GroundAtom], Any],
-    values: Dict[GroundAtom, Any],
+    component: Sequence[int],
+    consequence: Callable[[int], Any],
+    values: List[Any],
     semiring: PowerSeriesSemiring,
 ) -> int:
     """Jacobi rounds over one cyclic component in truncated ``N-inf[[X]]``.
@@ -432,7 +450,8 @@ def _stabilise_series(
     def jacobi_round() -> bool:
         updated = [(atom, consequence(atom)) for atom in component]
         changed = any(value != values[atom] for atom, value in updated)
-        values.update(updated)
+        for atom, value in updated:
+            values[atom] = value
         return changed
 
     for rounds in range(1, bound + 1):
@@ -460,8 +479,6 @@ def evaluate(
     engine: str = "naive",
 ) -> KRelation:
     """Convenience wrapper: evaluate and return the output predicate's K-relation."""
-    if isinstance(program, str):
-        program = Program.parse(program)
     result = evaluate_program(
         program,
         database,

@@ -7,30 +7,24 @@ program is the common substrate for all the evaluation algorithms in this
 package: the fixpoint engine, the algebraic-system construction
 (Definition 5.5), derivation-tree enumeration, All-Trees (Figure 8),
 Monomial-Coefficient (Figure 9), and the finiteness analysis (Theorem 6.5).
+
+:func:`ground_program` derives it with the semi-naive engine's collect run
+(:mod:`repro.datalog.seminaive`): indexed, delta-driven joins over the
+Boolean support that record every rule instantiation they fire.  A
+:class:`GroundProgram` keeps it int-coded -- an atom is its index in one
+atom table -- and builds :class:`GroundAtom` / :class:`GroundRule` objects
+only when a caller reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Sequence,
-    Set,
-    Tuple,
-)
+from itertools import chain
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from repro.errors import GroundingError
-from repro.datalog.syntax import Program, Rule
-from repro.logic import Atom, Constant, Variable, unify_ground
+from repro.datalog.syntax import Program
 from repro.relations.database import Database
-from repro.relations.tuples import Tup
 
 __all__ = [
     "GroundAtom",
@@ -67,16 +61,54 @@ class GroundRule:
     body: Tuple[GroundAtom, ...]
     rule_index: int
 
-    def is_unit(self, idb_predicates: FrozenSet[str]) -> bool:
-        """Whether this is a grounded *unit rule*: single IDB body atom."""
-        return len(self.body) == 1 and self.body[0].relation in idb_predicates
-
     def __str__(self) -> str:
         return f"{self.head} :- {', '.join(str(a) for a in self.body)}"
 
 
+class AtomTable:
+    """The int-coded instantiation, shared by a grounding and its re-annotated copies.
+
+    ``atoms[i]`` is atom ``i`` as a ``(relation, values)`` pair, ``rules``
+    holds ``(rule index, head id, body ids)`` triples, ``by_head[i]`` the
+    positions in ``rules`` of atom ``i``'s rules and ``idb[i]`` whether it
+    belongs to an intensional predicate.
+    """
+
+    __slots__ = ("atoms", "rules", "by_head", "idb", "_objects")
+
+    def __init__(
+        self,
+        program: Program,
+        atoms: List[Tuple[str, tuple]],
+        rules: List[Tuple[int, int, Tuple[int, ...]]],
+    ):
+        self.atoms = atoms
+        self.rules = rules
+        idb = program.idb_predicates
+        self.idb = [relation in idb for relation, _ in atoms]
+        self.by_head: List[List[int]] = [[] for _ in atoms]
+        for position, rule in enumerate(rules):
+            self.by_head[rule[1]].append(position)
+        self._objects: List[GroundAtom | None] = [None] * len(atoms)
+
+    def atom(self, atom_id: int) -> GroundAtom:
+        """The :class:`GroundAtom` of an id (built once)."""
+        atom = self._objects[atom_id]
+        if atom is None:
+            atom = self._objects[atom_id] = GroundAtom(*self.atoms[atom_id])
+        return atom
+
+
 class GroundProgram:
-    """The instantiation of a program over a database, plus analysis helpers."""
+    """The instantiation of a program over a database, plus analysis helpers.
+
+    Stored int-coded: an :class:`AtomTable` and the EDB facts' annotations
+    keyed by atom id.  The ground solver and the cycle analyses run on that
+    form; ``ground_rules``, ``edb_annotations``, ``derivable`` and the other
+    :class:`GroundAtom`-level views are decoded on first read.  The
+    constructor takes the object form and encodes it on first use, so a
+    rule-less grounding (the idempotent results) never pays for encoding.
+    """
 
     def __init__(
         self,
@@ -88,14 +120,74 @@ class GroundProgram:
     ):
         self.program = program
         self.database = database
-        self.ground_rules = tuple(ground_rules)
-        self.edb_annotations = dict(edb_annotations)
-        self.derivable = frozenset(derivable)
-        self._rules_by_head: Dict[GroundAtom, list[GroundRule]] = {}
-        for rule in self.ground_rules:
-            self._rules_by_head.setdefault(rule.head, []).append(rule)
+        self._ground_rules: Tuple[GroundRule, ...] | None = tuple(ground_rules)
+        self._edb_annotations: Dict[GroundAtom, Any] | None = dict(edb_annotations)
+        self._derivable: frozenset[GroundAtom] | None = frozenset(derivable)
+        self._table: AtomTable | None = None
+        self._facts: Dict[int, Any] | None = None
+        self._rules_by_head: Dict[GroundAtom, List[GroundRule]] | None = None
+
+    @classmethod
+    def from_ids(
+        cls, program: Program, database: Database, table: AtomTable, facts: Dict[int, Any]
+    ) -> "GroundProgram":
+        """A grounding given int-coded: every atom of ``table`` is derivable
+        and ``facts`` maps the EDB facts' ids to their annotations."""
+        ground = cls(program, database, (), {}, ())
+        ground._ground_rules = ground._edb_annotations = ground._derivable = None
+        ground._table, ground._facts = table, facts
+        return ground
+
+    def int_form(self) -> Tuple[AtomTable, Dict[int, Any]]:
+        """``(atom table, EDB annotation per fact id)``, encoded on first use."""
+        if self._table is None:
+            ids: Dict[GroundAtom, int] = {}
+            for atom in chain(
+                self._derivable,
+                self._edb_annotations,
+                (a for rule in self._ground_rules for a in (rule.head, *rule.body)),
+            ):
+                ids.setdefault(atom, len(ids))
+            table = AtomTable(
+                self.program,
+                [(atom.relation, atom.values) for atom in ids],
+                [
+                    (rule.rule_index, ids[rule.head], tuple(ids[a] for a in rule.body))
+                    for rule in self._ground_rules
+                ],
+            )
+            table._objects = list(ids)
+            self._table = table
+            self._facts = {ids[atom]: v for atom, v in self._edb_annotations.items()}
+        return self._table, self._facts
 
     # -- basic accessors --------------------------------------------------------
+    @property
+    def ground_rules(self) -> Tuple[GroundRule, ...]:
+        """Every rule instantiation, as :class:`GroundRule` objects."""
+        if self._ground_rules is None:
+            atom = self._table.atom
+            self._ground_rules = tuple(
+                GroundRule(atom(head), tuple(map(atom, body)), index)
+                for index, head, body in self._table.rules
+            )
+        return self._ground_rules
+
+    @property
+    def edb_annotations(self) -> Dict[GroundAtom, Any]:
+        """The EDB facts and their annotations."""
+        if self._edb_annotations is None:
+            atom = self._table.atom
+            self._edb_annotations = {atom(i): v for i, v in self._facts.items()}
+        return self._edb_annotations
+
+    @property
+    def derivable(self) -> frozenset[GroundAtom]:
+        """Every derivable ground atom, EDB facts included."""
+        if self._derivable is None:
+            self._derivable = frozenset(map(self._table.atom, range(len(self._table.atoms))))
+        return self._derivable
+
     @property
     def idb_atoms(self) -> frozenset[GroundAtom]:
         """Derivable ground atoms of IDB predicates."""
@@ -109,6 +201,10 @@ class GroundProgram:
 
     def rules_with_head(self, atom: GroundAtom) -> list[GroundRule]:
         """Grounded rules whose head is ``atom``."""
+        if self._rules_by_head is None:
+            self._rules_by_head = {}
+            for rule in self.ground_rules:
+                self._rules_by_head.setdefault(rule.head, []).append(rule)
         return self._rules_by_head.get(atom, [])
 
     def output_atoms(self) -> frozenset[GroundAtom]:
@@ -129,50 +225,50 @@ class GroundProgram:
             raise GroundingError(f"{atom} is not a known EDB fact") from None
 
     # -- dependency analysis -------------------------------------------------------
-    def dependency_edges(self) -> Iterator[tuple[GroundAtom, GroundAtom]]:
-        """Edges ``body atom -> head atom`` of the grounded dependency graph."""
-        for rule in self.ground_rules:
-            for body_atom in rule.body:
-                yield body_atom, rule.head
-
-    def atoms_on_cycles(self, *, unit_rules_only: bool = False) -> frozenset[GroundAtom]:
-        """IDB atoms lying on a cycle of the grounded dependency graph.
+    def cyclic_ids(self, *, unit_rules_only: bool = False) -> Set[int]:
+        """Ids of the IDB atoms lying on a cycle of the grounded dependency graph.
 
         With ``unit_rules_only`` the graph is restricted to grounded unit
         rules (single IDB body atom), which is the analysis of Theorem 6.5;
         otherwise all grounded rules contribute edges, which characterizes the
         atoms with infinitely many derivation trees.
         """
-        idb = self.program.idb_predicates
-        edges: Dict[GroundAtom, set[GroundAtom]] = {}
-        for rule in self.ground_rules:
-            if unit_rules_only and not rule.is_unit(idb):
+        table, _ = self.int_form()
+        idb = table.idb
+        successors: List[List[int]] = [[] for _ in table.atoms]
+        for _, head, body in table.rules:
+            if unit_rules_only and not (len(body) == 1 and idb[body[0]]):
                 continue
-            for body_atom in rule.body:
-                if body_atom.relation in idb:
-                    edges.setdefault(body_atom, set()).add(rule.head)
-        return frozenset(
+            for atom in body:
+                if idb[atom]:
+                    successors[atom].append(head)
+        return {
             atom
-            for component in strongly_connected_components(edges)
-            if is_cyclic(component, edges)
+            for component in strongly_connected_components(successors)
+            if is_cyclic(component, successors)
             for atom in component
-        )
+        }
 
-    def _downstream(self, atoms: frozenset[GroundAtom]) -> frozenset[GroundAtom]:
-        """``atoms`` and every derivable atom some rule derives from them."""
+    def downstream_ids(self, atoms: Set[int]) -> Set[int]:
+        """``atoms`` and the ids of every atom some rule derives from them."""
         if not atoms:
-            return frozenset()
-        forward: Dict[GroundAtom, set[GroundAtom]] = {}
-        for source, target in self.dependency_edges():
-            forward.setdefault(source, set()).add(target)
-        reached: set[GroundAtom] = set()
+            return set()
+        table, _ = self.int_form()
+        forward: List[List[int]] = [[] for _ in table.atoms]
+        for _, head, body in table.rules:
+            for atom in body:
+                forward[atom].append(head)
+        reached: Set[int] = set()
         frontier = list(atoms)
         while frontier:
             atom = frontier.pop()
             if atom not in reached:
                 reached.add(atom)
-                frontier.extend(forward.get(atom, ()))
-        return frozenset(reached & self.derivable)
+                frontier.extend(forward[atom])
+        return reached
+
+    def _decode(self, atoms: Iterable[int]) -> frozenset[GroundAtom]:
+        return frozenset(map(self.int_form()[0].atom, atoms))
 
     def atoms_with_infinite_derivations(self) -> frozenset[GroundAtom]:
         """Derivable atoms possessing infinitely many derivation trees.
@@ -183,7 +279,16 @@ class GroundProgram:
         atoms).  This is the structural fact behind the termination argument
         of All-Trees and behind the ∞ entries in Figure 7(b).
         """
-        return self._downstream(self.atoms_on_cycles())
+        return self._decode(self.downstream_ids(self.cyclic_ids()))
+
+    def atoms_with_unit_rule_cycles(self) -> frozenset[GroundAtom]:
+        """Atoms involved in (or reachable from) a cycle of grounded unit rules.
+
+        Theorem 6.5: the provenance series of an output tuple stays in
+        ``N[[X]]`` (all coefficients finite) iff the tuple is not part of such
+        a cycle's downstream.
+        """
+        return self._decode(self.downstream_ids(self.cyclic_ids(unit_rules_only=True)))
 
     def reannotate(self, edb_annotations: Mapping[GroundAtom, Any]) -> "GroundProgram":
         """A copy of this grounding with the EDB facts annotated differently.
@@ -193,86 +298,43 @@ class GroundProgram:
         without grounding a second time, and algebraic systems to solve it
         under a valuation.  A fact of this grounding that ``edb_annotations``
         leaves out is annotated zero: it leaves the support, and the ground
-        solver treats every rule reading it as dead.
+        solver treats every rule reading it as dead.  The copy shares the
+        int-coded rules; only the EDB values change.
         """
-        return GroundProgram(
-            self.program,
-            self.database,
-            list(self.ground_rules),
-            {
-                atom: edb_annotations[atom]
-                for atom in self.edb_annotations
-                if atom in edb_annotations
-            },
-            set(self.derivable),
-        )
-
-    def atoms_with_unit_rule_cycles(self) -> frozenset[GroundAtom]:
-        """Atoms involved in (or reachable from) a cycle of grounded unit rules.
-
-        Theorem 6.5: the provenance series of an output tuple stays in
-        ``N[[X]]`` (all coefficients finite) iff the tuple is not part of such
-        a cycle's downstream.
-        """
-        return self._downstream(self.atoms_on_cycles(unit_rules_only=True))
+        table, facts = self.int_form()
+        kept: Dict[GroundAtom, Any] = {}
+        kept_facts: Dict[int, Any] = {}
+        for atom_id in facts:
+            atom = table.atom(atom_id)
+            if atom in edb_annotations:
+                kept[atom] = kept_facts[atom_id] = edb_annotations[atom]
+        copy = GroundProgram.from_ids(self.program, self.database, table, kept_facts)
+        copy._ground_rules, copy._edb_annotations = self._ground_rules, kept
+        copy._derivable = self._derivable
+        return copy
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"GroundProgram({len(self.ground_rules)} ground rules, "
-            f"{len(self.derivable)} derivable atoms)"
-        )
+        table, _ = self.int_form()
+        return f"GroundProgram({len(table.rules)} ground rules, {len(table.atoms)} atoms)"
 
 
 def ground_program(program: Program, database: Database) -> GroundProgram:
     """Instantiate ``program`` over ``database``.
 
     The EDB facts are the support tuples of the database relations named by
-    the program's EDB predicates.  Derivable IDB atoms are computed by a
-    Boolean bottom-up fixpoint (Proposition 5.4 guarantees this is the right
-    support for every omega-continuous semiring); the ground rules are then
-    all rule instantiations whose body atoms are derivable.
+    the program's EDB predicates.  The semi-naive engine runs over their
+    Boolean support (Proposition 5.4 guarantees this is the right support
+    for every omega-continuous semiring) and records every rule
+    instantiation it fires: each one fires at least once, from the variant
+    driven by its last-derived body atom.  Atom ids follow discovery order,
+    which depends only on the program and the database's row order.
     """
-    edb_annotations = collect_edb_annotations(program, database)
+    from repro.datalog.seminaive import _SemiNaiveEngine
 
-    # Boolean bottom-up fixpoint for the derivable atoms.
-    known: Set[GroundAtom] = set(edb_annotations)
-    by_relation: Dict[str, set[Tuple[Any, ...]]] = {}
-    for atom in known:
-        by_relation.setdefault(atom.relation, set()).add(atom.values)
-
-    changed = True
-    while changed:
-        changed = False
-        new_atoms: Set[GroundAtom] = set()
-        for rule in program.rules:
-            for assignment in _match_body(rule, by_relation):
-                head_values = _instantiate(rule.head, assignment)
-                head_atom = GroundAtom(rule.head.relation, head_values)
-                if head_atom not in known and head_atom not in new_atoms:
-                    new_atoms.add(head_atom)
-        if new_atoms:
-            changed = True
-            for head_atom in new_atoms:
-                known.add(head_atom)
-                by_relation.setdefault(head_atom.relation, set()).add(head_atom.values)
-
-    # Final pass: collect every grounded rule over the derivable atoms.
-    ground_rules: List[GroundRule] = []
-    seen: Set[tuple] = set()
-    for index, rule in enumerate(program.rules):
-        for assignment in _match_body(rule, by_relation):
-            head_atom = GroundAtom(rule.head.relation, _instantiate(rule.head, assignment))
-            body_atoms = tuple(
-                GroundAtom(atom.relation, _instantiate(atom, assignment))
-                for atom in rule.body
-            )
-            key = (index, head_atom, body_atoms)
-            if key in seen:
-                continue
-            seen.add(key)
-            ground_rules.append(GroundRule(head_atom, body_atoms, index))
-
-    return GroundProgram(program, database, ground_rules, edb_annotations, known)
+    engine = _SemiNaiveEngine(program, database, collect=True)
+    # The Boolean support fixpoint always terminates (finitely many atoms).
+    engine.run(float("inf"))
+    return engine.ground_program()
 
 
 def collect_edb_annotations(program: Program, database: Database) -> Dict[GroundAtom, Any]:
@@ -282,7 +344,7 @@ def collect_edb_annotations(program: Program, database: Database) -> Dict[Ground
     arity -- the shared input contract of the naive and semi-naive engines.
     """
     edb_annotations: Dict[GroundAtom, Any] = {}
-    for predicate in program.edb_predicates:
+    for predicate in sorted(program.edb_predicates):
         if predicate not in database:
             raise GroundingError(
                 f"program uses EDB predicate {predicate!r} but the database has no such relation"
@@ -300,74 +362,42 @@ def collect_edb_annotations(program: Program, database: Database) -> Dict[Ground
     return edb_annotations
 
 
-def _instantiate(atom: Atom, assignment: Mapping[Variable, Any]) -> Tuple[Any, ...]:
-    values = []
-    for term in atom.terms:
-        if isinstance(term, Constant):
-            values.append(term.value)
-        else:
-            values.append(assignment[term])
-    return tuple(values)
-
-
-def _match_body(
-    rule: Rule, by_relation: Mapping[str, set[Tuple[Any, ...]]]
-) -> Iterator[Dict[Variable, Any]]:
-    """Enumerate variable assignments matching every body atom against known facts."""
-
-    def extend(assignment: Dict[Variable, Any], index: int) -> Iterator[Dict[Variable, Any]]:
-        if index == len(rule.body):
-            yield assignment
-            return
-        atom = rule.body[index]
-        for values in by_relation.get(atom.relation, ()):
-            extended = unify_ground(atom, values, assignment)
-            if extended is not None:
-                yield from extend(extended, index + 1)
-
-    yield from extend({}, 0)
-
-
-def strongly_connected_components(
-    successors: Mapping[Hashable, Iterable[Hashable]]
-) -> List[List[Hashable]]:
+def strongly_connected_components(successors: Sequence[Iterable[int]]) -> List[List[int]]:
     """Tarjan's strongly connected components, iteratively (no recursion).
 
-    ``successors`` maps a node to the nodes it points to; nodes reached only
-    as successors take part too.  Every component is listed after all the
+    The nodes are ``0 .. len(successors) - 1`` and ``successors[node]`` lists
+    the nodes ``node`` points to.  Every component is listed after all the
     components reachable from it, so with edges pointing from an atom to the
     atoms its rules read, the list is in dependency order.  The instantiation
-    solver, :meth:`GroundProgram.atoms_on_cycles` and Monomial-Coefficient's
-    bag graph all decompose their graphs with this one pass.
+    solver, :meth:`GroundProgram.cyclic_ids` and Monomial-Coefficient's bag
+    graph all decompose their graphs with this one pass.
     """
     counter = 0
-    indices: Dict[Hashable, int] = {}
-    lowlink: Dict[Hashable, int] = {}
-    on_stack: Set[Hashable] = set()
-    stack: List[Hashable] = []
-    components: List[List[Hashable]] = []
+    indices = [-1] * len(successors)
+    lowlink = [0] * len(successors)
+    on_stack = [False] * len(successors)
+    stack: List[int] = []
+    components: List[List[int]] = []
 
-    for root in successors:
-        if root in indices:
+    for root in range(len(successors)):
+        if indices[root] >= 0:
             continue
         indices[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
-        work: List[tuple[Hashable, Iterator[Hashable]]] = [
-            (root, iter(successors.get(root, ())))
-        ]
+        on_stack[root] = True
+        work = [(root, iter(successors[root]))]
         while work:
             node, pending = work[-1]
             for successor in pending:
-                if successor not in indices:
+                if indices[successor] < 0:
                     indices[successor] = lowlink[successor] = counter
                     counter += 1
                     stack.append(successor)
-                    on_stack.add(successor)
-                    work.append((successor, iter(successors.get(successor, ()))))
+                    on_stack[successor] = True
+                    work.append((successor, iter(successors[successor])))
                     break
-                if successor in on_stack and indices[successor] < lowlink[node]:
+                if on_stack[successor] and indices[successor] < lowlink[node]:
                     lowlink[node] = indices[successor]
             else:
                 work.pop()
@@ -376,10 +406,10 @@ def strongly_connected_components(
                     if lowlink[node] < lowlink[parent]:
                         lowlink[parent] = lowlink[node]
                 if lowlink[node] == indices[node]:
-                    component: List[Hashable] = []
+                    component: List[int] = []
                     while True:
                         member = stack.pop()
-                        on_stack.discard(member)
+                        on_stack[member] = False
                         component.append(member)
                         if member == node:
                             break
@@ -387,12 +417,9 @@ def strongly_connected_components(
     return components
 
 
-def is_cyclic(
-    component: Sequence[Hashable], successors: Mapping[Hashable, Iterable[Hashable]]
-) -> bool:
+def is_cyclic(component: Sequence[int], successors: Sequence[Iterable[int]]) -> bool:
     """Whether a strongly connected component contains a cycle (or a self-loop)."""
     if len(component) > 1:
         return True
     (node,) = component
-    return node in successors.get(node, ())
-
+    return node in successors[node]

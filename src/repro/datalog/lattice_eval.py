@@ -31,12 +31,11 @@ from typing import Any, Dict, Mapping
 
 from repro.errors import DatalogError
 from repro.datalog.all_trees import default_edb_ids
-from repro.datalog.fixpoint import evaluate_program
+from repro.datalog.fixpoint import evaluate_program, idb_schema
 from repro.datalog.grounding import GroundAtom, collect_edb_annotations
 from repro.datalog.syntax import Program
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
-from repro.relations.schema import Schema
 from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
 from repro.semirings.posbool import BoolExpr, PosBoolSemiring
@@ -187,12 +186,7 @@ def evaluate_on_lattice(program: Program | str, database: Database) -> KRelation
     values = provenance.evaluate(semiring, valuation)
 
     predicate = program.output
-    arity = program.arity(predicate)
-    if predicate in database:
-        schema = database.relation(predicate).schema
-    else:
-        head_names = program.head_attributes(predicate)
-        schema = Schema(head_names or [f"c{i + 1}" for i in range(arity)])
+    schema = idb_schema(program, database, predicate)
     relation = KRelation(semiring, schema)
     for atom, value in values.items():
         if atom.relation == predicate and not semiring.is_zero(value):

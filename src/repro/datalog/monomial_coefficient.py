@@ -173,19 +173,21 @@ def _count_trees_with_fringe(
         for node, alternatives in edges.items()
         if node in derivable
     }
-    successors = {
-        node: {child for children in alternatives for child in children}
-        for node, alternatives in alternatives_of.items()
-    }
+    nodes = list(derivable)
+    number = {node: i for i, node in enumerate(nodes)}
+    successors = [
+        {number[child] for children in alternatives_of.get(node, ()) for child in children}
+        for node in nodes
+    ]
     counts: Dict[tuple[GroundAtom, _Bag], int] = dict.fromkeys(leaf_nodes, 1)
-    infinite: set[tuple[GroundAtom, _Bag]] = set()
+    infinite: set[int] = set()
     for component in strongly_connected_components(successors):
         if is_cyclic(component, successors) or any(
-            child in infinite for node in component for child in successors.get(node, ())
+            child in infinite for index in component for child in successors[index]
         ):
             infinite.update(component)
             continue
-        (node,) = component
+        node = nodes[component[0]]
         if node in counts:
             continue
         total = 0
@@ -196,7 +198,7 @@ def _count_trees_with_fringe(
             total += product
         counts[node] = total
 
-    if (root, target) in infinite:
+    if number[(root, target)] in infinite:
         return INFINITY
     return NatInf(counts[(root, target)])
 

@@ -175,8 +175,6 @@ class DatalogCircuitProvenance:
     specialize = evaluate
 
 
-
-
 def datalog_circuit_provenance(
     program: Program | str,
     database: Database,

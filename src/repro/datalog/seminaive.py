@@ -1,65 +1,36 @@
 """Semi-naive, delta-driven datalog evaluation (``engine="seminaive"``).
 
-The naive engine of :mod:`repro.datalog.fixpoint` first *grounds* the whole
-program, enumerating every rule instantiation from scratch in every round of
-a Boolean pre-fixpoint -- work proportional to everything derived so far,
-redone each round -- and then solves the instantiation.  This module
-evaluates rules directly against
-:class:`~repro.relations.krelation.KRelation`s instead:
+Rules are evaluated directly against
+:class:`~repro.relations.krelation.KRelation`s:
 
-* every rule is compiled once into a set of **join plans** -- one *seed*
-  plan for rules whose body is entirely extensional and one *delta variant*
-  per intensional body occurrence -- with a fixed greedy atom order and, for
-  each non-driver atom, the tuple of positions that are bound when the atom
-  is matched;
+* every rule is compiled once into **join plans** -- one *seed* plan for an
+  all-extensional body, one *delta variant* per intensional body occurrence
+  -- with a fixed greedy atom order and, per non-driver atom, the positions
+  bound when it is matched;
 * every predicate keeps **variable-binding hash indexes** on exactly the
-  position sets its plans probe; indexes are built once and maintained
-  incrementally as new tuples are derived, so they are reused across rounds;
-* each round fires only the plan variants whose **driver** is a delta atom
-  (a tuple whose annotation changed in the previous round), accumulating the
-  new contributions into the stored relations via
-  :meth:`~repro.relations.krelation.KRelation.merge_delta`.
+  position sets its plans probe, maintained incrementally across rounds;
+* each round fires only the variants whose **driver** is a delta atom (its
+  annotation changed in the previous round) and merges the contributions
+  with :meth:`~repro.relations.krelation.KRelation.merge_delta`.
 
-Exactness
----------
-For semirings with **idempotent addition** the accumulated values form a
-monotone chain squeezed between the Kleene iterates and the least fixpoint,
-so the engine converges to exactly the annotations of Definition 5.1 --
-re-adding a contribution that was already absorbed is harmless when
-``a + a = a``.
+For **idempotent** addition the accumulated values are squeezed between the
+Kleene iterates and the least fixpoint, so they converge to exactly the
+annotations of Definition 5.1 (re-adding an absorbed contribution is
+harmless when ``a + a = a``).  With vector arithmetic and copy / single-join
+plans only, the same loop runs on
+:class:`repro.datalog.arraystore.ArrayState` (``round_path`` /
+``round_declined`` say which loop ran, and maintenance keeps the state).
+The result's ``ground`` carries no rule instantiations: never recording
+them is where the speed comes from.
 
-For **non-idempotent** semirings (``N``, ``N[X]``, circuits, power series)
-accumulation would double-count, and exact values exist only for atoms with
-finitely many derivation trees.  The engine therefore runs its delta-driven
-machinery once in *collect* mode over the Boolean support -- deriving every
-fact and recording every rule instantiation, which is the instantiation the
-naive engine computes far more expensively -- then hands that grounding to
-the one ground solver, :func:`repro.datalog.fixpoint.solve_ground`, exactly
-as the naive engine does: the convergent atoms take one application of
-``T_q`` each, in dependency order, and the divergent ones (on or downstream
-of a cycle) follow ``on_divergence``.
-
-Array-resident rounds
----------------------
-With vector arithmetic for the (idempotent) semiring and a program whose every
-plan is a copy or a single bind-only equi-join -- linear and quadratic
-transitive closure, reachability, shortest path -- the same loop runs on
-:class:`repro.datalog.arraystore.ArrayState` instead, on row and columnar
-stores alike: delta, totals and the merge stay in code arrays and the stores
-below are written by one flush when the loop ends.  Nothing selects it; the
-engine reads semiring and plan shapes, and anything else (``round_declined``
-says what) runs the row loop described above (``_fire`` / ``_merge`` over
-dicts).  Maintenance keeps the state: EDB insertions, rewritten annotations,
-DRed removals and rederived atoms are mirrored in the arrays.
-
-The result is a :class:`~repro.datalog.fixpoint.DatalogResult` that agrees
-annotation-for-annotation with the naive engine (the differential
-property-test suite in ``tests/datalog/test_seminaive_vs_naive.py`` checks
-this on randomized programs over every shipped semiring).  For idempotent
-semirings the result's ``ground`` carries the derivable atoms and EDB
-annotations but **no rule instantiations** -- never materializing them is
-where the speed comes from (the ``datalog_tc`` workload of
-``benchmarks/e2e/`` measures it).
+For **non-idempotent** addition accumulation would double-count.  The
+engine runs once in *collect* mode over the Boolean support instead,
+recording every rule instantiation as ``(rule index, head id, body ids)``
+over atom ids interned in discovery order.  That run *is*
+:func:`repro.datalog.grounding.ground_program`, and the one ground solver
+(:func:`repro.datalog.fixpoint.solve_ground`) takes it from there.
+``tests/datalog/test_seminaive_vs_naive.py`` checks both regimes against the
+grounding route on random programs over every shipped semiring.
 """
 
 from __future__ import annotations
@@ -76,19 +47,20 @@ from repro.datalog.fixpoint import (
     DEFAULT_MAX_ITERATIONS,
     DatalogResult,
     check_on_divergence,
+    idb_schema,
     solve_ground,
 )
 from repro.datalog.grounding import (
+    AtomTable,
     GroundAtom,
     GroundProgram,
-    GroundRule,
     collect_edb_annotations,
+    ground_program,
 )
 from repro.datalog.syntax import Program, Rule
 from repro.logic import Constant, Variable
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
-from repro.relations.schema import Schema
 from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
 from repro.semirings.boolean import BooleanSemiring
@@ -171,22 +143,14 @@ def _compile_plan(
 ) -> _Plan:
     """Compile ``rule`` with ``body[driver_index]`` as the iterated driver.
 
-    ``driver_index=None`` compiles the **head-driven** variant used by the
-    deletion rederive pass: no atom is iterated (``plan.driver`` is None),
-    the head's variables are treated as already bound, and every body atom
-    becomes an indexed probe step -- evaluating the plan for one bound head
-    is one application of the rule's immediate-consequence operator
-    restricted to that single atom.
-
-    The remaining atoms are ordered greedily by estimated selectivity: first
-    by how many of their positions are determined (constants + already-bound
-    variables) so index probes are as selective as possible, then -- among
-    equally-bound candidates -- by the EDB cardinalities in ``sizes``, so
-    smaller relations are probed first and dead bindings are pruned before
-    the large relations are touched (predicates without statistics, i.e.
-    IDB stores whose eventual size is unknown, sort last).  The order, and
-    with it every index key, is fixed at compile time and reused for every
-    round of every evaluation.
+    ``driver_index=None`` compiles the **head-driven** variant of the
+    deletion rederive pass (``plan.driver`` is None): the head's variables
+    are bound, every body atom is an indexed probe, and evaluating the plan
+    for one head is ``T_q`` restricted to that atom.  The other atoms are
+    ordered greedily: most determined positions first (the most selective
+    probe), then the smallest EDB cardinality in ``sizes`` (IDB predicates,
+    of unknown size, last).  The order, and with it every index key, is
+    fixed at compile time.
     """
     sizes = sizes or {}
 
@@ -440,14 +404,6 @@ class _Store:
         return None
 
 
-def _idb_schema(program: Program, database: Database, predicate: str) -> Schema:
-    """Schema for an IDB predicate's store (mirrors DatalogResult.relation)."""
-    if predicate in database:
-        return database.relation(predicate).schema
-    names = program.head_attributes(predicate)
-    return Schema(names or [f"c{i + 1}" for i in range(program.arity(predicate))])
-
-
 class _SemiNaiveEngine:
     """The delta-driven evaluation loop shared by both annotation modes.
 
@@ -482,7 +438,12 @@ class _SemiNaiveEngine:
         ):
             self._attains = semiring.may_attain
         self.edb_annotations = collect_edb_annotations(program, database)
-        self.instantiations: Set[Tuple[int, GroundAtom, Tuple[GroundAtom, ...]]] = set()
+        #: Collect mode's atom interner -- ``(predicate, values)`` in
+        #: discovery order, ``_ids[predicate][values]`` its position -- and
+        #: the fired instantiations as ``(rule index, head id, body ids)``.
+        self._atoms: List[Tuple[str, tuple]] = []
+        self._ids: Dict[str, Dict[tuple, int]] = {p: {} for p in program.predicates}
+        self.instantiations: Set[Tuple[int, int, Tuple[int, ...]]] = set()
 
         from repro.engine.compile import resolve_execution_storage
 
@@ -518,14 +479,17 @@ class _SemiNaiveEngine:
         # predicates are absent (their eventual size is unknown at compile
         # time) and therefore sort last among equally-bound probe candidates.
         sizes: Dict[str, int] = {}
-        for predicate in program.edb_predicates:
+        for predicate in sorted(program.edb_predicates):
             relation = database.relation(predicate)
             sizes[predicate] = len(relation)
             if collect:
                 relation = relation.map_annotations(lambda _: True, self.semiring)
             self.stores[predicate] = _Store(relation)
+            if collect:
+                for values, _ in self.stores[predicate].rows:
+                    self._intern(predicate, values)
         for predicate in idb:
-            schema = _idb_schema(program, database, predicate)
+            schema = idb_schema(program, database, predicate)
             self.stores[predicate] = _Store(
                 KRelation(self.semiring, schema, storage=self.storage_kind)
             )
@@ -602,6 +566,22 @@ class _SemiNaiveEngine:
         if log is not None:
             log.setdefault(predicate, set()).update(tups)
 
+    def _intern(self, predicate: str, values: tuple) -> int:
+        """The id of the atom ``predicate(values)``, allocated on first sight."""
+        ids = self._ids[predicate]
+        atom = ids.get(values)
+        if atom is None:
+            atom = ids[values] = len(self._atoms)
+            self._atoms.append((predicate, values))
+        return atom
+
+    def _require_maintained(self) -> None:
+        if not self.maintain_edb:
+            raise DatalogError(
+                "engine was built without maintain_edb=True; "
+                "EDB updates cannot be applied incrementally"
+            )
+
     # -- one plan, one batch of driver rows -----------------------------------
     def _fire(
         self,
@@ -622,6 +602,10 @@ class _SemiNaiveEngine:
         driver_annotations = stores[driver.predicate].relation._annotations
         head_parts = plan.head_parts
         emit = out[plan.head_relation]
+        if collect:
+            rule_index, record = plan.rule_index, self.instantiations.add
+            intern, head_relation = self._intern, plan.head_relation
+            interners = [self._ids[predicate] for predicate in plan.body_predicates]
 
         def descend(level: int, annotation: Any) -> None:
             if level == depth:
@@ -630,14 +614,11 @@ class _SemiNaiveEngine:
                     for is_slot, payload in head_parts
                 )
                 if collect:
-                    self.instantiations.add(
+                    record(
                         (
-                            plan.rule_index,
-                            GroundAtom(plan.head_relation, head),
-                            tuple(
-                                GroundAtom(predicate, body_values[i])
-                                for i, predicate in enumerate(plan.body_predicates)
-                            ),
+                            rule_index,
+                            intern(head_relation, head),
+                            tuple([ids[values] for ids, values in zip(interners, body_values)]),
                         )
                     )
                     emit[head] = True
@@ -704,7 +685,9 @@ class _SemiNaiveEngine:
                 arrays.flush(self._log_changes)
 
     def _fresh(self) -> Dict[str, Dict[tuple, Any]]:
-        return {predicate: {} for predicate in self.program.idb_predicates}
+        # Sorted: the merge order fixes the delta order, and with it the
+        # order collect mode discovers -- and numbers -- atoms.
+        return {predicate: {} for predicate in sorted(self.program.idb_predicates)}
 
     def _step(self, work: Iterable[Tuple[_Plan, Any]], arrays: ArrayState | None):
         """Fire ``(plan, driver rows)`` pairs, then merge: the next delta.
@@ -800,11 +783,7 @@ class _SemiNaiveEngine:
         the ordinary delta loop drains the consequences.  Requires
         ``maintain_edb=True``; returns the number of rounds executed.
         """
-        if not self.maintain_edb:
-            raise DatalogError(
-                "engine was built without maintain_edb=True; "
-                "EDB deltas cannot be applied incrementally"
-            )
+        self._require_maintained()
         store = self.stores[predicate]
         relation = store.relation
         if self.collect:
@@ -816,6 +795,9 @@ class _SemiNaiveEngine:
         rows = [(tup.values_for(store.attributes), tup) for tup in changed]
         new_rows = [row for row in rows if row[1] in new_tuples]
         store.extend(new_rows)
+        if self.collect:
+            for values, _ in new_rows:
+                self._intern(predicate, values)
         if not rows:
             return 0
         # The array state takes the appended facts and the rewritten
@@ -998,27 +980,18 @@ class _SemiNaiveEngine:
 
         Over-deletes what the removed facts transitively support -- under a
         selective ``+`` only the atoms whose annotation is attained through
-        them (:meth:`_fire_heads`), otherwise everything; per round, the
-        maintained delta plans fire with the round's doomed rows as drivers
-        *before* those rows leave the stores, so derivations whose body
-        contains several co-deleted atoms are still caught -- then
-        re-derives the survivors: each over-deleted atom is re-seeded by a
-        head-driven immediate-consequence evaluation over the shrunk stores
-        and the ordinary delta loop drains the consequences.  Exact for
-        idempotent addition by the usual semi-naive argument (every atom
-        left in place keeps its annotation, and re-added contributions are
-        absorbed).
+        them (:meth:`_fire_heads`).  Each round fires the delta plans with
+        the doomed rows as drivers *before* they leave the stores, so bodies
+        with several co-deleted atoms are caught.  The survivors are then
+        re-seeded by head-driven ``T_q`` over the shrunk stores and the delta
+        loop drains the consequences: exact for idempotent ``+``, where
+        re-added contributions are absorbed.
 
-        Returns ``(overdeleted, rederived, rounds)`` -- over-deleted and
-        re-derived IDB row counts plus the total round count (over-delete
-        rounds + rederive drain rounds).  Requires ``maintain_edb=True`` and
-        annotate mode; collect mode deletes via :meth:`delete_support`.
+        Returns ``(overdeleted, rederived, rounds)``: over-deleted and
+        re-derived IDB rows, and the over-delete plus drain rounds.  Collect
+        mode deletes via :meth:`delete_support`.
         """
-        if not self.maintain_edb:
-            raise DatalogError(
-                "engine was built without maintain_edb=True; "
-                "EDB deletions cannot be applied incrementally"
-            )
+        self._require_maintained()
         if self.collect:
             raise DatalogError("delete_edb is annotate-mode only; use delete_support")
         store = self.stores[predicate]
@@ -1096,52 +1069,45 @@ class _SemiNaiveEngine:
     def delete_support(
         self, predicate: str, tuples: Sequence[Tup]
     ) -> Tuple[int, int, frozenset]:
-        """DRed deletion on the instantiation graph, for collect mode.
+        """DRed deletion on the recorded instantiations, for collect mode.
 
-        The maintained instantiation set records every fired rule
-        application, so deletion never refires a join: over-deletion walks
-        the instantiations that mention a removed atom in their body, and
-        rederivation revives any over-deleted head that still has an
-        instantiation whose body atoms are all alive -- classical
-        delete/rederive, with the maintained grounding as the support graph.
-        Exact because the shrunk database's instantiations are a subset of
-        the fired ones.  Dead atoms leave the Boolean stores, the pruned
-        instantiation set, and ``edb_annotations``; annotations re-solve
-        lazily from the pruned grounding.
+        Over-deletion walks the instantiations that read a removed atom;
+        rederivation revives every over-deleted head with an instantiation
+        over live atoms left -- no join refires, and the result is exact
+        because the shrunk database's instantiations are a subset of the
+        fired ones.  Dead atoms leave the Boolean stores, the interner, the
+        instantiations and ``edb_annotations``.
 
-        Returns ``(overdeleted, rederived, dead_atoms)`` -- counts of IDB
-        atoms over-deleted and revived, and the frozenset of ground atoms
-        (deleted EDB facts plus dead IDB atoms) that left the support.
+        Returns ``(overdeleted, rederived, dead_atoms)``: counts of IDB atoms
+        over-deleted and revived, and the ground atoms (deleted EDB facts
+        plus dead IDB atoms) that left the support.
         """
-        if not self.maintain_edb:
-            raise DatalogError(
-                "engine was built without maintain_edb=True; "
-                "EDB deletions cannot be applied incrementally"
-            )
+        self._require_maintained()
         if not self.collect:
             raise DatalogError("delete_support is collect-mode only; use delete_edb")
         store = self.stores[predicate]
         attributes = store.attributes
         known = store.relation._annotations
-        deleted_atoms: Set[GroundAtom] = set()
+        ids = self._ids[predicate]
+        deleted_atoms: Set[int] = set()
         for tup in tuples:
             if tup in known:
-                atom = GroundAtom(predicate, tup.values_for(attributes))
-                deleted_atoms.add(atom)
-                self.edb_annotations.pop(atom, None)
+                values = tup.values_for(attributes)
+                deleted_atoms.add(ids[values])
+                self.edb_annotations.pop(GroundAtom(predicate, values), None)
         if not deleted_atoms:
             return (0, 0, frozenset())
 
-        by_body: Dict[GroundAtom, List[Any]] = {}
-        by_head: Dict[GroundAtom, List[Any]] = {}
+        by_body: Dict[int, List[Any]] = {}
+        by_head: Dict[int, List[Any]] = {}
         for inst in self.instantiations:
             by_head.setdefault(inst[1], []).append(inst)
             for atom in inst[2]:
                 by_body.setdefault(atom, []).append(inst)
 
         # Over-delete: anything a removed atom (transitively) supports.
-        removed: Set[GroundAtom] = set(deleted_atoms)
-        overdeleted: Set[GroundAtom] = set()
+        removed: Set[int] = set(deleted_atoms)
+        overdeleted: Set[int] = set()
         worklist = list(deleted_atoms)
         while worklist:
             atom = worklist.pop()
@@ -1156,7 +1122,7 @@ class _SemiNaiveEngine:
         def alive(inst) -> bool:
             return all(atom not in removed for atom in inst[2])
 
-        rederived: Set[GroundAtom] = set()
+        rederived: Set[int] = set()
         queue = [
             head
             for head in overdeleted
@@ -1177,25 +1143,34 @@ class _SemiNaiveEngine:
                 ):
                     queue.append(candidate)
 
-        # Prune the maintained grounding and the Boolean stores.
-        self.instantiations = {
-            inst
-            for inst in self.instantiations
-            if inst[1] not in removed and all(atom not in removed for atom in inst[2])
-        }
-        by_predicate: Dict[str, List[GroundAtom]] = {}
+        # Prune the Boolean stores, then renumber the surviving atoms (in
+        # discovery order) and the instantiations that read only them.
+        by_predicate: Dict[str, List[tuple]] = {}
         for atom in removed:
-            by_predicate.setdefault(atom.relation, []).append(atom)
-        for pred, atoms in by_predicate.items():
+            dead_predicate, values = self._atoms[atom]
+            by_predicate.setdefault(dead_predicate, []).append(values)
+        for pred, dead_values in by_predicate.items():
             dead_store = self.stores[pred]
             dead_known = dead_store.relation._annotations
             rows = []
-            for atom in atoms:
-                tup = dead_store.tup_for(atom.values)
+            for values in dead_values:
+                tup = dead_store.tup_for(values)
                 if tup in dead_known:
-                    rows.append((atom.values, tup))
+                    rows.append((values, tup))
             self._remove_rows(pred, rows)
-        return (len(overdeleted), len(rederived), frozenset(removed))
+        dead = frozenset(GroundAtom(*self._atoms[atom]) for atom in removed)
+        renumbered = [-1] * len(self._atoms)
+        atoms, self._atoms = self._atoms, []
+        self._ids = {p: {} for p in self.program.predicates}
+        for atom, (pred, values) in enumerate(atoms):
+            if atom not in removed:
+                renumbered[atom] = self._intern(pred, values)
+        self.instantiations = {
+            (rule_index, renumbered[head], tuple([renumbered[atom] for atom in body]))
+            for rule_index, head, body in self.instantiations
+            if head not in removed and all(atom not in removed for atom in body)
+        }
+        return (len(overdeleted), len(rederived), dead)
 
     def _merge(self, out: Dict[str, Dict[tuple, Any]]) -> Dict[str, List[Tuple[tuple, Tup]]]:
         """Accumulate a round's contributions; return the delta rows per predicate.
@@ -1254,32 +1229,18 @@ class _SemiNaiveEngine:
         return values
 
     def ground_program(self) -> GroundProgram:
-        """The instantiation recorded by a collect-mode run.
+        """The instantiation recorded by a collect-mode run, int-coded.
 
-        Equivalent to :func:`repro.datalog.grounding.ground_program` -- every
-        instantiation is fired at least once by the variant driven by its
-        last-derived body atom -- but computed by indexed semi-naive joins
-        instead of re-enumerating all matches in every Boolean round.
+        The rules are sorted by ``(rule index, head id, body ids)``: atom ids
+        follow discovery order, which the program and the database's row
+        order fix, so the grounding does not depend on hash seeds.
         """
-        rules = [
-            GroundRule(head, body, rule_index)
-            for rule_index, head, body in sorted(
-                self.instantiations,
-                key=lambda entry: (
-                    entry[0],
-                    entry[1].relation,
-                    tuple(map(str, entry[1].values)),
-                    tuple(str(atom) for atom in entry[2]),
-                ),
-            )
-        ]
-        return GroundProgram(
-            self.program,
-            self.database,
-            rules,
-            self.edb_annotations,
-            self.derivable_atoms(),
-        )
+        facts = {
+            self._intern(atom.relation, atom.values): value
+            for atom, value in self.edb_annotations.items()
+        }
+        table = AtomTable(self.program, list(self._atoms), sorted(self.instantiations))
+        return GroundProgram.from_ids(self.program, self.database, table, facts)
 
 
 def evaluate_program_seminaive(
@@ -1320,14 +1281,10 @@ def evaluate_program_seminaive(
             ground=ground,
         )
 
-    engine = _SemiNaiveEngine(program, database, collect=True, storage=storage)
-    # The Boolean support fixpoint always terminates (finitely many ground
-    # atoms), so the caller's iteration budget -- meant for the value
-    # iteration -- does not apply here, matching the naive engine whose
-    # grounding pre-pass is equally uncapped.
-    engine.run(max(max_iterations, DEFAULT_MAX_ITERATIONS))
+    # The collect run grounds the program; the caller's iteration budget is
+    # meant for the value iteration and does not cap it.
     return solve_ground(
-        engine.ground_program(),
+        ground_program(program, database),
         semiring,
         max_iterations=max_iterations,
         on_divergence=on_divergence,
