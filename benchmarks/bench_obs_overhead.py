@@ -6,7 +6,9 @@ call), so the question this benchmark answers is: what do those dormant
 hooks cost?  It times the ordinary tracing-off execution path against a
 *bare* drain of the same compiled plan -- ``compile_query`` + the pipeline
 breaker with no span bookkeeping around it -- on a two-hop instance (N, 4000
-edges).  Runs are interleaved and the minimum of several repetitions is
+edges).  ``execute`` would hand an N plan to the whole-column kernels, so
+the measurement takes N's vector arithmetic away: the kernels decline and
+both sides run the row pipeline.  Runs are interleaved and the minimum of several repetitions is
 compared, which cancels cache and scheduler noise; the acceptance bar is a
 ratio <= 1.05.  Wall-clock ratios flake on loaded shared machines, so the
 budget is hard-asserted only under ``REPRO_BENCH_STRICT=1`` and degrades to
@@ -23,8 +25,10 @@ or under pytest: ``PYTHONPATH=src python -m pytest benchmarks/bench_obs_overhead
 
 import os
 import time
+from unittest import mock
 
 from repro.algebra.ast import Q
+from repro.engine import vectorized
 from repro.engine.compile import compile_query, drain, execute
 from repro.obs import tracing
 from repro.relations.database import Database
@@ -81,17 +85,18 @@ def _measure():
             execute(plan, database)
 
     bare_times, off_times, on_times = [], [], []
-    for repetition in range(REPETITIONS):
-        # Interleave so drift (thermal, allocator growth) hits all three, and
-        # alternate the bare/off order so neither side systematically runs in
-        # the (slightly favored) first slot of a pair.
-        if repetition % 2 == 0:
-            bare_times.append(_timed(bare))
-            off_times.append(_timed(instrumented_off))
-        else:
-            off_times.append(_timed(instrumented_off))
-            bare_times.append(_timed(bare))
-        on_times.append(_timed(instrumented_on))
+    with mock.patch.object(vectorized, "vector_ops_for", lambda semiring: None):
+        for repetition in range(REPETITIONS):
+            # Interleave so drift (thermal, allocator growth) hits all three,
+            # and alternate the bare/off order so neither side systematically
+            # runs in the (slightly favored) first slot of a pair.
+            if repetition % 2 == 0:
+                bare_times.append(_timed(bare))
+                off_times.append(_timed(instrumented_off))
+            else:
+                off_times.append(_timed(instrumented_off))
+                bare_times.append(_timed(bare))
+            on_times.append(_timed(instrumented_on))
 
     bare_best, off_best, on_best = min(bare_times), min(off_times), min(on_times)
     return {

@@ -32,10 +32,9 @@ from repro.algebra.predicates import (
     describe_predicate,
 )
 from repro.errors import QueryError
-from repro.relations.database import Database
+from repro.relations.database import Database, check_storage_keyword
 from repro.relations.krelation import KRelation
 from repro.relations.schema import Schema
-from repro.relations.storage import resolve_storage_kind as _resolve_storage_kind
 from repro.relations.tuples import Tup
 
 __all__ = [
@@ -88,25 +87,23 @@ class Query:
           ``+``-chain per output tuple).  Same result, no intermediate
           materialization.
 
-        ``storage`` selects the result's physical backend (``"row"`` or
-        ``"columnar"``; ``None`` defers to ``REPRO_STORAGE``, then to the
-        database's own backend).  Under the pipelined executor a columnar
-        backend additionally engages the whole-column vectorized kernels
-        (:mod:`repro.engine.vectorized`) for supported plans and semirings.
+        The pipelined executor runs supported plans over the whole-column
+        kernels (:mod:`repro.engine.vectorized`) when the semiring has exact
+        vector arithmetic.  ``storage`` selects nothing; it goes with
+        ROADMAP item 1's ``calls.py`` edit (see
+        :func:`~repro.relations.database.check_storage_keyword`).
         """
+        check_storage_keyword(storage)
         plan = self.optimized(database) if optimize else self
         if executor == "pipelined":
             from repro.engine import execute as _execute_pipelined
 
-            return _execute_pipelined(plan, database, storage=storage)
+            return _execute_pipelined(plan, database)
         if executor != "naive":
             raise QueryError(
                 f"unknown executor {executor!r}; expected 'naive' or 'pipelined'"
             )
-        result = plan._execute(database)
-        if storage is not None and result.storage != _resolve_storage_kind(storage):
-            result = result.with_storage(storage)
-        return result
+        return plan._execute(database)
 
     def _execute(self, database: Database) -> KRelation:
         """Execute this operator tree as written (implemented by subclasses)."""

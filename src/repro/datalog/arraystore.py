@@ -21,8 +21,8 @@ keeps, for the whole run:
 A round is ``delta positions -> fire (arrays in, grouped head codes + totals
 out) -> merge (one searchsorted into the key index, one elementwise +,
 changed = new != old, unknown heads appended) -> next delta positions``.
-The engine's ``_Store`` rows / indexes, the backing ``KRelation`` (either
-storage backend) and the changelog learn about all of it in **one**
+The engine's ``_Store`` rows / indexes, the backing ``KRelation`` and the
+changelog learn about all of it in **one**
 :meth:`ArrayState.flush` when the loop ends: one ``Tup`` per derived atom per
 run, not one per contribution per round.
 
@@ -97,15 +97,15 @@ class _Columns:
         self.version = 0
         self._join: Dict[Tuple[int, ...], Tuple[int, Any]] = {}
 
-    def decode(self, values_of: list, start: int = 0) -> Tuple[list, list]:
-        """Rows ``[start:]`` as ``(one value list per position, value tuples)``."""
+    def decode(self, values_of: list, start: int = 0) -> list:
+        """Rows ``[start:]`` as value tuples."""
         value_lists = [
             [values_of[code] for code in column[start:].tolist()]
             for column in self.cols
         ]
         if not value_lists:  # a nullary predicate: its one possible fact
-            return value_lists, [()] * (len(self.ann) - start)
-        return value_lists, list(zip(*value_lists))
+            return [()] * (len(self.ann) - start)
+        return list(zip(*value_lists))
 
     def join_index(self, positions: Tuple[int, ...], radix: int):
         """The build index on ``positions``, reused while ``version`` stands."""
@@ -382,7 +382,7 @@ class ArrayState:
             if columns.synced == n and not columns.touched:
                 continue
             store = self.stores[predicate]
-            relation_store = store.relation._store
+            annotations = store.relation._annotations
             written: List[Tup] = []
             if columns.touched:
                 mask = _np.zeros(columns.synced, dtype=bool)
@@ -394,19 +394,13 @@ class ArrayState:
                     positions.tolist(), columns.ann[positions].tolist()
                 ):
                     tup = store.rows[position][1]
-                    relation_store.set(tup, value)
+                    annotations[tup] = value
                     written.append(tup)
             if n > columns.synced:
-                value_lists, heads = columns.decode(list(self.table), columns.synced)
+                heads = columns.decode(list(self.table), columns.synced)
                 tups = [store.tup_for(head) for head in heads]
-                # Only rule heads grow inside the loop: fresh IDB atoms, which
-                # either backend takes in bulk (the columns are ignored by one
-                # that keeps none).
-                relation_store.extend_rows(
-                    tups,
-                    [value_lists[i] for _, i in store.sorted_spec],
-                    columns.ann[columns.synced :].tolist(),
-                )
+                # Only rule heads grow inside the loop: fresh IDB atoms.
+                annotations.update(zip(tups, columns.ann[columns.synced :].tolist()))
                 store.extend(list(zip(heads, tups)))
                 written.extend(tups)
                 columns.synced = n
@@ -424,7 +418,7 @@ class ArrayState:
                     f"{predicate}: {len(columns.ann)} array rows for "
                     f"{len(store.rows)} stored rows"
                 )
-            _, decoded = columns.decode(values_of)
+            decoded = columns.decode(values_of)
             annotations = store.relation._annotations
             for (values, tup), mirrored, value in zip(
                 store.rows, decoded, columns.ann.tolist()

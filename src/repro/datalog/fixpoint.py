@@ -53,7 +53,7 @@ from repro.datalog.grounding import (
     strongly_connected_components,
 )
 from repro.datalog.syntax import Program
-from repro.relations.database import Database
+from repro.relations.database import Database, check_storage_keyword
 from repro.relations.krelation import KRelation
 from repro.relations.schema import Schema
 from repro.relations.tuples import Tup
@@ -224,11 +224,10 @@ def evaluate_program(
     ``ground`` then carries no rule instantiations (see
     :attr:`DatalogResult.ground`).
 
-    ``storage`` selects the backend of those round loops' IDB stores
-    (``"row"`` / ``"columnar"``; ``None`` defers to ``REPRO_STORAGE``, then
-    to the database's own backend); it never changes the algorithm or the
-    results, and the grounding route ignores it.
+    ``storage`` selects nothing; it goes with ROADMAP item 1's ``calls.py``
+    edit (see :func:`~repro.relations.database.check_storage_keyword`).
     """
+    check_storage_keyword(storage)
     if engine not in ("naive", "seminaive"):
         raise ValueError(f"engine must be 'naive' or 'seminaive', got {engine!r}")
     if isinstance(program, str):
@@ -241,7 +240,6 @@ def evaluate_program(
             database,
             max_iterations=max_iterations,
             on_divergence=on_divergence,
-            storage=storage,
         )
     return solve_ground(
         ground_program(program, database),

@@ -420,7 +420,6 @@ class _SemiNaiveEngine:
         *,
         collect: bool,
         maintain_edb: bool = False,
-        storage: Any = None,
     ):
         self.program = program
         self.database = database
@@ -445,18 +444,13 @@ class _SemiNaiveEngine:
         self._ids: Dict[str, Dict[tuple, int]] = {p: {} for p in program.predicates}
         self.instantiations: Set[Tuple[int, int, Tuple[int, ...]]] = set()
 
-        from repro.engine.compile import resolve_execution_storage
-
-        #: Physical backend for the IDB stores (explicit > env > database).
-        self.storage_kind = resolve_execution_storage(storage, database)
         #: Which loop ran last -- ``"array"`` (:mod:`repro.datalog.arraystore`)
         #: or ``"rows"`` -- and why the array loop is not available:
         #: ``"semiring"`` (collect mode, a non-idempotent ``+``, no vector
         #: arithmetic or no numpy), ``"plan"`` (a plan without an array
         #: recipe) or, found on this instance when the state was built,
         #: ``"value"`` (an annotation that does not lift) and ``"radix"`` (row
-        #: codes would leave ``int64``).  The storage backend plays no part.
-        #: The ``datalog.seed`` span carries the same two values.
+        #: codes would leave ``int64``).  The ``datalog.seed`` span carries the same two values.
         self.round_path = "rows"
         self.round_declined: str | None = None
         # Annotate mode over an idempotent ``+`` only: collect mode records
@@ -490,9 +484,7 @@ class _SemiNaiveEngine:
                     self._intern(predicate, values)
         for predicate in idb:
             schema = idb_schema(program, database, predicate)
-            self.stores[predicate] = _Store(
-                KRelation(self.semiring, schema, storage=self.storage_kind)
-            )
+            self.stores[predicate] = _Store(KRelation(self.semiring, schema))
 
         # With ``maintain_edb`` the engine additionally compiles a delta
         # variant per EDB body occurrence, so an EDB insertion can later be
@@ -1249,7 +1241,6 @@ def evaluate_program_seminaive(
     *,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     on_divergence: str = "top",
-    storage: Any = None,
 ) -> DatalogResult:
     """Semi-naive counterpart of :func:`repro.datalog.fixpoint.evaluate_program`.
 
@@ -1263,7 +1254,7 @@ def evaluate_program_seminaive(
     semiring = database.semiring
 
     if semiring.idempotent_add:
-        engine = _SemiNaiveEngine(program, database, collect=False, storage=storage)
+        engine = _SemiNaiveEngine(program, database, collect=False)
         iterations = engine.run(max_iterations)
         # The grounded instantiation was never materialized -- that is the
         # point -- so the result's ``ground`` carries no rule list.

@@ -66,7 +66,7 @@ from repro.relations.database import Database
 from repro.relations.krelation import KRelation
 from repro.relations.tuples import Tup
 
-__all__ = ["compile_query", "execute", "drain", "resolve_execution_storage"]
+__all__ = ["compile_query", "execute", "drain"]
 
 #: Selectivity assumed for a fused predicate when sizing join build sides
 #: (mirrors the planner's :data:`repro.planner.cost.DEFAULT_SELECTIVITY`).
@@ -420,61 +420,37 @@ def compile_query(query: Query, database: Database) -> _Node:
     )
 
 
-def resolve_execution_storage(storage: Any, database: Database) -> str:
-    """The storage backend a plan execution should target.
-
-    Explicit ``storage=`` wins; then the ``REPRO_STORAGE`` environment
-    variable; finally the database itself -- when every base relation is
-    already columnar, results stay columnar (and the vectorized engine
-    engages) without any configuration.
-    """
-    import os
-
-    from repro.relations.storage import STORAGE_ENV, resolve_storage_kind
-
-    if storage is not None:
-        return resolve_storage_kind(storage)
-    if os.environ.get(STORAGE_ENV):
-        return resolve_storage_kind(None)
-    relations = [relation for _, relation in database.items()]
-    if relations and all(r.storage == "columnar" for r in relations):
-        return "columnar"
-    return "row"
-
-
-def execute(query: Query, database: Database, *, storage: Any = None) -> KRelation:
+def execute(query: Query, database: Database) -> KRelation:
     """Compile ``query`` and run it pipelined against ``database``.
 
-    When the resolved storage backend is columnar, the whole-column
-    engine (:mod:`repro.engine.vectorized`) is tried first: supported plan
-    shapes over vectorizable semirings evaluate array-at-a-time with no
-    per-row Python dispatch.  Anything it declines falls through to the
-    row pipeline below, which runs on either backend.
+    The whole-column engine (:mod:`repro.engine.vectorized`) is tried
+    first: supported plan shapes over vectorizable semirings evaluate
+    array-at-a-time with no per-row Python dispatch.  It declines at once
+    for every other semiring; anything it declines falls through to the
+    row pipeline below.
 
     The row path's single pipeline breaker: all output rows are drained
     into per-row contribution batches, combined with one ``+``-chain each,
     and materialized as a K-relation (the stored-zero invariant of
     Definition 3.1 is enforced by the batch combiner).
     """
-    kind = resolve_execution_storage(storage, database)
-    if kind == "columnar":
-        from repro.engine import vectorized
+    from repro.engine import vectorized
 
-        result = vectorized.try_execute(query, database, storage=kind)
-        if result is not None:
-            return result
+    result = vectorized.try_execute(query, database)
+    if result is not None:
+        return result
     if not _trace.enabled():
         root = compile_query(query, database)
-        return drain(root, database, storage=kind)
+        return drain(root, database)
     with _trace.span("engine.compile"):
         root = compile_query(query, database)
     with _trace.span("engine.execute", semiring=database.semiring.name) as sp:
-        result = drain(root, database, storage=kind)
+        result = drain(root, database)
         sp.set(out_rows=len(result))
         return result
 
 
-def drain(root: _Node, database: Database, *, storage: Any = None) -> KRelation:
+def drain(root: _Node, database: Database) -> KRelation:
     """Run a compiled plan to completion: the single pipeline breaker."""
     groups: Dict[tuple, List[Any]] = {}
     for row, annotation in root.rows(database):
@@ -483,4 +459,4 @@ def drain(root: _Node, database: Database, *, storage: Any = None) -> KRelation:
             groups[row] = [annotation]
         else:
             batch.append(annotation)
-    return build_relation(database.semiring, root.attrs, groups, storage=storage)
+    return build_relation(database.semiring, root.attrs, groups)

@@ -74,23 +74,18 @@ def build_relation(
     attrs: Tuple[str, ...],
     groups: Dict[tuple, List[Any]],
     schema: Schema | None = None,
-    storage: Any = None,
 ) -> KRelation:
     """Materialize accumulated row batches into a :class:`KRelation`.
 
     ``attrs`` names the positions of the row keys in ``groups``; ``schema``
-    fixes the display order of the result (default: ``attrs`` as given);
-    ``storage`` selects the result's physical backend (default: the
-    process-wide ``REPRO_STORAGE`` setting).
+    fixes the display order of the result (default: ``attrs`` as given).
     """
-    result = KRelation(
-        semiring, schema if schema is not None else Schema(attrs), storage=storage
-    )
+    result = KRelation(semiring, schema if schema is not None else Schema(attrs))
     order = sorted(range(len(attrs)), key=attrs.__getitem__)
-    store = result._store
+    rows = result._annotations
     for row, value in accumulate_batches(semiring, groups).items():
         items = tuple((attrs[i], row[i]) for i in order)
-        store.set(Tup._from_sorted_items(items), value)
+        rows[Tup._from_sorted_items(items)] = value
     return result
 
 

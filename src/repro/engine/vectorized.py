@@ -1,13 +1,13 @@
-"""Whole-column (vectorized) query execution over columnar K-relations.
+"""Whole-column (vectorized) query execution over K-relations.
 
 The pipelined engine of :mod:`repro.engine.compile` still runs a Python
 loop per row; this module evaluates the same positive-algebra plans one
 **column** at a time instead, MonetDB-style, on ``numpy`` arrays:
 
-* a scan reads the per-attribute value arrays and the parallel annotation
-  array straight out of a :class:`~repro.relations.storage.ColumnarRowStore`
-  (object arrays for attribute columns; ``int64``/``float64``/``bool`` for
-  the annotations of the vectorizable semirings);
+* a scan dictionary-encodes each attribute of the relation into integer
+  codes and lifts its annotations into one array (``int64``/``float64``/
+  ``bool`` for the vectorizable semirings); the encoding is cached on the
+  relation until its next mutation;
 * a selection compiles its structured predicate to a boolean mask;
 * a join factorizes the shared key columns to integer codes, sorts the
   build side once, finds every probe row's bucket with two binary searches
@@ -35,14 +35,13 @@ bools), so regrouping contributions per output tuple yields exactly the
 annotations the row-at-a-time engines produce; the differential harnesses
 in ``tests/engine`` assert this.  Everything else -- polynomials, circuits,
 event sets, ``N-inf`` -- and every plan shape this module does not cover
-(opaque predicates, non-total comparisons) falls back to the row engine,
-which works on either storage backend.
+(opaque predicates, non-total comparisons) falls back to the row engine.
 
 Dispatch is by ``semiring.name``, so the annotation-identical
 :class:`~repro.obs.semiring.InstrumentedSemiring` wrapper also takes the
 vectorized path -- its per-op counters then see only the residual scalar
 work, which is precisely the point: the benchmark's op counts attribute
-the columnar speedup to Python-level semiring calls that no longer happen.
+the vectorized speedup to Python-level semiring calls that no longer happen.
 """
 
 from __future__ import annotations
@@ -77,7 +76,6 @@ from repro.obs import trace as _trace
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
 from repro.relations.schema import Schema
-from repro.relations.storage import ColumnarRowStore
 from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
 
@@ -342,55 +340,40 @@ def _object_array(values: list):
     return array
 
 
-def _encode_column(values) -> _Col:
+def _encode_column(values: list) -> _Col:
     """Dictionary-encode a raw value sequence with a hash table.
 
     Hash-based interning matches the dict-equality grouping of the row
-    engines exactly (no reliance on a total order over the domain).
+    engines exactly (no reliance on a total order over the domain); codes
+    number the distinct values in order of first occurrence.
     """
-    table: Dict[Any, int] = {}
-    alphabet: list = []
-    codes = _np.empty(len(values), dtype=_np.int64)
-    for i, value in enumerate(values):
-        code = table.get(value)
-        if code is None:
-            code = len(alphabet)
-            table[value] = code
-            alphabet.append(value)
-        codes[i] = code
+    alphabet = list(dict.fromkeys(values))
+    table = {value: code for code, value in enumerate(alphabet)}
+    codes = _np.fromiter(map(table.__getitem__, values), dtype=_np.int64, count=len(values))
     return _Col(codes, _object_array(alphabet))
 
 
 def _scan_batch(relation: KRelation, ops: VectorOps) -> _Batch:
     """Lift a relation into an encoded column batch.
 
-    For columnar stores the encoding (and the lifted annotation array) is
-    cached on the store keyed by its mutation version, so the semi-naive
-    fixpoint rounds and repeated queries re-scan for free.
+    The column encoding and the annotation list are cached on the relation
+    (``KRelation._scan_cache``, dropped by every mutation), so repeated
+    queries over an unchanged relation re-scan for free.
     """
-    store = relation._store
-    display = tuple(relation.schema.attributes)
-    if isinstance(store, ColumnarRowStore):
-        cache = getattr(store, "_vec_cache", None)
-        if cache is not None and cache[0] == store.version:
-            columns, ann_values = cache[1], cache[2]
-        else:
-            columns = {
-                attribute: _encode_column(column)
-                for attribute, column in zip(store.attributes, store.columns)
-            }
-            ann_values = list(store.annotations)
-            store._vec_cache = (store.version, columns, ann_values)
-        return _Batch(display, dict(columns), ops.to_array(ann_values))
-    attributes = tuple(sorted(relation.schema.attribute_set))
-    raw: list[list] = [[] for _ in attributes]
-    annotations: list = []
-    for tup, annotation in store.items():
-        for bucket, (_, value) in zip(raw, tup._items):
-            bucket.append(value)
-        annotations.append(annotation)
-    columns = {a: _encode_column(bucket) for a, bucket in zip(attributes, raw)}
-    return _Batch(display, columns, ops.to_array(annotations))
+    cache = relation._scan_cache
+    if cache is None:
+        rows = relation._rows
+        attributes = sorted(relation.schema.attribute_set)
+        # A canonical tuple's items are sorted by attribute, so position j
+        # of every row holds attribute j.
+        items = [tup._items for tup in rows]
+        columns = {
+            attribute: _encode_column([row[j][1] for row in items])
+            for j, attribute in enumerate(attributes)
+        }
+        cache = relation._scan_cache = (columns, list(rows.values()))
+    columns, annotations = cache
+    return _Batch(tuple(relation.schema.attributes), dict(columns), ops.to_array(annotations))
 
 
 def _align(left: _Col, right: _Col) -> Tuple[Any, Any, int]:
@@ -830,9 +813,7 @@ def _evaluate(query: Query, database: Database, ops: VectorOps) -> _Batch:
     raise _Fallback
 
 
-def _materialize(
-    batch: _Batch, semiring: Semiring, ops: VectorOps, storage: str
-) -> KRelation:
+def _materialize(batch: _Batch, semiring: Semiring, ops: VectorOps) -> KRelation:
     """Build the final K-relation: the only per-row Python loop of a plan."""
     # Multiplication can reach the semiring zero on the float carriers
     # (overflow to inf under Tropical, underflow to 0.0 under Viterbi);
@@ -849,13 +830,10 @@ def _materialize(
     attributes = tuple(sorted(batch.display))
     if not attributes:
         raise _Fallback  # nullary rows: the row engine builds them
-    result = KRelation(semiring, Schema(batch.display), storage=storage)
-    store = result._store
-    # One C-level gather per column decodes it; .tolist() lowers numpy
-    # scalars to the exact Python carrier types the scalar engine uses
-    # (int64 -> int, float64 -> float, bool_ -> bool).
+    result = KRelation(semiring, Schema(batch.display))
+    # .tolist() lowers numpy scalars to the exact Python carrier types the
+    # scalar engine uses (int64 -> int, float64 -> float, bool_ -> bool).
     columns = [batch.columns[a] for a in attributes]
-    value_lists = [column.values().tolist() for column in columns]
     annotations = batch.ann.tolist()
     from_sorted = Tup._from_sorted_items
     # Pair each distinct value with its attribute name once and gather the
@@ -868,17 +846,11 @@ def _materialize(
             pairs[i] = (attribute, value)
         paired.append(pairs[column.codes].tolist())
     tuples = [from_sorted(row) for row in zip(*paired)]
-    if isinstance(store, ColumnarRowStore):
-        store.extend_rows(tuples, value_lists, annotations)
-    else:
-        for tup, annotation in zip(tuples, annotations):
-            store.set(tup, annotation)
+    result._annotations.update(zip(tuples, annotations))
     return result
 
 
-def try_execute(
-    query: Query, database: Database, *, storage: str = "columnar"
-) -> KRelation | None:
+def try_execute(query: Query, database: Database) -> KRelation | None:
     """Evaluate ``query`` column-at-a-time, or ``None`` to use the row engine.
 
     Returns ``None`` when numpy is missing, the semiring has no exact
@@ -895,12 +867,12 @@ def try_execute(
     try:
         if not _trace.enabled():
             batch = _evaluate(query, database, ops)
-            return _materialize(batch, database.semiring, ops, storage)
+            return _materialize(batch, database.semiring, ops)
         with _trace.span(
             "engine.vectorized", semiring=database.semiring.name
         ) as span:
             batch = _evaluate(query, database, ops)
-            result = _materialize(batch, database.semiring, ops, storage)
+            result = _materialize(batch, database.semiring, ops)
             span.set(out_rows=len(result))
             return result
     except _Fallback:

@@ -88,11 +88,6 @@ class IncrementalDatalog:
     ``"provenance"``, ``"noop"`` or ``"rebuild"`` -- see the module
     docstring).  Removing an absent fact is a defined no-op, mirroring
     ``merge_delta``'s zero handling.
-
-    ``storage`` selects the physical backend of the maintained engine's
-    per-predicate stores (``"row"`` or ``"columnar"``; ``None`` defers to
-    ``REPRO_STORAGE``, then to the database's own backend), exactly as in
-    :func:`repro.datalog.fixpoint.evaluate_program`.
     """
 
     def __init__(
@@ -102,7 +97,6 @@ class IncrementalDatalog:
         *,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         on_divergence: str = "top",
-        storage: Any = None,
     ):
         check_on_divergence(on_divergence)
         if isinstance(program, str):
@@ -112,7 +106,6 @@ class IncrementalDatalog:
         self.semiring = database.semiring
         self.max_iterations = max_iterations
         self.on_divergence = on_divergence
-        self.storage = storage
         self._idempotent = self.semiring.idempotent_add
         self._result: DatalogResult | None = None
         self._rounds = 0
@@ -130,7 +123,6 @@ class IncrementalDatalog:
             self.database,
             collect=not self._idempotent,
             maintain_edb=True,
-            storage=self.storage,
         )
         budget = (
             self.max_iterations

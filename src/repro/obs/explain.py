@@ -354,7 +354,6 @@ def explain_analyze(
     """
     from repro.engine.compile import compile_query
     from repro.engine.kernels import build_relation
-    from repro.relations.krelation import KRelation
 
     optimization = None
     plan = query
@@ -388,8 +387,7 @@ def explain_analyze(
 
     # Hand back a result over the *plain* semiring so downstream code never
     # sees the instrumented wrapper.
-    result = KRelation(database.semiring, accumulated.schema)
-    result._annotations.update(accumulated._annotations)
+    result = accumulated.to_semiring(database.semiring)
 
     return ExplainAnalyzeReport(
         query=query,

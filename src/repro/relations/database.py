@@ -11,6 +11,24 @@ from repro.semirings.base import Semiring
 
 __all__ = ["Database"]
 
+#: The values the pinned ``storage=`` keywords still accept (they select
+#: nothing: every relation has the same store).
+_STORAGE_VALUES = (None, "row", "columnar")
+
+
+def check_storage_keyword(storage: Any) -> None:
+    """Validate a pinned ``storage=`` argument, which selects nothing.
+
+    ``Database.create``, ``Query.evaluate`` and ``evaluate_program`` keep the
+    keyword only because the end-to-end benchmark's ``calls.py`` passes it;
+    it goes with ROADMAP item 1's ``calls.py`` edit.  Any value other than
+    ``None`` / ``"row"`` / ``"columnar"`` raises :class:`SchemaError`.
+    """
+    if storage not in _STORAGE_VALUES:
+        raise SchemaError(
+            f"unknown storage {storage!r}; expected one of {_STORAGE_VALUES}"
+        )
+
 
 class Database:
     """A catalog of named K-relations sharing a single annotation semiring.
@@ -49,9 +67,13 @@ class Database:
         *,
         storage: Any = None,
     ) -> KRelation:
-        """Create, register and return a new relation."""
-        relation = KRelation(self.semiring, schema, rows, storage=storage)
-        return self.register(name, relation)
+        """Create, register and return a new relation.
+
+        ``storage`` selects nothing; it goes with ROADMAP item 1's
+        ``calls.py`` edit (see :func:`check_storage_keyword`).
+        """
+        check_storage_keyword(storage)
+        return self.register(name, KRelation(self.semiring, schema, rows))
 
     def relation(self, name: str) -> KRelation:
         """Look up a relation by name."""
@@ -102,13 +124,6 @@ class Database:
         result = Database(self.semiring)
         for name, relation in self._relations.items():
             result.register(name, relation.copy())
-        return result
-
-    def with_storage(self, storage: Any) -> "Database":
-        """A copy with every relation converted to the given storage backend."""
-        result = Database(self.semiring)
-        for name, relation in self._relations.items():
-            result.register(name, relation.with_storage(storage))
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

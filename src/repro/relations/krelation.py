@@ -15,11 +15,10 @@ convenience methods (``union``, ``project``, ``select``, ``join``,
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any, Callable, Iterable, Iterator, MutableMapping, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Tuple
 
 from repro.errors import SchemaError, SemiringError
 from repro.relations.schema import Schema
-from repro.relations.storage import RowStore, make_store, resolve_storage_kind
 from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
 
@@ -43,13 +42,13 @@ class KRelation:
         Optional initial contents: an iterable of ``(row, annotation)``
         pairs, or of bare rows (annotated with ``1``).  Rows may be
         :class:`Tup` objects, mappings, or value sequences in schema order.
-    storage:
-        The physical backend: ``"row"`` (dict-of-``Tup``, the default),
-        ``"columnar"`` (per-attribute value arrays plus a parallel
-        annotation array; see :mod:`repro.relations.storage`), or an
-        already-populated :class:`~repro.relations.storage.RowStore` to
-        adopt as-is.  ``None`` defers to the ``REPRO_STORAGE`` environment
-        variable.
+
+    The support lives in one ``{Tup: annotation}`` dictionary; its layout
+    plays no part in the model.  The whole-column kernels of
+    :mod:`repro.engine.vectorized` keep a column encoding of that dictionary
+    in ``_scan_cache``: every mutator below drops it, and so does reading
+    :attr:`_annotations`, since the raw dictionary it hands out licenses
+    writes the relation cannot see.
     """
 
     def __init__(
@@ -57,37 +56,34 @@ class KRelation:
         semiring: Semiring,
         schema: Schema | Iterable[str],
         rows: Iterable[Any] = (),
-        *,
-        storage: Any = None,
     ):
         self.semiring = semiring
         self.schema = schema if isinstance(schema, Schema) else Schema(schema)
-        if isinstance(storage, RowStore):
-            self._store = storage
-        else:
-            self._store = make_store(
-                resolve_storage_kind(storage),
-                sorted(self.schema.attribute_set),
-            )
+        self._rows: Dict[Tup, Any] = {}
+        #: Column encoding of ``_rows`` built by the vectorized scan, or
+        #: ``None``; valid only until the next mutation.
+        self._scan_cache: Any = None
         for entry in rows:
             row, annotation = self._split_entry(entry)
             self.add(row, annotation)
 
-    @property
-    def storage(self) -> str:
-        """The physical backend kind (``"row"`` or ``"columnar"``)."""
-        return self._store.kind
+    def __getstate__(self) -> dict:
+        # The scan cache may hold numpy arrays and is rebuilt on demand.
+        state = self.__dict__.copy()
+        state["_scan_cache"] = None
+        return state
 
     @property
-    def _annotations(self) -> MutableMapping[Tup, Any]:
-        """Dict-compatible view of the stored ``{Tup: annotation}`` contents.
+    def _annotations(self) -> Dict[Tup, Any]:
+        """The stored ``{Tup: annotation}`` dictionary itself.
 
-        For the row backend this *is* the backing dictionary; the columnar
-        backend returns a mutable adapter over its parallel arrays.  Writes
-        through this view are raw (no zero/carrier checks) -- it exists so
-        the engine's internal fast paths work identically on any backend.
+        Writes through it are raw (no zero/carrier checks) -- it exists for
+        the engines' internal fast paths.  Handing it out drops the scan
+        cache, so a caller must not keep the dictionary across a vectorized
+        scan of this relation and write to it afterwards.
         """
-        return self._store.mapping()
+        self._scan_cache = None
+        return self._rows
 
     # -- construction helpers --------------------------------------------------
     def _split_entry(self, entry: Any) -> tuple[Any, Any]:
@@ -126,27 +122,14 @@ class KRelation:
         return cls(semiring, schema, annotations.items())
 
     def empty_like(self) -> "KRelation":
-        """A fresh empty relation with the same semiring, schema and backend."""
-        return KRelation(self.semiring, self.schema, storage=self._store.kind)
+        """A fresh empty relation with the same semiring and schema."""
+        return KRelation(self.semiring, self.schema)
 
     def copy(self) -> "KRelation":
         """A shallow copy (annotations are immutable values, so this is safe)."""
-        return KRelation(self.semiring, self.schema, storage=self._store.copy())
-
-    def with_storage(self, storage: Any) -> "KRelation":
-        """The same relation converted to another physical backend.
-
-        Always returns a new relation (a plain copy when the backend is
-        already the requested one), so callers can mutate the result freely.
-        """
-        kind = resolve_storage_kind(storage)
-        if kind == self._store.kind:
-            return self.copy()
-        result = KRelation(self.semiring, self.schema, storage=kind)
-        store = result._store
-        for tup, annotation in self._store.items():
-            store.set(tup, annotation)
-        return result
+        clone = KRelation(self.semiring, self.schema)
+        clone._rows = dict(self._rows)
+        return clone
 
     # -- mutation ---------------------------------------------------------------
     def add(self, row: RowLike, annotation: Any | None = None) -> Tup:
@@ -162,26 +145,28 @@ class KRelation:
             if annotation is None
             else self.semiring.coerce(annotation)
         )
-        store = self._store
-        current = store.get(tup)
+        self._scan_cache = None
+        rows = self._rows
+        current = rows.get(tup)
         if current is None:
             combined = value
         else:
             combined = self.semiring.add(current, value)
         if self.semiring.is_zero(combined):
-            store.discard(tup)
+            rows.pop(tup, None)
         else:
-            store.set(tup, combined)
+            rows[tup] = combined
         return tup
 
     def set(self, row: RowLike, annotation: Any) -> Tup:
         """Overwrite the annotation of a tuple (removing it when set to zero)."""
         tup = self._coerce_tuple(row)
         value = self.semiring.coerce(annotation)
+        self._scan_cache = None
         if self.semiring.is_zero(value):
-            self._store.discard(tup)
+            self._rows.pop(tup, None)
         else:
-            self._store.set(tup, value)
+            self._rows[tup] = value
         return tup
 
     def _accumulate(self, tup: Tup, value: Any) -> None:
@@ -193,14 +178,15 @@ class KRelation:
         semiring's own operations).  Skipping the per-tuple validation is a
         measurable win on join/projection hot paths.
         """
-        store = self._store
-        current = store.get(tup)
+        self._scan_cache = None
+        rows = self._rows
+        current = rows.get(tup)
         if current is not None:
             value = self.semiring.add(current, value)
         if self.semiring.is_zero(value):
-            store.discard(tup)
+            rows.pop(tup, None)
         else:
-            store.set(tup, value)
+            rows[tup] = value
 
     def merge_delta(self, updates: Iterable[Tuple[Tup, Any]]) -> "KRelation":
         """Accumulate ``updates`` into the relation and return the *delta*.
@@ -226,34 +212,36 @@ class KRelation:
         comes out of this semiring's own operations).
         """
         semiring = self.semiring
-        store = self._store
+        self._scan_cache = None
+        rows = self._rows
         delta = self.empty_like()
-        delta_store = delta._store
+        delta_rows = delta._rows
         for tup, value in updates:
-            current = store.get(tup)
+            current = rows.get(tup)
             combined = value if current is None else semiring.add(current, value)
             if current is None and semiring.is_zero(combined):
                 continue
             if combined != current:
                 if semiring.is_zero(combined):
-                    store.discard(tup)
+                    del rows[tup]
                     # an earlier update of this batch may have reported it
-                    delta_store.discard(tup)
+                    delta_rows.pop(tup, None)
                 else:
-                    store.set(tup, combined)
-                    delta_store.set(tup, combined)
+                    rows[tup] = combined
+                    delta_rows[tup] = combined
         return delta
 
     def discard(self, row: RowLike) -> None:
         """Remove a tuple from the support (set its annotation to zero)."""
         tup = self._coerce_tuple(row)
-        self._store.discard(tup)
+        self._scan_cache = None
+        self._rows.pop(tup, None)
 
     # -- access -----------------------------------------------------------------
     def annotation(self, row: RowLike) -> Any:
         """The annotation of ``row`` (the semiring zero when not in the support)."""
         tup = self._coerce_tuple(row)
-        value = self._store.get(tup, _MISSING)
+        value = self._rows.get(tup, _MISSING)
         return self.semiring.zero() if value is _MISSING else value
 
     __call__ = annotation
@@ -264,31 +252,31 @@ class KRelation:
     @property
     def support(self) -> frozenset[Tup]:
         """The tuples with non-zero annotation (Definition 3.1)."""
-        return frozenset(self._store)
+        return frozenset(self._rows)
 
     def items(self) -> Iterator[Tuple[Tup, Any]]:
         """Iterate over (tuple, annotation) pairs of the support."""
-        return iter(self._store.items())
+        return iter(self._rows.items())
 
     def annotations(self) -> Iterator[Any]:
         """Iterate over the non-zero annotations."""
-        return iter(self._store.values())
+        return iter(self._rows.values())
 
     def __iter__(self) -> Iterator[Tup]:
-        return iter(self._store)
+        return iter(self._rows)
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._rows)
 
     def __contains__(self, row: RowLike) -> bool:
         try:
             tup = self._coerce_tuple(row)
         except SchemaError:
             return False
-        return tup in self._store
+        return tup in self._rows
 
     def __bool__(self) -> bool:
-        return len(self._store) > 0
+        return len(self._rows) > 0
 
     # -- semiring-aware transformations ------------------------------------------
     def map_annotations(
@@ -304,12 +292,12 @@ class KRelation:
         never increase").
         """
         semiring = target_semiring or self.semiring
-        result = KRelation(semiring, self.schema, storage=self._store.kind)
-        result_store = result._store
-        for tup, annotation in self._store.items():
+        result = KRelation(semiring, self.schema)
+        result_rows = result._rows
+        for tup, annotation in self._rows.items():
             value = semiring.coerce(function(annotation))
             if not semiring.is_zero(value):
-                result_store.set(tup, value)
+                result_rows[tup] = value
         return result
 
     def to_semiring(
@@ -382,12 +370,11 @@ class KRelation:
         self._require_same_semiring(other, "compare")
         if self.schema.attribute_set != other.schema.attribute_set:
             return False
-        # Store-aware comparison (the two relations may use different
-        # physical backends): same support, equal annotations tuple-wise.
-        if len(self._store) != len(other._store):
+        # Same support, equal annotations tuple-wise.
+        if len(self._rows) != len(other._rows):
             return False
-        other_get = other._store.get
-        for tup, annotation in self._store.items():
+        other_get = other._rows.get
+        for tup, annotation in self._rows.items():
             theirs = other_get(tup, _MISSING)
             if theirs is _MISSING:
                 return False
@@ -423,7 +410,7 @@ class KRelation:
         if self.schema.attribute_set != other.schema.attribute_set:
             raise SchemaError("containment requires union-compatible relations")
         leq = self.semiring.leq
-        for tup in set(self._store) | set(other._store):
+        for tup in self._rows.keys() | other._rows.keys():
             if not leq(self.annotation(tup), other.annotation(tup)):
                 return False
         return True
@@ -444,7 +431,7 @@ class KRelation:
     def __repr__(self) -> str:
         return (
             f"KRelation({self.semiring.name}, {list(self.schema.attributes)}, "
-            f"{len(self._store)} tuples)"
+            f"{len(self._rows)} tuples)"
         )
 
     def __str__(self) -> str:
@@ -453,21 +440,18 @@ class KRelation:
     # -- misc -----------------------------------------------------------------------
     def total_annotation(self) -> Any:
         """The sum of all annotations (e.g. total multiplicity under bags)."""
-        return self.semiring.sum(self._store.values())
+        return self.semiring.sum(self._rows.values())
 
     def check_consistency(self) -> None:
-        """Validate the Definition 3.1 invariants on any storage backend.
+        """Validate the Definition 3.1 invariants.
 
         Every stored annotation must be a non-zero carrier element (a stored
-        zero violates the finite-support representation), and the backend's
-        own layout invariants must hold (for the columnar store: parallel
-        arrays in sync with the tuple index).
+        zero violates the finite-support representation).
         """
-        for tup, annotation in self._store.items():
+        for tup, annotation in self._rows.items():
             if not self.semiring.contains(annotation):
                 raise SemiringError(
                     f"annotation {annotation!r} of {tup} is not in {self.semiring.name}"
                 )
             if self.semiring.is_zero(annotation):
                 raise SemiringError(f"stored zero annotation for {tup}")
-        self._store.check(tuple(sorted(self.schema.attribute_set)))

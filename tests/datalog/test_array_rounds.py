@@ -3,7 +3,7 @@
 With vector arithmetic for an idempotent semiring and a program made of copy /
 single-join plans, ``_SemiNaiveEngine`` runs its rounds on
 :class:`repro.datalog.arraystore.ArrayState` and writes the stores once, at
-the end -- on row and columnar stores alike.  Nothing selects that path, so
+the end.  Nothing selects that path, so
 everything here compares it with the row loop on the same input (reached by
 taking the vector arithmetic away, :func:`strategies.row_loop`): identical
 annotations (floats bit for bit), round counts, derivable sets and -- after a
@@ -51,9 +51,6 @@ ARRAY_SEMIRING_NAMES = ("tropical", "fuzzy", "viterbi", "bool")
 #: (``dict`` equality), whichever spelling a relation happens to store.
 MIXED_DOMAIN = (1, 1.0, True, 0, False, 2, 2.0, 3, "a", "b")
 
-#: The storage backends: neither chooses the loop.
-STORAGES = ("row", "columnar")
-
 ARRAY_SETTINGS = settings(
     max_examples=40,
     deadline=None,
@@ -62,10 +59,10 @@ ARRAY_SETTINGS = settings(
 )
 
 
-def _evaluate(program, database, storage=None):
+def _evaluate(program, database):
     """``(result, datalog.seed span attributes)`` of one semi-naive run."""
     with tracing() as sink:
-        result = evaluate_program(program, database, engine="seminaive", storage=storage)
+        result = evaluate_program(program, database, engine="seminaive")
     (seed,) = sink.find("datalog.seed")
     return result, seed.attributes
 
@@ -134,9 +131,8 @@ def test_array_rounds_equal_row_rounds(semiring_name, data):
     semiring = get_semiring(semiring_name)
     program = data.draw(array_programs())
     database = data.draw(edb_databases(program, semiring, domain=MIXED_DOMAIN))
-    storage = data.draw(st.sampled_from(STORAGES), label="storage")
     row = _row_reference(program, database)
-    arrays, seed = _evaluate(program, database, storage)
+    arrays, seed = _evaluate(program, database)
     assert seed["path"] == "array" and "declined" not in seed
     _assert_same_result(row, arrays)
 
@@ -144,22 +140,20 @@ def test_array_rounds_equal_row_rounds(semiring_name, data):
 @pytest.mark.parametrize("semiring_name", ARRAY_SEMIRING_NAMES)
 @given(data=st.data())
 @ARRAY_SETTINGS
-def test_either_storage_equals_the_row_loop_on_arbitrary_programs(semiring_name, data):
+def test_arbitrary_programs_equal_the_row_loop(semiring_name, data):
     # The general strategy mixes in constants, repeated variables and
     # three-atom bodies: some programs run on arrays, the others decline as
     # a whole -- either way the result is the row loop's.
     semiring = get_semiring(semiring_name)
     program = data.draw(programs())
     database = data.draw(edb_databases(program, semiring))
-    storage = data.draw(st.sampled_from(STORAGES), label="storage")
     row = _row_reference(program, database)
-    result, seed = _evaluate(program, database, storage)
+    result, seed = _evaluate(program, database)
     assert (seed["path"], seed.get("declined")) in (("array", None), ("rows", "plan"))
     _assert_same_result(row, result)
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_copies_projections_and_nullary_heads(storage):
+def test_copies_projections_and_nullary_heads():
     program = Program.parse(
         """
         P(y, x) :- R(x, y)
@@ -172,22 +166,21 @@ def test_copies_projections_and_nullary_heads(storage):
         "R", ["a", "b"], [((1, "u"), 2.0), ((2, "u"), 0.5), ((2, "v"), 4.0)]
     )
     row = _row_reference(program, database)
-    arrays, seed = _evaluate(program, database, storage)
+    arrays, seed = _evaluate(program, database)
     assert seed["path"] == "array"
     _assert_same_result(row, arrays)
     values = {(atom.relation, atom.values): v for atom, v in arrays.annotations.items()}
     assert values[("Q", ("u",))] == 0.5 and values[("N", ())] == 0.5
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_products_reaching_zero_are_never_stored(storage):
+def test_products_reaching_zero_are_never_stored():
     # 1e-200 * 1e-200 underflows to 0.0, Viterbi's zero: the two-hop atom is
     # not derived at all, on either path (Definition 3.1).
     database = Database(get_semiring("viterbi"))
     database.create("R", ["x", "y"], [(("a", "b"), 1e-200), (("b", "c"), 1e-200)])
     program = transitive_closure_program(linear=True)
     row = _row_reference(program, database)
-    arrays, seed = _evaluate(program, database, storage)
+    arrays, seed = _evaluate(program, database)
     assert seed["path"] == "array"
     _assert_same_result(row, arrays)
     assert len(arrays.annotations) == 2
@@ -196,13 +189,13 @@ def test_products_reaching_zero_are_never_stored(storage):
 # -- flush: the stores the loop leaves behind -----------------------------------------------
 
 
-def _engine(program, database, storage, **options):
-    return _SemiNaiveEngine(program, database, collect=False, storage=storage, **options)
+def _engine(program, database, **options):
+    return _SemiNaiveEngine(program, database, collect=False, **options)
 
 
 def _row_engine(program, database, **options):
     with row_loop():
-        return _engine(program, database, None, **options)
+        return _engine(program, database, **options)
 
 
 def _state(engine):
@@ -214,12 +207,11 @@ def _state(engine):
     )
 
 
-@pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("linear", (True, False))
-def test_flush_leaves_rows_indexes_and_relations_consistent(linear, storage):
+def test_flush_leaves_rows_indexes_and_relations_consistent(linear):
     database = chain_graph_database(get_semiring("tropical"), length=6, seed=3)
     program = transitive_closure_program(linear=linear)
-    engine = _engine(program, database, storage, maintain_edb=True)
+    engine = _engine(program, database, maintain_edb=True)
     changelog = engine.begin_changelog()
     engine.run(100)
     assert engine.round_path == "array" and engine.round_declined is None
@@ -231,7 +223,6 @@ def test_flush_leaves_rows_indexes_and_relations_consistent(linear, storage):
     # one flush wrote every derived tuple, and the changelog names each
     idb = engine.stores[program.output]
     assert changelog == {program.output: {tup for _, tup in idb.rows}}
-    assert idb.relation.storage == storage
     reference = _row_engine(program, database, maintain_edb=True)
     reference.run(100)
     assert _state(engine) == _state(reference)
@@ -289,12 +280,11 @@ DECLINES = {
 }
 
 
-@pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("case", sorted(DECLINES))
-def test_declines_run_the_row_loop_before_touching_a_store(case, storage):
+def test_declines_run_the_row_loop_before_touching_a_store(case):
     text, make_database, reason = DECLINES[case]
     program, database = Program.parse(text), make_database()
-    engine = _engine(program, database, storage)
+    engine = _engine(program, database)
     rounds = engine.run(100)
     assert (engine.round_path, engine.round_declined) == ("rows", reason)
     assert engine._arrays is None
@@ -304,7 +294,7 @@ def test_declines_run_the_row_loop_before_touching_a_store(case, storage):
     assert _state(engine) == _state(reference)
     assert all(problem is None for problem in _state(engine)[2])
     with tracing() as sink:
-        _engine(program, database, storage).run(100)
+        _engine(program, database).run(100)
     (seed,) = sink.find("datalog.seed")
     assert (seed.attributes["path"], seed.attributes["declined"]) == ("rows", reason)
 
@@ -315,7 +305,7 @@ def test_collect_mode_and_missing_numpy_decline_as_semiring(monkeypatch):
     collecting = _SemiNaiveEngine(program, database, collect=True)
     assert collecting.round_declined == "semiring"
     monkeypatch.setattr(vectorized, "_np", None)
-    engine = _engine(program, database, None)
+    engine = _engine(program, database)
     engine.run(100)
     assert (engine.round_path, engine.round_declined) == ("rows", "semiring")
 
@@ -333,12 +323,11 @@ def test_iteration_cap_leaves_the_row_loops_partial_state(linear):
     with pytest.raises(DivergenceError, match="within 2 iterations"):
         reference.run(2)
     assert 0 < len(_state(reference)[0]) < len(complete.annotations)
-    for storage in STORAGES:
-        engine = _engine(program, database, storage)
-        with pytest.raises(DivergenceError, match="within 2 iterations"):
-            engine.run(2)
-        assert engine.round_path == "array"
-        assert _state(engine) == _state(reference)
+    engine = _engine(program, database)
+    with pytest.raises(DivergenceError, match="within 2 iterations"):
+        engine.run(2)
+    assert engine.round_path == "array"
+    assert _state(engine) == _state(reference)
 
 
 # -- (f) spans ------------------------------------------------------------------------------

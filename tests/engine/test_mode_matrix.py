@@ -1,9 +1,9 @@
 """Mode-matrix differential: every serial execution mode agrees exactly.
 
 The same K-relation must come out whichever physical mode computes it --
-row or columnar storage, the naive or pipelined executor, with or without
-the planner for queries; the naive or semi-naive engine on either storage
-for datalog; incremental maintenance or a rebuild from scratch.  Each cell
+the naive or pipelined executor, with or without the planner for queries;
+the naive or semi-naive engine for datalog; incremental maintenance or a
+rebuild from scratch.  Each cell
 crosses a semiring, from plain booleans to provenance polynomials and
 circuits, with a workload shape: multi-way and self joins, unions of
 relations of different sizes, opaque selections, projections, linear and
@@ -49,15 +49,12 @@ SEMIRINGS = [
 ]
 IDS = [s.name for s in SEMIRINGS]
 
-#: (executor, storage, optimize) -- every query mode besides the reference
-#: ``("naive", "row", False)``.
+#: (executor, optimize) -- every query mode besides the reference
+#: ``("naive", False)``.
 QUERY_MODES = [
-    ("naive", "columnar", False),
-    ("naive", "row", True),
-    ("pipelined", "row", False),
-    ("pipelined", "columnar", False),
-    ("pipelined", "row", True),
-    ("pipelined", "columnar", True),
+    ("naive", True),
+    ("pipelined", False),
+    ("pipelined", True),
 ]
 
 
@@ -132,27 +129,22 @@ QUERY_SHAPES = [
 def test_query_modes_agree(semiring, shape):
     db = two_relation_db(semiring)
     query = shape()
-    reference = query.evaluate(db, storage="row")
-    assert reference.storage == "row"
+    reference = query.evaluate(db)
     assert len(reference) > 0, "the shape must produce tuples on this input"
-    for executor, storage, optimize in QUERY_MODES:
-        result = query.evaluate(
-            db, executor=executor, storage=storage, optimize=optimize
-        )
-        assert result.storage == storage
+    for executor, optimize in QUERY_MODES:
+        result = query.evaluate(db, executor=executor, optimize=optimize)
         assert result.equal_to(reference), (
             f"{shape.__name__} over {semiring.name} diverged under "
-            f"executor={executor!r}, storage={storage!r}, optimize={optimize}"
+            f"executor={executor!r}, optimize={optimize}"
         )
 
 
 # -- datalog fixpoints -----------------------------------------------------------
 def _fixpoints(program, db):
-    """Semi-naive on both storages and the naive reference engine."""
-    row = evaluate_program(program, db, engine="seminaive", storage="row")
-    columnar = evaluate_program(program, db, engine="seminaive", storage="columnar")
+    """The semi-naive engine and the naive reference engine."""
+    seminaive = evaluate_program(program, db, engine="seminaive")
     naive = evaluate_program(program, db, engine="naive")
-    return row, columnar, naive
+    return seminaive, naive
 
 
 @pytest.mark.parametrize("semiring", SEMIRINGS, ids=IDS)
@@ -160,11 +152,9 @@ def test_datalog_chain_modes_agree(semiring):
     """Linear transitive closure over an acyclic chain, every semiring."""
     program = transitive_closure_program(linear=True)
     db = chain_graph_database(semiring, length=16, seed=3)
-    row, columnar, naive = _fixpoints(program, db)
-    assert len(row.annotations) == 16 * 17 // 2
-    assert columnar.annotations == row.annotations
-    assert columnar.iterations == row.iterations
-    assert naive.annotations == row.annotations
+    seminaive, naive = _fixpoints(program, db)
+    assert len(seminaive.annotations) == 16 * 17 // 2
+    assert naive.annotations == seminaive.annotations
 
 
 @pytest.mark.parametrize("linear", [True, False], ids=["linear", "quadratic"])
@@ -177,19 +167,17 @@ def test_datalog_cyclic_modes_agree(semiring, linear):
     """Cyclic graphs: idempotent fixpoints converge identically in every mode."""
     program = transitive_closure_program(linear=linear)
     db = random_graph_database(semiring, nodes=8, edge_probability=0.25, seed=5)
-    row, columnar, naive = _fixpoints(program, db)
-    assert any(atom.values[0] == atom.values[1] for atom in row.annotations)
-    assert not row.divergent_atoms
-    assert columnar.annotations == row.annotations
-    assert columnar.iterations == row.iterations
-    assert naive.annotations == row.annotations
+    seminaive, naive = _fixpoints(program, db)
+    assert any(atom.values[0] == atom.values[1] for atom in seminaive.annotations)
+    assert not seminaive.divergent_atoms
+    assert naive.annotations == seminaive.annotations
 
 
 # -- incremental maintenance -----------------------------------------------------
-def _maintained(semiring, storage):
+def _maintained(semiring):
     program = transitive_closure_program(linear=True)
     db = chain_graph_database(semiring, length=12, seed=9)
-    return IncrementalDatalog(program, db, storage=storage)
+    return IncrementalDatalog(program, db)
 
 
 def _rebuilt(maintained):
@@ -200,30 +188,22 @@ def _rebuilt(maintained):
 
 @pytest.mark.parametrize("semiring", SEMIRINGS, ids=IDS)
 def test_incremental_insert_modes_agree(semiring):
-    """Maintenance on either storage matches a rebuild after an insertion."""
-    row = _maintained(semiring, "row")
-    columnar = _maintained(semiring, "columnar")
-    assert columnar.result.annotations == row.result.annotations
+    """Maintenance matches a rebuild after an insertion."""
+    maintained = _maintained(semiring)
+    assert maintained.result.annotations == _rebuilt(maintained).annotations
     # A forward shortcut edge keeps the graph acyclic (finite provenance for
     # the non-idempotent semirings) while rewriting many closure annotations.
     rng = random.Random(99)
     update = [(("n0", "n7"), random_annotation(semiring, rng, 101))]
-    row.insert("R", update)
-    columnar.insert("R", update)
-    assert columnar.result.annotations == row.result.annotations
-    assert row.relation("Q").equal_to(columnar.relation("Q"))
-    assert row.result.annotations == _rebuilt(row).annotations
+    maintained.insert("R", update)
+    assert maintained.result.annotations == _rebuilt(maintained).annotations
 
 
 @pytest.mark.parametrize("semiring", SEMIRINGS, ids=IDS)
 def test_incremental_remove_modes_agree(semiring):
     """Deleting a chain edge disconnects the closure identically everywhere."""
-    row = _maintained(semiring, "row")
-    columnar = _maintained(semiring, "columnar")
-    row.remove("R", [("n5", "n6")])
-    columnar.remove("R", [("n5", "n6")])
-    assert row.last_delete_mode == columnar.last_delete_mode
-    assert columnar.result.annotations == row.result.annotations
+    maintained = _maintained(semiring)
+    maintained.remove("R", [("n5", "n6")])
     # n0..n5 and n6..n12 close separately: 5*6/2 + 6*7/2 pairs.
-    assert len(row.result.annotations) == 15 + 21
-    assert row.result.annotations == _rebuilt(row).annotations
+    assert len(maintained.result.annotations) == 15 + 21
+    assert maintained.result.annotations == _rebuilt(maintained).annotations

@@ -11,11 +11,12 @@ drives that equivalence with hypothesis-generated random query trees and
 databases over the registry semirings of the ISSUE: N, B, Tropical,
 PosBool(X), Z, N[X], and provenance circuits.
 
-Every equivalence is additionally driven on **both storage backends**: the
-``storage`` parametrization pins the pipelined side to the row dict store
-or to the columnar store, where (numpy permitting) the whole-column
-vectorized kernels take over for the supported semirings and fall back
-row-at-a-time for the rest -- either way the annotations must not move.
+On the pipelined side the whole-column vectorized kernels (numpy
+permitting) take over for the supported semirings and plan shapes, and the
+row pipeline runs the rest -- either way the annotations must not move.
+The ``kernels`` parametrization also runs every plan on the row pipeline
+alone (:func:`strategies.row_loop`), so it stays checked for the semirings
+the column kernels otherwise take.
 
 Circuits are compared by the polynomial they denote: the pipelined engine
 sums contributions in a different association order, which yields
@@ -24,10 +25,12 @@ semantically equal but structurally distinct DAGs (Proposition 4.2).
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from strategies import PLANNER_SEMIRING_NAMES, ra_queries, view_databases
+from strategies import PLANNER_SEMIRING_NAMES, ra_queries, row_loop, view_databases
 
 from repro.circuits import to_polynomial
 from repro.errors import QueryError
@@ -40,8 +43,9 @@ DIFFERENTIAL_SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: Both physical backends of the pipelined side.
-STORAGE_BACKENDS = ("row", "columnar")
+#: The physical paths of the pipelined side: the column kernels where they
+#: apply, or the row pipeline for every plan.
+KERNELS = {"column": contextlib.nullcontext, "row": row_loop}
 
 
 def _comparable(semiring, value):
@@ -61,41 +65,44 @@ def _assert_same_relation(semiring, expected, actual, context: str):
         )
 
 
-@pytest.mark.parametrize("storage", STORAGE_BACKENDS)
+@pytest.mark.parametrize("kernels", sorted(KERNELS))
 @pytest.mark.parametrize("semiring_name", PLANNER_SEMIRING_NAMES)
 @given(data=st.data())
 @DIFFERENTIAL_SETTINGS
-def test_pipelined_executor_agrees_annotation_for_annotation(semiring_name, storage, data):
+def test_pipelined_executor_agrees_annotation_for_annotation(semiring_name, kernels, data):
     """executor="pipelined" equals executor="naive" on random plans."""
     semiring = get_semiring(semiring_name)
     query, _schema = data.draw(ra_queries(), label="query")
     database = data.draw(view_databases(semiring), label="database")
     baseline = query.evaluate(database)
-    result = query.evaluate(database, executor="pipelined", storage=storage)
+    with KERNELS[kernels]():
+        result = query.evaluate(database, executor="pipelined")
     result.check_consistency()
     _assert_same_relation(
         semiring,
         baseline,
         result,
-        f"as-written plan over {semiring.name} on {storage} storage: {query}",
+        f"as-written plan over {semiring.name} on the {kernels} kernels: {query}",
     )
 
 
-@pytest.mark.parametrize("storage", STORAGE_BACKENDS)
+@pytest.mark.parametrize("kernels", sorted(KERNELS))
 @pytest.mark.parametrize("semiring_name", PLANNER_SEMIRING_NAMES)
 @given(data=st.data())
 @DIFFERENTIAL_SETTINGS
-def test_pipelined_executor_agrees_on_optimized_plans(semiring_name, storage, data):
+def test_pipelined_executor_agrees_on_optimized_plans(semiring_name, kernels, data):
     """The full stack -- planner then physical engine -- stays equivalent."""
     semiring = get_semiring(semiring_name)
     query, _schema = data.draw(ra_queries(), label="query")
     database = data.draw(view_databases(semiring), label="database")
     baseline = query.evaluate(database)
+    with KERNELS[kernels]():
+        result = query.evaluate(database, optimize=True, executor="pipelined")
     _assert_same_relation(
         semiring,
         baseline,
-        query.evaluate(database, optimize=True, executor="pipelined", storage=storage),
-        f"optimized plan over {semiring.name} on {storage} storage: {query}",
+        result,
+        f"optimized plan over {semiring.name} on the {kernels} kernels: {query}",
     )
 
 

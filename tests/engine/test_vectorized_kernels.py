@@ -1,13 +1,13 @@
-"""Unit coverage of the whole-column kernels behind the columnar backend.
+"""Unit coverage of the whole-column kernels.
 
 The differential harnesses prove the vectorized engine *agrees* with the
 row engine end-to-end; this file pins down the pieces in isolation --
 ``fire_linear_join``'s arrays-in / arrays-out contract (grouped totals,
 deliberate zero totals under a ring, its two instance guards),
 ``VectorOps.add``, exact group-by accumulation past int64, the
-numpy-missing degradation, and row/columnar equality
-of the semi-naive engine over every vectorizable semiring plus a
-non-vectorizable control -- and the group-by itself: ``group_codes``
+numpy-missing degradation, and semi-naive / naive engine equality over
+every vectorizable semiring plus a non-vectorizable control -- and the
+group-by itself: ``group_codes``
 against a dict oracle on both sides of its direct-addressing span
 threshold, ``_group``'s decode-from-key against the row engine, and the
 shared ``(attribute, value)`` pairs of materialized ``Tup``s.
@@ -213,7 +213,6 @@ def test_int_vector_add_guards_overflow():
 NEAR_INT64 = 3 << 61  # fits int64; the sum of two does not
 
 
-@pytest.mark.parametrize("storage", ["row", "columnar"])
 @pytest.mark.parametrize(
     "name, rows, expected",
     [
@@ -232,42 +231,37 @@ NEAR_INT64 = 3 << 61  # fits int64; the sum of two does not
         ),
     ],
 )
-def test_group_by_past_int64_is_exact(storage, name, rows, expected):
+def test_group_by_past_int64_is_exact(name, rows, expected):
     from repro import Database, Q
 
     database = Database(get_semiring(name))
-    database.create("R", ["a", "b"], rows, storage=storage)
-    result = Q.relation("R").project("a").evaluate(
-        database, executor="pipelined", storage="columnar"
-    )
+    database.create("R", ["a", "b"], rows)
+    result = Q.relation("R").project("a").evaluate(database, executor="pipelined")
     assert {tup["a"]: value for tup, value in result.items()} == expected
     result.check_consistency()
 
 
 #: Semirings whose annotate-mode semi-naive rounds vectorize, plus "nx"
-#: (no vector arithmetic -- the row loop under columnar stores) as a control.
+#: (no vector arithmetic) as a control.
 SEMINAIVE_NAMES = ("bool", "tropical", "fuzzy", "viterbi", "nx")
 
 
 @pytest.mark.parametrize("semiring_name", SEMINAIVE_NAMES)
-def test_seminaive_row_and_columnar_storage_agree(semiring_name):
+def test_seminaive_and_naive_engines_agree(semiring_name):
     semiring = get_semiring(semiring_name)
     database = random_graph_database(
         semiring, nodes=12, edge_probability=0.25, seed=17
     )
     program = transitive_closure_program()
     kwargs = {"on_divergence": "skip"} if semiring_name == "nx" else {}
-    row = evaluate_program(program, database, engine="seminaive", storage="row", **kwargs)
-    columnar = evaluate_program(
-        program, database, engine="seminaive", storage="columnar", **kwargs
-    )
-    assert row.annotations == columnar.annotations
-    assert row.iterations == columnar.iterations
+    seminaive = evaluate_program(program, database, engine="seminaive", **kwargs)
+    naive = evaluate_program(program, database, engine="naive", **kwargs)
+    assert seminaive.annotations == naive.annotations
 
 
 def test_everything_degrades_gracefully_without_numpy(monkeypatch):
-    # CI's plain test matrix has no numpy: the columnar stores must still
-    # work, with every vectorized entry point declining instead of crashing.
+    # CI's plain test matrix has no numpy: every vectorized entry point
+    # must decline instead of crashing.
     monkeypatch.setattr(vectorized, "_np", None)
     assert not vectorized.numpy_available()
     assert (
@@ -279,25 +273,22 @@ def test_everything_degrades_gracefully_without_numpy(monkeypatch):
 
     database = Database(NaturalsSemiring())
     database.create("E", ["a", "b"], [(("1", "2"), 2), (("2", "3"), 3)])
-    assert (
-        vectorized.try_execute(Q.relation("E"), database, storage="columnar") is None
-    )
+    assert vectorized.try_execute(Q.relation("E"), database) is None
     query = (
         Q.relation("E")
         .join(Q.relation("E").rename({"a": "b", "b": "c"}))
         .project("a", "c")
     )
-    result = query.evaluate(database, executor="pipelined", storage="columnar")
-    assert result.storage == "columnar"
+    result = query.evaluate(database, executor="pipelined")
     assert result.annotation(("1", "3")) == 6
     result.check_consistency()
 
     semiring = get_semiring("tropical")
     graph = random_graph_database(semiring, nodes=8, edge_probability=0.3, seed=5)
     program = transitive_closure_program()
-    row = evaluate_program(program, graph, engine="seminaive", storage="row")
-    columnar = evaluate_program(program, graph, engine="seminaive", storage="columnar")
-    assert row.annotations == columnar.annotations
+    seminaive = evaluate_program(program, graph, engine="seminaive")
+    naive = evaluate_program(program, graph, engine="naive")
+    assert seminaive.annotations == naive.annotations
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +412,11 @@ def test_try_execute_declines_when_group_totals_could_overflow(
     from repro import Database, Q
 
     database = Database(get_semiring("bag"))
-    database.create("R", ["a", "b"], rows, storage="columnar")
+    database.create("R", ["a", "b"], rows)
     query = Q.relation("R").project(*keep)
     assert vectorized.try_execute(query, database) is None
     assert bool(unique_calls) == sorted_span
-    exact = query.evaluate(database, executor="pipelined", storage="columnar")
+    exact = query.evaluate(database, executor="pipelined")
     assert sum(value for _, value in exact.items()) == len(rows) * GUARD_VALUE
 
 
@@ -461,21 +452,20 @@ def test_fire_linear_join_declines_when_group_totals_could_overflow(
 
 def _vectorized_and_reference(query, database):
     """The vectorized result (asserting it ran) and the naive row result."""
-    vector = vectorized.try_execute(query, database, storage="columnar")
+    vector = vectorized.try_execute(query, database)
     assert vector is not None, "the plan should vectorize"
     vector.check_consistency()
-    return vector, query.evaluate(database, executor="naive", storage="row")
+    return vector, query.evaluate(database, executor="naive")
 
 
 @requires_numpy
-@pytest.mark.parametrize("storage", ["row", "columnar"])
 class TestGroupDecode:
     def _database(self, name="bag"):
         from repro import Database
 
         return Database(get_semiring(name))
 
-    def test_three_attribute_projection_with_a_size_one_alphabet(self, storage):
+    def test_three_attribute_projection_with_a_size_one_alphabet(self):
         from repro import Q
 
         database = self._database()
@@ -485,14 +475,14 @@ class TestGroupDecode:
             for c in range(3)
             for d in range(2)
         ]
-        database.create("R", ["a", "b", "c", "d"], rows, storage=storage)
+        database.create("R", ["a", "b", "c", "d"], rows)
         for keep in (("a", "b", "c"), ("c", "b", "a"), ("b", "d", "a")):
             vector, reference = _vectorized_and_reference(
                 Q.relation("R").project(*keep), database
             )
             assert vector == reference
 
-    def test_alphabets_keep_values_a_selection_removed(self, storage):
+    def test_alphabets_keep_values_a_selection_removed(self):
         from repro import Q
         from repro.algebra.predicates import AttrNotEqualsConst
 
@@ -505,7 +495,7 @@ class TestGroupDecode:
             (("x", "r", 2), 1),
             (("y", "p", 4), 2),  # cancels ("y", "p", 2): (p, y) drops out
         ]
-        database.create("R", ["a", "b", "c"], rows, storage=storage)
+        database.create("R", ["a", "b", "c"], rows)
         for removed in ("p", "q"):
             query = (
                 Q.relation("R")
@@ -516,13 +506,13 @@ class TestGroupDecode:
             assert vector == reference
             assert removed not in {tup["b"] for tup in vector.support}
 
-    def test_union_over_disjoint_alphabets(self, storage):
+    def test_union_over_disjoint_alphabets(self):
         from repro import Q
 
         database = self._database()
-        database.create("R", ["a", "b"], [(("x", 1), 2), (("y", 2), 3)], storage=storage)
-        database.create("S", ["a", "b"], [(("u", 7), 5), (("v", 8), 7)], storage=storage)
-        database.create("T", ["a", "b"], [(("x", 1), 4), (("v", 8), 1)], storage=storage)
+        database.create("R", ["a", "b"], [(("x", 1), 2), (("y", 2), 3)])
+        database.create("S", ["a", "b"], [(("u", 7), 5), (("v", 8), 7)])
+        database.create("T", ["a", "b"], [(("x", 1), 4), (("v", 8), 1)])
         disjoint = Q.relation("R").union(Q.relation("S"))
         vector, reference = _vectorized_and_reference(disjoint, database)
         assert vector == reference
@@ -530,12 +520,12 @@ class TestGroupDecode:
         vector, reference = _vectorized_and_reference(overlapping, database)
         assert vector == reference
 
-    def test_hash_equal_values_form_one_group(self, storage):
+    def test_hash_equal_values_form_one_group(self):
         from repro import Q
 
         database = self._database()
         rows = [((1, "x"), 2), ((1.0, "y"), 2), ((True, "z"), 3)]
-        database.create("R", ["a", "b"], rows, storage=storage)
+        database.create("R", ["a", "b"], rows)
         vector, reference = _vectorized_and_reference(
             Q.relation("R").project("a"), database
         )
@@ -545,7 +535,7 @@ class TestGroupDecode:
             type(tup["a"]) for tup in reference.support
         ]
 
-    def test_rows_come_out_ascending_by_key(self, storage):
+    def test_rows_come_out_ascending_by_key(self):
         # Every value is first seen in ascending order, so each column's
         # code order is its value order and ascending mixed-radix keys read
         # as the lexicographic order of the kept values (in ``keep`` order).
@@ -553,7 +543,7 @@ class TestGroupDecode:
 
         database = self._database()
         rows = [((a, b, c), 1) for a in range(3) for b in range(4) for c in range(2)]
-        database.create("R", ["a", "b", "c"], rows, storage=storage)
+        database.create("R", ["a", "b", "c"], rows)
         for keep in (("a", "c"), ("c", "b"), ("b", "a", "c")):
             vector, _ = _vectorized_and_reference(
                 Q.relation("R").project(*keep), database
@@ -607,8 +597,8 @@ def test_nullary_plans_decline_to_the_row_engine():
     from repro import Database, Q
 
     database = Database(get_semiring("bag"))
-    database.create("R", [], [((), 2)], storage="columnar")
-    database.create("S", [], [((), 3)], storage="columnar")
+    database.create("R", [], [((), 2)])
+    database.create("S", [], [((), 3)])
     cases = [
         (Q.relation("R"), 2),
         (Q.relation("R").join(Q.relation("S")), 6),
@@ -616,5 +606,5 @@ def test_nullary_plans_decline_to_the_row_engine():
     ]
     for query, total in cases:
         assert vectorized.try_execute(query, database) is None
-        result = query.evaluate(database, executor="pipelined", storage="columnar")
+        result = query.evaluate(database, executor="pipelined")
         assert [value for _, value in result.items()] == [total]

@@ -1,7 +1,7 @@
-"""Maintenance resumes from the array-resident state, on either storage.
+"""Maintenance resumes from the array-resident state.
 
 ``tests/incremental/test_deletion.py`` already replays random insert / delete
-streams on both backends against fresh evaluation (and asserts they ran on
+streams against fresh evaluation (and asserts they ran on
 arrays), and ``tests/incremental/test_stateful_datalog.py`` sweeps update
 interleavings; this file pins what is particular to the array state of
 :mod:`repro.datalog.arraystore` being a *cache over the stores*: that
@@ -34,15 +34,14 @@ pytestmark = pytest.mark.skipif(
 TC_LINEAR = "T(x, y) :- R(x, y)\nT(x, z) :- R(x, y), T(y, z)"
 TC_QUADRATIC = "T(x, y) :- R(x, y)\nT(x, z) :- T(x, y), T(y, z)"
 
-STORAGES = ("row", "columnar")
 NODES = tuple(f"n{i}" for i in range(7))
 COSTS = (0.5, 1.0, 2.0, 3.5)
 
 
-def _maintained(program=TC_LINEAR, rows=(), semiring_name="tropical", storage="columnar"):
+def _maintained(program=TC_LINEAR, rows=(), semiring_name="tropical"):
     database = Database(get_semiring(semiring_name))
-    database.create("R", ["x", "y"], list(rows), storage=storage)
-    return IncrementalDatalog(program, database, storage=storage), database
+    database.create("R", ["x", "y"], list(rows))
+    return IncrementalDatalog(program, database), database
 
 
 def _assert_equals_rebuild(maintained, database):
@@ -62,8 +61,7 @@ def _assert_equals_rebuild(maintained, database):
 )
 @given(data=st.data())
 def test_interleaved_stream_equals_a_rebuild_after_every_step(program, data):
-    storage = data.draw(st.sampled_from(STORAGES), label="storage")
-    maintained, database = _maintained(program, storage=storage)
+    maintained, database = _maintained(program)
     engine = maintained._engine
     edges = st.tuples(st.sampled_from(NODES), st.sampled_from(NODES))
     for _ in range(data.draw(st.integers(min_value=3, max_value=8), label="steps")):
@@ -81,11 +79,8 @@ def test_interleaved_stream_equals_a_rebuild_after_every_step(program, data):
     assert engine.round_path == "array" and engine.round_declined is None
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_appended_facts_extend_the_state_in_place(storage):
-    maintained, database = _maintained(
-        rows=[(("a", "b"), 1.0), (("b", "c"), 1.0)], storage=storage
-    )
+def test_appended_facts_extend_the_state_in_place():
+    maintained, database = _maintained(rows=[(("a", "b"), 1.0), (("b", "c"), 1.0)])
     state = maintained._engine._arrays
     assert state is not None and state.audit() is None
     maintained.insert("R", [(("c", "d"), 2.0), (("a", "c"), 5.0)])
@@ -94,11 +89,8 @@ def test_appended_facts_extend_the_state_in_place(storage):
     _assert_equals_rebuild(maintained, database)
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_a_rewritten_annotation_is_written_into_the_state(storage):
-    maintained, database = _maintained(
-        rows=[(("a", "b"), 4.0), (("b", "c"), 1.0)], storage=storage
-    )
+def test_a_rewritten_annotation_is_written_into_the_state():
+    maintained, database = _maintained(rows=[(("a", "b"), 4.0), (("b", "c"), 1.0)])
     state = maintained._engine._arrays
     maintained.insert("R", [(("a", "b"), 1.5)])  # a cheaper cost for a known edge
     assert maintained._engine._arrays is state
@@ -107,10 +99,9 @@ def test_a_rewritten_annotation_is_written_into_the_state(storage):
     _assert_equals_rebuild(maintained, database)
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_a_deletion_that_rederives_keeps_the_state(storage):
+def test_a_deletion_that_rederives_keeps_the_state():
     rows = [(("a", "b"), 1.0), (("b", "c"), 1.0), (("a", "c"), 5.0), (("c", "d"), 1.0)]
-    maintained, database = _maintained(rows=rows, storage=storage)
+    maintained, database = _maintained(rows=rows)
     state = maintained._engine._arrays
     maintained.remove("R", [("b", "c")])
     stats = maintained.last_delete_stats
@@ -125,14 +116,13 @@ def test_a_deletion_that_rederives_keeps_the_state(storage):
     _assert_equals_rebuild(maintained, database)
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_join_indexes_follow_removals_then_as_many_appends(storage):
+def test_join_indexes_follow_removals_then_as_many_appends():
     # R's build index on y is cached at three rows.  Two removals and two
     # appends bring R back to three rows with other content: an index still
     # taken for valid would match the new T(c, f)'s probe for y = c against
     # the row that held (x, c) and now holds (h, i), deriving T(h, f).
     rows = [(("a", "b"), 1.0), (("x", "c"), 1.0), (("y", "g"), 1.0)]
-    maintained, database = _maintained(rows=rows, storage=storage)
+    maintained, database = _maintained(rows=rows)
     state = maintained._engine._arrays
     maintained.remove("R", [("x", "c"), ("y", "g")])
     maintained.insert("R", [(("h", "i"), 1.0), (("c", "f"), 1.0)])

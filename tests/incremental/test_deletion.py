@@ -2,8 +2,8 @@
 
 The maintained :class:`IncrementalDatalog` must agree with from-scratch
 semi-naive evaluation *annotation-for-annotation* after every step of a
-random insert/delete update stream, over every supported semiring, on both
-storage backends and for four program shapes (linear and quadratic
+random insert/delete update stream, over every supported semiring and for
+four program shapes (linear and quadratic
 transitive closure, a 3-atom rule body, a mutually recursive pair) -- and
 :meth:`check_consistency` must hold throughout (the maintained
 ``edb_annotations``, stores, binding indexes and database supports all agree
@@ -114,14 +114,12 @@ def _assert_matches_fresh(maintained, database, same=None):
         assert same(got, want), (got, want)
 
 
-def _run_stream(program, semiring_name, storage, data, annotate, same=None):
+def _run_stream(program, semiring_name, data, annotate, same=None):
     """A random insert/delete stream, checked against fresh evaluation per step."""
     semiring = get_semiring(semiring_name)
     database = Database(semiring)
-    database.create("R", ["x", "y"], storage=storage)
-    maintained = IncrementalDatalog(
-        PROGRAMS[program], database, on_divergence="skip", storage=storage
-    )
+    database.create("R", ["x", "y"])
+    maintained = IncrementalDatalog(PROGRAMS[program], database, on_divergence="skip")
     index = 0
     steps = data.draw(st.integers(min_value=2, max_value=6), label="steps")
     for step in range(steps):
@@ -157,7 +155,7 @@ def _run_stream(program, semiring_name, storage, data, annotate, same=None):
             maintained.insert("R", entries)
         _assert_matches_fresh(maintained, database, same)
         maintained.check_consistency()
-    # Either storage resumes on the array state wherever one exists: every
+    # Maintenance resumes on the array state wherever one exists: every
     # shape but the three-atom body, over the idempotent vector semirings.
     on_arrays = (
         vectorized.numpy_available()
@@ -167,43 +165,37 @@ def _run_stream(program, semiring_name, storage, data, annotate, same=None):
     assert maintained._engine.round_path == ("array" if on_arrays else "rows")
 
 
-@pytest.mark.parametrize("storage", ("row", "columnar"))
 @pytest.mark.parametrize("semiring_name", DELETION_SEMIRING_NAMES)
 @pytest.mark.parametrize("program", sorted(PROGRAMS))
 @DELETION_SETTINGS
 @given(data=st.data())
-def test_mixed_streams_match_fresh_evaluation(program, semiring_name, storage, data):
-    _run_stream(program, semiring_name, storage, data, annotation_for)
+def test_mixed_streams_match_fresh_evaluation(program, semiring_name, data):
+    _run_stream(program, semiring_name, data, annotation_for)
 
 
-@pytest.mark.parametrize("storage", ("row", "columnar"))
 @pytest.mark.parametrize("semiring_name", FLOAT_SEMIRING_NAMES)
 @pytest.mark.parametrize("program", sorted(PROGRAMS))
 @DELETION_SETTINGS
 @given(data=st.data())
-def test_inexact_float_streams_match_fresh_within_tolerance(
-    program, semiring_name, storage, data
-):
+def test_inexact_float_streams_match_fresh_within_tolerance(program, semiring_name, data):
     # Non-dyadic annotations: a maintained value and a freshly evaluated one
     # may associate the same product differently, so equality is relative
     # (1e-9, the slack ``may_attain`` dooms by) -- but supports must agree.
     _run_stream(
         program,
         semiring_name,
-        storage,
         data,
         lambda semiring, index, draw: inexact_annotation_for(semiring, draw),
         same=annotations_close,
     )
 
 
-@pytest.mark.parametrize("storage", ("row", "columnar"))
 @pytest.mark.parametrize("semiring_name", ("bool", "bag"))
-def test_removing_an_absent_fact_is_a_noop(semiring_name, storage):
+def test_removing_an_absent_fact_is_a_noop(semiring_name):
     semiring = get_semiring(semiring_name)
     database = Database(semiring)
-    database.create("R", ["x", "y"], [(("a", "b"), 1)], storage=storage)
-    maintained = IncrementalDatalog(TC_PROGRAM, database, storage=storage)
+    database.create("R", ["x", "y"], [(("a", "b"), 1)])
+    maintained = IncrementalDatalog(TC_PROGRAM, database)
     before = dict(maintained.result.annotations)
     engine = maintained._engine
     maintained.remove("R", [("x", "y")])
@@ -491,16 +483,14 @@ def test_delete_stats_cover_every_mode(monkeypatch):
     assert not stats["attained"]
 
 
-@pytest.mark.parametrize("storage", ("row", "columnar"))
-def test_check_consistency_audits_indexes_and_positions(storage):
+def test_check_consistency_audits_indexes_and_positions():
     database = Database(get_semiring("tropical"))
     database.create(
         "R",
         ["x", "y"],
         [(("a", "b"), 1.0), (("b", "c"), 2.0), (("a", "c"), 5.0), (("c", "d"), 1.0)],
-        storage=storage,
     )
-    maintained = IncrementalDatalog(TC_PROGRAM, database, storage=storage)
+    maintained = IncrementalDatalog(TC_PROGRAM, database)
     maintained.remove("R", [("b", "c")])  # builds the lazy position maps
     maintained.check_consistency()
     store = maintained._engine.stores["T"]

@@ -8,11 +8,6 @@ delete/rederive pass otherwise.  Queries are random positive-algebra
 expressions from ``tests/strategies.py``; a shadow copy of the database is
 updated independently so the comparison never trusts the view's own
 bookkeeping.
-
-The update-stream tests run on **both storage backends**: the base relations
-are built on the row dict store or on the columnar store, and the view's
-leaf nodes copy them on that backend -- the maintained annotations must be
-identical either way.
 """
 
 from __future__ import annotations
@@ -69,11 +64,10 @@ def _draw_batch(data, semiring, shadow, index: int, *, allow_deletions: bool):
     return UpdateBatch(insertions=insertions, deletions=deletions), index
 
 
-def _run_stream(semiring_name: str, data, *, allow_deletions: bool, storage="row"):
+def _run_stream(semiring_name: str, data, *, allow_deletions: bool):
     semiring = get_semiring(semiring_name)
     query, _ = data.draw(ra_queries(), label="query")
     database = data.draw(view_databases(semiring), label="database")
-    database = database.with_storage(storage)
     shadow = database.copy()
     view = MaterializedView(query, database)
     assert view.relation.equal_to(query.evaluate(shadow))
@@ -107,21 +101,19 @@ def _run_stream(semiring_name: str, data, *, allow_deletions: bool, storage="row
             assert database.relation(name).equal_to(shadow.relation(name))
 
 
-@pytest.mark.parametrize("storage", ("row", "columnar"))
 @pytest.mark.parametrize("semiring_name", VIEW_SEMIRING_NAMES)
 @DIFFERENTIAL_SETTINGS
 @given(data=st.data())
-def test_insert_streams_match_recompute(semiring_name, storage, data):
-    _run_stream(semiring_name, data, allow_deletions=False, storage=storage)
+def test_insert_streams_match_recompute(semiring_name, data):
+    _run_stream(semiring_name, data, allow_deletions=False)
 
 
-@pytest.mark.parametrize("storage", ("row", "columnar"))
 @pytest.mark.parametrize("semiring_name", VIEW_SEMIRING_NAMES)
 @DIFFERENTIAL_SETTINGS
 @given(data=st.data())
-def test_mixed_streams_match_recompute(semiring_name, storage, data):
+def test_mixed_streams_match_recompute(semiring_name, data):
     """Insert/delete streams agree with recompute over *every* semiring."""
-    _run_stream(semiring_name, data, allow_deletions=True, storage=storage)
+    _run_stream(semiring_name, data, allow_deletions=True)
 
 
 def test_delete_rederive_triggers_without_negation():

@@ -42,12 +42,11 @@ def _assert_matches_fresh(maintained, program, database, *, on_divergence="top")
     assert maintained.result.annotations == fresh.annotations
 
 
-@pytest.mark.parametrize("storage", ["row", "columnar"])
 @pytest.mark.parametrize("semiring_name", ["bool", "tropical", "natinf"])
-def test_edge_stream_matches_fresh_evaluation(semiring_name, storage):
+def test_edge_stream_matches_fresh_evaluation(semiring_name):
     semiring = get_semiring(semiring_name)
     database = random_graph_database(semiring, nodes=8, edge_probability=0.2, seed=3)
-    maintained = IncrementalDatalog(TC_PROGRAM, database, storage=storage)
+    maintained = IncrementalDatalog(TC_PROGRAM, database)
     _assert_matches_fresh(maintained, TC_PROGRAM, database)
     stream = random_edge_insert_stream(
         semiring, nodes=8, batches=5, edges_per_batch=2, seed=11

@@ -1,8 +1,8 @@
 """A stateful sweep of :class:`IncrementalDatalog` over its array state.
 
 Hypothesis drives one maintained fixpoint through an interleaving of EDB
-insertions, removals and annotation rewrites -- over B and Tropical, on row
-and columnar stores, for linear and quadratic transitive closure -- and after
+insertions, removals and annotation rewrites -- over B and Tropical, for
+linear and quadratic transitive closure -- and after
 every step checks that :meth:`IncrementalDatalog.check_consistency` holds
 (which audits the array state against the stores), that the result equals a
 fresh evaluation on the row loop, and that the maintained engine still runs
@@ -56,13 +56,13 @@ STATEFUL_SETTINGS = settings(
 
 
 class MaintainedDatalog(RuleBasedStateMachine):
-    def __init__(self, semiring_name: str, storage: str, program: str):
+    def __init__(self, semiring_name: str, program: str):
         super().__init__()
         self.semiring = get_semiring(semiring_name)
         self.database = Database(self.semiring)
         chain = [((NODES[i], NODES[i + 1]), self.semiring.one()) for i in range(len(NODES) - 1)]
-        self.database.create("R", ["x", "y"], chain, storage=storage)
-        self.maintained = IncrementalDatalog(PROGRAMS[program], self.database, storage=storage)
+        self.database.create("R", ["x", "y"], chain)
+        self.maintained = IncrementalDatalog(PROGRAMS[program], self.database)
         self.state = self.maintained._engine._arrays
         assert self.state is not None
 
@@ -114,10 +114,9 @@ class MaintainedDatalog(RuleBasedStateMachine):
 
 
 @pytest.mark.parametrize("program", sorted(PROGRAMS))
-@pytest.mark.parametrize("storage", ("row", "columnar"))
 @pytest.mark.parametrize("semiring_name", ("bool", "tropical"))
-def test_update_interleavings_keep_the_array_state_exact(semiring_name, storage, program):
+def test_update_interleavings_keep_the_array_state_exact(semiring_name, program):
     run_state_machine_as_test(
-        lambda: MaintainedDatalog(semiring_name, storage, program),
+        lambda: MaintainedDatalog(semiring_name, program),
         settings=STATEFUL_SETTINGS,
     )

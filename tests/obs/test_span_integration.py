@@ -32,9 +32,9 @@ class TestEngineSpans:
             result = query.evaluate(database, optimize=True, executor="pipelined")
         vectorized = sink.find("engine.vectorized")
         if vectorized:
-            # Columnar default storage: the whole-column engine ran the
-            # plan instead of the row pipeline; it carries the same
-            # execution attributes on its own span.
+            # With numpy the whole-column engine ran the plan instead of
+            # the row pipeline; it carries the same execution attributes on
+            # its own span.
             (execute_span,) = vectorized
         else:
             assert len(sink.find("engine.compile")) == 1

@@ -80,6 +80,68 @@ class TestSupportSemantics:
             relation.check_consistency()
 
 
+class TestStoredZeroRule:
+    """Every mutation path drops exact zeros from the support (Def. 3.1)."""
+
+    def test_add_cancellation_removes_the_tuple(self):
+        relation = KRelation(IntegerRing(), ["a"])
+        relation.add(("1",), 2)
+        relation.add(("1",), -2)
+        assert ("1",) not in relation
+        assert len(relation) == 0
+        relation.check_consistency()
+
+    def test_accumulate_cancellation_removes_the_tuple(self):
+        relation = KRelation(IntegerRing(), ["a"])
+        tup = relation.add(("1",), 3)
+        relation._accumulate(tup, -3)
+        assert tup not in relation.support
+        relation.check_consistency()
+
+    def test_merge_delta_cancellation_within_one_batch_leaves_no_delta(self):
+        # Regression: the first update reported the tuple, the second one
+        # cancelled it, and the stale report stayed in the returned delta.
+        relation = KRelation(IntegerRing(), ["a"])
+        tup = relation._coerce_tuple(("1",))
+        delta = relation.merge_delta([(tup, -1), (tup, 1)])
+        assert len(relation) == 0 and len(delta) == 0
+        relation.check_consistency()
+        delta.check_consistency()
+
+    def test_zero_update_of_an_absent_tuple_is_a_noop(self):
+        relation = KRelation(IntegerRing(), ["a"])
+        tup = relation._coerce_tuple(("9",))
+        delta = relation.merge_delta([(tup, 0)])
+        assert len(relation) == 0 and len(delta) == 0
+        relation.add(("9",), 0)
+        relation.discard(("9",))
+        assert len(relation) == 0
+        relation.check_consistency()
+
+    def test_check_consistency_flags_a_smuggled_stored_zero(self):
+        relation = KRelation(IntegerRing(), ["a"], [(("1",), 1)])
+        # The raw dictionary bypasses the relation layer's zero handling;
+        # the audit must catch what slips through it.
+        relation._annotations[relation._coerce_tuple(("1",))] = 0
+        with pytest.raises(SemiringError, match="stored zero"):
+            relation.check_consistency()
+
+    def test_len_membership_and_iteration_agree(self):
+        relation = KRelation(IntegerRing(), ["a", "b"])
+        for i in range(6):
+            relation.add((str(i), str(i % 2)), i - 2)  # i == 2 stores nothing
+        relation.add(("3", "1"), -1)  # cancels to zero
+        relation.discard(("5", "1"))
+        relation.set(("0", "0"), 7)
+        support = list(relation)
+        assert len(support) == len(set(support)) == len(relation) == 3
+        assert set(support) == relation.support == {tup for tup, _ in relation.items()}
+        assert all(tup in relation for tup in support)
+        assert ("2", "0") not in relation and ("3", "1") not in relation
+        assert list(relation.annotations()) == [value for _, value in relation.items()]
+        relation.check_consistency()
+
+
 class TestTransformations:
     def test_map_annotations_drops_zeros(self):
         """Proposition 3.5's 'support may shrink but never increase'."""

@@ -1,4 +1,4 @@
-"""Pickle round-trip safety for tuples, stores, K-relations and semirings.
+"""Pickle round-trip safety for tuples, K-relations and semirings.
 
 Every carrier round-trips by value, hash-consed circuit nodes re-intern on
 unpickle (identity is their equality!), and the one deliberately
@@ -22,7 +22,6 @@ from repro.obs.semiring import InstrumentedSemiring
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
 from repro.relations.schema import Schema
-from repro.relations.storage import ColumnarRowStore, DictRowStore
 from repro.relations.tuples import Tup
 from repro.semirings import (
     BooleanSemiring,
@@ -51,35 +50,34 @@ def test_tup_roundtrips_by_value():
     assert clone["a"] == "x" and clone["b"] == 2
 
 
-@pytest.mark.parametrize("kind", ["row", "columnar"])
-def test_row_stores_roundtrip(kind):
-    from repro.relations.storage import make_store
-
-    store = make_store(kind, ("a", "b"))
-    tups = [Tup({"a": i, "b": -i}) for i in range(5)]
-    for i, tup in enumerate(tups):
-        store.set(tup, i + 1)
-    clone = roundtrip(store)
-    assert isinstance(clone, (DictRowStore, ColumnarRowStore))
-    assert dict(clone.items()) == dict(store.items())
-    # The clone stays usable: inserts, lookups and removals work after the
-    # trip (the columnar store must rebuild its position index).
-    extra = Tup({"a": 99, "b": -99})
-    clone.set(extra, 7)
-    assert clone.get(extra) == 7
-    assert clone.discard(tups[0])
-    assert len(clone) == len(store)
-
-
-@pytest.mark.parametrize("storage", ["row", "columnar"])
-def test_krelation_roundtrips(storage):
+def test_krelation_roundtrips():
     semiring = NaturalsSemiring()
-    relation = KRelation(semiring, Schema(["a", "b"]), storage=storage)
+    relation = KRelation(semiring, Schema(["a", "b"]))
     for i in range(6):
         relation.add({"a": i, "b": i % 2}, i + 1)
     clone = roundtrip(relation)
     assert clone.equal_to(relation)
-    assert clone.storage == storage
+    # The clone stays usable: inserts, lookups and removals work after the trip.
+    clone.add({"a": 99, "b": 1}, 7)
+    clone.discard({"a": 0, "b": 0})
+    assert clone.annotation({"a": 99, "b": 1}) == 7
+    assert len(clone) == len(relation)
+
+
+def test_krelation_pickles_without_its_scan_cache():
+    from repro.algebra.ast import Q
+    from repro.engine import vectorized
+
+    if not vectorized.numpy_available():
+        pytest.skip("the column kernels need numpy")
+    database = Database(NaturalsSemiring())
+    relation = database.create("R", ["a", "b"], [((i, i % 3), i + 1) for i in range(9)])
+    Q.relation("R").project("b").evaluate(database, optimize=True, executor="pipelined")
+    assert relation._scan_cache is not None  # the vectorized scan filled it
+    clone = roundtrip(relation)
+    assert clone.equal_to(relation)
+    assert clone._scan_cache is None
+    assert b"numpy" not in pickle.dumps(relation)
 
 
 SEMIRING_SAMPLES = [
@@ -194,7 +192,7 @@ def test_structured_predicates_roundtrip():
 def _echo_payload():
     """A payload touching every shipped carrier at once."""
     semiring = TropicalSemiring()
-    relation = KRelation(semiring, Schema(["a", "b"]), storage="columnar")
+    relation = KRelation(semiring, Schema(["a", "b"]))
     for i in range(4):
         relation.add({"a": i, "b": i + 1}, float(i))
     circuit = sum_node(prod_node(var("x"), var("y")), const(2))

@@ -152,7 +152,8 @@ def row_loop():
     Taking the semiring's vector arithmetic away makes the engine decline the
     array loop with ``round_declined == "semiring"``: the row loop is the
     reference every array-loop differential compares with, and no option of
-    the library selects it.
+    the library selects it.  Pipelined queries run inside likewise take the
+    row pipeline instead of the whole-column kernels.
     """
     with mock.patch.object(vectorized, "vector_ops_for", lambda semiring: None):
         yield

@@ -4,14 +4,28 @@ Theorem 4.3 (and Theorem 6.4 over distributive lattices) proves that the
 paths these keywords used to choose between return the same answer, so the
 choice lives in the differential tests, not in the API.  Passing any of the
 removed keywords is a ``TypeError``.
+
+A K-relation has one store, so ``storage=`` selects nothing anywhere.  Three
+calls still accept it because the end-to-end benchmark passes it; they
+validate the value and ignore it.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import BooleanSemiring, Database, MaterializedView, Q
+from repro import (
+    BooleanSemiring,
+    Database,
+    IncrementalDatalog,
+    KRelation,
+    MaterializedView,
+    Q,
+    evaluate_program,
+)
 from repro.datalog import evaluate_on_lattice, lattice_condition_provenance
+from repro.datalog.seminaive import evaluate_program_seminaive
+from repro.errors import SchemaError
 from repro.probabilistic import EventTable, ProbabilisticDatabase
 
 PROGRAM = "T(x, y) :- R(x, y)\nT(x, y) :- R(x, z), T(z, y)"
@@ -68,6 +82,11 @@ CALLS = {
     ),
     "evaluate_on_lattice": lambda **kw: evaluate_on_lattice(PROGRAM, _bool_database(), **kw),
     "MaterializedView": lambda **kw: MaterializedView(QUERY, _bool_database(), **kw),
+    "KRelation": lambda **kw: KRelation(BooleanSemiring(), ["x", "y"], EDGES, **kw),
+    "IncrementalDatalog": lambda **kw: IncrementalDatalog(PROGRAM, _bool_database(), **kw),
+    "evaluate_program_seminaive": (
+        lambda **kw: evaluate_program_seminaive(PROGRAM, _bool_database(), **kw)
+    ),
 }
 
 QUERY_KNOBS = {"optimize": True, "executor": "pipelined", "storage": "row"}
@@ -96,11 +115,14 @@ REMOVED = [
     ("evaluate_on_lattice", "storage", "row"),
     ("evaluate_on_lattice", "output_only", True),
     *(("MaterializedView", keyword, value) for keyword, value in QUERY_KNOBS.items()),
+    ("KRelation", "storage", "columnar"),
+    ("IncrementalDatalog", "storage", "columnar"),
+    ("evaluate_program_seminaive", "storage", "columnar"),
 ]
 
 
 def test_every_removed_keyword_is_listed_once():
-    assert len(REMOVED) == len(set(REMOVED)) == 34
+    assert len(REMOVED) == len(set(REMOVED)) == 37
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -114,3 +136,31 @@ def test_the_call_runs_without_keywords(name):
 def test_removed_keyword_is_a_type_error(name, keyword, value):
     with pytest.raises(TypeError, match=keyword):
         CALLS[name](**{keyword: value})
+
+
+def test_storage_conversion_is_gone():
+    assert not hasattr(KRelation, "with_storage")
+    assert not hasattr(Database, "with_storage")
+    assert not hasattr(KRelation, "storage")
+
+
+PINNED_STORAGE_CALLS = {
+    "Database.create": lambda storage: Database(BooleanSemiring()).create(
+        "R", ["x", "y"], EDGES, storage=storage
+    ),
+    "Query.evaluate": lambda storage: QUERY.evaluate(
+        _bool_database(), optimize=True, executor="pipelined", storage=storage
+    ),
+    "evaluate_program": lambda storage: evaluate_program(
+        PROGRAM, _bool_database(), engine="seminaive", storage=storage
+    ).annotations,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STORAGE_CALLS))
+def test_pinned_storage_keyword_selects_nothing(name):
+    call = PINNED_STORAGE_CALLS[name]
+    results = [call(storage) for storage in (None, "row", "columnar")]
+    assert results[0] == results[1] == results[2]
+    with pytest.raises(SchemaError, match="bogus"):
+        call("bogus")
