@@ -3,11 +3,13 @@
 The whole-column kernels encode a relation once and keep the encoding on the
 :class:`~repro.relations.krelation.KRelation` until its next mutation.  This
 sweep interleaves every way a relation can change -- the ``add`` / ``set`` /
-``discard`` / ``merge_delta`` mutators, raw writes through ``_annotations``,
-:func:`repro.incremental.delta.apply_delta`, and
+``discard`` / ``merge_delta`` / ``_accumulate`` mutators, raw writes through
+``_annotations``, :func:`repro.incremental.delta.apply_delta`, and
 :class:`~repro.incremental.IncrementalDatalog` maintaining an EDB relation a
 query also reads -- with planned, pipelined query runs, and checks every
 answer against operator-at-a-time evaluation, which never reads the cache.
+A deterministic table then runs each mutation once over every semiring with
+vector arithmetic, on a change no stale encoding could hide.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from repro.semirings import get_semiring
 #: min carrier.
 SEMIRING_NAMES = ("bag", "tropical")
 
+#: Every semiring with vector arithmetic (``vectorized._OPS_BY_NAME``).
+VECTOR_SEMIRING_NAMES = ("bag", "z", "bool", "tropical", "fuzzy", "viterbi")
+
 #: Transitive closure over ``R``, the relation most random queries read.
 TC_PROGRAM = "T(x, y) :- R(x, y)\nT(x, z) :- R(x, y), T(y, z)"
 
@@ -38,6 +43,7 @@ MUTATIONS = (
     "merge_delta",
     "raw write",
     "raw delete",
+    "accumulate",
     "apply_delta",
     "datalog insert",
     "datalog remove",
@@ -74,6 +80,8 @@ def _mutate(data, database, maintained, counter):
         relation.discard(row)
     elif kind == "merge_delta":
         relation.merge_delta([(relation._coerce_tuple(row), semiring.coerce(value))])
+    elif kind == "accumulate":
+        relation._accumulate(relation._coerce_tuple(row), semiring.coerce(value))
     elif kind == "raw write":
         relation._annotations[relation._coerce_tuple(row)] = semiring.coerce(value)
     elif kind == "raw delete":
@@ -126,3 +134,67 @@ def test_a_scan_fills_the_cache_and_a_mutation_drops_it():
     assert relation._scan_cache is not None
     assert isinstance(relation._annotations, dict)  # handing it out drops the cache
     assert relation._scan_cache is None
+
+
+#: Mutations that take a tuple out of ``R``; the others put one in.
+REMOVALS = ("discard", "raw delete", "datalog remove")
+
+
+def _mutate_once(kind, relation, maintained):
+    """``kind`` applied to ``R = {(x, y), (y, z)}``: removing ``(y, z)`` or
+    inserting ``(w, y)`` adds or drops a whole group of ``R``'s projection
+    on ``a`` over every semiring, idempotent ones included."""
+    semiring = relation.semiring
+    one = semiring.one()
+    row = ("y", "z") if kind in REMOVALS else ("w", "y")
+    tup = relation._coerce_tuple(row)
+    if kind == "add":
+        relation.add(row, one)
+    elif kind == "set":
+        relation.set(row, one)
+    elif kind == "discard":
+        relation.discard(row)
+    elif kind == "merge_delta":
+        relation.merge_delta([(tup, one)])
+    elif kind == "accumulate":
+        relation._accumulate(tup, one)
+    elif kind == "raw write":
+        relation._annotations[tup] = one
+    elif kind == "raw delete":
+        del relation._annotations[tup]
+    elif kind == "apply_delta":
+        apply_delta(relation, KRelation(semiring, relation.schema, [(row, one)]))
+    elif kind == "datalog insert":
+        maintained.insert("R", [(row, one)])
+    else:
+        maintained.remove("R", [row])
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+@pytest.mark.parametrize("semiring_name", VECTOR_SEMIRING_NAMES)
+def test_each_mutation_drops_the_cache_and_the_next_scan_sees_it(semiring_name, kind):
+    from repro import Database
+
+    semiring = get_semiring(semiring_name)
+    one = semiring.one()
+    database = Database(semiring)
+    relation = database.create("R", ["a", "b"], [(("x", "y"), one), (("y", "z"), one)])
+    database.create("S", ["b", "c"], [(("y", "u"), one), (("z", "v"), one)])
+    maintained = IncrementalDatalog(TC_PROGRAM, database, on_divergence="skip")
+    queries = (Q.relation("R").project("a"), Q.relation("R").join(Q.relation("S")))
+    before = [q.evaluate(database, optimize=True, executor="pipelined") for q in queries]
+    if vectorized.numpy_available():
+        assert relation._scan_cache is not None
+    _mutate_once(kind, relation, maintained)
+    assert relation._scan_cache is None
+    relation.check_consistency()
+    groups = {tup["a"] for tup in relation}
+    assert groups == ({"x"} if kind in REMOVALS else {"x", "y", "w"})
+    for query in queries:
+        pipelined = query.evaluate(database, optimize=True, executor="pipelined")
+        assert pipelined.equal_to(query.evaluate(database)), str(query)
+    assert {tup["a"] for tup in pipelined} != {tup["a"] for tup in before[1]}
+    projected = queries[0].evaluate(database, optimize=True, executor="pipelined")
+    assert {tup["a"] for tup in projected} == groups
+    if vectorized.numpy_available():
+        assert relation._scan_cache is not None

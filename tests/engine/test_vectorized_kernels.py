@@ -15,8 +15,11 @@ shared ``(attribute, value)`` pairs of materialized ``Tup``s.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
+from repro import Database, IncrementalDatalog, KRelation, Q
 from repro.datalog import evaluate_program
 from repro.engine import vectorized
 from repro.semirings import get_semiring
@@ -608,3 +611,69 @@ def test_nullary_plans_decline_to_the_row_engine():
         assert vectorized.try_execute(query, database) is None
         result = query.evaluate(database, executor="pipelined")
         assert [value for _, value in result.items()] == [total]
+
+
+def _relation(database, rows):
+    return KRelation(database.semiring, ["a", "b"], rows)
+
+
+def _from_a_query(database, rows):
+    source = Database(database.semiring, {"E": _relation(database, rows)})
+    return Q.relation("E").evaluate(source)
+
+
+def _maintained_edb(database, rows):
+    database.create("R", ["a", "b"])
+    IncrementalDatalog("T(x, y) :- R(x, y)", database).insert("R", rows)
+
+
+#: The ways ``R`` can come to be over a database.  There is one store, so
+#: none of them may keep a pipelined query off the column kernels -- the
+#: pinned ``storage=`` values of ``Database.create`` included.
+RELATION_ORIGINS = {
+    "create": lambda db, rows: db.create("R", ["a", "b"], rows),
+    "create storage=row": lambda db, rows: db.create("R", ["a", "b"], rows, storage="row"),
+    "create storage=columnar": lambda db, rows: db.create(
+        "R", ["a", "b"], rows, storage="columnar"
+    ),
+    "constructor": lambda db, rows: db.register("R", _relation(db, rows)),
+    "from_dict": lambda db, rows: db.register(
+        "R", KRelation.from_dict(db.semiring, ["a", "b"], dict(rows))
+    ),
+    "copy": lambda db, rows: db.register("R", _relation(db, rows).copy()),
+    "map_annotations": lambda db, rows: db.register(
+        "R", _relation(db, rows).map_annotations(lambda value: value)
+    ),
+    "query result": lambda db, rows: db.register("R", _from_a_query(db, rows)),
+    "unpickled": lambda db, rows: db.register(
+        "R", pickle.loads(pickle.dumps(_relation(db, rows)))
+    ),
+    "incremental datalog": _maintained_edb,
+}
+
+
+@requires_numpy
+@pytest.mark.parametrize("origin", sorted(RELATION_ORIGINS))
+@pytest.mark.parametrize("semiring_name", ("bag", "z", "bool", "tropical", "fuzzy", "viterbi"))
+def test_column_kernels_run_on_every_relation(semiring_name, origin):
+    semiring = get_semiring(semiring_name)
+    database = Database(semiring)
+    one = semiring.one()
+    cycle = [((f"n{i}", f"n{(i + 1) % 4}"), one) for i in range(4)]
+    RELATION_ORIGINS[origin](database, cycle)
+    relation = database.relation("R")
+    assert len(relation) == 4
+    two_hop = (
+        Q.relation("R")
+        .join(Q.relation("R").rename({"a": "b", "b": "c"}))
+        .project("a", "c")
+    )
+    expected = two_hop.evaluate(database, executor="naive")
+    assert len(expected) == 4
+    vector = vectorized.try_execute(two_hop, database)
+    assert vector is not None and vector.equal_to(expected)
+    assert relation._scan_cache is not None
+    relation._annotations  # drop the encoding the direct call just built
+    pipelined = two_hop.evaluate(database, optimize=True, executor="pipelined")
+    assert pipelined.equal_to(expected)
+    assert relation._scan_cache is not None  # the public path took the kernels

@@ -81,6 +81,16 @@ DELETION_SEMIRING_NAMES = (
 #: compares float products there).
 FLOAT_SEMIRING_NAMES = ("tropical", "fuzzy", "viterbi")
 
+#: The (program, semiring) streams maintained on the array state when numpy
+#: is present: every shape but the three-atom body, over the idempotent
+#: vector semirings.
+ARRAY_STREAMS = tuple(
+    (program, semiring_name)
+    for program in sorted(PROGRAMS)
+    if program != "three-atom"
+    for semiring_name in ("bool",) + FLOAT_SEMIRING_NAMES
+)
+
 NODES = ("a", "b", "c", "d", "e")
 
 DELETION_SETTINGS = settings(
@@ -158,9 +168,8 @@ def _run_stream(program, semiring_name, data, annotate, same=None):
     # Maintenance resumes on the array state wherever one exists: every
     # shape but the three-atom body, over the idempotent vector semirings.
     on_arrays = (
-        vectorized.numpy_available()
-        and semiring_name in FLOAT_SEMIRING_NAMES + ("bool",)
-        and program != "three-atom"
+        vectorized.vector_ops_for(semiring) is not None
+        and (program, semiring_name) in ARRAY_STREAMS
     )
     assert maintained._engine.round_path == ("array" if on_arrays else "rows")
 
@@ -188,6 +197,16 @@ def test_inexact_float_streams_match_fresh_within_tolerance(program, semiring_na
         lambda semiring, index, draw: inexact_annotation_for(semiring, draw),
         same=annotations_close,
     )
+
+
+@pytest.mark.parametrize("program, semiring_name", ARRAY_STREAMS)
+@DELETION_SETTINGS
+@given(data=st.data())
+def test_row_loop_streams_match_fresh_evaluation(program, semiring_name, data):
+    # The streams above maintain these on the array state; without numpy
+    # they run the row loop, which this leg runs with numpy present.
+    with row_loop():
+        _run_stream(program, semiring_name, data, annotation_for)
 
 
 @pytest.mark.parametrize("semiring_name", ("bool", "bag"))

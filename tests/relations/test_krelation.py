@@ -10,6 +10,28 @@ from repro.semirings import (
     NaturalsSemiring,
     Polynomial,
     ProvenancePolynomialSemiring,
+    get_semiring,
+)
+
+#: One registry name per shipped semiring.  The stored-zero rule hangs on
+#: each one's ``is_zero``: ``False``, ``0``, ``inf`` for Tropical, ``0.0``,
+#: the empty polynomial or witness set, the zero circuit.
+EVERY_SEMIRING_NAME = (
+    "bool",
+    "bag",
+    "natinf",
+    "tropical",
+    "fuzzy",
+    "viterbi",
+    "posbool",
+    "why",
+    "why-witness",
+    "z",
+    "zx",
+    "nx",
+    "polynomial-inf",
+    "power-series",
+    "circuit",
 )
 
 
@@ -140,6 +162,35 @@ class TestStoredZeroRule:
         assert ("2", "0") not in relation and ("3", "1") not in relation
         assert list(relation.annotations()) == [value for _, value in relation.items()]
         relation.check_consistency()
+
+    @pytest.mark.parametrize("name", EVERY_SEMIRING_NAME)
+    def test_no_mutator_stores_the_zero_of(self, name):
+        semiring = get_semiring(name)
+        zero, one = semiring.zero(), semiring.one()
+        relation = KRelation(semiring, ["a"], [(("0",), zero), (("1",), one)])
+        kept = relation._coerce_tuple(("1",))
+        assert list(relation) == [kept]
+        relation.add(("2",), zero)
+        relation.set(("3",), zero)
+        relation.merge_delta([(relation._coerce_tuple(("4",)), zero)])
+        relation._accumulate(relation._coerce_tuple(("5",)), zero)
+        assert relation.support == {kept} and relation.annotation(kept) == one
+        relation.check_consistency()
+        relation.set(("1",), zero)  # overwriting with zero leaves the support
+        assert len(relation) == 0 and kept not in relation
+        built = KRelation.from_dict(semiring, ["a"], {("6",): zero, ("7",): one})
+        assert list(built) == [built._coerce_tuple(("7",))]
+        assert len(built.map_annotations(lambda value: zero)) == 0
+        built.check_consistency()
+
+    @pytest.mark.parametrize("name", EVERY_SEMIRING_NAME)
+    def test_check_consistency_flags_a_smuggled_zero_of(self, name):
+        semiring = get_semiring(name)
+        relation = KRelation(semiring, ["a"], [(("1",), semiring.one())])
+        relation.check_consistency()
+        relation._annotations[relation._coerce_tuple(("1",))] = semiring.zero()
+        with pytest.raises(SemiringError, match="stored zero"):
+            relation.check_consistency()
 
 
 class TestTransformations:
