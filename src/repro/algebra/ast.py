@@ -32,7 +32,7 @@ from repro.algebra.predicates import (
     describe_predicate,
 )
 from repro.errors import QueryError
-from repro.relations.database import Database, check_storage_keyword
+from repro.relations.database import Database, accept_pinned_keywords
 from repro.relations.krelation import KRelation
 from repro.relations.schema import Schema
 from repro.relations.tuples import Tup
@@ -50,63 +50,72 @@ __all__ = [
 ]
 
 
+#: Queries whose base relations hold fewer rows than this (summed over the
+#: distinct relations read) run as written on the row pipeline; larger ones
+#: are planned and tried on the column kernels first.  The planner and the
+#: kernels cost a fixed ~0.2-0.6 ms per call, which the row pipeline beats up
+#: to 12-24 input rows over N and B and to ~48 over why-provenance (two-hop
+#: and Section 2 queries, 3-256 rows); the constant splits the difference.
+PLANNED_INPUT_ROWS = 32
+
+
 class Query:
     """Base class of positive-algebra query expressions.
 
     Subclasses implement :meth:`_execute`; the fluent combinators defined
     here (``union``, ``project``, ``select``, ``join``, ``rename``) build
-    larger queries out of smaller ones, and :meth:`evaluate` runs the tree
-    (optionally through the planner first with ``optimize=True``).
+    larger queries out of smaller ones, and :meth:`evaluate` runs the tree.
     """
 
     def evaluate(
         self,
         database: Database,
         *,
-        optimize: bool = False,
-        executor: str = "naive",
+        optimize: bool = True,
+        executor: str = "pipelined",
         storage: str | None = None,
     ) -> KRelation:
         """Evaluate the query against ``database`` and return a K-relation.
 
-        With ``optimize=True`` the query is first run through the
-        semiring-aware planner (:func:`repro.planner.optimize`) -- pushdowns,
-        fusions and cost-based join reordering, all justified by Proposition
-        3.4 -- and the optimized plan is executed instead.  The result is the
-        same K-relation annotation-for-annotation; only the display order of
-        attributes may differ (the named perspective is order-free).
+        One path, picked by input size.  When the base relations the query
+        reads hold fewer than :data:`PLANNED_INPUT_ROWS` rows in total, the
+        query is compiled as written into the pipelined row kernels of
+        :mod:`repro.engine` (selections, projections and renames fused into
+        scans and join probes, duplicate contributions combined with one
+        ``+``-chain per output tuple).  Otherwise the semiring-aware planner
+        (:func:`repro.planner.optimize`, justified by Proposition 3.4) rewrites
+        it first, and :func:`repro.engine.execute` runs the plan on the
+        whole-column kernels when the semiring has exact vector arithmetic,
+        or on the row kernels.  Every route returns the same K-relation; only
+        the display order of attributes may differ (the named perspective is
+        order-free).  :meth:`_execute` is the operator-at-a-time reference.
 
-        ``executor`` selects the physical execution strategy:
-
-        * ``"naive"`` (default) -- operator-at-a-time: every node of the
-          plan materializes its full intermediate K-relation;
-        * ``"pipelined"`` -- compile the plan into streaming hash-based
-          kernels (:mod:`repro.engine`): selections/projections/renames fuse
-          into scans and join probe loops, joins build the cheaper side, and
-          duplicate-tuple annotation contributions are combined batched (one
-          ``+``-chain per output tuple).  Same result, no intermediate
-          materialization.
-
-        The pipelined executor runs supported plans over the whole-column
-        kernels (:mod:`repro.engine.vectorized`) when the semiring has exact
-        vector arithmetic.  ``storage`` selects nothing; it goes with
-        ROADMAP item 1's ``calls.py`` edit (see
-        :func:`~repro.relations.database.check_storage_keyword`).
+        ``optimize``, ``executor`` and ``storage`` select nothing: only the
+        values the end-to-end benchmark passes are accepted (see
+        :func:`~repro.relations.database.accept_pinned_keywords`).
         """
-        check_storage_keyword(storage)
-        plan = self.optimized(database) if optimize else self
-        if executor == "pipelined":
-            from repro.engine import execute as _execute_pipelined
+        accept_pinned_keywords(optimize=optimize, executor=executor, storage=storage)
+        from repro.engine import compile as _engine
 
-            return _execute_pipelined(plan, database)
-        if executor != "naive":
-            raise QueryError(
-                f"unknown executor {executor!r}; expected 'naive' or 'pipelined'"
-            )
-        return plan._execute(database)
+        if self.uses_planner(database):
+            return _engine.execute(self.optimized(database), database)
+        return _engine.execute_rows(self, database)
+
+    def uses_planner(self, database: Database) -> bool:
+        """Whether :meth:`evaluate` plans this query on ``database``: its
+        distinct base relations hold at least :data:`PLANNED_INPUT_ROWS` rows."""
+        rows = sum(len(database.relation(name)) for name in self.relation_names())
+        return rows >= PLANNED_INPUT_ROWS
 
     def _execute(self, database: Database) -> KRelation:
-        """Execute this operator tree as written (implemented by subclasses)."""
+        """Execute this operator tree as written, one operator at a time.
+
+        Every node materializes its full intermediate K-relation through
+        :mod:`repro.algebra.operators` -- the paper-literal semantics of
+        Definition 3.2, kept as the reference that the engine is tested
+        against.  Implemented by subclasses, which recurse through
+        ``_execute`` (never the engine).
+        """
         raise NotImplementedError
 
     def optimized(self, database: Database | None = None, **options) -> "Query":
@@ -130,13 +139,14 @@ class Query:
 
         With ``analyze=False`` (default) this returns the logical planner's
         :class:`~repro.planner.optimizer.OptimizationReport` -- applied
-        rewrite rules and cost estimates, nothing is executed.  With
-        ``analyze=True`` the optimized plan is compiled to the pipelined
-        engine and **executed** with full observation, returning an
+        rewrite rules and cost estimates, nothing is executed; ``options``
+        forward to the planner.  With ``analyze=True`` the query is planned
+        exactly when :meth:`evaluate` would plan it, compiled to the row
+        kernels and **executed** with full observation, returning an
         :class:`~repro.obs.explain.ExplainAnalyzeReport`: the physical
         operator tree annotated with actual rows, wall time, hash-join
         build/probe sizes and semiring-op counts (``report.result`` holds
-        the query's K-relation).  ``options`` forward to the planner.
+        the query's K-relation).
         """
         if analyze:
             if database is None:
@@ -148,13 +158,13 @@ class Query:
 
         return _explain(self, database, **options)
 
-    def explain_analyze(self, database: Database, **options):
+    def explain_analyze(self, database: Database):
         """Shorthand for :meth:`explain` with ``analyze=True``."""
-        return self.explain(database, analyze=True, **options)
+        return self.explain(database, analyze=True)
 
-    def __call__(self, database: Database, **options) -> KRelation:
-        """Shorthand for :meth:`evaluate` (same keyword options)."""
-        return self.evaluate(database, **options)
+    def __call__(self, database: Database, **pinned) -> KRelation:
+        """Shorthand for :meth:`evaluate`."""
+        return self.evaluate(database, **pinned)
 
     # -- combinators -------------------------------------------------------------
     def union(self, other: "Query") -> "Union":
@@ -241,7 +251,7 @@ class Union(Query):
         self.left, self.right = left, right
 
     def _execute(self, database: Database) -> KRelation:
-        return operators.union(self.left.evaluate(database), self.right.evaluate(database))
+        return operators.union(self.left._execute(database), self.right._execute(database))
 
     def children(self) -> Sequence[Query]:
         return (self.left, self.right)
@@ -260,7 +270,7 @@ class Project(Query):
             raise QueryError("projection needs at least one attribute")
 
     def _execute(self, database: Database) -> KRelation:
-        return operators.project(self.child.evaluate(database), self.attributes)
+        return operators.project(self.child._execute(database), self.attributes)
 
     def children(self) -> Sequence[Query]:
         return (self.child,)
@@ -278,7 +288,7 @@ class Select(Query):
         self.description = description or describe_predicate(predicate)
 
     def _execute(self, database: Database) -> KRelation:
-        return operators.select(self.child.evaluate(database), self.predicate)
+        return operators.select(self.child._execute(database), self.predicate)
 
     def children(self) -> Sequence[Query]:
         return (self.child,)
@@ -294,7 +304,7 @@ class Join(Query):
         self.left, self.right = left, right
 
     def _execute(self, database: Database) -> KRelation:
-        return operators.join(self.left.evaluate(database), self.right.evaluate(database))
+        return operators.join(self.left._execute(database), self.right._execute(database))
 
     def children(self) -> Sequence[Query]:
         return (self.left, self.right)
@@ -311,7 +321,7 @@ class Rename(Query):
         self.mapping = dict(mapping)
 
     def _execute(self, database: Database) -> KRelation:
-        return operators.rename(self.child.evaluate(database), self.mapping)
+        return operators.rename(self.child._execute(database), self.mapping)
 
     def children(self) -> Sequence[Query]:
         return (self.child,)

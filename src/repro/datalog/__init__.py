@@ -27,7 +27,6 @@ from repro.datalog.lattice_eval import (
     lattice_condition_provenance,
 )
 from repro.datalog.monomial_coefficient import MonomialCoefficientResult, monomial_coefficient
-from repro.datalog.seminaive import evaluate_program_seminaive
 from repro.datalog.provenance import (
     DatalogCircuitProvenance,
     DatalogProvenance,
@@ -49,7 +48,6 @@ __all__ = [
     "evaluate_program",
     "immediate_consequence",
     "solve_ground",
-    "evaluate_program_seminaive",
     "AlgebraicSystem",
     "build_algebraic_system",
     "DerivationTree",

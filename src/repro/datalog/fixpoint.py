@@ -5,8 +5,8 @@ output tuple is the (possibly infinite) sum, over all its derivation trees,
 of the product of the leaf annotations -- and Theorem 5.6 shows it coincides
 with the least solution of the algebraic system ``Q-bar = T_q(R, Q-bar)``.
 :func:`solve_ground` computes that least solution on a grounded program; it
-is the one solver behind the naive engine, the semi-naive engine's
-non-idempotent path, incremental maintenance, the algebraic systems of
+is the one solver behind ``evaluate_program`` over non-idempotent
+semirings, incremental maintenance, the algebraic systems of
 Definition 5.5, All-Trees and the provenance series and circuits.
 
 Termination strategy
@@ -53,7 +53,7 @@ from repro.datalog.grounding import (
     strongly_connected_components,
 )
 from repro.datalog.syntax import Program
-from repro.relations.database import Database, check_storage_keyword
+from repro.relations.database import Database, accept_pinned_keywords
 from repro.relations.krelation import KRelation
 from repro.relations.schema import Schema
 from repro.relations.tuples import Tup
@@ -101,12 +101,13 @@ class DatalogResult:
         The grounded program the evaluation ran on (useful for inspecting the
         instantiation, e.g. in tests of Theorem 6.5): the collect run's
         int-coded instantiation, whose :class:`GroundAtom` / ``GroundRule``
-        views are decoded on first read.  Caveat: for idempotent semirings
-        the semi-naive engine never records the instantiation (that is where
-        its speed comes from), so its result's ``ground`` carries the
-        derivable atoms and EDB annotations but an **empty rule list**; use
-        ``engine="naive"`` (or :func:`~repro.datalog.grounding.ground_program`)
-        when the ground rules themselves are needed.
+        views are decoded on first read.  Results over **idempotent**
+        semirings carry no rule instantiations: their round loops never
+        record them (that is where their speed comes from), so ``ground``
+        holds the derivable atoms and EDB annotations but an empty rule list
+        (a Boolean 2-cycle's ``ground.ground_rules`` is empty, not 6 rules).
+        Callers who need the instantiation call
+        :func:`~repro.datalog.grounding.ground_program`.
     """
 
     annotations: Dict[GroundAtom, Any]
@@ -195,7 +196,7 @@ def evaluate_program(
     *,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     on_divergence: str = "top",
-    engine: str = "naive",
+    engine: str = "seminaive",
     storage: Any = None,
 ) -> DatalogResult:
     """Evaluate ``program`` over ``database`` in the database's semiring.
@@ -213,33 +214,29 @@ def evaluate_program(
       infinitely many), so the kept annotations are unaffected.  The skipped
       atoms are reported in ``DatalogResult.divergent_atoms``.
 
-    Over a non-idempotent semiring both engines do the same thing: the
-    program is grounded by :func:`~repro.datalog.grounding.ground_program`
-    (the semi-naive collect run) and the instantiation is handed to
-    :func:`solve_ground`, which solves it component by component on atom
-    ids.  ``engine`` matters for idempotent semirings only: ``"naive"``
-    (default) takes that same route, ``"seminaive"`` runs the delta-driven
-    round loops of :mod:`repro.datalog.seminaive`, which never record the
-    instantiation.  The annotations are identical; the semi-naive result's
-    ``ground`` then carries no rule instantiations (see
-    :attr:`DatalogResult.ground`).
+    One path per semiring regime.  Over an idempotent semiring the
+    delta-driven round loops of :mod:`repro.datalog.seminaive` run, which
+    never record the instantiation (the result's ``ground`` then carries no
+    rule instantiations, see :attr:`DatalogResult.ground`).  Over any other
+    semiring the program is grounded by
+    :func:`~repro.datalog.grounding.ground_program` (the semi-naive collect
+    run) and the instantiation is handed to :func:`solve_ground`, which
+    solves it component by component on atom ids; that pair is also the
+    reference the round loops are tested against.
 
-    ``storage`` selects nothing; it goes with ROADMAP item 1's ``calls.py``
-    edit (see :func:`~repro.relations.database.check_storage_keyword`).
+    ``engine`` and ``storage`` select nothing: only the values the end-to-end
+    benchmark passes are accepted (see
+    :func:`~repro.relations.database.accept_pinned_keywords`).
     """
-    check_storage_keyword(storage)
-    if engine not in ("naive", "seminaive"):
-        raise ValueError(f"engine must be 'naive' or 'seminaive', got {engine!r}")
+    accept_pinned_keywords(engine=engine, storage=storage)
+    check_on_divergence(on_divergence)
     if isinstance(program, str):
         program = Program.parse(program)
-    if engine == "seminaive":
-        from repro.datalog.seminaive import evaluate_program_seminaive
+    if database.semiring.idempotent_add:
+        from repro.datalog import seminaive
 
-        return evaluate_program_seminaive(
-            program,
-            database,
-            max_iterations=max_iterations,
-            on_divergence=on_divergence,
+        return seminaive.evaluate_program_seminaive(
+            program, database, max_iterations=max_iterations
         )
     return solve_ground(
         ground_program(program, database),
@@ -474,14 +471,9 @@ def evaluate(
     *,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     on_divergence: str = "top",
-    engine: str = "naive",
 ) -> KRelation:
     """Convenience wrapper: evaluate and return the output predicate's K-relation."""
     result = evaluate_program(
-        program,
-        database,
-        max_iterations=max_iterations,
-        on_divergence=on_divergence,
-        engine=engine,
+        program, database, max_iterations=max_iterations, on_divergence=on_divergence
     )
     return result.output_relation(database)

@@ -341,7 +341,7 @@ def collect_edb_annotations(program: Program, database: Database) -> Dict[Ground
     """Read the program's EDB facts out of ``database`` as annotated ground atoms.
 
     Validates that every EDB predicate names a database relation of the right
-    arity -- the shared input contract of the naive and semi-naive engines.
+    arity -- the shared input contract of grounding and the round loops.
     """
     edb_annotations: Dict[GroundAtom, Any] = {}
     for predicate in sorted(program.edb_predicates):

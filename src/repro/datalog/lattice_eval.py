@@ -149,7 +149,7 @@ def lattice_condition_provenance(
             relation.set(tup, BoolExpr.var(ids[atom]))
         tagged.register(predicate, relation)
 
-    result = evaluate_program(program, tagged, engine="seminaive")
+    result = evaluate_program(program, tagged)
     conditions = {
         atom: value
         for atom, value in result.annotations.items()

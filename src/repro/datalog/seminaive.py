@@ -1,4 +1,4 @@
-"""Semi-naive, delta-driven datalog evaluation (``engine="seminaive"``).
+"""Semi-naive, delta-driven datalog evaluation.
 
 Rules are evaluated directly against
 :class:`~repro.relations.krelation.KRelation`s:
@@ -20,8 +20,10 @@ harmless when ``a + a = a``).  With vector arithmetic and copy / single-join
 plans only, the same loop runs on
 :class:`repro.datalog.arraystore.ArrayState` (``round_path`` /
 ``round_declined`` say which loop ran, and maintenance keeps the state).
-The result's ``ground`` carries no rule instantiations: never recording
-them is where the speed comes from.
+:func:`evaluate_program_seminaive` runs these loops for
+:func:`repro.datalog.fixpoint.evaluate_program` over every idempotent
+semiring; its result's ``ground`` carries no rule instantiations: never
+recording them is where the speed comes from.
 
 For **non-idempotent** addition accumulation would double-count.  The
 engine runs once in *collect* mode over the Boolean support instead,
@@ -29,8 +31,9 @@ recording every rule instantiation as ``(rule index, head id, body ids)``
 over atom ids interned in discovery order.  That run *is*
 :func:`repro.datalog.grounding.ground_program`, and the one ground solver
 (:func:`repro.datalog.fixpoint.solve_ground`) takes it from there.
-``tests/datalog/test_seminaive_vs_naive.py`` checks both regimes against the
-grounding route on random programs over every shipped semiring.
+``tests/datalog/test_seminaive_vs_naive.py`` checks ``evaluate_program``
+against ``solve_ground(ground_program(...))`` on random programs over every
+shipped semiring.
 """
 
 from __future__ import annotations
@@ -46,16 +49,13 @@ from repro.obs import trace as _trace
 from repro.datalog.fixpoint import (
     DEFAULT_MAX_ITERATIONS,
     DatalogResult,
-    check_on_divergence,
     idb_schema,
-    solve_ground,
 )
 from repro.datalog.grounding import (
     AtomTable,
     GroundAtom,
     GroundProgram,
     collect_edb_annotations,
-    ground_program,
 )
 from repro.datalog.syntax import Program, Rule
 from repro.logic import Constant, Variable
@@ -1240,43 +1240,31 @@ def evaluate_program_seminaive(
     database: Database,
     *,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    on_divergence: str = "top",
 ) -> DatalogResult:
-    """Semi-naive counterpart of :func:`repro.datalog.fixpoint.evaluate_program`.
+    """The idempotent half of :func:`repro.datalog.fixpoint.evaluate_program`.
 
-    Same contract and same results; see the module docstring for how the two
-    semiring regimes are handled.  Callers normally reach this through
-    ``evaluate_program(..., engine="seminaive")``.
+    Runs the delta-driven round loops (see the module docstring) over a
+    database whose semiring has idempotent addition; callers reach it
+    through ``evaluate_program``, which grounds and solves every other
+    semiring.  The result's ``ground`` carries the derivable atoms and EDB
+    annotations but no rule instantiations: never recording them is the
+    point.
     """
-    check_on_divergence(on_divergence)
     if isinstance(program, str):
         program = Program.parse(program)
-    semiring = database.semiring
-
-    if semiring.idempotent_add:
-        engine = _SemiNaiveEngine(program, database, collect=False)
-        iterations = engine.run(max_iterations)
-        # The grounded instantiation was never materialized -- that is the
-        # point -- so the result's ``ground`` carries no rule list.
-        ground = GroundProgram(
-            program,
-            database,
-            [],
-            engine.edb_annotations,
-            engine.derivable_atoms(),
+    if not database.semiring.idempotent_add:
+        raise DatalogError(
+            f"the round loops need idempotent addition; {database.semiring.name} "
+            "is grounded and solved by evaluate_program"
         )
-        return DatalogResult(
-            annotations=engine.annotations(),
-            iterations=iterations,
-            divergent_atoms=frozenset(),
-            ground=ground,
-        )
-
-    # The collect run grounds the program; the caller's iteration budget is
-    # meant for the value iteration and does not cap it.
-    return solve_ground(
-        ground_program(program, database),
-        semiring,
-        max_iterations=max_iterations,
-        on_divergence=on_divergence,
+    engine = _SemiNaiveEngine(program, database, collect=False)
+    iterations = engine.run(max_iterations)
+    ground = GroundProgram(
+        program, database, [], engine.edb_annotations, engine.derivable_atoms()
+    )
+    return DatalogResult(
+        annotations=engine.annotations(),
+        iterations=iterations,
+        divergent_atoms=frozenset(),
+        ground=ground,
     )

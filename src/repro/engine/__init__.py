@@ -11,12 +11,10 @@ datalog delta rounds.
 
 Entry points::
 
-    result = Q.relation("R").join(Q.relation("S")).evaluate(
-        db, optimize=True, executor="pipelined"
-    )
+    result = Q.relation("R").join(Q.relation("S")).evaluate(db)
 
     from repro.engine import execute
-    result = execute(plan, db)          # the same, on a prepared plan
+    result = execute(plan, db)          # a prepared plan: column kernels, then rows
 """
 
 from repro.engine.compile import compile_query, execute

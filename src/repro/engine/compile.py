@@ -66,7 +66,7 @@ from repro.relations.database import Database
 from repro.relations.krelation import KRelation
 from repro.relations.tuples import Tup
 
-__all__ = ["compile_query", "execute", "drain"]
+__all__ = ["compile_query", "execute", "execute_rows", "drain"]
 
 #: Selectivity assumed for a fused predicate when sizing join build sides
 #: (mirrors the planner's :data:`repro.planner.cost.DEFAULT_SELECTIVITY`).
@@ -421,27 +421,32 @@ def compile_query(query: Query, database: Database) -> _Node:
 
 
 def execute(query: Query, database: Database) -> KRelation:
-    """Compile ``query`` and run it pipelined against ``database``.
+    """Run ``query`` against ``database``: column kernels first, then rows.
 
     The whole-column engine (:mod:`repro.engine.vectorized`) is tried
     first: supported plan shapes over vectorizable semirings evaluate
     array-at-a-time with no per-row Python dispatch.  It declines at once
-    for every other semiring; anything it declines falls through to the
-    row pipeline below.
-
-    The row path's single pipeline breaker: all output rows are drained
-    into per-row contribution batches, combined with one ``+``-chain each,
-    and materialized as a K-relation (the stored-zero invariant of
-    Definition 3.1 is enforced by the batch combiner).
+    for every other semiring; anything it declines falls through to
+    :func:`execute_rows`.
     """
     from repro.engine import vectorized
 
     result = vectorized.try_execute(query, database)
     if result is not None:
         return result
+    return execute_rows(query, database)
+
+
+def execute_rows(query: Query, database: Database) -> KRelation:
+    """Compile ``query`` as given and drain it through the row pipeline.
+
+    The row path's single pipeline breaker: all output rows are drained
+    into per-row contribution batches, combined with one ``+``-chain each,
+    and materialized as a K-relation (the stored-zero invariant of
+    Definition 3.1 is enforced by the batch combiner).
+    """
     if not _trace.enabled():
-        root = compile_query(query, database)
-        return drain(root, database)
+        return drain(compile_query(query, database), database)
     with _trace.span("engine.compile"):
         root = compile_query(query, database)
     with _trace.span("engine.execute", semiring=database.semiring.name) as sp:

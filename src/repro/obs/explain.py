@@ -1,13 +1,13 @@
 """EXPLAIN ANALYZE for the pipelined execution engine.
 
-:func:`explain_analyze` runs a query through the PR 4 logical planner (by
-default), compiles the optimized plan with the PR 5 pipelined compiler,
-executes it with an :class:`ExecutionObserver` attached to every physical
-operator, and returns an :class:`ExplainAnalyzeReport`: the physical operator
-tree annotated with **actual** output rows, cumulative wall time, hash-join
-build/probe sizes and semiring-operation counts -- the quantities the
-paper's cost analysis is stated in (one ``+``/``x`` chain per derivation,
-Definition 3.2).
+:func:`explain_analyze` runs a query through the logical planner when
+``Query.evaluate`` would (the input-size rule), compiles the plan with the
+pipelined row compiler, executes it with an :class:`ExecutionObserver`
+attached to every physical operator, and returns an
+:class:`ExplainAnalyzeReport`: the physical operator tree annotated with
+**actual** output rows, cumulative wall time, hash-join build/probe sizes
+and semiring-operation counts -- the quantities the paper's cost analysis is
+stated in (one ``+``/``x`` chain per derivation, Definition 3.2).
 
 Attribution model (the pipelined engine has a single pipeline breaker):
 
@@ -335,20 +335,14 @@ class ExplainAnalyzeReport:
         )
 
 
-def explain_analyze(
-    query: Any,
-    database: Any,
-    *,
-    optimize: bool = True,
-    **planner_options: Any,
-) -> ExplainAnalyzeReport:
-    """Execute ``query`` pipelined with full observation and report actuals.
+def explain_analyze(query: Any, database: Any) -> ExplainAnalyzeReport:
+    """Execute ``query`` on the row kernels with full observation and report actuals.
 
-    With ``optimize=True`` (default) the query first goes through the
-    semiring-aware logical planner and the report carries the
-    :class:`OptimizationReport` alongside the physical actuals --
-    ``planner_options`` (``reorder=``, ``statistics=``, ...) are forwarded.
-    The executed result is annotation-identical to an ordinary run (the
+    The query is planned exactly when :meth:`~repro.algebra.ast.Query.evaluate`
+    would plan it (:meth:`~repro.algebra.ast.Query.uses_planner`); the report
+    then carries the planner's :class:`OptimizationReport` alongside the
+    physical actuals, and ``report.optimization`` is ``None`` otherwise.  The
+    executed result is annotation-identical to an ordinary run (the
     instrumented semiring is a counting pass-through) and is available as
     ``report.result``.
     """
@@ -357,10 +351,10 @@ def explain_analyze(
 
     optimization = None
     plan = query
-    if optimize:
+    if query.uses_planner(database):
         from repro.planner import explain as _logical_explain
 
-        optimization = _logical_explain(query, database, **planner_options)
+        optimization = _logical_explain(query, database)
         plan = optimization.optimized
 
     ops = OpCounter()

@@ -23,7 +23,7 @@ Entry points::
 
     plan = optimize(query, database)       # an equivalent, cheaper Query
     print(explain(query, database))        # rules applied + cost estimates
-    query.evaluate(database, optimize=True)  # optimize-and-run in one call
+    query.evaluate(database)               # planned once the input is large enough
 """
 
 from repro.planner.cost import (

@@ -185,10 +185,10 @@ class ProbabilisticDatabase:
     def query_lineage(self, query: Query) -> KRelation:
         """Evaluate a query over the lineage database: a circuit per answer.
 
-        Queries run through the semiring-aware planner and the pipelined
-        physical engine.
+        Queries run through :meth:`~repro.algebra.ast.Query.evaluate`'s one
+        path (planned and column-kernel-first on larger inputs).
         """
-        return query.evaluate(self.lineage_database, optimize=True, executor="pipelined")
+        return query.evaluate(self.lineage_database)
 
     def _compiled_answers(self, query: Query) -> Dict[Tup, Any]:
         """Compile all answers' lineage circuits as one multi-rooted diagram
@@ -201,10 +201,11 @@ class ProbabilisticDatabase:
         """Evaluate a positive-algebra query, returning the event of each answer.
 
         Events are subsets of the explicit world space, so this evaluates the
-        query directly over ``P(Omega)`` (planner on, pipelined engine).  For
-        scalable output use :meth:`query_probabilities`.
+        query directly over ``P(Omega)`` with
+        :meth:`~repro.algebra.ast.Query.evaluate`.  For scalable output use
+        :meth:`query_probabilities`.
         """
-        return query.evaluate(self.database, optimize=True, executor="pipelined")
+        return query.evaluate(self.database)
 
     def query_probabilities(self, query: Query) -> Dict[Tup, float]:
         """Evaluate a query and return the exact probability of each answer tuple.

@@ -11,23 +11,29 @@ from repro.semirings.base import Semiring
 
 __all__ = ["Database"]
 
-#: The values the pinned ``storage=`` keywords still accept (they select
-#: nothing: every relation has the same store).
-_STORAGE_VALUES = (None, "row", "columnar")
+#: The mode keywords ``benchmarks/e2e/calls.py`` still passes, with the values
+#: it passes.  Each entry point has one path, so they select nothing; they go
+#: once ``calls.py`` stops passing them.
+PINNED_KEYWORDS: Dict[str, tuple] = {
+    "optimize": (True,),
+    "executor": ("pipelined",),
+    "engine": ("seminaive",),
+    "storage": (None, "row", "columnar"),
+}
 
 
-def check_storage_keyword(storage: Any) -> None:
-    """Validate a pinned ``storage=`` argument, which selects nothing.
+def accept_pinned_keywords(**keywords: Any) -> None:
+    """Accept and ignore the pinned values of :data:`PINNED_KEYWORDS`.
 
-    ``Database.create``, ``Query.evaluate`` and ``evaluate_program`` keep the
-    keyword only because the end-to-end benchmark's ``calls.py`` passes it;
-    it goes with ROADMAP item 1's ``calls.py`` edit.  Any value other than
-    ``None`` / ``"row"`` / ``"columnar"`` raises :class:`SchemaError`.
+    Any other value raises :class:`TypeError`: there is no other path for it
+    to select.
     """
-    if storage not in _STORAGE_VALUES:
-        raise SchemaError(
-            f"unknown storage {storage!r}; expected one of {_STORAGE_VALUES}"
-        )
+    for name, value in keywords.items():
+        if value not in PINNED_KEYWORDS[name]:
+            raise TypeError(
+                f"{name}={value!r} selects nothing: this entry point has one path "
+                f"(only {PINNED_KEYWORDS[name]} are accepted, for the benchmark)"
+            )
 
 
 class Database:
@@ -69,10 +75,9 @@ class Database:
     ) -> KRelation:
         """Create, register and return a new relation.
 
-        ``storage`` selects nothing; it goes with ROADMAP item 1's
-        ``calls.py`` edit (see :func:`check_storage_keyword`).
+        ``storage`` selects nothing (see :func:`accept_pinned_keywords`).
         """
-        check_storage_keyword(storage)
+        accept_pinned_keywords(storage=storage)
         return self.register(name, KRelation(self.semiring, schema, rows))
 
     def relation(self, name: str) -> KRelation:

@@ -62,7 +62,7 @@ ARRAY_SETTINGS = settings(
 def _evaluate(program, database):
     """``(result, datalog.seed span attributes)`` of one semi-naive run."""
     with tracing() as sink:
-        result = evaluate_program(program, database, engine="seminaive")
+        result = evaluate_program(program, database)
     (seed,) = sink.find("datalog.seed")
     return result, seed.attributes
 
@@ -317,7 +317,7 @@ def test_collect_mode_and_missing_numpy_decline_as_semiring(monkeypatch):
 def test_iteration_cap_leaves_the_row_loops_partial_state(linear):
     database = chain_graph_database(get_semiring("tropical"), length=8, seed=2)
     program = transitive_closure_program(linear=linear)
-    complete = evaluate_program(program, database, engine="seminaive")
+    complete = evaluate_program(program, database)
     assert complete.iterations >= 5
     reference = _row_engine(program, database)
     with pytest.raises(DivergenceError, match="within 2 iterations"):
@@ -337,7 +337,7 @@ def test_array_loop_emits_seed_and_round_spans():
     database = chain_graph_database(get_semiring("bool"), length=6, seed=4)
     program = transitive_closure_program(linear=True)
     with tracing() as sink:
-        result = evaluate_program(program, database, engine="seminaive")
+        result = evaluate_program(program, database)
     (seed,) = sink.find("datalog.seed")
     rounds = sink.find("datalog.round")
     assert seed.attributes["path"] == "array" and seed.attributes["mode"] == "annotate"

@@ -70,8 +70,7 @@ def _tail_cycle_dag(semiring) -> Database:
     return database
 
 
-@pytest.mark.parametrize("engine", ("naive", "seminaive"))
-def test_solver_arithmetic_is_pinned(engine):
+def test_solver_arithmetic_is_pinned():
     """The int-coded solver does exactly the object-keyed solver's ``T_q``
     arithmetic: one ``+`` per rule, a ``*`` and an ``is_zero`` per body atom."""
     counter = OpCounter()
@@ -79,7 +78,7 @@ def test_solver_arithmetic_is_pinned(engine):
     assert counter.snapshot() == {"plus": 0, "times": 0, "is_zero": 89}
     counter.reset()
     program = Program.parse("T(x, y) :- R(x, y)\nT(x, y) :- R(x, z), T(z, y)")
-    result = evaluate_program(program, database, engine=engine)
+    result = evaluate_program(program, database)
     assert len(result.ground.ground_rules) == 1351
     assert len(result.annotations) == 499
     assert len(result.divergent_atoms) == 64

@@ -1,15 +1,11 @@
-"""Mode-matrix differential: every serial execution mode agrees exactly.
+"""Matrix differential: every entry point agrees with its paper-literal oracle.
 
-The same K-relation must come out whichever physical mode computes it --
-the naive or pipelined executor, with or without the planner for queries;
-the naive or semi-naive engine for datalog; incremental maintenance or a
-rebuild from scratch.  Each cell
-crosses a semiring, from plain booleans to provenance polynomials and
-circuits, with a workload shape: multi-way and self joins, unions of
-relations of different sizes, opaque selections, projections, linear and
-non-linear recursion on acyclic and cyclic graphs.  The modes are
-implementation details licensed by Proposition 3.4; these tests are the
-contract that the choice never becomes observable.
+``Query.evaluate`` against operator-at-a-time ``Query._execute``,
+``evaluate_program`` against ``solve_ground(ground_program(...))`` and
+incremental maintenance against a rebuild, each cell crossing a semiring
+(booleans to provenance circuits) with a workload shape: multi-way and self
+joins, unequal unions, opaque selections, linear and non-linear recursion
+on acyclic and cyclic graphs.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ import pytest
 from repro.algebra import Q
 from repro.algebra.predicates import OpaquePredicate
 from repro.circuits import CircuitSemiring
-from repro.datalog import evaluate_program
+from repro.datalog import evaluate_program, ground_program, solve_ground
 from repro.incremental import IncrementalDatalog
 from repro.semirings import (
     BooleanSemiring,
@@ -48,15 +44,6 @@ SEMIRINGS = [
     CircuitSemiring(),
 ]
 IDS = [s.name for s in SEMIRINGS]
-
-#: (executor, optimize) -- every query mode besides the reference
-#: ``("naive", False)``.
-QUERY_MODES = [
-    ("naive", True),
-    ("pipelined", False),
-    ("pipelined", True),
-]
-
 
 def two_relation_db(semiring, *, nodes=12, seed=0):
     """A larger edge relation ``R`` plus a smaller, denser ``S``."""
@@ -126,35 +113,31 @@ QUERY_SHAPES = [
 # -- queries ---------------------------------------------------------------------
 @pytest.mark.parametrize("shape", QUERY_SHAPES, ids=lambda shape: shape.__name__)
 @pytest.mark.parametrize("semiring", SEMIRINGS, ids=IDS)
-def test_query_modes_agree(semiring, shape):
+def test_query_agrees_with_operator_at_a_time(semiring, shape):
     db = two_relation_db(semiring)
     query = shape()
-    reference = query.evaluate(db)
+    reference = query._execute(db)
     assert len(reference) > 0, "the shape must produce tuples on this input"
-    for executor, optimize in QUERY_MODES:
-        result = query.evaluate(db, executor=executor, optimize=optimize)
-        assert result.equal_to(reference), (
-            f"{shape.__name__} over {semiring.name} diverged under "
-            f"executor={executor!r}, optimize={optimize}"
-        )
+    result = query.evaluate(db)
+    assert result.equal_to(reference), f"{shape.__name__} over {semiring.name} diverged"
 
 
 # -- datalog fixpoints -----------------------------------------------------------
 def _fixpoints(program, db):
-    """The semi-naive engine and the naive reference engine."""
-    seminaive = evaluate_program(program, db, engine="seminaive")
-    naive = evaluate_program(program, db, engine="naive")
-    return seminaive, naive
+    """``evaluate_program`` and the ground-then-solve reference."""
+    evaluated = evaluate_program(program, db)
+    reference = solve_ground(ground_program(program, db), db.semiring)
+    return evaluated, reference
 
 
 @pytest.mark.parametrize("semiring", SEMIRINGS, ids=IDS)
-def test_datalog_chain_modes_agree(semiring):
+def test_datalog_chain_agrees_with_the_oracle(semiring):
     """Linear transitive closure over an acyclic chain, every semiring."""
     program = transitive_closure_program(linear=True)
     db = chain_graph_database(semiring, length=16, seed=3)
-    seminaive, naive = _fixpoints(program, db)
-    assert len(seminaive.annotations) == 16 * 17 // 2
-    assert naive.annotations == seminaive.annotations
+    evaluated, reference = _fixpoints(program, db)
+    assert len(evaluated.annotations) == 16 * 17 // 2
+    assert evaluated.annotations == reference.annotations
 
 
 @pytest.mark.parametrize("linear", [True, False], ids=["linear", "quadratic"])
@@ -163,14 +146,14 @@ def test_datalog_chain_modes_agree(semiring):
     [BooleanSemiring(), TropicalSemiring(), PosBoolSemiring()],
     ids=["B", "Tropical", "PosBool(B)"],
 )
-def test_datalog_cyclic_modes_agree(semiring, linear):
-    """Cyclic graphs: idempotent fixpoints converge identically in every mode."""
+def test_datalog_cyclic_agrees_with_the_oracle(semiring, linear):
+    """Cyclic graphs: the round loops reach the solver's idempotent fixpoint."""
     program = transitive_closure_program(linear=linear)
     db = random_graph_database(semiring, nodes=8, edge_probability=0.25, seed=5)
-    seminaive, naive = _fixpoints(program, db)
-    assert any(atom.values[0] == atom.values[1] for atom in seminaive.annotations)
-    assert not seminaive.divergent_atoms
-    assert naive.annotations == seminaive.annotations
+    evaluated, reference = _fixpoints(program, db)
+    assert any(atom.values[0] == atom.values[1] for atom in evaluated.annotations)
+    assert not evaluated.divergent_atoms
+    assert evaluated.annotations == reference.annotations
 
 
 # -- incremental maintenance -----------------------------------------------------
@@ -181,13 +164,11 @@ def _maintained(semiring):
 
 
 def _rebuilt(maintained):
-    return evaluate_program(
-        maintained.program, maintained.database.copy(), engine="seminaive"
-    )
+    return evaluate_program(maintained.program, maintained.database.copy())
 
 
 @pytest.mark.parametrize("semiring", SEMIRINGS, ids=IDS)
-def test_incremental_insert_modes_agree(semiring):
+def test_incremental_insert_agrees_with_a_rebuild(semiring):
     """Maintenance matches a rebuild after an insertion."""
     maintained = _maintained(semiring)
     assert maintained.result.annotations == _rebuilt(maintained).annotations
@@ -200,7 +181,7 @@ def test_incremental_insert_modes_agree(semiring):
 
 
 @pytest.mark.parametrize("semiring", SEMIRINGS, ids=IDS)
-def test_incremental_remove_modes_agree(semiring):
+def test_incremental_remove_agrees_with_a_rebuild(semiring):
     """Deleting a chain edge disconnects the closure identically everywhere."""
     maintained = _maintained(semiring)
     maintained.remove("R", [("n5", "n6")])

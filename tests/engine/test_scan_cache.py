@@ -6,8 +6,9 @@ sweep interleaves every way a relation can change -- the ``add`` / ``set`` /
 ``discard`` / ``merge_delta`` / ``_accumulate`` mutators, raw writes through
 ``_annotations``, :func:`repro.incremental.delta.apply_delta`, and
 :class:`~repro.incremental.IncrementalDatalog` maintaining an EDB relation a
-query also reads -- with planned, pipelined query runs, and checks every
-answer against operator-at-a-time evaluation, which never reads the cache.
+query also reads -- with planned runs of :func:`repro.engine.execute`, and
+checks every answer against operator-at-a-time ``Query._execute``, which
+never reads the cache.
 A deterministic table then runs each mutation once over every semiring with
 vector arithmetic, on a change no stale encoding could hide.
 """
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from strategies import BASE_SCHEMAS, DOMAIN, annotation_for, ra_queries, view_databases
 
 from repro.algebra.ast import Q
-from repro.engine import vectorized
+from repro.engine import execute, vectorized
 from repro.incremental import IncrementalDatalog
 from repro.incremental.delta import apply_delta
 from repro.relations.krelation import KRelation
@@ -35,6 +36,10 @@ VECTOR_SEMIRING_NAMES = ("bag", "z", "bool", "tropical", "fuzzy", "viterbi")
 
 #: Transitive closure over ``R``, the relation most random queries read.
 TC_PROGRAM = "T(x, y) :- R(x, y)\nT(x, z) :- R(x, y), T(y, z)"
+
+def _planned(query, database):  # the planned side, whatever the input size
+    return execute(query.optimized(database), database)
+
 
 MUTATIONS = (
     "add",
@@ -106,12 +111,12 @@ def test_pipelined_answers_follow_every_mutation(semiring_name, data):
     counter = [1000]
     for _ in range(data.draw(st.integers(min_value=1, max_value=6), label="steps")):
         for query in queries:
-            pipelined = query.evaluate(database, optimize=True, executor="pipelined")
-            assert pipelined.equal_to(query.evaluate(database)), str(query)
+            pipelined = _planned(query, database)
+            assert pipelined.equal_to(query._execute(database)), str(query)
         _mutate(data, database, maintained, counter)
     for query in queries:
-        pipelined = query.evaluate(database, optimize=True, executor="pipelined")
-        assert pipelined.equal_to(query.evaluate(database)), str(query)
+        pipelined = _planned(query, database)
+        assert pipelined.equal_to(query._execute(database)), str(query)
 
 
 @pytest.mark.skipif(not vectorized.numpy_available(), reason="needs numpy")
@@ -122,14 +127,14 @@ def test_a_scan_fills_the_cache_and_a_mutation_drops_it():
     relation = database.create("R", ["a", "b"], [(("x", "y"), 2), (("y", "z"), 3)])
     query = Q.relation("R").project("a")
     assert relation._scan_cache is None
-    query.evaluate(database, optimize=True, executor="pipelined")
+    _planned(query, database)
     cache = relation._scan_cache
     assert cache is not None
-    query.evaluate(database, optimize=True, executor="pipelined")
+    _planned(query, database)
     assert relation._scan_cache is cache  # an unchanged relation re-scans for free
     relation.add(("x", "w"), 1)
     assert relation._scan_cache is None
-    answer = query.evaluate(database, optimize=True, executor="pipelined")
+    answer = _planned(query, database)
     assert answer.annotation(("x",)) == 3
     assert relation._scan_cache is not None
     assert isinstance(relation._annotations, dict)  # handing it out drops the cache
@@ -182,7 +187,7 @@ def test_each_mutation_drops_the_cache_and_the_next_scan_sees_it(semiring_name, 
     database.create("S", ["b", "c"], [(("y", "u"), one), (("z", "v"), one)])
     maintained = IncrementalDatalog(TC_PROGRAM, database, on_divergence="skip")
     queries = (Q.relation("R").project("a"), Q.relation("R").join(Q.relation("S")))
-    before = [q.evaluate(database, optimize=True, executor="pipelined") for q in queries]
+    before = [_planned(q, database) for q in queries]
     if vectorized.numpy_available():
         assert relation._scan_cache is not None
     _mutate_once(kind, relation, maintained)
@@ -191,10 +196,10 @@ def test_each_mutation_drops_the_cache_and_the_next_scan_sees_it(semiring_name, 
     groups = {tup["a"] for tup in relation}
     assert groups == ({"x"} if kind in REMOVALS else {"x", "y", "w"})
     for query in queries:
-        pipelined = query.evaluate(database, optimize=True, executor="pipelined")
-        assert pipelined.equal_to(query.evaluate(database)), str(query)
+        pipelined = _planned(query, database)
+        assert pipelined.equal_to(query._execute(database)), str(query)
     assert {tup["a"] for tup in pipelined} != {tup["a"] for tup in before[1]}
-    projected = queries[0].evaluate(database, optimize=True, executor="pipelined")
+    projected = _planned(queries[0], database)
     assert {tup["a"] for tup in projected} == groups
     if vectorized.numpy_available():
         assert relation._scan_cache is not None

@@ -5,8 +5,9 @@ row engine end-to-end; this file pins down the pieces in isolation --
 ``fire_linear_join``'s arrays-in / arrays-out contract (grouped totals,
 deliberate zero totals under a ring, its two instance guards),
 ``VectorOps.add``, exact group-by accumulation past int64, the
-numpy-missing degradation, and semi-naive / naive engine equality over
-every vectorizable semiring plus a non-vectorizable control -- and the
+numpy-missing degradation, and ``evaluate_program`` against
+ground-then-solve over every vectorizable semiring plus a
+non-vectorizable control -- and the
 group-by itself: ``group_codes``
 against a dict oracle on both sides of its direct-addressing span
 threshold, ``_group``'s decode-from-key against the row engine, and the
@@ -20,8 +21,8 @@ import pickle
 import pytest
 
 from repro import Database, IncrementalDatalog, KRelation, Q
-from repro.datalog import evaluate_program
-from repro.engine import vectorized
+from repro.datalog import evaluate_program, ground_program, solve_ground
+from repro.engine import execute, vectorized
 from repro.semirings import get_semiring
 from repro.workloads import random_graph_database, transitive_closure_program
 
@@ -239,7 +240,7 @@ def test_group_by_past_int64_is_exact(name, rows, expected):
 
     database = Database(get_semiring(name))
     database.create("R", ["a", "b"], rows)
-    result = Q.relation("R").project("a").evaluate(database, executor="pipelined")
+    result = execute(Q.relation("R").project("a"), database)
     assert {tup["a"]: value for tup, value in result.items()} == expected
     result.check_consistency()
 
@@ -250,16 +251,16 @@ SEMINAIVE_NAMES = ("bool", "tropical", "fuzzy", "viterbi", "nx")
 
 
 @pytest.mark.parametrize("semiring_name", SEMINAIVE_NAMES)
-def test_seminaive_and_naive_engines_agree(semiring_name):
+def test_evaluate_program_agrees_with_ground_then_solve(semiring_name):
     semiring = get_semiring(semiring_name)
     database = random_graph_database(
         semiring, nodes=12, edge_probability=0.25, seed=17
     )
     program = transitive_closure_program()
     kwargs = {"on_divergence": "skip"} if semiring_name == "nx" else {}
-    seminaive = evaluate_program(program, database, engine="seminaive", **kwargs)
-    naive = evaluate_program(program, database, engine="naive", **kwargs)
-    assert seminaive.annotations == naive.annotations
+    result = evaluate_program(program, database, **kwargs)
+    oracle = solve_ground(ground_program(program, database), semiring, **kwargs)
+    assert result.annotations == oracle.annotations
 
 
 def test_everything_degrades_gracefully_without_numpy(monkeypatch):
@@ -282,16 +283,16 @@ def test_everything_degrades_gracefully_without_numpy(monkeypatch):
         .join(Q.relation("E").rename({"a": "b", "b": "c"}))
         .project("a", "c")
     )
-    result = query.evaluate(database, executor="pipelined")
+    result = execute(query, database)
     assert result.annotation(("1", "3")) == 6
     result.check_consistency()
 
     semiring = get_semiring("tropical")
     graph = random_graph_database(semiring, nodes=8, edge_probability=0.3, seed=5)
     program = transitive_closure_program()
-    seminaive = evaluate_program(program, graph, engine="seminaive")
-    naive = evaluate_program(program, graph, engine="naive")
-    assert seminaive.annotations == naive.annotations
+    result = evaluate_program(program, graph)
+    oracle = solve_ground(ground_program(program, graph), semiring)
+    assert result.annotations == oracle.annotations
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +420,7 @@ def test_try_execute_declines_when_group_totals_could_overflow(
     query = Q.relation("R").project(*keep)
     assert vectorized.try_execute(query, database) is None
     assert bool(unique_calls) == sorted_span
-    exact = query.evaluate(database, executor="pipelined")
+    exact = execute(query, database)
     assert sum(value for _, value in exact.items()) == len(rows) * GUARD_VALUE
 
 
@@ -458,7 +459,7 @@ def _vectorized_and_reference(query, database):
     vector = vectorized.try_execute(query, database)
     assert vector is not None, "the plan should vectorize"
     vector.check_consistency()
-    return vector, query.evaluate(database, executor="naive")
+    return vector, query._execute(database)
 
 
 @requires_numpy
@@ -609,7 +610,7 @@ def test_nullary_plans_decline_to_the_row_engine():
     ]
     for query, total in cases:
         assert vectorized.try_execute(query, database) is None
-        result = query.evaluate(database, executor="pipelined")
+        result = execute(query, database)
         assert [value for _, value in result.items()] == [total]
 
 
@@ -668,12 +669,12 @@ def test_column_kernels_run_on_every_relation(semiring_name, origin):
         .join(Q.relation("R").rename({"a": "b", "b": "c"}))
         .project("a", "c")
     )
-    expected = two_hop.evaluate(database, executor="naive")
+    expected = two_hop._execute(database)
     assert len(expected) == 4
     vector = vectorized.try_execute(two_hop, database)
     assert vector is not None and vector.equal_to(expected)
     assert relation._scan_cache is not None
     relation._annotations  # drop the encoding the direct call just built
-    pipelined = two_hop.evaluate(database, optimize=True, executor="pipelined")
+    pipelined = execute(two_hop.optimized(database), database)
     assert pipelined.equal_to(expected)
-    assert relation._scan_cache is not None  # the public path took the kernels
+    assert relation._scan_cache is not None  # execute took the kernels

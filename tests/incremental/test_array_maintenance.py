@@ -47,7 +47,7 @@ def _maintained(program=TC_LINEAR, rows=(), semiring_name="tropical"):
 def _assert_equals_rebuild(maintained, database):
     maintained.check_consistency()
     with row_loop():
-        fresh = evaluate_program(maintained.program, database, engine="seminaive")
+        fresh = evaluate_program(maintained.program, database)
     assert maintained.result.annotations == fresh.annotations
     assert maintained.result.ground.derivable == fresh.ground.derivable
 

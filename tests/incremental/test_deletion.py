@@ -114,7 +114,7 @@ def _assert_matches_fresh(maintained, database, same=None):
     # wherever one exists, so this is also the array-vs-row differential.
     with row_loop():
         fresh = evaluate_program(
-            maintained.program, database, engine="seminaive", on_divergence="skip"
+            maintained.program, database, on_divergence="skip"
         )
     assert maintained.result.divergent_atoms == fresh.divergent_atoms
     got, want = _normalize(maintained.result.annotations), _normalize(fresh.annotations)

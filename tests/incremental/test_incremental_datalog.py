@@ -35,9 +35,7 @@ STREAM_SETTINGS = settings(
 
 
 def _assert_matches_fresh(maintained, program, database, *, on_divergence="top"):
-    fresh = evaluate_program(
-        program, database, engine="seminaive", on_divergence=on_divergence
-    )
+    fresh = evaluate_program(program, database, on_divergence=on_divergence)
     assert maintained.result.divergent_atoms == fresh.divergent_atoms
     assert maintained.result.annotations == fresh.annotations
 

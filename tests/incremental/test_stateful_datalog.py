@@ -103,9 +103,7 @@ class MaintainedDatalog(RuleBasedStateMachine):
     def equals_a_fresh_row_loop_evaluation(self):
         self.maintained.check_consistency()
         with row_loop():
-            fresh = evaluate_program(
-                self.maintained.program, self.database, engine="seminaive"
-            )
+            fresh = evaluate_program(self.maintained.program, self.database)
         result = self.maintained.result
         assert result.annotations == fresh.annotations
         assert result.ground.derivable == fresh.ground.derivable

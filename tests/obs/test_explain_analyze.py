@@ -3,7 +3,9 @@
 The golden test pins the full ``render(timings=False)`` output on the
 paper's running example (Example 2.1 / Figure 1) over ``N[X]`` -- physical
 tree shape, per-node actual rows, hash-join build/probe sizes, and the
-semiring-op attribution.  The cross-check tests re-derive those numbers
+semiring-op attribution.  Its three tuples sit below
+``PLANNED_INPUT_ROWS``, so, as in ``Query.evaluate``, the query runs as
+written and the report has no logical-plan header.  The cross-check tests re-derive those numbers
 independently: per-node ``times`` must sum to the global total minus the
 breaker's share, and the reported result must be annotation-identical to an
 ordinary (unobserved) evaluation.
@@ -15,7 +17,7 @@ import re
 
 import pytest
 
-from repro.algebra.ast import Q, QueryError
+from repro.algebra.ast import PLANNED_INPUT_ROWS, Q, QueryError
 from repro.obs import explain_analyze, tracing
 from repro.obs.explain import ExplainAnalyzeReport
 from repro.semirings import NaturalsSemiring, ProvenancePolynomialSemiring
@@ -54,7 +56,7 @@ class TestCrossChecks:
         query = section2_query()
         report = explain_analyze(query, database)
         assert report.result.equal_to(query.evaluate(database))
-        assert report.result.equal_to(query.evaluate(database, optimize=True))
+        assert report.result.equal_to(query._execute(database))
         # And the handed-back relation is over the plain semiring.
         assert report.result.semiring is database.semiring
 
@@ -127,13 +129,17 @@ class TestApiSurface:
         with pytest.raises(QueryError):
             section2_query().explain(analyze=True)
 
-    def test_unoptimized_report_has_no_logical_header(self):
-        database = section2_database(NaturalsSemiring())
-        report = explain_analyze(section2_query(), database, optimize=False)
-        rendered = report.render(timings=False)
-        assert report.optimization is None
-        assert "logical plan:" not in rendered
-        assert report.result.equal_to(section2_query().evaluate(database))
+    def test_logical_header_only_when_evaluate_plans(self):
+        """Below the constant (the paper's 3 rows up to 31) nothing is planned."""
+        query, database = section2_query(), section2_database(NaturalsSemiring())
+        relation = database.relation("R")
+        for i in range(3, PLANNED_INPUT_ROWS + 1):
+            report = explain_analyze(query, database)
+            planned = i >= PLANNED_INPUT_ROWS
+            assert query.uses_planner(database) is (report.optimization is not None) is planned
+            assert ("logical plan:" in report.render(timings=False)) is planned
+            assert report.result.equal_to(query._execute(database))
+            relation.add((f"a{i % 7}", f"b{i % 5}", f"c{i}"), 1)
 
     def test_selection_filters_render_deterministically(self):
         database = section2_database(NaturalsSemiring())

@@ -11,6 +11,7 @@ law-checking sample pools and end-to-end over the paper's running example.
 
 from tests.conftest import sample_elements
 from repro.circuits import CircuitSemiring
+from repro.engine import execute
 from repro.obs import InstrumentedSemiring, OpCounter, instrument
 from repro.semirings import IntegerRing, NaturalsSemiring
 from repro.workloads.paper_instances import section2_database, section2_query
@@ -151,8 +152,8 @@ class TestEndToEnd:
 
     def test_pipelined_engine_accepts_instrumented_database(self, any_semiring):
         query = section2_query()
-        plain = query.evaluate(section2_database(any_semiring), optimize=True)
-        instrumented = query.evaluate(
-            section2_database(instrument(any_semiring)), optimize=True
-        )
+        plain_db = section2_database(any_semiring)
+        instrumented_db = section2_database(instrument(any_semiring))
+        plain = execute(query.optimized(plain_db), plain_db)
+        instrumented = execute(query.optimized(instrumented_db), instrumented_db)
         assert plain.equal_to(instrumented)

@@ -10,6 +10,7 @@ workloads emit nothing.
 from repro.algebra.ast import Q
 from repro.circuits import CircuitSemiring
 from repro.datalog import evaluate_program
+from repro.engine import execute
 from repro.incremental import IncrementalDatalog, MaterializedView, UpdateBatch
 from repro.obs import tracing
 from repro.obs.metrics import compilation, consing
@@ -25,11 +26,18 @@ from repro.workloads.paper_instances import (
 
 
 class TestEngineSpans:
+    def test_small_input_runs_the_row_pipeline_unplanned(self):
+        with tracing() as sink:
+            result = section2_query().evaluate(section2_database(NaturalsSemiring()))
+        assert not sink.find("planner.rewrite") and not sink.find("engine.vectorized")
+        (_,), (execute_span,) = sink.find("engine.compile"), sink.find("engine.execute")
+        assert execute_span.attributes["out_rows"] == len(result)
+
     def test_pipelined_execution_emits_compile_and_execute(self):
         database = section2_database(NaturalsSemiring())
         query = section2_query()
         with tracing() as sink:
-            result = query.evaluate(database, optimize=True, executor="pipelined")
+            result = execute(query.optimized(database), database)
         vectorized = sink.find("engine.vectorized")
         if vectorized:
             # With numpy the whole-column engine ran the plan instead of
@@ -60,7 +68,7 @@ class TestDatalogSpans:
         )
         program = transitive_closure_program()
         with tracing() as sink:
-            result = evaluate_program(program, database, engine="seminaive")
+            result = evaluate_program(program, database)
         (seed,) = sink.find("datalog.seed")
         rounds = sink.find("datalog.round")
         assert seed.attributes["mode"] == "annotate"
@@ -165,12 +173,12 @@ class TestZeroSpanWhenDisabled:
         # Attach a sink but leave tracing disabled: nothing may be emitted.
         _STATE.sinks.append(Probe())
         assert not enabled()
-        section2_query().evaluate(database, optimize=True, executor="pipelined")
+        section2_query().evaluate(database)
+        execute(section2_query().optimized(database), database)
         evaluate_program(
             transitive_closure_program(),
             random_graph_database(
                 BooleanSemiring(), nodes=6, edge_probability=0.3, seed=3
             ),
-            engine="seminaive",
         )
         assert probe_sink_records == []

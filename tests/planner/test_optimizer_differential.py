@@ -26,6 +26,7 @@ from strategies import (
 )
 
 from repro.circuits import to_polynomial
+from repro.engine import execute
 from repro.planner import optimize, plan_signature
 from repro.semirings import get_semiring
 
@@ -64,20 +65,20 @@ def test_optimized_plans_agree_annotation_for_annotation(semiring_name, data):
     semiring = get_semiring(semiring_name)
     query, _schema = data.draw(ra_queries(), label="query")
     database = data.draw(view_databases(semiring), label="database")
-    baseline = query.evaluate(database)
+    baseline = query._execute(database)
     plan = optimize(query, database)
     _assert_same_relation(
         semiring,
         baseline,
-        plan.evaluate(database),
+        plan._execute(database),
         f"query: {query}\nplan:  {plan}\nsemiring: {semiring.name}",
     )
-    # The plumbed-through entry point takes the same path.
+    # Query.evaluate's planned side runs the same plan on the engine.
     _assert_same_relation(
         semiring,
         baseline,
-        query.evaluate(database, optimize=True),
-        f"evaluate(optimize=True) over {semiring.name}: {query}",
+        execute(plan, database),
+        f"execute(plan) over {semiring.name}: {query}",
     )
 
 

@@ -148,8 +148,8 @@ def test_fused_selections_keep_inner_guard_order():
         .select(predicates.attr_neq_const("a", "0"))
         .select(lambda t: 10 / int(t["a"]) > 1)
     )
-    baseline = query.evaluate(db)
-    optimized = query.evaluate(db, optimize=True)  # must not divide by zero
+    baseline = query._execute(db)
+    optimized = query.optimized(db)._execute(db)  # must not divide by zero
     assert optimized.equal_to(baseline)
 
 
@@ -269,8 +269,8 @@ def test_partial_comparison_conjunct_is_not_pushed_into_a_join():
         predicates.attr_eq_const("a", "x"), predicates.comparison("c", "<", 5)
     )
     query = Q.relation("R").join(Q.relation("S")).select(predicate)
-    baseline = query.evaluate(db)
-    optimized = query.evaluate(db, optimize=True)  # must not raise TypeError
+    baseline = query._execute(db)
+    optimized = query.optimized(db)._execute(db)  # must not raise TypeError
     assert optimized.equal_to(baseline)
     plan = optimize(query, db, reorder=False)
     kept = [s for s in _nodes(plan, Select) if isinstance(s.child, Join)]

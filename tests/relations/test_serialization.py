@@ -66,13 +66,13 @@ def test_krelation_roundtrips():
 
 def test_krelation_pickles_without_its_scan_cache():
     from repro.algebra.ast import Q
-    from repro.engine import vectorized
+    from repro.engine import execute, vectorized
 
     if not vectorized.numpy_available():
         pytest.skip("the column kernels need numpy")
     database = Database(NaturalsSemiring())
     relation = database.create("R", ["a", "b"], [((i, i % 3), i + 1) for i in range(9)])
-    Q.relation("R").project("b").evaluate(database, optimize=True, executor="pipelined")
+    execute(Q.relation("R").project("b"), database)
     assert relation._scan_cache is not None  # the vectorized scan filled it
     clone = roundtrip(relation)
     assert clone.equal_to(relation)

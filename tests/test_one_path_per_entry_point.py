@@ -2,15 +2,15 @@
 
 Theorem 4.3 (and Theorem 6.4 over distributive lattices) proves that the
 paths these keywords used to choose between return the same answer, so the
-choice lives in the differential tests, not in the API.  Passing any of the
-removed keywords is a ``TypeError``.
-
-A K-relation has one store, so ``storage=`` selects nothing anywhere.  Three
-calls still accept it because the end-to-end benchmark passes it; they
-validate the value and ignore it.
+choice lives in the differential tests, not in the API: a removed keyword
+is a ``TypeError``.  The calls the end-to-end benchmark makes with
+``optimize=`` / ``executor=`` / ``engine=`` / ``storage=`` accept exactly the
+values it passes and ignore them; any other value is a ``TypeError``.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import pytest
 
@@ -22,10 +22,12 @@ from repro import (
     MaterializedView,
     Q,
     evaluate_program,
+    explain_analyze,
 )
+from repro import datalog
+from repro.algebra.ast import Query
 from repro.datalog import evaluate_on_lattice, lattice_condition_provenance
 from repro.datalog.seminaive import evaluate_program_seminaive
-from repro.errors import SchemaError
 from repro.probabilistic import EventTable, ProbabilisticDatabase
 
 PROGRAM = "T(x, y) :- R(x, y)\nT(x, y) :- R(x, z), T(z, y)"
@@ -87,6 +89,9 @@ CALLS = {
     "evaluate_program_seminaive": (
         lambda **kw: evaluate_program_seminaive(PROGRAM, _bool_database(), **kw)
     ),
+    "datalog.evaluate": lambda **kw: datalog.evaluate(PROGRAM, _bool_database(), **kw),
+    "explain_analyze": lambda **kw: explain_analyze(QUERY, _bool_database(), **kw),
+    "Query.explain_analyze": lambda **kw: QUERY.explain_analyze(_bool_database(), **kw),
 }
 
 QUERY_KNOBS = {"optimize": True, "executor": "pipelined", "storage": "row"}
@@ -118,11 +123,18 @@ REMOVED = [
     ("KRelation", "storage", "columnar"),
     ("IncrementalDatalog", "storage", "columnar"),
     ("evaluate_program_seminaive", "storage", "columnar"),
+    ("evaluate_program_seminaive", "engine", "seminaive"),
+    ("evaluate_program_seminaive", "on_divergence", "top"),
+    ("datalog.evaluate", "engine", "seminaive"),
+    ("datalog.evaluate", "storage", "row"),
+    ("explain_analyze", "optimize", True),
+    ("explain_analyze", "reorder", False),
+    ("Query.explain_analyze", "optimize", False),
 ]
 
 
 def test_every_removed_keyword_is_listed_once():
-    assert len(REMOVED) == len(set(REMOVED)) == 37
+    assert len(REMOVED) == len(set(REMOVED)) == 44
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -144,23 +156,51 @@ def test_storage_conversion_is_gone():
     assert not hasattr(KRelation, "storage")
 
 
-PINNED_STORAGE_CALLS = {
-    "Database.create": lambda storage: Database(BooleanSemiring()).create(
-        "R", ["x", "y"], EDGES, storage=storage
+PINNED_CALLS = {
+    "Query.evaluate": lambda **kw: QUERY.evaluate(_bool_database(), **kw),
+    "evaluate_program": (
+        lambda **kw: evaluate_program(PROGRAM, _bool_database(), **kw).annotations
     ),
-    "Query.evaluate": lambda storage: QUERY.evaluate(
-        _bool_database(), optimize=True, executor="pipelined", storage=storage
-    ),
-    "evaluate_program": lambda storage: evaluate_program(
-        PROGRAM, _bool_database(), engine="seminaive", storage=storage
-    ).annotations,
+    "Database.create": lambda **kw: _bool_database().create("S", ["x"], [("a",)], **kw),
+}
+
+#: (call, keyword, the values the benchmark passes, values that select nothing).
+STORAGE = (None, "row", "columnar")
+PINNED = [
+    ("Query.evaluate", "optimize", (True,), (False, None, "yes")),
+    ("Query.evaluate", "executor", ("pipelined",), ("naive", "vectorized")),
+    ("Query.evaluate", "storage", STORAGE, ("bogus",)),
+    ("evaluate_program", "engine", ("seminaive",), ("naive", "magic")),
+    ("evaluate_program", "storage", STORAGE, ("bogus",)),
+    ("Database.create", "storage", STORAGE, ("bogus",)),
+]
+
+
+@pytest.mark.parametrize("name, keyword, pinned, other", PINNED, ids=[f"{p[0]}-{p[1]}" for p in PINNED])
+def test_pinned_keyword_selects_nothing(name, keyword, pinned, other):
+    """The benchmark's values give the keyword-free answer; nothing else is accepted."""
+    call = PINNED_CALLS[name]
+    for value in pinned:
+        assert call(**{keyword: value}) == call()
+    for value in other:
+        with pytest.raises(TypeError, match=keyword):
+            call(**{keyword: value})
+
+
+#: Entry point -> the keyword-only parameters it may take: its options plus
+#: the pinned mode keywords.
+SIGNATURES = {
+    Query.evaluate: {"optimize", "executor", "storage"},
+    evaluate_program: {"max_iterations", "on_divergence", "engine", "storage"},
+    datalog.evaluate: {"max_iterations", "on_divergence"},
+    explain_analyze: set(),
+    Database.create: {"storage"},
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_STORAGE_CALLS))
-def test_pinned_storage_keyword_selects_nothing(name):
-    call = PINNED_STORAGE_CALLS[name]
-    results = [call(storage) for storage in (None, "row", "columnar")]
-    assert results[0] == results[1] == results[2]
-    with pytest.raises(SchemaError, match="bogus"):
-        call("bogus")
+@pytest.mark.parametrize("function", SIGNATURES, ids=lambda f: f.__qualname__)
+def test_entry_points_take_no_mode_keyword_beyond_the_pinned_ones(function):
+    parameters = inspect.signature(function).parameters.values()
+    assert not [p for p in parameters if p.kind is p.VAR_KEYWORD]
+    keywords = {p.name for p in parameters if p.kind is p.KEYWORD_ONLY}
+    assert keywords == SIGNATURES[function]
