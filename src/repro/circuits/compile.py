@@ -51,7 +51,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Container, Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
-from repro.circuits.knowledge import check_ddnnf, smooth
+from repro.circuits.knowledge import check_ddnnf
 from repro.circuits.nodes import (
     ONE,
     ZERO,
@@ -219,15 +219,6 @@ class CompiledCircuit:
         from repro.circuits.evaluate import CircuitEvaluator
 
         return CircuitEvaluator(target, valuation, complement=complement)(self.root)
-
-    def smoothed(self) -> "CompiledCircuit":
-        """The smooth form: every path decides every variable of ``order``."""
-        return CompiledCircuit(
-            source=self.source,
-            root=smooth(self.root, self.order),
-            order=self.order,
-            stats=dict(self.stats),
-        )
 
 
 class CircuitCompiler:

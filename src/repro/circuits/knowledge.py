@@ -267,8 +267,9 @@ def smooth(root: Node, order: Sequence[str]) -> Node:
     compiler emits); the output denotes the same function but every
     root-to-leaf path decides every variable, re-inserting ``ite(x, f, f)``
     gates (``collapse=False``) where the reduced form skipped ``x``.  Models
-    then correspond bijectively to root-to-leaf paths, which is what the
-    top-k and MAP passes enumerate.
+    then correspond bijectively to root-to-leaf paths.  (The top-k and MAP
+    pass, :func:`repro.circuits.evaluate.top_k_models`, does not need this:
+    it completes skipped levels itself.)
     """
     index = {name: i for i, name in enumerate(order)}
     depth = len(order)

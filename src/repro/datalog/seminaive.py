@@ -58,7 +58,7 @@ from repro.datalog.grounding import (
     collect_edb_annotations,
 )
 from repro.datalog.syntax import Program, Rule
-from repro.logic import Constant, Variable
+from repro.logic import Atom, Constant, Variable
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
 from repro.relations.tuples import Tup
@@ -78,7 +78,8 @@ class _AtomStep:
     value is already determined when the atom is reached: constants and
     variables bound by earlier atoms); ``post`` lists what to do with the
     remaining positions of a candidate tuple.  The driver atom of a plan has
-    an empty key -- it is iterated, not probed.
+    an empty key -- it is iterated, not probed; a head-driven plan's driver
+    is the rule head, whose ``orig_index`` is None.
     """
 
     __slots__ = ("predicate", "orig_index", "key_positions", "key_parts", "post")
@@ -86,7 +87,7 @@ class _AtomStep:
     def __init__(
         self,
         predicate: str,
-        orig_index: int,
+        orig_index: int | None,
         key_positions: Tuple[int, ...],
         key_parts: Tuple[Tuple[bool, Any], ...],
         post: Tuple[Tuple[int, int, Any], ...],
@@ -143,14 +144,16 @@ def _compile_plan(
 ) -> _Plan:
     """Compile ``rule`` with ``body[driver_index]`` as the iterated driver.
 
-    ``driver_index=None`` compiles the **head-driven** variant of the
-    deletion rederive pass (``plan.driver`` is None): the head's variables
-    are bound, every body atom is an indexed probe, and evaluating the plan
-    for one head is ``T_q`` restricted to that atom.  The other atoms are
-    ordered greedily: most determined positions first (the most selective
-    probe), then the smallest EDB cardinality in ``sizes`` (IDB predicates,
-    of unknown size, last).  The order, and with it every index key, is
-    fixed at compile time.
+    ``driver_index=None`` compiles the **head-driven** plan of the deletion
+    rederive pass: the rule's head atom is the driver, matched like a body
+    driver (a constant or a repeated variable in the head becomes a
+    ``_CHECK_CONST`` / ``_CHECK_SLOT`` opcode), and every body atom is an
+    indexed probe, so firing the plan over head rows is ``T_q`` restricted
+    to those atoms.  The non-driver atoms are ordered greedily: most
+    determined positions first (the most selective probe), then the
+    smallest EDB cardinality in ``sizes`` (IDB predicates, of unknown size,
+    last).  The order, and with it every index key, is fixed at compile
+    time.
     """
     sizes = sizes or {}
 
@@ -182,8 +185,7 @@ def _compile_plan(
             atom.relation, index, tuple(key_positions), tuple(key_parts), tuple(post)
         )
 
-    def build_driver(index: int) -> _AtomStep:
-        atom = rule.body[index]
+    def build_driver(atom: Atom, index: int | None) -> _AtomStep:
         post: List[Tuple[int, int, Any]] = []
         seen_here: Set[str] = set()
         for position, term in enumerate(atom.terms):
@@ -203,14 +205,10 @@ def _compile_plan(
             if isinstance(term, Constant) or term.name in bound
         )
 
-    if driver_index is None:
-        driver = None
-        bound = {v.name for v in rule.head.variables}
-        remaining = list(range(len(rule.body)))
-    else:
-        driver = build_driver(driver_index)
-        bound = {v.name for v in rule.body[driver_index].variables}
-        remaining = [i for i in range(len(rule.body)) if i != driver_index]
+    driver_atom = rule.head if driver_index is None else rule.body[driver_index]
+    driver = build_driver(driver_atom, driver_index)
+    bound = {v.name for v in driver_atom.variables}
+    remaining = [i for i in range(len(rule.body)) if i != driver_index]
     steps: List[_AtomStep] = []
     while remaining:
         best = max(
@@ -428,8 +426,8 @@ class _SemiNaiveEngine:
         self.semiring: Semiring = BooleanSemiring() if collect else database.semiring
         # The attained-support bound on ``delete_edb``'s over-delete: licensed
         # by a selective ``+`` whose ``may_attain`` can tell contributions
-        # apart.  The default hook (B) accepts even a zero summand of ``1``, so
-        # there -- as without the flag -- the traversal stays arithmetic-free.
+        # apart.  The default hook (B) accepts even a zero summand of ``1``:
+        # there it would doom every supported head, as having no bound does.
         semiring = self.semiring
         self._attains = None
         if semiring.selective_add and not semiring.may_attain(
@@ -580,8 +578,14 @@ class _SemiNaiveEngine:
         plan: _Plan,
         driver_rows: Sequence[Tuple[tuple, Tup]],
         out,
+        driver_annotations: Dict[Tup, Any] | None = None,
     ) -> None:
-        """Fire ``plan`` for ``driver_rows``, emitting contributions into ``out``."""
+        """Fire ``plan`` for ``driver_rows``, emitting contributions into ``out``.
+
+        The driver rows' annotations are read from their store unless
+        ``driver_annotations`` maps them (the rederive pass fires removed
+        head rows, each annotated ``one()``).
+        """
         semiring = self.semiring
         mul = semiring.mul
         stores = self.stores
@@ -591,7 +595,8 @@ class _SemiNaiveEngine:
         collect = self.collect
         body_values: List[tuple] = [()] * len(plan.body_predicates)
         driver = plan.driver
-        driver_annotations = stores[driver.predicate].relation._annotations
+        if driver_annotations is None:
+            driver_annotations = stores[driver.predicate].relation._annotations
         head_parts = plan.head_parts
         emit = out[plan.head_relation]
         if collect:
@@ -827,74 +832,6 @@ class _SemiNaiveEngine:
         if self._arrays is not None:
             self._arrays.remove(predicate, vacated)
 
-    def _fire_heads(
-        self,
-        plan: _Plan,
-        driver_rows: Sequence[Tuple[tuple, Tup]],
-        affected: Dict[str, Set[tuple]],
-    ) -> None:
-        """Collect the head tuples ``plan`` dooms when ``driver_rows`` go.
-
-        The over-deletion half of DRed.  Under a selective ``+``
-        (``self._attains``) a head's stored annotation *is* one of its
-        contributions, so the traversal carries the body product -- the
-        stores still hold the pre-delete values while a round fires -- and
-        dooms a head only when this contribution may be that attained one.
-        Every other head keeps its value: none of its attaining derivations
-        touches a doomed atom, and (induction on annotation value, then on
-        derivation height, using ``a . b <= a``) neither do those of the
-        atoms they use.  Ties doom, which covers zero-cost cycles.
-
-        Without the bound all that matters is *which* heads a removed fact
-        supports, and this is ``_fire`` without the arithmetic (or
-        instantiation recording).
-        """
-        stores = self.stores
-        steps = plan.steps
-        depth = len(steps)
-        env: List[Any] = [None] * plan.n_slots
-        head_parts = plan.head_parts
-        out = affected.setdefault(plan.head_relation, set())
-        attains = self._attains
-        mul = self.semiring.mul
-        head_store = stores[plan.head_relation]
-        head_known = head_store.relation._annotations
-
-        # ``annotation``: the body product so far; None when ``attains`` is.
-        def descend(level: int, annotation: Any) -> None:
-            if level == depth:
-                head = tuple(
-                    env[payload] if is_slot else payload
-                    for is_slot, payload in head_parts
-                )
-                if head in out:
-                    return
-                if attains:
-                    stored = head_known.get(head_store.tup_for(head))
-                    if stored is None or not attains(stored, annotation):
-                        return
-                out.add(head)
-                return
-            step = steps[level]
-            store = stores[step.predicate]
-            key = tuple(
-                env[payload] if is_slot else payload
-                for is_slot, payload in step.key_parts
-            )
-            bucket = store.indexes[step.key_positions].get(key)
-            if not bucket:
-                return
-            annotations = store.relation._annotations
-            for values, tup in bucket:
-                if step.match(values, env):
-                    descend(level + 1, attains and mul(annotation, annotations[tup]))
-
-        driver = plan.driver
-        driver_annotations = stores[driver.predicate].relation._annotations
-        for values, tup in driver_rows:
-            if driver.match(values, env):
-                descend(0, attains and driver_annotations[tup])
-
     def _ensure_rederive_plans(self) -> None:
         if self._rederive_plans is not None:
             return
@@ -906,62 +843,6 @@ class _SemiNaiveEngine:
                 self.stores[step.predicate].ensure_index(step.key_positions)
         self._rederive_plans = plans
 
-    def _rederive_value(self, predicate: str, values: tuple) -> Any:
-        """One immediate-consequence application restricted to a single atom.
-
-        Evaluates every head-driven plan of ``predicate`` with the head bound
-        to ``values`` against the *current* stores, returning the combined
-        annotation -- or ``None`` when no rule body matches (the atom has no
-        derivation left and stays deleted).
-        """
-        contributions: List[Any] = []
-        mul = self.semiring.mul
-        stores = self.stores
-        for plan in self._rederive_plans.get(predicate, ()):
-            env: List[Any] = [None] * plan.n_slots
-            bound_slots: Set[int] = set()
-            ok = True
-            for position, (is_slot, payload) in enumerate(plan.head_parts):
-                value = values[position]
-                if is_slot:
-                    if payload in bound_slots:
-                        if env[payload] != value:
-                            ok = False
-                            break
-                    else:
-                        env[payload] = value
-                        bound_slots.add(payload)
-                elif payload != value:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            steps = plan.steps
-            depth = len(steps)
-
-            def descend(level: int, annotation: Any) -> None:
-                if level == depth:
-                    contributions.append(annotation)
-                    return
-                step = steps[level]
-                store = stores[step.predicate]
-                key = tuple(
-                    env[payload] if is_slot else payload
-                    for is_slot, payload in step.key_parts
-                )
-                bucket = store.indexes[step.key_positions].get(key)
-                if not bucket:
-                    return
-                annotations = store.relation._annotations
-                for row_values, tup in bucket:
-                    if step.match(row_values, env):
-                        descend(level + 1, mul(annotation, annotations[tup]))
-
-            descend(0, self.semiring.one())
-        if not contributions:
-            return None
-        return combine_contributions(self.semiring, contributions)
-
     def delete_edb(
         self,
         predicate: str,
@@ -970,14 +851,27 @@ class _SemiNaiveEngine:
     ) -> Tuple[int, int, int]:
         """DRed deletion of EDB facts in annotate (idempotent) mode.
 
-        Over-deletes what the removed facts transitively support -- under a
-        selective ``+`` only the atoms whose annotation is attained through
-        them (:meth:`_fire_heads`).  Each round fires the delta plans with
-        the doomed rows as drivers *before* they leave the stores, so bodies
-        with several co-deleted atoms are caught.  The survivors are then
-        re-seeded by head-driven ``T_q`` over the shrunk stores and the delta
-        loop drains the consequences: exact for idempotent ``+``, where
-        re-added contributions are absorbed.
+        Both halves fire the round plans (:meth:`_fire`).  *Over-delete*
+        runs one round per support layer: the delta plans fire with the
+        doomed rows as drivers *before* they leave the stores, so bodies
+        with several co-deleted atoms are caught, and a stored head is
+        doomed by its contribution batch.  Without the attained-support
+        bound (``self._attains``) any contribution dooms it.  Under a
+        selective ``+`` a head's stored annotation *is* one of its
+        contributions, so a head is doomed only when a contribution may be
+        that attained one; every other head keeps its value: none of its
+        attaining derivations touches a doomed atom, and (induction on
+        annotation value, then on derivation height, using ``a . b <= a``)
+        neither do those of the atoms they use.  Ties doom, which covers
+        zero-cost cycles.
+
+        *Rederive* fires each predicate's head-driven plans over its
+        removed rows, annotated ``one()`` -- ``T_q`` restricted to those
+        atoms over the shrunk stores -- and merges the contributions;
+        predicates go in the order they were first doomed, each seeing
+        the rows rederived before it.  The delta loop then drains the
+        consequences: exact for idempotent ``+``, where re-added
+        contributions are absorbed.
 
         Returns ``(overdeleted, rederived, rounds)``: over-deleted and
         re-derived IDB rows, and the over-delete plus drain rounds.  Collect
@@ -998,26 +892,31 @@ class _SemiNaiveEngine:
             self.edb_annotations.pop(GroundAtom(predicate, values), None)
 
         # Phase 1: over-delete, one round per support layer.
+        attains = self._attains
         pending: Dict[str, List[Tuple[tuple, Tup]]] = {predicate: rows}
         removed: Dict[str, List[Tuple[tuple, Tup]]] = {}
         overdeleted = 0
         rounds = 0
         while pending:
             rounds += 1
-            affected: Dict[str, Set[tuple]] = {}
-            for pred, pending_rows in pending.items():
-                for plan in self.delta_plans.get(pred, ()):
-                    self._fire_heads(plan, pending_rows, affected)
+            out = self._fresh()
+            fired = [plan for pred in pending for plan in self.delta_plans.get(pred, ())]
+            for plan in fired:
+                self._fire(plan, pending[plan.driver.predicate], out)
             for pred, pending_rows in pending.items():
                 self._remove_rows(pred, pending_rows)
             pending = {}
-            for pred, heads in affected.items():
+            # Head predicates in first-fired order: rederive walks them so.
+            for pred in dict.fromkeys(plan.head_relation for plan in fired):
                 head_store = self.stores[pred]
                 head_known = head_store.relation._annotations
                 next_rows = []
-                for values in heads:
+                for values, batch in out[pred].items():
                     tup = head_store.tup_for(values)
-                    if tup in head_known:
+                    stored = head_known.get(tup)
+                    if stored is not None and (
+                        attains is None or any(attains(stored, c) for c in batch)
+                    ):
                         next_rows.append((values, tup))
                 if next_rows:
                     pending[pred] = next_rows
@@ -1026,28 +925,22 @@ class _SemiNaiveEngine:
 
         # Phase 2: re-derive survivors from their remaining derivations.
         self._ensure_rederive_plans()
+        one = self.semiring.one()
         rederived = 0
         delta: Dict[str, List[Tuple[tuple, Tup]]] = {}
         for pred, removed_rows in removed.items():
-            head_store = self.stores[pred]
-            updates = []
-            for values, tup in removed_rows:
-                value = self._rederive_value(pred, values)
-                if value is not None:
-                    updates.append((tup, value))
-            if not updates:
+            out = {pred: {}}
+            ones = dict.fromkeys((tup for _, tup in removed_rows), one)
+            for plan in self._rederive_plans.get(pred, ()):
+                self._fire(plan, removed_rows, out, ones)
+            new_rows = self._merge(out)[pred]
+            if not new_rows:
                 continue
-            changed = head_store.relation.merge_delta(updates)
-            self._log_changes(pred, changed)
-            new_rows = [
-                (tup.values_for(head_store.attributes), tup) for tup in changed
-            ]
-            head_store.extend(new_rows)
             if self._arrays is not None and not self._arrays.append(pred, new_rows):
                 self._arrays = None
             rederived += len(new_rows)
             delta[pred] = new_rows
-        if any(delta.values()):
+        if delta:
             # Phase 1 mirrored its removals in the array state and the
             # rederived atoms were appended to it: the drain resumes on it.
             with self._array_loop() as arrays:

@@ -3,8 +3,9 @@
 The maintained :class:`IncrementalDatalog` must agree with from-scratch
 semi-naive evaluation *annotation-for-annotation* after every step of a
 random insert/delete update stream, over every supported semiring and for
-four program shapes (linear and quadratic
-transitive closure, a 3-atom rule body, a mutually recursive pair) -- and
+five program shapes (linear and quadratic
+transitive closure, a 3-atom rule body, a mutually recursive pair, constants
+and repeated variables in heads and bodies) -- and
 :meth:`check_consistency` must hold throughout (the maintained
 ``edb_annotations``, stores, binding indexes and database supports all agree
 with a from-scratch grounding).  The exact leg draws exactly representable
@@ -43,7 +44,9 @@ T(x, z) :- R(x, y), T(y, z).
 
 #: The differential stream's program shapes: every rule's delta variants,
 #: 2- and 3-atom bodies (a 3-atom product reassociates between the driver
-#: variants), and recursion through a second predicate.
+#: variants), recursion through a second predicate, and the head bindings a
+#: head-driven rederive plan must check (head constants, repeated head
+#: variables) next to body constants.
 PROGRAMS = {
     "linear": TC_PROGRAM,
     "quadratic": """
@@ -58,6 +61,13 @@ PROGRAMS = {
         P(x, y) :- R(x, y).
         Q(x, z) :- P(x, y), R(y, z).
         P(x, z) :- Q(x, y), R(y, z).
+    """,
+    "constants": """
+        T(x, y) :- R(x, y).
+        T(x, z) :- R(x, y), T(y, z).
+        S(x, x) :- T(x, y), R(y, 'a').
+        C('b', y) :- R(y, y).
+        C(x, y) :- T(x, y), T(y, x), R(x, 'c').
     """,
 }
 
@@ -82,12 +92,12 @@ DELETION_SEMIRING_NAMES = (
 FLOAT_SEMIRING_NAMES = ("tropical", "fuzzy", "viterbi")
 
 #: The (program, semiring) streams maintained on the array state when numpy
-#: is present: every shape but the three-atom body, over the idempotent
-#: vector semirings.
+#: is present: every shape but the three-atom body and the constants (both
+#: decline the array loop), over the idempotent vector semirings.
 ARRAY_STREAMS = tuple(
     (program, semiring_name)
     for program in sorted(PROGRAMS)
-    if program != "three-atom"
+    if program not in ("three-atom", "constants")
     for semiring_name in ("bool",) + FLOAT_SEMIRING_NAMES
 )
 
@@ -165,8 +175,8 @@ def _run_stream(program, semiring_name, data, annotate, same=None):
             maintained.insert("R", entries)
         _assert_matches_fresh(maintained, database, same)
         maintained.check_consistency()
-    # Maintenance resumes on the array state wherever one exists: every
-    # shape but the three-atom body, over the idempotent vector semirings.
+    # Maintenance resumes on the array state wherever one exists: the
+    # ARRAY_STREAMS shapes, over the idempotent vector semirings.
     on_arrays = (
         vectorized.vector_ops_for(semiring) is not None
         and (program, semiring_name) in ARRAY_STREAMS
@@ -350,6 +360,53 @@ def test_attained_support_bounds_the_overdelete_on_a_dense_graph():
     assert stats["mode"] == "dred" and not stats["attained"]
     assert stats["overdeleted"] == len(_supported_atoms(edges, closure, victim))
     _assert_matches_fresh(maintained, boolean)
+    maintained.check_consistency()
+
+
+#: ``(overdeleted, rederived, rounds)`` of each single-edge removal in
+#: ``test_dred_work_is_pinned_on_a_dense_graph``: DRed's work, not only its
+#: answers, must stay put when the way it fires its plans changes.
+DRED_WORK = {
+    "tropical": [
+        (1, 1, 3), (58, 58, 7), (2, 2, 3), (71, 71, 9),
+        (141, 132, 10), (9, 9, 3), (94, 45, 9), (5, 5, 4),
+    ],
+    "bool": [
+        (2304, 287, 9), (2304, 286, 9), (2304, 285, 9), (2304, 284, 9),
+        (2304, 283, 9), (2304, 282, 9), (2304, 281, 9), (2256, 280, 10),
+    ],
+    "fuzzy": [
+        (1756, 749, 26), (48, 1, 10), (1744, 721, 26), (48, 1, 10),
+        (0, 0, 1), (667, 216, 24), (95, 1, 10), (604, 132, 21),
+    ],
+    "viterbi": [
+        (92, 92, 10), (0, 0, 1), (79, 78, 9), (2, 2, 5),
+        (0, 0, 1), (79, 78, 8), (48, 0, 2), (9, 9, 6),
+    ],
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("semiring_name", sorted(DRED_WORK))
+def test_dred_work_is_pinned_on_a_dense_graph(semiring_name):
+    edges = _regular_graph()
+    database = Database(get_semiring(semiring_name))
+    if semiring_name == "bool":
+        database.create("R", ["x", "y"], list(edges))
+    else:
+        # Fuzzy and Viterbi need costs in [0, 1].
+        scale = 1.0 if semiring_name == "tropical" else 10.0
+        database.create(
+            "R", ["x", "y"], [(edge, cost / scale) for edge, cost in edges.items()]
+        )
+    maintained = IncrementalDatalog(TC_PROGRAM, database)
+    work = []
+    for victim in sorted(edges)[17:25]:
+        maintained.remove("R", [victim])
+        stats = maintained.last_delete_stats
+        assert stats["mode"] == "dred"
+        work.append((stats["overdeleted"], stats["rederived"], stats["rounds"]))
+    assert work == DRED_WORK[semiring_name]
+    _assert_matches_fresh(maintained, database)
     maintained.check_consistency()
 
 

@@ -159,7 +159,7 @@ def test_selective_add_is_declared_exactly_where_it_holds(semiring):
     if semiring.selective_add:
         assert all(semiring.add(a, b) in (a, b) for a in pool for b in pool)
     # The hook discriminates only where products can differ; B's (the
-    # default) accepts everything, which keeps its traversal arithmetic-free.
+    # default) accepts everything, so DRed over-deletes all it supports.
     discriminates = not semiring.may_attain(semiring.one(), semiring.zero())
     assert discriminates == (semiring.name in SELECTIVE_NAMES - {"B"})
 
