@@ -11,8 +11,9 @@ memoized pass per valuation instead of monomial-by-monomial re-evaluation.
   annotation semiring for K-relations and the datalog engine;
 * :mod:`repro.circuits.evaluate` -- the memoized ``Eval_v`` pass,
   polynomial converters, :func:`specialize` (one query, many semirings),
-  and the linear inference passes over compiled circuits (``wmc`` and
-  ``top_k_models``, whose top-1 is the MAP assignment);
+  and the linear inference passes over compiled circuits (``wmc_many``
+  and ``top_k_many``, one sweep in the k-best semiring whose top-1 is the
+  MAP assignment);
 * :mod:`repro.circuits.knowledge` -- the structural property layer of the
   knowledge-compilation map (decomposability, determinism, smoothness);
 * :mod:`repro.circuits.compile` -- compilation of any provenance circuit or
@@ -35,7 +36,7 @@ from repro.circuits.evaluate import (
     restrict_vars,
     specialize,
     to_polynomial,
-    top_k_models,
+    top_k_many,
     wmc,
     wmc_many,
 )
@@ -103,7 +104,7 @@ __all__ = [
     "restrict_vars",
     "wmc",
     "wmc_many",
-    "top_k_models",
+    "top_k_many",
     "is_decomposable",
     "is_deterministic",
     "is_smooth",

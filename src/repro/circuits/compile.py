@@ -35,14 +35,11 @@ exists:
   probabilistic layer does) and can be kept for later relations, extending
   both memos across answer tuples and queries whose lineages overlap.
 
-The branching order is chosen by a small cost model
-(:func:`choose_variable_order`): the default ``"dfs"`` model orders
-variables by first touch in a depth-first walk of the circuit, keeping
-co-occurring variables adjacent -- the right shape for the join/fixpoint
-lineages this system produces (series-parallel-ish), where locality bounds
-the width of the diagram.  The ``"frequency"`` model (most shared
-variables first) is available for comparison, and an explicit order always
-wins.
+The branching order (:func:`choose_variable_order`) is the order of first
+touch in a depth-first walk of the circuit, keeping co-occurring variables
+adjacent -- the right shape for the join/fixpoint lineages this system
+produces (series-parallel-ish), where locality bounds the width of the
+diagram.  An explicit order always wins.
 """
 
 from __future__ import annotations
@@ -82,7 +79,6 @@ __all__ = [
     "clear_compile_cache",
 ]
 
-ORDER_MODELS = ("dfs", "frequency")
 _AND, _OR = 0, 1  # the apply operators
 
 
@@ -131,34 +127,13 @@ def _dfs_first_touch(
     return order
 
 
-def choose_variable_order(*roots: Node, model: str = "dfs") -> Tuple[str, ...]:
-    """Pick a branching order for Shannon expansion over ``roots``.
-
-    ``model="dfs"`` (default): variables in order of first touch during a
-    depth-first walk -- a locality heuristic that keeps variables which are
-    multiplied together adjacent in the order, bounding the number of
-    simultaneously "live" cofactors (the decision-diagram width).
-
-    ``model="frequency"``: variables by descending reference count (gates
-    pointing at the leaf), the classic most-constrained-first rule;
-    first-touch order breaks ties so the result stays deterministic.
-    """
-    if model not in ORDER_MODELS:
-        raise SemiringError(f"unknown order model {model!r} (have {ORDER_MODELS})")
-    touch = _dfs_first_touch(roots)
-    if model == "dfs":
-        return tuple(sorted(touch, key=touch.__getitem__))
-    counts: Dict[str, int] = {name: 0 for name in touch}
-    for node in iter_nodes(*roots):
-        if isinstance(node, (Sum, Prod)):
-            for child in node.children:
-                if isinstance(child, Var):
-                    counts[child.name] += 1
-                elif isinstance(child, Not):
-                    counts[child.child.name] += 1
-        elif isinstance(node, Decision):
-            counts[node.name] += 1
-    return tuple(sorted(counts, key=lambda name: (-counts[name], touch[name])))
+def choose_variable_order(*roots: Node) -> Tuple[str, ...]:
+    """Pick a branching order for Shannon expansion over ``roots``: the
+    variables in order of first touch during a depth-first walk -- a
+    locality heuristic that keeps variables which are multiplied together
+    adjacent in the order, bounding the number of simultaneously "live"
+    cofactors (the decision-diagram width)."""
+    return tuple(_dfs_first_touch(roots))
 
 
 @dataclass(frozen=True)
@@ -203,10 +178,11 @@ class CompiledCircuit:
         self, weights: Mapping[str, float], k: int
     ) -> List[Tuple[float, Dict[str, bool]]]:
         """The ``k`` most probable satisfying assignments, most probable first
-        (``k = 1`` is the MAP assignment; empty when unsatisfiable)."""
-        from repro.circuits.evaluate import top_k_models
+        (``k = 1`` is the MAP assignment; empty when unsatisfiable): the
+        one-root case of :func:`~repro.circuits.evaluate.top_k_many`."""
+        from repro.circuits.evaluate import top_k_many
 
-        return top_k_models(self.root, weights, k, order=self.order)
+        return top_k_many({None: self}, weights, k)[None]
 
     def evaluate(self, target, valuation: Mapping[str, Any], *, complement=None) -> Any:
         """Evaluate the compiled form in a semiring (negation via ``complement``).
@@ -235,19 +211,15 @@ class CircuitCompiler:
     the root and adds no entries.
 
     ``order`` fixes the global branching order (an OBDD-style total order);
-    when omitted, the first call chooses one from its roots via the
-    ``model`` cost model and later calls extend it on demand with variables
-    they see that the order does not yet contain.  Extending the order never
-    moves a known variable, so every memo entry stays valid.  Variable
-    supports are bitmasks over that order (bit ``i`` = ``order[i]``).
+    when omitted, the first call chooses one from its roots
+    (:func:`choose_variable_order`) and later calls extend it on demand with
+    variables they see that the order does not yet contain.  Extending the
+    order never moves a known variable, so every memo entry stays valid.
+    Variable supports are bitmasks over that order (bit ``i`` =
+    ``order[i]``).
     """
 
-    def __init__(
-        self, *, order: Sequence[str] | None = None, model: str = "dfs"
-    ):
-        if model not in ORDER_MODELS:
-            raise SemiringError(f"unknown order model {model!r} (have {ORDER_MODELS})")
-        self.model = model
+    def __init__(self, *, order: Sequence[str] | None = None):
         self._order: List[str] = list(order) if order is not None else []
         self._index: Dict[str, int] = {name: i for i, name in enumerate(self._order)}
         if len(self._index) != len(self._order):
@@ -280,13 +252,6 @@ class CircuitCompiler:
             raise SemiringError(
                 f"circuit mentions variables outside the fixed order: {sorted(missing)}"
             )
-        if self.model != "dfs":
-            new = set(missing)
-            missing = [
-                name
-                for name in choose_variable_order(*roots, model=self.model)
-                if name in new
-            ]
         for name in missing:
             self._index[name] = len(self._order)
             self._order.append(name)
@@ -417,7 +382,7 @@ class CircuitCompiler:
         """
         sources = {key: as_circuit(value) for key, value in values.items()}
         roots = list(sources.values())
-        with span("circuit.compile", model=self.model, roots=len(roots)) as sp:
+        with span("circuit.compile", roots=len(roots)) as sp:
             hits_before, misses_before = self.cache_hits, self.cache_misses
             self._ensure_ordered(roots)
             compiled, supports = self._compiled, self._supports
@@ -436,7 +401,6 @@ class CircuitCompiler:
                 "variables": joint.bit_count(),
                 "cache_hits": self.cache_hits - hits_before,
                 "cache_misses": self.cache_misses - misses_before,
-                "model": self.model,
             }
             _compile_stats.batches += 1
             _compile_stats.compiles += len(roots)
@@ -481,7 +445,6 @@ def compile_circuit(
     value: Any,
     *,
     order: Sequence[str] | None = None,
-    model: str = "dfs",
     check: bool = False,
 ) -> CompiledCircuit:
     """Compile one circuit, with a process-wide compile cache.
@@ -495,12 +458,12 @@ def compile_circuit(
     the check is a linear-pass audit used by the tests).
     """
     root = as_circuit(value)
-    key = (root._id, tuple(order) if order is not None else None, model)
+    key = (root._id, tuple(order) if order is not None else None)
     cached = _CACHE.get(key)
     if cached is not None:
         _CACHE.move_to_end(key)
         return cached
-    compiled = CircuitCompiler(order=order, model=model).compile(root)
+    compiled = CircuitCompiler(order=order).compile(root)
     if check:
         check_ddnnf(compiled.root)
     _CACHE[key] = compiled

@@ -19,8 +19,7 @@ Theorem 4.3 operationalized on the compact representation.
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.circuits.nodes import (
     ZERO,
@@ -46,6 +45,9 @@ from repro.semirings.homomorphism import SemiringHomomorphism
 from repro.semirings.numeric import NatInf
 from repro.semirings.polynomial import Polynomial, PolynomialSemiring, _scale_in
 
+if TYPE_CHECKING:
+    from repro.circuits.compile import CompiledCircuit
+
 __all__ = [
     "CircuitEvaluator",
     "eval_circuit",
@@ -56,7 +58,7 @@ __all__ = [
     "restrict_vars",
     "wmc",
     "wmc_many",
-    "top_k_models",
+    "top_k_many",
 ]
 
 
@@ -297,10 +299,12 @@ def specialize(
 # ---------------------------------------------------------------------------
 # Inference passes on compiled circuits (repro.circuits.compile output).
 #
-# All three exploit the same structure: on a deterministic-decomposable
-# circuit, probability distributes over products (independent supports) and
-# adds over sums (disjoint models), so what is #P-hard on arbitrary lineage
-# becomes one bottom-up pass over the DAG.
+# Both exploit the same structure: on a deterministic-decomposable circuit,
+# probability distributes over products (independent supports) and adds
+# over sums (disjoint models), so what is #P-hard on arbitrary lineage
+# becomes one bottom-up pass over the DAG.  Weighted model counting is its
+# own float loop; top-k and MAP are the CircuitEvaluator sweep read in the
+# k-best semiring.
 # ---------------------------------------------------------------------------
 
 
@@ -366,134 +370,101 @@ def wmc(root: Node, weights: Mapping[str, float]) -> float:
     return wmc_many({None: root}, weights)[None]
 
 
-def _decision_levels(root: Node, order: Sequence[str]) -> Dict[int, int]:
-    """Map each node of an *ordered* decision diagram to its order level.
-
-    A node's level is the index of the variable it decides (``len(order)``
-    for leaves); branches must decide strictly later variables, which is the
-    invariant the compiler guarantees for a fixed global order.
+class _KBest(Semiring):
+    """The k-best semiring (Goodman, "Semiring Parsing", CL 1999) of a
+    d-DNNF: an element is ``(support, models)``, the variables it mentions
+    and its ``k`` most probable models over them, best first.  Variable sets
+    are bitmasks over the sorted ``names`` and a model is ``(probability,
+    the variables it sets true)``, so a tie goes to the model true at the
+    last-named variable where the two differ: a rule of the literals, not of
+    reading order.  ``*`` pairs the models of disjoint supports
+    (decomposability); ``+`` completes each side over the variables only the
+    other mentions (the smoothness gap, closed by ``x + ¬x``) and merges the
+    disjoint model sets (determinism).  Both keep the ``k`` best, which are
+    made of their operands' ``k`` best.  Each weight is validated once.
     """
-    index = {name: i for i, name in enumerate(order)}
-    depth = len(order)
-    levels: Dict[int, int] = {}
-    for current in iter_nodes(root):
-        if isinstance(current, Const):
-            levels[current.node_id] = depth
-        elif isinstance(current, Decision):
-            try:
-                level = index[current.name]
-            except KeyError:
-                raise SemiringError(
-                    f"decision variable {current.name!r} not in the given order"
-                ) from None
-            for branch in (current.hi, current.lo):
-                if levels[branch.node_id] <= level:
-                    raise SemiringError(
-                        "top_k_models expects an *ordered* decision "
-                        "diagram (branches decide strictly later variables); "
-                        "got an out-of-order edge at "
-                        f"{current.name!r}"
-                    )
-            levels[current.node_id] = level
-        else:
-            raise SemiringError(
-                "top_k_models runs on compiled circuits only "
-                f"(decision gates and constants); found {type(current).__name__}"
-            )
-    return levels
+
+    def __init__(self, k: int, weights: Mapping[str, float], names: Sequence[str]):
+        self.k, self.name, self.names = k, f"{k}-best", names
+        self.bits = {name: 1 << i for i, name in enumerate(names)}
+        self.literals: Dict[Tuple[str, bool], tuple] = {}
+        for name, bit in self.bits.items():
+            p = _weight(weights, name)
+            self.literals[name, True] = (bit, ((p, bit),))
+            self.literals[name, False] = (bit, ((1.0 - p, 0),))
+
+    def zero(self) -> tuple:
+        return 0, ()
+
+    def one(self) -> tuple:
+        return 0, ((1.0, 0),)
+
+    def _best(self, models: List[Tuple[float, int]]) -> tuple:
+        models.sort(reverse=True)
+        return tuple(models[: self.k])
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        (support_a, models_a), (support_b, models_b) = a, b
+        if not models_a or not models_b:
+            return self.zero()
+        return support_a | support_b, self._best(
+            [(p * q, mine | theirs) for p, mine in models_a for q, theirs in models_b]
+        )
+
+    def add(self, a: tuple, b: tuple) -> tuple:
+        if not a[1] or not b[1]:
+            return a if a[1] else b
+        support_a, support_b = a[0], b[0]
+        a = self.complete(a, support_b & ~support_a)
+        b = self.complete(b, support_a & ~support_b)
+        return a[0], self._best([*a[1], *b[1]])
+
+    def complete(self, value: tuple, missing: int) -> tuple:
+        """``value`` times ``x + ¬x`` for every variable in ``missing``."""
+        while missing:
+            low = missing & -missing
+            name = self.names[low.bit_length() - 1]
+            value = self.mul(value, self.add(self.literals[name, True], self.literals[name, False]))
+            missing ^= low
+        return value
 
 
-def _top_completions(
-    segment: Sequence[int], probs: Sequence[float], k: int
-) -> List[Tuple[float, Tuple[bool, ...]]]:
-    """The ``k`` most probable assignments of independent variables.
+class _TopK(CircuitEvaluator):
+    """The sweep read in the k-best semiring: ``x`` is ``p``, ``¬x`` is ``1 - p``."""
 
-    ``segment`` holds order levels; each level is a free Bernoulli variable.
-    Classic best-first subset enumeration: start from the argmax assignment,
-    and explore "flip sets" ordered by the product of flip ratios
-    ``min(p,1-p)/max(p,1-p) <= 1``, each subset generated exactly once.
-    """
-    if not segment:
-        return [(1.0, ())]
-    baseline = tuple(probs[i] >= 0.5 for i in segment)
-    base = 1.0
-    for i in segment:
-        base *= max(probs[i], 1.0 - probs[i])
-    ratios = []
-    for i in segment:
-        hi, lo = max(probs[i], 1.0 - probs[i]), min(probs[i], 1.0 - probs[i])
-        ratios.append(lo / hi if hi > 0.0 else 0.0)
-    positions = sorted(range(len(segment)), key=lambda j: -ratios[j])
-    out: List[Tuple[float, Tuple[bool, ...]]] = []
-    heap: List[Tuple[float, int, Tuple[int, ...]]] = [(-base, -1, ())]
-    while heap and len(out) < k:
-        neg_prob, last, flips = heapq.heappop(heap)
-        values = list(baseline)
-        for j in flips:
-            pos = positions[j]
-            values[pos] = not values[pos]
-        out.append((-neg_prob, tuple(values)))
-        for j in range(last + 1, len(positions)):
-            heapq.heappush(heap, (neg_prob * ratios[positions[j]], j, flips + (j,)))
-    return out
+    def _lookup(self, name: str) -> tuple:
+        return self.target.literals[name, True]
+
+    def _complemented(self, name: str) -> tuple:
+        return self.target.literals[name, False]
+
+    def _constant(self, value: Any) -> tuple:  # the Boolean abstraction
+        return self.target.zero() if value == 0 else self.target.one()
 
 
-def top_k_models(
-    root: Node, weights: Mapping[str, float], k: int, *, order: Sequence[str]
-) -> List[Tuple[float, Dict[str, bool]]]:
-    """The ``k`` most probable satisfying assignments, most probable first.
+def top_k_many(
+    circuits: Mapping[Any, "CompiledCircuit"], weights: Mapping[str, float], k: int
+) -> Dict[Any, List[Tuple[float, Dict[str, bool]]]]:
+    """The ``k`` most probable satisfying assignments of many compiled
+    circuits, per key, most probable first (``k = 1`` is MAP).
 
-    Bottom-up over the ordered decision diagram: each node carries its top-k
-    suffix assignments (over the order levels at or below it); a decision
-    gate combines each branch's list with the branch probability and the
-    best-first completions of any skipped levels, merges, and truncates to
-    ``k``.  Determinism makes the two branch lists disjoint, so the merge
-    never double-counts a model.
+    One sweep of the joint DAG in the k-best semiring, then each root is
+    completed over its ``order``: an assignment names every variable of the
+    source, also those the reduced diagram skips.  Ties are broken by the
+    literals, so a batch returns what one-root calls do under any hash seed.
     """
     if k <= 0:
-        return []
-    levels = _decision_levels(root, order)
-    probs = [_weight(weights, name) for name in order]
-
-    def lift(
-        models: List[Tuple[float, Tuple[bool, ...]]], from_level: int, to_level: int
-    ) -> List[Tuple[float, Tuple[bool, ...]]]:
-        """Extend suffix models at ``to_level`` down to ``from_level``."""
-        if from_level == to_level or not models:
-            return models
-        completions = _top_completions(range(from_level, to_level), probs, k)
-        combined = [
-            (cp * mp, cass + mass)
-            for cp, cass in completions
-            for mp, mass in models
+        return {key: [] for key in circuits}
+    names = sorted(set().union(*(compiled.order for compiled in circuits.values())))
+    semiring = _KBest(k, weights, names)
+    values = _TopK(semiring, {}).evaluate_many(c.root for c in circuits.values())
+    bits, answers = semiring.bits, {}
+    for key, compiled in circuits.items():
+        value = values[compiled.root]
+        wanted = sum(bits[name] for name in compiled.order)
+        _, models = semiring.complete(value, wanted & ~value[0])
+        answers[key] = [
+            (probability, {name: bool(true & bits[name]) for name in compiled.order})
+            for probability, true in models
         ]
-        combined.sort(key=lambda entry: -entry[0])
-        return combined[:k]
-
-    memo: Dict[int, List[Tuple[float, Tuple[bool, ...]]]] = {}
-    for current in iter_nodes(root):
-        if isinstance(current, Const):
-            memo[current.node_id] = [] if current.value == 0 else [(1.0, ())]
-        else:
-            level = levels[current.node_id]
-            p = probs[level]
-            hi_models = [
-                (p * mp, (True,) + mass)
-                for mp, mass in lift(
-                    memo[current.hi.node_id], level + 1, levels[current.hi.node_id]
-                )
-            ]
-            lo_models = [
-                ((1.0 - p) * mp, (False,) + mass)
-                for mp, mass in lift(
-                    memo[current.lo.node_id], level + 1, levels[current.lo.node_id]
-                )
-            ]
-            merged = hi_models + lo_models
-            merged.sort(key=lambda entry: -entry[0])
-            memo[current.node_id] = merged[:k]
-    rooted = lift(memo[root.node_id], 0, levels[root.node_id])
-    return [
-        (probability, {order[i]: value for i, value in enumerate(assignment)})
-        for probability, assignment in rooted
-    ]
+    return answers

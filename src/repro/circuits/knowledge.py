@@ -211,8 +211,9 @@ def is_smooth(root: Node, variables: Iterable[str] | None = None) -> bool:
     the same variables.
 
     With ``variables`` given, additionally requires the root's support to be
-    exactly that set -- the form needed for model enumeration over a fixed
-    variable universe (top-k, MAP).
+    exactly that set, so root-to-leaf paths enumerate models over a fixed
+    variable universe.  (Top-k and MAP do not need it: the k-best semiring's
+    ``+`` closes the smoothness gap as it sums.)
     """
     supports = variable_supports(root)
     for node in iter_nodes(root):
@@ -267,9 +268,10 @@ def smooth(root: Node, order: Sequence[str]) -> Node:
     compiler emits); the output denotes the same function but every
     root-to-leaf path decides every variable, re-inserting ``ite(x, f, f)``
     gates (``collapse=False``) where the reduced form skipped ``x``.  Models
-    then correspond bijectively to root-to-leaf paths.  (The top-k and MAP
-    pass, :func:`repro.circuits.evaluate.top_k_models`, does not need this:
-    it completes skipped levels itself.)
+    then correspond bijectively to root-to-leaf paths.  (Top-k and MAP,
+    :func:`repro.circuits.evaluate.top_k_many`, do not need this: the
+    k-best semiring's ``+`` completes each side over the variables only the
+    other side mentions.)
     """
     index = {name: i for i, name in enumerate(order)}
     depth = len(order)

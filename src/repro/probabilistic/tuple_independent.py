@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.algebra.ast import Query
-from repro.circuits.evaluate import wmc_many
+from repro.circuits.evaluate import top_k_many, wmc_many
 from repro.datalog.grounding import GroundAtom
 from repro.datalog.lattice_eval import (
     LatticeDatalogResult,
@@ -227,11 +227,7 @@ class ProbabilisticDatabase:
         the events the tuple's lineage depends on, most probable first --
         the "most likely explanations" reading of provenance.
         """
-        marginals = self.marginals
-        return {
-            tup: compiled.top_k(marginals, k)
-            for tup, compiled in self._compiled_answers(query).items()
-        }
+        return top_k_many(self._compiled_answers(query), self.marginals, k)
 
     def query_map(
         self, query: Query
@@ -311,11 +307,7 @@ class ProbabilisticDatabase:
         self, program: Program | str, k: int
     ) -> Dict[Tup, List[Tuple[float, Dict[str, bool]]]]:
         """Per output tuple: the ``k`` most probable worlds deriving it."""
-        marginals = self.marginals
-        return {
-            tup: circuit.top_k(marginals, k)
-            for tup, circuit in self._compile_output(_parsed(program)).items()
-        }
+        return top_k_many(self._compile_output(_parsed(program)), self.marginals, k)
 
     def tuple_probability(self, relation_name: str, row: Any) -> float:
         """Probability that an input tuple is present (no world space needed)."""

@@ -15,6 +15,7 @@ from repro.circuits import (
     ZERO,
     CircuitCompiler,
     CircuitEvaluator,
+    CompiledCircuit,
     Const,
     Decision,
     check_ddnnf,
@@ -30,6 +31,7 @@ from repro.circuits import (
     restrict_vars,
     specialize,
     sum_node,
+    top_k_many,
     var,
     wmc,
     wmc_many,
@@ -160,17 +162,17 @@ class TestAgainstShannonReference:
     @settings(max_examples=80, deadline=None)
     @given(
         source_batches(),
-        st.sampled_from(("dfs", "frequency", "shuffled")),
+        st.booleans(),
         st.randoms(use_true_random=False),
     )
-    def test_compile_many_returns_the_reference_diagram(self, batch, model, rng):
+    def test_compile_many_returns_the_reference_diagram(self, batch, shuffled, rng):
         names, sources = batch
-        if model == "shuffled":
+        if shuffled:
             order = list(names)
             rng.shuffle(order)
             compiler = CircuitCompiler(order=order)
         else:
-            compiler = CircuitCompiler(model=model)
+            compiler = CircuitCompiler()
         compiled = compiler.compile_many(dict(enumerate(sources)))
         for key, source in enumerate(sources):
             root, order = shannon_compile(source, compiler.order)
@@ -207,16 +209,15 @@ class TestAgainstShannonReference:
 
 
 class TestOrdersAndCaches:
-    def test_order_models(self):
-        circuit = prod_node(sum_node(var("a"), var("b")), var("c"))
-        dfs = choose_variable_order(circuit, model="dfs")
-        assert set(dfs) == {"a", "b", "c"}
+    def test_default_order_is_first_touch(self):
+        circuit = prod_node(sum_node(var("c"), var("a")), var("b"))
+        order = choose_variable_order(circuit)
+        assert sorted(order) == ["a", "b", "c"]
         # Deterministic: the same circuit always yields the same order.
-        assert choose_variable_order(circuit, model="dfs") == dfs
-        freq = choose_variable_order(circuit, model="frequency")
-        assert set(freq) == {"a", "b", "c"}
-        with pytest.raises(SemiringError):
-            choose_variable_order(circuit, model="mystery")
+        assert choose_variable_order(circuit) == order
+        assert CircuitCompiler().compile(circuit).order == order
+        # A decision is touched before its hi branch, the hi before the lo.
+        assert choose_variable_order(decision_node("c", var("b"), var("a"))) == ("c", "b", "a")
 
     def test_explicit_order_is_respected(self):
         circuit = sum_node(prod_node(var("a"), var("b")), var("c"))
@@ -237,7 +238,7 @@ class TestOrdersAndCaches:
         circuit = prod_node(var("a"), sum_node(var("b"), var("c")))
         first = compile_circuit(circuit)
         assert compile_circuit(circuit) is first
-        assert compile_circuit(circuit, model="frequency") is not first
+        assert compile_circuit(circuit, order=("c", "b", "a")) is not first
 
     def test_shared_compiler_shares_the_memo(self):
         """Related lineages share compiled work: a shared subcircuit is
@@ -372,11 +373,11 @@ class TestBatchCompile:
         assert compiler.order == ("a", "b")
         assert compiler.compile(prod_node(var("a"), var("b"))).order == ("a", "b")
 
-    def test_frequency_model_extends_the_order_deterministically(self):
+    def test_default_order_extends_deterministically(self):
         lineages = self.lineages()
         orders = []
         for _ in range(2):
-            compiler = CircuitCompiler(model="frequency")
+            compiler = CircuitCompiler()
             compiler.compile(prod_node(var("b"), var("c")))
             first = compiler.order
             compiler.compile_many(lineages)
@@ -412,6 +413,63 @@ class TestBatchCompile:
             CountingWeights({"a": 0.3, "b": 0.6, "c": 0.25, "d": 0.9}),
         )
         assert CountingWeights.reads == 4  # once per variable, not per gate
+
+
+class TestTopK:
+    """Hand-built edge cases of the k-best sweep; the differential harness
+    against the enumerated worlds is ``tests/probabilistic``."""
+
+    WEIGHTS = {"a": 0.3, "b": 0.6}
+
+    @staticmethod
+    def worlds(probabilities, assignments):
+        return [(pytest.approx(p), a) for p, a in zip(probabilities, assignments)]
+
+    def test_k_zero_is_empty(self):
+        compiled = compile_circuit(var("a"))
+        assert compiled.top_k(self.WEIGHTS, 0) == []
+        assert top_k_many({"t": compiled}, self.WEIGHTS, 0) == {"t": []}
+
+    def test_an_unsatisfiable_root_has_no_models(self):
+        assert CompiledCircuit(ZERO, ZERO, ("a", "b")).top_k(self.WEIGHTS, 3) == []
+
+    def test_k_above_the_model_count_gives_every_model(self):
+        compiled = compile_circuit(sum_node(var("a"), var("b")), order=("a", "b"))
+        assert compiled.top_k(self.WEIGHTS, 10) == self.worlds(
+            (0.42, 0.18, 0.12),
+            ({"a": False, "b": True}, {"a": True, "b": True}, {"a": True, "b": False}),
+        )
+
+    def test_one_over_two_variables_gives_four_worlds(self):
+        top = CompiledCircuit(ONE, ONE, ("a", "b")).top_k(self.WEIGHTS, 4)
+        assert top == self.worlds(
+            (0.42, 0.28, 0.18, 0.12),
+            (
+                {"a": False, "b": True},
+                {"a": False, "b": False},
+                {"a": True, "b": True},
+                {"a": True, "b": False},
+            ),
+        )
+
+    def test_worlds_name_the_variables_the_diagram_skips(self):
+        """``x + x·y`` compiles to ``x``; its worlds still decide ``y``."""
+        compiled = compile_circuit(sum_node(var("x"), prod_node(var("x"), var("y"))))
+        assert compiled.root is compile_circuit(var("x")).root
+        assert compiled.top_k({"x": 0.9, "y": 0.2}, 3) == self.worlds(
+            (0.72, 0.18), ({"x": True, "y": False}, {"x": True, "y": True})
+        )
+
+    def test_ties_go_to_the_later_named_variable_set_true(self):
+        """Equal probabilities are ordered by the literals, whatever the
+        branching order."""
+        for order in (("a", "b"), ("b", "a")):
+            compiled = compile_circuit(sum_node(var("a"), var("b")), order=order)
+            assert compiled.top_k({"a": 0.5, "b": 0.5}, 3) == [
+                (0.25, {"a": True, "b": True}),
+                (0.25, {"a": False, "b": True}),
+                (0.25, {"a": True, "b": False}),
+            ]
 
 
 class TestRepeatedCompilation:

@@ -15,14 +15,29 @@ independent case.
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import CircuitCompiler, CircuitEvaluator, wmc, wmc_many
+from repro.circuits import (
+    CircuitCompiler,
+    CircuitEvaluator,
+    circuit_variables,
+    top_k_many,
+    wmc,
+    wmc_many,
+)
+from repro.circuits.compile import as_circuit
 from repro.probabilistic import ProbabilisticDatabase
+from repro.relations import Tup
 from tests.strategies import BASE_SCHEMAS, DOMAIN, programs, ra_queries
 
 SETTINGS = settings(
@@ -115,6 +130,32 @@ def _read_back_events(pdb, compiled):
     return {key: events[circuit.root] for key, circuit in compiled.items()}
 
 
+def _assert_top_k_matches_oracle(pdb, top, events, lineages, k):
+    """The top-k worlds are the oracle's k best.  The oracle's variable
+    universe is the answer's lineage circuit's: every world must name
+    exactly those variables -- also the ones the reduced diagram skips --
+    derive the tuple and carry the probability of its assignment, and no
+    world is listed twice (so the k sum to at most the tuple's marginal)."""
+    assert set(top) == set(events.support)
+    weight = pdb.space.space.weight
+    for tup, models in top.items():
+        universe = sorted(circuit_variables(as_circuit(lineages[tup])))
+        # Oracle: the worlds of the answer's event grouped by their
+        # projection on the lineage variables.
+        grouped = {}
+        for world in events.annotation(tup):
+            key = tuple(name in world for name in universe)
+            grouped[key] = grouped.get(key, 0.0) + weight(world)
+        oracle = sorted(grouped.values(), reverse=True)[:k]
+        assert len(models) == min(k, len(grouped))
+        assert len({tuple(sorted(world.items())) for _, world in models}) == len(models)
+        for (probability, assignment), oracle_p in zip(models, oracle):
+            assert sorted(assignment) == universe
+            assert probability == pytest.approx(oracle_p, abs=1e-9)
+            key = tuple(assignment[name] for name in universe)
+            assert grouped.get(key, -1.0) == pytest.approx(probability, abs=1e-9)
+
+
 def _assert_events_match(pdb, compiled, enumerated):
     read_back = {
         tup: event for tup, event in _read_back_events(pdb, compiled).items() if event
@@ -145,31 +186,10 @@ class TestQueries:
     @SETTINGS
     @given(probabilistic_databases(), ra_queries(), st.integers(min_value=1, max_value=4))
     def test_top_k_matches_oracle(self, pdb, query_and_schema, k):
-        """The top-k world probabilities equal the oracle's k best, and every
-        returned world really derives the tuple (checked against the event)."""
         query, _ = query_and_schema
-        top = pdb.query_top_k(query, k)
-        if not top:
-            return
+        lineages = dict(pdb.query_lineage(query).items())
         events = pdb.query_events(query)
-        space = pdb.space
-        for tup, models in top.items():
-            event = events.annotation(tup)
-            # Oracle: probability of every world *restricted to the lineage
-            # variables* -- group the 2^n worlds by their projection.
-            support = sorted({name for _, a in models for name in a})
-            grouped = {}
-            for world in event:
-                key = tuple(name in world for name in support)
-                grouped[key] = grouped.get(key, 0.0) + space.space.weight(world)
-            # Regroup: many worlds project to one lineage assignment.
-            oracle = sorted(grouped.values(), reverse=True)[:k]
-            got = [p for p, _ in models]
-            assert len(got) == min(k, len(grouped))
-            for got_p, oracle_p in zip(got, oracle):
-                assert got_p == pytest.approx(oracle_p, abs=1e-9)
-            # Probabilities of the k worlds sum to at most the tuple marginal.
-            assert sum(got) <= pdb.space.probability(event) + 1e-9
+        _assert_top_k_matches_oracle(pdb, pdb.query_top_k(query, k), events, lineages, k)
 
     @SETTINGS
     @given(probabilistic_databases(), ra_queries())
@@ -207,22 +227,38 @@ class TestDatalog:
         pdb = data.draw(datalog_probabilistic_databases(program))
         _assert_events_match(pdb, pdb._compile_output(program), pdb.datalog_events(program))
 
+    @SETTINGS
+    @given(st.data(), st.integers(min_value=1, max_value=4))
+    def test_datalog_top_k_matches_oracle(self, data, k):
+        program = data.draw(programs())
+        pdb = data.draw(datalog_probabilistic_databases(program))
+        attributes = pdb._datalog_output_schema(program).attributes
+        lineages = {
+            Tup.from_values(attributes, atom.values): condition
+            for atom, condition in pdb._datalog_conditions(program).conditions.items()
+            if atom.relation == program.output
+        }
+        events = pdb.datalog_events(program)
+        _assert_top_k_matches_oracle(pdb, pdb.datalog_top_k(program, k), events, lineages, k)
+
 
 def _assert_batch_equals_per_root(lineages, weights, k):
-    """``compile_many`` / ``wmc_many`` against one-by-one ``compile`` /
-    ``wmc`` on a fresh compiler: the same diagram nodes, the same orders,
-    bit-identical floats, equal top-k lists.  Returns the batch's counts."""
+    """``compile_many`` / ``wmc_many`` / ``top_k_many`` against one-by-one
+    ``compile`` / ``wmc`` / ``top_k`` on a fresh compiler: the same diagram
+    nodes, the same orders, bit-identical floats, equal top-k lists.
+    Returns the batch's counts."""
     batch_compiler, single = CircuitCompiler(), CircuitCompiler()
     batch = batch_compiler.compile_many(lineages)
     alone = {key: single.compile(value) for key, value in lineages.items()}
     assert list(batch) == list(alone)
     assert batch_compiler.order == single.order
     counted = wmc_many({key: c.root for key, c in batch.items()}, weights)
+    ranked = top_k_many(batch, weights, k)
     for key, compiled in alone.items():
         assert batch[key].root is compiled.root
         assert batch[key].order == compiled.order
         assert counted[key] == wmc(compiled.root, weights)  # exact, not approx
-        assert batch[key].top_k(weights, k) == compiled.top_k(weights, k)
+        assert ranked[key] == compiled.top_k(weights, k)
     return counted
 
 
@@ -255,24 +291,75 @@ class TestBatchEqualsPerRoot:
         )
 
 
+TC = "T(x, y) :- R(x, y)\nT(x, y) :- R(x, z), T(z, y)"
+REPO = Path(__file__).resolve().parents[2]
+
+
+def _ladder(columns, probability):
+    """The directed ladder (two rails and a rung per column) as an uncertain
+    relation ``R``; edge ``i`` is event ``e{i}`` at ``probability(i)``."""
+    edges = [((c, 0), (c, 1)) for c in range(columns)]
+    for c in range(columns - 1):
+        edges += [((c, 0), (c + 1, 0)), ((c, 1), (c + 1, 1))]
+    pdb = ProbabilisticDatabase()
+    pdb.add_relation(
+        "R",
+        ["x", "y"],
+        [((f"n{s}", f"n{t}"), f"e{i}", probability(i)) for i, (s, t) in enumerate(edges)],
+    )
+    return pdb
+
+
+#: ``datalog_top_k`` on a ladder where every world ties, printed canonically.
+_TIES_PROBE = textwrap.dedent(
+    """
+    import json
+    from tests.probabilistic.test_compile_vs_enumerate import TC, _ladder
+
+    top = _ladder(5, lambda i: 0.5).datalog_top_k(TC, 3)
+    print(json.dumps(sorted(
+        [str(tup), [[p, sorted(world.items())] for p, world in worlds]]
+        for tup, worlds in top.items()
+    )))
+    """
+)
+
+
+class TestTies:
+    """With every weight 0.5 all worlds of an answer tie, so its top-k list
+    is decided by the tie rule alone: the literals, never reading order."""
+
+    def test_ties_do_not_depend_on_the_hash_seed(self):
+        outputs = []
+        path = os.pathsep.join((str(REPO / "src"), str(REPO)))
+        for seed in ("0", "1"):
+            completed = subprocess.run(
+                [sys.executable, "-c", _TIES_PROBE],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.append(json.loads(completed.stdout))
+        assert len(outputs[0]) == 35  # the reachable pairs
+        assert all(len({p for p, _ in worlds}) == 1 for _, worlds in outputs[0])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_batch_equals_per_root_on_ties(self, k):
+        pdb = _ladder(5, lambda i: 0.5)
+        conditions = pdb._datalog_conditions(TC).conditions
+        _assert_batch_equals_per_root(conditions, pdb.marginals, k)
+
+
 class TestRepeatedQueries:
     def test_identical_queries_hit_at_the_root_and_do_not_grow_the_caches(self):
         """Regression: the compiler's caches were keyed by node *ids* that
         held no reference, so the lineage of a finished call died and an
         identical call recompiled from the root, leaving dead entries behind
         in every table on every call."""
-        columns = 8  # the directed ladder: two rails and a rung per column
-        edges = [((c, 0), (c, 1)) for c in range(columns)]
-        for c in range(columns - 1):
-            edges += [((c, 0), (c + 1, 0)), ((c, 1), (c + 1, 1))]
-        pdb = ProbabilisticDatabase()
-        pdb.add_relation(
-            "R",
-            ["x", "y"],
-            [((f"n{s}", f"n{t}"), f"e{i}", 0.5 + i / 100) for i, (s, t) in enumerate(edges)],
-        )
-        program = "T(x, y) :- R(x, y)\nT(x, y) :- R(x, z), T(z, y)"
-        first = pdb.datalog_probabilities(program)
+        pdb = _ladder(8, lambda i: 0.5 + i / 100)
+        first = pdb.datalog_probabilities(TC)
         compiler = pdb._compiler
 
         def sizes():
@@ -281,7 +368,7 @@ class TestRepeatedQueries:
         before = sizes()
         for _ in range(4):
             misses = compiler.cache_misses
-            assert pdb.datalog_probabilities(program) == first
+            assert pdb.datalog_probabilities(TC) == first
             assert sizes() == before
             assert compiler.cache_misses == misses
 
@@ -299,7 +386,5 @@ class TestScale:
         probabilities = pdb.datalog_probabilities(program)
         assert len(probabilities) == 40 * 41 // 2
         # The chain endpoint needs all 40 edges: probability 0.9^40.
-        from repro.relations import Tup
-
         assert probabilities[Tup(x="n0", y="n40")] == pytest.approx(0.9**40)
         assert pdb._space is None  # the 2^40 world space was never touched

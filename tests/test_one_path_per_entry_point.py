@@ -26,6 +26,7 @@ from repro import (
 )
 from repro import datalog
 from repro.algebra.ast import Query
+from repro.circuits import CircuitCompiler, compile_circuit, var
 from repro.datalog import evaluate_on_lattice, lattice_condition_provenance
 from repro.datalog.seminaive import evaluate_program_seminaive
 from repro.probabilistic import EventTable, ProbabilisticDatabase
@@ -92,6 +93,8 @@ CALLS = {
     "datalog.evaluate": lambda **kw: datalog.evaluate(PROGRAM, _bool_database(), **kw),
     "explain_analyze": lambda **kw: explain_analyze(QUERY, _bool_database(), **kw),
     "Query.explain_analyze": lambda **kw: QUERY.explain_analyze(_bool_database(), **kw),
+    "CircuitCompiler": lambda **kw: CircuitCompiler(**kw).compile(var("a")),
+    "compile_circuit": lambda **kw: compile_circuit(var("a"), **kw),
 }
 
 QUERY_KNOBS = {"optimize": True, "executor": "pipelined", "storage": "row"}
@@ -130,11 +133,13 @@ REMOVED = [
     ("explain_analyze", "optimize", True),
     ("explain_analyze", "reorder", False),
     ("Query.explain_analyze", "optimize", False),
+    ("CircuitCompiler", "model", "dfs"),
+    ("compile_circuit", "model", "dfs"),
 ]
 
 
 def test_every_removed_keyword_is_listed_once():
-    assert len(REMOVED) == len(set(REMOVED)) == 44
+    assert len(REMOVED) == len(set(REMOVED)) == 46
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -195,6 +200,8 @@ SIGNATURES = {
     datalog.evaluate: {"max_iterations", "on_divergence"},
     explain_analyze: set(),
     Database.create: {"storage"},
+    CircuitCompiler: {"order"},
+    compile_circuit: {"order", "check"},
 }
 
 
