@@ -42,6 +42,7 @@ from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Sequence, Tu
 
 from repro.engine import vectorized as _vectorized
 from repro.relations.tuples import Tup
+from repro.semirings.carriers import _INT64_GUARD, _Fallback
 
 try:
     import numpy as _np
@@ -146,7 +147,7 @@ class ArrayState:
         # larger radix would change every key -- the state is dropped then.
         self.radix = max(2 * len(self.table), 2)
         width = max(len(store.attributes) for store in stores.values())
-        if self.radix**width > _vectorized._INT64_GUARD:
+        if self.radix**width > _INT64_GUARD:
             raise Declined("radix")
         self.columns: Dict[str, _Columns] = {}
         for predicate, store in stores.items():
@@ -283,7 +284,7 @@ class ArrayState:
         annotations = self.stores[predicate].relation._annotations
         try:
             return self.ops.to_array([annotations[tup] for _, tup in rows])
-        except _vectorized._Fallback:
+        except _Fallback:
             return None
 
     def append(self, predicate: str, rows: Sequence[Tuple[tuple, Tup]]) -> bool:

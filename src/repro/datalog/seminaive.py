@@ -444,8 +444,8 @@ class _SemiNaiveEngine:
 
         #: Which loop ran last -- ``"array"`` (:mod:`repro.datalog.arraystore`)
         #: or ``"rows"`` -- and why the array loop is not available:
-        #: ``"semiring"`` (collect mode, a non-idempotent ``+``, no vector
-        #: arithmetic or no numpy), ``"plan"`` (a plan without an array
+        #: ``"semiring"`` (collect mode, a non-idempotent ``+``, no declared
+        #: carrier or no numpy), ``"plan"`` (a plan without an array
         #: recipe) or, found on this instance when the state was built,
         #: ``"value"`` (an annotation that does not lift) and ``"radix"`` (row
         #: codes would leave ``int64``).  The ``datalog.seed`` span carries the same two values.

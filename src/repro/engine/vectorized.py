@@ -25,28 +25,15 @@ loop per row; this module evaluates the same positive-algebra plans one
   for the final result rows, from one ``(attribute, value)`` pair per
   distinct value of each column, shared by every row holding it.
 
-**Exactness.**  Only semirings whose carrier maps losslessly onto a numpy
-dtype are vectorized -- N and Z (``int64``, with explicit overflow guards
-that fall back to the scalar engine rather than wrap), Tropical, Fuzzy and
-Viterbi (``float64``; min/max/+/* on IEEE doubles are bit-identical to the
-scalar ``float`` path), and B (``bool``).  Their ``+`` is commutative *and*
-order-insensitive on the carrier (sums of ints, min/max of floats, or of
-bools), so regrouping contributions per output tuple yields exactly the
-annotations the row-at-a-time engines produce; the differential harnesses
-in ``tests/engine`` assert this.  Everything else -- polynomials, circuits,
-event sets, ``N-inf`` -- and every plan shape this module does not cover
-(opaque predicates, non-total comparisons) falls back to the row engine.
-
-Dispatch is by ``semiring.name``, so the annotation-identical
-:class:`~repro.obs.semiring.InstrumentedSemiring` wrapper also takes the
-vectorized path -- its per-op counters then see only the residual scalar
-work, which is precisely the point: the benchmark's op counts attribute
-the vectorized speedup to Python-level semiring calls that no longer happen.
+The annotation arithmetic is the semiring's declared carrier
+(:mod:`repro.semirings.carriers`); a semiring without one, or a plan shape
+this module does not cover (opaque predicates, non-total comparisons),
+falls back to the row engine.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.algebra.ast import (
     EmptyRelation,
@@ -78,6 +65,7 @@ from repro.relations.krelation import KRelation
 from repro.relations.schema import Schema
 from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
+from repro.semirings.carriers import _INT64_GUARD, VectorOps, _Fallback
 
 try:  # pragma: no cover - exercised implicitly by every vectorized test
     import numpy as _np
@@ -95,193 +83,21 @@ __all__ = [
     "fire_linear_join",
 ]
 
-#: Magnitude bound for int64 vector arithmetic: if ``|a|.max * |b|.max`` or
-#: ``count * |v|.max`` can exceed this, the operation falls back to the
-#: scalar engine instead of risking silent wraparound.  Python's unbounded
-#: ints make the guard itself exact.
-_INT64_GUARD = 1 << 62
-
 
 def numpy_available() -> bool:
     """Whether the vectorized kernels can run at all."""
     return _np is not None
 
 
-class _Fallback(Exception):
-    """Internal: this plan/instance cannot be vectorized exactly; use rows."""
-
-
-# ---------------------------------------------------------------------------
-# Vector-level semiring arithmetic
-# ---------------------------------------------------------------------------
-
-
-class VectorOps:
-    """Array-at-a-time ``(+, ., 0)`` for one numeric carrier.
-
-    ``to_array`` lifts a sequence of carrier values; ``mul`` multiplies and
-    ``add`` sums two annotation arrays elementwise (the semi-naive merge of a
-    round's totals into the stored column); ``accumulate`` combines all
-    contributions landing in the same output group with the semiring's ``+``
-    (one ``ufunc.at`` scatter); ``zero_mask`` flags groups that summed to the
-    semiring zero (possible under Z's cancellation); ``to_python`` lowers a
-    numpy scalar back to the exact carrier type the scalar engine uses.
-    """
-
-    name = "abstract"
-
-    def to_array(self, values: Iterable[Any]):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def accumulate(self, values, group_ids, n_groups):
-        raise NotImplementedError
-
-    def zero_mask(self, totals):
-        raise NotImplementedError
-
-    def to_python(self, value) -> Any:
-        raise NotImplementedError
-
-
-class _IntSumOps(VectorOps):
-    """N and Z: ``int64`` arrays with exact overflow guards."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def to_array(self, values):
-        try:
-            return _np.array(list(values), dtype=_np.int64)
-        except (OverflowError, TypeError, ValueError):
-            raise _Fallback from None
-
-    def mul(self, a, b):
-        if len(a):
-            bound = int(_np.abs(a).max()) * int(_np.abs(b).max())
-            if bound > _INT64_GUARD:
-                raise _Fallback
-        return a * b
-
-    def add(self, a, b):
-        if len(a):
-            bound = int(_np.abs(a).max()) + int(_np.abs(b).max())
-            if bound > _INT64_GUARD:
-                raise _Fallback
-        return a + b
-
-    def accumulate(self, values, group_ids, n_groups):
-        if len(values):
-            bound = len(values) * int(_np.abs(values).max())
-            if bound > _INT64_GUARD:
-                raise _Fallback
-        totals = _np.zeros(n_groups, dtype=_np.int64)
-        _np.add.at(totals, group_ids, values)
-        return totals
-
-    def zero_mask(self, totals):
-        return totals == 0
-
-    def to_python(self, value) -> int:
-        return int(value)
-
-
-class _FloatOps(VectorOps):
-    """Tropical / Fuzzy / Viterbi: ``float64`` min/max/+/* (IEEE-exact)."""
-
-    def __init__(self, name: str, add_ufunc, mul_kind: str, zero: float):
-        self.name = name
-        self._add_ufunc = add_ufunc  # np.minimum or np.maximum
-        self._mul_kind = mul_kind  # "sum" (tropical) | "min" | "product"
-        self._zero = zero
-
-    def to_array(self, values):
-        try:
-            return _np.array(list(values), dtype=_np.float64)
-        except (TypeError, ValueError):
-            raise _Fallback from None
-
-    def mul(self, a, b):
-        if self._mul_kind == "sum":
-            return a + b
-        if self._mul_kind == "min":
-            return _np.minimum(a, b)
-        return a * b
-
-    def add(self, a, b):
-        return self._add_ufunc(a, b)
-
-    def accumulate(self, values, group_ids, n_groups):
-        totals = _np.full(n_groups, self._zero, dtype=_np.float64)
-        self._add_ufunc.at(totals, group_ids, values)
-        return totals
-
-    def zero_mask(self, totals):
-        return totals == self._zero
-
-    def to_python(self, value) -> float:
-        return float(value)
-
-
-class _BoolOps(VectorOps):
-    """B: boolean arrays, ``+`` = or, ``.`` = and."""
-
-    name = "B"
-
-    def to_array(self, values):
-        return _np.array([bool(v) for v in values], dtype=bool)
-
-    def mul(self, a, b):
-        return a & b
-
-    def add(self, a, b):
-        return a | b
-
-    def accumulate(self, values, group_ids, n_groups):
-        totals = _np.zeros(n_groups, dtype=bool)
-        _np.logical_or.at(totals, group_ids, values)
-        return totals
-
-    def zero_mask(self, totals):
-        return ~totals
-
-    def to_python(self, value) -> bool:
-        return bool(value)
-
-
-def _build_ops_table() -> Dict[str, VectorOps]:
-    if _np is None:
-        return {}
-    return {
-        "N": _IntSumOps("N"),
-        "Z": _IntSumOps("Z"),
-        "Tropical": _FloatOps("Tropical", _np.minimum, "sum", float("inf")),
-        "Fuzzy": _FloatOps("Fuzzy", _np.maximum, "min", 0.0),
-        "Viterbi": _FloatOps("Viterbi", _np.maximum, "product", 0.0),
-        "B": _BoolOps(),
-    }
-
-
-_OPS_BY_NAME: Dict[str, VectorOps] = _build_ops_table()
-
-
 def vector_ops_for(semiring: Semiring) -> VectorOps | None:
-    """The vector arithmetic for ``semiring``, or ``None`` when unavailable.
+    """``semiring.carrier`` when numpy is importable, else ``None``.
 
-    Dispatch is by name so the annotation-identical instrumented wrapper
-    (:class:`repro.obs.semiring.InstrumentedSemiring`) vectorizes exactly
-    like the semiring it wraps.  Checked against the runtime at call time
-    (not just import time) so every vectorized entry point declines
-    together when numpy is unavailable.
+    Checked against the runtime at call time (not just import time) so every
+    vectorized entry point declines together when numpy is unavailable.
     """
     if _np is None:
         return None
-    return _OPS_BY_NAME.get(semiring.name)
+    return semiring.carrier
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +192,12 @@ def _scan_batch(relation: KRelation, ops: VectorOps) -> _Batch:
     return _Batch(tuple(relation.schema.attributes), dict(columns), ops.to_array(annotations))
 
 
-def _align(left: _Col, right: _Col) -> Tuple[Any, Any, int]:
-    """Re-code two columns into one shared alphabet: ``(lcodes, rcodes, size)``.
+def _align(left: _Col, right: _Col) -> Tuple[Any, Any, list]:
+    """Re-code two columns into one shared alphabet: ``(lcodes, rcodes, alphabet)``.
 
-    Only the (small) alphabets are touched with Python-level hashing; the
-    code arrays remap with one fancy-index gather each.
+    The alphabet lists the values in order of first occurrence, left side
+    first.  Only the (small) alphabets are touched with Python-level
+    hashing; the code arrays remap with one fancy-index gather each.
     """
     table: Dict[Any, int] = {}
     left_map = _np.empty(len(left.uniques), dtype=_np.int64)
@@ -389,39 +206,15 @@ def _align(left: _Col, right: _Col) -> Tuple[Any, Any, int]:
     right_map = _np.empty(len(right.uniques), dtype=_np.int64)
     for i, value in enumerate(right.uniques):
         right_map[i] = table.setdefault(value, len(table))
-    size = len(table)
     lcodes = left_map[left.codes] if len(left.codes) else left.codes
     rcodes = right_map[right.codes] if len(right.codes) else right.codes
-    return lcodes, rcodes, size
+    return lcodes, rcodes, list(table)
 
 
 def _merged_col(left: _Col, right: _Col) -> _Col:
     """The concatenation of two columns over their shared alphabet."""
-    table: Dict[Any, int] = {}
-    alphabet: list = []
-    left_map = _np.empty(len(left.uniques), dtype=_np.int64)
-    for i, value in enumerate(left.uniques):
-        code = table.get(value)
-        if code is None:
-            code = len(alphabet)
-            table[value] = code
-            alphabet.append(value)
-        left_map[i] = code
-    right_map = _np.empty(len(right.uniques), dtype=_np.int64)
-    for i, value in enumerate(right.uniques):
-        code = table.get(value)
-        if code is None:
-            code = len(alphabet)
-            table[value] = code
-            alphabet.append(value)
-        right_map[i] = code
-    codes = _np.concatenate(
-        [
-            left_map[left.codes] if len(left.codes) else left.codes,
-            right_map[right.codes] if len(right.codes) else right.codes,
-        ]
-    )
-    return _Col(codes, _object_array(alphabet))
+    lcodes, rcodes, alphabet = _align(left, right)
+    return _Col(_np.concatenate([lcodes, rcodes]), _object_array(alphabet))
 
 
 def _combine_codes(columns: list) -> Any:
@@ -567,21 +360,14 @@ def _join_batches(left: _Batch, right: _Batch, ops: VectorOps) -> _Batch:
         # Re-code each shared attribute over BOTH sides' alphabets at once
         # so the integer codes are comparable across the join, then combine
         # per-attribute codes into one mixed-radix row code per side.
-        left_codes = right_codes = None
-        radix = 1
+        left_keys, right_keys = [], []
         for attribute in shared:
-            lcodes, rcodes, size = _align(
+            lcodes, rcodes, alphabet = _align(
                 left.columns[attribute], right.columns[attribute]
             )
-            size = max(size, 1)
-            if left_codes is None:
-                left_codes, right_codes, radix = lcodes, rcodes, size
-            else:
-                if radix * size > _INT64_GUARD:
-                    raise _Fallback
-                left_codes = left_codes * size + lcodes
-                right_codes = right_codes * size + rcodes
-                radix *= size
+            left_keys.append(_Col(lcodes, alphabet))
+            right_keys.append(_Col(rcodes, alphabet))
+        left_codes, right_codes = _combine_codes(left_keys), _combine_codes(right_keys)
 
         if n_left <= n_right:
             build_codes, probe_codes, build_is_left = left_codes, right_codes, True
@@ -853,14 +639,12 @@ def _materialize(batch: _Batch, semiring: Semiring, ops: VectorOps) -> KRelation
 def try_execute(query: Query, database: Database) -> KRelation | None:
     """Evaluate ``query`` column-at-a-time, or ``None`` to use the row engine.
 
-    Returns ``None`` when numpy is missing, the semiring has no exact
-    vector arithmetic, the plan contains an unsupported shape, or an
+    Returns ``None`` when numpy is missing, the semiring declares no
+    carrier, the plan contains an unsupported shape, or an
     instance-level guard (int64 overflow, uncodable columns) trips
     mid-evaluation.  Never partially mutates anything -- evaluation is
     read-only until the final materialization.
     """
-    if _np is None:
-        return None
     ops = vector_ops_for(database.semiring)
     if ops is None or not _plan_supported(query):
         return None

@@ -9,8 +9,19 @@ property gates and the datalog engine all treat the wrapper as the wrapped
 semiring.  The only difference is that the three hot operations bump an
 :class:`~repro.obs.metrics.OpCounter` on the way through.
 
+The wrapper's ``carrier`` is a :class:`CountingCarrier` around the
+delegate's (``None`` when the delegate has none), so the column kernels and
+array datalog rounds run as over the delegate and charge one scalar
+operation per element: ``mul`` one ``times`` per pair, ``add`` one ``plus``
+per element, ``accumulate`` ``values - groups`` ``plus`` (an ``m``-element
+group is an ``m - 1``-step ``+``-chain, as the row engines fold it) and
+``zero_mask`` one ``is_zero`` per total.  A declined operation charges
+nothing; the rows that redo it count.  On one plan the column kernels count
+the row pipeline's ``plus`` and ``times``, but test zero at every group-by
+and again when they materialize, so ``is_zero`` differs.
+
 Because semirings are compared *by name* throughout the system (databases,
-kernels, cross-relation checks), a database built over an instrumented
+cross-relation checks), a database built over an instrumented
 semiring interoperates with plain relations over the delegate; the
 differential test suite (``tests/obs``) proves annotation-for-annotation
 equality across N, B, Tropical, PosBool, Z, N[X] and circuits.
@@ -18,12 +29,41 @@ equality across N, B, Tropical, PosBool, Z, N[X] and circuits.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from repro.obs.metrics import OpCounter
 from repro.semirings.base import Semiring
+from repro.semirings.carriers import VectorOps, _np
 
-__all__ = ["InstrumentedSemiring", "instrument"]
+__all__ = ["CountingCarrier", "InstrumentedSemiring", "instrument"]
+
+
+class CountingCarrier(VectorOps):
+    """A delegate's array carrier that charges ``ops`` per element."""
+
+    def __init__(self, inner: VectorOps, ops: OpCounter):
+        self.inner = inner
+        self.ops = ops
+        self.to_array = inner.to_array
+
+    def mul(self, a, b):
+        product = self.inner.mul(a, b)
+        self.ops.times += len(product)
+        return product
+
+    def add(self, a, b):
+        total = self.inner.add(a, b)
+        self.ops.plus += len(total)
+        return total
+
+    def accumulate(self, values, group_ids, n_groups):
+        totals = self.inner.accumulate(values, group_ids, n_groups)
+        self.ops.plus += len(values) - int(_np.count_nonzero(_np.bincount(group_ids)))
+        return totals
+
+    def zero_mask(self, totals):
+        self.ops.is_zero += len(totals)
+        return self.inner.zero_mask(totals)
 
 
 class InstrumentedSemiring(Semiring):
@@ -55,6 +95,8 @@ class InstrumentedSemiring(Semiring):
         self.has_top = delegate.has_top
         self.naturally_ordered = delegate.naturally_ordered
         self.has_negation = delegate.has_negation
+        inner = delegate.carrier
+        self.carrier = None if inner is None else CountingCarrier(inner, self.ops)
 
     def __reduce__(self):
         # Pickles by reconstruction so an unpickled copy is a working

@@ -101,6 +101,11 @@ class Semiring:
     #: materialized views (:mod:`repro.incremental`).
     has_negation: bool = False
 
+    #: Exact array arithmetic (a :mod:`repro.semirings.carriers` instance),
+    #: or ``None`` for rows only.  A subclass changing ``add``/``mul`` must
+    #: redeclare it.
+    carrier = None
+
     # ------------------------------------------------------------------
     # Core interface
     # ------------------------------------------------------------------

@@ -14,6 +14,7 @@ from typing import Any
 
 from repro.errors import InvalidAnnotationError
 from repro.semirings.base import Semiring
+from repro.semirings.carriers import BoolCarrier
 
 __all__ = ["BooleanSemiring"]
 
@@ -28,6 +29,7 @@ class BooleanSemiring(Semiring):
     is_omega_continuous = True
     is_distributive_lattice = True
     has_top = True
+    carrier = BoolCarrier()
 
     def zero(self) -> bool:
         return False

@@ -15,6 +15,7 @@ from typing import Any
 
 from repro.errors import InvalidAnnotationError
 from repro.semirings.base import ATTAINED_RTOL, Semiring
+from repro.semirings.carriers import FloatCarrier
 
 __all__ = ["FuzzySemiring", "ViterbiSemiring"]
 
@@ -53,6 +54,7 @@ class FuzzySemiring(Semiring):
     is_omega_continuous = True
     is_distributive_lattice = True
     has_top = True
+    carrier = FloatCarrier("maximum", "minimum", 0.0)
 
     def zero(self) -> float:
         return 0.0
@@ -103,6 +105,7 @@ class ViterbiSemiring(Semiring):
     is_omega_continuous = True
     is_distributive_lattice = False
     has_top = True
+    carrier = FloatCarrier("maximum", "multiply", 0.0)
 
     def zero(self) -> float:
         return 0.0

@@ -27,6 +27,7 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import InvalidAnnotationError, ParseError, SemiringError
 from repro.semirings.base import Semiring
+from repro.semirings.carriers import Int64Carrier
 from repro.semirings.numeric import NatInf
 from repro.semirings.polynomial import Polynomial
 from repro.semirings.terms import Monomial, SparseTerms, SparseTermSemiring, collect_terms
@@ -47,6 +48,7 @@ class IntegerRing(Semiring):
     is_omega_continuous = False
     has_negation = True
     naturally_ordered = False
+    carrier = Int64Carrier()
 
     def zero(self) -> int:
         return 0

@@ -19,6 +19,7 @@ from typing import Any
 
 from repro.errors import InvalidAnnotationError, SemiringError
 from repro.semirings.base import Semiring
+from repro.semirings.carriers import Int64Carrier
 
 __all__ = ["NatInf", "INFINITY", "NaturalsSemiring", "CompletedNaturalsSemiring"]
 
@@ -152,6 +153,7 @@ class NaturalsSemiring(Semiring):
     name = "N"
     idempotent_add = False
     is_omega_continuous = False
+    carrier = Int64Carrier()
 
     def zero(self) -> int:
         return 0

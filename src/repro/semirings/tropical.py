@@ -20,6 +20,7 @@ from typing import Any
 
 from repro.errors import InvalidAnnotationError
 from repro.semirings.base import ATTAINED_RTOL, Semiring
+from repro.semirings.carriers import FloatCarrier
 from repro.semirings.numeric import NatInf
 
 __all__ = ["TropicalSemiring"]
@@ -40,6 +41,7 @@ class TropicalSemiring(Semiring):
     has_top = True
     # min/+ is not a lattice in the (join, meet) sense used by Section 8.
     is_distributive_lattice = False
+    carrier = FloatCarrier("minimum", "add", math.inf)
 
     def zero(self) -> float:
         return math.inf

@@ -25,14 +25,25 @@ from repro.engine import execute, vectorized
 from repro.incremental import IncrementalDatalog
 from repro.incremental.delta import apply_delta
 from repro.relations.krelation import KRelation
-from repro.semirings import get_semiring
+from repro.semirings import available_semirings, get_semiring
 
 #: The vectorizable semirings the sweep runs over: a sum carrier and a
 #: min carrier.
 SEMIRING_NAMES = ("bag", "tropical")
 
-#: Every semiring with vector arithmetic (``vectorized._OPS_BY_NAME``).
-VECTOR_SEMIRING_NAMES = ("bag", "z", "bool", "tropical", "fuzzy", "viterbi")
+
+def _carrier_semiring_names() -> tuple:
+    """One registry name per semiring that declares an array carrier."""
+    by_semiring = {}
+    for name in available_semirings():
+        semiring = get_semiring(name)
+        if semiring.carrier is not None:
+            by_semiring.setdefault(semiring.name, name)
+    return tuple(by_semiring.values())
+
+
+#: Every semiring with vector arithmetic.
+VECTOR_SEMIRING_NAMES = _carrier_semiring_names()
 
 #: Transitive closure over ``R``, the relation most random queries read.
 TC_PROGRAM = "T(x, y) :- R(x, y)\nT(x, z) :- R(x, y), T(y, z)"

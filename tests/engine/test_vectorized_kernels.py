@@ -4,14 +4,17 @@ The differential harnesses prove the vectorized engine *agrees* with the
 row engine end-to-end; this file pins down the pieces in isolation --
 ``fire_linear_join``'s arrays-in / arrays-out contract (grouped totals,
 deliberate zero totals under a ring, its two instance guards),
-``VectorOps.add``, exact group-by accumulation past int64, the
-numpy-missing degradation, and ``evaluate_program`` against
+``VectorOps.add``, exact group-by accumulation past int64, the overflow
+guard at ``-2**63``, the numpy-missing degradation, and ``evaluate_program`` against
 ground-then-solve over every vectorizable semiring plus a
 non-vectorizable control -- and the
 group-by itself: ``group_codes``
 against a dict oracle on both sides of its direct-addressing span
 threshold, ``_group``'s decode-from-key against the row engine, and the
-shared ``(attribute, value)`` pairs of materialized ``Tup``s.
+shared ``(attribute, value)`` pairs of materialized ``Tup``s -- and that
+a semiring takes these kernels by its declared carrier alone: exactly the
+six declaring semirings (instrumented or not) vectorize, and products named
+after one of them do not.
 """
 
 from __future__ import annotations
@@ -20,10 +23,24 @@ import pickle
 
 import pytest
 
+from strategies import row_loop
+from tests.conftest import ALL_SEMIRINGS
+
 from repro import Database, IncrementalDatalog, KRelation, Q
 from repro.datalog import evaluate_program, ground_program, solve_ground
+from repro.datalog.seminaive import _SemiNaiveEngine
 from repro.engine import execute, vectorized
-from repro.semirings import get_semiring
+from repro.obs import instrument
+from repro.semirings import (
+    BooleanSemiring,
+    FuzzySemiring,
+    IntegerRing,
+    NaturalsSemiring,
+    ProductSemiring,
+    TropicalSemiring,
+    ViterbiSemiring,
+    get_semiring,
+)
 from repro.workloads import random_graph_database, transitive_closure_program
 
 requires_numpy = pytest.mark.skipif(
@@ -212,6 +229,20 @@ def test_int_vector_add_guards_overflow():
     huge = ops.to_array([1 << 62])
     with pytest.raises(vectorized._Fallback):
         ops.add(huge, huge)
+
+
+@requires_numpy
+def test_the_overflow_guard_sees_minus_2_63():
+    # |-2**63| does not fit int64 (np.abs hands it back negative), so a guard
+    # reading it that way let -2**63 * 2 through to wrap to 0 and drop the row.
+    database = Database(get_semiring("z"))
+    database.create("A", ["k", "x"], [((0, "x"), -(2**63))] + [((i, i), 1) for i in range(1, 20)])
+    database.create("B", ["k", "y"], [((0, "y"), 2)] + [((i, i), 1) for i in range(1, 20)])
+    query = Q.relation("A").join(Q.relation("B"))
+    assert query.uses_planner(database)
+    result = query.evaluate(database)
+    assert result == query._execute(database)
+    assert result.annotation((0, "x", "y")) == -(2**64)
 
 
 NEAR_INT64 = 3 << 61  # fits int64; the sum of two does not
@@ -678,3 +709,69 @@ def test_column_kernels_run_on_every_relation(semiring_name, origin):
     pipelined = execute(two_hop.optimized(database), database)
     assert pipelined.equal_to(expected)
     assert relation._scan_cache is not None  # execute took the kernels
+
+
+# ---------------------------------------------------------------------------
+# A semiring vectorizes by its declared carrier, never by its name
+# ---------------------------------------------------------------------------
+
+#: The semiring classes that declare a carrier.
+DECLARING = (
+    NaturalsSemiring,
+    IntegerRing,
+    BooleanSemiring,
+    TropicalSemiring,
+    FuzzySemiring,
+    ViterbiSemiring,
+)
+
+#: Products named after a factor with a carrier; the name lends them nothing.
+MISNAMED_PRODUCTS = {
+    "B x N": (
+        ProductSemiring([BooleanSemiring(), NaturalsSemiring()], name="B"),
+        lambda i: (True, 1 + i % 3),
+    ),
+    "B x Fuzzy": (
+        ProductSemiring([BooleanSemiring(), FuzzySemiring()], name="B"),
+        lambda i: (True, (1 + i % 4) / 4),
+    ),
+}
+
+
+@requires_numpy
+def test_exactly_the_declaring_semirings_vectorize():
+    semirings = ALL_SEMIRINGS + [
+        get_semiring("circuit"),
+        get_semiring("power-series"),
+        *(product for product, _ in MISNAMED_PRODUCTS.values()),
+    ]
+    for semiring in semirings:
+        for candidate in (semiring, instrument(semiring)):
+            has_ops = vectorized.vector_ops_for(candidate) is not None
+            assert has_ops == (type(semiring) in DECLARING), semiring.name
+
+
+@requires_numpy
+@pytest.mark.parametrize("case", sorted(MISNAMED_PRODUCTS))
+def test_a_misnamed_product_query_equals_the_oracle(case):
+    semiring, annotation = MISNAMED_PRODUCTS[case]
+    database = Database(semiring)
+    database.create("E", ["a", "b"], [((i % 3, i), annotation(i)) for i in range(40)])
+    query = Q.relation("E").project("a")
+    assert query.uses_planner(database)
+    assert query.evaluate(database) == query._execute(database)
+
+
+@requires_numpy
+@pytest.mark.parametrize("case", sorted(MISNAMED_PRODUCTS))
+def test_a_misnamed_product_program_equals_the_row_loop(case):
+    semiring, annotation = MISNAMED_PRODUCTS[case]
+    database = Database(semiring)
+    edges = [(i, i + step) for i in range(12) for step in (1, 2)]
+    database.create("R", ["x", "y"], [(edge, annotation(i)) for i, edge in enumerate(edges)])
+    program = transitive_closure_program()
+    assert _SemiNaiveEngine(program, database, collect=False).round_declined == "semiring"
+    result = evaluate_program(program, database)
+    with row_loop():
+        reference = evaluate_program(program, database)
+    assert result.annotations == reference.annotations

@@ -6,12 +6,20 @@ that ``add``/``mul``/``is_zero`` bump an :class:`OpCounter`.  These tests
 run the wrapper against every shipped semiring (the ``any_semiring``
 fixture spans N, B, N∞, Tropical, Fuzzy, Viterbi, PosBool, Why, Witness,
 N[X], N∞[X], Z and Z[X]) plus provenance circuits, element-wise over the
-law-checking sample pools and end-to-end over the paper's running example.
+law-checking sample pools and end-to-end over the paper's running example;
+on the whole-column kernels the wrapper's carrier charges the ``plus`` and
+``times`` the row pipeline does.
 """
 
+import random
+
+import pytest
+
 from tests.conftest import sample_elements
+from repro import Database, Q
 from repro.circuits import CircuitSemiring
-from repro.engine import execute
+from repro.engine import execute, vectorized
+from repro.engine.compile import execute_rows
 from repro.obs import InstrumentedSemiring, OpCounter, instrument
 from repro.semirings import IntegerRing, NaturalsSemiring
 from repro.workloads.paper_instances import section2_database, section2_query
@@ -54,6 +62,7 @@ class TestElementwiseDifferential:
         wrapped = instrument(any_semiring)
         for flag in STRUCTURAL_FLAGS:
             assert getattr(wrapped, flag) == getattr(any_semiring, flag), flag
+        assert (wrapped.carrier is None) == (any_semiring.carrier is None)
 
     def test_may_attain_routes_to_delegate_uncounted(self, any_semiring):
         wrapped = instrument(any_semiring)
@@ -132,6 +141,33 @@ class TestCounting:
         assert outer.delegate is inner.delegate
         outer.add(1, 1)
         assert inner.ops.plus == 0  # not double-counted
+
+
+@pytest.mark.skipif(not vectorized.numpy_available(), reason="needs numpy")
+def test_column_kernels_count_what_the_row_pipeline_counts():
+    rng = random.Random(7)
+    edges = {}
+    while len(edges) < 200:
+        edges[(rng.randrange(60), rng.randrange(60))] = rng.randrange(1, 4)
+    pairs = sum(1 for _, b in edges for a, _ in edges if a == b)
+    two_hop = (
+        Q.relation("E")
+        .join(Q.relation("E").rename({"a": "b", "b": "c"}))
+        .project("a", "c")
+    )
+    counts = {}
+    for path, run in (("column", vectorized.try_execute), ("row", execute_rows)):
+        wrapped = instrument(NaturalsSemiring())
+        database = Database(wrapped)
+        database.create("E", ["a", "b"], list(edges.items()))
+        result = run(two_hop.optimized(database), database)
+        assert result is not None, path
+        assert wrapped.ops.times == pairs
+        assert wrapped.ops.plus == pairs - len(result)  # one chain per group
+        counts[path] = (wrapped.ops.plus, wrapped.ops.times)
+    # is_zero is not compared: the kernels test zero at each group-by and
+    # again when they materialize the result.
+    assert counts["column"] == counts["row"]
 
 
 class TestEndToEnd:

@@ -7,10 +7,14 @@ the laws are checked over *every* structure in the registry -- including the
 ring axioms (additive inverses) for the structures that declare
 ``has_negation``.  The fixed-pool checks of
 :func:`repro.semirings.check_semiring_axioms` are kept as a cheap exhaustive
-pass plus a negative control.
+pass plus a negative control.  Every declared array carrier
+(:mod:`repro.semirings.carriers`) must agree with its semiring's scalar
+operations element for element, or decline.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,6 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from strategies import semiring_elements
 
 from repro.circuits import to_polynomial
+from repro.engine import vectorized
 from repro.semirings import (
     available_semirings,
     check_distributive_lattice,
@@ -26,6 +31,7 @@ from repro.semirings import (
 )
 from repro.semirings import PosBoolSemiring, TropicalSemiring
 from repro.semirings.base import Semiring
+from repro.semirings.carriers import _Fallback
 from repro.semirings.properties import natural_order_is_partial_order
 
 from tests.conftest import ALL_SEMIRINGS, LATTICE_SEMIRINGS, sample_elements
@@ -120,6 +126,86 @@ def test_ring_axioms_on_random_elements(semiring, data):
     assert semiring.from_int(-2) == semiring.negate(
         semiring.add(semiring.one(), semiring.one())
     )
+
+
+CARRIER_SEMIRINGS = [s for s in REGISTRY_SEMIRINGS if s.carrier is not None]
+
+#: Where ``int64`` / IEEE arithmetic could part from Python's: each carrier
+#: is fed the ones its semiring contains.
+CARRIER_EDGES = (2**62, -(2**62), 2**63 - 1, -(2**63), math.inf, 0.0, -0.0)
+
+
+def _exactly(expected, run):
+    """``run()`` equals ``expected`` by value and Python type, or declines."""
+    try:
+        got = run().tolist()  # how the engines lower arrays to annotations
+    except _Fallback:
+        return  # a decline is always allowed: the row engines redo the work
+    assert got == expected
+    assert [type(value) for value in got] == [type(value) for value in expected]
+
+
+def _check_carrier(semiring, left, right, groups, n_groups):
+    """Each carrier op against the scalar op it batches, element for element."""
+    import numpy as np
+
+    carrier = semiring.carrier
+    lifted = lambda: (carrier.to_array(left), carrier.to_array(right))  # noqa: E731
+    _exactly(left, lambda: carrier.to_array(left))
+    expected = [semiring.mul(a, b) for a, b in zip(left, right)]
+    _exactly(expected, lambda: carrier.mul(*lifted()))
+    expected = [semiring.add(a, b) for a, b in zip(left, right)]
+    _exactly(expected, lambda: carrier.add(*lifted()))
+    folds = [semiring.zero()] * n_groups
+    for group, value in zip(groups, left):
+        folds[group] = semiring.add(folds[group], value)
+    group_ids = np.array(groups, dtype=np.int64)
+    _exactly(folds, lambda: carrier.accumulate(carrier.to_array(left), group_ids, n_groups))
+    try:
+        mask = carrier.zero_mask(carrier.to_array(left)).tolist()
+    except _Fallback:
+        return
+    assert mask == [semiring.is_zero(value) for value in left]
+
+
+def _edges(semiring) -> list:
+    return [edge for edge in CARRIER_EDGES if semiring.contains(edge)]
+
+
+requires_numpy = pytest.mark.skipif(
+    not vectorized.numpy_available(), reason="carriers need numpy"
+)
+
+
+@requires_numpy
+@pytest.mark.parametrize("semiring", CARRIER_SEMIRINGS, ids=lambda s: s.name)
+@AXIOM_SETTINGS
+@given(data=st.data())
+def test_carrier_agrees_with_the_scalar_operations(semiring, data):
+    element = st.one_of(semiring_elements(semiring), *map(st.just, _edges(semiring)))
+    pairs = data.draw(st.lists(st.tuples(element, element), max_size=6), label="pairs")
+    n_groups = data.draw(st.integers(min_value=1, max_value=3), label="groups")
+    groups = data.draw(
+        st.lists(st.integers(0, n_groups - 1), min_size=len(pairs), max_size=len(pairs)),
+        label="group ids",
+    )
+    left = [semiring.coerce(a) for a, _ in pairs]
+    right = [semiring.coerce(b) for _, b in pairs]
+    _check_carrier(semiring, left, right, groups, n_groups)
+
+
+@requires_numpy
+@pytest.mark.parametrize("semiring", CARRIER_SEMIRINGS, ids=lambda s: s.name)
+def test_carrier_agrees_at_the_edges(semiring):
+    # Every pair of edges and small values, as a two-row batch in one group:
+    # a guard must see the edge even when the other row is small.
+    small = [semiring.zero(), semiring.one(), semiring.from_int(2)]
+    if semiring.has_negation:
+        small.append(semiring.negate(semiring.one()))
+    values = [semiring.coerce(value) for value in small + _edges(semiring)]
+    for a in values:
+        for b in values:
+            _check_carrier(semiring, [a, b], [b, a], [0, 0], 1)
 
 
 @pytest.mark.parametrize("semiring", REGISTRY_SEMIRINGS, ids=lambda s: s.name)
