@@ -140,13 +140,13 @@ class Query:
         With ``analyze=False`` (default) this returns the logical planner's
         :class:`~repro.planner.optimizer.OptimizationReport` -- applied
         rewrite rules and cost estimates, nothing is executed; ``options``
-        forward to the planner.  With ``analyze=True`` the query is planned
-        exactly when :meth:`evaluate` would plan it, compiled to the row
-        kernels and **executed** with full observation, returning an
-        :class:`~repro.obs.explain.ExplainAnalyzeReport`: the physical
-        operator tree annotated with actual rows, wall time, hash-join
-        build/probe sizes and semiring-op counts (``report.result`` holds
-        the query's K-relation).
+        forward to the planner.  With ``analyze=True`` the query is
+        **executed** the way :meth:`evaluate` runs it -- planned or not,
+        column kernels or rows -- with full observation, returning an
+        :class:`~repro.obs.explain.ExplainAnalyzeReport`: the executor that
+        answered and its operator tree annotated with actual rows, wall
+        time, join build/probe sizes and semiring-op counts
+        (``report.result`` holds the query's K-relation).
         """
         if analyze:
             if database is None:

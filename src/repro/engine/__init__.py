@@ -5,9 +5,10 @@ datalog engine -- all produce *plans*; this package is where plans become
 machine work.  :mod:`repro.engine.compile` turns any positive-algebra query
 into a tree of pipelined operators (fused scan-select-project, hash join
 with cost-driven build-side selection, streaming union) with one batched
-annotation-accumulation pipeline breaker at the root, and
-:mod:`repro.engine.kernels` holds the row kernels it shares with the
-datalog delta rounds.
+annotation-accumulation pipeline breaker at the root,
+:mod:`repro.engine.kernels` holds its row kernels (the datalog delta rounds
+share the batched combiner), and :mod:`repro.engine.vectorized` runs the
+same plans column-at-a-time.
 
 Entry points::
 

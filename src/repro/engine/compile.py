@@ -88,9 +88,10 @@ class _Node:
     ``observer`` is the per-execution observability hook
     (:class:`repro.obs.explain.ExecutionObserver`): ``None`` in ordinary
     runs (the only cost is one attribute check per *operator*, never per
-    row), set by ``explain(analyze=True)`` to collect actual rows, wall
-    time and semiring-op counts per node.  ``filter_labels`` keeps the
-    human-readable form of each fused predicate for plan rendering.
+    row), installed by :func:`execute_rows` when it is handed one, to
+    collect actual rows, wall time and semiring-op counts per node.
+    ``filter_labels`` keeps the human-readable form of each fused predicate
+    for plan rendering.
     """
 
     __slots__ = (
@@ -157,6 +158,8 @@ class _Node:
         semiring = database.semiring
         zero, one = semiring.zero(), semiring.one()
         mul = semiring.mul
+        if self.observer is not None:
+            mul = self.observer.counted_mul(self, mul)
         is_zero = semiring.is_zero
         for row, annotation in self.produce(database):
             keep = True
@@ -245,11 +248,8 @@ class _HashJoin(_Node):
 
     def produce(self, database: Database) -> Iterator[Tuple[Row, Any]]:
         mul = database.semiring.mul
-        observer = self.observer
-        stats = None
-        if observer is not None:
-            mul = observer.counted_mul(self, mul)
-            stats = observer.join_stats(self)
+        if self.observer is not None:
+            mul = self.observer.counted_mul(self, mul)
         yield from hash_join_rows(
             mul,
             self.left.rows(database),
@@ -258,7 +258,6 @@ class _HashJoin(_Node):
             self.right_key,
             self.right_extra,
             self.build_is_left,
-            stats=stats,
         )
 
 
@@ -420,35 +419,40 @@ def compile_query(query: Query, database: Database) -> _Node:
     )
 
 
-def execute(query: Query, database: Database) -> KRelation:
+def execute(query: Query, database: Database, observer: Any = None) -> KRelation:
     """Run ``query`` against ``database``: column kernels first, then rows.
 
     The whole-column engine (:mod:`repro.engine.vectorized`) is tried
     first: supported plan shapes over vectorizable semirings evaluate
     array-at-a-time with no per-row Python dispatch.  It declines at once
     for every other semiring; anything it declines falls through to
-    :func:`execute_rows`.
+    :func:`execute_rows`.  ``observer`` (an
+    :class:`~repro.obs.explain.ExecutionObserver`) records per-node actuals
+    on whichever executor answers; it selects nothing.
     """
     from repro.engine import vectorized
 
-    result = vectorized.try_execute(query, database)
+    result = vectorized.try_execute(query, database, observer)
     if result is not None:
         return result
-    return execute_rows(query, database)
+    return execute_rows(query, database, observer)
 
 
-def execute_rows(query: Query, database: Database) -> KRelation:
+def execute_rows(query: Query, database: Database, observer: Any = None) -> KRelation:
     """Compile ``query`` as given and drain it through the row pipeline.
 
     The row path's single pipeline breaker: all output rows are drained
     into per-row contribution batches, combined with one ``+``-chain each,
     and materialized as a K-relation (the stored-zero invariant of
-    Definition 3.1 is enforced by the batch combiner).
+    Definition 3.1 is enforced by the batch combiner).  ``observer``, when
+    given, is attached to every compiled operator before the drain.
     """
-    if not _trace.enabled():
+    if not _trace.enabled() and observer is None:
         return drain(compile_query(query, database), database)
     with _trace.span("engine.compile"):
         root = compile_query(query, database)
+    if observer is not None:
+        observer.attach(root)
     with _trace.span("engine.execute", semiring=database.semiring.name) as sp:
         result = drain(root, database)
         sp.set(out_rows=len(result))

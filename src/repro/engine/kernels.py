@@ -1,7 +1,6 @@
-"""Shared physical operator kernels over K-relations.
+"""Row kernels of the pipelined query engine.
 
-Ad-hoc query evaluation (:mod:`repro.engine.compile`) and the semi-naive
-datalog rounds (:mod:`repro.datalog.seminaive`) reduce to the same
+Ad-hoc query evaluation (:mod:`repro.engine.compile`) runs on two
 primitives:
 
 * **hash join** with cost-driven build-side selection: the smaller input is
@@ -14,7 +13,9 @@ primitives:
   ``add`` and an ``is_zero`` test per input pair.  For cheap annotations
   (``B``, ``N``) this trims per-pair overhead; for heavy ones (polynomials,
   circuits, event sets) it also performs a single zero test per output
-  tuple, which is where most of the win comes from.
+  tuple, which is where most of the win comes from.  The semi-naive datalog
+  rounds (:mod:`repro.datalog.seminaive`) merge their contributions with
+  the same :func:`combine_contributions`.
 
 Everything here works positionally: rows are plain value tuples in
 sorted-attribute order (the order :class:`~repro.relations.tuples.Tup`
@@ -89,13 +90,6 @@ def build_relation(
     return result
 
 
-def _counted(rows: Iterable[Tuple[tuple, Any]], stats: Any) -> Iterable[Tuple[tuple, Any]]:
-    """Count probe rows as they stream past (only used in observed mode)."""
-    for item in rows:
-        stats.probe_size += 1
-        yield item
-
-
 def hash_join_rows(
     mul: Callable[[Any, Any], Any],
     left_rows: Iterable[Tuple[tuple, Any]],
@@ -104,7 +98,6 @@ def hash_join_rows(
     right_key: Tuple[int, ...],
     right_extra: Tuple[int, ...],
     build_is_left: bool,
-    stats: Any = None,
 ) -> Iterable[Tuple[tuple, Any]]:
     """The shared hash-join probe loop on positional rows.
 
@@ -115,11 +108,6 @@ def hash_join_rows(
     annotation is ``left . right`` (Definition 3.2) regardless of which
     side was indexed.  When the build side is empty the probe side is never
     consumed.  The pipelined plan compiler's join node delegates here.
-
-    ``stats``, when given, is an object with ``build_size`` / ``probe_size``
-    counters (see :class:`repro.obs.explain.NodeStats`); the build size is
-    recorded once the index is loaded and probe rows are counted as they
-    stream through.  The default ``None`` keeps the loop unobserved.
     """
     if build_is_left:
         build_rows, build_key = left_rows, left_key
@@ -133,9 +121,6 @@ def hash_join_rows(
         index.setdefault(tuple(row[i] for i in build_key), []).append(
             (row, annotation)
         )
-    if stats is not None:
-        stats.build_size += sum(len(bucket) for bucket in index.values())
-        probe_rows = _counted(probe_rows, stats)
     if not index:
         return
 

@@ -566,37 +566,39 @@ def _plan_supported(query: Query) -> bool:
     return False
 
 
-def _evaluate(query: Query, database: Database, ops: VectorOps) -> _Batch:
+def _evaluate(
+    query: Query, database: Database, ops: VectorOps, observer: Any = None
+) -> _Batch:
+    if observer is not None:
+        observer.enter(query)
+
+    def child(sub: Query) -> _Batch:
+        return _evaluate(sub, database, ops, observer)
+
     if isinstance(query, RelationRef):
-        return _scan_batch(database.relation(query.name), ops)
-    if isinstance(query, EmptyRelation):
+        batch = _scan_batch(database.relation(query.name), ops)
+    elif isinstance(query, EmptyRelation):
         display = tuple(query.schema.attributes)
         columns = {
             a: _Col(_np.zeros(0, dtype=_np.int64), _object_array([]))
             for a in display
         }
-        return _Batch(display, columns, ops.to_array([]))
-    if isinstance(query, Select):
-        return _select_batch(_evaluate(query.child, database, ops), query.predicate, ops)
-    if isinstance(query, Project):
-        return _project_batch(
-            _evaluate(query.child, database, ops), tuple(query.attributes), ops
-        )
-    if isinstance(query, Rename):
-        return _rename_batch(_evaluate(query.child, database, ops), query.mapping)
-    if isinstance(query, Join):
-        return _join_batches(
-            _evaluate(query.left, database, ops),
-            _evaluate(query.right, database, ops),
-            ops,
-        )
-    if isinstance(query, Union):
-        return _union_batches(
-            _evaluate(query.left, database, ops),
-            _evaluate(query.right, database, ops),
-            ops,
-        )
-    raise _Fallback
+        batch = _Batch(display, columns, ops.to_array([]))
+    elif isinstance(query, Select):
+        batch = _select_batch(child(query.child), query.predicate, ops)
+    elif isinstance(query, Project):
+        batch = _project_batch(child(query.child), tuple(query.attributes), ops)
+    elif isinstance(query, Rename):
+        batch = _rename_batch(child(query.child), query.mapping)
+    elif isinstance(query, Join):
+        batch = _join_batches(child(query.left), child(query.right), ops)
+    elif isinstance(query, Union):
+        batch = _union_batches(child(query.left), child(query.right), ops)
+    else:
+        raise _Fallback
+    if observer is not None:
+        observer.leave(batch)
+    return batch
 
 
 def _materialize(batch: _Batch, semiring: Semiring, ops: VectorOps) -> KRelation:
@@ -636,26 +638,30 @@ def _materialize(batch: _Batch, semiring: Semiring, ops: VectorOps) -> KRelation
     return result
 
 
-def try_execute(query: Query, database: Database) -> KRelation | None:
+def try_execute(
+    query: Query, database: Database, observer: Any = None
+) -> KRelation | None:
     """Evaluate ``query`` column-at-a-time, or ``None`` to use the row engine.
 
     Returns ``None`` when numpy is missing, the semiring declares no
     carrier, the plan contains an unsupported shape, or an
     instance-level guard (int64 overflow, uncodable columns) trips
     mid-evaluation.  Never partially mutates anything -- evaluation is
-    read-only until the final materialization.
+    read-only until the final materialization.  ``observer`` (an
+    :class:`~repro.obs.explain.ExecutionObserver`) is told when each
+    logical node starts and which batch it produced.
     """
     ops = vector_ops_for(database.semiring)
     if ops is None or not _plan_supported(query):
         return None
     try:
         if not _trace.enabled():
-            batch = _evaluate(query, database, ops)
+            batch = _evaluate(query, database, ops, observer)
             return _materialize(batch, database.semiring, ops)
         with _trace.span(
             "engine.vectorized", semiring=database.semiring.name
         ) as span:
-            batch = _evaluate(query, database, ops)
+            batch = _evaluate(query, database, ops, observer)
             result = _materialize(batch, database.semiring, ops)
             span.set(out_rows=len(result))
             return result

@@ -11,9 +11,10 @@ This package is the measurement substrate for the whole reproduction:
   counters (:data:`compilation`);
 * :mod:`repro.obs.semiring` -- :class:`InstrumentedSemiring`, an
   annotation-identical counting wrapper for any registry semiring;
-* :mod:`repro.obs.explain` -- ``explain_analyze``: execute the pipelined
-  physical plan and render the operator tree annotated with actual rows,
-  timings and per-node semiring-op counts.
+* :mod:`repro.obs.explain` -- ``explain_analyze``: run a query on the
+  executor ``Query.evaluate`` picks (column kernels or row pipeline) and
+  render the operators that ran, annotated with actual rows, timings and
+  per-node semiring-op counts.
 
 ``explain`` lives behind a lazy import because it depends on the planner and
 the execution engine; everything exported here eagerly is stdlib-plus-base.

@@ -1,32 +1,36 @@
-"""EXPLAIN ANALYZE for the pipelined execution engine.
+"""EXPLAIN ANALYZE: the route ``Query.evaluate`` takes, observed per node.
 
-:func:`explain_analyze` runs a query through the logical planner when
-``Query.evaluate`` would (the input-size rule), compiles the plan with the
-pipelined row compiler, executes it with an :class:`ExecutionObserver`
-attached to every physical operator, and returns an
-:class:`ExplainAnalyzeReport`: the physical operator tree annotated with
-**actual** output rows, cumulative wall time, hash-join build/probe sizes
-and semiring-operation counts -- the quantities the paper's cost analysis is
-stated in (one ``+``/``x`` chain per derivation, Definition 3.2).
+:func:`explain_analyze` makes ``Query.evaluate``'s planning decision and
+calls what it calls -- :func:`repro.engine.compile.execute` (column kernels,
+then rows) on the planned plan, or :func:`~repro.engine.compile.execute_rows`
+on the query as written -- with an :class:`ExecutionObserver` threaded
+through.  The :class:`ExplainAnalyzeReport` names the executor that answered
+(and, when the column kernels declined, why) and shows its operator tree
+annotated with **actual** output rows, inclusive wall time, join build/probe
+sizes and semiring-operation counts -- the quantities the paper's cost
+analysis is stated in (one ``+``/``x`` chain per derivation, Definition 3.2).
 
-Attribution model (the pipelined engine has a single pipeline breaker):
+Attribution model:
 
-* each operator's ``rows``/``time`` are measured on its *output* stream;
-  time is inclusive of its children, PostgreSQL-style;
-* ``times`` (semiring ``x``) is attributed to the join whose probe loop
-  performed it, and to the envelope of operators with semiring-valued
-  filters;
-* ``plus``/``is_zero`` happen only at the breaker (batched accumulation)
-  and are attributed to the report's ``breaker_ops``;
+* the row pipeline reports its physical operators, the column kernels the
+  logical plan's nodes; each node's ``rows`` is its output size and its
+  ``time`` is inclusive of its children, PostgreSQL-style;
+* a join's ``build``/``probe`` sizes are the rows its two inputs produced;
+* a node's ops are its own: on rows, the ``times`` of a join's probe loop
+  and of semiring-valued filters; on columns, the counting carrier's delta
+  while the node ran, minus its children's;
 * the global totals are counted independently by an
   :class:`~repro.obs.semiring.InstrumentedSemiring` wrapped around the
-  database's semiring, so per-node counts can be cross-checked against the
-  totals (the ``tests/obs`` suite does exactly this).
+  database's semiring; the ``breaker`` line is the totals minus the
+  per-node counts and minus what an abandoned column attempt spent (shown
+  on the executor line): the root accumulation on rows, the final
+  materialization on columns.  The ``tests/obs`` suite cross-checks this.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import takewhile
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from repro.obs import trace as _trace
@@ -42,64 +46,58 @@ __all__ = [
 
 
 class NodeStats:
-    """Actuals collected for one physical operator during an observed run."""
+    """Actuals collected for one operator during an observed run."""
 
-    __slots__ = ("rows", "wall", "ops", "build_size", "probe_size")
+    __slots__ = ("rows", "wall", "ops", "columns")
 
-    def __init__(self) -> None:
+    def __init__(self, columns: Tuple[str, ...] = ()) -> None:
         self.rows = 0
         self.wall = 0.0
         self.ops = OpCounter()
-        self.build_size = 0
-        self.probe_size = 0
-
-    def snapshot(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "rows": self.rows,
-            "wall": self.wall,
-            "ops": self.ops.snapshot(),
-        }
-        if self.build_size or self.probe_size:
-            data["build_size"] = self.build_size
-            data["probe_size"] = self.probe_size
-        return data
+        self.columns = columns
 
 
 class ExecutionObserver:
-    """Per-node collection hooks for an observed execution.
+    """Per-node actuals of one observed execution, on either executor.
 
-    Attached to a compiled plan via :meth:`attach`, the observer wraps every
-    operator's output stream (:meth:`observe_rows`: output cardinality and
-    cumulative wall time, measured per ``next()``) and hands joins a counted
-    ``mul`` plus a stats slot for build/probe sizes.  Plans without an
-    observer skip all of this -- the ordinary execution path checks a single
-    ``observer is None`` per operator.
+    ``nodes`` lists ``(node, stats, depth)`` in preorder for the executor
+    that answered.  The row pipeline calls :meth:`attach` on its compiled
+    plan: every operator then times its output stream through
+    :meth:`observe_rows` and charges its ``mul`` calls through
+    :meth:`counted_mul`.  The column kernels call :meth:`enter` and
+    :meth:`leave` around every logical node.  ``ops`` is the run's global
+    counter; ``declined`` is its snapshot from when the row pipeline started
+    (``None`` while it has not) -- an abandoned column attempt's share.
+    Plans without an observer skip all of this.
     """
 
-    __slots__ = ("_stats",)
+    __slots__ = ("ops", "nodes", "declined", "_stats", "_open")
 
-    def __init__(self) -> None:
+    def __init__(self, ops: OpCounter) -> None:
+        self.ops = ops
+        self.nodes: List[Tuple[Any, NodeStats, int]] = []
+        self.declined: Dict[str, int] | None = None
         self._stats: Dict[int, NodeStats] = {}
-
-    def stats(self, node: Any) -> NodeStats:
-        """The (created-on-first-use) stats slot of a physical operator."""
-        found = self._stats.get(id(node))
-        if found is None:
-            found = self._stats[id(node)] = NodeStats()
-        return found
+        self._open: List[Tuple[NodeStats, Dict[str, int], float]] = []
 
     def attach(self, root: Any) -> None:
-        """Install this observer on every node of a compiled plan."""
-        root.observer = self
-        self.stats(root)
-        for child in _children(root):
-            self.attach(child)
+        """Install this observer on every node of a compiled row plan."""
+        self.declined, self.nodes, self._open = self.ops.snapshot(), [], []
+
+        def walk(node: Any, depth: int) -> None:
+            node.observer = self
+            stats = self._stats[id(node)] = NodeStats(node.attrs)
+            self.nodes.append((node, stats, depth))
+            for child in (node.left, node.right) if hasattr(node, "right") else ():
+                walk(child, depth + 1)
+
+        walk(root, 0)
 
     def observe_rows(
         self, node: Any, iterator: Iterator[Tuple[tuple, Any]]
     ) -> Iterator[Tuple[tuple, Any]]:
         """Wrap a node's output stream, timing each ``next()`` (inclusive)."""
-        stats = self.stats(node)
+        stats = self._stats[id(node)]
         clock = time.perf_counter
         while True:
             started = clock()
@@ -116,7 +114,7 @@ class ExecutionObserver:
         self, node: Any, mul: Callable[[Any, Any], Any]
     ) -> Callable[[Any, Any], Any]:
         """A ``mul`` that attributes its calls to ``node`` before delegating."""
-        ops = self.stats(node).ops
+        ops = self._stats[id(node)].ops
 
         def counted(a: Any, b: Any) -> Any:
             ops.times += 1
@@ -124,18 +122,31 @@ class ExecutionObserver:
 
         return counted
 
-    def join_stats(self, node: Any) -> NodeStats:
-        """The stats slot a join passes to the kernel for build/probe sizes."""
-        return self.stats(node)
+    def enter(self, node: Any) -> None:
+        """A column-kernel node starts; its children run before :meth:`leave`."""
+        stats = NodeStats()
+        self.nodes.append((node, stats, len(self._open)))
+        self._open.append((stats, self.ops.snapshot(), time.perf_counter()))
+
+    def leave(self, batch: Any) -> None:
+        """The innermost open node produced ``batch``: rows, time, own ops."""
+        stats, before, started = self._open.pop()
+        stats.wall = time.perf_counter() - started
+        stats.rows, stats.columns = len(batch), batch.display
+        parent = self._open[-1][0].ops if self._open else OpCounter()
+        for name, spent in self.ops.delta(before).items():
+            setattr(stats.ops, name, getattr(stats.ops, name) + spent)
+            setattr(parent, name, getattr(parent, name) - spent)
 
 
 class _ObservedDatabase:
     """A database view whose semiring is the instrumented wrapper.
 
     Relations, catalog lookups and everything else delegate to the real
-    database; only ``semiring`` differs, which is all the compiled plan
-    reads for annotation arithmetic.  Works because semirings interoperate
-    by *name* across the system and the wrapper mirrors its delegate's name.
+    database; only ``semiring`` differs.  Both executors take their
+    arithmetic from it -- the row pipeline its ``add`` / ``mul`` /
+    ``is_zero``, the column kernels its ``carrier`` (a counting wrapper
+    around the delegate's) -- so every operation of the run is counted.
     """
 
     __slots__ = ("semiring", "_delegate")
@@ -144,36 +155,33 @@ class _ObservedDatabase:
         self.semiring = semiring
         self._delegate = delegate
 
-    def relation(self, name: str) -> Any:
-        return self._delegate.relation(name)
-
     def __getattr__(self, name: str) -> Any:
         return getattr(self._delegate, name)
 
 
-def _children(node: Any) -> Tuple[Any, ...]:
-    left = getattr(node, "left", None)
-    right = getattr(node, "right", None)
-    if left is not None and right is not None:
-        return (left, right)
-    return ()
-
-
-def _node_label(node: Any) -> str:
-    from repro.engine.compile import _Empty, _HashJoin, _Scan, _UnionAll
-
-    if isinstance(node, _Scan):
+def _node_label(node: Any, inputs: List[NodeStats], build_is_left: bool) -> str:
+    kind = type(node).__name__.lstrip("_")
+    if kind in ("Scan", "RelationRef"):
         return f"Scan {node.name}"
-    if isinstance(node, _Empty):
-        return "Empty"
-    if isinstance(node, _HashJoin):
-        shared = tuple(node.left.attrs[i] for i in node.left_key)
-        build = "left" if node.build_is_left else "right"
-        key = ", ".join(shared) if shared else "⨯"
-        return f"HashJoin on ({key}) build={build}"
-    if isinstance(node, _UnionAll):
-        return "UnionAll"
-    return type(node).__name__.lstrip("_")
+    if kind in ("HashJoin", "Join"):
+        key = ", ".join(sorted(set(inputs[0].columns) & set(inputs[1].columns))) or "⨯"
+        return f"{kind} on ({key}) build={'left' if build_is_left else 'right'}"
+    return "Empty" if kind == "EmptyRelation" else kind
+
+
+def _counts(ops: Dict[str, int]) -> str:
+    return " ".join(f"{name}={count}" for name, count in ops.items())
+
+
+def _decline_reason(plan: Any, semiring: Any) -> str:
+    """Why :func:`~repro.engine.vectorized.try_execute` returned ``None``."""
+    from repro.engine import vectorized
+
+    if vectorized.vector_ops_for(semiring) is None:
+        return "no carrier or no numpy"
+    if not vectorized._plan_supported(plan):
+        return "unsupported plan shape"
+    return "instance guard"
 
 
 class ExplainAnalyzeReport:
@@ -183,16 +191,23 @@ class ExplainAnalyzeReport:
     ----------
     result:
         The query's K-relation (annotation-identical to an ordinary run).
+    executor:
+        ``"columns"`` or ``"rows"``: the executor that produced ``result``.
+    declined:
+        Why the column kernels declined the planned query (``"no carrier or
+        no numpy"``, ``"unsupported plan shape"`` or ``"instance guard"``),
+        else ``None``; ``declined_ops`` is what the abandoned attempt spent.
     root:
-        The compiled physical plan (tree of engine nodes).
+        The root of the executed tree: a compiled row operator, or a node
+        of the logical plan on the column path.
     observer:
         The :class:`ExecutionObserver` holding per-node actuals.
     totals:
         Global semiring-op counts of the entire run (independent of the
-        per-node attribution; includes the breaker).
+        per-node attribution).
     breaker_ops:
-        The ``plus``/``is_zero`` (and any residual ``times``) spent in the
-        final batched accumulation.
+        The totals minus the per-node counts and ``declined_ops``: the
+        root accumulation on rows, the materialization on columns.
     wall:
         End-to-end execution wall time in seconds (excludes planning).
     optimization:
@@ -201,128 +216,120 @@ class ExplainAnalyzeReport:
     compile_stats:
         Knowledge-compilation counters accumulated during the observed run
         (batches, compiled roots, decision-memo hit rate, multi-rooted
-        input/output DAG sizes):
-        the cost of compiled probabilistic inference (probabilities, top-k
-        and MAP), first-class next to the semiring-op counts.  All zero for runs that never
-        compile.
+        input/output DAG sizes): the cost of compiled probabilistic inference
+        (probabilities, top-k and MAP), first-class next to the semiring-op
+        counts.  All zero for runs that never compile.
     """
 
     def __init__(
         self,
         query: Any,
         plan: Any,
-        root: Any,
         observer: ExecutionObserver,
         result: Any,
-        totals: Dict[str, int],
-        breaker_ops: Dict[str, int],
         wall: float,
-        optimization: Any = None,
-        compile_stats: Dict[str, float] | None = None,
+        declined: str | None,
+        optimization: Any,
+        compile_stats: Dict[str, float],
     ):
         self.query = query
         self.plan = plan
-        self.root = root
+        self.root = observer.nodes[0][0]
         self.observer = observer
         self.result = result
-        self.totals = totals
-        self.breaker_ops = breaker_ops
+        self.executor = "columns" if observer.declined is None else "rows"
+        self.declined = declined
+        self.declined_ops = observer.declined or OpCounter().snapshot()
+        self.totals = observer.ops.snapshot()
+        self.breaker_ops = {
+            name: self.totals[name]
+            - self.declined_ops[name]
+            - sum(getattr(stats.ops, name) for _, stats, _ in observer.nodes)
+            for name in self.totals
+        }
         self.wall = wall
         self.optimization = optimization
-        self.compile_stats = compile_stats or {
-            "batches": 0,
-            "compiles": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "input_nodes": 0,
-            "output_nodes": 0,
-            "hit_rate": 0.0,
-        }
+        self.compile_stats = compile_stats
 
     # -- structured access -------------------------------------------------------
     def nodes(self) -> List[Tuple[Any, NodeStats, int]]:
-        """All physical operators as ``(node, stats, depth)``, preorder."""
-        collected: List[Tuple[Any, NodeStats, int]] = []
-
-        def walk(node: Any, depth: int) -> None:
-            collected.append((node, self.observer.stats(node), depth))
-            for child in _children(node):
-                walk(child, depth + 1)
-
-        walk(self.root, 0)
-        return collected
+        """All executed operators as ``(node, stats, depth)``, preorder."""
+        return self.observer.nodes
 
     def table(self) -> List[Dict[str, Any]]:
         """JSON-friendly per-operator rows (used by tests and benchmarks)."""
         rows = []
-        for node, stats, depth in self.nodes():
+        nodes = self.nodes()
+        for i, (node, stats, depth) in enumerate(nodes):
+            below = takewhile(lambda later: later[2] > depth, nodes[i + 1:])
+            inputs = [child for _, child, child_depth in below if child_depth == depth + 1]
+            # The row join's planned side, or the column join's smaller input.
+            smaller_left = len(inputs) == 2 and inputs[0].rows <= inputs[1].rows
+            left = getattr(node, "build_is_left", smaller_left)
             entry: Dict[str, Any] = {
-                "operator": _node_label(node),
+                "operator": _node_label(node, inputs, left),
                 "depth": depth,
-                "columns": list(node.attrs),
-                "estimate": node.estimate,
+                "columns": list(stats.columns),
+                "estimate": getattr(node, "estimate", None),
+                "rows": stats.rows,
+                "wall": stats.wall,
+                "ops": stats.ops.snapshot(),
             }
-            if node.filter_labels:
-                entry["filters"] = list(node.filter_labels)
-            entry.update(stats.snapshot())
+            filters = getattr(node, "filter_labels", [getattr(node, "description", "")])
+            if any(filters):
+                entry["filters"] = list(filters)
+            if entry["operator"].startswith(("HashJoin ", "Join ")):
+                sizes = [child.rows for child in inputs]
+                entry["build_size"], entry["probe_size"] = sizes if left else sizes[::-1]
             rows.append(entry)
         return rows
 
     # -- rendering ---------------------------------------------------------------
     def render(self, *, timings: bool = True) -> str:
-        """The annotated physical tree (set ``timings=False`` for golden tests:
-        wall-clock values are the only nondeterministic field)."""
-        lines: List[str] = []
+        """The executor and the annotated operator tree (set ``timings=False``
+        for golden tests: wall-clock values are the only nondeterministic
+        field)."""
+        executor = f"executor: {self.executor}"
+        if self.declined is not None:
+            spent = any(self.declined_ops.values())
+            note = f"; spent {_counts(self.declined_ops)}" if spent else ""
+            executor += f" (columns declined: {self.declined}{note})"
+        lines: List[str] = [executor]
         if self.optimization is not None:
             rules = self.optimization.applied_rules
             lines.append(f"logical plan: {self.plan}")
             lines.append(
                 "applied rules: " + (", ".join(rules) if rules else "(none)")
             )
-        for node, stats, depth in self.nodes():
-            parts = [f"rows={stats.rows}", f"est={node.estimate:g}"]
+        for entry in self.table():
+            parts = [f"rows={entry['rows']}"]
+            if entry["estimate"] is not None:
+                parts.append(f"est={entry['estimate']:g}")
             if timings:
-                parts.append(f"time={stats.wall * 1e3:.3f}ms")
-            if stats.build_size or stats.probe_size:
-                parts.append(f"build={stats.build_size}")
-                parts.append(f"probe={stats.probe_size}")
-            ops = stats.ops
-            if ops.total:
-                parts.append(f"times={ops.times}")
-                if ops.plus:
-                    parts.append(f"plus={ops.plus}")
-                if ops.is_zero:
-                    parts.append(f"is_zero={ops.is_zero}")
-            label = _node_label(node)
-            columns = ", ".join(node.attrs)
-            line = f"{'  ' * depth}{label} -> ({columns})  [{' '.join(parts)}]"
-            lines.append(line)
-            for filter_label in node.filter_labels:
-                lines.append(f"{'  ' * (depth + 1)}filter: {filter_label}")
-        breaker = [
-            f"output rows={len(self.result)}",
-            f"plus={self.breaker_ops['plus']}",
-            f"is_zero={self.breaker_ops['is_zero']}",
-        ]
-        lines.append("breaker: " + " ".join(breaker))
+                parts.append(f"time={entry['wall'] * 1e3:.3f}ms")
+            if "build_size" in entry:
+                parts += [f"build={entry['build_size']}", f"probe={entry['probe_size']}"]
+            ops = entry["ops"]
+            parts += [f"{name}={ops[name]}" for name in ("times", "plus", "is_zero") if ops[name]]
+            indent = "  " * entry["depth"]
+            columns = ", ".join(entry["columns"])
+            lines.append(f"{indent}{entry['operator']} -> ({columns})  [{' '.join(parts)}]")
+            for filter_label in entry.get("filters", ()):
+                lines.append(f"{indent}  filter: {filter_label}")
+        breaker = self.breaker_ops
+        lines.append(
+            f"breaker: output rows={len(self.result)} "
+            f"plus={breaker['plus']} is_zero={breaker['is_zero']}"
+        )
         if self.compile_stats.get("compiles"):
             cs = self.compile_stats
             lines.append(
-                "compile: "
-                f"batches={int(cs['batches'])} "
-                f"roots={int(cs['compiles'])} "
-                f"nodes_in={int(cs['input_nodes'])} "
-                f"nodes_out={int(cs['output_nodes'])} "
+                f"compile: batches={int(cs['batches'])} roots={int(cs['compiles'])} "
+                f"nodes_in={int(cs['input_nodes'])} nodes_out={int(cs['output_nodes'])} "
                 f"cache_hit_rate={cs['hit_rate']:.3f}"
             )
-        totals = [
-            f"plus={self.totals['plus']}",
-            f"times={self.totals['times']}",
-            f"is_zero={self.totals['is_zero']}",
-        ]
-        if timings:
-            totals.append(f"wall={self.wall * 1e3:.3f}ms")
-        lines.append("totals: " + " ".join(totals))
+        wall = f" wall={self.wall * 1e3:.3f}ms" if timings else ""
+        lines.append(f"totals: {_counts(self.totals)}{wall}")
         return "\n".join(lines)
 
     def __str__(self) -> str:
@@ -336,62 +343,48 @@ class ExplainAnalyzeReport:
 
 
 def explain_analyze(query: Any, database: Any) -> ExplainAnalyzeReport:
-    """Execute ``query`` on the row kernels with full observation and report actuals.
+    """Run ``query`` the way ``Query.evaluate`` runs it, observed per node.
 
     The query is planned exactly when :meth:`~repro.algebra.ast.Query.evaluate`
-    would plan it (:meth:`~repro.algebra.ast.Query.uses_planner`); the report
-    then carries the planner's :class:`OptimizationReport` alongside the
-    physical actuals, and ``report.optimization`` is ``None`` otherwise.  The
-    executed result is annotation-identical to an ordinary run (the
-    instrumented semiring is a counting pass-through) and is available as
+    would plan it (:meth:`~repro.algebra.ast.Query.uses_planner`) and handed
+    to the function ``evaluate`` calls -- :func:`repro.engine.compile.execute`
+    or :func:`~repro.engine.compile.execute_rows` -- with an
+    :class:`ExecutionObserver`.  ``report.optimization`` carries the
+    planner's :class:`OptimizationReport` when it ran, else ``None``.  The
+    result is annotation-identical to an ordinary run (the instrumented
+    semiring is a counting pass-through) and is available as
     ``report.result``.
     """
-    from repro.engine.compile import compile_query
-    from repro.engine.kernels import build_relation
+    from repro.engine import compile as _engine
+    from repro.planner import explain as _logical_explain
 
-    optimization = None
-    plan = query
-    if query.uses_planner(database):
-        from repro.planner import explain as _logical_explain
-
-        optimization = _logical_explain(query, database)
-        plan = optimization.optimized
+    planned = query.uses_planner(database)
+    optimization = _logical_explain(query, database) if planned else None
+    plan = optimization.optimized if planned else query
 
     ops = OpCounter()
-    instrumented = InstrumentedSemiring(database.semiring, ops)
-    observed = _ObservedDatabase(database, instrumented)
-    observer = ExecutionObserver()
+    observed = _ObservedDatabase(database, InstrumentedSemiring(database.semiring, ops))
+    observer = ExecutionObserver(ops)
     compile_before = compilation.snapshot()
 
     with _trace.span("explain.analyze", semiring=database.semiring.name):
         started = time.perf_counter()
-        root = compile_query(plan, observed)
-        observer.attach(root)
-        groups: Dict[tuple, List[Any]] = {}
-        for row, annotation in root.rows(observed):
-            batch = groups.get(row)
-            if batch is None:
-                groups[row] = [annotation]
-            else:
-                batch.append(annotation)
-        before_breaker = ops.snapshot()
-        accumulated = build_relation(instrumented, root.attrs, groups)
-        breaker_ops = ops.delta(before_breaker)
+        run = _engine.execute if planned else _engine.execute_rows
+        accumulated = run(plan, observed, observer)
         wall = time.perf_counter() - started
 
-    # Hand back a result over the *plain* semiring so downstream code never
-    # sees the instrumented wrapper.
-    result = accumulated.to_semiring(database.semiring)
-
+    declined = None
+    if planned and observer.declined is not None:
+        declined = _decline_reason(plan, observed.semiring)
     return ExplainAnalyzeReport(
         query=query,
         plan=plan,
-        root=root,
         observer=observer,
-        result=result,
-        totals=ops.snapshot(),
-        breaker_ops=breaker_ops,
+        # Hand back a result over the *plain* semiring so downstream code
+        # never sees the instrumented wrapper.
+        result=accumulated.to_semiring(database.semiring),
         wall=wall,
+        declined=declined,
         optimization=optimization,
         compile_stats=compilation.delta(compile_before),
     )

@@ -7,7 +7,7 @@ and seconds:
 
 * :class:`OpCounter` -- ``plus`` / ``times`` / ``is_zero`` call counts,
   filled in by :class:`repro.obs.semiring.InstrumentedSemiring` (globally)
-  and by the observed executor (per physical operator);
+  and by the observed executor (per operator);
 * :data:`consing` -- hash-consing hit/miss counts of the circuit intern
   table (:mod:`repro.circuits.nodes`), gated by its own ``enabled`` flag
   because node interning is the hottest loop in the system.  Tracing
