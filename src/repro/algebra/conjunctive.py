@@ -13,17 +13,24 @@ This module provides:
   sum-of-products K-semantics, a canonical database, and homomorphism search;
 * :class:`UnionOfConjunctiveQueries` -- a finite union, evaluated by adding
   the per-disjunct annotations;
-* parsers for the usual datalog-style textual syntax.
+* parsers for the usual datalog-style textual syntax (the rule parser of
+  :mod:`repro.logic`).
+
+A conjunctive query is a datalog rule, and that sum of products is the least
+fixpoint of the one-predicate program of :func:`repro.datalog.ucq_to_program`
+(Proposition 5.3).  Both ``evaluate`` methods run that program on the datalog
+engine; this module has no matcher of its own.  The paper-literal nested
+loop over valuations survives only as a test oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ParseError, QueryError
-from repro.logic import Atom, Constant, Term, Variable, parse_atom, unify_ground
+from repro.logic import Atom, Constant, Term, Variable, parse_rule
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
 from repro.relations.schema import Schema
@@ -77,19 +84,8 @@ class ConjunctiveQuery:
     @classmethod
     def parse(cls, text: str, *, output_attributes: Sequence[str] | None = None) -> "ConjunctiveQuery":
         """Parse ``"Q(x, y) :- R(x, z), R(z, y)"`` into a conjunctive query."""
-        if ":-" not in text:
-            raise ParseError(f"missing ':-' in conjunctive query {text!r}")
-        head_text, body_text = text.split(":-", 1)
-        head_atom = parse_atom(head_text)
-        body_atoms = _split_atoms(body_text)
-        if not body_atoms:
-            raise ParseError(f"empty body in conjunctive query {text!r}")
-        return cls(
-            head_atom.terms,
-            [parse_atom(part) for part in body_atoms],
-            name=head_atom.relation,
-            output_attributes=output_attributes,
-        )
+        head, body = parse_rule(text)
+        return cls(head.terms, body, name=head.relation, output_attributes=output_attributes)
 
     # -- structure ------------------------------------------------------------------
     @property
@@ -111,67 +107,16 @@ class ConjunctiveQuery:
         return Atom(self.name, self.head_terms)
 
     # -- evaluation -------------------------------------------------------------------
-    def valuations(self, database: Database) -> Iterator[Dict[Variable, Any]]:
-        """Enumerate the variable assignments that match every body atom.
-
-        Only tuples in the support of the input relations are matched, so the
-        enumeration is finite.  Each yielded assignment binds every body
-        variable.
-        """
-        yield from self._extend({}, 0, database)
-
-    def _extend(
-        self, assignment: Dict[Variable, Any], index: int, database: Database
-    ) -> Iterator[Dict[Variable, Any]]:
-        if index == len(self.body):
-            yield assignment
-            return
-        atom = self.body[index]
-        relation = database.relation(atom.relation)
-        attributes = relation.schema.attributes
-        if len(attributes) != atom.arity:
-            raise QueryError(
-                f"atom {atom} has arity {atom.arity} but relation "
-                f"{atom.relation} has arity {len(attributes)}"
-            )
-        for tup in relation.support:
-            values = tup.values_for(attributes)
-            extended = unify_ground(atom, values, assignment)
-            if extended is not None:
-                yield from self._extend(extended, index + 1, database)
-
-    def _body_annotation(self, assignment: Mapping[Variable, Any], database: Database) -> Any:
-        semiring = database.semiring
-        annotation = semiring.one()
-        for atom in self.body:
-            relation = database.relation(atom.relation)
-            attributes = relation.schema.attributes
-            values = tuple(
-                term.value if isinstance(term, Constant) else assignment[term]
-                for term in atom.terms
-            )
-            tup = Tup.from_values(attributes, values)
-            annotation = semiring.mul(annotation, relation.annotation(tup))
-        return annotation
-
     def evaluate(self, database: Database) -> KRelation:
         """Evaluate with the sum-of-products K-semantics (Definition 3.2).
 
         The annotation of each answer tuple is the sum over matching
         valuations of the product of the annotations of the matched body
-        tuples -- exactly the calculation of Figure 6.
+        tuples -- exactly the calculation of Figure 6.  The query runs as the
+        one rule of a datalog program (see
+        :meth:`UnionOfConjunctiveQueries.evaluate`).
         """
-        semiring = database.semiring
-        result = KRelation(semiring, self.output_schema)
-        for assignment in self.valuations(database):
-            values = tuple(
-                term.value if isinstance(term, Constant) else assignment[term]
-                for term in self.head_terms
-            )
-            annotation = self._body_annotation(assignment, database)
-            if not semiring.is_zero(annotation):
-                result.add(Tup.from_values(self.output_schema.attributes, values), annotation)
-        return result
+        return UnionOfConjunctiveQueries([self]).evaluate(database)
 
     __call__ = evaluate
 
@@ -305,12 +250,31 @@ class UnionOfConjunctiveQueries:
         return cls(disjuncts, name=disjuncts[0].name)
 
     def evaluate(self, database: Database) -> KRelation:
-        """Evaluate by adding, tuple-wise, the annotations of every disjunct."""
-        semiring = database.semiring
-        result = KRelation(semiring, self.output_schema)
-        for disjunct in self.disjuncts:
-            for tup, annotation in disjunct.evaluate(database).items():
-                result.add(tup, annotation)
+        """Evaluate by adding, tuple-wise, the annotations of every disjunct.
+
+        The disjuncts run as the rules of one predicate of a datalog program:
+        a non-recursive program's least fixpoint is that sum of sums of
+        products (Figure 6, Proposition 5.3), so the datalog engine is the
+        one matcher -- over idempotent semirings its round loops run, every
+        other semiring is grounded and solved.  The head predicate gets a
+        name that no body relation and no database relation uses:
+        ``R(x, y) :- R(y, x)`` reads ``R``, it does not define it.  A missing
+        relation or an arity mismatch raises the engine's
+        :class:`~repro.errors.GroundingError`.
+        """
+        # Imported here: repro.datalog.translate imports this module.
+        from repro.datalog.fixpoint import evaluate_program
+        from repro.datalog.translate import ucq_to_program
+
+        taken = set(database.names()) | self.relations
+        head = "answer"
+        while head in taken:
+            head += "_"
+        run = evaluate_program(ucq_to_program(self, output=head), database)
+        attributes = self.output_schema.attributes
+        result = KRelation(database.semiring, self.output_schema)
+        for atom, annotation in run.annotations.items():
+            result.set(Tup.from_values(attributes, atom.values), annotation)
         return result
 
     __call__ = evaluate
@@ -333,23 +297,3 @@ class UnionOfConjunctiveQueries:
 
     def __str__(self) -> str:
         return "; ".join(str(d) for d in self.disjuncts)
-
-
-def _split_atoms(body_text: str) -> list[str]:
-    """Split a rule body on top-level commas (commas inside parentheses stay)."""
-    parts: list[str] = []
-    depth = 0
-    current = []
-    for char in body_text:
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        if char == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    if current:
-        parts.append("".join(current))
-    return [part.strip() for part in parts if part.strip()]

@@ -226,31 +226,23 @@ def datalog_provenance(
     *,
     truncation_degree: int = 6,
     edb_ids: Mapping[GroundAtom, str] | None = None,
-    provenance: str = "series",
-) -> DatalogProvenance | DatalogCircuitProvenance:
+) -> DatalogProvenance:
     """Compute the ``N-inf[[X]]`` provenance of a datalog query (Definition 6.1).
 
     ``truncation_degree`` bounds the total degree up to which coefficients of
     *proper* (non-polynomial) series are reported; polynomial provenance is
     always exact regardless of the bound.
 
-    ``provenance`` selects the representation: ``"series"`` (default) is the
-    paper's expanded polynomial / truncated power-series form;
-    ``"circuit"`` returns a :class:`DatalogCircuitProvenance` with
-    hash-consed DAG annotations instead -- exact for every convergent atom
-    and asymptotically smaller under deep fixpoints.
+    This is the paper's expanded polynomial / truncated power-series form;
+    :func:`datalog_circuit_provenance` gives hash-consed DAG annotations
+    instead -- exact for every convergent atom and asymptotically smaller
+    under deep fixpoints.
 
     The program is grounded once.  That grounding is solved over ``N[X]``
     with ``on_divergence="skip"`` for the exact polynomials (All-Trees), and
     -- when some atom has infinitely many derivations -- once more over the
     truncated power series for those atoms.
     """
-    if provenance == "circuit":
-        return datalog_circuit_provenance(program, database, edb_ids=edb_ids)
-    if provenance != "series":
-        raise DatalogError(
-            f"provenance must be 'series' or 'circuit', got {provenance!r}"
-        )
     if isinstance(program, str):
         program = Program.parse(program)
     ground = ground_program(program, database)

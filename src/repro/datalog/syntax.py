@@ -13,11 +13,10 @@ Textual syntax (one rule per line, ``%`` comments)::
 
 from __future__ import annotations
 
-import re
 from typing import Dict, Iterable, Iterator, Sequence
 
 from repro.errors import DatalogError, ParseError
-from repro.logic import Atom, Constant, Variable, parse_atom  # noqa: F401 (Variable used in head_attributes)
+from repro.logic import Atom, Constant, Variable, parse_rule
 
 __all__ = ["Rule", "Program"]
 
@@ -44,15 +43,7 @@ class Rule:
     @classmethod
     def parse(cls, text: str) -> "Rule":
         """Parse ``"Q(x, y) :- R(x, z), R(z, y)"`` into a rule."""
-        text = text.strip().rstrip(".")
-        if ":-" not in text:
-            raise ParseError(f"missing ':-' in rule {text!r}")
-        head_text, body_text = text.split(":-", 1)
-        head = parse_atom(head_text)
-        body_parts = _split_top_level_commas(body_text)
-        if not body_parts:
-            raise ParseError(f"empty body in rule {text!r}")
-        return cls(head, [parse_atom(part) for part in body_parts])
+        return cls(*parse_rule(text))
 
     @property
     def variables(self) -> frozenset[Variable]:
@@ -233,22 +224,3 @@ class Program:
 
     def __str__(self) -> str:
         return "\n".join(str(rule) for rule in self.rules)
-
-
-def _split_top_level_commas(text: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for char in text:
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        if char == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    if current:
-        parts.append("".join(current))
-    return [part.strip() for part in parts if part.strip()]

@@ -8,8 +8,11 @@ K-database.  Proposition 6.2 is the analogous statement for provenance
 
 This module implements the translation in the direction the propositions
 need: unions of conjunctive queries -- the named fragment the paper evaluates
-by sums of products -- become single-IDB datalog programs.  The tests
-evaluate both sides over multiple semirings to check the propositions.
+by sums of products -- become single-IDB datalog programs.  It is also how
+:meth:`ConjunctiveQuery.evaluate` and :meth:`UnionOfConjunctiveQueries.evaluate`
+run: on the datalog engine.  The tests check the propositions against the
+operator-at-a-time RA+ evaluation of the same query and against the
+paper-literal sum of products over a reference instantiation.
 """
 
 from __future__ import annotations
@@ -38,13 +41,17 @@ def ucq_to_program(
 
     Every disjunct becomes one rule with a shared head predicate, so the
     datalog semantics (sum over derivation trees) coincides with the UCQ
-    semantics (sum over disjuncts of sums over valuations).
+    semantics (sum over disjuncts of sums over valuations).  Each head lists
+    its terms in the order of the union's output attributes, which disjuncts
+    may name in different orders.
     """
-    if isinstance(query, UnionOfConjunctiveQueries):
-        disjuncts = list(query.disjuncts)
-        name = output or query.name
-    else:
+    if not isinstance(query, UnionOfConjunctiveQueries):
         disjuncts = list(query)
-        name = output or (disjuncts[0].name if disjuncts else "Q")
-    rules = [Rule(Atom(name, cq.head_terms), cq.body) for cq in disjuncts]
+        query = UnionOfConjunctiveQueries(disjuncts, name=disjuncts[0].name if disjuncts else "Q")
+    name = output or query.name
+    rules = []
+    for cq in query.disjuncts:
+        terms = dict(zip(cq.output_schema.attributes, cq.head_terms))
+        head = Atom(name, [terms[attribute] for attribute in query.output_schema.attributes])
+        rules.append(Rule(head, cq.body))
     return Program(rules, output=name)

@@ -10,11 +10,11 @@ other.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Iterable, Mapping, Tuple
+from typing import Any, Iterable, Mapping, Tuple
 
 from repro.errors import ParseError
 
-__all__ = ["Variable", "Constant", "Term", "Atom", "parse_atom", "parse_term"]
+__all__ = ["Variable", "Constant", "Term", "Atom", "parse_atom", "parse_rule", "parse_term"]
 
 
 class Variable:
@@ -167,31 +167,29 @@ def parse_atom(text: str) -> Atom:
     return Atom(relation, terms)
 
 
+def parse_rule(text: str) -> Tuple[Atom, list[Atom]]:
+    """Parse ``"Q(x, y) :- R(x, z), R(z, y)."`` into its head and body atoms.
+
+    The one rule-text parser: datalog rules and conjunctive queries share it.
+    """
+    text = text.strip().rstrip(".")
+    if ":-" not in text:
+        raise ParseError(f"missing ':-' in rule {text!r}")
+    head_text, body_text = text.split(":-", 1)
+    parts: list[str] = []
+    depth, start = 0, 0
+    for index, char in enumerate(body_text):
+        depth += (char == "(") - (char == ")")
+        if char == "," and depth == 0:
+            parts.append(body_text[start:index])
+            start = index + 1
+    parts.append(body_text[start:])
+    body = [parse_atom(part) for part in parts if part.strip()]
+    if not body:
+        raise ParseError(f"empty body in rule {text!r}")
+    return parse_atom(head_text), body
+
+
 def fresh_variables(count: int, prefix: str = "v") -> list[Variable]:
     """Generate ``count`` distinct variables ``v0, v1, ...``."""
     return [Variable(f"{prefix}{i}") for i in range(count)]
-
-
-def unify_ground(atom: Atom, values: tuple, assignment: Dict[Variable, Any]) -> Dict[Variable, Any] | None:
-    """Try to extend ``assignment`` so that ``atom`` matches the ground ``values``.
-
-    Returns the extended assignment, or ``None`` when the match fails.  Used
-    by conjunctive-query evaluation and datalog grounding.
-    """
-    if len(values) != atom.arity:
-        return None
-    extended = dict(assignment)
-    for term, value in zip(atom.terms, values):
-        if isinstance(term, Constant):
-            if term.value != value:
-                return None
-        else:
-            bound = extended.get(term, _UNBOUND)
-            if bound is _UNBOUND:
-                extended[term] = value
-            elif bound != value:
-                return None
-    return extended
-
-
-_UNBOUND = object()

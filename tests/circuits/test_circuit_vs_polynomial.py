@@ -16,7 +16,6 @@ from repro.circuits import CircuitSemiring, specialize, to_polynomial
 from repro.datalog import (
     all_trees,
     datalog_circuit_provenance,
-    datalog_provenance,
     evaluate,
 )
 from repro.errors import DatalogError
@@ -139,16 +138,6 @@ def test_figure7_datalog_program_agrees_on_convergent_atoms():
     assert str(to_polynomial(prov.provenance(("a", "b")))) == "m + n·p"
     with pytest.raises(DatalogError):
         prov.provenance(("b", "d"))  # passes through the cycle: series territory
-
-
-def test_datalog_provenance_circuit_option_dispatches():
-    database = figure7_database()
-    prov = datalog_provenance(
-        figure7_program(), database, edb_ids=figure7_edb_ids(), provenance="circuit"
-    )
-    assert hasattr(prov, "circuits")
-    with pytest.raises(DatalogError):
-        datalog_provenance(figure7_program(), database, provenance="nope")
 
 
 @pytest.mark.parametrize("linear", [True, False], ids=["linear", "quadratic"])

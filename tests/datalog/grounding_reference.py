@@ -16,7 +16,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Set, Tuple
 
 from repro.datalog import GroundAtom, GroundProgram, GroundRule, Program, Rule
 from repro.datalog.grounding import collect_edb_annotations
-from repro.logic import Atom, Constant, Variable, unify_ground
+from repro.logic import Atom, Constant, Variable
 from repro.relations.database import Database
 
 
@@ -63,6 +63,25 @@ def _instantiate(atom: Atom, assignment: Mapping[Variable, Any]) -> Tuple[Any, .
     return tuple(
         term.value if isinstance(term, Constant) else assignment[term] for term in atom.terms
     )
+
+
+def unify_ground(
+    atom: Atom, values: Tuple[Any, ...], assignment: Mapping[Variable, Any]
+) -> Dict[Variable, Any] | None:
+    """Extend ``assignment`` so that ``atom`` matches the ground ``values``.
+
+    Returns the extended assignment, or ``None`` when the match fails.
+    """
+    if len(values) != atom.arity:
+        return None
+    extended = dict(assignment)
+    for term, value in zip(atom.terms, values):
+        if isinstance(term, Constant):
+            if term.value != value:
+                return None
+        elif extended.setdefault(term, value) != value:
+            return None
+    return extended
 
 
 def _match_body(

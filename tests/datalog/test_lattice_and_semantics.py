@@ -12,8 +12,9 @@ from repro.datalog import (
     lattice_condition_provenance,
     ucq_to_program,
 )
-from repro.errors import DatalogError
-from repro.relations import Database, Tup
+from repro.algebra import Q
+from repro.errors import DatalogError, GroundingError
+from repro.relations import Database, Tup, abstractly_tag_database
 from repro.semirings import (
     BooleanSemiring,
     CompletedNaturalsSemiring,
@@ -29,6 +30,18 @@ from repro.workloads import (
     figure7_program,
     transitive_closure_program,
 )
+
+
+def _tagged(database):
+    return abstractly_tag_database(database).database
+
+
+_PROPOSITION_5_3_DATABASES = [
+    pytest.param(figure6_database(), id="figure6-N"),
+    pytest.param(figure7_database(), id="figure7-Ninf"),
+    pytest.param(_tagged(figure6_database()), id="figure6-NX"),
+    pytest.param(_tagged(figure7_database()), id="figure7-NX"),
+]
 
 
 def _fuzzy_figure7_database():
@@ -104,25 +117,43 @@ class TestLatticeEvaluation:
 
 
 class TestTranslationAgreement:
-    def test_proposition_5_3_nonrecursive_agreement(self):
-        """A UCQ and its datalog translation agree on every K-database."""
-        ucq = UnionOfConjunctiveQueries(
-            [
-                ConjunctiveQuery.parse("Q(x, y) :- R(x, y)"),
-                ConjunctiveQuery.parse("Q(x, y) :- R(x, z), R(z, y)"),
-            ]
+    @pytest.mark.parametrize("database", _PROPOSITION_5_3_DATABASES)
+    def test_proposition_5_3_nonrecursive_agreement(self, database):
+        """A UCQ's datalog translation and the same query in RA+ agree.
+
+        The RA+ side ``R ∪ π_xy(ρ_y→z(R) ⋈ ρ_x→z(R))`` runs operator at a
+        time (``Query._execute``), sharing no join with the datalog engine.
+        """
+        ucq = UnionOfConjunctiveQueries.parse(
+            "Q(x, y) :- R(x, y); Q(x, y) :- R(x, z), R(z, y)"
         )
-        program = ucq_to_program(ucq)
-        for database in (figure6_database(), figure7_database(BooleanSemiring())):
-            via_ra = ucq.evaluate(database)
-            via_datalog = evaluate(program, database)
-            # align schemas (both use c1, c2 here)
-            assert {
-                (t.values_for(("c1", "c2")), via_ra.annotation(t)) for t in via_ra.support
-            } == {
-                (t.values_for(tuple(via_datalog.schema.attributes)), via_datalog.annotation(t))
-                for t in via_datalog.support
-            }
+        two_hop = (
+            Q.relation("R").rename({"y": "z"}).join(Q.relation("R").rename({"x": "z"}))
+        )
+        via_ra = Q.relation("R").union(two_hop.project("x", "y"))._execute(database)
+        via_datalog = evaluate(ucq_to_program(ucq), database)
+        assert via_datalog.schema.attributes == ("x", "y")
+        assert via_datalog.equal_to(via_ra)
+        assert ucq.evaluate(database).rename({"c1": "x", "c2": "y"}).equal_to(via_ra)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            ConjunctiveQuery.parse("Q(x) :- S(x, y)"),
+            ConjunctiveQuery.parse("Q(x) :- R(x)"),
+            UnionOfConjunctiveQueries.parse("Q(x) :- R(x, y); Q(x) :- S(x)"),
+        ],
+        ids=["missing-relation", "arity-mismatch", "ucq-missing-relation"],
+    )
+    def test_cq_input_errors_come_from_the_engine(self, query):
+        """A missing relation or a wrong arity is the engine's GroundingError."""
+        with pytest.raises(GroundingError):
+            query.evaluate(figure6_database())
+
+    def test_a_relation_read_at_two_arities_is_a_malformed_program(self):
+        ucq = UnionOfConjunctiveQueries.parse("Q(x) :- R(x, y); Q(x) :- R(x, y, z)")
+        with pytest.raises(DatalogError, match="arities"):
+            ucq.evaluate(figure6_database())
 
     def test_proposition_6_2_provenance_agreement(self):
         """Non-recursive datalog provenance = RA+ provenance (modulo embedding)."""

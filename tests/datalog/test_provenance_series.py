@@ -10,6 +10,7 @@ from repro.datalog import (
     GroundAtom,
     ProvenanceClass,
     analyze_finiteness,
+    datalog_circuit_provenance,
     datalog_provenance,
     monomial_coefficient,
 )
@@ -182,9 +183,7 @@ def test_datalog_provenance_grounds_the_program_once(monkeypatch):
             getattr(module, "ground_program", None) is original
         ):
             monkeypatch.setattr(module, "ground_program", spy)
-    for provenance in ("series", "circuit"):
+    for provenance in (datalog_provenance, datalog_circuit_provenance):
         calls.clear()
-        datalog_provenance(
-            figure7_program(), figure7_database(), edb_ids=figure7_edb_ids(), provenance=provenance
-        )
-        assert len(calls) == 1, provenance
+        provenance(figure7_program(), figure7_database(), edb_ids=figure7_edb_ids())
+        assert len(calls) == 1, provenance.__name__

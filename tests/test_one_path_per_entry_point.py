@@ -91,6 +91,7 @@ CALLS = {
         lambda **kw: evaluate_program_seminaive(PROGRAM, _bool_database(), **kw)
     ),
     "datalog.evaluate": lambda **kw: datalog.evaluate(PROGRAM, _bool_database(), **kw),
+    "datalog_provenance": lambda **kw: datalog.datalog_provenance(PROGRAM, _bool_database(), **kw),
     "explain_analyze": lambda **kw: explain_analyze(QUERY, _bool_database(), **kw),
     "Query.explain_analyze": lambda **kw: QUERY.explain_analyze(_bool_database(), **kw),
     "CircuitCompiler": lambda **kw: CircuitCompiler(**kw).compile(var("a")),
@@ -130,6 +131,7 @@ REMOVED = [
     ("evaluate_program_seminaive", "on_divergence", "top"),
     ("datalog.evaluate", "engine", "seminaive"),
     ("datalog.evaluate", "storage", "row"),
+    ("datalog_provenance", "provenance", "circuit"),
     ("explain_analyze", "optimize", True),
     ("explain_analyze", "reorder", False),
     ("Query.explain_analyze", "optimize", False),
@@ -139,7 +141,7 @@ REMOVED = [
 
 
 def test_every_removed_keyword_is_listed_once():
-    assert len(REMOVED) == len(set(REMOVED)) == 46
+    assert len(REMOVED) == len(set(REMOVED)) == 47
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
