@@ -52,8 +52,10 @@ __all__ = [
 
 #: Queries whose base relations hold fewer rows than this (summed over the
 #: distinct relations read) run as written on the row pipeline; larger ones
-#: are planned and tried on the column kernels first.  The planner and the
-#: kernels cost a fixed ~0.2-0.6 ms per call, which the row pipeline beats up
+#: are planned and tried on the column kernels first.  On the Section 2 query
+#: at 32 rows over N and B the planner costs ~0.25-0.3 ms per call (its
+#: statistics, read off the relation's cached column encoding, ~2 us of it)
+#: and the kernels ~0.45-0.55 ms; the row pipeline beats that fixed cost up
 #: to 12-24 input rows over N and B and to ~48 over why-provenance (two-hop
 #: and Section 2 queries, 3-256 rows); the constant splits the difference.
 PLANNED_INPUT_ROWS = 32

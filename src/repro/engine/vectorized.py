@@ -7,7 +7,8 @@ loop per row; this module evaluates the same positive-algebra plans one
 * a scan dictionary-encodes each attribute of the relation into integer
   codes and lifts its annotations into one array (``int64``/``float64``/
   ``bool`` for the vectorizable semirings); the encoding is cached on the
-  relation until its next mutation;
+  relation until its next mutation, and the planner's distinct counts
+  (:func:`distinct_counts`) read the same cache under every semiring;
 * a selection compiles its structured predicate to a boolean mask;
 * a join factorizes the shared key columns to integer codes, sorts the
   build side once, finds every probe row's bucket with two binary searches
@@ -75,6 +76,7 @@ except ImportError:  # pragma: no cover - CI images without numpy
 __all__ = [
     "numpy_available",
     "vector_ops_for",
+    "distinct_counts",
     "try_execute",
     "combine_codes",
     "split_codes",
@@ -169,12 +171,13 @@ def _encode_column(values: list) -> _Col:
     return _Col(codes, _object_array(alphabet))
 
 
-def _scan_batch(relation: KRelation, ops: VectorOps) -> _Batch:
-    """Lift a relation into an encoded column batch.
+def _encoding(relation: KRelation) -> Tuple[Dict[str, _Col], list]:
+    """The relation's encoded columns and its annotations in row order.
 
-    The column encoding and the annotation list are cached on the relation
-    (``KRelation._scan_cache``, dropped by every mutation), so repeated
-    queries over an unchanged relation re-scan for free.
+    Cached on the relation (``KRelation._scan_cache``, dropped by every
+    mutation), so repeated scans and statistics over an unchanged relation
+    are free.  Nothing in it depends on the semiring's carrier, so it is
+    built for every semiring.
     """
     cache = relation._scan_cache
     if cache is None:
@@ -188,7 +191,25 @@ def _scan_batch(relation: KRelation, ops: VectorOps) -> _Batch:
             for j, attribute in enumerate(attributes)
         }
         cache = relation._scan_cache = (columns, list(rows.values()))
-    columns, annotations = cache
+    return cache
+
+
+def distinct_counts(relation: KRelation) -> Dict[str, int]:
+    """Each attribute's number of distinct values in ``relation``'s support.
+
+    Read off the cached column encoding, which this builds (with the scan's
+    own encoder) when the relation has none: the first call on a relation
+    version encodes it once, for the planner and the kernels alike.  Values
+    equal under ``==`` with equal hashes (``1``, ``1.0``, ``True``) count
+    once, as in a ``set``.  Needs numpy.
+    """
+    columns, _ = _encoding(relation)
+    return {a: len(columns[a].uniques) for a in relation.schema.attributes}
+
+
+def _scan_batch(relation: KRelation, ops: VectorOps) -> _Batch:
+    """Lift a relation into an encoded column batch."""
+    columns, annotations = _encoding(relation)
     return _Batch(tuple(relation.schema.attributes), dict(columns), ops.to_array(annotations))
 
 

@@ -159,12 +159,14 @@ class _ObservedDatabase:
         return getattr(self._delegate, name)
 
 
-def _node_label(node: Any, inputs: List[NodeStats], build_is_left: bool) -> str:
+def _node_label(node: Any, inputs: List[NodeStats], build_is_left: bool | None) -> str:
     kind = type(node).__name__.lstrip("_")
     if kind in ("Scan", "RelationRef"):
         return f"Scan {node.name}"
     if kind in ("HashJoin", "Join"):
         key = ", ".join(sorted(set(inputs[0].columns) & set(inputs[1].columns))) or "⨯"
+        if build_is_left is None:
+            return f"{kind} on ({key})"
         return f"{kind} on ({key}) build={'left' if build_is_left else 'right'}"
     return "Empty" if kind == "EmptyRelation" else kind
 
@@ -263,9 +265,12 @@ class ExplainAnalyzeReport:
         for i, (node, stats, depth) in enumerate(nodes):
             below = takewhile(lambda later: later[2] > depth, nodes[i + 1:])
             inputs = [child for _, child, child_depth in below if child_depth == depth + 1]
-            # The row join's planned side, or the column join's smaller input.
-            smaller_left = len(inputs) == 2 and inputs[0].rows <= inputs[1].rows
-            left = getattr(node, "build_is_left", smaller_left)
+            # The row join's planned side, or the column join's smaller input;
+            # a column join on no shared attribute (a cross product) has none.
+            left = getattr(node, "build_is_left", None)
+            shared = len(inputs) == 2 and set(inputs[0].columns) & set(inputs[1].columns)
+            if left is None and shared:
+                left = inputs[0].rows <= inputs[1].rows
             entry: Dict[str, Any] = {
                 "operator": _node_label(node, inputs, left),
                 "depth": depth,
@@ -278,7 +283,7 @@ class ExplainAnalyzeReport:
             filters = getattr(node, "filter_labels", [getattr(node, "description", "")])
             if any(filters):
                 entry["filters"] = list(filters)
-            if entry["operator"].startswith(("HashJoin ", "Join ")):
+            if left is not None and entry["operator"].startswith(("HashJoin ", "Join ")):
                 sizes = [child.rows for child in inputs]
                 entry["build_size"], entry["probe_size"] = sizes if left else sizes[::-1]
             rows.append(entry)

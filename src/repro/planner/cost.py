@@ -1,9 +1,14 @@
 """Cardinality estimation and plan costing from database statistics.
 
 The planner's cost model is deliberately textbook: per-relation cardinalities
-and per-attribute distinct counts collected once from a
+and per-attribute distinct counts of a
 :class:`~repro.relations.database.Database` (:class:`Statistics`), combined
-bottom-up with System-R style estimation formulas (:class:`CostModel`):
+bottom-up with System-R style estimation formulas (:class:`CostModel`).  The
+counts depend on the support alone (Definition 3.1), not on ``K``: with numpy
+they are read off the column encoding the whole-column kernels cache on each
+relation, which is built once per relation version (every mutation drops it)
+and shared by the kernels' scans; without numpy every call walks the tuples.
+The estimation formulas:
 
 * selection scales cardinality by a predicate selectivity (``1/V(R, a)`` for
   ``a = const``, ``1/max(V(R, a), V(R, b))`` for ``a = b``, a fixed default
@@ -47,6 +52,7 @@ from repro.algebra.predicates import (
     TruePredicate,
     as_predicate,
 )
+from repro.engine import vectorized
 from repro.relations.database import Database
 
 __all__ = [
@@ -84,25 +90,26 @@ class Statistics:
     def from_database(
         cls, database: Database, relations: "set[str] | frozenset[str] | None" = None
     ) -> "Statistics":
-        """Collect cardinalities and distinct counts from the database.
+        """Cardinalities and distinct counts of the database's relations.
 
-        ``relations`` restricts the scan to the named relations (the
+        ``relations`` restricts the snapshot to the named relations (the
         optimizer passes the query's ``relation_names()``, so planning a
-        small query never pays for scanning unrelated large tables).
+        small query never touches unrelated large tables).  With numpy the
+        distinct counts come from each relation's cached column encoding
+        (:func:`repro.engine.vectorized.distinct_counts`): the first call
+        after a mutation encodes the relation, later calls on the same
+        version cost a dictionary lookup per attribute.  Without numpy each
+        call walks the relation's tuples.
         """
         tables: dict[str, TableStats] = {}
         for name, relation in database.items():
             if relations is not None and name not in relations:
                 continue
-            attributes = relation.schema.attributes
-            seen: dict[str, set] = {a: set() for a in attributes}
-            for tup in relation:
-                for a in attributes:
-                    seen[a].add(tup[a])
-            tables[name] = TableStats(
-                cardinality=len(relation),
-                distinct={a: len(values) for a, values in seen.items()},
-            )
+            if vectorized.numpy_available():
+                distinct = vectorized.distinct_counts(relation)
+            else:
+                distinct = _walked_distinct_counts(relation)
+            tables[name] = TableStats(cardinality=len(relation), distinct=distinct)
         return cls(tables)
 
     def table(self, name: str) -> TableStats | None:
@@ -110,6 +117,16 @@ class Statistics:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Statistics({sorted(self.tables)})"
+
+
+def _walked_distinct_counts(relation) -> dict[str, int]:
+    """Distinct counts by a walk over the tuples: the path without numpy."""
+    attributes = relation.schema.attributes
+    seen: dict[str, set] = {a: set() for a in attributes}
+    for tup in relation:
+        for a in attributes:
+            seen[a].add(tup[a])
+    return {a: len(values) for a, values in seen.items()}
 
 
 @dataclass

@@ -44,11 +44,12 @@ class KRelation:
         :class:`Tup` objects, mappings, or value sequences in schema order.
 
     The support lives in one ``{Tup: annotation}`` dictionary; its layout
-    plays no part in the model.  The whole-column kernels of
-    :mod:`repro.engine.vectorized` keep a column encoding of that dictionary
-    in ``_scan_cache``: every mutator below drops it, and so does reading
-    :attr:`_annotations`, since the raw dictionary it hands out licenses
-    writes the relation cannot see.
+    plays no part in the model.  :mod:`repro.engine.vectorized` keeps a
+    column encoding of that dictionary in ``_scan_cache``.  The whole-column
+    kernels scan it, and the planner's statistics read their distinct counts
+    from it under every semiring.  Every mutator below drops it, and so does
+    reading :attr:`_annotations`, since the raw dictionary it hands out
+    licenses writes the relation cannot see.
     """
 
     def __init__(
@@ -60,8 +61,9 @@ class KRelation:
         self.semiring = semiring
         self.schema = schema if isinstance(schema, Schema) else Schema(schema)
         self._rows: Dict[Tup, Any] = {}
-        #: Column encoding of ``_rows`` built by the vectorized scan, or
-        #: ``None``; valid only until the next mutation.
+        #: Column encoding of ``_rows`` built by the vectorized scan or the
+        #: planner's statistics, or ``None``; valid only until the next
+        #: mutation.
         self._scan_cache: Any = None
         for entry in rows:
             row, annotation = self._split_entry(entry)

@@ -10,7 +10,8 @@ query also reads -- with planned runs of :func:`repro.engine.execute`, and
 checks every answer against operator-at-a-time ``Query._execute``, which
 never reads the cache.
 A deterministic table then runs each mutation once over every semiring with
-vector arithmetic, on a change no stale encoding could hide.
+vector arithmetic, on a change no stale encoding could hide, and checks that
+the planner's statistics, which read the same encoding, count the new support.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.algebra.ast import Q
 from repro.engine import execute, vectorized
 from repro.incremental import IncrementalDatalog
 from repro.incremental.delta import apply_delta
+from repro.planner.cost import Statistics, TableStats
 from repro.relations.krelation import KRelation
 from repro.semirings import available_semirings, get_semiring
 
@@ -206,6 +208,12 @@ def test_each_mutation_drops_the_cache_and_the_next_scan_sees_it(semiring_name, 
     relation.check_consistency()
     groups = {tup["a"] for tup in relation}
     assert groups == ({"x"} if kind in REMOVALS else {"x", "y", "w"})
+    # R is {(x, y)} or {(x, y), (y, z), (w, y)}: the planner's next
+    # statistics count the new support, not the encoding the scans cached.
+    stats = (
+        TableStats(1, {"a": 1, "b": 1}) if kind in REMOVALS else TableStats(3, {"a": 3, "b": 2})
+    )
+    assert Statistics.from_database(database).table("R") == stats
     for query in queries:
         pipelined = _planned(query, database)
         assert pipelined.equal_to(query._execute(database)), str(query)

@@ -84,6 +84,18 @@ class TestGolden:
         rendered = report.render(timings=False) + "\n"
         assert rendered == GOLDEN_COLUMNS.read_text(encoding="utf-8")
 
+    @needs_numpy
+    def test_column_cross_product_has_no_build_side(self):
+        # The column kernels expand a join on no shared attribute as a full
+        # repeat/tile; no input is built, whichever is smaller.
+        query = Q.relation("R").project("a").join(Q.relation("R").project("c"))
+        report = explain_analyze(query, _grown_database(NaturalsSemiring(), 40))
+        assert report.executor == "columns"
+        (join,) = [row for row in report.table() if row["operator"].startswith("Join ")]
+        assert join["operator"] == "Join on (⨯)"
+        assert "build_size" not in join and "probe_size" not in join
+        assert "build=" not in report.render(timings=False)
+
     def test_render_is_deterministic_across_runs(self):
         assert _report().render(timings=False) == _report().render(timings=False)
 

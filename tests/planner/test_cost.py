@@ -1,12 +1,25 @@
-"""Cost model units: statistics collection, selectivity, monotonicity, reorder."""
+"""Cost model units: statistics collection, selectivity, monotonicity, reorder.
+
+Statistics are checked against the tuple walk they used to be, with the
+column encoding and with numpy unavailable.
+"""
 
 from __future__ import annotations
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from strategies import annotation_for
 
 from repro import Database, NaturalsSemiring, Q
 from repro.algebra import predicates
 from repro.algebra.ast import Join
+from repro.engine import vectorized
 from repro.planner import CostModel, Statistics, optimize
-from repro.planner.cost import DEFAULT_SELECTIVITY
+from repro.planner.cost import DEFAULT_SELECTIVITY, TableStats
+from repro.semirings import available_semirings, get_semiring
 
 
 def _database(r_tuples=4):
@@ -26,6 +39,78 @@ def test_statistics_collects_cardinality_and_distinct_counts():
     assert r.cardinality == 4
     assert r.distinct == {"a": 4, "b": 2}
     assert stats.table("missing") is None
+
+
+def _walked_table_stats(relation) -> TableStats:
+    """Reference: the tuple walk statistics collection did before it read
+    the column encoding."""
+    attributes = relation.schema.attributes
+    seen: dict = {a: set() for a in attributes}
+    for tup in relation:
+        for a in attributes:
+            seen[a].add(tup[a])
+    return TableStats(len(relation), {a: len(values) for a, values in seen.items()})
+
+
+#: One registry name per shipped semiring.
+SHIPPED_SEMIRING_NAMES = tuple(
+    {get_semiring(name).name: name for name in available_semirings()}.values()
+)
+
+#: ``1``, ``1.0`` and ``True`` (and ``0``, ``0.0``, ``False``) are one value
+#: to a ``set``, so a relation holding several of them counts each group once.
+VALUES = st.sampled_from(("x", "y", 0, 0.0, False, 1, 1.0, True, 2))
+
+
+@st.composite
+def _databases(draw, semiring):
+    """An empty, a nullary and a mixed-value relation, then up to two drawn
+    relations of arity 0-3, any of them possibly empty."""
+    one = semiring.one()
+    database = Database(semiring)
+    database.create("Empty", ["a", "b"])
+    database.create("Nullary", [], [((), one)])
+    database.create("Mixed", ["a", "b"], [((1, "x"), one), ((1.0, "y"), one), ((True, 1), one)])
+    index = 0
+    for name in ("R", "S")[: draw(st.integers(min_value=0, max_value=2))]:
+        attributes = draw(st.lists(st.sampled_from("abc"), unique=True, max_size=3))
+        rows = []
+        for values in draw(st.lists(st.tuples(*[VALUES] * len(attributes)), max_size=12)):
+            index += 1
+            rows.append((values, annotation_for(semiring, index, draw)))
+        database.create(name, attributes, rows)
+    return database
+
+
+needs_numpy = pytest.mark.skipif(not vectorized.numpy_available(), reason="needs numpy")
+
+
+@pytest.mark.parametrize(
+    "numpy",
+    [pytest.param(True, marks=needs_numpy, id="numpy"), pytest.param(False, id="no-numpy")],
+)
+@pytest.mark.parametrize("semiring_name", SHIPPED_SEMIRING_NAMES)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_statistics_match_the_tuple_walk(semiring_name, numpy, data):
+    semiring = get_semiring(semiring_name)
+    database = data.draw(_databases(semiring), label="database")
+    names = sorted(name for name, _ in database.items())
+    relations = data.draw(
+        st.none() | st.sets(st.sampled_from(names + ["missing"])), label="relations"
+    )
+    expected = {
+        name: _walked_table_stats(relation)
+        for name, relation in database.items()
+        if relations is None or name in relations
+    }
+    with mock.patch.object(vectorized, "_np", vectorized._np if numpy else None):
+        assert Statistics.from_database(database, relations).tables == expected
+        # The encoding is built for every semiring, row-only ones included,
+        # and a second snapshot of the unchanged relations reads it back.
+        read = [database.relation(name) for name in expected]
+        assert all((relation._scan_cache is not None) is numpy for relation in read)
+        assert Statistics.from_database(database, relations).tables == expected
 
 
 def test_selectivity_formulas():
