@@ -53,11 +53,13 @@ __all__ = [
 #: Queries whose base relations hold fewer rows than this (summed over the
 #: distinct relations read) run as written on the row pipeline; larger ones
 #: are planned and tried on the column kernels first.  On the Section 2 query
-#: at 32 rows over N and B the planner costs ~0.25-0.3 ms per call (its
-#: statistics, read off the relation's cached column encoding, ~2 us of it)
-#: and the kernels ~0.45-0.55 ms; the row pipeline beats that fixed cost up
-#: to 12-24 input rows over N and B and to ~48 over why-provenance (two-hop
-#: and Section 2 queries, 3-256 rows); the constant splits the difference.
+#: at 32 rows over N and B the planner costs ~0.2-0.3 ms per call (the
+#: rewrite fixpoint alone: it reads no statistics) and the kernels
+#: ~0.4-0.6 ms (2-core Xeon).  The row pipeline beat the fixed cost of
+#: planning plus kernels up to 12-24 input rows over N and B and to ~48 over
+#: why-provenance (two-hop and Section 2 queries, 3-256 rows, timed when
+#: planning also read statistics and reordered joins, ~0.15-0.2 ms dearer);
+#: the constant splits the difference.
 PLANNED_INPUT_ROWS = 32
 
 
@@ -124,7 +126,7 @@ class Query:
         """The planner's equivalent, cheaper plan for this query.
 
         ``options`` are forwarded to :func:`repro.planner.optimize`
-        (``semiring=``, ``statistics=``, ``reorder=``, ...).
+        (``semiring=``, ``verify_properties=``).
         """
         from repro.planner import optimize as _optimize
 

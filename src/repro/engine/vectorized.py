@@ -7,8 +7,9 @@ loop per row; this module evaluates the same positive-algebra plans one
 * a scan dictionary-encodes each attribute of the relation into integer
   codes and lifts its annotations into one array (``int64``/``float64``/
   ``bool`` for the vectorizable semirings); the encoding is cached on the
-  relation until its next mutation, and the planner's distinct counts
-  (:func:`distinct_counts`) read the same cache under every semiring;
+  relation until its next mutation, and the statistics behind
+  :func:`repro.planner.explain`'s cost report (:func:`distinct_counts`)
+  read the same cache under every semiring;
 * a selection compiles its structured predicate to a boolean mask;
 * a join factorizes the shared key columns to integer codes, sorts the
   build side once, finds every probe row's bucket with two binary searches
@@ -176,8 +177,8 @@ def _encoding(relation: KRelation) -> Tuple[Dict[str, _Col], list]:
 
     Cached on the relation (``KRelation._scan_cache``, dropped by every
     mutation), so repeated scans and statistics over an unchanged relation
-    are free.  Nothing in it depends on the semiring's carrier, so it is
-    built for every semiring.
+    are free.  Nothing in it depends on the semiring's carrier: the kernels
+    build it under the semirings they run, :func:`distinct_counts` under any.
     """
     cache = relation._scan_cache
     if cache is None:
@@ -199,9 +200,10 @@ def distinct_counts(relation: KRelation) -> Dict[str, int]:
 
     Read off the cached column encoding, which this builds (with the scan's
     own encoder) when the relation has none: the first call on a relation
-    version encodes it once, for the planner and the kernels alike.  Values
-    equal under ``==`` with equal hashes (``1``, ``1.0``, ``True``) count
-    once, as in a ``set``.  Needs numpy.
+    version encodes it once, for the kernels and for the statistics of
+    :func:`repro.planner.explain` alike.  Values equal under ``==`` with
+    equal hashes (``1``, ``1.0``, ``True``) count once, as in a ``set``.
+    Needs numpy.
     """
     columns, _ = _encoding(relation)
     return {a: len(columns[a].uniques) for a in relation.schema.attributes}

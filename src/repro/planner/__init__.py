@@ -10,10 +10,10 @@ those theorems into an optimizer:
 * :mod:`repro.planner.rewrites` -- the semiring-safe rewrite rules plus the
   idempotence-gated ones, applied bottom-up to a fixpoint;
 * :mod:`repro.planner.cost` -- database statistics and System-R style
-  cardinality estimation;
-* :mod:`repro.planner.reorder` -- greedy cost-based join reordering;
+  cardinality estimation, read by :func:`explain`'s cost report only;
 * :mod:`repro.planner.optimizer` -- the :func:`optimize`/:func:`explain`
-  entry points;
+  entry points (planning is the rewrite fixpoint; joins keep their
+  written order);
 * :mod:`repro.planner.plans` -- schema inference and structural plan
   signatures.
 
@@ -34,7 +34,6 @@ from repro.planner.cost import (
 )
 from repro.planner.optimizer import OptimizationReport, explain, optimize
 from repro.planner.plans import catalog_of, infer_attributes, plan_signature
-from repro.planner.reorder import reorder_joins
 from repro.planner.rewrites import (
     RewriteContext,
     SemiringProfile,
@@ -53,7 +52,6 @@ __all__ = [
     "plan_signature",
     "infer_attributes",
     "catalog_of",
-    "reorder_joins",
     "rewrite_fixpoint",
     "RewriteContext",
     "SemiringProfile",

@@ -18,10 +18,12 @@ The estimation formulas:
 * projection caps cardinality at the product of the kept attributes'
   distinct counts; union adds.
 
-Estimates drive the greedy join reordering of :mod:`repro.planner.reorder`
-and the plan-cost comparisons of :func:`repro.planner.optimizer.explain`.
-Absent statistics fall back to uniform defaults, so the rewrite engine works
-(just less informedly) on bare queries.
+Estimates feed one consumer: the estimated cost before and after planning
+that :func:`repro.planner.optimizer.explain` reports.
+:func:`~repro.planner.optimizer.optimize` reads no statistics (the rewrites
+need schemas only), so evaluating a query never collects them.  Absent
+statistics fall back to uniform defaults, so ``explain`` works on bare
+queries too.
 """
 
 from __future__ import annotations
@@ -92,9 +94,10 @@ class Statistics:
     ) -> "Statistics":
         """Cardinalities and distinct counts of the database's relations.
 
-        ``relations`` restricts the snapshot to the named relations (the
-        optimizer passes the query's ``relation_names()``, so planning a
-        small query never touches unrelated large tables).  With numpy the
+        ``relations`` restricts the snapshot to the named relations
+        (:func:`~repro.planner.optimizer.explain` passes the query's
+        ``relation_names()``, so explaining a small query never touches
+        unrelated large tables).  With numpy the
         distinct counts come from each relation's cached column encoding
         (:func:`repro.engine.vectorized.distinct_counts`): the first call
         after a mutation encodes the relation, later calls on the same
@@ -203,27 +206,23 @@ class CostModel:
                 distinct[a] = distinct.get(a, 0.0) + d
             return Estimate(left.cardinality + right.cardinality, distinct).clamp()
         if isinstance(query, Join):
-            return self.join_estimate(
-                self.estimate(query.left), self.estimate(query.right)
-            )
+            # The System-R natural-join formula on the two sides' estimates.
+            left, right = self.estimate(query.left), self.estimate(query.right)
+            shared = left.attributes & right.attributes
+            cardinality = left.cardinality * right.cardinality
+            for a in sorted(shared):
+                divisor = max(
+                    left.distinct.get(a, DEFAULT_DISTINCT),
+                    right.distinct.get(a, DEFAULT_DISTINCT),
+                    1.0,
+                )
+                cardinality /= divisor
+            distinct = dict(right.distinct)
+            for a, d in left.distinct.items():
+                distinct[a] = min(d, distinct.get(a, d))
+            return Estimate(cardinality, distinct).clamp()
         # Unknown node: be pessimistic but functional.
         return Estimate(DEFAULT_CARDINALITY, {})
-
-    def join_estimate(self, left: Estimate, right: Estimate) -> Estimate:
-        """The System-R natural-join formula on two subplan estimates."""
-        shared = left.attributes & right.attributes
-        cardinality = left.cardinality * right.cardinality
-        for a in sorted(shared):
-            divisor = max(
-                left.distinct.get(a, DEFAULT_DISTINCT),
-                right.distinct.get(a, DEFAULT_DISTINCT),
-                1.0,
-            )
-            cardinality /= divisor
-        distinct = dict(right.distinct)
-        for a, d in left.distinct.items():
-            distinct[a] = min(d, distinct.get(a, d))
-        return Estimate(cardinality, distinct).clamp()
 
     def cardinality(self, query: Query) -> float:
         """Estimated output cardinality of ``query``."""

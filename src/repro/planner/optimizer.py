@@ -1,4 +1,4 @@
-"""The ``optimize`` entry point: rewrite to fixpoint, then reorder joins.
+"""The ``optimize`` entry point: semiring-safe rewrites to a fixpoint.
 
 ``optimize(query, database)`` returns a new :class:`~repro.algebra.ast.Query`
 that evaluates to the *same K-relation* as ``query`` on ``database`` (and on
@@ -7,14 +7,13 @@ properties) -- annotation for annotation, over every commutative semiring.
 Only the output attribute *order* may differ (the named perspective is
 order-free; :meth:`KRelation.equal_to` compares attribute sets).
 
-The pipeline:
-
-1. :func:`~repro.planner.rewrites.rewrite_fixpoint` -- semiring-safe
-   algebraic rewrites (pushdowns, fusions, eliminations, and the
-   idempotence-gated deduplications) until the plan stops changing;
-2. :func:`~repro.planner.reorder.reorder_joins` -- greedy cost-based
-   reordering of every maximal join chain;
-3. one more rewrite pass to clean up opportunities the reorder exposed.
+Planning is :func:`~repro.planner.rewrites.rewrite_fixpoint` and nothing
+else: pushdowns, fusions, eliminations and the idempotence-gated
+deduplications until the plan stops changing.  Joins run in the order they
+are written.  Proposition 3.4 makes re-bracketing them legal, but on the
+end-to-end benchmark cost-based reordering never paid, so ``optimize``
+reads no statistics; only :func:`explain` builds a
+:class:`~repro.planner.cost.CostModel`, for its estimated-cost report.
 
 ``optimize`` is a fixpoint: optimizing an optimized plan returns a plan with
 the same signature (the regression suite asserts this).
@@ -27,14 +26,8 @@ from dataclasses import dataclass, field
 from repro.algebra.ast import Query
 from repro.obs import trace as _trace
 from repro.planner.cost import CostModel, Statistics
-from repro.planner.plans import catalog_of, infer_attributes, plan_signature
-from repro.planner.reorder import reorder_joins
-from repro.planner.rewrites import (
-    DEFAULT_MAX_PASSES,
-    RewriteContext,
-    rewrite_fixpoint,
-    semiring_profile,
-)
+from repro.planner.plans import catalog_of, plan_signature
+from repro.planner.rewrites import RewriteContext, rewrite_fixpoint, semiring_profile
 from repro.relations.database import Database
 from repro.semirings.base import Semiring
 
@@ -42,19 +35,19 @@ __all__ = ["optimize", "explain", "OptimizationReport"]
 
 
 def _context(
-    query: Query,
-    database: Database | None,
-    semiring: Semiring | None,
-    statistics: Statistics | None,
-    verify_properties: bool,
-) -> tuple[RewriteContext, CostModel]:
+    database: Database | None, semiring: Semiring | None, verify_properties: bool
+) -> RewriteContext:
     if semiring is None and database is not None:
         semiring = database.semiring
-    if statistics is None and database is not None:
-        statistics = Statistics.from_database(database, query.relation_names())
-    catalog = catalog_of(database)
     profile = semiring_profile(semiring, verify=verify_properties)
-    return RewriteContext(catalog=catalog, profile=profile), CostModel(statistics)
+    return RewriteContext(catalog=catalog_of(database), profile=profile)
+
+
+def _rewrite(query: Query, ctx: RewriteContext) -> Query:
+    with _trace.span("planner.rewrite") as sp:
+        plan = rewrite_fixpoint(query, ctx)
+        sp.set(rules=len(ctx.trace))
+    return plan
 
 
 def optimize(
@@ -62,10 +55,7 @@ def optimize(
     database: Database | None = None,
     *,
     semiring: Semiring | None = None,
-    statistics: Statistics | None = None,
-    reorder: bool = True,
     verify_properties: bool = False,
-    max_passes: int = DEFAULT_MAX_PASSES,
 ) -> Query:
     """Return an equivalent, cheaper plan for ``query``.
 
@@ -74,38 +64,17 @@ def optimize(
     query:
         Any positive-algebra query (Definition 3.2 nodes).
     database:
-        Supplies base-relation schemas (pushdown legality), statistics
-        (join ordering), and the semiring (idempotence-gated rewrites).
-        Optional: without it, schema-dependent rewrites simply skip and
-        reordering falls back to uniform estimates.
-    semiring, statistics:
-        Override (or supply, when ``database`` is absent) the rewrite gate
-        and the cost model inputs.
-    reorder:
-        Disable greedy join reordering (rewrites only) when ``False``.
+        Supplies base-relation schemas (pushdown legality) and the semiring
+        (idempotence-gated rewrites).  Optional: without it,
+        schema-dependent rewrites simply skip.
+    semiring:
+        Overrides (or supplies, when ``database`` is absent) the semiring
+        that gates the idempotence-based rewrites.
     verify_properties:
         Re-check declared idempotence through
         :mod:`repro.semirings.properties` before trusting it.
     """
-    ctx, model = _context(query, database, semiring, statistics, verify_properties)
-    return _pipeline(query, ctx, model, reorder, max_passes)
-
-
-def _pipeline(
-    query: Query,
-    ctx: RewriteContext,
-    model: CostModel,
-    reorder: bool,
-    max_passes: int,
-) -> Query:
-    with _trace.span("planner.rewrite") as sp:
-        plan = rewrite_fixpoint(query, ctx, max_passes)
-        sp.set(rules=len(ctx.trace))
-    if reorder:
-        with _trace.span("planner.reorder"):
-            plan = reorder_joins(plan, model)
-            plan = rewrite_fixpoint(plan, ctx, max_passes)
-    return plan
+    return _rewrite(query, _context(database, semiring, verify_properties))
 
 
 @dataclass
@@ -141,14 +110,20 @@ def explain(
     database: Database | None = None,
     *,
     semiring: Semiring | None = None,
-    statistics: Statistics | None = None,
-    reorder: bool = True,
     verify_properties: bool = False,
-    max_passes: int = DEFAULT_MAX_PASSES,
 ) -> OptimizationReport:
-    """Optimize ``query`` and report the applied rules and cost estimates."""
-    ctx, model = _context(query, database, semiring, statistics, verify_properties)
-    plan = _pipeline(query, ctx, model, reorder, max_passes)
+    """Optimize ``query`` and report the applied rules and cost estimates.
+
+    The estimates come from a :class:`~repro.planner.cost.CostModel` over
+    the statistics of the relations ``query`` reads (uniform defaults
+    without a database); they are reported, never used to pick the plan.
+    """
+    ctx = _context(database, semiring, verify_properties)
+    plan = _rewrite(query, ctx)
+    statistics = None
+    if database is not None:
+        statistics = Statistics.from_database(database, query.relation_names())
+    model = CostModel(statistics)
     return OptimizationReport(
         original=query,
         optimized=plan,

@@ -63,7 +63,7 @@ __all__ = ["SemiringProfile", "semiring_profile", "RewriteContext", "rewrite_fix
 #: Bottom-up passes after which the engine gives up waiting for a fixpoint.
 #: Every rule moves operators downward or deletes nodes, so in practice the
 #: signature stabilizes after a handful of passes even on deep trees.
-DEFAULT_MAX_PASSES = 10
+MAX_PASSES = 10
 
 
 @dataclass(frozen=True)
@@ -437,7 +437,7 @@ def _rewrite_once(query: Query, ctx: RewriteContext) -> Query:
         query = Rename(_rewrite_once(query.child, ctx), query.mapping)
     # Apply node-local rules until none fires (each application either
     # deletes a node or moves an operator strictly downward, so this halts).
-    for _ in range(DEFAULT_MAX_PASSES):
+    for _ in range(MAX_PASSES):
         replaced = _apply_node_rules(query, ctx)
         if replaced is None:
             return query
@@ -445,12 +445,10 @@ def _rewrite_once(query: Query, ctx: RewriteContext) -> Query:
     return query
 
 
-def rewrite_fixpoint(
-    query: Query, ctx: RewriteContext, max_passes: int = DEFAULT_MAX_PASSES
-) -> Query:
+def rewrite_fixpoint(query: Query, ctx: RewriteContext) -> Query:
     """Run bottom-up rewrite passes until the plan signature stops changing."""
     signature = plan_signature(query)
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         query = _rewrite_once(query, ctx)
         new_signature = plan_signature(query)
         if new_signature == signature:

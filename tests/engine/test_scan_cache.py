@@ -11,7 +11,9 @@ checks every answer against operator-at-a-time ``Query._execute``, which
 never reads the cache.
 A deterministic table then runs each mutation once over every semiring with
 vector arithmetic, on a change no stale encoding could hide, and checks that
-the planner's statistics, which read the same encoding, count the new support.
+the statistics behind ``planner.explain``'s cost report, which read the same
+encoding, count the new support.  Planning itself reads no statistics, so
+evaluating a query encodes only the relations the kernels scan.
 """
 
 from __future__ import annotations
@@ -154,6 +156,32 @@ def test_a_scan_fills_the_cache_and_a_mutation_drops_it():
     assert relation._scan_cache is None
 
 
+@pytest.mark.parametrize("semiring_name", ("nat", "polynomial", "why"))
+def test_only_the_kernels_and_explain_encode_a_relation(semiring_name):
+    """A planned ``Query.evaluate`` encodes a relation only where the column
+    kernels scan it, under a semiring with a carrier: the planner reads no
+    statistics.  ``planner.explain`` encodes it under any semiring, for its
+    estimated-cost report."""
+    from repro import Database
+    from repro.planner import explain
+
+    semiring = get_semiring(semiring_name)
+    one = semiring.one()
+    database = Database(semiring)
+    relations = [
+        database.create("R", ["a", "b"], [((str(i), str(i % 4)), one) for i in range(16)]),
+        database.create("S", ["b", "c"], [((str(i % 4), str(i)), one) for i in range(16)]),
+    ]
+    query = Q.relation("R").join(Q.relation("S")).project("a", "c")
+    assert query.uses_planner(database)
+    query.evaluate(database)
+    scanned = vectorized.numpy_available() and semiring.carrier is not None
+    assert [relation._scan_cache is not None for relation in relations] == [scanned] * 2
+    explain(query, database)
+    encoded = vectorized.numpy_available()
+    assert [relation._scan_cache is not None for relation in relations] == [encoded] * 2
+
+
 #: Mutations that take a tuple out of ``R``; the others put one in.
 REMOVALS = ("discard", "raw delete", "datalog remove")
 
@@ -208,8 +236,8 @@ def test_each_mutation_drops_the_cache_and_the_next_scan_sees_it(semiring_name, 
     relation.check_consistency()
     groups = {tup["a"] for tup in relation}
     assert groups == ({"x"} if kind in REMOVALS else {"x", "y", "w"})
-    # R is {(x, y)} or {(x, y), (y, z), (w, y)}: the planner's next
-    # statistics count the new support, not the encoding the scans cached.
+    # R is {(x, y)} or {(x, y), (y, z), (w, y)}: the next statistics count
+    # the new support, not the encoding the scans cached.
     stats = (
         TableStats(1, {"a": 1, "b": 1}) if kind in REMOVALS else TableStats(3, {"a": 3, "b": 2})
     )

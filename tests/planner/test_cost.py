@@ -1,4 +1,4 @@
-"""Cost model units: statistics collection, selectivity, monotonicity, reorder.
+"""Cost model units: statistics collection, selectivity, monotonicity.
 
 Statistics are checked against the tuple walk they used to be, with the
 column encoding and with numpy unavailable.
@@ -15,9 +15,8 @@ from strategies import annotation_for
 
 from repro import Database, NaturalsSemiring, Q
 from repro.algebra import predicates
-from repro.algebra.ast import Join
 from repro.engine import vectorized
-from repro.planner import CostModel, Statistics, optimize
+from repro.planner import CostModel, Statistics
 from repro.planner.cost import DEFAULT_SELECTIVITY, TableStats
 from repro.semirings import available_semirings, get_semiring
 
@@ -157,48 +156,3 @@ def test_cost_prefers_the_pushed_down_plan():
     unpushed = Q.relation("R").join(Q.relation("S")).where_eq("a", "1")
     pushed = Q.relation("R").where_eq("a", "1").join(Q.relation("S"))
     assert model.cost(pushed) < model.cost(unpushed)
-
-
-def test_reorder_starts_left_deep_from_the_smallest_leaf():
-    database = Database(NaturalsSemiring())
-    database.create("Big", ["a", "b"], [((str(i), str(i)), 1) for i in range(50)])
-    database.create("Mid", ["b", "c"], [((str(i), str(i)), 1) for i in range(10)])
-    database.create("Tiny", ["c", "d"], [(("1", "1"), 1), (("2", "2"), 1)])
-    query = Q.relation("Big").join(Q.relation("Mid")).join(Q.relation("Tiny"))
-    plan = optimize(query, database)
-    assert isinstance(plan, Join)
-    assert isinstance(plan.left, Join)
-    # Left-deep, seeded at Tiny, then its neighbour Mid, then Big.
-    assert plan.left.left.name == "Tiny"
-    assert plan.left.right.name == "Mid"
-    assert plan.right.name == "Big"
-    assert plan.evaluate(database).equal_to(query.evaluate(database))
-
-
-def test_reorder_prefers_connected_joins_over_cross_products():
-    database = Database(NaturalsSemiring())
-    database.create("R", ["a", "b"], [((str(i), str(i)), 1) for i in range(8)])
-    database.create("S", ["b", "c"], [((str(i), str(i)), 1) for i in range(9)])
-    database.create("U", ["z"], [(("1",), 1), (("2",), 1)])
-    # As written: (R ⋈ U) is a cross product taken first.
-    query = Q.relation("R").join(Q.relation("U")).join(Q.relation("S"))
-    plan = optimize(query, database)
-    assert isinstance(plan.left, Join)
-
-    def cross_products(node, catalog):
-        from repro.planner import infer_attributes
-
-        if not isinstance(node, Join):
-            return 0
-        left = set(infer_attributes(node.left, catalog) or ())
-        right = set(infer_attributes(node.right, catalog) or ())
-        own = 0 if (left & right) else 1
-        return own + cross_products(node.left, catalog) + cross_products(node.right, catalog)
-
-    from repro.planner import catalog_of
-
-    catalog = catalog_of(database)
-    # As written the plan crosses R with U first; the reordered plan joins
-    # the connected R ⋈ S chain before crossing with the disconnected U.
-    assert cross_products(plan, catalog) <= cross_products(query, catalog)
-    assert plan.evaluate(database).equal_to(query.evaluate(database))

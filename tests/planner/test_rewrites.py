@@ -46,7 +46,7 @@ def _nodes(query, kind):
 def test_selection_pushes_through_join_to_the_covering_side():
     db = _database()
     query = Q.relation("R").join(Q.relation("S")).where_eq("a", "1")
-    plan = optimize(query, db, reorder=False)
+    plan = optimize(query, db)
     selects = _nodes(plan, Select)
     assert len(selects) == 1
     # The selection sits directly on R (the only side with attribute "a").
@@ -60,7 +60,7 @@ def test_conjunction_splits_across_both_join_sides():
         predicates.attr_eq_const("a", "1"), predicates.attr_eq_const("c", "x")
     )
     query = Q.relation("R").join(Q.relation("S")).select(predicate)
-    plan = optimize(query, db, reorder=False)
+    plan = optimize(query, db)
     selects = _nodes(plan, Select)
     placed = {s.child.name for s in selects}
     assert placed == {"R", "S"}
@@ -74,7 +74,7 @@ def test_cross_side_conjunct_stays_above_the_join():
         predicates.attr_eq_const("a", "1"),
     )
     query = Q.relation("R").join(Q.relation("S")).select(predicate)
-    plan = optimize(query, db, reorder=False)
+    plan = optimize(query, db)
     kept = [s for s in _nodes(plan, Select) if isinstance(s.child, Join)]
     assert len(kept) == 1
     assert predicates.as_predicate(kept[0].predicate).attributes == {"a", "c"}
@@ -84,7 +84,7 @@ def test_cross_side_conjunct_stays_above_the_join():
 def test_selection_pushes_through_projection_only_when_scoped():
     db = _database()
     scoped = Q.relation("R").project("a").where_eq("a", "1")
-    plan = optimize(scoped, db, reorder=False)
+    plan = optimize(scoped, db)
     assert isinstance(plan, Project)
     assert isinstance(plan.child, Select)
     assert plan.evaluate(db).equal_to(scoped.evaluate(db))
@@ -97,7 +97,7 @@ def test_opaque_predicate_is_never_pushed_into_a_join():
         return tup["a"] == "1"
 
     query = Q.relation("R").join(Q.relation("S")).select(mystery)
-    plan = optimize(query, db, reorder=False)
+    plan = optimize(query, db)
     selects = _nodes(plan, Select)
     assert len(selects) == 1
     assert isinstance(selects[0].child, Join)
@@ -111,7 +111,7 @@ def test_opaque_predicate_still_pushes_through_union():
         return tup["b"] == "2"
 
     query = Q.relation("R").union(Q.relation("R")).select(mystery)
-    plan = optimize(query, db, reorder=False)
+    plan = optimize(query, db)
     for select in _nodes(plan, Select):
         assert not isinstance(select.child, Union)
     assert plan.evaluate(db).equal_to(query.evaluate(db))
@@ -120,7 +120,7 @@ def test_opaque_predicate_still_pushes_through_union():
 def test_selection_pushes_through_rename_with_inverse_mapping():
     db = _database()
     query = Q.relation("R").rename({"b": "u"}).where_eq("u", "2")
-    plan = optimize(query, db, reorder=False)
+    plan = optimize(query, db)
     assert isinstance(plan, Rename)
     select = plan.child
     assert isinstance(select, Select)
@@ -131,7 +131,7 @@ def test_selection_pushes_through_rename_with_inverse_mapping():
 def test_cascaded_selections_fuse():
     db = _database()
     query = Q.relation("R").where_eq("a", "1").where_eq("b", "2")
-    plan = optimize(query, db, reorder=False)
+    plan = optimize(query, db)
     assert len(_nodes(plan, Select)) == 1
     assert plan.evaluate(db).equal_to(query.evaluate(db))
 
@@ -165,7 +165,7 @@ def test_projections_fuse_and_push_into_join_sides():
         .project("a", "b", "c", "d")
         .project("a", "d")
     )
-    plan = optimize(query, db, reorder=False)
+    plan = optimize(query, db)
     # π_{a,d} over the cross product narrows R to (a) and leaves T alone
     # (T is already exactly (c, d)?  no -- d wanted, c not shared, so (d)).
     inner = [p for p in _nodes(plan, Project) if not isinstance(p.child, Join)]
@@ -178,14 +178,14 @@ def test_projections_fuse_and_push_into_join_sides():
 def test_identity_projection_is_eliminated():
     db = _database()
     query = Q.relation("R").project("a", "b")
-    plan = optimize(query, db, reorder=False)
+    plan = optimize(query, db)
     assert plan_signature(plan) == ("rel", "R")
 
 
 def test_projection_pushes_through_union():
     db = _database()
     query = Q.relation("R").union(Q.relation("R")).project("a")
-    plan = optimize(query, db, reorder=False)
+    plan = optimize(query, db)
     assert isinstance(plan, Union)
     assert plan.evaluate(db).equal_to(query.evaluate(db))
 
@@ -193,7 +193,7 @@ def test_projection_pushes_through_union():
 def test_projection_pushes_through_rename():
     db = _database()
     query = Q.relation("R").rename({"b": "u"}).project("a")
-    plan = optimize(query, db, reorder=False)
+    plan = optimize(query, db)
     # The rename renamed only "b", which the projection drops: both vanish.
     assert plan_signature(plan) == ("project", ("a",), ("rel", "R"))
 
@@ -206,27 +206,27 @@ def test_projection_pushes_through_rename():
 def test_empty_relation_annihilates_joins_and_unions():
     db = _database()
     empty = Q.empty(["a", "b"])
-    join_plan = optimize(Q.relation("R").join(empty), db, reorder=False)
+    join_plan = optimize(Q.relation("R").join(empty), db)
     assert isinstance(join_plan, EmptyRelation)
-    union_plan = optimize(Q.relation("R").union(empty), db, reorder=False)
+    union_plan = optimize(Q.relation("R").union(empty), db)
     assert plan_signature(union_plan) == ("rel", "R")
 
 
 def test_select_false_becomes_empty_and_true_vanishes():
     db = _database()
-    false_plan = optimize(Q.relation("R").select(predicates.false), db, reorder=False)
+    false_plan = optimize(Q.relation("R").select(predicates.false), db)
     assert isinstance(false_plan, EmptyRelation)
     assert false_plan.schema.attribute_set == {"a", "b"}
-    true_plan = optimize(Q.relation("R").select(predicates.true), db, reorder=False)
+    true_plan = optimize(Q.relation("R").select(predicates.true), db)
     assert plan_signature(true_plan) == ("rel", "R")
 
 
 def test_cascaded_renames_fuse_and_identity_renames_vanish():
     db = _database()
     roundtrip = Q.relation("R").rename({"b": "u"}).rename({"u": "b"})
-    assert plan_signature(optimize(roundtrip, db, reorder=False)) == ("rel", "R")
+    assert plan_signature(optimize(roundtrip, db)) == ("rel", "R")
     chained = Q.relation("R").rename({"b": "u"}).rename({"u": "v"})
-    plan = optimize(chained, db, reorder=False)
+    plan = optimize(chained, db)
     assert isinstance(plan, Rename)
     assert plan.mapping == {"b": "v"}
     assert plan.evaluate(db).equal_to(chained.evaluate(db))
@@ -272,7 +272,7 @@ def test_partial_comparison_conjunct_is_not_pushed_into_a_join():
     baseline = query._execute(db)
     optimized = query.optimized(db)._execute(db)  # must not raise TypeError
     assert optimized.equal_to(baseline)
-    plan = optimize(query, db, reorder=False)
+    plan = optimize(query, db)
     kept = [s for s in _nodes(plan, Select) if isinstance(s.child, Join)]
     assert any(
         "comparison" in str(predicates.as_predicate(s.predicate).signature())
@@ -356,6 +356,8 @@ def test_explain_reports_rules_and_cost_reduction():
     )
     report = explain(query, db)
     assert report.changed
+    # The estimates are reported, never used: explain plans as optimize does.
+    assert plan_signature(report.optimized) == plan_signature(optimize(query, db))
     assert any("selection-pushdown" in rule for rule in report.applied_rules)
     assert report.cost_after <= report.cost_before
     assert "optimized:" in str(report)

@@ -29,6 +29,7 @@ from repro.algebra.ast import Query
 from repro.circuits import CircuitCompiler, compile_circuit, var
 from repro.datalog import evaluate_on_lattice, lattice_condition_provenance
 from repro.datalog.seminaive import evaluate_program_seminaive
+from repro.planner import explain, optimize
 from repro.probabilistic import EventTable, ProbabilisticDatabase
 
 PROGRAM = "T(x, y) :- R(x, y)\nT(x, y) :- R(x, z), T(z, y)"
@@ -96,6 +97,8 @@ CALLS = {
     "Query.explain_analyze": lambda **kw: QUERY.explain_analyze(_bool_database(), **kw),
     "CircuitCompiler": lambda **kw: CircuitCompiler(**kw).compile(var("a")),
     "compile_circuit": lambda **kw: compile_circuit(var("a"), **kw),
+    "optimize": lambda **kw: optimize(QUERY, _bool_database(), **kw),
+    "planner.explain": lambda **kw: explain(QUERY, _bool_database(), **kw),
 }
 
 QUERY_KNOBS = {"optimize": True, "executor": "pipelined", "storage": "row"}
@@ -137,11 +140,16 @@ REMOVED = [
     ("Query.explain_analyze", "optimize", False),
     ("CircuitCompiler", "model", "dfs"),
     ("compile_circuit", "model", "dfs"),
+    *(
+        (name, keyword, value)
+        for name in ("optimize", "planner.explain")
+        for keyword, value in (("reorder", False), ("statistics", None), ("max_passes", 10))
+    ),
 ]
 
 
 def test_every_removed_keyword_is_listed_once():
-    assert len(REMOVED) == len(set(REMOVED)) == 47
+    assert len(REMOVED) == len(set(REMOVED)) == 53
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -204,6 +212,8 @@ SIGNATURES = {
     Database.create: {"storage"},
     CircuitCompiler: {"order"},
     compile_circuit: {"order", "check"},
+    optimize: {"semiring", "verify_properties"},
+    explain: {"semiring", "verify_properties"},
 }
 
 
