@@ -56,10 +56,14 @@ __all__ = [
 #: at 32 rows over N and B the planner costs ~0.2-0.3 ms per call (the
 #: rewrite fixpoint alone: it reads no statistics) and the kernels
 #: ~0.4-0.6 ms (2-core Xeon).  The row pipeline beat the fixed cost of
-#: planning plus kernels up to 12-24 input rows over N and B and to ~48 over
-#: why-provenance (two-hop and Section 2 queries, 3-256 rows, timed when
-#: planning also read statistics and reordered joins, ~0.15-0.2 ms dearer);
-#: the constant splits the difference.
+#: planning plus kernels up to 12-24 input rows over N and B (two-hop and
+#: Section 2 queries, 3-256 rows, timed when planning also read statistics
+#: and reordered joins, ~0.15-0.2 ms dearer); the constant splits the
+#: difference.  Over N[X], Why and circuits, which the kernels run on object
+#: arrays through the semiring's own operations, the two routes are within
+#: 0.8x-1.25x of each other at 32 rows: planning plus kernels 0.59-2.41 ms
+#: against the row pipeline's 0.65-2.90 ms on the same two queries (best
+#: of 2 x 300 calls, each re-encoding the relation, same box).
 PLANNED_INPUT_ROWS = 32
 
 

@@ -451,13 +451,17 @@ class _SemiNaiveEngine:
         #: codes would leave ``int64``).  The ``datalog.seed`` span carries the same two values.
         self.round_path = "rows"
         self.round_declined: str | None = None
-        # Annotate mode over an idempotent ``+`` only: collect mode records
-        # individual instantiations, and the idempotent carriers (float
-        # min/max, bool) are the ones whose vector arithmetic has no overflow
-        # guard that could trip in the middle of a run.
+        # Annotate mode over an idempotent ``+`` with a declared carrier
+        # only: collect mode records individual instantiations, and the
+        # idempotent carriers (float min/max, bool) are the ones whose vector
+        # arithmetic has no overflow guard that could trip in the middle of
+        # a run.  A semiring without a declared carrier stays on the row
+        # loop: the column kernels' object carrier is not admitted here.
         self._vector_ops = (
             None
-            if collect or not self.semiring.idempotent_add
+            if collect
+            or not self.semiring.idempotent_add
+            or self.semiring.carrier is None
             else _vectorized.vector_ops_for(self.semiring)
         )
         if self._vector_ops is None:

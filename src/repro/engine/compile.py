@@ -423,10 +423,11 @@ def execute(query: Query, database: Database, observer: Any = None) -> KRelation
     """Run ``query`` against ``database``: column kernels first, then rows.
 
     The whole-column engine (:mod:`repro.engine.vectorized`) is tried
-    first: supported plan shapes over vectorizable semirings evaluate
-    array-at-a-time with no per-row Python dispatch.  It declines at once
-    for every other semiring; anything it declines falls through to
-    :func:`execute_rows`.  ``observer`` (an
+    first: supported plan shapes evaluate array-at-a-time with no per-row
+    Python dispatch, over every semiring (a declared numeric carrier, or
+    the semiring's own scalar operations on object arrays).  It declines at
+    once without numpy or on an unsupported plan shape; anything it
+    declines falls through to :func:`execute_rows`.  ``observer`` (an
     :class:`~repro.obs.explain.ExecutionObserver`) records per-node actuals
     on whichever executor answers; it selects nothing.
     """

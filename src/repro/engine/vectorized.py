@@ -6,10 +6,10 @@ loop per row; this module evaluates the same positive-algebra plans one
 
 * a scan dictionary-encodes each attribute of the relation into integer
   codes and lifts its annotations into one array (``int64``/``float64``/
-  ``bool`` for the vectorizable semirings); the encoding is cached on the
-  relation until its next mutation, and the statistics behind
-  :func:`repro.planner.explain`'s cost report (:func:`distinct_counts`)
-  read the same cache under every semiring;
+  ``bool`` for the semirings that declare a numeric carrier, ``object``
+  otherwise); the encoding is cached on the relation until its next
+  mutation, and the statistics behind :func:`repro.planner.explain`'s cost
+  report (:func:`distinct_counts`) read the same cache;
 * a selection compiles its structured predicate to a boolean mask;
 * a join factorizes the shared key columns to integer codes, sorts the
   build side once, finds every probe row's bucket with two binary searches
@@ -19,18 +19,20 @@ loop per row; this module evaluates the same positive-algebra plans one
   columns (:func:`group_codes`): when the codes span at most four times
   the row count they index the totals directly (a presence mask, no sort),
   otherwise one unstable ``np.unique`` sort numbers the groups; either way
-  one ``ufunc.at`` scatter combines all annotation contributions per group
-  -- the batched ``+``-chain of :func:`~repro.engine.kernels.
-  accumulate_batches`, performed by the ufunc inner loop -- and each kept
+  one accumulation combines all annotation contributions per group -- the
+  batched ``+``-chain of :func:`~repro.engine.kernels.accumulate_batches`,
+  performed by a ``ufunc.at`` scatter on numeric carriers -- and each kept
   column is decoded back out of the distinct codes by ``divmod``;
 * canonical :class:`~repro.relations.tuples.Tup` objects are rebuilt only
   for the final result rows, from one ``(attribute, value)`` pair per
   distinct value of each column, shared by every row holding it.
 
-The annotation arithmetic is the semiring's declared carrier
-(:mod:`repro.semirings.carriers`); a semiring without one, or a plan shape
-this module does not cover (opaque predicates, non-total comparisons),
-falls back to the row engine.
+The annotation arithmetic is the semiring's declared carrier, or for every
+other semiring an :class:`~repro.semirings.carriers.ObjectCarrier` over its
+own scalar operations (:mod:`repro.semirings.carriers`), so every semiring
+runs here.  A plan shape this module does not cover (opaque predicates,
+non-total comparisons, nullary results), an instance guard or a run without
+numpy falls back to the row engine.
 """
 
 from __future__ import annotations
@@ -67,7 +69,13 @@ from repro.relations.krelation import KRelation
 from repro.relations.schema import Schema
 from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
-from repro.semirings.carriers import _INT64_GUARD, VectorOps, _Fallback
+from repro.semirings.carriers import (
+    _INT64_GUARD,
+    ObjectCarrier,
+    VectorOps,
+    _Fallback,
+    _object_array,
+)
 
 try:  # pragma: no cover - exercised implicitly by every vectorized test
     import numpy as _np
@@ -93,14 +101,18 @@ def numpy_available() -> bool:
 
 
 def vector_ops_for(semiring: Semiring) -> VectorOps | None:
-    """``semiring.carrier`` when numpy is importable, else ``None``.
+    """The array arithmetic of ``semiring``, or ``None`` without numpy.
 
-    Checked against the runtime at call time (not just import time) so every
-    vectorized entry point declines together when numpy is unavailable.
+    ``semiring.carrier`` when it declares one, otherwise an
+    :class:`~repro.semirings.carriers.ObjectCarrier` over its scalar
+    operations.  Checked against the runtime at call time (not just import
+    time) so every vectorized entry point declines together when numpy is
+    unavailable.
     """
     if _np is None:
         return None
-    return semiring.carrier
+    carrier = semiring.carrier
+    return ObjectCarrier(semiring) if carrier is None else carrier
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +164,6 @@ class _Batch:
         return len(self.ann)
 
 
-def _object_array(values: list):
-    """A 1-D object array holding ``values`` verbatim (no nested broadcast)."""
-    array = _np.empty(len(values), dtype=object)
-    array[:] = values
-    return array
-
-
 def _encode_column(values: list) -> _Col:
     """Dictionary-encode a raw value sequence with a hash table.
 
@@ -177,8 +182,7 @@ def _encoding(relation: KRelation) -> Tuple[Dict[str, _Col], list]:
 
     Cached on the relation (``KRelation._scan_cache``, dropped by every
     mutation), so repeated scans and statistics over an unchanged relation
-    are free.  Nothing in it depends on the semiring's carrier: the kernels
-    build it under the semirings they run, :func:`distinct_counts` under any.
+    are free.  Nothing in it depends on the semiring's carrier.
     """
     cache = relation._scan_cache
     if cache is None:
@@ -264,20 +268,21 @@ def _group(batch: _Batch, keep: Tuple[str, ...], display: Tuple[str, ...], ops: 
     The groups are the distinct mixed-radix codes of :func:`group_codes`;
     each kept column's codes are decoded back out of them (``divmod`` by the
     column's alphabet size, least significant first), so rows come out
-    ascending by key and no representative row is ever looked up.
+    ascending by key and no representative row is ever looked up.  A total
+    may be zero (a ring's cancellation): it annihilates in any later product
+    and :func:`_materialize` drops it at the root, the one zero test per
+    output row the row pipeline makes too.
     """
     if len(batch) == 0:
         return _Batch(display, {a: batch.columns[a] for a in keep}, batch.ann)
     kept = [batch.columns[a] for a in keep]
-    distinct, totals = group_codes(ops, _combine_codes(kept), batch.ann)
-    alive = ~ops.zero_mask(totals)
-    rest = distinct[alive]
+    rest, totals = group_codes(ops, _combine_codes(kept), batch.ann)
     decoded = []
     for column in reversed(kept):
         rest, codes = _np.divmod(rest, max(len(column.uniques), 1))
         decoded.append(_Col(codes, column.uniques))
     columns = dict(zip(keep, reversed(decoded)))
-    return _Batch(display, columns, totals[alive])
+    return _Batch(display, columns, totals)
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +631,14 @@ def _evaluate(
 
 def _materialize(batch: _Batch, semiring: Semiring, ops: VectorOps) -> KRelation:
     """Build the final K-relation: the only per-row Python loop of a plan."""
-    # Multiplication can reach the semiring zero on the float carriers
-    # (overflow to inf under Tropical, underflow to 0.0 under Viterbi);
-    # the row engines drop such rows when they accumulate, so drop them
-    # here before storing -- zero is never stored (Definition 3.1).
+    attributes = tuple(sorted(batch.display))
+    if not attributes:
+        raise _Fallback  # nullary rows: the row engine builds them
+    # A total can be the semiring zero: a ring's cancellation in a group-by,
+    # or a float product overflowing to inf under Tropical or underflowing
+    # to 0.0 under Viterbi.  The row engines test each output row once when
+    # they accumulate, so do the same here before storing -- zero is never
+    # stored (Definition 3.1).
     dead = ops.zero_mask(batch.ann)
     if dead.any():
         alive = ~dead
@@ -638,9 +647,6 @@ def _materialize(batch: _Batch, semiring: Semiring, ops: VectorOps) -> KRelation
             {a: column.take(alive) for a, column in batch.columns.items()},
             batch.ann[alive],
         )
-    attributes = tuple(sorted(batch.display))
-    if not attributes:
-        raise _Fallback  # nullary rows: the row engine builds them
     result = KRelation(semiring, Schema(batch.display))
     # .tolist() lowers numpy scalars to the exact Python carrier types the
     # scalar engine uses (int64 -> int, float64 -> float, bool_ -> bool).
@@ -666,11 +672,11 @@ def try_execute(
 ) -> KRelation | None:
     """Evaluate ``query`` column-at-a-time, or ``None`` to use the row engine.
 
-    Returns ``None`` when numpy is missing, the semiring declares no
-    carrier, the plan contains an unsupported shape, or an
-    instance-level guard (int64 overflow, uncodable columns) trips
-    mid-evaluation.  Never partially mutates anything -- evaluation is
-    read-only until the final materialization.  ``observer`` (an
+    Returns ``None`` when numpy is missing, the plan contains an
+    unsupported shape, or an instance-level guard (int64 overflow,
+    uncodable columns, a nullary result) trips mid-evaluation.  Never
+    partially mutates anything -- evaluation is read-only until the final
+    materialization.  ``observer`` (an
     :class:`~repro.obs.explain.ExecutionObserver`) is told when each
     logical node starts and which batch it produced.
     """

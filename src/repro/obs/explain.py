@@ -17,8 +17,9 @@ Attribution model:
   ``time`` is inclusive of its children, PostgreSQL-style;
 * a join's ``build``/``probe`` sizes are the rows its two inputs produced;
 * a node's ops are its own: on rows, the ``times`` of a join's probe loop
-  and of semiring-valued filters; on columns, the counting carrier's delta
-  while the node ran, minus its children's;
+  and of semiring-valued filters; on columns, what the instrumented
+  semiring counted while the node ran (through its counting carrier, or
+  the object carrier calling its own operations), minus its children's;
 * the global totals are counted independently by an
   :class:`~repro.obs.semiring.InstrumentedSemiring` wrapped around the
   database's semiring; the ``breaker`` line is the totals minus the
@@ -180,7 +181,7 @@ def _decline_reason(plan: Any, semiring: Any) -> str:
     from repro.engine import vectorized
 
     if vectorized.vector_ops_for(semiring) is None:
-        return "no carrier or no numpy"
+        return "no numpy"
     if not vectorized._plan_supported(plan):
         return "unsupported plan shape"
     return "instance guard"
@@ -196,8 +197,8 @@ class ExplainAnalyzeReport:
     executor:
         ``"columns"`` or ``"rows"``: the executor that produced ``result``.
     declined:
-        Why the column kernels declined the planned query (``"no carrier or
-        no numpy"``, ``"unsupported plan shape"`` or ``"instance guard"``),
+        Why the column kernels declined the planned query (``"no numpy"``,
+        ``"unsupported plan shape"`` or ``"instance guard"``),
         else ``None``; ``declined_ops`` is what the abandoned attempt spent.
     root:
         The root of the executed tree: a compiled row operator, or a node

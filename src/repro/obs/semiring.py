@@ -10,15 +10,17 @@ semiring.  The only difference is that the three hot operations bump an
 :class:`~repro.obs.metrics.OpCounter` on the way through.
 
 The wrapper's ``carrier`` is a :class:`CountingCarrier` around the
-delegate's (``None`` when the delegate has none), so the column kernels and
-array datalog rounds run as over the delegate and charge one scalar
-operation per element: ``mul`` one ``times`` per pair, ``add`` one ``plus``
-per element, ``accumulate`` ``values - groups`` ``plus`` (an ``m``-element
-group is an ``m - 1``-step ``+``-chain, as the row engines fold it) and
-``zero_mask`` one ``is_zero`` per total.  A declined operation charges
-nothing; the rows that redo it count.  On one plan the column kernels count
-the row pipeline's ``plus`` and ``times``, but test zero at every group-by
-and again when they materialize, so ``is_zero`` differs.
+delegate's, so the column kernels and array datalog rounds run as over the
+delegate and charge one scalar operation per element: ``mul`` one ``times``
+per pair, ``add`` one ``plus`` per element, ``accumulate`` ``values -
+groups`` ``plus`` (an ``m``-element group is an ``m - 1``-step ``+``-chain,
+as the row engines fold it) and ``zero_mask`` one ``is_zero`` per total.  A
+declined operation charges nothing; the rows that redo it count.  When the
+delegate declares no carrier, neither does the wrapper, and the column
+kernels run an :class:`~repro.semirings.carriers.ObjectCarrier` over the
+wrapper itself, whose counted ``add`` / ``mul`` / ``is_zero`` charge the
+same amounts.  The column kernels test zero once per output row, when they
+materialize, as the row pipeline does when it accumulates.
 
 Because semirings are compared *by name* throughout the system (databases,
 cross-relation checks), a database built over an instrumented

@@ -101,8 +101,10 @@ class Semiring:
     #: materialized views (:mod:`repro.incremental`).
     has_negation: bool = False
 
-    #: Exact array arithmetic (a :mod:`repro.semirings.carriers` instance),
-    #: or ``None`` for rows only.  A subclass changing ``add``/``mul`` must
+    #: Exact numeric array arithmetic (a :mod:`repro.semirings.carriers`
+    #: instance), or ``None``: the column kernels then run an object carrier
+    #: over this semiring's own ``add``/``mul``/``is_zero``, and the array
+    #: datalog rounds decline.  A subclass changing ``add``/``mul`` must
     #: redeclare it.
     carrier = None
 

@@ -5,16 +5,24 @@ semiring (Proposition 3.5, Theorem 4.3); only the arithmetic does.  So a
 semiring whose carrier maps losslessly onto a numpy dtype declares that
 arithmetic once, as its ``carrier`` class attribute, and the whole-column
 kernels (:mod:`repro.engine.vectorized`) and the array datalog rounds
-(:mod:`repro.datalog.arraystore`) read it there; every other semiring
-inherits ``carrier = None`` and runs on rows.
+(:mod:`repro.datalog.arraystore`) read it there.  Every other semiring
+inherits ``carrier = None``; the column kernels then run an
+:class:`ObjectCarrier` over it, an ``object`` array whose arithmetic is the
+semiring's own scalar ``add`` / ``mul`` / ``is_zero``, while the array
+datalog rounds stay with the declared carriers.
 
 **Exactness.**  N and Z declare :class:`Int64Carrier` (overflow guards
 decline to the row engines rather than wrap), Tropical, Fuzzy and Viterbi a
 :class:`FloatCarrier` (min/max/+/* on IEEE doubles are bit-identical to the
 scalar ``float`` path), and B :class:`BoolCarrier`.  Their ``+`` is
 insensitive to regrouping on the carrier, so per-group accumulation yields
-exactly the row engines' annotations, lowered back by ``.tolist()``.  The
-module imports without numpy; ``vector_ops_for`` then hands out nothing.
+exactly the row engines' annotations, lowered back by ``.tolist()``.
+:class:`ObjectCarrier` performs exactly one scalar ``.`` per matched pair
+and one ``+``-chain per group, left-folded in contribution order as
+:func:`repro.engine.kernels.combine_contributions` folds it, so
+representation-sensitive annotations (polynomial term orders, circuit DAG
+shapes) come out of the same operations.  The module imports without numpy;
+``vector_ops_for`` then hands out nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ try:  # pragma: no cover - exercised implicitly by every vectorized test
 except ImportError:  # pragma: no cover - CI images without numpy
     _np = None
 
-__all__ = ["VectorOps", "Int64Carrier", "FloatCarrier", "BoolCarrier"]
+__all__ = ["VectorOps", "Int64Carrier", "FloatCarrier", "BoolCarrier", "ObjectCarrier"]
 
 #: Magnitude bound for int64 vector arithmetic: if ``|a|.max * |b|.max`` or
 #: ``count * |v|.max`` can exceed this, the operation falls back to the
@@ -39,15 +47,22 @@ class _Fallback(Exception):
     """This plan/instance cannot be vectorized exactly; use rows."""
 
 
+def _object_array(values: list):
+    """A 1-D object array holding ``values`` verbatim (no nested broadcast)."""
+    array = _np.empty(len(values), dtype=object)
+    array[:] = values
+    return array
+
+
 class VectorOps:
-    """Array-at-a-time ``(+, ., 0)`` for one numeric carrier.
+    """Array-at-a-time ``(+, ., 0)`` for one carrier.
 
     ``to_array`` lifts a sequence of carrier values; ``mul`` multiplies and
     ``add`` sums two annotation arrays elementwise (the semi-naive merge of a
     round's totals into the stored column); ``accumulate`` combines all
     contributions landing in the same output group with the semiring's ``+``
-    (one ``ufunc.at`` scatter); ``zero_mask`` flags groups that summed to the
-    semiring zero (possible under Z's cancellation).
+    (one ``ufunc.at`` scatter on a numeric carrier); ``zero_mask`` flags
+    totals that are the semiring zero (possible under Z's cancellation).
     """
 
     def to_array(self, values: Iterable[Any]):
@@ -154,3 +169,63 @@ class BoolCarrier(VectorOps):
 
     def zero_mask(self, totals):
         return ~totals
+
+
+class ObjectCarrier(VectorOps):
+    """Any semiring: ``object`` arrays through its own scalar operations.
+
+    numpy still matches, groups and decodes on integer codes; only the
+    annotation arithmetic runs in Python, and only where Definition 3.2
+    charges it: one ``mul`` per matched pair, ``values - groups`` ``add``
+    calls per accumulation and one ``is_zero`` per total.  Over an
+    instrumented wrapper these are the wrapper's counted operations.
+    """
+
+    def __init__(self, semiring: Any):
+        self.semiring = semiring
+
+    def to_array(self, values):
+        return _object_array(list(values))
+
+    def mul(self, a, b):
+        return _object_array(list(map(self.semiring.mul, a.tolist(), b.tolist())))
+
+    def add(self, a, b):
+        return _object_array(list(map(self.semiring.add, a.tolist(), b.tolist())))
+
+    def accumulate(self, values, group_ids, n_groups):
+        """Each group's contributions left-folded in order, without a zero seed.
+
+        The first contribution of every group is scattered in place; only
+        groups holding several are folded, in contribution order, so each
+        total is what :func:`~repro.engine.kernels.combine_contributions`
+        builds from the same batch.  A group with no contribution (the dense
+        path of ``group_codes`` asks for some) is the semiring zero.
+        """
+        totals = _np.empty(n_groups, dtype=object)
+        totals.fill(self.semiring.zero())
+        if not len(values):
+            return totals
+        counts = _np.bincount(group_ids, minlength=n_groups)
+        if counts.max() == 1:  # no group to fold: skip the sort
+            totals[group_ids] = values
+            return totals
+        order = _np.argsort(group_ids, kind="stable")
+        ends = _np.cumsum(counts)
+        starts = ends - counts
+        present = _np.flatnonzero(counts)
+        totals[present] = values[order[starts[present]]]
+        ordered = values[order].tolist()
+        add = self.semiring.add
+        for group in _np.flatnonzero(counts > 1).tolist():
+            start, end = int(starts[group]), int(ends[group])
+            total = ordered[start]
+            for index in range(start + 1, end):
+                total = add(total, ordered[index])
+            totals[group] = total
+        return totals
+
+    def zero_mask(self, totals):
+        return _np.fromiter(
+            map(self.semiring.is_zero, totals.tolist()), dtype=bool, count=len(totals)
+        )

@@ -12,9 +12,12 @@ group-by itself: ``group_codes``
 against a dict oracle on both sides of its direct-addressing span
 threshold, ``_group``'s decode-from-key against the row engine, and the
 shared ``(attribute, value)`` pairs of materialized ``Tup``s -- and that
-a semiring takes these kernels by its declared carrier alone: exactly the
-six declaring semirings (instrumented or not) vectorize, and products named
-after one of them do not.
+a semiring takes a numeric carrier by its declaration alone: exactly the
+six declaring semirings (instrumented or not) get one, and products named
+after one of them do not.  Every other semiring runs the kernels on an
+``ObjectCarrier``: its accumulation left-folds each group in contribution
+order, and over N[X], Why and circuits a planned ``evaluate`` answers on
+the columns and counts the row pipeline's semiring operations.
 """
 
 from __future__ import annotations
@@ -23,14 +26,15 @@ import pickle
 
 import pytest
 
-from strategies import row_loop
+from strategies import annotation_for, row_loop
 from tests.conftest import ALL_SEMIRINGS
 
 from repro import Database, IncrementalDatalog, KRelation, Q
+from repro.algebra.ast import PLANNED_INPUT_ROWS
 from repro.datalog import evaluate_program, ground_program, solve_ground
 from repro.datalog.seminaive import _SemiNaiveEngine
-from repro.engine import execute, vectorized
-from repro.obs import instrument
+from repro.engine import combine_contributions, execute, vectorized
+from repro.obs import instrument, tracing
 from repro.semirings import (
     BooleanSemiring,
     FuzzySemiring,
@@ -41,6 +45,7 @@ from repro.semirings import (
     ViterbiSemiring,
     get_semiring,
 )
+from repro.semirings.carriers import ObjectCarrier
 from repro.workloads import random_graph_database, transitive_closure_program
 
 requires_numpy = pytest.mark.skipif(
@@ -712,7 +717,7 @@ def test_column_kernels_run_on_every_relation(semiring_name, origin):
 
 
 # ---------------------------------------------------------------------------
-# A semiring vectorizes by its declared carrier, never by its name
+# A semiring takes a numeric carrier by its declaration, never by its name
 # ---------------------------------------------------------------------------
 
 #: The semiring classes that declare a carrier.
@@ -739,7 +744,7 @@ MISNAMED_PRODUCTS = {
 
 
 @requires_numpy
-def test_exactly_the_declaring_semirings_vectorize():
+def test_exactly_the_declaring_semirings_take_a_numeric_carrier():
     semirings = ALL_SEMIRINGS + [
         get_semiring("circuit"),
         get_semiring("power-series"),
@@ -747,8 +752,12 @@ def test_exactly_the_declaring_semirings_vectorize():
     ]
     for semiring in semirings:
         for candidate in (semiring, instrument(semiring)):
-            has_ops = vectorized.vector_ops_for(candidate) is not None
-            assert has_ops == (type(semiring) in DECLARING), semiring.name
+            ops = vectorized.vector_ops_for(candidate)
+            assert ops is not None, semiring.name
+            on_objects = isinstance(ops, ObjectCarrier)
+            assert on_objects == (type(semiring) not in DECLARING), semiring.name
+            if on_objects:
+                assert ops.semiring is candidate
 
 
 @requires_numpy
@@ -775,3 +784,128 @@ def test_a_misnamed_product_program_equals_the_row_loop(case):
     with row_loop():
         reference = evaluate_program(program, database)
     assert result.annotations == reference.annotations
+
+
+# ---------------------------------------------------------------------------
+# ObjectCarrier: every other semiring through its own scalar operations
+# ---------------------------------------------------------------------------
+
+
+class _RecordingNaturals(NaturalsSemiring):
+    """N without a declared carrier, logging the operands of every ``add``."""
+
+    carrier = None
+
+    def __init__(self):
+        super().__init__()
+        self.added = []
+
+    def add(self, a, b):
+        self.added.append((a, b))
+        return super().add(a, b)
+
+
+@requires_numpy
+def test_object_accumulate_left_folds_each_group_in_contribution_order():
+    import numpy as np
+
+    semiring = _RecordingNaturals()
+    ops = vectorized.vector_ops_for(semiring)
+    assert isinstance(ops, ObjectCarrier)
+    values = [1, 2, 4, 8, 16, 32, 64]
+    groups = [0, 1, 0, 3, 0, 1, 0]
+    totals = ops.accumulate(ops.to_array(values), np.array(groups), 4)
+    assert totals.tolist() == [85, 34, 0, 8]
+    folds = [(1, 4), (5, 16), (21, 64), (2, 32)]
+    assert semiring.added == folds
+    # The same chains combine_contributions folds from each group's batch.
+    semiring.added.clear()
+    for group in (0, 1):
+        combine_contributions(semiring, [v for v, g in zip(values, groups) if g == group])
+    assert semiring.added == folds
+
+
+@requires_numpy
+def test_object_accumulate_builds_the_circuits_combine_contributions_builds():
+    import numpy as np
+
+    semiring = get_semiring("circuit")
+    ops = vectorized.vector_ops_for(semiring)
+    values = [semiring.var(f"t{i}") for i in range(12)]
+    groups = [(5 * i) % 4 for i in range(12)]
+    totals = ops.accumulate(ops.to_array(values), np.array(groups), 4).tolist()
+    for group, total in enumerate(totals):
+        batch = [v for v, g in zip(values, groups) if g == group]
+        assert total is combine_contributions(semiring, batch)
+
+
+@requires_numpy
+def test_object_empty_groups_are_zero_and_zero_mask_asks_is_zero():
+    import numpy as np
+
+    semiring = instrument(get_semiring("why"))
+    ops = vectorized.vector_ops_for(semiring)
+    zero, x = semiring.zero(), annotation_for(semiring, 0, None)
+    totals = ops.accumulate(ops.to_array([x]), np.array([2]), 3)
+    assert totals.tolist() == [zero, zero, x]
+    empty = ops.accumulate(ops.to_array([]), np.zeros(0, dtype=np.int64), 2)
+    assert empty.tolist() == [zero, zero]
+    assert semiring.ops.snapshot() == {"plus": 0, "times": 0, "is_zero": 0}
+    assert ops.zero_mask(totals).tolist() == [True, True, False]
+    assert semiring.ops.snapshot() == {"plus": 0, "times": 0, "is_zero": 3}
+
+
+#: Semirings without a declared carrier whose annotations keep their
+#: structure: polynomials, witness sets and hash-consed circuits.
+OBJECT_SEMIRING_NAMES = ("polynomial", "why", "circuit")
+
+TWO_HOP = (
+    Q.relation("E")
+    .rename({"y": "m"})
+    .join(Q.relation("E").rename({"x": "m"}))
+    .project("x", "y")
+)
+
+
+def _two_hop_database(semiring):
+    """``E`` at ``PLANNED_INPUT_ROWS`` rows, a fresh token per tuple."""
+    database = Database(semiring)
+    tokens = getattr(semiring, "delegate", semiring)  # circuits mint on the delegate
+    rows = [
+        ((f"n{i % 7}", f"n{(3 * i) % 11}"), annotation_for(tokens, i, None))
+        for i in range(PLANNED_INPUT_ROWS)
+    ]
+    database.create("E", ["x", "y"], rows)
+    assert TWO_HOP.uses_planner(database)
+    return database
+
+
+@requires_numpy
+@pytest.mark.parametrize("name", OBJECT_SEMIRING_NAMES)
+def test_a_planned_evaluate_runs_on_the_columns(name):
+    database = _two_hop_database(get_semiring(name))
+    with tracing() as sink:
+        result = TWO_HOP.evaluate(database)
+    (span,) = sink.find("engine.vectorized")
+    assert span.attributes["out_rows"] == len(result) > 0
+    assert not sink.find("engine.execute")
+    result.check_consistency()
+    assert result == TWO_HOP._execute(database)
+
+
+@requires_numpy
+@pytest.mark.parametrize("name", OBJECT_SEMIRING_NAMES)
+def test_the_columns_count_the_row_pipelines_operations(name):
+    semiring = instrument(get_semiring(name))
+    database = _two_hop_database(semiring)
+    semiring.ops.reset()
+    with row_loop():
+        on_rows = TWO_HOP.evaluate(database)
+    counted = semiring.ops.snapshot()
+    assert counted["plus"] > 0 and counted["times"] > 0
+    semiring.ops.reset()
+    with tracing() as sink:
+        on_columns = TWO_HOP.evaluate(database)
+    assert sink.find("engine.vectorized")
+    assert semiring.ops.snapshot() == counted
+    assert on_columns == on_rows

@@ -218,11 +218,8 @@ class TestSameExecutorAsEvaluate:
         query, database = section2_query(), _grown_database(semiring, rows)
         _, evaluated = _traced_path(lambda: query.evaluate(database))
         report, explained = _traced_path(lambda: explain_analyze(query, database))
-        columns = (
-            rows >= PLANNED_INPUT_ROWS
-            and semiring.carrier is not None
-            and vectorized.numpy_available()
-        )
+        # Every semiring runs the column kernels once the query is planned.
+        columns = rows >= PLANNED_INPUT_ROWS and vectorized.numpy_available()
         assert evaluated == ("columns" if columns else "rows")
         assert explained == evaluated
         assert report.result.equal_to(query._execute(database))
@@ -248,13 +245,13 @@ class TestDeclineReasons:
         _ops_add_up(report)
         return report
 
-    def test_no_carrier_or_no_numpy(self):
+    def test_no_numpy(self):
         database = _grown_database(NaturalsSemiring(), 40)
         with row_loop():
             report = self._declined(section2_query(), database)
-        assert report.declined == "no carrier or no numpy"
+        assert report.declined == "no numpy"
         assert report.render().splitlines()[0] == (
-            "executor: rows (columns declined: no carrier or no numpy)"
+            "executor: rows (columns declined: no numpy)"
         )
 
     @needs_numpy

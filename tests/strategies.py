@@ -149,11 +149,12 @@ def annotations_close(left: dict, right: dict, rel: float = 1e-9) -> bool:
 def row_loop():
     """Semi-naive engines built inside run the row loop, not the array loop.
 
-    Taking the semiring's vector arithmetic away makes the engine decline the
+    Taking every semiring's vector arithmetic away -- declared carriers and
+    the column kernels' object carrier alike -- makes the engine decline the
     array loop with ``round_declined == "semiring"``: the row loop is the
     reference every array-loop differential compares with, and no option of
-    the library selects it.  Pipelined queries run inside likewise take the
-    row pipeline instead of the whole-column kernels.
+    the library selects it.  Planned queries run inside likewise take the
+    row pipeline instead of the whole-column kernels, under every semiring.
     """
     with mock.patch.object(vectorized, "vector_ops_for", lambda semiring: None):
         yield
