@@ -475,13 +475,14 @@ def split_codes(codes, radix: int, arity: int) -> list:
 def group_codes(ops: VectorOps, codes, values):
     """``(distinct codes ascending, their totals)``: one ``+``-chain per code.
 
-    The batched accumulation of the row engines' merge step, performed by one
-    ``ufunc.at`` scatter (exact: the vector carriers' ``+`` is insensitive to
-    regrouping).  Codes are non-negative; when their span (``max + 1``) is
-    at most four times the row count they address the totals directly -- a
-    presence mask gives the distinct codes in order, O(n) with no sort --
-    otherwise one unstable ``np.unique`` sort numbers the groups.  Zero
-    totals are kept -- the merge owns the stored-zero rule.
+    The batched accumulation of the row engines' merge step: a numeric
+    carrier scatters with one ``ufunc.at`` (exact: its ``+`` is insensitive
+    to regrouping), the object carrier folds each group in contribution
+    order with the semiring's own ``+``.  Codes are non-negative; when their
+    span (``max + 1``) is at most four times the row count they address the
+    totals directly -- a presence mask gives the distinct codes in order,
+    O(n) with no sort -- otherwise one unstable ``np.unique`` sort numbers
+    the groups.  Zero totals are kept -- the merge owns the stored-zero rule.
     """
     n = len(codes)
     span = int(codes.max()) + 1 if n else 0

@@ -18,8 +18,8 @@ scalar ``float`` path), and B :class:`BoolCarrier`.  Their ``+`` is
 insensitive to regrouping on the carrier, so per-group accumulation yields
 exactly the row engines' annotations, lowered back by ``.tolist()``.
 :class:`ObjectCarrier` performs exactly one scalar ``.`` per matched pair
-and one ``+``-chain per group, left-folded in contribution order as
-:func:`repro.engine.kernels.combine_contributions` folds it, so
+and one ``+``-chain per group, folded in contribution order by
+:func:`repro.engine.kernels.combine_contributions` itself, so
 representation-sensitive annotations (polynomial term orders, circuit DAG
 shapes) come out of the same operations.  The module imports without numpy;
 ``vector_ops_for`` then hands out nothing.
@@ -178,7 +178,9 @@ class ObjectCarrier(VectorOps):
     annotation arithmetic runs in Python, and only where Definition 3.2
     charges it: one ``mul`` per matched pair, ``values - groups`` ``add``
     calls per accumulation and one ``is_zero`` per total.  Over an
-    instrumented wrapper these are the wrapper's counted operations.
+    instrumented wrapper these are the wrapper's counted operations.  It has
+    no elementwise ``add``: only the array datalog rounds merge two columns,
+    and they run on declared carriers alone.
     """
 
     def __init__(self, semiring: Any):
@@ -190,39 +192,32 @@ class ObjectCarrier(VectorOps):
     def mul(self, a, b):
         return _object_array(list(map(self.semiring.mul, a.tolist(), b.tolist())))
 
-    def add(self, a, b):
-        return _object_array(list(map(self.semiring.add, a.tolist(), b.tolist())))
-
     def accumulate(self, values, group_ids, n_groups):
-        """Each group's contributions left-folded in order, without a zero seed.
+        """Each group's contributions folded by ``combine_contributions``.
 
-        The first contribution of every group is scattered in place; only
-        groups holding several are folded, in contribution order, so each
-        total is what :func:`~repro.engine.kernels.combine_contributions`
-        builds from the same batch.  A group with no contribution (the dense
-        path of ``group_codes`` asks for some) is the semiring zero.
+        A stable sort by group keeps every group's batch in contribution
+        order; the first contribution of each group is scattered in place
+        and only groups holding several are folded, so each total is what
+        the row pipeline's accumulation builds from the same batch.  A group
+        with no contribution (the dense path of ``group_codes`` asks for
+        some) is the semiring zero.
         """
+        from repro.engine.kernels import combine_contributions  # engine imports this module
+
         totals = _np.empty(n_groups, dtype=object)
         totals.fill(self.semiring.zero())
-        if not len(values):
-            return totals
         counts = _np.bincount(group_ids, minlength=n_groups)
-        if counts.max() == 1:  # no group to fold: skip the sort
-            totals[group_ids] = values
-            return totals
         order = _np.argsort(group_ids, kind="stable")
         ends = _np.cumsum(counts)
         starts = ends - counts
         present = _np.flatnonzero(counts)
         totals[present] = values[order[starts[present]]]
         ordered = values[order].tolist()
-        add = self.semiring.add
-        for group in _np.flatnonzero(counts > 1).tolist():
-            start, end = int(starts[group]), int(ends[group])
-            total = ordered[start]
-            for index in range(start + 1, end):
-                total = add(total, ordered[index])
-            totals[group] = total
+        folded = _np.flatnonzero(counts > 1)
+        for group, start, end in zip(
+            folded.tolist(), starts[folded].tolist(), ends[folded].tolist()
+        ):
+            totals[group] = combine_contributions(self.semiring, ordered[start:end])
         return totals
 
     def zero_mask(self, totals):
