@@ -136,14 +136,7 @@ from repro.obs import (
     instrument,
     tracing,
 )
-from repro.planner import (
-    CostModel,
-    OptimizationReport,
-    Statistics,
-    explain,
-    optimize,
-    plan_signature,
-)
+from repro.planner import OptimizationReport, explain, optimize, plan_signature
 
 __version__ = "1.0.0"
 
@@ -236,8 +229,6 @@ __all__ = [
     "optimize",
     "explain",
     "OptimizationReport",
-    "Statistics",
-    "CostModel",
     "plan_signature",
     # algebra
     "Q",

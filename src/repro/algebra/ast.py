@@ -54,7 +54,7 @@ __all__ = [
 #: distinct relations read) run as written on the row pipeline; larger ones
 #: are planned and tried on the column kernels first.  On the Section 2 query
 #: at 32 rows over N and B the planner costs ~0.2-0.3 ms per call (the
-#: rewrite fixpoint alone: it reads no statistics) and the kernels
+#: rewrite fixpoint alone: it reads no relation data) and the kernels
 #: ~0.4-0.6 ms (2-core Xeon).  The row pipeline beat the fixed cost of
 #: planning plus kernels up to 12-24 input rows over N and B (two-hop and
 #: Section 2 queries, 3-256 rows, timed when planning also read statistics
@@ -146,9 +146,10 @@ class Query:
         """Explain this query: the planner's report, or executed actuals.
 
         With ``analyze=False`` (default) this returns the logical planner's
-        :class:`~repro.planner.optimizer.OptimizationReport` -- applied
-        rewrite rules and cost estimates, nothing is executed; ``options``
-        forward to the planner.  With ``analyze=True`` the query is
+        :class:`~repro.planner.optimizer.OptimizationReport` -- the plan as
+        written, the rewritten plan and the applied rewrite rules; nothing
+        is executed and no relation data is read; ``options`` forward to
+        the planner.  With ``analyze=True`` the query is
         **executed** the way :meth:`evaluate` runs it -- planned or not,
         column kernels or rows -- with full observation, returning an
         :class:`~repro.obs.explain.ExplainAnalyzeReport`: the executor that

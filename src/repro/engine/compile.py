@@ -68,8 +68,9 @@ from repro.relations.tuples import Tup
 
 __all__ = ["compile_query", "execute", "execute_rows", "drain"]
 
-#: Selectivity assumed for a fused predicate when sizing join build sides
-#: (mirrors the planner's :data:`repro.planner.cost.DEFAULT_SELECTIVITY`).
+#: Fraction of an operator's rows assumed to pass each fused predicate: it
+#: scales the output estimate by which a hash join picks its (smaller)
+#: build side.
 _FILTER_SELECTIVITY = 1.0 / 3.0
 
 Row = tuple

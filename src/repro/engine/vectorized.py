@@ -8,8 +8,7 @@ loop per row; this module evaluates the same positive-algebra plans one
   codes and lifts its annotations into one array (``int64``/``float64``/
   ``bool`` for the semirings that declare a numeric carrier, ``object``
   otherwise); the encoding is cached on the relation until its next
-  mutation, and the statistics behind :func:`repro.planner.explain`'s cost
-  report (:func:`distinct_counts`) read the same cache;
+  mutation, and only a scan builds it;
 * a selection compiles its structured predicate to a boolean mask;
 * a join factorizes the shared key columns to integer codes, sorts the
   build side once, finds every probe row's bucket with two binary searches
@@ -85,7 +84,6 @@ except ImportError:  # pragma: no cover - CI images without numpy
 __all__ = [
     "numpy_available",
     "vector_ops_for",
-    "distinct_counts",
     "try_execute",
     "combine_codes",
     "split_codes",
@@ -181,8 +179,8 @@ def _encoding(relation: KRelation) -> Tuple[Dict[str, _Col], list]:
     """The relation's encoded columns and its annotations in row order.
 
     Cached on the relation (``KRelation._scan_cache``, dropped by every
-    mutation), so repeated scans and statistics over an unchanged relation
-    are free.  Nothing in it depends on the semiring's carrier.
+    mutation), so repeated scans of an unchanged relation are free.
+    Nothing in it depends on the semiring's carrier.
     """
     cache = relation._scan_cache
     if cache is None:
@@ -197,20 +195,6 @@ def _encoding(relation: KRelation) -> Tuple[Dict[str, _Col], list]:
         }
         cache = relation._scan_cache = (columns, list(rows.values()))
     return cache
-
-
-def distinct_counts(relation: KRelation) -> Dict[str, int]:
-    """Each attribute's number of distinct values in ``relation``'s support.
-
-    Read off the cached column encoding, which this builds (with the scan's
-    own encoder) when the relation has none: the first call on a relation
-    version encodes it once, for the kernels and for the statistics of
-    :func:`repro.planner.explain` alike.  Values equal under ``==`` with
-    equal hashes (``1``, ``1.0``, ``True``) count once, as in a ``set``.
-    Needs numpy.
-    """
-    columns, _ = _encoding(relation)
-    return {a: len(columns[a].uniques) for a in relation.schema.attributes}
 
 
 def _scan_batch(relation: KRelation, ops: VectorOps) -> _Batch:

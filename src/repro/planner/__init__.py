@@ -9,8 +9,6 @@ those theorems into an optimizer:
 
 * :mod:`repro.planner.rewrites` -- the semiring-safe rewrite rules plus the
   idempotence-gated ones, applied bottom-up to a fixpoint;
-* :mod:`repro.planner.cost` -- database statistics and System-R style
-  cardinality estimation, read by :func:`explain`'s cost report only;
 * :mod:`repro.planner.optimizer` -- the :func:`optimize`/:func:`explain`
   entry points (planning is the rewrite fixpoint; joins keep their
   written order);
@@ -22,16 +20,10 @@ Entry points::
     from repro.planner import optimize, explain
 
     plan = optimize(query, database)       # an equivalent, cheaper Query
-    print(explain(query, database))        # rules applied + cost estimates
+    print(explain(query, database))        # both plans + the rules applied
     query.evaluate(database)               # planned once the input is large enough
 """
 
-from repro.planner.cost import (
-    CostModel,
-    Estimate,
-    Statistics,
-    TableStats,
-)
 from repro.planner.optimizer import OptimizationReport, explain, optimize
 from repro.planner.plans import catalog_of, infer_attributes, plan_signature
 from repro.planner.rewrites import (
@@ -45,10 +37,6 @@ __all__ = [
     "optimize",
     "explain",
     "OptimizationReport",
-    "Statistics",
-    "TableStats",
-    "CostModel",
-    "Estimate",
     "plan_signature",
     "infer_attributes",
     "catalog_of",

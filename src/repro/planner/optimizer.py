@@ -11,9 +11,9 @@ Planning is :func:`~repro.planner.rewrites.rewrite_fixpoint` and nothing
 else: pushdowns, fusions, eliminations and the idempotence-gated
 deduplications until the plan stops changing.  Joins run in the order they
 are written.  Proposition 3.4 makes re-bracketing them legal, but on the
-end-to-end benchmark cost-based reordering never paid, so ``optimize``
-reads no statistics; only :func:`explain` builds a
-:class:`~repro.planner.cost.CostModel`, for its estimated-cost report.
+end-to-end benchmark cost-based reordering never paid.  Planning reads
+schemas and the semiring's declared properties, never relation data, so
+neither ``optimize`` nor :func:`explain` touches a tuple.
 
 ``optimize`` is a fixpoint: optimizing an optimized plan returns a plan with
 the same signature (the regression suite asserts this).
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from repro.algebra.ast import Query
 from repro.obs import trace as _trace
-from repro.planner.cost import CostModel, Statistics
 from repro.planner.plans import catalog_of, plan_signature
 from repro.planner.rewrites import RewriteContext, rewrite_fixpoint, semiring_profile
 from repro.relations.database import Database
@@ -79,13 +78,12 @@ def optimize(
 
 @dataclass
 class OptimizationReport:
-    """What :func:`explain` saw: the plans, the trace, and the estimates."""
+    """What :func:`explain` saw: the plan as written, the rewritten plan and
+    the rules the rewrite fixpoint applied."""
 
     original: Query
     optimized: Query
     applied_rules: list[str] = field(default_factory=list)
-    cost_before: float = 0.0
-    cost_after: float = 0.0
 
     @property
     def changed(self) -> bool:
@@ -95,7 +93,6 @@ class OptimizationReport:
         lines = [
             f"original:  {self.original}",
             f"optimized: {self.optimized}",
-            f"estimated cost: {self.cost_before:.1f} -> {self.cost_after:.1f}",
         ]
         if self.applied_rules:
             lines.append("applied rules:")
@@ -112,22 +109,14 @@ def explain(
     semiring: Semiring | None = None,
     verify_properties: bool = False,
 ) -> OptimizationReport:
-    """Optimize ``query`` and report the applied rules and cost estimates.
+    """Optimize ``query`` and report the original plan, the rewritten plan
+    and the applied rules.
 
-    The estimates come from a :class:`~repro.planner.cost.CostModel` over
-    the statistics of the relations ``query`` reads (uniform defaults
-    without a database); they are reported, never used to pick the plan.
+    Like :func:`optimize` it reads only schemas (and the semiring), never
+    relation data, so explaining a query runs nothing and encodes nothing.
     """
     ctx = _context(database, semiring, verify_properties)
     plan = _rewrite(query, ctx)
-    statistics = None
-    if database is not None:
-        statistics = Statistics.from_database(database, query.relation_names())
-    model = CostModel(statistics)
     return OptimizationReport(
-        original=query,
-        optimized=plan,
-        applied_rules=list(ctx.trace),
-        cost_before=model.cost(query),
-        cost_after=model.cost(plan),
+        original=query, optimized=plan, applied_rules=list(ctx.trace)
     )

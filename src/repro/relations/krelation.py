@@ -45,11 +45,10 @@ class KRelation:
 
     The support lives in one ``{Tup: annotation}`` dictionary; its layout
     plays no part in the model.  :mod:`repro.engine.vectorized` keeps a
-    column encoding of that dictionary in ``_scan_cache``.  The whole-column
-    kernels scan it, and the planner's statistics read their distinct counts
-    from it under every semiring.  Every mutator below drops it, and so does
-    reading :attr:`_annotations`, since the raw dictionary it hands out
-    licenses writes the relation cannot see.
+    column encoding of that dictionary in ``_scan_cache``, which the
+    whole-column kernels scan under every semiring.  Every mutator below
+    drops it, and so does reading :attr:`_annotations`, since the raw
+    dictionary it hands out licenses writes the relation cannot see.
     """
 
     def __init__(
@@ -61,9 +60,8 @@ class KRelation:
         self.semiring = semiring
         self.schema = schema if isinstance(schema, Schema) else Schema(schema)
         self._rows: Dict[Tup, Any] = {}
-        #: Column encoding of ``_rows`` built by the vectorized scan or the
-        #: planner's statistics, or ``None``; valid only until the next
-        #: mutation.
+        #: Column encoding of ``_rows`` built by the vectorized scan, or
+        #: ``None``; valid only until the next mutation.
         self._scan_cache: Any = None
         for entry in rows:
             row, annotation = self._split_entry(entry)

@@ -288,6 +288,41 @@ class TestDeclineReasons:
         assert wrapped.ops.snapshot() == report.totals
 
 
+@needs_numpy
+def test_analyze_encodes_the_scanned_relation_inside_the_observed_run():
+    """Planning reads no relation data, so a relation whose encoding was just
+    dropped is still unencoded when the observed run starts, and its Scan
+    nodes time the encoding ``evaluate`` pays.  The run builds it once."""
+    from repro.engine import compile as engine_compile
+
+    query, database = section2_query(), _grown_database(NaturalsSemiring(), PLANNED_INPUT_ROWS)
+    assert query.uses_planner(database)
+    relations = [database.relation(name) for name in sorted(query.relation_names())]
+    query.evaluate(database)
+    for relation in relations:
+        relation._annotations  # handing the store out drops the encoding
+    entered = []
+    execute, encode = engine_compile.execute, vectorized._encode_column
+    encoded = []
+
+    def observed_execute(*args):
+        entered.append([relation._scan_cache for relation in relations])
+        return execute(*args)
+
+    def counted_encode(values):
+        encoded.append(len(values))
+        return encode(values)
+
+    with mock.patch.object(engine_compile, "execute", observed_execute), \
+            mock.patch.object(vectorized, "_encode_column", counted_encode):
+        report = query.explain(database, analyze=True)
+    assert report.executor == "columns"
+    assert entered == [[None] * len(relations)]
+    # One encoding per relation, one column per attribute.
+    assert len(encoded) == sum(len(relation.schema.attributes) for relation in relations)
+    assert all(relation._scan_cache is not None for relation in relations)
+
+
 class TestApiSurface:
     def test_query_explain_analyze_method(self):
         database = section2_database(NaturalsSemiring())

@@ -347,7 +347,7 @@ def test_optimize_twice_is_a_no_op(query):
     assert plan_signature(once) == plan_signature(twice)
 
 
-def test_explain_reports_rules_and_cost_reduction():
+def test_explain_reports_the_applied_rules():
     db = _database()
     query = (
         Q.relation("R").join(Q.relation("S")).join(Q.relation("T"))
@@ -356,8 +356,7 @@ def test_explain_reports_rules_and_cost_reduction():
     )
     report = explain(query, db)
     assert report.changed
-    # The estimates are reported, never used: explain plans as optimize does.
+    # explain plans as optimize does.
     assert plan_signature(report.optimized) == plan_signature(optimize(query, db))
     assert any("selection-pushdown" in rule for rule in report.applied_rules)
-    assert report.cost_after <= report.cost_before
     assert "optimized:" in str(report)

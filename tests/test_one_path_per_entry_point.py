@@ -6,14 +6,17 @@ choice lives in the differential tests, not in the API: a removed keyword
 is a ``TypeError``.  The calls the end-to-end benchmark makes with
 ``optimize=`` / ``executor=`` / ``engine=`` / ``storage=`` accept exactly the
 values it passes and ignore them; any other value is a ``TypeError``.
+The planner has no cost model: its names and ``repro.planner.cost`` are gone.
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
 
 import pytest
 
+import repro
 from repro import (
     BooleanSemiring,
     Database,
@@ -24,11 +27,12 @@ from repro import (
     evaluate_program,
     explain_analyze,
 )
-from repro import datalog
+from repro import datalog, planner
 from repro.algebra.ast import Query
 from repro.circuits import CircuitCompiler, compile_circuit, var
 from repro.datalog import evaluate_on_lattice, lattice_condition_provenance
 from repro.datalog.seminaive import evaluate_program_seminaive
+from repro.engine import vectorized
 from repro.planner import explain, optimize
 from repro.probabilistic import EventTable, ProbabilisticDatabase
 
@@ -169,6 +173,30 @@ def test_storage_conversion_is_gone():
     assert not hasattr(KRelation, "with_storage")
     assert not hasattr(Database, "with_storage")
     assert not hasattr(KRelation, "storage")
+
+
+#: (module, name) pairs of the deleted cost model: planning reads no data.
+REMOVED_NAMES = [
+    (repro, "Statistics"),
+    (repro, "CostModel"),
+    *((planner, name) for name in ("Statistics", "TableStats", "CostModel", "Estimate")),
+    (vectorized, "distinct_counts"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name", REMOVED_NAMES, ids=[f"{m.__name__}.{n}" for m, n in REMOVED_NAMES]
+)
+def test_cost_model_name_is_gone(module, name):
+    assert not hasattr(module, name)
+    assert name not in module.__all__
+
+
+def test_cost_model_module_and_report_fields_are_gone():
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.planner.cost")
+    report = explain(QUERY, _bool_database())
+    assert not hasattr(report, "cost_before") and not hasattr(report, "cost_after")
 
 
 PINNED_CALLS = {
