@@ -289,13 +289,20 @@ class TestDeclineReasons:
 
 
 @needs_numpy
-def test_analyze_encodes_the_scanned_relation_inside_the_observed_run():
+@pytest.mark.parametrize(
+    "semiring",
+    EXECUTOR_SEMIRINGS,
+    ids=[f"{s.name}{'-instrumented' if hasattr(s, 'ops') else ''}" for s in EXECUTOR_SEMIRINGS],
+)
+def test_analyze_encodes_the_scanned_relation_inside_the_observed_run(semiring):
     """Planning reads no relation data, so a relation whose encoding was just
     dropped is still unencoded when the observed run starts, and its Scan
-    nodes time the encoding ``evaluate`` pays.  The run builds it once."""
+    nodes time the encoding ``evaluate`` pays.  The run builds it once.
+    Every semiring scans through the kernels, on a numeric carrier or an
+    object-array one, so this holds under each."""
     from repro.engine import compile as engine_compile
 
-    query, database = section2_query(), _grown_database(NaturalsSemiring(), PLANNED_INPUT_ROWS)
+    query, database = section2_query(), _grown_database(semiring, PLANNED_INPUT_ROWS)
     assert query.uses_planner(database)
     relations = [database.relation(name) for name in sorted(query.relation_names())]
     query.evaluate(database)
