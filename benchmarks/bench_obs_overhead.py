@@ -8,11 +8,14 @@ hooks cost?  It times the ordinary tracing-off execution path against a
 breaker with no span bookkeeping around it -- on a two-hop instance (N, 4000
 edges).  ``execute`` would hand an N plan to the whole-column kernels, so
 the measurement takes N's vector arithmetic away: the kernels decline and
-both sides run the row pipeline.  Runs are interleaved and the minimum of several repetitions is
-compared, which cancels cache and scheduler noise; the acceptance bar is a
-ratio <= 1.05.  Wall-clock ratios flake on loaded shared machines, so the
-budget is hard-asserted only under ``REPRO_BENCH_STRICT=1`` and degrades to
-a loud warning everywhere else.
+both sides run the row pipeline.  Runs are interleaved and the minimum of
+fifteen repetitions is compared, which cancels cache and scheduler noise;
+the acceptance bar is a ratio <= 1.05.  The spread printed beside it (each
+side's median over its minimum) says how far one slow repetition can move
+a side: on a two-core box seven repetitions were too few, and the minimum
+itself swung by several per cent from run to run.  Wall-clock ratios flake
+on loaded shared machines, so the budget is hard-asserted only under
+``REPRO_BENCH_STRICT=1`` and degrades to a loud warning everywhere else.
 
 The tracing-*on* ratio is also measured (in-memory sink attached) and
 reported for information -- enabled tracing is allowed to cost more; only
@@ -37,7 +40,7 @@ from repro.workloads import random_relation
 
 EDGES, DOMAIN = 4000, 120
 SEED = 13
-REPETITIONS = 7
+REPETITIONS = 15
 BUDGET = 1.05  # <= 5% tracing-off overhead
 
 
@@ -100,6 +103,10 @@ def _measure():
 
     bare_best, off_best, on_best = min(bare_times), min(off_times), min(on_times)
     return {
+        "spread": {
+            side: sorted(times)[len(times) // 2] / max(min(times), 1e-9) - 1
+            for side, times in (("bare", bare_times), ("off", off_times), ("on", on_times))
+        },
         "tag": f"two-hop reachability (N, edges={EDGES}, domain={DOMAIN})",
         "bare_time": bare_best,
         "tracing_off_time": off_best,
@@ -118,6 +125,8 @@ def _lines(record):
         f"  ({(record['tracing_off_ratio'] - 1) * 100:+.1f}%, budget +5%)",
         f"  tracing on           {record['tracing_on_time'] * 1e3:8.1f} ms"
         f"  ({(record['tracing_on_ratio'] - 1) * 100:+.1f}%, informative)",
+        "  spread (median over min)  "
+        + "  ".join(f"{side} {value * 100:+.1f}%" for side, value in record["spread"].items()),
     ]
 
 

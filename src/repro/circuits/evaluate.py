@@ -14,11 +14,20 @@ The module also provides the exact/expanded bridges ``to_polynomial`` /
 ``from_polynomial`` (semantics-preserving by construction, used by the
 equivalence tests) and :func:`specialize`, which maps one circuit-annotated
 relation into any target semiring without re-running the query --
-Theorem 4.3 operationalized on the compact representation.
+Theorem 4.3 operationalized on the compact representation.  When the
+target declares an array carrier (N, Z, B, Tropical, Fuzzy, Viterbi),
+``specialize`` does not sweep: it linearises the relation's DAG once into
+a level program -- leaves, then each level's products and sums as index
+arrays, topologically ordered by interning id -- caches it on the relation
+and runs it with one carrier call per level and argument, so every further
+target reuses the walk.  Object targets, compiled circuits, deep narrow
+DAGs and carrier overflow take the sweep.
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress, count
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.circuits.nodes import (
@@ -41,6 +50,7 @@ from repro.circuits.nodes import (
 from repro.circuits.semiring import CircuitSemiring
 from repro.errors import SemiringError
 from repro.semirings.base import Semiring
+from repro.semirings.carriers import VectorOps, _Fallback, _np
 from repro.semirings.homomorphism import SemiringHomomorphism
 from repro.semirings.numeric import NatInf
 from repro.semirings.polynomial import Polynomial, PolynomialSemiring, _scale_in
@@ -271,6 +281,160 @@ class _Restriction(CircuitEvaluator):
         return lo if name in self.zero_variables else decision_node(name, hi, lo)
 
 
+#: The level program runs when the DAG's levels hold at least this many
+#: nodes on average (the leaves are level 0).  Each level costs a few numpy
+#: calls whatever its width, so a deep, narrow DAG -- a long chain -- is
+#: cheaper in the scalar sweep.
+MIN_LEVEL_WIDTH = 32
+
+_BY_ID = attrgetter("_id")
+_CHILDREN = attrgetter("children")
+
+
+class _Program:
+    """A relation's circuit annotations as one linear program over positions.
+
+    Position ``i < len(leaves)`` holds ``leaves[i]`` (a ``Var`` or
+    ``Const``), the following ones the gates in interning order.  Each
+    entry of ``levels`` is ``(products, first, rounds, sums, children,
+    groups)``: the positions of the level's products, their first children
+    and one ``(taking, child)`` round per further argument -- ``taking``
+    indexes the products that have one (``None`` for all of them), ``child``
+    its position -- so each product is folded from its first child in child
+    order, as the sweep folds it; then the positions of its sums, their
+    children flat and the sum each of those belongs to.  ``roots`` holds one
+    position per row.
+    """
+
+    __slots__ = ("leaves", "levels", "roots", "size")
+
+    def __init__(self, leaves: List[Node], levels: list, roots: Any, size: int):
+        self.leaves, self.levels, self.roots, self.size = leaves, levels, roots, size
+
+
+def _build_program(annotations: List[Any]) -> _Program | None:
+    """The level program of ``annotations``, or ``None`` when it does not apply.
+
+    It does not apply to a DAG with gates other than ``Sum`` / ``Prod`` (or
+    annotations that are not circuits), nor to one narrower than
+    :data:`MIN_LEVEL_WIDTH` on average: the level pass gives up as soon as
+    the levels it has met make that certain.  It walks the gates by
+    interning id, which is topological: interning builds children before
+    their parents.
+    """
+    gates: set = set()
+    leaves: set = set()
+    stack = list(annotations)
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Sum or kind is Prod:
+            if node not in gates:
+                gates.add(node)
+                stack += node.children
+        elif kind is Var or kind is Const:
+            leaves.add(node)
+        else:
+            return None
+    size = len(leaves) + len(gates)
+    if size < MIN_LEVEL_WIDTH:
+        return None
+    leaves, gates = sorted(leaves, key=_BY_ID), sorted(gates, key=_BY_ID)
+    level = dict.fromkeys(leaves, 0)
+    depth_of = level.__getitem__
+    depths, top = [], 0
+    for gate in gates:
+        depth = level[gate] = 1 + max(map(depth_of, gate.children))
+        if depth > top:
+            top = depth
+            if (top + 1) * MIN_LEVEL_WIDTH > size:
+                return None
+        depths.append(depth)
+    position = dict(zip(leaves, count()))
+    position.update(zip(gates, count(len(leaves))))
+    arity = _np.fromiter(map(len, map(_CHILDREN, gates)), dtype=_np.intp, count=len(gates))
+    offsets = _np.cumsum(arity) - arity
+    kids = _np.fromiter(
+        map(position.__getitem__, chain.from_iterable(map(_CHILDREN, gates))),
+        dtype=_np.intp,
+        count=int(arity.sum()),
+    )
+    # gates by (level, products before sums), interning order within each
+    is_sum = _np.fromiter(map(type, gates), dtype=object, count=len(gates)) == Sum
+    key = 2 * _np.array(depths, dtype=_np.intp) + is_sum
+    order = _np.argsort(key, kind="stable")
+    bounds = _np.searchsorted(key[order], _np.arange(2, 2 * top + 3)).tolist()
+    levels = []
+    for start, middle, end in zip(bounds[0:-1:2], bounds[1::2], bounds[2::2]):
+        products, sums = order[start:middle], order[middle:end]
+        arguments = arity[products]
+        rounds = []
+        for argument in range(1, int(arguments.max(initial=0))):
+            taking = _np.flatnonzero(arguments > argument)
+            child = kids[offsets[products[taking]] + argument]
+            rounds.append((None if len(taking) == len(products) else taking, child))
+        arguments = arity[sums]
+        # a sum's children sit together in ``kids``, from its offset on
+        flat = _np.repeat(offsets[sums] - (_np.cumsum(arguments) - arguments), arguments)
+        levels.append((
+            products + len(leaves),
+            kids[offsets[products]],
+            rounds,
+            sums + len(leaves),
+            kids[flat + _np.arange(len(flat))],
+            _np.repeat(_np.arange(len(sums)), arguments),
+        ))
+    roots = _np.fromiter(map(position.__getitem__, annotations), dtype=_np.intp, count=len(annotations))
+    return _Program(leaves, levels, roots, size)
+
+
+def _run_program(
+    program: _Program, evaluator: CircuitEvaluator, carrier: VectorOps, relation: Any
+) -> Any:
+    """Evaluate ``program`` level by level on ``carrier``: ``relation``'s image.
+
+    Each leaf is read by ``evaluator`` (so a missing variable raises what
+    the sweep raises); each level of products is a left fold of
+    ``carrier.mul`` over its argument rounds, each level of sums one
+    ``carrier.accumulate``, and the roots get one ``zero_mask``.  A
+    carrier's overflow guard raises :class:`_Fallback` out of here.
+    """
+    from repro.relations.krelation import KRelation
+
+    lookup, constant = evaluator._lookup, evaluator._constant
+    leaves = carrier.to_array(
+        [lookup(leaf.name) if type(leaf) is Var else constant(leaf.value) for leaf in program.leaves]
+    )
+    values = _np.empty(program.size, dtype=leaves.dtype)
+    values[: len(leaves)] = leaves
+    for products, first, rounds, sums, children, groups in program.levels:
+        if len(products):
+            folded = values[first]
+            for taking, child in rounds:
+                if taking is None:
+                    folded = carrier.mul(folded, values[child])
+                else:
+                    folded[taking] = carrier.mul(folded[taking], values[child])
+            values[products] = folded
+        if len(sums):
+            values[sums] = carrier.accumulate(values[children], groups, len(sums))
+    totals = values[program.roots]
+    live = (~carrier.zero_mask(totals)).tolist()
+    image = KRelation(evaluator.target, relation.schema)
+    image._rows = dict(compress(zip(relation._rows, totals.tolist()), live))
+    return image
+
+
+def _program_of(relation: Any) -> _Program | None:
+    """``relation``'s level program, built on first use and cached on the
+    relation until its next mutation; ``False`` there records that the
+    program does not apply."""
+    program = relation._circuit_program
+    if program is None:
+        program = relation._circuit_program = _build_program(list(relation.annotations())) or False
+    return program or None
+
+
 def specialize(
     value: Any, target: Semiring, valuation: Mapping[str, Any]
 ) -> Any:
@@ -278,15 +442,36 @@ def specialize(
 
     This is "run the query once, read the answer in many semirings": the
     query is evaluated a single time over ``Circ[X]`` and each target
-    (bag, tropical, fuzzy, PosBool, probability, ...) is obtained by a
-    single sweep over the joint provenance DAG of all the annotations
-    (:meth:`CircuitEvaluator.evaluate_many`): every distinct gate is
-    evaluated once, then each tuple reads its value off the result.
+    (bag, tropical, fuzzy, PosBool, probability, ...) is obtained by one
+    pass over the joint provenance DAG of all the annotations, evaluating
+    every distinct gate once; each tuple then reads its value off the
+    result and tuples whose image is zero are dropped.
+
+    A relation goes through its level program (:func:`_build_program`,
+    built once and cached on the relation, so every further target reuses
+    it) when numpy is present, ``target`` declares an array ``carrier``
+    (N, Z, B, Tropical, Fuzzy, Viterbi, or an instrumented wrapper of one)
+    and the DAG is a wide ``Sum`` / ``Prod`` DAG; the carrier's overflow
+    guard declines too.  Everything else -- a single node, object targets
+    such as N[X] or PosBool, compiled circuits, deep narrow DAGs -- is one
+    :meth:`CircuitEvaluator.evaluate_many` sweep.  Both perform the same
+    ``+`` / ``.`` / zero tests and give the same annotations (a program the
+    overflow guard stops midway has charged an instrumented target for the
+    levels it ran, as a declined column-kernel plan has).
     """
+    from repro.engine import vectorized
     from repro.relations.krelation import KRelation
 
     evaluator = CircuitEvaluator(target, valuation)
     if isinstance(value, KRelation):
+        carrier = vectorized.vector_ops_for(target)
+        if carrier is not None and carrier is target.carrier:
+            program = _program_of(value)
+            if program is not None:
+                try:
+                    return _run_program(program, evaluator, carrier, value)
+                except _Fallback:
+                    pass
         values = evaluator.evaluate_many(value.annotations())
         return value.map_annotations(values.__getitem__, target)
     if isinstance(value, Node):

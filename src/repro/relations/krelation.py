@@ -44,11 +44,14 @@ class KRelation:
         :class:`Tup` objects, mappings, or value sequences in schema order.
 
     The support lives in one ``{Tup: annotation}`` dictionary; its layout
-    plays no part in the model.  :mod:`repro.engine.vectorized` keeps a
-    column encoding of that dictionary in ``_scan_cache``, which the
-    whole-column kernels scan under every semiring.  Every mutator below
-    drops it, and so does reading :attr:`_annotations`, since the raw
-    dictionary it hands out licenses writes the relation cannot see.
+    plays no part in the model.  Two caches are derived from it:
+    :mod:`repro.engine.vectorized` keeps a column encoding in
+    ``_scan_cache``, which the whole-column kernels scan under every
+    semiring, and :func:`repro.circuits.evaluate.specialize` keeps the
+    circuit annotations' level program in ``_circuit_program``.  Every
+    mutator below drops both (:meth:`_drop_caches`), and so does reading
+    :attr:`_annotations`, since the raw dictionary it hands out licenses
+    writes the relation cannot see.  Pickling drops them too.
     """
 
     def __init__(
@@ -60,29 +63,33 @@ class KRelation:
         self.semiring = semiring
         self.schema = schema if isinstance(schema, Schema) else Schema(schema)
         self._rows: Dict[Tup, Any] = {}
-        #: Column encoding of ``_rows`` built by the vectorized scan, or
-        #: ``None``; valid only until the next mutation.
-        self._scan_cache: Any = None
+        self._drop_caches()
         for entry in rows:
             row, annotation = self._split_entry(entry)
             self.add(row, annotation)
 
     def __getstate__(self) -> dict:
-        # The scan cache may hold numpy arrays and is rebuilt on demand.
-        state = self.__dict__.copy()
-        state["_scan_cache"] = None
-        return state
+        # The caches may hold numpy arrays and are rebuilt on demand.
+        self._drop_caches()
+        return self.__dict__.copy()
+
+    def _drop_caches(self) -> None:
+        """Forget what was derived from ``_rows``: the column encoding of
+        :mod:`repro.engine.vectorized` and the level program of
+        :func:`repro.circuits.evaluate.specialize` are valid only until the
+        next mutation."""
+        self._scan_cache = self._circuit_program = None
 
     @property
     def _annotations(self) -> Dict[Tup, Any]:
         """The stored ``{Tup: annotation}`` dictionary itself.
 
         Writes through it are raw (no zero/carrier checks) -- it exists for
-        the engines' internal fast paths.  Handing it out drops the scan
-        cache, so a caller must not keep the dictionary across a vectorized
-        scan of this relation and write to it afterwards.
+        the engines' internal fast paths.  Handing it out drops the caches,
+        so a caller must not keep the dictionary across a vectorized scan or
+        a ``specialize`` of this relation and write to it afterwards.
         """
-        self._scan_cache = None
+        self._drop_caches()
         return self._rows
 
     # -- construction helpers --------------------------------------------------
@@ -145,7 +152,7 @@ class KRelation:
             if annotation is None
             else self.semiring.coerce(annotation)
         )
-        self._scan_cache = None
+        self._drop_caches()
         rows = self._rows
         current = rows.get(tup)
         if current is None:
@@ -162,7 +169,7 @@ class KRelation:
         """Overwrite the annotation of a tuple (removing it when set to zero)."""
         tup = self._coerce_tuple(row)
         value = self.semiring.coerce(annotation)
-        self._scan_cache = None
+        self._drop_caches()
         if self.semiring.is_zero(value):
             self._rows.pop(tup, None)
         else:
@@ -178,7 +185,7 @@ class KRelation:
         semiring's own operations).  Skipping the per-tuple validation is a
         measurable win on join/projection hot paths.
         """
-        self._scan_cache = None
+        self._drop_caches()
         rows = self._rows
         current = rows.get(tup)
         if current is not None:
@@ -212,7 +219,7 @@ class KRelation:
         comes out of this semiring's own operations).
         """
         semiring = self.semiring
-        self._scan_cache = None
+        self._drop_caches()
         rows = self._rows
         delta = self.empty_like()
         delta_rows = delta._rows
@@ -234,7 +241,7 @@ class KRelation:
     def discard(self, row: RowLike) -> None:
         """Remove a tuple from the support (set its annotation to zero)."""
         tup = self._coerce_tuple(row)
-        self._scan_cache = None
+        self._drop_caches()
         self._rows.pop(tup, None)
 
     # -- access -----------------------------------------------------------------

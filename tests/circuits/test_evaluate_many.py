@@ -24,6 +24,7 @@ from repro.circuits import (
     var,
 )
 from repro.circuits.nodes import iter_nodes
+from repro.engine import vectorized
 from repro.errors import SemiringError
 from repro.obs import instrument
 from repro.relations.krelation import KRelation
@@ -143,19 +144,36 @@ def test_shared_evaluator_does_not_rewalk_memoised_nodes(monkeypatch):
 
 
 def test_specialize_sweeps_a_relation_once_and_drops_zero_images(monkeypatch):
-    sweeps = []
-    original = CircuitEvaluator.evaluate_many
+    sweeps, builds = [], []
+    original, build = CircuitEvaluator.evaluate_many, evaluate_module._build_program
 
     def recording(self, roots):
         roots = list(roots)
         sweeps.append(len(roots))
         return original(self, roots)
 
+    def recording_build(annotations):
+        builds.append(len(annotations))
+        return build(annotations)
+
     monkeypatch.setattr(CircuitEvaluator, "evaluate_many", recording)
+    monkeypatch.setattr(evaluate_module, "_build_program", recording_build)
+    monkeypatch.setattr(evaluate_module, "MIN_LEVEL_WIDTH", 1)  # a 4-row DAG is narrow
     x1, x2, x3 = (var(name) for name in NAMES[:3])
     relation = relation_of([(1, x1 * x2 + x3), (2, x1 * x2), (3, x3), (4, x1 * x2 + x3)])
+    # An object target has no array carrier: one sweep over the 4 roots.
+    valuation = {"x1": BoolExpr.var("x1"), "x2": BoolExpr.false(), "x3": BoolExpr.var("x3")}
+    image = specialize(relation, PosBoolSemiring(), valuation)
+    assert (sweeps, builds) == ([4], [])
+    assert sorted(tup.values_for(["k"])[0] for tup in image) == [1, 3, 4]
+    # N has one: no sweep, the relation's level program is built once
+    # (without numpy there are no array carriers, and N sweeps too).
+    del sweeps[:]
     image = specialize(relation, NaturalsSemiring(), {"x1": 2, "x2": 0, "x3": 5})
-    assert sweeps == [4]
+    if vectorized.numpy_available():
+        assert (sweeps, builds) == ([], [4])
+    else:
+        assert (sweeps, builds) == ([4], [])
     assert {tup.values_for(["k"])[0]: n for tup, n in image.items()} == {1: 5, 3: 5, 4: 5}
 
 
