@@ -147,7 +147,9 @@ class CompiledCircuit:
     decomposable -- the inference passes below are exact single passes.
     ``stats`` describes the batch the circuit was compiled in
     (:meth:`CircuitCompiler.compile_many`; shared by its roots): ``roots``,
-    multi-rooted ``input_nodes`` / ``output_nodes``, ``variables``, and the
+    multi-rooted ``input_nodes`` / ``output_nodes`` (exact: what
+    :func:`~repro.circuits.nodes.node_count` returns on the batch's sources
+    and diagrams), ``variables``, and the
     ``cache_hits`` / ``cache_misses`` the batch added: one lookup per root in
     the compiled-diagram memo plus one per non-terminal apply step.
     """
@@ -229,6 +231,9 @@ class CircuitCompiler:
         self._supports: Dict[Node, int] = {}
         #: (_AND or _OR, a, b) -> the diagram of ``a op b``, with a._id < b._id
         self._applied: Dict[Tuple[int, Node, Node], Node] = {}
+        #: the root ids of a compiled batch, in order -> its
+        #: ``(input_nodes, output_nodes)``
+        self._counted: Dict[Tuple[int, ...], Tuple[int, int]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -373,7 +378,11 @@ class CircuitCompiler:
         to its :class:`CompiledCircuit`.  The roots are ordered in one
         sweep, compiled in one sweep against the memos and counted as one
         DAG; each diagram is the very node a one-by-one :meth:`compile` in
-        the same sequence would return, under the same order.
+        the same sequence would return, under the same order.  The count is
+        two :func:`~repro.circuits.nodes.node_count` walks, recorded under
+        the batch's root ids in order: a later batch with the same ids has
+        the same roots (the memo keeps them alive) and so the same
+        diagrams, and reads the counts back without walking.
 
         Emits one ``circuit.compile`` span per batch and updates the
         process-wide :data:`repro.obs.metrics.compilation` counters, so
@@ -394,10 +403,19 @@ class CircuitCompiler:
             joint = 0
             for root in roots:
                 joint |= supports[root]
+            # The memo keeps every compiled root, so equal ids are the same
+            # roots with the same diagrams: the same counts.
+            batch = tuple([root._id for root in roots])
+            counts = self._counted.get(batch)
+            if counts is None:
+                counts = self._counted[batch] = (
+                    node_count(*roots),
+                    node_count(*diagrams.values()),
+                )
             stats = {
                 "roots": len(roots),
-                "input_nodes": node_count(*roots),
-                "output_nodes": node_count(*diagrams.values()),
+                "input_nodes": counts[0],
+                "output_nodes": counts[1],
                 "variables": joint.bit_count(),
                 "cache_hits": self.cache_hits - hits_before,
                 "cache_misses": self.cache_misses - misses_before,

@@ -517,6 +517,12 @@ def wmc_many(
     implicitly because ``p + (1-p) = 1``.  A node shared between roots --
     the normal case for the diagrams of one relation -- is counted once, and
     a weight is validated once, the first time the diagrams read it.
+
+    The pass is one iterative loop in the postorder of
+    :func:`~repro.circuits.nodes.iter_nodes` (no generator), dispatching on
+    the exact node type, decision gates first; a sum or product folds its
+    children in child order from ``0.0`` / ``1.0``, so the floats do not
+    depend on how the DAG is walked.
     """
     memo: Dict[Node, float] = {}
     checked: Dict[str, float] = {}
@@ -527,25 +533,43 @@ def wmc_many(
             p = checked[name] = _weight(weights, name)
         return p
 
-    for current in iter_nodes(*roots.values()):
-        if isinstance(current, Var):
-            value = weight(current.name)
-        elif isinstance(current, Const):
-            value = 0.0 if current.value == 0 else 1.0
-        elif isinstance(current, Not):
-            value = 1.0 - weight(current.child.name)
-        elif isinstance(current, Decision):
-            p = weight(current.name)
-            value = p * memo[current.hi] + (1.0 - p) * memo[current.lo]
-        elif isinstance(current, Sum):
-            value = 0.0
-            for child in current.children:
-                value += memo[child]
-        else:
-            value = 1.0
-            for child in current.children:
-                value *= memo[child]
-        memo[current] = value
+    # Postorder on an explicit stack: a gate waits under a ``None`` marker
+    # until its children are counted, in the order ``iter_nodes`` yields.
+    stack: List[Node | None] = list(reversed(roots.values()))
+    pop, push = stack.pop, stack.extend
+    while stack:
+        node = pop()
+        if node is None:
+            node = pop()
+            kind = type(node)
+            if kind is Decision:
+                p = checked.get(node.name)
+                if p is None:
+                    p = checked[node.name] = _weight(weights, node.name)
+                memo[node] = p * memo[node.hi] + (1.0 - p) * memo[node.lo]
+            elif kind is Sum:
+                value = 0.0
+                for child in node.children:
+                    value += memo[child]
+                memo[node] = value
+            else:
+                value = 1.0
+                for child in node.children:
+                    value *= memo[child]
+                memo[node] = value
+        elif node not in memo:
+            kind = type(node)
+            if kind is Decision:
+                push((node, None, node.lo, node.hi))
+            elif kind is Const:
+                memo[node] = 0.0 if node.value == 0 else 1.0
+            elif kind is Var:
+                memo[node] = weight(node.name)
+            elif kind is Not:
+                memo[node] = 1.0 - weight(node.child.name)
+            else:
+                push((node, None))
+                push(reversed(node.children))
     return {key: memo[root] for key, root in roots.items()}
 
 
@@ -566,17 +590,22 @@ class _KBest(Semiring):
     (decomposability); ``+`` completes each side over the variables only the
     other mentions (the smoothness gap, closed by ``x + ¬x``) and merges the
     disjoint model sets (determinism).  Both keep the ``k`` best, which are
-    made of their operands' ``k`` best.  Each weight is validated once.
+    made of their operands' ``k`` best.  Each weight is validated once, and
+    each variable's ``x + ¬x`` is built once, in ``either``.
     """
 
     def __init__(self, k: int, weights: Mapping[str, float], names: Sequence[str]):
-        self.k, self.name, self.names = k, f"{k}-best", names
+        self.k, self.name = k, f"{k}-best"
         self.bits = {name: 1 << i for i, name in enumerate(names)}
         self.literals: Dict[Tuple[str, bool], tuple] = {}
         for name, bit in self.bits.items():
             p = _weight(weights, name)
             self.literals[name, True] = (bit, ((p, bit),))
             self.literals[name, False] = (bit, ((1.0 - p, 0),))
+        #: ``x + ¬x`` per variable, by bit position: what ``complete`` multiplies by
+        self.either = [
+            self.add(self.literals[name, True], self.literals[name, False]) for name in names
+        ]
 
     def zero(self) -> tuple:
         return 0, ()
@@ -608,8 +637,7 @@ class _KBest(Semiring):
         """``value`` times ``x + ¬x`` for every variable in ``missing``."""
         while missing:
             low = missing & -missing
-            name = self.names[low.bit_length() - 1]
-            value = self.mul(value, self.add(self.literals[name, True], self.literals[name, False]))
+            value = self.mul(value, self.either[low.bit_length() - 1])
             missing ^= low
         return value
 

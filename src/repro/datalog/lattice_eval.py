@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping
 
-from repro.errors import DatalogError
+from repro.errors import DatalogError, SemiringError
 from repro.datalog.all_trees import default_edb_ids
 from repro.datalog.fixpoint import evaluate_program, idb_schema
 from repro.datalog.grounding import GroundAtom, collect_edb_annotations
@@ -98,7 +98,8 @@ class LatticeDatalogResult:
         ``valuation`` maps tuple ids to lattice elements; each condition's
         minimal monomials are mapped to meets and joined, which is exactly
         evaluating the minimal-fringe polynomial of the paper's modified
-        All-Trees in ``K``.
+        All-Trees in ``K``.  A tuple id the valuation lacks raises
+        :class:`~repro.errors.SemiringError` naming it.
         """
         if not lattice.is_distributive_lattice:
             raise DatalogError(
@@ -111,7 +112,13 @@ class LatticeDatalogResult:
             for clause in condition.clauses:
                 meet = lattice.one()
                 for variable in clause:
-                    meet = lattice.mul(meet, coerced[variable])
+                    try:
+                        element = coerced[variable]
+                    except KeyError:
+                        raise SemiringError(
+                            f"valuation is missing variable {variable!r}"
+                        ) from None
+                    meet = lattice.mul(meet, element)
                 value = lattice.add(value, meet)
             results[atom] = value
         return results

@@ -120,7 +120,9 @@ class CompileStats:
     multi-rooted DAG before and after (a node shared between the roots of a
     batch counts once), so ``output_nodes / batches`` is the mean compiled
     size of a relation.  Unlike the consing counters these are always on:
-    they move once per batch, never inside per-tuple loops.
+    they move once per batch, never inside per-tuple loops, and a batch
+    that repeats the roots of one its compiler has counted, in the same
+    order, adds the counts it recorded then instead of walking again.
     """
 
     __slots__ = (

@@ -47,6 +47,11 @@ class BoolExpr:
     of variables.  ``false`` is the empty disjunction and ``true`` is the
     disjunction containing the empty clause.  Instances are immutable and
     hashable, so they can be used directly as K-relation annotations.
+
+    The constructor normalises what it is given.  ``|`` and ``&`` do not
+    re-normalise: their operands are already minimal, so they minimise only
+    the clauses they combine and wrap the result as it is.  ``false`` and
+    ``true`` are shared instances and the identities of the two operators.
     """
 
     __slots__ = ("_clauses",)
@@ -55,16 +60,24 @@ class BoolExpr:
         normalized = _minimize(frozenset(map(str, clause)) for clause in clauses)
         object.__setattr__(self, "_clauses", normalized)
 
+    @classmethod
+    def _wrap(cls, clauses: frozenset[Clause]) -> "BoolExpr":
+        """An expression over ``clauses``, which must already be a minimal
+        antichain of frozensets of names: nothing is copied or checked."""
+        expr = object.__new__(cls)
+        object.__setattr__(expr, "_clauses", clauses)
+        return expr
+
     # -- constructors ---------------------------------------------------------
     @classmethod
     def false(cls) -> "BoolExpr":
-        """The constantly-false expression (annotation of absent tuples)."""
-        return cls(())
+        """The constantly-false expression (annotation of absent tuples); shared."""
+        return _FALSE
 
     @classmethod
     def true(cls) -> "BoolExpr":
-        """The constantly-true expression."""
-        return cls(((),))
+        """The constantly-true expression; shared."""
+        return _TRUE
 
     @classmethod
     def var(cls, name: str) -> "BoolExpr":
@@ -103,16 +116,27 @@ class BoolExpr:
 
     # -- Boolean algebra -------------------------------------------------------
     def __or__(self, other: "BoolExpr | str | bool") -> "BoolExpr":
-        other = BoolExpr.of(other)
-        return BoolExpr(self._clauses | other._clauses)
+        if type(other) is not BoolExpr:
+            other = BoolExpr.of(other)
+        a, b = self._clauses, other._clauses
+        if not a or a is b:
+            return other
+        if not b:
+            return self
+        return BoolExpr._wrap(_minimize(a | b))
 
     def __and__(self, other: "BoolExpr | str | bool") -> "BoolExpr":
-        other = BoolExpr.of(other)
-        if self.is_false or other.is_false:
-            return BoolExpr.false()
-        return BoolExpr(
-            a | b for a in self._clauses for b in other._clauses
-        )
+        if type(other) is not BoolExpr:
+            other = BoolExpr.of(other)
+        a, b = self._clauses, other._clauses
+        if not a or not b:
+            return _FALSE
+        # A minimal form holding the empty clause is ``true`` itself.
+        if _EMPTY in a or a is b:
+            return other
+        if _EMPTY in b:
+            return self
+        return BoolExpr._wrap(_minimize([x | y for x in a for y in b]))
 
     def evaluate(self, assignment: Mapping[str, bool]) -> bool:
         """Evaluate under a truth assignment; missing variables default to False."""
@@ -161,6 +185,11 @@ class BoolExpr:
         return " ∨ ".join(rendered_clauses)
 
 
+_EMPTY: Clause = frozenset()
+_FALSE = BoolExpr._wrap(frozenset())
+_TRUE = BoolExpr._wrap(frozenset((_EMPTY,)))
+
+
 class PosBoolSemiring(Semiring):
     """``(PosBool(B), or, and, false, true)`` -- conditions of Boolean c-tables.
 
@@ -177,16 +206,22 @@ class PosBoolSemiring(Semiring):
     has_top = True
 
     def zero(self) -> BoolExpr:
-        return BoolExpr.false()
+        return _FALSE
 
     def one(self) -> BoolExpr:
-        return BoolExpr.true()
+        return _TRUE
 
     def add(self, a: BoolExpr, b: BoolExpr) -> BoolExpr:
-        return BoolExpr.of(a) | BoolExpr.of(b)
+        return BoolExpr.of(a) | b
 
     def mul(self, a: BoolExpr, b: BoolExpr) -> BoolExpr:
-        return BoolExpr.of(a) & BoolExpr.of(b)
+        return BoolExpr.of(a) & b
+
+    def is_zero(self, value: Any) -> bool:
+        """``false`` is the empty clause set; ``False`` reads as it."""
+        if isinstance(value, BoolExpr):
+            return not value._clauses
+        return value is False
 
     def contains(self, value: Any) -> bool:
         return isinstance(value, BoolExpr)
@@ -195,7 +230,7 @@ class PosBoolSemiring(Semiring):
         return BoolExpr.of(value)
 
     def top(self) -> BoolExpr:
-        return BoolExpr.true()
+        return _TRUE
 
     def leq(self, a: BoolExpr, b: BoolExpr) -> bool:
         """Lattice order = semantic implication."""
@@ -203,7 +238,7 @@ class PosBoolSemiring(Semiring):
 
     def star(self, a: BoolExpr) -> BoolExpr:
         """``e* = true`` for every expression ``e`` (noted in Section 5)."""
-        return BoolExpr.true()
+        return _TRUE
 
     def format_value(self, value: Any) -> str:
         return str(BoolExpr.of(value))

@@ -18,8 +18,13 @@ from repro.circuits import (
     CompiledCircuit,
     Const,
     Decision,
+    Not,
+    Prod,
+    Sum,
+    Var,
     check_ddnnf,
     choose_variable_order,
+    circuit_depth,
     compile_circuit,
     const,
     decision_node,
@@ -360,6 +365,39 @@ class TestBatchCompile:
             node_count(compiled.source) for compiled in batch.values()
         )
 
+    def test_batch_counts_equal_the_walk_when_reused(self, monkeypatch):
+        """A repeat of a counted batch reads its counts back without walking;
+        a reordered batch and a sub-batch walk, and every batch reports
+        what ``node_count`` says of its roots and diagrams."""
+        import repro.circuits.compile as compile_module
+
+        walks = []
+
+        def counting(*roots):
+            walks.append(len(roots))
+            return node_count(*roots)
+
+        monkeypatch.setattr(compile_module, "node_count", counting)
+        compiler = CircuitCompiler()
+        lineages = self.lineages()
+        keys = list(lineages)
+        batches = [
+            ("first", keys),
+            ("repeated", keys),
+            ("reordered", keys[::-1]),
+            ("sub-batch", keys[1:3]),
+            ("repeated sub-batch", keys[1:3]),
+        ]
+        for label, chosen in batches:
+            del walks[:]
+            compiled = compiler.compile_many({key: lineages[key] for key in chosen})
+            stats = next(iter(compiled.values())).stats
+            assert (stats["input_nodes"], stats["output_nodes"]) == (
+                node_count(*(c.source for c in compiled.values())),
+                node_count(*(c.root for c in compiled.values())),
+            ), label
+            assert bool(walks) == (not label.startswith("repeated")), label
+
     def test_an_empty_batch_is_an_empty_answer(self):
         assert CircuitCompiler().compile_many({}) == {}
 
@@ -413,6 +451,103 @@ class TestBatchCompile:
             CountingWeights({"a": 0.3, "b": 0.6, "c": 0.25, "d": 0.9}),
         )
         assert CountingWeights.reads == 4  # once per variable, not per gate
+
+
+def reference_wmc(roots, weights):
+    """``wmc_many`` as a postorder fold over ``iter_nodes``: each gate folds
+    its children in child order from ``0.0`` / ``1.0``."""
+    memo = {}
+    for node in iter_nodes(*roots.values()):
+        if isinstance(node, Var):
+            value = float(weights[node.name])
+        elif isinstance(node, Const):
+            value = 0.0 if node.value == 0 else 1.0
+        elif isinstance(node, Not):
+            value = 1.0 - float(weights[node.child.name])
+        elif isinstance(node, Decision):
+            p = float(weights[node.name])
+            value = p * memo[node.hi] + (1.0 - p) * memo[node.lo]
+        elif isinstance(node, Sum):
+            value = 0.0
+            for child in node.children:
+                value += memo[child]
+        else:
+            value = 1.0
+            for child in node.children:
+                value *= memo[child]
+        memo[node] = value
+    return {key: memo[root] for key, root in roots.items()}
+
+
+probabilities = st.floats(min_value=0.0, max_value=1.0)
+
+
+class TestWmcAgainstReference:
+    """``wmc_many`` is ``==`` to the reference fold: the same products and
+    sums in the same order, on diagrams and on raw gates alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(source_batches(), st.lists(probabilities, min_size=8, max_size=8))
+    def test_random_sources_and_their_diagrams(self, batch, ps):
+        """Sources carry ``Not``, ``Sum``, ``Prod``, ``Decision`` and
+        constant nodes; their compiled diagrams only decisions and leaves."""
+        names, sources = batch
+        weights = dict(zip(names, ps))
+        sources = dict(enumerate(sources))
+        compiled = CircuitCompiler().compile_many(sources)
+        for roots in (sources, {key: c.root for key, c in compiled.items()}):
+            assert wmc_many(roots, weights) == reference_wmc(roots, weights)
+
+    def test_wide_gates_fold_in_child_order(self):
+        """Float ``+`` and ``*`` are not associative: a 40-child sum or
+        product is ``==`` to the reference only when folded in child order."""
+        names = [f"g{i}" for i in range(40)]
+        weights = {name: ((i * 7919) % 1000 + 1) / 1013 for i, name in enumerate(names)}
+        literals = [not_node(var(n)) if i % 5 == 0 else var(n) for i, n in enumerate(names)]
+        roots = {
+            "sum": sum_node(*(prod_node(a, b) for a, b in zip(literals, literals[1:]))),
+            "prod": prod_node(*literals),
+        }
+        counted = wmc_many(roots, weights)
+        assert counted == reference_wmc(roots, weights)
+        for key, backwards in (("sum", 0.0), ("prod", 1.0)):
+            parts = reference_wmc(dict(enumerate(roots[key].children)), weights).values()
+            for part in reversed(list(parts)):
+                backwards = backwards + part if key == "sum" else backwards * part
+            assert backwards != counted[key]  # the fold order is observable here
+
+    def test_deep_chains(self):
+        """A 10,000-literal conjunction, compiled (a decision chain 10,000
+        deep), and a 15,000-deep source chain of sums, products and
+        negated literals, under a recursion limit of 1,000."""
+        steps = 10_000
+        names = [f"k{i}" for i in range(steps)]
+        negated = [i % 3 == 0 for i in range(steps)]
+        literals = [not_node(var(n)) if neg else var(n) for n, neg in zip(names, negated)]
+        # likely literals, so the 10,000-fold product does not underflow
+        weights = {
+            name: (1.0 - p if neg else p)
+            for name, neg, p in zip(names, negated, (1.0 - (i % 7 + 1) / 1e4 for i in range(steps)))
+        }
+        conjunction = literals[-1]
+        for literal in reversed(literals[:-1]):
+            conjunction = prod_node(literal, conjunction)
+        mixed = literals[0]
+        for i in range(1, steps):
+            mixed = prod_node(mixed, literals[i])
+            if i % 2:
+                mixed = sum_node(mixed, var(names[i - 1]))
+        compiled = CircuitCompiler().compile_many({"and": conjunction})["and"]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        try:
+            assert circuit_depth(compiled.root) == steps
+            for roots in ({"and": compiled.root}, {"and": conjunction, "mixed": mixed}):
+                counted = wmc_many(roots, weights)
+                assert counted == reference_wmc(roots, weights)
+                assert 0.0 < counted["and"] < 1.0
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestTopK:

@@ -13,7 +13,7 @@ from repro.datalog import (
     ucq_to_program,
 )
 from repro.algebra import Q
-from repro.errors import DatalogError, GroundingError
+from repro.errors import DatalogError, GroundingError, SemiringError
 from repro.relations import Database, Tup, abstractly_tag_database
 from repro.semirings import (
     BooleanSemiring,
@@ -110,6 +110,14 @@ class TestLatticeEvaluation:
         direct = evaluate_on_lattice(figure7_program(), fuzzy)
         assert values == {atom: direct.annotation(atom.values) for atom in values}
         assert values[GroundAtom("Q", ("a", "d"))] == 0.5
+
+    def test_a_missing_tuple_id_names_the_variable(self):
+        provenance = lattice_condition_provenance(figure7_program(), figure7_database())
+        valuation = {name: True for name in provenance.edb_ids.values()}
+        missing = sorted(valuation)[0]
+        del valuation[missing]
+        with pytest.raises(SemiringError, match=f"valuation is missing variable '{missing}'"):
+            provenance.evaluate(BooleanSemiring(), valuation)
 
     def test_non_lattice_semiring_rejected(self):
         with pytest.raises(DatalogError):

@@ -102,3 +102,80 @@ def test_normal_form_preserves_truth_tables(expr, assignment):
 def test_or_and_commutative_property(e1, e2):
     assert (e1 | e2) == (e2 | e1)
     assert (e1 & e2) == (e2 & e1)
+
+
+# -- the operators against the normal form rebuilt from scratch -------------------
+
+_NAMES = ["a", "b", "c", "d", "e"]
+_clause_lists = st.lists(st.frozensets(st.sampled_from(_NAMES), max_size=3), max_size=6)
+_operands = st.one_of(
+    st.booleans(),
+    st.just(BoolExpr.true()),
+    st.just(BoolExpr.false()),
+    _clause_lists.map(BoolExpr),
+    _posbool_expressions(),
+)
+
+
+def _clauses_of(value):
+    """The clause list of an operand, a Python bool included, unnormalised."""
+    if isinstance(value, bool):
+        return [frozenset()] if value else []
+    return list(value.clauses)
+
+
+def _reference_or(a, b):
+    return BoolExpr(_clauses_of(a) + _clauses_of(b))
+
+
+def _reference_and(a, b):
+    return BoolExpr(x | y for x in _clauses_of(a) for y in _clauses_of(b))
+
+
+def _assert_normal(result, reference):
+    assert isinstance(result, BoolExpr)
+    assert result.clauses == reference.clauses
+    # the result is itself minimal: the public constructor keeps it as it is
+    assert BoolExpr(result.clauses).clauses == result.clauses
+
+
+@given(_operands.filter(lambda v: isinstance(v, BoolExpr)), _operands)
+def test_operators_agree_with_the_renormalised_form(a, b):
+    snapshots = [(v, v.clauses, set(v.clauses)) for v in (a, b) if isinstance(v, BoolExpr)]
+    _assert_normal(a | b, _reference_or(a, b))
+    _assert_normal(a & b, _reference_and(a, b))
+    _assert_normal(a | a, _reference_or(a, a))
+    _assert_normal(a & a, _reference_and(a, a))
+    for value, clauses, members in snapshots:  # neither operand is touched
+        assert value.clauses is clauses and set(clauses) == members
+
+
+@given(_operands, _operands)
+def test_semiring_operations_agree_with_the_renormalised_form(a, b):
+    semiring = PosBoolSemiring()
+    _assert_normal(semiring.add(a, b), _reference_or(a, b))
+    _assert_normal(semiring.mul(a, b), _reference_and(a, b))
+    for value in (a, b):
+        assert semiring.is_zero(value) == (not _clauses_of(value))
+        assert semiring.is_zero(value) == (value == BoolExpr(()))
+
+
+def test_constants_are_shared():
+    semiring, other = PosBoolSemiring(), PosBoolSemiring()
+    assert semiring.zero() is other.zero() is BoolExpr.false()
+    assert semiring.one() is other.one() is BoolExpr.true()
+    assert BoolExpr.of(False) is BoolExpr.false() and BoolExpr.of(True) is BoolExpr.true()
+    a = BoolExpr.var("a")
+    assert semiring.add(a, semiring.zero()) is a and semiring.add(semiring.zero(), a) is a
+    assert semiring.mul(a, semiring.one()) is a and semiring.mul(semiring.one(), a) is a
+    assert semiring.mul(a, semiring.zero()) is BoolExpr.false()
+    # the public constructor still builds (and normalises) its own instance
+    assert BoolExpr([["a"], ["a", "b"]]) == a
+    assert BoolExpr(()) == BoolExpr.false() and BoolExpr([[]]) == BoolExpr.true()
+
+
+def test_is_zero_reads_only_false():
+    semiring = PosBoolSemiring()
+    assert semiring.is_zero(BoolExpr(())) and semiring.is_zero(False)
+    assert not semiring.is_zero(True) and not semiring.is_zero(BoolExpr.var("a"))
+    assert not semiring.is_zero(0)  # not a PosBool value, as ``0 == false()`` is False
