@@ -45,7 +45,7 @@ diagram.  An explicit order always wins.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Container, Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from repro.circuits.knowledge import check_ddnnf
@@ -232,8 +232,12 @@ class CircuitCompiler:
         #: (_AND or _OR, a, b) -> the diagram of ``a op b``, with a._id < b._id
         self._applied: Dict[Tuple[int, Node, Node], Node] = {}
         #: the root ids of a compiled batch, in order -> its
-        #: ``(input_nodes, output_nodes)``
-        self._counted: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+        #: ``(input_nodes, output_nodes, orders)``, ``orders`` holding each
+        #: root's variables in branching order (indices only ever grow, so
+        #: they stay valid)
+        self._counted: Dict[Tuple[int, ...], Tuple[int, int, Tuple[Tuple[str, ...], ...]]] = {}
+        #: diagram node -> the bitmask of the variables it tests
+        self._tested: Dict[Node, int] = {}
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -379,10 +383,11 @@ class CircuitCompiler:
         sweep, compiled in one sweep against the memos and counted as one
         DAG; each diagram is the very node a one-by-one :meth:`compile` in
         the same sequence would return, under the same order.  The count is
-        two :func:`~repro.circuits.nodes.node_count` walks, recorded under
-        the batch's root ids in order: a later batch with the same ids has
-        the same roots (the memo keeps them alive) and so the same
-        diagrams, and reads the counts back without walking.
+        two :func:`~repro.circuits.nodes.node_count` walks, recorded with
+        every root's order under the batch's root ids in order: a later
+        batch with the same ids has the same roots (the memo keeps them
+        alive) and so the same diagrams, and reads the counts and orders
+        back without walking or decoding a support.
 
         Emits one ``circuit.compile`` span per batch and updates the
         process-wide :data:`repro.obs.metrics.compilation` counters, so
@@ -404,13 +409,15 @@ class CircuitCompiler:
             for root in roots:
                 joint |= supports[root]
             # The memo keeps every compiled root, so equal ids are the same
-            # roots with the same diagrams: the same counts.
+            # roots with the same diagrams: the same counts and orders.
             batch = tuple([root._id for root in roots])
             counts = self._counted.get(batch)
             if counts is None:
+                names = self._names
                 counts = self._counted[batch] = (
                     node_count(*roots),
                     node_count(*diagrams.values()),
+                    tuple([names(supports[root]) for root in roots]),
                 )
             stats = {
                 "roots": len(roots),
@@ -434,14 +441,31 @@ class CircuitCompiler:
                 cache_misses=stats["cache_misses"],
             )
             return {
-                key: CompiledCircuit(
-                    source=root,
-                    root=diagrams[key],
-                    order=self._names(supports[root]),
-                    stats=stats,
-                )
-                for key, root in sources.items()
+                key: CompiledCircuit(source=root, root=diagrams[key], order=order, stats=stats)
+                for (key, root), order in zip(sources.items(), counts[2])
             }
+
+    def essential(self, compiled: Mapping[Any, CompiledCircuit]) -> Dict[Any, CompiledCircuit]:
+        """The circuits of :meth:`compile_many`, each with ``order`` cut to the
+        variables its diagram tests.
+
+        A reduced diagram tests exactly the variables its Boolean function
+        depends on, so an assignment over the cut order (as
+        :func:`~repro.circuits.evaluate.top_k_many` completes it) leaves out
+        the variables of derivations that others absorb.  One sweep over
+        the diagrams' new nodes, memoized across calls.
+        """
+        tested, index = self._tested, self._index
+        for node in iter_nodes(*(c.root for c in compiled.values()), done=tested):
+            tested[node] = (
+                tested[node.hi] | tested[node.lo] | 1 << index[node.name]
+                if type(node) is Decision
+                else 0
+            )
+        return {
+            key: replace(circuit, order=self._names(tested[circuit.root]))
+            for key, circuit in compiled.items()
+        }
 
     def compile(self, value: Any) -> CompiledCircuit:
         """Compile one circuit / PosBool condition / polynomial to decision

@@ -232,16 +232,18 @@ def _rebuild_circuit(spec: List[tuple]) -> Node:
     return nodes[-1]
 
 
-def _intern(key: tuple, build) -> Node:
-    node = _INTERN.get(key)
-    if node is None:
-        if _consing.enabled:
-            _consing.misses += 1
-        node = build()
-        object.__setattr__(node, "_id", next(_IDS))
-        _INTERN[key] = node
-    elif _consing.enabled:
-        _consing.hits += 1
+def _new(key: tuple, kind: type, fields: Dict[str, Any]) -> Node:
+    """Build, number and intern the node for a ``key`` the table lacks.
+
+    Every factory looks its key up in ``_INTERN`` first and counts a hit
+    itself, so only a miss pays for building a node."""
+    if _consing.enabled:
+        _consing.misses += 1
+    node = kind.__new__(kind)
+    for name, value in fields.items():
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "_id", next(_IDS))
+    _INTERN[key] = node
     return node
 
 
@@ -262,25 +264,25 @@ def var(name: str) -> Var:
     """The (interned) variable node for tuple id ``name``."""
     if not isinstance(name, str) or not name:
         raise InvalidAnnotationError(f"{name!r} is not a valid variable name")
-
-    def build() -> Var:
-        node = Var.__new__(Var)
-        object.__setattr__(node, "name", name)
-        return node
-
-    return _intern(("v", name), build)
+    key = ("v", name)
+    node = _INTERN.get(key)
+    if node is None:
+        return _new(key, Var, {"name": name})
+    if _consing.enabled:
+        _consing.hits += 1
+    return node
 
 
 def const(value: Any) -> Const:
     """The (interned) constant node for ``value`` (``int`` >= 0 or ``NatInf``)."""
     value = _check_const(value)
-
-    def build() -> Const:
-        node = Const.__new__(Const)
-        object.__setattr__(node, "value", value)
-        return node
-
-    return _intern(("c", value), build)
+    key = ("c", value)
+    node = _INTERN.get(key)
+    if node is None:
+        return _new(key, Const, {"value": value})
+    if _consing.enabled:
+        _consing.hits += 1
+    return node
 
 
 def _add_values(a: Any, b: Any) -> Any:
@@ -312,14 +314,13 @@ def sum_node(*parts: Node) -> Node:
     if len(children) == 1:
         return children[0]
     children.sort(key=lambda node: node._id)
-    key = ("s", tuple(node._id for node in children))
-
-    def build() -> Sum:
-        node = Sum.__new__(Sum)
-        object.__setattr__(node, "children", tuple(children))
-        return node
-
-    return _intern(key, build)
+    key = ("s", tuple([node._id for node in children]))
+    node = _INTERN.get(key)
+    if node is None:
+        return _new(key, Sum, {"children": tuple(children)})
+    if _consing.enabled:
+        _consing.hits += 1
+    return node
 
 
 def prod_node(*parts: Node) -> Node:
@@ -345,14 +346,13 @@ def prod_node(*parts: Node) -> Node:
     if len(children) == 1:
         return children[0]
     children.sort(key=lambda node: node._id)
-    key = ("p", tuple(node._id for node in children))
-
-    def build() -> Prod:
-        node = Prod.__new__(Prod)
-        object.__setattr__(node, "children", tuple(children))
-        return node
-
-    return _intern(key, build)
+    key = ("p", tuple([node._id for node in children]))
+    node = _INTERN.get(key)
+    if node is None:
+        return _new(key, Prod, {"children": tuple(children)})
+    if _consing.enabled:
+        _consing.hits += 1
+    return node
 
 
 def not_node(part: Node) -> Node:
@@ -371,13 +371,13 @@ def not_node(part: Node) -> Node:
         raise InvalidAnnotationError(
             f"negation is only defined on literals, not {part!r}"
         )
-
-    def build() -> Not:
-        node = Not.__new__(Not)
-        object.__setattr__(node, "child", part)
-        return node
-
-    return _intern(("n", part._id), build)
+    key = ("n", part._id)
+    node = _INTERN.get(key)
+    if node is None:
+        return _new(key, Not, {"child": part})
+    if _consing.enabled:
+        _consing.hits += 1
+    return node
 
 
 def decision_node(name: str, hi: Node, lo: Node, *, collapse: bool = True) -> Node:
@@ -395,15 +395,13 @@ def decision_node(name: str, hi: Node, lo: Node, *, collapse: bool = True) -> No
         raise InvalidAnnotationError("decision branches must be circuit nodes")
     if collapse and hi is lo:
         return hi
-
-    def build() -> Decision:
-        node = Decision.__new__(Decision)
-        object.__setattr__(node, "name", name)
-        object.__setattr__(node, "hi", hi)
-        object.__setattr__(node, "lo", lo)
-        return node
-
-    return _intern(("d", name, hi._id, lo._id), build)
+    key = ("d", name, hi._id, lo._id)
+    node = _INTERN.get(key)
+    if node is None:
+        return _new(key, Decision, {"name": name, "hi": hi, "lo": lo})
+    if _consing.enabled:
+        _consing.hits += 1
+    return node
 
 
 #: The canonical additive/multiplicative identities (kept strongly alive so

@@ -30,6 +30,7 @@ from repro.datalog.monomial_coefficient import MonomialCoefficientResult, monomi
 from repro.datalog.provenance import (
     DatalogCircuitProvenance,
     DatalogProvenance,
+    absorptive_circuit_provenance,
     datalog_circuit_provenance,
     datalog_provenance,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "DatalogCircuitProvenance",
     "datalog_provenance",
     "datalog_circuit_provenance",
+    "absorptive_circuit_provenance",
     "cq_to_program",
     "ucq_to_program",
 ]

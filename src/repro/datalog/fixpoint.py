@@ -41,7 +41,7 @@ order, and each component is solved once every component it reads is done:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Set
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from repro.errors import DivergenceError
 from repro.datalog.grounding import (
@@ -300,6 +300,27 @@ def _live_dependencies(table: AtomTable, facts: Mapping[int, Any]) -> List[List[
     return successors
 
 
+def component_order(
+    ground: GroundProgram,
+) -> Tuple[AtomTable, Dict[int, Any], List[List[int]], List[Tuple[List[int], bool]]]:
+    """The int-coded instantiation in solving order.
+
+    Returns ``(table, facts, successors, components)``: the atom table and
+    EDB facts of :meth:`~GroundProgram.int_form`, the IDB atoms each atom's
+    live rules read, and the IDB components of that live graph in dependency
+    order, each with whether it is cyclic.
+    """
+    table, facts = ground.int_form()
+    idb = table.idb
+    successors = _live_dependencies(table, facts)
+    components = [
+        (component, is_cyclic(component, successors))
+        for component in strongly_connected_components(successors)
+        if idb[component[0]]
+    ]
+    return table, facts, successors, components
+
+
 def solve_ground(
     ground: GroundProgram,
     semiring: Semiring,
@@ -318,14 +339,8 @@ def solve_ground(
     solver runs on atom ids; only the returned atoms are decoded.
     """
     check_on_divergence(on_divergence)
-    table, facts = ground.int_form()
+    table, facts, successors, components = component_order(ground)
     idb = table.idb
-    successors = _live_dependencies(table, facts)
-    components = [
-        (component, is_cyclic(component, successors))
-        for component in strongly_connected_components(successors)
-        if idb[component[0]]
-    ]
     series = isinstance(semiring, PowerSeriesSemiring)
 
     divergent: Set[int] = set()

@@ -20,13 +20,16 @@ the ``Eval_v`` homomorphism (Theorem 6.4 restricted to lattices).
 
 There is one path: the PosBool(X) fixpoint runs on the semi-naive engine,
 and :meth:`LatticeDatalogResult.evaluate` expands each condition's minimal
-monomials into meets and joins.  The probabilistic layer compiles the same
-conditions (:meth:`LatticeDatalogResult.compile`) for probabilities.
+monomials into meets and joins.  Probabilities need only each atom's Boolean
+function, not its minimal DNF: the probabilistic layer compiles circuits
+built from the ground program instead
+(:func:`repro.datalog.provenance.absorptive_circuit_provenance`), and these
+conditions are their test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping
 
 from repro.errors import DatalogError, SemiringError
@@ -50,7 +53,6 @@ class LatticeDatalogResult:
     edb_ids: Dict[GroundAtom, str]
     conditions: Dict[GroundAtom, BoolExpr]
     program: Program
-    _compiled: Dict[GroundAtom, Any] | None = field(default=None, init=False, repr=False)
 
     def condition(self, atom: GroundAtom) -> BoolExpr:
         """The minimal-fringe condition of a derivable IDB atom."""
@@ -58,37 +60,6 @@ class LatticeDatalogResult:
             return self.conditions[atom]
         except KeyError:
             raise DatalogError(f"{atom} is not a derivable IDB atom") from None
-
-    def compile(self, *, compiler: Any = None) -> Dict[GroundAtom, Any]:
-        """Knowledge-compile every condition to an ordered decision diagram.
-
-        One :class:`~repro.circuits.compile.CircuitCompiler` (passed in or
-        created here) compiles all atoms as one multi-rooted diagram, so
-        conditions that share clauses -- the normal case after a fixpoint --
-        share the compile cache and the variable order.  Returns atom ->
-        :class:`~repro.circuits.compile.CompiledCircuit`.
-        """
-        from repro.circuits.compile import CircuitCompiler
-
-        if compiler is None:
-            if self._compiled is not None:
-                return self._compiled
-            compiler = CircuitCompiler()
-        self._compiled = compiler.compile_many(self.conditions)
-        return self._compiled
-
-    def wmc(self, weights: Mapping[str, float]) -> Dict[GroundAtom, float]:
-        """Exact probability of every atom under independent tuple marginals.
-
-        Compiles the conditions and weighted-model-counts the diagrams in
-        one pass -- the probabilistic-datalog reading of Section 8 without
-        constructing any world space.
-        """
-        from repro.circuits.evaluate import wmc_many
-
-        return wmc_many(
-            {atom: compiled.root for atom, compiled in self.compile().items()}, weights
-        )
 
     def evaluate(
         self, lattice: Semiring, valuation: Mapping[str, Any]
@@ -135,9 +106,9 @@ def lattice_condition_provenance(
     The database may be annotated in any semiring; only the support matters
     here, since each EDB fact is re-tagged with its own Boolean variable.
     (``edb_ids`` need not be injective: mapping two facts to one variable
-    declares them perfectly correlated, which is how the probabilistic layer
-    encodes shared events.)  The PosBool(X) fixpoint runs on the semi-naive
-    engine (:func:`repro.datalog.fixpoint.evaluate_program`).
+    declares them perfectly correlated, as two tuples declared with one
+    event of a probabilistic database are.)  The PosBool(X) fixpoint runs on
+    the semi-naive engine (:func:`repro.datalog.fixpoint.evaluate_program`).
     """
     if isinstance(program, str):
         program = Program.parse(program)

@@ -36,7 +36,7 @@ from typing import Any, Dict, Mapping
 from repro.errors import DatalogError
 from repro.datalog.all_trees import all_trees_of, default_edb_ids
 from repro.datalog.finiteness import ProvenanceClass, classify_provenance
-from repro.datalog.fixpoint import solve_ground
+from repro.datalog.fixpoint import _initial_values, component_order, solve_ground
 from repro.datalog.grounding import GroundAtom, GroundProgram, ground_program
 from repro.datalog.syntax import Program
 from repro.relations.database import Database
@@ -50,6 +50,7 @@ __all__ = [
     "DatalogCircuitProvenance",
     "datalog_provenance",
     "datalog_circuit_provenance",
+    "absorptive_circuit_provenance",
 ]
 
 
@@ -218,6 +219,62 @@ def datalog_circuit_provenance(
         divergent=result.divergent_atoms,
         iterations=result.iterations,
     )
+
+
+def absorptive_circuit_provenance(
+    program: Program | str, database: Database
+) -> Dict[GroundAtom, Any]:
+    """A circuit per derivable IDB atom denoting its Boolean provenance.
+
+    Over an absorptive reading (``1 + a = 1``, Section 8: the minimal-fringe
+    PosBool(X) conditions, probabilities) only the derivation trees that
+    repeat no atom along a path matter: any other tree can be pruned to one
+    of them with fewer leaves.  Inside a strongly connected component ``C``
+    of the instantiation such a tree is at most ``|C|`` atoms high, so
+    exactly ``|C|`` Jacobi rounds from zero -- with no equality test --
+    reach every one of them.  A round builds one
+    :func:`~repro.circuits.nodes.prod_node` per ground rule and one
+    :func:`~repro.circuits.nodes.sum_node` per atom, so the circuit of ``C``
+    has O(``|C|`` x ground rules) gates (Deutch, Milo, Roy, Tannen,
+    "Circuits for Datalog Provenance", ICDT 2014).  An acyclic atom takes
+    one application of ``T_q``.  Every gate the rounds add denotes a
+    genuine derivation, so the circuit is exact as a Boolean function,
+    though not as an ``N[X]`` polynomial (use
+    :func:`datalog_circuit_provenance` for that).
+
+    ``database`` must be annotated in ``Circ[X]`` (the probabilistic layer's
+    lineage database, one variable per event); the program is grounded once
+    on it and its annotations are the circuits' leaves.
+    """
+    from repro.circuits.nodes import ZERO, prod_node, sum_node
+
+    if isinstance(program, str):
+        program = Program.parse(program)
+    table, facts, _, components = component_order(ground_program(program, database))
+    rules, by_head = table.rules, table.by_head
+    values = _initial_values(facts, len(table.atoms), database.semiring)
+
+    def consequence(atom: int) -> Any:
+        return sum_node(
+            *[prod_node(*[values[body] for body in rules[rule][2]]) for rule in by_head[atom]]
+        )
+
+    for component, cyclic in components:
+        if not cyclic:
+            values[component[0]] = consequence(component[0])
+            continue
+        for atom in component:
+            values[atom] = ZERO
+        for _ in component:
+            updated = [consequence(atom) for atom in component]
+            for atom, value in zip(component, updated):
+                values[atom] = value
+    atom = table.atom
+    return {
+        atom(i): values[i]
+        for i, is_idb in enumerate(table.idb)
+        if is_idb and values[i] is not ZERO
+    }
 
 
 def datalog_provenance(

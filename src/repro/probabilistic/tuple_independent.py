@@ -14,7 +14,10 @@ point has one implementation, chosen by what it returns:
   weighted-model-count it in one pass.  Cost is governed by the compiled
   circuit size, not by ``2^n`` over the number of uncertain tuples -- the
   standard lineage route to exact probabilistic query evaluation
-  (Jha-Suciu) -- and the world space is never built.
+  (Jha-Suciu) -- and the world space is never built.  A datalog program's
+  lineage is the absorptive provenance circuit of each derivable atom,
+  built from the program's grounding over the lineage database
+  (:func:`~repro.datalog.provenance.absorptive_circuit_provenance`).
 
 Theorem 4.3 (and Theorem 6.4 over distributive lattices, Section 8) makes
 the two agree: ``P(Omega)`` evaluation equals lineage evaluation followed by
@@ -31,12 +34,8 @@ from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.algebra.ast import Query
 from repro.circuits.evaluate import top_k_many, wmc_many
-from repro.datalog.grounding import GroundAtom
-from repro.datalog.lattice_eval import (
-    LatticeDatalogResult,
-    evaluate_on_lattice,
-    lattice_condition_provenance,
-)
+from repro.datalog.lattice_eval import evaluate_on_lattice
+from repro.datalog.provenance import absorptive_circuit_provenance
 from repro.datalog.syntax import Program
 from repro.errors import SemiringError
 from repro.probabilistic.event_tables import EventTable, IndependentEventSpace
@@ -240,25 +239,6 @@ class ProbabilisticDatabase:
         }
 
     # -- datalog -------------------------------------------------------------------
-    def _datalog_conditions(self, program: Program | str) -> LatticeDatalogResult:
-        """PosBool conditions of a program over *event-name* variables.
-
-        The EDB id map sends every ground fact to its declared event name,
-        so facts sharing an event share a condition variable -- the datalog
-        counterpart of the shared-variable lineage database.
-        """
-        program = _parsed(program)
-        lineage = self.lineage_database
-        ids: Dict[GroundAtom, str] = {}
-        for predicate in program.edb_predicates:
-            if predicate not in lineage:
-                continue
-            relation = lineage.relation(predicate)
-            attributes = relation.schema.attributes
-            for tup, node in relation.items():
-                ids[GroundAtom(predicate, tup.values_for(attributes))] = node.name
-        return lattice_condition_provenance(program, lineage, edb_ids=ids)
-
     def datalog_events(self, program: Program | str) -> KRelation:
         """Evaluate a datalog program (Section 8: P(Omega) is a finite lattice).
 
@@ -268,12 +248,17 @@ class ProbabilisticDatabase:
         return evaluate_on_lattice(program, self.database)
 
     def _compile_output(self, program: Program) -> Dict[Tup, Any]:
-        """The compiled condition of every output tuple of ``program``.
+        """The compiled lineage of every output tuple of ``program``.
 
-        All derivable atoms are compiled as one multi-rooted diagram by the
-        database's compiler; the output predicate's are returned."""
-        provenance = self._datalog_conditions(program)
-        compiled = provenance.compile(compiler=self._compiler)
+        The absorptive provenance circuits of all derivable atoms are
+        compiled as one multi-rooted diagram by the database's compiler;
+        the output predicate's are returned.  A relation the database lacks
+        is a :class:`~repro.errors.SchemaError`, as in a query."""
+        lineage = self.lineage_database
+        for predicate in sorted(program.edb_predicates):
+            lineage.relation(predicate)
+        sources = absorptive_circuit_provenance(program, lineage)
+        compiled = self._compiler.compile_many(sources)
         attributes = self._datalog_output_schema(program).attributes
         return {
             Tup.from_values(attributes, atom.values): circuit
@@ -294,9 +279,10 @@ class ProbabilisticDatabase:
     def datalog_probabilities(self, program: Program | str) -> Dict[Tup, float]:
         """Datalog evaluation with exact output probabilities.
 
-        Compiles each output atom's PosBool(X) condition -- over event-name
-        variables -- and weighted-model-counts it against the declared
-        marginals, without ever constructing the world space.
+        Compiles each output atom's absorptive provenance circuit -- over
+        event-name variables, built from the program's grounding -- and
+        weighted-model-counts it against the declared marginals, without
+        ever constructing the world space.
         """
         compiled = self._compile_output(_parsed(program))
         return wmc_many(
@@ -306,8 +292,14 @@ class ProbabilisticDatabase:
     def datalog_top_k(
         self, program: Program | str, k: int
     ) -> Dict[Tup, List[Tuple[float, Dict[str, bool]]]]:
-        """Per output tuple: the ``k`` most probable worlds deriving it."""
-        return top_k_many(self._compile_output(_parsed(program)), self.marginals, k)
+        """Per output tuple: the ``k`` most probable worlds deriving it.
+
+        A world names the events the tuple's Boolean provenance depends on:
+        those of its minimal derivations, not those only a derivation that
+        another absorbs reads (Section 8's minimal fringes)."""
+        compiled = self._compile_output(_parsed(program))
+        assert self._compiler is not None
+        return top_k_many(self._compiler.essential(compiled), self.marginals, k)
 
     def tuple_probability(self, relation_name: str, row: Any) -> float:
         """Probability that an input tuple is present (no world space needed)."""

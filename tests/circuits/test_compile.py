@@ -42,6 +42,7 @@ from repro.circuits import (
     wmc_many,
 )
 from repro.circuits.compile import clear_compile_cache
+from repro.datalog.provenance import absorptive_circuit_provenance
 from repro.errors import SemiringError
 from repro.obs.metrics import compilation
 from repro.probabilistic import ProbabilisticDatabase
@@ -189,9 +190,9 @@ class TestAgainstShannonReference:
         assert compiled[0].stats["output_nodes"] == len(list(iter_nodes(*diagrams)))
         assert compiled[0].stats["input_nodes"] == len(list(iter_nodes(*sources)))
 
-    def test_ladder_conditions(self):
-        """The PosBool minimal-fringe conditions of TC over an 8-column
-        directed ladder: the lineage shape the probabilistic layer compiles."""
+    def test_ladder_circuits(self):
+        """The absorptive provenance circuits of TC over an 8-column directed
+        ladder: the lineage shape the probabilistic layer compiles."""
         columns = 8
         edges = [((c, 0), (c, 1)) for c in range(columns)]
         for c in range(columns - 1):
@@ -203,11 +204,11 @@ class TestAgainstShannonReference:
             [((f"n{s}", f"n{t}"), f"e{i}", 0.5) for i, (s, t) in enumerate(edges)],
         )
         program = "T(x, y) :- R(x, y)\nT(x, y) :- R(x, z), T(z, y)"
-        conditions = pdb._datalog_conditions(program).conditions
+        circuits = absorptive_circuit_provenance(program, pdb.lineage_database)
         compiler = CircuitCompiler()
-        compiled = compiler.compile_many(conditions)
+        compiled = compiler.compile_many(circuits)
         assert len(compiled) == 92  # the reachable pairs
-        for atom in conditions:
+        for atom in circuits:
             root, order = shannon_compile(compiled[atom].source, compiler.order)
             assert compiled[atom].root is root
             assert compiled[atom].order == order
@@ -397,6 +398,41 @@ class TestBatchCompile:
                 node_count(*(c.root for c in compiled.values())),
             ), label
             assert bool(walks) == (not label.startswith("repeated")), label
+
+    def test_a_repeated_batch_names_no_orders(self, monkeypatch):
+        """The orders of a counted batch are stored with its counts: a
+        repeat reads them back instead of decoding every root's support."""
+        compiler = CircuitCompiler()
+        first = compiler.compile_many(self.lineages())
+        calls, names = [], compiler._names
+
+        def spy(support):
+            calls.append(support)
+            return names(support)
+
+        monkeypatch.setattr(compiler, "_names", spy)
+        again = compiler.compile_many(self.lineages())
+        assert calls == []
+        assert {key: c.order for key, c in again.items()} == {
+            key: c.order for key, c in first.items()
+        }
+        compiler.compile_many({"t5": prod_node(var("a"), var("d"))})
+        assert len(calls) == 1  # a new batch decodes its roots
+
+    def test_essential_orders_are_the_tested_variables(self):
+        """``x + x·y`` compiles to ``x``: its order names ``y``, its
+        essential order does not, and top-k then leaves ``y`` out."""
+        compiler = CircuitCompiler()
+        x, y = var("x"), var("y")
+        compiled = compiler.compile_many({"absorbed": sum_node(x, prod_node(x, y)), "both": x * y})
+        essential = compiler.essential(compiled)
+        assert compiled["absorbed"].order == ("x", "y")
+        assert essential["absorbed"].order == ("x",)
+        assert essential["both"].order == compiled["both"].order == ("x", "y")
+        assert all(essential[key].root is compiled[key].root for key in compiled)
+        assert top_k_many(essential, {"x": 0.9, "y": 0.2}, 3)["absorbed"] == [
+            (0.9, {"x": True})
+        ]
 
     def test_an_empty_batch_is_an_empty_answer(self):
         assert CircuitCompiler().compile_many({}) == {}

@@ -186,3 +186,30 @@ class TestIterNodesContract:
                 walked.append(node)
                 memo[node] = True
         assert len(walked) == len(set(walked)) == node_count(sum_node(left, right))
+
+
+def test_consing_counts_one_lookup_per_construction(monkeypatch):
+    """Every factory looks its key up before building anything: a hit or a
+    miss per interned construction, none for a simplification."""
+    from repro.circuits import decision_node, not_node
+    from repro.obs.metrics import consing
+
+    monkeypatch.setattr(consing, "enabled", True)
+    hits, misses = consing.hits, consing.misses
+    a, b = var("consing_pin_a"), var("consing_pin_b")         # 2 misses
+    assert var("consing_pin_a") is a                          # hit
+    seven = const(7_654_321)                                  # miss
+    assert const(7_654_321) is seven                          # hit
+    total = sum_node(a, b)                                    # miss
+    assert sum_node(b, a) is total                            # hit
+    product = prod_node(total, a)                             # miss
+    assert prod_node(a, total) is product                     # hit
+    negated = not_node(a)                                     # miss
+    assert not_node(a) is negated                             # hit
+    test = decision_node("consing_pin_a", ONE, ZERO)          # miss
+    assert decision_node("consing_pin_a", ONE, ZERO) is test  # hit
+    # Simplifications return an existing node without a lookup.
+    assert not_node(negated) is a
+    assert sum_node(a) is a and prod_node(ZERO, a) is ZERO
+    assert decision_node("consing_pin_b", a, a) is a
+    assert (consing.hits - hits, consing.misses - misses) == (6, 7)

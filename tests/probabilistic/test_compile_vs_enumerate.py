@@ -36,6 +36,7 @@ from repro.circuits import (
     wmc_many,
 )
 from repro.circuits.compile import as_circuit
+from repro.datalog.provenance import absorptive_circuit_provenance
 from repro.probabilistic import ProbabilisticDatabase
 from repro.relations import Tup
 from tests.strategies import BASE_SCHEMAS, DOMAIN, programs, ra_queries
@@ -233,9 +234,14 @@ class TestDatalog:
         program = data.draw(programs())
         pdb = data.draw(datalog_probabilistic_databases(program))
         attributes = pdb._datalog_output_schema(program).attributes
+        # A datalog answer's worlds name the variables its Boolean function
+        # depends on: those its diagram tests, not every leaf of its circuit.
+        compiled = CircuitCompiler().compile_many(
+            absorptive_circuit_provenance(program, pdb.lineage_database)
+        )
         lineages = {
-            Tup.from_values(attributes, atom.values): condition
-            for atom, condition in pdb._datalog_conditions(program).conditions.items()
+            Tup.from_values(attributes, atom.values): circuit.root
+            for atom, circuit in compiled.items()
             if atom.relation == program.output
         }
         events = pdb.datalog_events(program)
@@ -278,8 +284,8 @@ class TestBatchEqualsPerRoot:
     def test_datalog(self, data, k):
         program = data.draw(programs())
         pdb = data.draw(datalog_probabilistic_databases(program))
-        conditions = pdb._datalog_conditions(program).conditions
-        counted = _assert_batch_equals_per_root(conditions, pdb.marginals, k)
+        circuits = absorptive_circuit_provenance(program, pdb.lineage_database)
+        counted = _assert_batch_equals_per_root(circuits, pdb.marginals, k)
         answer = pdb.datalog_probabilities(program)
         output = {
             atom.values: p for atom, p in counted.items() if atom.relation == program.output
@@ -348,8 +354,8 @@ class TestTies:
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_batch_equals_per_root_on_ties(self, k):
         pdb = _ladder(5, lambda i: 0.5)
-        conditions = pdb._datalog_conditions(TC).conditions
-        _assert_batch_equals_per_root(conditions, pdb.marginals, k)
+        circuits = absorptive_circuit_provenance(TC, pdb.lineage_database)
+        _assert_batch_equals_per_root(circuits, pdb.marginals, k)
 
 
 class TestRepeatedQueries:
