@@ -146,7 +146,7 @@ class ConjunctiveQuery:
                 term.value if isinstance(term, Constant) else frozen[term]
                 for term in atom.terms
             )
-            relation.add(Tup.from_values(relation.schema.attributes, values))
+            relation._add(values)
         head_values = tuple(
             term.value if isinstance(term, Constant) else frozen[term]
             for term in self.head_terms
@@ -271,10 +271,9 @@ class UnionOfConjunctiveQueries:
         while head in taken:
             head += "_"
         run = evaluate_program(ucq_to_program(self, output=head), database)
-        attributes = self.output_schema.attributes
         result = KRelation(database.semiring, self.output_schema)
         for atom, annotation in run.annotations.items():
-            result.set(Tup.from_values(attributes, atom.values), annotation)
+            result._set(atom.values, annotation)
         return result
 
     __call__ = evaluate

@@ -10,12 +10,16 @@ Each operator is implemented exactly as in the paper:
 * ``rename`` -- ``(ρ_β R)(t) = R(t ∘ β)``.
 
 All operators preserve finite support (Proposition 3.3), which here is
-automatic because only support tuples are ever enumerated.
+automatic because only support tuples are ever enumerated.  They work on
+the relations' row keys (values in sorted-attribute order, see
+:class:`~repro.relations.schema.Schema`): restriction, merging and renaming
+of tuples become position maps computed once per operator, and a
+:class:`~repro.relations.tuples.Tup` is built only for a selection
+predicate.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import QueryError, SchemaError
@@ -58,11 +62,12 @@ def union(left: KRelation, right: KRelation) -> KRelation:
         raise SchemaError(
             f"union requires identical attribute sets: {left.schema} vs {right.schema}"
         )
+    # Union-compatible schemas share their key order: keys carry over as is.
     result = KRelation(semiring, left.schema)
-    for tup, annotation in left.items():
-        result._accumulate(tup, annotation)
-    for tup, annotation in right.items():
-        result._accumulate(tup, annotation)
+    for key, annotation in left._rows.items():
+        result._accumulate(key, annotation)
+    for key, annotation in right._rows.items():
+        result._accumulate(key, annotation)
     return result
 
 
@@ -71,8 +76,9 @@ def project(relation: KRelation, attributes: Iterable[str]) -> KRelation:
     target_schema = relation.schema.project(attributes)
     semiring = relation.semiring
     result = KRelation(semiring, target_schema)
-    for tup, annotation in relation.items():
-        result._accumulate(tup.restrict(target_schema.attributes), annotation)
+    kept = relation.schema.key_positions(target_schema.key_attributes)
+    for key, annotation in relation._rows.items():
+        result._accumulate(tuple([key[i] for i in kept]), annotation)
     return result
 
 
@@ -85,10 +91,14 @@ def select(relation: KRelation, predicate: Callable[[Tup], Any]) -> KRelation:
     """
     semiring = relation.semiring
     result = KRelation(semiring, relation.schema)
-    for tup, annotation in relation.items():
-        value = semiring.mul(annotation, predicate_factor(semiring, predicate(tup)))
+    rows, tup_of = result._rows, relation.schema.tup_of
+    for key, annotation in relation._rows.items():
+        value = semiring.mul(annotation, predicate_factor(semiring, predicate(tup_of(key))))
         if not semiring.is_zero(value):
-            result.set(tup, value)
+            # ``result.set``'s coerce and zero test: the op counts stay exact
+            value = semiring.coerce(value)
+            if not semiring.is_zero(value):
+                rows[key] = value
     return result
 
 
@@ -128,23 +138,35 @@ def join(left: KRelation, right: KRelation) -> KRelation:
 
     swapped = len(left) > len(right)
     build, probe = (right, left) if swapped else (left, right)
+    build_names = build.schema.key_attributes
+    probe_names = probe.schema.key_attributes
+    build_key = build.schema.key_positions(shared)
+    probe_key = probe.schema.key_positions(shared)
+    # The merged tuple's key: each result attribute read from the build row
+    # (position len(probe row) + i of ``probe row + build row``) or, when
+    # only the probe side has it, the probe row (position i).
+    width = len(probe_names)
+    merged = tuple(
+        width + build_names.index(a) if a in build_names else probe_names.index(a)
+        for a in result_schema.key_attributes
+    )
 
-    index: dict[tuple, list[tuple[Tup, Any]]] = defaultdict(list)
-    for tup, annotation in build.items():
-        index[tuple(tup[a] for a in shared)].append((tup, annotation))
+    index: dict[tuple, list[tuple[tuple, Any]]] = {}
+    for key, annotation in build._rows.items():
+        index.setdefault(tuple([key[i] for i in build_key]), []).append((key, annotation))
 
     mul = semiring.mul
-    for tup_probe, annotation_probe in probe.items():
-        bucket = index.get(tuple(tup_probe[a] for a in shared))
+    for key_probe, annotation_probe in probe._rows.items():
+        bucket = index.get(tuple([key_probe[i] for i in probe_key]))
         if bucket is None:
             continue
-        for tup_build, annotation_build in bucket:
-            merged = tup_probe.merge(tup_build)
+        for key_build, annotation_build in bucket:
+            row = key_probe + key_build
             if swapped:
                 value = mul(annotation_probe, annotation_build)
             else:
                 value = mul(annotation_build, annotation_probe)
-            result._accumulate(merged, value)
+            result._accumulate(tuple([row[i] for i in merged]), value)
     return result
 
 
@@ -174,10 +196,21 @@ def validate_rename(mapping: Mapping[str, str], attribute_set: Iterable[str]) ->
         raise SchemaError(f"renaming collides with existing attributes {sorted(clashes)}")
 
 
+def _rename_order(source: Schema, target: Schema, mapping: Mapping[str, str]) -> tuple:
+    """Where each key position of the renamed ``target`` sits in a ``source`` key."""
+    inverse = {new: old for old, new in mapping.items()}
+    return source.key_positions(inverse.get(a, a) for a in target.key_attributes)
+
+
 def rename(relation: KRelation, mapping: Mapping[str, str]) -> KRelation:
     """Rename attributes by the bijection ``mapping`` (old name -> new name)."""
     validate_rename(mapping, relation.schema.attribute_set)
     result = KRelation(relation.semiring, relation.schema.rename(mapping))
-    for tup, annotation in relation.items():
-        result.set(tup.rename(mapping), annotation)
+    order = _rename_order(relation.schema, result.schema, mapping)
+    semiring, rows = relation.semiring, result._rows
+    for key, annotation in relation._rows.items():
+        # ``result.set``'s coerce and zero test: the op counts stay exact
+        value = semiring.coerce(annotation)
+        if not semiring.is_zero(value):
+            rows[tuple([key[i] for i in order])] = value
     return result

@@ -457,23 +457,29 @@ def specialize(
     :meth:`CircuitEvaluator.evaluate_many` sweep.  Both perform the same
     ``+`` / ``.`` / zero tests and give the same annotations (a program the
     overflow guard stops midway has charged an instrumented target for the
-    levels it ran, as a declined column-kernel plan has).
+    levels it ran, as a declined column-kernel plan has).  Either way the
+    image reuses the relation's row keys (``REPRO_DEBUG_TUPLES=1`` checks
+    them).
     """
     from repro.engine import vectorized
-    from repro.relations.krelation import KRelation
+    from repro.relations.krelation import KRelation, check_keys
 
     evaluator = CircuitEvaluator(target, valuation)
     if isinstance(value, KRelation):
+        image = None
         carrier = vectorized.vector_ops_for(target)
         if carrier is not None and carrier is target.carrier:
             program = _program_of(value)
             if program is not None:
                 try:
-                    return _run_program(program, evaluator, carrier, value)
+                    image = _run_program(program, evaluator, carrier, value)
                 except _Fallback:
                     pass
-        values = evaluator.evaluate_many(value.annotations())
-        return value.map_annotations(values.__getitem__, target)
+        if image is None:
+            values = evaluator.evaluate_many(value.annotations())
+            image = value.map_annotations(values.__getitem__, target)
+        check_keys(image._rows, image.schema)
+        return image
     if isinstance(value, Node):
         return evaluator(value)
     raise SemiringError(

@@ -1,9 +1,9 @@
 """Array-resident fixpoint state: the semi-naive engine's stores as code arrays.
 
 The row loop of :mod:`repro.datalog.seminaive` pays for every contribution of
-every round in Python objects: a values tuple and a one-element list out of
-the join, a :class:`~repro.relations.tuples.Tup` (and its hash) into the
-merge, a scalar semiring ``+`` per head.  When the semiring has exact vector
+every round in Python objects: a row-key tuple and a one-element list out of
+the join, a dict probe (and the key's hash) in the merge, a scalar semiring
+``+`` per head.  When the semiring has exact vector
 arithmetic and every plan of the program is a copy or a single equi-join,
 none of that is needed until the fixpoint is reached.  :class:`ArrayState`
 keeps, for the whole run:
@@ -23,8 +23,9 @@ out) -> merge (one searchsorted into the key index, one elementwise +,
 changed = new != old, unknown heads appended) -> next delta positions``.
 The engine's ``_Store`` rows / indexes, the backing ``KRelation`` and the
 changelog learn about all of it in **one**
-:meth:`ArrayState.flush` when the loop ends: one ``Tup`` per derived atom per
-run, not one per contribution per round.
+:meth:`ArrayState.flush` when the loop ends: one decoded row key per derived
+atom per run, not one per contribution per round.  Positions count in the
+row keys' (sorted-attribute) order, as the engine's plans do.
 
 The state is a cache over the stores.  Row ``i`` of a predicate's arrays is
 row ``i`` of its ``_Store.rows`` (built in that order, flushed in that order).
@@ -41,7 +42,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from repro.engine import vectorized as _vectorized
-from repro.relations.tuples import Tup
+from repro.relations.krelation import check_keys
 from repro.semirings.carriers import _INT64_GUARD, _Fallback
 
 try:
@@ -99,7 +100,7 @@ class _Columns:
         self._join: Dict[Tuple[int, ...], Tuple[int, Any]] = {}
 
     def decode(self, values_of: list, start: int = 0) -> list:
-        """Rows ``[start:]`` as value tuples."""
+        """Rows ``[start:]`` as row keys."""
         value_lists = [
             [values_of[code] for code in column[start:].tolist()]
             for column in self.cols
@@ -126,8 +127,8 @@ class ArrayState:
     """The stores of one engine as arrays (see the module docstring).
 
     ``stores`` maps every predicate to an object with ``rows`` (a list of
-    ``(values, tup)``), ``attributes``, ``sorted_spec``, ``tup_for``,
-    ``extend`` and the backing ``relation``; ``recipes`` maps ``id(plan)`` to its
+    row keys), ``arity``, ``extend`` and the backing ``relation``;
+    ``recipes`` maps ``id(plan)`` to its
     :class:`Recipe`.  Raises :class:`Declined` -- before anything is
     written -- when an annotation does not lift into the carrier's dtype
     (``"value"``) or ``radix ** arity`` leaves ``int64`` (``"radix"``).
@@ -140,13 +141,13 @@ class ArrayState:
         #: value -> code; insertion-ordered, so ``list(table)[code]`` decodes
         self.table: Dict[Any, int] = {}
         encoded = {
-            predicate: self._encode(store.rows, len(store.attributes))
+            predicate: self._encode(store.rows, store.arity)
             for predicate, store in stores.items()
         }
         # Twice the domain: an update stream may name new constants, and a
         # larger radix would change every key -- the state is dropped then.
         self.radix = max(2 * len(self.table), 2)
-        width = max(len(store.attributes) for store in stores.values())
+        width = max(store.arity for store in stores.values())
         if self.radix**width > _INT64_GUARD:
             raise Declined("radix")
         self.columns: Dict[str, _Columns] = {}
@@ -156,12 +157,12 @@ class ArrayState:
                 raise Declined("value")
             self.columns[predicate] = _Columns(encoded[predicate], ann, self.radix)
 
-    def _encode(self, rows: Sequence[Tuple[tuple, Tup]], arity: int) -> list:
+    def _encode(self, rows: Sequence[tuple], arity: int) -> list:
         """The code column of every position of ``rows`` (interning new values)."""
         table = self.table
         return [
             _np.array(
-                [table.setdefault(values[p], len(table)) for values, _ in rows],
+                [table.setdefault(row[p], len(table)) for row in rows],
                 dtype=_np.int64,
             )
             for p in range(arity)
@@ -265,13 +266,13 @@ class ArrayState:
         """The positions of every row of ``predicate`` (a seed plan's driver)."""
         return _np.arange(len(self.columns[predicate].ann))
 
-    def locate(self, predicate: str, rows: Sequence[Tuple[tuple, Tup]]):
+    def locate(self, predicate: str, rows: Sequence[tuple]):
         """The array positions of stored ``rows`` (a delta handed over as rows)."""
         columns = self.columns[predicate]
         table = self.table
         codes = _vectorized.combine_codes(
             [
-                _np.array([table[values[p]] for values, _ in rows], dtype=_np.int64)
+                _np.array([table[row[p]] for row in rows], dtype=_np.int64)
                 for p in range(len(columns.cols))
             ],
             self.radix,
@@ -279,15 +280,15 @@ class ArrayState:
         )
         return columns.rows[_np.searchsorted(columns.keys, codes)]
 
-    def _lift(self, predicate: str, rows: Sequence[Tuple[tuple, Tup]]):
+    def _lift(self, predicate: str, rows: Sequence[tuple]):
         """The stored annotations of ``rows`` as an array, ``None`` if they do not lift."""
-        annotations = self.stores[predicate].relation._annotations
+        annotations = self.stores[predicate].relation._rows
         try:
-            return self.ops.to_array([annotations[tup] for _, tup in rows])
+            return self.ops.to_array([annotations[row] for row in rows])
         except _Fallback:
             return None
 
-    def append(self, predicate: str, rows: Sequence[Tuple[tuple, Tup]]) -> bool:
+    def append(self, predicate: str, rows: Sequence[tuple]) -> bool:
         """Mirror ``rows`` the store just gained at its end (an EDB insertion,
         a rederived atom).
 
@@ -319,7 +320,7 @@ class ArrayState:
         columns.version += 1
         return True
 
-    def rewrite(self, predicate: str, rows: Sequence[Tuple[tuple, Tup]]) -> bool:
+    def rewrite(self, predicate: str, rows: Sequence[tuple]) -> bool:
         """Mirror the new stored annotations of ``rows`` the state already holds.
 
         Returns ``False`` when one does not lift and the state must be dropped.
@@ -370,13 +371,14 @@ class ArrayState:
         columns.synced = size
         columns.version += 1
 
-    def flush(self, log: Callable[[str, Iterable[Tup]], None]) -> None:
+    def flush(self, log: Callable[[str, Iterable[tuple]], None]) -> None:
         """Write everything the loop derived into the engine's stores.
 
         Moved annotations of rows the store already holds are overwritten in
-        the backing relation; rows it has not seen are decoded, given their
-        one ``Tup`` and appended to relation, row list and binding indexes in
-        array order.  ``log`` receives every tuple written (the changelog).
+        the backing relation; rows it has not seen are decoded to row keys
+        and appended to relation, row list and binding indexes in array
+        order (``REPRO_DEBUG_TUPLES=1`` checks the keys).  ``log`` receives
+        every row written (the changelog).
         """
         for predicate, columns in self.columns.items():
             n = len(columns.ann)
@@ -384,7 +386,7 @@ class ArrayState:
                 continue
             store = self.stores[predicate]
             annotations = store.relation._annotations
-            written: List[Tup] = []
+            written: List[tuple] = []
             if columns.touched:
                 mask = _np.zeros(columns.synced, dtype=bool)
                 for positions in columns.touched:
@@ -394,16 +396,16 @@ class ArrayState:
                 for position, value in zip(
                     positions.tolist(), columns.ann[positions].tolist()
                 ):
-                    tup = store.rows[position][1]
-                    annotations[tup] = value
-                    written.append(tup)
+                    row = store.rows[position]
+                    annotations[row] = value
+                    written.append(row)
             if n > columns.synced:
                 heads = columns.decode(list(self.table), columns.synced)
-                tups = [store.tup_for(head) for head in heads]
+                check_keys(heads, store.relation.schema)
                 # Only rule heads grow inside the loop: fresh IDB atoms.
-                annotations.update(zip(tups, columns.ann[columns.synced :].tolist()))
-                store.extend(list(zip(heads, tups)))
-                written.extend(tups)
+                annotations.update(zip(heads, columns.ann[columns.synced :].tolist()))
+                store.extend(heads)
+                written.extend(heads)
                 columns.synced = n
             log(predicate, written)
 
@@ -420,14 +422,12 @@ class ArrayState:
                     f"{len(store.rows)} stored rows"
                 )
             decoded = columns.decode(values_of)
-            annotations = store.relation._annotations
-            for (values, tup), mirrored, value in zip(
-                store.rows, decoded, columns.ann.tolist()
-            ):
-                if values != mirrored or annotations.get(tup) != value:
+            annotations = store.relation._rows
+            for row, mirrored, value in zip(store.rows, decoded, columns.ann.tolist()):
+                if row != mirrored or annotations.get(row) != value:
                     return (
                         f"{predicate}: array row {mirrored!r} -> {value!r} "
-                        f"is not {tup!r}"
+                        f"is not {row!r}"
                     )
             keys = _vectorized.combine_codes(columns.cols, self.radix, len(columns.ann))
             if not _np.array_equal(keys[columns.rows], columns.keys) or (

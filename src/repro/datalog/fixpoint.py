@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
-from repro.errors import DivergenceError
+from repro.errors import DivergenceError, GroundingError
 from repro.datalog.grounding import (
     AtomTable,
     GroundAtom,
@@ -56,7 +56,6 @@ from repro.datalog.syntax import Program
 from repro.relations.database import Database, accept_pinned_keywords
 from repro.relations.krelation import KRelation
 from repro.relations.schema import Schema
-from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
 from repro.semirings.numeric import INFINITY
 from repro.semirings.power_series import FormalPowerSeries, PowerSeriesSemiring
@@ -74,9 +73,18 @@ DEFAULT_MAX_ITERATIONS = 10_000
 
 
 def idb_schema(program: Program, database: Database, predicate: str) -> Schema:
-    """The schema of ``predicate``'s relation: the database's, else the rule heads'."""
+    """The schema of ``predicate``'s relation: the database's, else the rule heads'.
+
+    A database relation of another arity is a :class:`GroundingError`, as
+    for an EDB predicate."""
     if predicate in database:
-        return database.relation(predicate).schema
+        schema = database.relation(predicate).schema
+        if len(schema) != program.arity(predicate):
+            raise GroundingError(
+                f"relation {predicate!r} has arity {len(schema)}, "
+                f"program expects {program.arity(predicate)}"
+            )
+        return schema
     names = program.head_attributes(predicate)
     return Schema(names or [f"c{i + 1}" for i in range(program.arity(predicate))])
 
@@ -126,7 +134,7 @@ class DatalogResult:
         for atom, annotation in self.annotations.items():
             if atom.relation != predicate or semiring.is_zero(annotation):
                 continue
-            relation.set(Tup.from_values(schema.attributes, atom.values), annotation)
+            relation._set(atom.values, annotation)
         self._relations[predicate] = relation
         return relation
 

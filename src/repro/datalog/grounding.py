@@ -355,10 +355,9 @@ def collect_edb_annotations(program: Program, database: Database) -> Dict[Ground
                 f"relation {predicate!r} has arity {len(relation.schema)}, "
                 f"program expects {program.arity(predicate)}"
             )
-        attributes = relation.schema.attributes
-        for tup, annotation in relation.items():
-            atom = GroundAtom(predicate, tup.values_for(attributes))
-            edb_annotations[atom] = annotation
+        values_of = relation.schema.values_of
+        for key, annotation in relation._rows.items():
+            edb_annotations[GroundAtom(predicate, values_of(key))] = annotation
     return edb_annotations
 
 

@@ -39,7 +39,6 @@ from repro.datalog.grounding import GroundAtom, collect_edb_annotations
 from repro.datalog.syntax import Program
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
-from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
 from repro.semirings.posbool import BoolExpr, PosBoolSemiring
 
@@ -122,9 +121,10 @@ def lattice_condition_provenance(
     for predicate in program.edb_predicates:
         source = database.relation(predicate)
         relation = KRelation(posbool, source.schema)
-        for tup, _annotation in source.items():
-            atom = GroundAtom(predicate, tup.values_for(source.schema.attributes))
-            relation.set(tup, BoolExpr.var(ids[atom]))
+        values_of = source.schema.values_of
+        for key in source._rows:
+            values = values_of(key)
+            relation._set(values, BoolExpr.var(ids[GroundAtom(predicate, values)]))
         tagged.register(predicate, relation)
 
     result = evaluate_program(program, tagged)
@@ -168,5 +168,5 @@ def evaluate_on_lattice(program: Program | str, database: Database) -> KRelation
     relation = KRelation(semiring, schema)
     for atom, value in values.items():
         if atom.relation == predicate and not semiring.is_zero(value):
-            relation.set(Tup.from_values(schema.attributes, atom.values), value)
+            relation._set(atom.values, value)
     return relation

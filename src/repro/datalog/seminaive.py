@@ -9,9 +9,13 @@ Rules are evaluated directly against
   bound when it is matched;
 * every predicate keeps **variable-binding hash indexes** on exactly the
   position sets its plans probe, maintained incrementally across rounds;
+  a fact is its relation's row key (values in sorted-attribute order), and
+  every position a plan names counts in that order, so the rounds store,
+  probe and merge row keys with no conversion;
 * each round fires only the variants whose **driver** is a delta atom (its
   annotation changed in the previous round) and merges the contributions
-  with :meth:`~repro.relations.krelation.KRelation.merge_delta`.
+  with :meth:`~repro.relations.krelation.KRelation.merge_delta`'s row-key
+  form, ``_merge_keys``.
 
 For **idempotent** addition the accumulated values are squeezed between the
 Kleene iterates and the least fixpoint, so they converge to exactly the
@@ -61,7 +65,7 @@ from repro.datalog.syntax import Program, Rule
 from repro.logic import Atom, Constant, Variable
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
-from repro.relations.tuples import Tup
+from repro.relations.schema import Schema
 from repro.semirings.base import Semiring
 from repro.semirings.boolean import BooleanSemiring
 
@@ -141,8 +145,14 @@ def _compile_plan(
     rule_index: int,
     driver_index: int | None,
     sizes: Dict[str, int] | None = None,
+    schemas: Dict[str, Schema] | None = None,
 ) -> _Plan:
     """Compile ``rule`` with ``body[driver_index]`` as the iterated driver.
+
+    Every position of the plan -- index keys, match opcodes, the head --
+    counts in its predicate's key order: an atom's arguments are taken in
+    the order of ``schemas[predicate]``'s row keys (default: as written),
+    so the rows a plan reads and emits are row keys.
 
     ``driver_index=None`` compiles the **head-driven** plan of the deletion
     rederive pass: the rule's head atom is the driver, matched like a body
@@ -156,6 +166,11 @@ def _compile_plan(
     time.
     """
     sizes = sizes or {}
+    schemas = schemas or {}
+
+    def key_terms(atom: Atom) -> Sequence[Any]:
+        schema = schemas.get(atom.relation)
+        return atom.terms if schema is None else schema.key_of(atom.terms)
 
     def estimated_size(predicate: str) -> float:
         return float(sizes.get(predicate, float("inf")))
@@ -169,7 +184,7 @@ def _compile_plan(
         key_parts: List[Tuple[bool, Any]] = []
         post: List[Tuple[int, int, Any]] = []
         seen_here: Set[str] = set()
-        for position, term in enumerate(atom.terms):
+        for position, term in enumerate(key_terms(atom)):
             if isinstance(term, Constant):
                 key_positions.append(position)
                 key_parts.append((False, term.value))
@@ -188,7 +203,7 @@ def _compile_plan(
     def build_driver(atom: Atom, index: int | None) -> _AtomStep:
         post: List[Tuple[int, int, Any]] = []
         seen_here: Set[str] = set()
-        for position, term in enumerate(atom.terms):
+        for position, term in enumerate(key_terms(atom)):
             if isinstance(term, Constant):
                 post.append((position, _CHECK_CONST, term.value))
             elif term.name in seen_here:
@@ -224,7 +239,7 @@ def _compile_plan(
         bound |= {v.name for v in rule.body[best].variables}
 
     head_parts: List[Tuple[bool, Any]] = []
-    for term in rule.head.terms:
+    for term in key_terms(rule.head):
         if isinstance(term, Constant):
             head_parts.append((False, term.value))
         else:
@@ -289,87 +304,71 @@ def _array_recipe(plan: _Plan) -> Recipe | None:
 class _Store:
     """A predicate's facts: the backing KRelation plus positional-row indexes.
 
-    ``rows`` caches each tuple's values in schema order; ``indexes`` maps a
+    ``rows`` lists the relation's row keys (values in sorted-attribute
+    order, the order every plan position counts in); ``indexes`` maps a
     tuple of positions to a hash index over those positions.  Indexes are
     created once per (plan, atom) binding pattern and maintained
     incrementally -- annotation updates never touch them, only genuinely new
     tuples are inserted.
     """
 
-    __slots__ = ("relation", "attributes", "rows", "indexes", "sorted_spec", "_positions")
+    __slots__ = ("relation", "arity", "rows", "indexes", "_positions")
 
     def __init__(self, relation: KRelation):
         self.relation = relation
-        self.attributes = relation.schema.attributes
-        self.rows: List[Tuple[tuple, Tup]] = [
-            (tup.values_for(self.attributes), tup) for tup in relation
-        ]
+        self.arity = len(relation.schema)
+        self.rows: List[tuple] = list(relation._rows)
         self.indexes: Dict[Tuple[int, ...], Dict[tuple, list]] = {}
-        #: ``(attribute, row position)`` pairs in sorted-attribute order:
-        #: turns a positional row into a canonical Tup's sorted item list
-        #: without re-sorting per tuple (see ``_SemiNaiveEngine._merge``).
-        self.sorted_spec: Tuple[Tuple[str, int], ...] = tuple(
-            sorted((a, i) for i, a in enumerate(self.attributes))
-        )
-        # Lazy Tup -> position map, built on the first removal only so
+        # Lazy row -> position map, built on the first removal only so
         # insert-only runs pay nothing for deletion support.
-        self._positions: Dict[Tup, int] | None = None
+        self._positions: Dict[tuple, int] | None = None
 
     def _grouped(self, positions: Tuple[int, ...]) -> Dict[tuple, list]:
         """The rows bucketed by their values at ``positions``."""
         index: Dict[tuple, list] = {}
         for row in self.rows:
-            index.setdefault(tuple(row[0][p] for p in positions), []).append(row)
+            index.setdefault(tuple([row[p] for p in positions]), []).append(row)
         return index
-
-    def tup_for(self, values: tuple) -> Tup:
-        """The canonical tuple of a positional ``values`` row."""
-        return Tup._from_sorted_items(
-            tuple((a, values[i]) for a, i in self.sorted_spec)
-        )
 
     def ensure_index(self, positions: Tuple[int, ...]) -> None:
         if positions not in self.indexes:
             self.indexes[positions] = self._grouped(positions)
 
-    def extend(self, rows: Sequence[Tuple[tuple, Tup]]) -> None:
-        """Append new ``(values, tup)`` rows and hook them into every index."""
+    def extend(self, rows: Sequence[tuple]) -> None:
+        """Append new rows and hook them into every index."""
         if self._positions is not None:
             base = len(self.rows)
-            for offset, (_, tup) in enumerate(rows):
-                self._positions[tup] = base + offset
+            for offset, row in enumerate(rows):
+                self._positions[row] = base + offset
         self.rows.extend(rows)
         for positions, index in self.indexes.items():
             for row in rows:
-                key = tuple(row[0][p] for p in positions)
-                index.setdefault(key, []).append(row)
+                index.setdefault(tuple([row[p] for p in positions]), []).append(row)
 
-    def remove(self, tup: Tup) -> int | None:
-        """Drop ``tup``'s row (swap-with-last) and unhook it from every index.
+    def remove(self, row: tuple) -> int | None:
+        """Drop ``row`` (swap-with-last) and unhook it from every index.
 
         Returns the vacated position -- the last row now sits there unless
-        the removed row was the last -- or ``None`` when the tuple is not
+        the removed row was the last -- or ``None`` when the row is not
         stored.  The caller is responsible for the backing relation's
         annotation and the array state (see ``_SemiNaiveEngine._remove_rows``).
         """
         if self._positions is None:
-            self._positions = {tup_: i for i, (_, tup_) in enumerate(self.rows)}
-        position = self._positions.pop(tup, None)
+            self._positions = {stored: i for i, stored in enumerate(self.rows)}
+        position = self._positions.pop(row, None)
         if position is None:
             return None
         row = self.rows[position]
-        values = row[0]
         last = len(self.rows) - 1
         if position != last:
             moved = self.rows[last]
             self.rows[position] = moved
-            self._positions[moved[1]] = position
+            self._positions[moved] = position
         self.rows.pop()
         for positions, index in self.indexes.items():
-            key = tuple(values[p] for p in positions)
+            key = tuple([row[p] for p in positions])
             bucket = index[key]
-            # Buckets hold the row objects themselves: found by identity,
-            # every other candidate differs in its (C-compared) values.
+            # Distinct rows differ in their (C-compared) values.
             bucket.remove(row)
             if not bucket:
                 del index[key]
@@ -378,17 +377,16 @@ class _Store:
     def audit(self) -> str | None:
         """Describe the first way the derived structures disagree with ``rows``.
 
-        Rows must be distinct and hold their tuple's values, every index must
-        equal the rows grouped by its key positions (no stale, missing or
-        duplicated entries) and the lazy position map must invert the row
+        Rows must be distinct row keys of the relation's arity, every index
+        must equal the rows grouped by its key positions (no stale, missing
+        or duplicated entries) and the lazy position map must invert the row
         list -- what swap-removal next to surviving rows could break.
         """
-        tups = [tup for _, tup in self.rows]
-        if len(set(tups)) != len(tups):
+        if len(set(self.rows)) != len(self.rows):
             return "a tuple is stored in more than one row"
-        for values, tup in self.rows:
-            if values != tup.values_for(self.attributes):
-                return f"row values {values!r} are not those of {tup!r}"
+        for row in self.rows:
+            if type(row) is not tuple or len(row) != self.arity:
+                return f"row {row!r} is not a row key of arity {self.arity}"
         for positions, index in self.indexes.items():
             expected = self._grouped(positions)
             for key in index.keys() | expected.keys():
@@ -396,9 +394,9 @@ class _Store:
                 if len(bucket) != len(rows) or set(bucket) != set(rows):
                     return f"index {positions} drifted from the rows at key {key!r}"
         if self._positions is not None and self._positions != {
-            tup: i for i, tup in enumerate(tups)
+            row: i for i, row in enumerate(self.rows)
         }:
-            return "the tuple -> row position map drifted from the rows"
+            return "the row -> position map drifted from the rows"
         return None
 
 
@@ -435,8 +433,8 @@ class _SemiNaiveEngine:
         ):
             self._attains = semiring.may_attain
         self.edb_annotations = collect_edb_annotations(program, database)
-        #: Collect mode's atom interner -- ``(predicate, values)`` in
-        #: discovery order, ``_ids[predicate][values]`` its position -- and
+        #: Collect mode's atom interner -- ``(predicate, row key)`` in
+        #: discovery order, ``_ids[predicate][row key]`` its position -- and
         #: the fired instantiations as ``(rule index, head id, body ids)``.
         self._atoms: List[Tuple[str, tuple]] = []
         self._ids: Dict[str, Dict[tuple, int]] = {p: {} for p in program.predicates}
@@ -482,11 +480,15 @@ class _SemiNaiveEngine:
                 relation = relation.map_annotations(lambda _: True, self.semiring)
             self.stores[predicate] = _Store(relation)
             if collect:
-                for values, _ in self.stores[predicate].rows:
-                    self._intern(predicate, values)
+                for key in self.stores[predicate].rows:
+                    self._intern(predicate, key)
         for predicate in idb:
             schema = idb_schema(program, database, predicate)
             self.stores[predicate] = _Store(KRelation(self.semiring, schema))
+        # Plans count positions in each predicate's key order.
+        self._schemas = schemas = {
+            predicate: store.relation.schema for predicate, store in self.stores.items()
+        }
 
         # With ``maintain_edb`` the engine additionally compiles a delta
         # variant per EDB body occurrence, so an EDB insertion can later be
@@ -512,14 +514,16 @@ class _SemiNaiveEngine:
                         -i,
                     ),
                 )
-                self.seed_plans.append(_compile_plan(rule, rule_index, driver, sizes))
+                self.seed_plans.append(
+                    _compile_plan(rule, rule_index, driver, sizes, schemas)
+                )
                 delta_positions = range(len(rule.body)) if maintain_edb else ()
             else:
                 delta_positions = (
                     range(len(rule.body)) if maintain_edb else idb_positions
                 )
             for position in delta_positions:
-                plan = _compile_plan(rule, rule_index, position, sizes)
+                plan = _compile_plan(rule, rule_index, position, sizes, schemas)
                 self.delta_plans[rule.body[position].relation].append(plan)
         for plan in self.seed_plans + [p for ps in self.delta_plans.values() for p in ps]:
             for step in plan.steps:
@@ -537,17 +541,18 @@ class _SemiNaiveEngine:
         # Optional per-update change tracking (see begin_changelog): callers
         # maintaining a cached result patch it from the changed tuples
         # instead of rescanning every store after each update.
-        self.changelog: Dict[str, Set[Tup]] | None = None
+        self.changelog: Dict[str, Set[tuple]] | None = None
 
     # -- change tracking --------------------------------------------------------
-    def begin_changelog(self) -> Dict[str, Set[Tup]]:
-        """Start recording which stored tuples the next updates touch.
+    def begin_changelog(self) -> Dict[str, Set[tuple]]:
+        """Start recording which stored rows the next updates touch.
 
-        Every tuple whose stored annotation changes -- merged, re-derived or
-        removed -- is added to the returned ``predicate -> tuples`` map until
-        :meth:`end_changelog`.  A recorded tuple may end up unchanged on the
-        net (removed then re-derived to the same value); readers must consult
-        the store for the tuple's current state rather than assume a delta.
+        Every row key whose stored annotation changes -- merged, re-derived
+        or removed -- is added to the returned ``predicate -> row keys`` map
+        until :meth:`end_changelog`.  A recorded row may end up unchanged on
+        the net (removed then re-derived to the same value); readers must
+        consult the store for the row's current state rather than assume a
+        delta.
         """
         self.changelog = {}
         return self.changelog
@@ -555,19 +560,23 @@ class _SemiNaiveEngine:
     def end_changelog(self) -> None:
         self.changelog = None
 
-    def _log_changes(self, predicate: str, tups: Iterable[Tup]) -> None:
+    def _log_changes(self, predicate: str, keys: Iterable[tuple]) -> None:
         log = self.changelog
         if log is not None:
-            log.setdefault(predicate, set()).update(tups)
+            log.setdefault(predicate, set()).update(keys)
 
-    def _intern(self, predicate: str, values: tuple) -> int:
-        """The id of the atom ``predicate(values)``, allocated on first sight."""
+    def _intern(self, predicate: str, key: tuple) -> int:
+        """The id of the atom ``predicate`` with row ``key``, allocated on first sight."""
         ids = self._ids[predicate]
-        atom = ids.get(values)
+        atom = ids.get(key)
         if atom is None:
-            atom = ids[values] = len(self._atoms)
-            self._atoms.append((predicate, values))
+            atom = ids[key] = len(self._atoms)
+            self._atoms.append((predicate, key))
         return atom
+
+    def _atom(self, predicate: str, key: tuple) -> GroundAtom:
+        """The ground atom of a stored row: its values in argument order."""
+        return GroundAtom(predicate, self._schemas[predicate].values_of(key))
 
     def _require_maintained(self) -> None:
         if not self.maintain_edb:
@@ -580,9 +589,9 @@ class _SemiNaiveEngine:
     def _fire(
         self,
         plan: _Plan,
-        driver_rows: Sequence[Tuple[tuple, Tup]],
+        driver_rows: Sequence[tuple],
         out,
-        driver_annotations: Dict[Tup, Any] | None = None,
+        driver_annotations: Dict[tuple, Any] | None = None,
     ) -> None:
         """Fire ``plan`` for ``driver_rows``, emitting contributions into ``out``.
 
@@ -600,7 +609,7 @@ class _SemiNaiveEngine:
         body_values: List[tuple] = [()] * len(plan.body_predicates)
         driver = plan.driver
         if driver_annotations is None:
-            driver_annotations = stores[driver.predicate].relation._annotations
+            driver_annotations = stores[driver.predicate].relation._rows
         head_parts = plan.head_parts
         emit = out[plan.head_relation]
         if collect:
@@ -643,22 +652,22 @@ class _SemiNaiveEngine:
             bucket = store.indexes[step.key_positions].get(key)
             if not bucket:
                 return
-            annotations = store.relation._annotations
-            for values, tup in bucket:
+            annotations = store.relation._rows
+            for values in bucket:
                 if step.match(values, env):
                     if collect:
                         body_values[step.orig_index] = values
                         descend(level + 1, annotation)
                     else:
-                        descend(level + 1, mul(annotation, annotations[tup]))
+                        descend(level + 1, mul(annotation, annotations[values]))
 
-        for values, tup in driver_rows:
+        for values in driver_rows:
             if driver.match(values, env):
                 if collect:
                     body_values[driver.orig_index] = values
                     descend(0, True)
                 else:
-                    descend(0, driver_annotations[tup])
+                    descend(0, driver_annotations[values])
 
     # -- the delta loop ---------------------------------------------------------
     @contextmanager
@@ -693,8 +702,8 @@ class _SemiNaiveEngine:
     def _step(self, work: Iterable[Tuple[_Plan, Any]], arrays: ArrayState | None):
         """Fire ``(plan, driver rows)`` pairs, then merge: the next delta.
 
-        Rows are ``(values, tup)`` lists on the row loop and position arrays
-        into ``arrays`` on the array loop; so is the returned delta.
+        Rows are row-key lists on the row loop and position arrays into
+        ``arrays`` on the array loop; so is the returned delta.
         """
         if arrays is None:
             fire, merge, out = self._fire, self._merge, self._fresh()
@@ -771,12 +780,12 @@ class _SemiNaiveEngine:
     def apply_edb_delta(
         self,
         predicate: str,
-        updates: List[Tuple[Tup, Any]],
+        updates: List[Tuple[tuple, Any]],
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
     ) -> int:
         """Merge EDB ``updates`` and resume the fixpoint from the stored state.
 
-        ``updates`` are canonical ``(tup, value)`` pairs over ``predicate``'s
+        ``updates`` are ``(row key, value)`` pairs over ``predicate``'s
         schema; values combine into the stored annotations with the
         semiring's ``+`` (in collect mode the value is ignored -- support is
         all that matters).  Only the plans driven by the changed predicate
@@ -788,17 +797,16 @@ class _SemiNaiveEngine:
         store = self.stores[predicate]
         relation = store.relation
         if self.collect:
-            updates = [(tup, True) for tup, _ in updates]
-        known = relation._annotations
-        new_tuples = {tup for tup, _ in updates if tup not in known}
-        changed = relation.merge_delta(updates)
-        self._log_changes(predicate, changed)
-        rows = [(tup.values_for(store.attributes), tup) for tup in changed]
-        new_rows = [row for row in rows if row[1] in new_tuples]
+            updates = [(key, True) for key, _ in updates]
+        known = relation._rows
+        new_keys = {key for key, _ in updates if key not in known}
+        rows = list(relation._merge_keys(updates)._rows)
+        self._log_changes(predicate, rows)
+        new_rows = [key for key in rows if key in new_keys]
         store.extend(new_rows)
         if self.collect:
-            for values, _ in new_rows:
-                self._intern(predicate, values)
+            for key in new_rows:
+                self._intern(predicate, key)
         if not rows:
             return 0
         # The array state takes the appended facts and the rewritten
@@ -807,9 +815,7 @@ class _SemiNaiveEngine:
         arrays = self._arrays
         if arrays is not None and not (
             arrays.append(predicate, new_rows)
-            and arrays.rewrite(
-                predicate, [row for row in rows if row[1] not in new_tuples]
-            )
+            and arrays.rewrite(predicate, [key for key in rows if key not in new_keys])
         ):
             self._arrays = None
         with self._array_loop() as arrays:
@@ -819,7 +825,7 @@ class _SemiNaiveEngine:
             return self._drain(delta, max_iterations, iterations=1, arrays=arrays)
 
     # -- deletion (DRed) --------------------------------------------------------
-    def _remove_rows(self, predicate: str, rows: Sequence[Tuple[tuple, Tup]]) -> None:
+    def _remove_rows(self, predicate: str, rows: Sequence[tuple]) -> None:
         """Remove rows from a predicate's store, its backing relation and the
         array state."""
         if not rows:
@@ -827,12 +833,12 @@ class _SemiNaiveEngine:
         store = self.stores[predicate]
         annotations = store.relation._annotations
         vacated = []
-        for _, tup in rows:
-            position = store.remove(tup)
+        for key in rows:
+            position = store.remove(key)
             if position is not None:
                 vacated.append(position)
-            annotations.pop(tup, None)
-        self._log_changes(predicate, (tup for _, tup in rows))
+            annotations.pop(key, None)
+        self._log_changes(predicate, rows)
         if self._arrays is not None:
             self._arrays.remove(predicate, vacated)
 
@@ -841,7 +847,7 @@ class _SemiNaiveEngine:
             return
         plans: Dict[str, List[_Plan]] = {}
         for rule_index, rule in enumerate(self.program.rules):
-            plan = _compile_plan(rule, rule_index, None, self._sizes)
+            plan = _compile_plan(rule, rule_index, None, self._sizes, self._schemas)
             plans.setdefault(rule.head.relation, []).append(plan)
             for step in plan.steps:
                 self.stores[step.predicate].ensure_index(step.key_positions)
@@ -850,10 +856,10 @@ class _SemiNaiveEngine:
     def delete_edb(
         self,
         predicate: str,
-        tuples: Sequence[Tup],
+        keys: Sequence[tuple],
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
     ) -> Tuple[int, int, int]:
-        """DRed deletion of EDB facts in annotate (idempotent) mode.
+        """DRed deletion of EDB facts (row ``keys``) in annotate (idempotent) mode.
 
         Both halves fire the round plans (:meth:`_fire`).  *Over-delete*
         runs one round per support layer: the delta plans fire with the
@@ -884,21 +890,17 @@ class _SemiNaiveEngine:
         self._require_maintained()
         if self.collect:
             raise DatalogError("delete_edb is annotate-mode only; use delete_support")
-        store = self.stores[predicate]
-        attributes = store.attributes
-        known = store.relation._annotations
-        rows = [
-            (tup.values_for(attributes), tup) for tup in tuples if tup in known
-        ]
+        known = self.stores[predicate].relation._rows
+        rows = [key for key in keys if key in known]
         if not rows:
             return (0, 0, 0)
-        for values, _ in rows:
-            self.edb_annotations.pop(GroundAtom(predicate, values), None)
+        for key in rows:
+            self.edb_annotations.pop(self._atom(predicate, key), None)
 
         # Phase 1: over-delete, one round per support layer.
         attains = self._attains
-        pending: Dict[str, List[Tuple[tuple, Tup]]] = {predicate: rows}
-        removed: Dict[str, List[Tuple[tuple, Tup]]] = {}
+        pending: Dict[str, List[tuple]] = {predicate: rows}
+        removed: Dict[str, List[tuple]] = {}
         overdeleted = 0
         rounds = 0
         while pending:
@@ -912,16 +914,14 @@ class _SemiNaiveEngine:
             pending = {}
             # Head predicates in first-fired order: rederive walks them so.
             for pred in dict.fromkeys(plan.head_relation for plan in fired):
-                head_store = self.stores[pred]
-                head_known = head_store.relation._annotations
+                head_known = self.stores[pred].relation._rows
                 next_rows = []
-                for values, batch in out[pred].items():
-                    tup = head_store.tup_for(values)
-                    stored = head_known.get(tup)
+                for key, batch in out[pred].items():
+                    stored = head_known.get(key)
                     if stored is not None and (
                         attains is None or any(attains(stored, c) for c in batch)
                     ):
-                        next_rows.append((values, tup))
+                        next_rows.append(key)
                 if next_rows:
                     pending[pred] = next_rows
                     removed.setdefault(pred, []).extend(next_rows)
@@ -931,10 +931,10 @@ class _SemiNaiveEngine:
         self._ensure_rederive_plans()
         one = self.semiring.one()
         rederived = 0
-        delta: Dict[str, List[Tuple[tuple, Tup]]] = {}
+        delta: Dict[str, List[tuple]] = {}
         for pred, removed_rows in removed.items():
             out = {pred: {}}
-            ones = dict.fromkeys((tup for _, tup in removed_rows), one)
+            ones = dict.fromkeys(removed_rows, one)
             for plan in self._rederive_plans.get(pred, ()):
                 self._fire(plan, removed_rows, out, ones)
             new_rows = self._merge(out)[pred]
@@ -956,9 +956,10 @@ class _SemiNaiveEngine:
         return (overdeleted, rederived, rounds)
 
     def delete_support(
-        self, predicate: str, tuples: Sequence[Tup]
+        self, predicate: str, keys: Sequence[tuple]
     ) -> Tuple[int, int, frozenset]:
-        """DRed deletion on the recorded instantiations, for collect mode.
+        """DRed deletion (of the EDB row ``keys``) on the recorded
+        instantiations, for collect mode.
 
         Over-deletion walks the instantiations that read a removed atom;
         rederivation revives every over-deleted head with an instantiation
@@ -974,16 +975,13 @@ class _SemiNaiveEngine:
         self._require_maintained()
         if not self.collect:
             raise DatalogError("delete_support is collect-mode only; use delete_edb")
-        store = self.stores[predicate]
-        attributes = store.attributes
-        known = store.relation._annotations
+        known = self.stores[predicate].relation._rows
         ids = self._ids[predicate]
         deleted_atoms: Set[int] = set()
-        for tup in tuples:
-            if tup in known:
-                values = tup.values_for(attributes)
-                deleted_atoms.add(ids[values])
-                self.edb_annotations.pop(GroundAtom(predicate, values), None)
+        for key in keys:
+            if key in known:
+                deleted_atoms.add(ids[key])
+                self.edb_annotations.pop(self._atom(predicate, key), None)
         if not deleted_atoms:
             return (0, 0, frozenset())
 
@@ -1036,24 +1034,18 @@ class _SemiNaiveEngine:
         # discovery order) and the instantiations that read only them.
         by_predicate: Dict[str, List[tuple]] = {}
         for atom in removed:
-            dead_predicate, values = self._atoms[atom]
-            by_predicate.setdefault(dead_predicate, []).append(values)
-        for pred, dead_values in by_predicate.items():
-            dead_store = self.stores[pred]
-            dead_known = dead_store.relation._annotations
-            rows = []
-            for values in dead_values:
-                tup = dead_store.tup_for(values)
-                if tup in dead_known:
-                    rows.append((values, tup))
-            self._remove_rows(pred, rows)
-        dead = frozenset(GroundAtom(*self._atoms[atom]) for atom in removed)
+            dead_predicate, key = self._atoms[atom]
+            by_predicate.setdefault(dead_predicate, []).append(key)
+        for pred, dead_keys in by_predicate.items():
+            dead_known = self.stores[pred].relation._rows
+            self._remove_rows(pred, [key for key in dead_keys if key in dead_known])
+        dead = frozenset(self._atom(*self._atoms[atom]) for atom in removed)
         renumbered = [-1] * len(self._atoms)
         atoms, self._atoms = self._atoms, []
         self._ids = {p: {} for p in self.program.predicates}
-        for atom, (pred, values) in enumerate(atoms):
+        for atom, (pred, key) in enumerate(atoms):
             if atom not in removed:
-                renumbered[atom] = self._intern(pred, values)
+                renumbered[atom] = self._intern(pred, key)
         self.instantiations = {
             (rule_index, renumbered[head], tuple([renumbered[atom] for atom in body]))
             for rule_index, head, body in self.instantiations
@@ -1061,42 +1053,36 @@ class _SemiNaiveEngine:
         }
         return (len(overdeleted), len(rederived), dead)
 
-    def _merge(self, out: Dict[str, Dict[tuple, Any]]) -> Dict[str, List[Tuple[tuple, Tup]]]:
+    def _merge(self, out: Dict[str, Dict[tuple, Any]]) -> Dict[str, List[tuple]]:
         """Accumulate a round's contributions; return the delta rows per predicate.
 
-        In annotation mode each head tuple's contribution batch is combined
+        In annotation mode each head row's contribution batch is combined
         with one ``+``-chain (:func:`repro.engine.kernels.combine_contributions`)
         before it is merged into the store -- the same batched-accumulation
-        kernel the physical engine's pipeline breaker uses.
+        kernel the physical engine's pipeline breaker uses.  The heads are
+        row keys already: they merge into the relation as they are.
         """
         semiring = self.semiring
         collect = self.collect
-        delta: Dict[str, List[Tuple[tuple, Tup]]] = {}
+        delta: Dict[str, List[tuple]] = {}
         for predicate, contributions in out.items():
             store = self.stores[predicate]
             if not contributions:
                 delta[predicate] = []
                 continue
             relation = store.relation
-            sorted_spec = store.sorted_spec
-            from_sorted = Tup._from_sorted_items
-            by_tup = {
-                from_sorted(tuple((a, values[i]) for a, i in sorted_spec)): values
-                for values in contributions
-            }
-            known = relation._annotations
-            new_tuples = {tup for tup in by_tup if tup not in known}
+            known = relation._rows
+            new_keys = {key for key in contributions if key not in known}
             if collect:
-                updates = ((tup, contributions[by_tup[tup]]) for tup in by_tup)
+                updates = contributions.items()
             else:
                 updates = (
-                    (tup, combine_contributions(semiring, contributions[by_tup[tup]]))
-                    for tup in by_tup
+                    (key, combine_contributions(semiring, batch))
+                    for key, batch in contributions.items()
                 )
-            changed = relation.merge_delta(updates)
-            self._log_changes(predicate, changed)
-            rows = [(by_tup[tup], tup) for tup in changed]
-            store.extend([row for row in rows if row[1] in new_tuples])
+            rows = list(relation._merge_keys(updates)._rows)
+            self._log_changes(predicate, rows)
+            store.extend([key for key in rows if key in new_keys])
             delta[predicate] = rows
         return delta
 
@@ -1104,17 +1090,18 @@ class _SemiNaiveEngine:
     def derivable_atoms(self) -> Set[GroundAtom]:
         known = set(self.edb_annotations)
         for predicate in self.program.idb_predicates:
-            for values, _ in self.stores[predicate].rows:
-                known.add(GroundAtom(predicate, values))
+            for key in self.stores[predicate].rows:
+                known.add(self._atom(predicate, key))
         return known
 
     def annotations(self) -> Dict[GroundAtom, Any]:
         values: Dict[GroundAtom, Any] = {}
         for predicate in self.program.idb_predicates:
             store = self.stores[predicate]
-            annotations = store.relation._annotations
-            for row_values, tup in store.rows:
-                values[GroundAtom(predicate, row_values)] = annotations[tup]
+            annotations = store.relation._rows
+            values_of = self._schemas[predicate].values_of
+            for key in store.rows:
+                values[GroundAtom(predicate, values_of(key))] = annotations[key]
         return values
 
     def ground_program(self) -> GroundProgram:
@@ -1124,11 +1111,15 @@ class _SemiNaiveEngine:
         follow discovery order, which the program and the database's row
         order fix, so the grounding does not depend on hash seeds.
         """
+        schemas = self._schemas
         facts = {
-            self._intern(atom.relation, atom.values): value
+            self._intern(atom.relation, schemas[atom.relation].key_of(atom.values)): value
             for atom, value in self.edb_annotations.items()
         }
-        table = AtomTable(self.program, list(self._atoms), sorted(self.instantiations))
+        atoms = [
+            (predicate, schemas[predicate].values_of(key)) for predicate, key in self._atoms
+        ]
+        table = AtomTable(self.program, atoms, sorted(self.instantiations))
         return GroundProgram.from_ids(self.program, self.database, table, facts)
 
 

@@ -3,12 +3,13 @@
 The logical operators of Definition 3.2 (and of the PR 4 planner's output)
 evaluate operator-at-a-time in :mod:`repro.algebra.operators`: every node
 materializes a full intermediate :class:`~repro.relations.krelation.KRelation`,
-building a canonical :class:`~repro.relations.tuples.Tup` and running a
-semiring ``add``/``is_zero`` round-trip per intermediate tuple.  This module
+storing a row key and running a semiring ``add``/``is_zero`` round-trip per
+intermediate tuple.  This module
 compiles the same plans into a tree of **pipelined kernels** instead:
 
-* rows are plain value tuples in a fixed positional order; canonical
-  ``Tup`` objects exist only in the base relations and in the final result;
+* rows are plain value tuples in a fixed positional order: a scan reads a
+  base relation's row keys as they are stored and the result stores its
+  rows as row keys, so a ``Tup`` is built only for an opaque predicate;
 * ``select``/``project``/``rename`` **fuse** into the producing operator --
   a selection over a scan becomes a predicate compiled to positional row
   slots and evaluated inside the scan loop, a projection becomes an output
@@ -190,7 +191,7 @@ class _Node:
 
 
 class _Scan(_Node):
-    """A base-relation scan emitting positional rows in sorted-attr order."""
+    """A base-relation scan emitting the stored row keys (sorted-attr order)."""
 
     __slots__ = ("name",)
 
@@ -199,8 +200,7 @@ class _Scan(_Node):
         self.name = name
 
     def produce(self, database: Database) -> Iterator[Tuple[Row, Any]]:
-        for tup, annotation in database.relation(self.name).items():
-            yield tuple(value for _, value in tup.items()), annotation
+        return iter(database.relation(self.name)._rows.items())
 
 
 class _Empty(_Node):
@@ -375,8 +375,7 @@ def compile_query(query: Query, database: Database) -> _Node:
     """Compile a logical plan into a pipelined physical operator tree."""
     if isinstance(query, RelationRef):
         relation = database.relation(query.name)
-        attrs = tuple(sorted(relation.schema.attribute_set))
-        return _Scan(query.name, attrs, float(len(relation)))
+        return _Scan(query.name, relation.schema.key_attributes, float(len(relation)))
     if isinstance(query, EmptyRelation):
         return _Empty(tuple(sorted(query.schema.attribute_set)), 0.0)
     if isinstance(query, Select):

@@ -17,19 +17,19 @@ primitives:
   rounds (:mod:`repro.datalog.seminaive`) merge their contributions with
   the same :func:`combine_contributions`.
 
-Everything here works positionally: rows are plain value tuples in
-sorted-attribute order (the order :class:`~repro.relations.tuples.Tup`
-stores internally), and canonical :class:`Tup` objects are rebuilt only for
-the final output (:func:`build_relation`).
+Everything here works positionally: rows are plain value tuples, and
+:func:`build_relation` stores them as the result's row keys (values in
+sorted-attribute order, the layout of
+:class:`~repro.relations.krelation.KRelation`) -- permuted only when the
+plan's output columns are not already in that order.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Tuple
 
-from repro.relations.krelation import KRelation
+from repro.relations.krelation import KRelation, check_keys
 from repro.relations.schema import Schema
-from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
 
 __all__ = [
@@ -82,11 +82,12 @@ def build_relation(
     fixes the display order of the result (default: ``attrs`` as given).
     """
     result = KRelation(semiring, schema if schema is not None else Schema(attrs))
+    rows = accumulate_batches(semiring, groups)
+    check_keys(rows, result.schema)
     order = sorted(range(len(attrs)), key=attrs.__getitem__)
-    rows = result._annotations
-    for row, value in accumulate_batches(semiring, groups).items():
-        items = tuple((attrs[i], row[i]) for i in order)
-        rows[Tup._from_sorted_items(items)] = value
+    if order != list(range(len(attrs))):
+        rows = {tuple([row[i] for i in order]): value for row, value in rows.items()}
+    result._rows = rows
     return result
 
 

@@ -22,9 +22,9 @@ loop per row; this module evaluates the same positive-algebra plans one
   batched ``+``-chain of :func:`~repro.engine.kernels.accumulate_batches`,
   performed by a ``ufunc.at`` scatter on numeric carriers -- and each kept
   column is decoded back out of the distinct codes by ``divmod``;
-* canonical :class:`~repro.relations.tuples.Tup` objects are rebuilt only
-  for the final result rows, from one ``(attribute, value)`` pair per
-  distinct value of each column, shared by every row holding it.
+* the result relation's row keys (values in sorted-attribute order, the
+  store's own layout) are zipped straight out of the decoded columns: no
+  :class:`~repro.relations.tuples.Tup` is built.
 
 The annotation arithmetic is the semiring's declared carrier, or for every
 other semiring an :class:`~repro.semirings.carriers.ObjectCarrier` over its
@@ -36,7 +36,7 @@ numpy falls back to the row engine.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.algebra.ast import (
     EmptyRelation,
@@ -64,9 +64,8 @@ from repro.algebra.predicates import (
 from repro.errors import SchemaError
 from repro.obs import trace as _trace
 from repro.relations.database import Database
-from repro.relations.krelation import KRelation
+from repro.relations.krelation import KRelation, check_keys
 from repro.relations.schema import Schema
-from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
 from repro.semirings.carriers import (
     _INT64_GUARD,
@@ -162,7 +161,7 @@ class _Batch:
         return len(self.ann)
 
 
-def _encode_column(values: list) -> _Col:
+def _encode_column(values: Sequence[Any]) -> _Col:
     """Dictionary-encode a raw value sequence with a hash table.
 
     Hash-based interning matches the dict-equality grouping of the row
@@ -185,13 +184,12 @@ def _encoding(relation: KRelation) -> Tuple[Dict[str, _Col], list]:
     cache = relation._scan_cache
     if cache is None:
         rows = relation._rows
-        attributes = sorted(relation.schema.attribute_set)
-        # A canonical tuple's items are sorted by attribute, so position j
-        # of every row holds attribute j.
-        items = [tup._items for tup in rows]
+        attributes = relation.schema.key_attributes
+        # Position j of every row key holds key attribute j.
+        values = list(zip(*rows)) if rows else [()] * len(attributes)
         columns = {
-            attribute: _encode_column([row[j][1] for row in items])
-            for j, attribute in enumerate(attributes)
+            attribute: _encode_column(column)
+            for attribute, column in zip(attributes, values)
         }
         cache = relation._scan_cache = (columns, list(rows.values()))
     return cache
@@ -615,8 +613,10 @@ def _evaluate(
 
 
 def _materialize(batch: _Batch, semiring: Semiring, ops: VectorOps) -> KRelation:
-    """Build the final K-relation: the only per-row Python loop of a plan."""
-    attributes = tuple(sorted(batch.display))
+    """Build the final K-relation: its row keys zip out of the decoded
+    columns, taken in sorted-attribute order (``REPRO_DEBUG_TUPLES=1``
+    checks them against the result schema)."""
+    attributes = tuple(sorted(batch.columns))
     if not attributes:
         raise _Fallback  # nullary rows: the row engine builds them
     # A total can be the semiring zero: a ring's cancellation in a group-by,
@@ -636,19 +636,9 @@ def _materialize(batch: _Batch, semiring: Semiring, ops: VectorOps) -> KRelation
     # .tolist() lowers numpy scalars to the exact Python carrier types the
     # scalar engine uses (int64 -> int, float64 -> float, bool_ -> bool).
     columns = [batch.columns[a] for a in attributes]
-    annotations = batch.ann.tolist()
-    from_sorted = Tup._from_sorted_items
-    # Pair each distinct value with its attribute name once and gather the
-    # pairs out to rows, so the per-row work is a single zip(*) step over
-    # shared, ready-made (attribute, value) items.
-    paired = []
-    for attribute, column in zip(attributes, columns):
-        pairs = _np.empty(len(column.uniques), dtype=object)
-        for i, value in enumerate(column.uniques.tolist()):
-            pairs[i] = (attribute, value)
-        paired.append(pairs[column.codes].tolist())
-    tuples = [from_sorted(row) for row in zip(*paired)]
-    result._annotations.update(zip(tuples, annotations))
+    keys = list(zip(*[column.uniques[column.codes].tolist() for column in columns]))
+    check_keys(keys, result.schema)
+    result._rows = dict(zip(keys, batch.ann.tolist()))
     return result
 
 

@@ -49,8 +49,7 @@ class CTable:
         if not isinstance(relation.semiring, PosBoolSemiring):
             raise SchemaError("CTable.from_relation expects a PosBool(B)-relation")
         table = cls(relation.schema)
-        for tup, condition in relation.items():
-            table.relation.set(tup, condition)
+        table.relation._rows.update(relation._rows)
         return table
 
     # -- construction -----------------------------------------------------------
@@ -86,10 +85,24 @@ class CTable:
         """The possible world selected by a truth assignment (a Boolean relation)."""
         boolean = BooleanSemiring()
         result = KRelation(boolean, self.schema)
-        for tup, condition in self.relation.items():
-            if condition.evaluate(assignment):
-                result.set(tup, True)
+        one = boolean.one()
+        result._rows = {
+            key: one
+            for key, condition in self.relation._rows.items()
+            if condition.evaluate(assignment)
+        }
         return result
+
+    def _world_relations(
+        self, variables: Iterable[str] | None = None
+    ) -> Iterator[tuple[Dict[str, bool], KRelation]]:
+        """(assignment, :meth:`world`) pairs over the given variables."""
+        names = sorted(variables) if variables is not None else sorted(self.variables)
+        for mask in range(2 ** len(names)):
+            assignment = {
+                name: bool(mask >> index & 1) for index, name in enumerate(names)
+            }
+            yield assignment, self.world(assignment)
 
     def possible_worlds(
         self, variables: Iterable[str] | None = None
@@ -100,13 +113,8 @@ class CTable:
         caller reproducing Figure 1(c) passes the input table's variables so
         that output worlds align with input assignments.
         """
-        names = sorted(variables) if variables is not None else sorted(self.variables)
-        for mask in range(2 ** len(names)):
-            assignment = {
-                name: bool(mask >> index & 1) for index, name in enumerate(names)
-            }
-            world = frozenset(self.world(assignment).support)
-            yield assignment, world
+        for assignment, world in self._world_relations(variables):
+            yield assignment, world.support
 
     def world_set(self, variables: Iterable[str] | None = None) -> frozenset[frozenset[Tup]]:
         """The set of distinct possible worlds (the semantics of the c-table)."""
@@ -115,8 +123,9 @@ class CTable:
     # -- answers --------------------------------------------------------------------
     def certain_tuples(self) -> frozenset[Tup]:
         """Tuples present in every possible world (condition equivalent to true)."""
+        tup_of = self.schema.tup_of
         return frozenset(
-            tup for tup, condition in self.relation.items() if condition.is_true
+            tup_of(key) for key, condition in self.relation._rows.items() if condition.is_true
         )
 
     def possible_tuples(self) -> frozenset[Tup]:

@@ -113,7 +113,7 @@ class MaybeTable:
         relation = KRelation(semiring, self.schema)
         for row in self._rows:
             condition = BoolExpr.true() if not row.optional else BoolExpr.var(row.variable)
-            relation.set(row.tup, semiring.add(relation.annotation(row.tup), condition))
+            relation._set(row.tup, semiring.add(relation.annotation(row.tup), condition))
         return relation
 
     def to_boolean_relation(self, world: Iterable[Tup]) -> KRelation:
@@ -121,7 +121,7 @@ class MaybeTable:
         semiring = BooleanSemiring()
         relation = KRelation(semiring, self.schema)
         for tup in world:
-            relation.set(tup, True)
+            relation._set(tup, True)
         return relation
 
     def assignment_for_world(self, world: Iterable[Tup]) -> Dict[str, bool]:

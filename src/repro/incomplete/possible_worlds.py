@@ -15,7 +15,6 @@ from typing import Dict, Iterable, Iterator
 from repro.algebra.ast import Query
 from repro.incomplete.ctables import CTable
 from repro.relations.database import Database
-from repro.relations.krelation import KRelation
 from repro.relations.tuples import Tup
 from repro.semirings.boolean import BooleanSemiring
 
@@ -43,14 +42,11 @@ def query_possible_worlds(
     computation is checked (they must produce the same world set).
     """
     boolean = BooleanSemiring()
-    for assignment, world in table.possible_worlds(variables):
+    for assignment, world in table._world_relations(variables):
         database = Database(boolean)
-        relation = KRelation(boolean, table.schema)
-        for tup in world:
-            relation.set(tup, True)
-        database.register(relation_name, relation)
+        database.register(relation_name, world)
         answer = query.evaluate(database)
-        yield assignment, frozenset(answer.support)
+        yield assignment, answer.support
 
 
 def answer_world_set(

@@ -64,7 +64,6 @@ from repro.datalog.syntax import Program
 from repro.incremental.delta import UpdateBatch
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
-from repro.relations.tuples import Tup
 
 __all__ = ["IncrementalDatalog"]
 
@@ -169,7 +168,7 @@ class IncrementalDatalog:
         A maintained update touches O(affected) atoms, so recomputing the
         result's annotation map from the stores -- an O(fixpoint) scan --
         would dominate small deltas.  Instead the changed tuples recorded by
-        the engine are re-read from the stores and spliced into a copy of
+        the engine (row keys) are re-read from the stores and spliced into a copy of
         the cached maps.  With no cached result there is nothing to patch
         and the next :attr:`result` access rebuilds it lazily as before.
         """
@@ -180,14 +179,13 @@ class IncrementalDatalog:
         annotations = dict(old.annotations)
         derivable = set(old.ground.derivable)
         idb = self.program.idb_predicates
-        for predicate, tups in changelog.items():
-            store = engine.stores[predicate]
-            known = store.relation._annotations
-            attributes = store.attributes
+        for predicate, keys in changelog.items():
+            relation = engine.stores[predicate].relation
+            known, values_of = relation._rows, relation.schema.values_of
             is_idb = predicate in idb
-            for tup in tups:
-                atom = GroundAtom(predicate, tup.values_for(attributes))
-                value = known.get(tup)
+            for key in keys:
+                atom = GroundAtom(predicate, values_of(key))
+                value = known.get(key)
                 if value is None:
                     derivable.discard(atom)
                     if is_idb:
@@ -216,7 +214,8 @@ class IncrementalDatalog:
     # -- updates ----------------------------------------------------------------
     def _coerce_updates(
         self, predicate: str, rows: Iterable[Any]
-    ) -> Tuple[KRelation, List[Tuple[Tup, Any]]]:
+    ) -> Tuple[KRelation, List[Tuple[tuple, Any]]]:
+        """The EDB relation and ``rows`` as ``(row key, annotation)`` pairs."""
         if predicate not in self.program.edb_predicates:
             raise DatalogError(
                 f"{predicate!r} is not an EDB predicate of the program "
@@ -224,10 +223,10 @@ class IncrementalDatalog:
             )
         base = self.database.relation(predicate)
         semiring = self.semiring
-        updates: List[Tuple[Tup, Any]] = []
+        updates: List[Tuple[tuple, Any]] = []
         for entry in rows:
             row, annotation = base._split_entry(entry)
-            updates.append((base._coerce_tuple(row), semiring.coerce(annotation)))
+            updates.append((base._key(row), semiring.coerce(annotation)))
         return base, updates
 
     def insert(self, predicate: str, rows: Iterable[Any]) -> DatalogResult:
@@ -252,7 +251,7 @@ class IncrementalDatalog:
         self,
         predicate: str,
         base: KRelation,
-        updates: List[Tuple[Tup, Any]],
+        updates: List[Tuple[tuple, Any]],
     ) -> DatalogResult:
         if self._idempotent:
             # The engine's EDB store *is* the database relation, so the merge
@@ -272,9 +271,9 @@ class IncrementalDatalog:
         else:
             # Collect mode works on a booleanized copy: merge the real
             # annotations into the database, the support into the engine.
-            present_before = {tup for tup, _ in updates if tup in base._annotations}
-            changed = base.merge_delta(updates)
-            cancelled = [tup for tup in present_before if tup not in base._annotations]
+            present_before = {key for key, _ in updates if key in base._rows}
+            changed = base._merge_keys(updates)
+            cancelled = [key for key in present_before if key not in base._rows]
             if cancelled:
                 # A negative insertion cancelled EDB facts exactly: a
                 # deletion in insert's clothing.  Shrink the maintained
@@ -287,7 +286,7 @@ class IncrementalDatalog:
             # support the database does not have.
             self._rounds += self._engine.apply_edb_delta(
                 predicate,
-                [(tup, value) for tup, value in changed.items()],
+                list(changed._rows.items()),
                 max(self.max_iterations, DEFAULT_MAX_ITERATIONS),
             )
         self._refresh_edb_annotations(predicate, base, updates)
@@ -295,13 +294,13 @@ class IncrementalDatalog:
         return self.result
 
     def _refresh_edb_annotations(
-        self, predicate: str, base: KRelation, updates: List[Tuple[Tup, Any]]
+        self, predicate: str, base: KRelation, updates: List[Tuple[tuple, Any]]
     ) -> None:
-        attributes = base.schema.attributes
+        values_of = base.schema.values_of
         edb_annotations: Dict[GroundAtom, Any] = self._engine.edb_annotations
-        for tup, _ in updates:
-            atom = GroundAtom(predicate, tup.values_for(attributes))
-            current = base._annotations.get(tup)
+        for key, _ in updates:
+            atom = GroundAtom(predicate, values_of(key))
+            current = base._rows.get(key)
             if current is None:
                 edb_annotations.pop(atom, None)
             else:
@@ -323,13 +322,13 @@ class IncrementalDatalog:
         Returns the updated :attr:`result`.
         """
         base, updates = self._coerce_updates(predicate, rows)
-        present: List[Tup] = []
+        present: List[tuple] = []
         seen: set = set()
-        for tup, _ in updates:
-            if tup not in seen:
-                seen.add(tup)
-                if tup in base._annotations:
-                    present.append(tup)
+        for key, _ in updates:
+            if key not in seen:
+                seen.add(key)
+                if key in base._rows:
+                    present.append(key)
         idb = self.program.idb_predicates
         idb_rows = sum(len(self._engine.stores[p].rows) for p in idb)
         if not present:
@@ -363,9 +362,10 @@ class IncrementalDatalog:
         return self.last_delete_stats
 
     def _delete(
-        self, predicate: str, base: KRelation, present: List[Tup]
+        self, predicate: str, base: KRelation, present: List[tuple]
     ) -> Tuple[str, int, int, int]:
-        """Delete ``present``; return ``(mode, overdeleted, rederived, rounds)``."""
+        """Delete the row keys ``present``; return ``(mode, overdeleted,
+        rederived, rounds)``."""
         if self._idempotent:
             changelog = self._engine.begin_changelog()
             try:
@@ -374,8 +374,9 @@ class IncrementalDatalog:
                 # The rederive drain exhausted its budget mid-merge; the
                 # engine state is no longer trustworthy, so fall back to the
                 # last-resort full rebuild from the updated database.
-                for tup in present:
-                    base.discard(tup)
+                stored = base._annotations
+                for key in present:
+                    stored.pop(key, None)
                 self._start_engine()
                 return ("rebuild", 0, 0, self._rounds)
             finally:
@@ -394,13 +395,14 @@ class IncrementalDatalog:
             # Ring path: deletion is a negative insertion that cancels
             # exactly (merge_delta's zero handling drops the tuples from the
             # support).
-            base.merge_delta(
-                [(tup, semiring.negate(base._annotations[tup])) for tup in present]
+            base._merge_keys(
+                [(key, semiring.negate(base._rows[key])) for key in present]
             )
             mode = "ring"
         else:
-            for tup in present:
-                base.discard(tup)
+            stored = base._annotations
+            for key in present:
+                stored.pop(key, None)
             mode = "dred"
         overdeleted, rederived, dead = self._engine.delete_support(predicate, present)
         if specializer is not None:
@@ -424,7 +426,7 @@ class IncrementalDatalog:
         return (mode, overdeleted, rederived, 0)
 
     def _provenance_specializer(
-        self, predicate: str, base: KRelation, present: List[Tup]
+        self, predicate: str, base: KRelation, present: List[tuple]
     ):
         """A function patching pre-delete annotations to post-delete ones.
 
@@ -443,8 +445,8 @@ class IncrementalDatalog:
         from repro.semirings.polynomial import Polynomial
 
         deleted_vars: set = set()
-        for tup in present:
-            value = base._annotations[tup]
+        for key in present:
+            value = base._rows[key]
             if isinstance(value, (Polynomial, ZPolynomial)):
                 terms = value.terms
                 if len(terms) != 1:
@@ -462,10 +464,8 @@ class IncrementalDatalog:
                 deleted_vars.add(value.name)
             else:
                 return None
-        attributes = base.schema.attributes
-        deleted_atoms = {
-            GroundAtom(predicate, tup.values_for(attributes)) for tup in present
-        }
+        values_of = base.schema.values_of
+        deleted_atoms = {GroundAtom(predicate, values_of(key)) for key in present}
         for atom, value in self._engine.edb_annotations.items():
             if atom in deleted_atoms:
                 continue
@@ -527,8 +527,8 @@ class IncrementalDatalog:
             )
         for name, store in engine.stores.items():
             store.relation.check_consistency()
-            rows = {tup for _, tup in store.rows}
-            known = set(store.relation._annotations)
+            rows = set(store.rows)
+            known = set(store.relation._rows)
             if rows != known:
                 raise DatalogError(
                     f"store rows for {name!r} are out of sync with its relation "
@@ -538,7 +538,7 @@ class IncrementalDatalog:
             if problem:
                 raise DatalogError(f"store for {name!r}: {problem}")
             if not self._idempotent and name in self.program.edb_predicates:
-                support = set(self.database.relation(name)._annotations)
+                support = set(self.database.relation(name)._rows)
                 if known != support:
                     raise DatalogError(
                         f"boolean support of {name!r} diverged from the database "

@@ -113,20 +113,27 @@ def apply_delta(relation: KRelation, delta: KRelation) -> Dict[Tup, Any]:
     clean).  Unlike :meth:`KRelation.merge_delta` the returned mapping can
     therefore report removals, which is what view maintenance needs.
     """
+    tup_of = relation.schema.tup_of
+    return {tup_of(key): value for key, value in _apply_delta(relation, delta).items()}
+
+
+def _apply_delta(relation: KRelation, delta: KRelation) -> Dict[tuple, Any]:
+    """:func:`apply_delta` on row keys: the changed rows' keys, mapped to
+    their new annotations."""
     semiring = relation.semiring
     annotations = relation._annotations
     zero = semiring.zero()
-    changed: Dict[Tup, Any] = {}
-    for tup, change in delta.items():
-        current = annotations.get(tup)
+    changed: Dict[tuple, Any] = {}
+    for key, change in delta._rows.items():
+        current = annotations.get(key)
         combined = change if current is None else semiring.add(current, change)
         if semiring.is_zero(combined):
             if current is not None:
-                del annotations[tup]
-                changed[tup] = zero
+                del annotations[key]
+                changed[key] = zero
         elif combined != current:
-            annotations[tup] = combined
-            changed[tup] = combined
+            annotations[key] = combined
+            changed[key] = combined
     return changed
 
 
@@ -159,15 +166,15 @@ def batch_deltas(database: Database, batch: UpdateBatch) -> Dict[str, KRelation]
             )
         relation = database.relation(name)
         delta = delta_for(name)
-        seen: set[Tup] = set()
+        seen: set[tuple] = set()
         for row in rows:
-            tup = relation._coerce_tuple(row)
-            if tup in seen:
+            key = relation._key(row)
+            if key in seen:
                 continue
-            seen.add(tup)
-            current = relation._annotations.get(tup)
+            seen.add(key)
+            current = relation._rows.get(key)
             if current is not None:
-                delta.add(tup, semiring.negate(current))
+                delta._accumulate(key, semiring.coerce(semiring.negate(current)))
     for name, entries in batch.insertions.items():
         if not entries:
             continue
@@ -175,7 +182,7 @@ def batch_deltas(database: Database, batch: UpdateBatch) -> Dict[str, KRelation]
         delta = delta_for(name)
         for entry in entries:
             row, change = relation._split_entry(entry)
-            delta.add(row, change)
+            delta._add(row, change)
     return deltas
 
 
@@ -191,33 +198,45 @@ def apply_batch_to_database(
     per touched relation, the tuples whose annotation changed mapped to
     their new annotations (the semiring zero for removed tuples).
     """
-    changed: Dict[str, Dict[Tup, Any]] = {}
+    changed = _apply_batch(database, batch)
+    return {
+        name: {
+            database.relation(name).schema.tup_of(key): value
+            for key, value in delta.items()
+        }
+        for name, delta in changed.items()
+    }
+
+
+def _apply_batch(database: Database, batch: UpdateBatch) -> Dict[str, Dict[tuple, Any]]:
+    """:func:`apply_batch_to_database` reporting the changed rows by row key."""
+    changed: Dict[str, Dict[tuple, Any]] = {}
     for name in sorted(batch.touched_relations):
         relation = database.relation(name)
         semiring = relation.semiring
         zero = semiring.zero()
-        before: Dict[Tup, Any] = {}
+        before: Dict[tuple, Any] = {}
         annotations = relation._annotations
         for row in batch.deletions.get(name, ()):
-            tup = relation._coerce_tuple(row)
-            if tup in annotations:
-                before.setdefault(tup, annotations[tup])
-                del annotations[tup]
+            key = relation._key(row)
+            if key in annotations:
+                before.setdefault(key, annotations[key])
+                del annotations[key]
         for entry in batch.insertions.get(name, ()):
             row, change = relation._split_entry(entry)
-            tup = relation._coerce_tuple(row)
-            before.setdefault(tup, annotations.get(tup, zero))
+            key = relation._key(row)
+            before.setdefault(key, annotations.get(key, zero))
             value = semiring.coerce(change)
-            current = annotations.get(tup)
+            current = annotations.get(key)
             combined = value if current is None else semiring.add(current, value)
             if semiring.is_zero(combined):
-                annotations.pop(tup, None)
+                annotations.pop(key, None)
             else:
-                annotations[tup] = combined
+                annotations[key] = combined
         delta = {
-            tup: annotations.get(tup, zero)
-            for tup, old in before.items()
-            if annotations.get(tup, zero) != old
+            key: annotations.get(key, zero)
+            for key, old in before.items()
+            if annotations.get(key, zero) != old
         }
         if delta:
             changed[name] = delta

@@ -13,7 +13,10 @@ change-valued deltas bottom-up through the tree:
   tuples they join with, not to the view size.
 
 Every node is evaluated operator-at-a-time (:mod:`repro.algebra.operators`),
-both when the view is built and on every delta.  Subtrees whose base
+both when the view is built and on every delta, and maintained on its
+relation's row keys; a :class:`~repro.relations.tuples.Tup` is built only
+for a selection predicate and for the changed rows :meth:`MaterializedView.apply`
+returns.  Subtrees whose base
 relations are untouched by a batch are skipped entirely.  Deletions take one
 of two paths (``last_apply_mode`` records which ran):
 
@@ -48,8 +51,8 @@ from repro.errors import QueryError
 from repro.obs import trace as _trace
 from repro.incremental.delta import (
     UpdateBatch,
-    apply_batch_to_database,
-    apply_delta,
+    _apply_batch,
+    _apply_delta,
     batch_deltas,
 )
 from repro.relations.database import Database
@@ -109,13 +112,13 @@ def _evaluate_node(query: Query, children: List[_Node]) -> KRelation:
 def _propagate(
     node: _Node,
     deltas: Mapping[str, KRelation],
-    changed_out: Dict[Tup, Any] | None = None,
+    changed_out: Dict[tuple, Any] | None = None,
 ) -> KRelation:
     """Advance ``node`` (and its subtree) to the post-update state.
 
     Returns the node's change-valued delta.  On entry the subtree holds the
     pre-update materializations; on exit the post-update ones.  When
-    ``changed_out`` is given (the root call), it collects the tuples whose
+    ``changed_out`` is given (the root call), it collects the row keys whose
     materialized annotation *actually* changed -- a delta entry that is
     absorbed without effect (idempotent re-insert) is not a change.
     """
@@ -124,7 +127,7 @@ def _propagate(
         return node.relation.empty_like()
     if isinstance(query, RelationRef):
         delta = deltas[query.name]
-        applied = apply_delta(node.relation, delta)
+        applied = _apply_delta(node.relation, delta)
         if changed_out is not None:
             changed_out.update(applied)
         return delta
@@ -148,41 +151,57 @@ def _propagate(
         delta = operators.union(delta, operators.join(left.relation, right_delta))
     else:  # pragma: no cover - _build already rejected exotic nodes
         raise QueryError(f"no delta rule for {type(query).__name__}")
-    applied = apply_delta(node.relation, delta)
+    applied = _apply_delta(node.relation, delta)
     if changed_out is not None:
         changed_out.update(applied)
     return delta
 
 
-def _refresh_value(relation: KRelation, tup: Tup, value: Any, semiring) -> bool:
-    """Store ``value`` for ``tup`` (``None``/zero = remove); report a change."""
+def _refresh_value(relation: KRelation, key: tuple, value: Any, semiring) -> bool:
+    """Store ``value`` for ``key`` (``None``/zero = remove); report a change."""
     annotations = relation._annotations
-    current = annotations.get(tup)
+    current = annotations.get(key)
     if value is None or semiring.is_zero(value):
         if current is None:
             return False
-        del annotations[tup]
+        del annotations[key]
         return True
     if current is not None and current == value:
         return False
-    annotations[tup] = value
+    annotations[key] = value
     return True
+
+
+def _restriction(source: KRelation, target: KRelation):
+    """Map a row key of ``source`` to the key of its restriction to
+    ``target``'s attributes."""
+    kept = source.schema.key_positions(target.schema.key_attributes)
+    return lambda key: tuple([key[i] for i in kept])
+
+
+def _keyed_probe(relation: KRelation, keys: set, semiring) -> KRelation:
+    """A relation over ``relation``'s schema holding ``keys``, each annotated 1."""
+    probe = KRelation(semiring, relation.schema)
+    one = semiring.one()
+    for key in keys:
+        probe._accumulate(key, semiring.coerce(one))
+    return probe
 
 
 def _delete_rederive(node: _Node, removed: Mapping[str, set], semiring) -> set:
     """Propagate base-relation deletions by recomputing only affected keys.
 
-    ``removed`` maps base relation names to the sets of tuples deleted from
-    them (already applied to the database).  Every operator recomputes just
-    the keys a changed child tuple can reach: unions, selections and renames
-    re-read the one child annotation, projections re-aggregate only the
-    groups a changed child tuple collapses into (one scan of the child
+    ``removed`` maps base relation names to the sets of row keys deleted
+    from them (already applied to the database).  Every operator recomputes
+    just the keys a changed child row can reach: unions, selections and
+    renames re-read the one child annotation, projections re-aggregate only
+    the groups a changed child row collapses into (one scan of the child
     materialization), and joins probe the maintained children for the output
-    keys reachable from a changed child tuple, recomputing each in O(1) as
+    keys reachable from a changed child row, recomputing each in O(1) as
     the product of the two child annotations.  No negation is needed --
     deletion works in every semiring because affected values are recomputed,
-    not subtracted.  Returns the node tuples whose materialized annotation
-    changed (removed or revalued).
+    not subtracted.  Returns the node's row keys whose materialized
+    annotation changed (removed or revalued).
     """
     if not (node.base_names & removed.keys()):
         return set()
@@ -191,10 +210,10 @@ def _delete_rederive(node: _Node, removed: Mapping[str, set], semiring) -> set:
     if isinstance(query, RelationRef):
         affected = set()
         annotations = relation._annotations
-        for tup in removed.get(query.name, ()):
-            if tup in annotations:
-                del annotations[tup]
-                affected.add(tup)
+        for key in removed.get(query.name, ()):
+            if key in annotations:
+                del annotations[key]
+                affected.add(key)
         return affected
     if isinstance(query, Union):
         left, right = node.children
@@ -202,55 +221,56 @@ def _delete_rederive(node: _Node, removed: Mapping[str, set], semiring) -> set:
             right, removed, semiring
         )
         changed = set()
-        for tup in affected:
-            left_value = left.relation._annotations.get(tup)
-            right_value = right.relation._annotations.get(tup)
+        for key in affected:
+            left_value = left.relation._rows.get(key)
+            right_value = right.relation._rows.get(key)
             if left_value is None:
                 value = right_value
             elif right_value is None:
                 value = left_value
             else:
                 value = semiring.add(left_value, right_value)
-            if _refresh_value(relation, tup, value, semiring):
-                changed.add(tup)
+            if _refresh_value(relation, key, value, semiring):
+                changed.add(key)
         return changed
     if isinstance(query, Project):
         child = node.children[0]
         child_changed = _delete_rederive(child, removed, semiring)
         if not child_changed:
             return set()
-        attributes = tuple(query.attributes)
-        keys = {tup.restrict(attributes) for tup in child_changed}
-        totals: Dict[Tup, Any] = {}
-        for tup, value in child.relation.items():
-            key = tup.restrict(attributes)
-            if key in keys:
-                current = totals.get(key)
-                totals[key] = value if current is None else semiring.add(current, value)
+        restrict = _restriction(child.relation, relation)
+        groups = {restrict(key) for key in child_changed}
+        totals: Dict[tuple, Any] = {}
+        for key, value in child.relation._rows.items():
+            group = restrict(key)
+            if group in groups:
+                current = totals.get(group)
+                totals[group] = value if current is None else semiring.add(current, value)
         return {
-            key
-            for key in keys
-            if _refresh_value(relation, key, totals.get(key), semiring)
+            group
+            for group in groups
+            if _refresh_value(relation, group, totals.get(group), semiring)
         }
     if isinstance(query, Select):
         child = node.children[0]
+        tup_of = child.relation.schema.tup_of
         changed = set()
-        for tup in _delete_rederive(child, removed, semiring):
-            value = child.relation._annotations.get(tup)
+        for key in _delete_rederive(child, removed, semiring):
+            value = child.relation._rows.get(key)
             if value is not None:
                 value = semiring.mul(
-                    value, operators.predicate_factor(semiring, query.predicate(tup))
+                    value, operators.predicate_factor(semiring, query.predicate(tup_of(key)))
                 )
-            if _refresh_value(relation, tup, value, semiring):
-                changed.add(tup)
+            if _refresh_value(relation, key, value, semiring):
+                changed.add(key)
         return changed
     if isinstance(query, Rename):
         child = node.children[0]
-        mapping = dict(query.mapping)
+        order = operators._rename_order(child.relation.schema, relation.schema, query.mapping)
         changed = set()
-        for tup in _delete_rederive(child, removed, semiring):
-            image = tup.rename(mapping)
-            value = child.relation._annotations.get(tup)
+        for key in _delete_rederive(child, removed, semiring):
+            image = tuple([key[i] for i in order])
+            value = child.relation._rows.get(key)
             if _refresh_value(relation, image, value, semiring):
                 changed.add(image)
         return changed
@@ -259,47 +279,38 @@ def _delete_rederive(node: _Node, removed: Mapping[str, set], semiring) -> set:
         left_changed = _delete_rederive(left, removed, semiring)
         right_changed = _delete_rederive(right, removed, semiring)
         # Every output key whose value may have changed joins a changed
-        # child tuple with the other side's old state.  Old supports are
+        # child row with the other side's old state.  Old supports are
         # covered by (new support) ∪ (changed keys) on each side, so three
         # probe joins against the *maintained* children find them all; the
         # probes carry annotation 1 so they only enumerate keys.
-        one = semiring.one()
         probes: List[KRelation] = []
         temp_left = temp_right = None
         if left_changed:
-            temp_left = KRelation(
-                semiring,
-                left.relation.schema,
-                ((tup, one) for tup in left_changed),
-            )
+            temp_left = _keyed_probe(left.relation, left_changed, semiring)
             probes.append(operators.join(temp_left, right.relation))
         if right_changed:
-            temp_right = KRelation(
-                semiring,
-                right.relation.schema,
-                ((tup, one) for tup in right_changed),
-            )
+            temp_right = _keyed_probe(right.relation, right_changed, semiring)
             probes.append(operators.join(left.relation, temp_right))
         if temp_left is not None and temp_right is not None:
             probes.append(operators.join(temp_left, temp_right))
         affected = set()
         for probe in probes:
-            affected.update(probe._annotations)
-        left_attributes = left.relation.schema.attributes
-        right_attributes = right.relation.schema.attributes
-        left_annotations = left.relation._annotations
-        right_annotations = right.relation._annotations
+            affected.update(probe._rows)
+        left_key = _restriction(relation, left.relation)
+        right_key = _restriction(relation, right.relation)
+        left_annotations = left.relation._rows
+        right_annotations = right.relation._rows
         changed = set()
-        for tup in affected:
-            left_value = left_annotations.get(tup.restrict(left_attributes))
-            right_value = right_annotations.get(tup.restrict(right_attributes))
+        for key in affected:
+            left_value = left_annotations.get(left_key(key))
+            right_value = right_annotations.get(right_key(key))
             value = (
                 semiring.mul(left_value, right_value)
                 if left_value is not None and right_value is not None
                 else None
             )
-            if _refresh_value(relation, tup, value, semiring):
-                changed.add(tup)
+            if _refresh_value(relation, key, value, semiring):
+                changed.add(key)
         return changed
     raise QueryError(f"no deletion rule for {type(query).__name__}")
 
@@ -379,12 +390,17 @@ class MaterializedView:
                 return changed
         with _trace.span("view.apply", view=self.name, mode="incremental") as sp:
             deltas = batch_deltas(self.database, batch)
-            apply_batch_to_database(self.database, batch)
-            changed: Dict[Tup, Any] = {}
+            _apply_batch(self.database, batch)
+            changed: Dict[tuple, Any] = {}
             _propagate(self._root, deltas, changed)
             self.last_apply_mode = "incremental"
             sp.set(changed=len(changed))
-            return changed
+            return self._changed_tuples(changed)
+
+    def _changed_tuples(self, changed: Dict[tuple, Any]) -> Dict[Tup, Any]:
+        """The changed view rows, handed out as :class:`Tup` objects."""
+        tup_of = self._root.relation.schema.tup_of
+        return {tup_of(key): value for key, value in changed.items()}
 
     def _apply_by_delete_rederive(self, batch: UpdateBatch) -> Dict[Tup, Any]:
         """Targeted deletion pass for semirings without negation.
@@ -393,33 +409,27 @@ class MaterializedView:
         (affected keys only); insertions then follow the ordinary
         delta-propagation path.
         """
-        changed: Dict[Tup, Any] = {}
+        changed: Dict[tuple, Any] = {}
         zero = self.semiring.zero()
         removed: Dict[str, set] = {}
         for name, rows in batch.deletions.items():
             base = self.database.relation(name)
-            tups = {
-                tup
-                for tup in (base._coerce_tuple(row) for row in rows)
-                if tup in base._annotations
-            }
-            if tups:
-                removed[name] = tups
+            keys = {key for key in map(base._key, rows) if key in base._rows}
+            if keys:
+                removed[name] = keys
         if removed:
-            apply_batch_to_database(
-                self.database, UpdateBatch(deletions=batch.deletions)
-            )
+            _apply_batch(self.database, UpdateBatch(deletions=batch.deletions))
             affected = _delete_rederive(self._root, removed, self.semiring)
-            annotations = self._root.relation._annotations
-            for tup in affected:
-                changed[tup] = annotations.get(tup, zero)
+            annotations = self._root.relation._rows
+            for key in affected:
+                changed[key] = annotations.get(key, zero)
         if any(batch.insertions.values()):
             insertions = UpdateBatch(insertions=batch.insertions)
             deltas = batch_deltas(self.database, insertions)
-            apply_batch_to_database(self.database, insertions)
+            _apply_batch(self.database, insertions)
             _propagate(self._root, deltas, changed)
         self.last_apply_mode = "delete_rederive"
-        return changed
+        return self._changed_tuples(changed)
 
     def refresh(self) -> KRelation:
         """Rebuild the whole view from the database (full recomputation)."""

@@ -173,7 +173,7 @@ class EventTable:
             space = IndependentEventSpace({name: p for _, name, p in rows})
         lineage = KRelation(CircuitSemiring(), schema)
         for row, name, _probability in rows:
-            lineage.set(row, circuit_var(name))
+            lineage._set(row, circuit_var(name))
         return cls(
             space=space, lineage=lineage, pending_rows=rows, schema=schema
         )
@@ -185,7 +185,7 @@ class EventTable:
             schema, rows = self._pending
             relation = KRelation(self.space.semiring, schema)
             for row, name, _probability in rows:
-                relation.set(row, self.space.event(name))
+                relation._set(row, self.space.event(name))
             self._relation = relation
         return self._relation
 

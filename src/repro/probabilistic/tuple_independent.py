@@ -34,6 +34,7 @@ from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.algebra.ast import Query
 from repro.circuits.evaluate import top_k_many, wmc_many
+from repro.datalog.fixpoint import idb_schema
 from repro.datalog.lattice_eval import evaluate_on_lattice
 from repro.datalog.provenance import absorptive_circuit_provenance
 from repro.datalog.syntax import Program
@@ -46,8 +47,15 @@ from repro.relations.tuples import Tup
 __all__ = ["ProbabilisticDatabase"]
 
 
-def _parsed(program: Program | str) -> Program:
-    return Program.parse(program) if isinstance(program, str) else program
+def _with_edb(program: Program | str, database: Database) -> Program:
+    """``program`` parsed, once every EDB relation it reads is found in
+    ``database``: a missing one is a :class:`~repro.errors.SchemaError`, as
+    in a query.  The datalog entry points call this first."""
+    if isinstance(program, str):
+        program = Program.parse(program)
+    for predicate in sorted(program.edb_predicates):
+        database.relation(predicate)
+    return program
 
 
 @dataclass
@@ -135,7 +143,7 @@ class ProbabilisticDatabase:
         for name, (attributes, rows) in self._declarations.items():
             relation = KRelation(semiring, attributes)
             for row, event_name, _probability in rows:
-                relation.set(row, circuit_var(event_name))
+                relation._set(row, circuit_var(event_name))
             self._lineage.register(name, relation)
         # One compiler for the whole database: lineages of different answers
         # (and different queries) share subcircuits, so they share the
@@ -245,36 +253,29 @@ class ProbabilisticDatabase:
         As with :meth:`query_events`, events force the explicit world space:
         the program's PosBool(X) conditions are evaluated in ``P(Omega)``.
         """
-        return evaluate_on_lattice(program, self.database)
+        return evaluate_on_lattice(_with_edb(program, self.database), self.database)
 
-    def _compile_output(self, program: Program) -> Dict[Tup, Any]:
+    def _compile_output(self, program: Program | str) -> Dict[Tup, Any]:
         """The compiled lineage of every output tuple of ``program``.
 
         The absorptive provenance circuits of all derivable atoms are
         compiled as one multi-rooted diagram by the database's compiler;
         the output predicate's are returned.  A relation the database lacks
-        is a :class:`~repro.errors.SchemaError`, as in a query."""
+        is a :class:`~repro.errors.SchemaError` (:func:`_with_edb`)."""
         lineage = self.lineage_database
-        for predicate in sorted(program.edb_predicates):
-            lineage.relation(predicate)
+        program = _with_edb(program, lineage)
         sources = absorptive_circuit_provenance(program, lineage)
         compiled = self._compiler.compile_many(sources)
-        attributes = self._datalog_output_schema(program).attributes
+        schema = self._datalog_output_schema(program)
+        key_of, tup_of = schema.key_of, schema.tup_of
         return {
-            Tup.from_values(attributes, atom.values): circuit
+            tup_of(key_of(atom.values)): circuit
             for atom, circuit in compiled.items()
             if atom.relation == program.output
         }
 
     def _datalog_output_schema(self, program: Program):
-        from repro.relations.schema import Schema
-
-        predicate = program.output
-        if predicate in self.lineage_database:
-            return self.lineage_database.relation(predicate).schema
-        head_names = program.head_attributes(predicate)
-        arity = program.arity(predicate)
-        return Schema(head_names or [f"c{i + 1}" for i in range(arity)])
+        return idb_schema(program, self.lineage_database, program.output)
 
     def datalog_probabilities(self, program: Program | str) -> Dict[Tup, float]:
         """Datalog evaluation with exact output probabilities.
@@ -284,7 +285,7 @@ class ProbabilisticDatabase:
         weighted-model-counts it against the declared marginals, without
         ever constructing the world space.
         """
-        compiled = self._compile_output(_parsed(program))
+        compiled = self._compile_output(program)
         return wmc_many(
             {tup: circuit.root for tup, circuit in compiled.items()}, self.marginals
         )
@@ -297,7 +298,7 @@ class ProbabilisticDatabase:
         A world names the events the tuple's Boolean provenance depends on:
         those of its minimal derivations, not those only a derivation that
         another absorbs reads (Section 8's minimal fringes)."""
-        compiled = self._compile_output(_parsed(program))
+        compiled = self._compile_output(program)
         assert self._compiler is not None
         return top_k_many(self._compiler.essential(compiled), self.marginals, k)
 

@@ -32,11 +32,14 @@ def format_relation(
     attributes = list(relation.schema.attributes)
     header = attributes + [annotation_header]
     rows = []
-    items = list(relation.items())
+    values_of = relation.schema.values_of
+    items = [
+        ([str(v) for v in values_of(key)], annotation)
+        for key, annotation in relation._rows.items()
+    ]
     if sort:
-        items.sort(key=lambda item: tuple(str(v) for v in item[0].values_for(attributes)))
-    for tup, annotation in items:
-        values = [str(v) for v in tup.values_for(attributes)]
+        items.sort(key=lambda item: item[0])
+    for values, annotation in items:
         rendered = relation.semiring.format_value(annotation)
         if max_annotation_width is not None and len(rendered) > max_annotation_width:
             rendered = relation.semiring.summarize_value(annotation)

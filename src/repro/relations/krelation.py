@@ -3,8 +3,11 @@
 Definition 3.1 of the paper: a K-relation over attributes ``U`` is a function
 ``R : U-Tup -> K`` with finite support, where the support is the set of
 tuples with non-zero annotation.  :class:`KRelation` stores exactly the
-support as a dictionary from :class:`~repro.relations.tuples.Tup` to
-annotation; every tuple not stored is implicitly annotated ``0``.
+support as a dictionary from row key to annotation -- a row key is the
+tuple's values in the schema's key order (its sorted attribute names, see
+:class:`~repro.relations.schema.Schema`) -- and every tuple not stored is
+implicitly annotated ``0``.  :class:`~repro.relations.tuples.Tup` objects
+are built only where a row is handed to a caller.
 
 The relational-algebra operators of Definition 3.2 live in
 :mod:`repro.algebra.operators`; :class:`KRelation` exposes them as
@@ -18,15 +21,35 @@ from collections.abc import Mapping
 from typing import Any, Callable, Dict, Iterable, Iterator, Tuple
 
 from repro.errors import SchemaError, SemiringError
+from repro.relations import tuples as _tuples
 from repro.relations.schema import Schema
 from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
 
-__all__ = ["KRelation"]
+__all__ = ["KRelation", "check_keys"]
 
 _MISSING = object()
 
 RowLike = Any  # a Tup, a mapping, or a sequence of values in schema order
+
+
+def check_keys(keys: Iterable[Any], schema: Schema) -> None:
+    """Under ``REPRO_DEBUG_TUPLES=1``, reject a row key that is not a tuple
+    of ``schema``'s arity.
+
+    The engines write row keys straight into a relation's store, skipping
+    the per-row checks of the mutators; every such writer passes its keys
+    here (a no-op unless the flag is set; tests flip
+    ``repro.relations.tuples._DEBUG_TUPLES``).
+    """
+    if not _tuples._DEBUG_TUPLES:
+        return
+    arity = len(schema)
+    for key in keys:
+        if type(key) is not tuple or len(key) != arity:
+            raise SchemaError(
+                f"row key {key!r} is not a tuple of {arity} values over {schema}"
+            )
 
 
 class KRelation:
@@ -43,15 +66,19 @@ class KRelation:
         pairs, or of bare rows (annotated with ``1``).  Rows may be
         :class:`Tup` objects, mappings, or value sequences in schema order.
 
-    The support lives in one ``{Tup: annotation}`` dictionary; its layout
-    plays no part in the model.  Two caches are derived from it:
-    :mod:`repro.engine.vectorized` keeps a column encoding in
-    ``_scan_cache``, which the whole-column kernels scan under every
-    semiring, and :func:`repro.circuits.evaluate.specialize` keeps the
-    circuit annotations' level program in ``_circuit_program``.  Every
-    mutator below drops both (:meth:`_drop_caches`), and so does reading
-    :attr:`_annotations`, since the raw dictionary it hands out licenses
-    writes the relation cannot see.  Pickling drops them too.
+    The support lives in one ``{row key: annotation}`` dictionary, ``_rows``:
+    each key is the row's values in the schema's key order (sorted
+    attribute names), so ``1``, ``1.0`` and ``True`` are one value, as they
+    are in a :class:`Tup`.  Reads and mutators accept rows in any of the
+    forms above; :meth:`items`, iteration, :attr:`support` and the returns
+    of :meth:`add` / :meth:`set` hand out :class:`Tup` objects.  Two caches
+    are derived from the store: :mod:`repro.engine.vectorized` keeps a
+    column encoding in ``_scan_cache``, which the whole-column kernels scan
+    under every semiring, and :func:`repro.circuits.evaluate.specialize`
+    keeps the circuit annotations' level program in ``_circuit_program``.
+    Every mutator below drops both (:meth:`_drop_caches`), and so does
+    reading :attr:`_annotations`, since the raw dictionary it hands out
+    licenses writes the relation cannot see.  Pickling drops them too.
     """
 
     def __init__(
@@ -62,11 +89,28 @@ class KRelation:
     ):
         self.semiring = semiring
         self.schema = schema if isinstance(schema, Schema) else Schema(schema)
-        self._rows: Dict[Tup, Any] = {}
+        self._rows: Dict[tuple, Any] = {}
         self._drop_caches()
+        if rows != ():
+            self._load(rows)
+
+    def _load(self, rows: Iterable[Any]) -> None:
+        """Bulk-load ``(row, annotation)`` pairs or bare rows in one pass:
+        :meth:`add` per row, without its per-row call overhead."""
+        semiring = self.semiring
+        add, is_zero, coerce = semiring.add, semiring.is_zero, semiring.coerce
+        split, key_of, store = self._split_entry, self._key, self._rows
         for entry in rows:
-            row, annotation = self._split_entry(entry)
-            self.add(row, annotation)
+            row, annotation = split(entry)
+            key, value = key_of(row), coerce(annotation)
+            current = store.get(key)
+            if current is not None:
+                value = add(current, value)
+            if is_zero(value):
+                store.pop(key, None)
+            else:
+                store[key] = value
+        check_keys(store, self.schema)
 
     def __getstate__(self) -> dict:
         # The caches may hold numpy arrays and are rebuilt on demand.
@@ -81,13 +125,14 @@ class KRelation:
         self._scan_cache = self._circuit_program = None
 
     @property
-    def _annotations(self) -> Dict[Tup, Any]:
-        """The stored ``{Tup: annotation}`` dictionary itself.
+    def _annotations(self) -> Dict[tuple, Any]:
+        """The stored ``{row key: annotation}`` dictionary itself.
 
         Writes through it are raw (no zero/carrier checks) -- it exists for
-        the engines' internal fast paths.  Handing it out drops the caches,
-        so a caller must not keep the dictionary across a vectorized scan or
-        a ``specialize`` of this relation and write to it afterwards.
+        the engines' internal fast paths, which read and write row keys in
+        the schema's key order.  Handing it out drops the caches, so a
+        caller must not keep the dictionary across a vectorized scan or a
+        ``specialize`` of this relation and write to it afterwards.
         """
         self._drop_caches()
         return self._rows
@@ -98,25 +143,28 @@ class KRelation:
             isinstance(entry, tuple)
             and len(entry) == 2
             and isinstance(entry[0], (Tup, Mapping, tuple, list))
-            and not isinstance(entry[0], str)
         ):
             return entry[0], entry[1]
         return entry, self.semiring.one()
 
-    def _coerce_tuple(self, row: RowLike) -> Tup:
-        if isinstance(row, Tup):
-            candidate = row
-        elif isinstance(row, Mapping):
-            candidate = Tup(row)
-        elif isinstance(row, (tuple, list)):
-            candidate = Tup.from_values(self.schema.attributes, row)
-        else:
-            raise SchemaError(f"cannot interpret {row!r} as a tuple over {self.schema}")
-        if candidate.attributes != self.schema.attribute_set:
-            raise SchemaError(
-                f"tuple {candidate} does not match schema {self.schema}"
-            )
-        return candidate
+    def _key(self, row: RowLike) -> tuple:
+        """The row key of ``row``: a :class:`Tup`, a mapping or a value
+        sequence in schema order (raises :class:`SchemaError` otherwise)."""
+        schema = self.schema
+        if isinstance(row, (tuple, list)):
+            if len(row) != len(schema._attributes):
+                raise SchemaError(
+                    f"{len(row)} values for {len(schema._attributes)} attributes"
+                )
+            return schema.key_of(row)
+        if isinstance(row, Mapping):
+            row = Tup(row)
+        elif not isinstance(row, Tup):
+            raise SchemaError(f"cannot interpret {row!r} as a tuple over {schema}")
+        items = row._items
+        if tuple([attribute for attribute, _ in items]) != schema._sorted:
+            raise SchemaError(f"tuple {row} does not match schema {schema}")
+        return tuple([value for _, value in items])
 
     @classmethod
     def from_dict(
@@ -146,60 +194,57 @@ class KRelation:
         of the same tuple combine with the semiring's ``+``.  Returns the
         canonical :class:`Tup` that was updated.
         """
-        tup = self._coerce_tuple(row)
+        return self.schema.tup_of(self._add(row, annotation))
+
+    def _add(self, row: RowLike, annotation: Any | None = None) -> tuple:
+        """:meth:`add`, returning the row key instead of a :class:`Tup`."""
+        key = self._key(row)
         value = (
             self.semiring.one()
             if annotation is None
             else self.semiring.coerce(annotation)
         )
-        self._drop_caches()
-        rows = self._rows
-        current = rows.get(tup)
-        if current is None:
-            combined = value
-        else:
-            combined = self.semiring.add(current, value)
-        if self.semiring.is_zero(combined):
-            rows.pop(tup, None)
-        else:
-            rows[tup] = combined
-        return tup
+        self._accumulate(key, value)
+        return key
 
     def set(self, row: RowLike, annotation: Any) -> Tup:
         """Overwrite the annotation of a tuple (removing it when set to zero)."""
-        tup = self._coerce_tuple(row)
+        return self.schema.tup_of(self._set(row, annotation))
+
+    def _set(self, row: RowLike, annotation: Any) -> tuple:
+        """:meth:`set`, returning the row key instead of a :class:`Tup`."""
+        key = self._key(row)
         value = self.semiring.coerce(annotation)
         self._drop_caches()
         if self.semiring.is_zero(value):
-            self._rows.pop(tup, None)
+            self._rows.pop(key, None)
         else:
-            self._rows[tup] = value
-        return tup
+            self._rows[key] = value
+        return key
 
-    def _accumulate(self, tup: Tup, value: Any) -> None:
+    def _accumulate(self, key: tuple, value: Any) -> None:
         """Internal fast path for the algebra operators: ``add`` without coercion.
 
-        ``tup`` must already be a canonical :class:`Tup` over this schema and
-        ``value`` a carrier element (both hold by construction inside
+        ``key`` must already be a row key over this schema and ``value`` a
+        carrier element (both hold by construction inside
         :mod:`repro.algebra.operators`, where every value comes out of this
-        semiring's own operations).  Skipping the per-tuple validation is a
-        measurable win on join/projection hot paths.
+        semiring's own operations).
         """
         self._drop_caches()
         rows = self._rows
-        current = rows.get(tup)
+        current = rows.get(key)
         if current is not None:
             value = self.semiring.add(current, value)
         if self.semiring.is_zero(value):
-            rows.pop(tup, None)
+            rows.pop(key, None)
         else:
-            rows[tup] = value
+            rows[key] = value
 
-    def merge_delta(self, updates: Iterable[Tuple[Tup, Any]]) -> "KRelation":
+    def merge_delta(self, updates: Iterable[Tuple[RowLike, Any]]) -> "KRelation":
         """Accumulate ``updates`` into the relation and return the *delta*.
 
-        Each ``(tup, value)`` pair is added (semiring ``+``) into the current
-        annotation of ``tup``.  The returned relation holds exactly the tuples
+        Each ``(row, value)`` pair is added (semiring ``+``) into the current
+        annotation of ``row``.  The returned relation holds exactly the tuples
         whose annotation changed, mapped to their **new** annotations -- the
         delta a semi-naive fixpoint round must re-fire on.  Tuples whose
         annotation is unchanged (e.g. idempotent re-derivations) are absent
@@ -213,42 +258,54 @@ class KRelation:
         returned delta (callers that must observe removals, like the
         incremental view layer, use :func:`repro.incremental.apply_delta`).
 
-        Like :meth:`_accumulate` this is a fast path: ``tup`` must be a
-        canonical :class:`Tup` over this schema and ``value`` a carrier
-        element (both hold inside the datalog engines, where every value
-        comes out of this semiring's own operations).
+        Rows may take any form :meth:`add` accepts; ``value`` must be a
+        carrier element (it is not coerced).  The engines merge row keys
+        directly with :meth:`_merge_keys`.
+        """
+        key = self._key
+        return self._merge_keys([(key(row), value) for row, value in updates])
+
+    def _merge_keys(self, updates: Iterable[Tuple[tuple, Any]]) -> "KRelation":
+        """:meth:`merge_delta` on row keys: the datalog engines' merge.
+
+        Every key must be a row key over this schema and every value a
+        carrier element (both hold inside the engines, where every value
+        comes out of this semiring's own operations);
+        ``REPRO_DEBUG_TUPLES=1`` checks the keys.
         """
         semiring = self.semiring
         self._drop_caches()
         rows = self._rows
         delta = self.empty_like()
         delta_rows = delta._rows
-        for tup, value in updates:
-            current = rows.get(tup)
+        debug = _tuples._DEBUG_TUPLES
+        for key, value in updates:
+            if debug:
+                check_keys((key,), self.schema)
+            current = rows.get(key)
             combined = value if current is None else semiring.add(current, value)
             if current is None and semiring.is_zero(combined):
                 continue
             if combined != current:
                 if semiring.is_zero(combined):
-                    del rows[tup]
+                    del rows[key]
                     # an earlier update of this batch may have reported it
-                    delta_rows.pop(tup, None)
+                    delta_rows.pop(key, None)
                 else:
-                    rows[tup] = combined
-                    delta_rows[tup] = combined
+                    rows[key] = combined
+                    delta_rows[key] = combined
         return delta
 
     def discard(self, row: RowLike) -> None:
         """Remove a tuple from the support (set its annotation to zero)."""
-        tup = self._coerce_tuple(row)
+        key = self._key(row)
         self._drop_caches()
-        self._rows.pop(tup, None)
+        self._rows.pop(key, None)
 
     # -- access -----------------------------------------------------------------
     def annotation(self, row: RowLike) -> Any:
         """The annotation of ``row`` (the semiring zero when not in the support)."""
-        tup = self._coerce_tuple(row)
-        value = self._rows.get(tup, _MISSING)
+        value = self._rows.get(self._key(row), _MISSING)
         return self.semiring.zero() if value is _MISSING else value
 
     __call__ = annotation
@@ -259,28 +316,29 @@ class KRelation:
     @property
     def support(self) -> frozenset[Tup]:
         """The tuples with non-zero annotation (Definition 3.1)."""
-        return frozenset(self._rows)
+        return frozenset(self)
 
     def items(self) -> Iterator[Tuple[Tup, Any]]:
         """Iterate over (tuple, annotation) pairs of the support."""
-        return iter(self._rows.items())
+        tup_of = self.schema.tup_of
+        return ((tup_of(key), value) for key, value in self._rows.items())
 
     def annotations(self) -> Iterator[Any]:
         """Iterate over the non-zero annotations."""
         return iter(self._rows.values())
 
     def __iter__(self) -> Iterator[Tup]:
-        return iter(self._rows)
+        return map(self.schema.tup_of, self._rows)
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def __contains__(self, row: RowLike) -> bool:
         try:
-            tup = self._coerce_tuple(row)
+            key = self._key(row)
         except SchemaError:
             return False
-        return tup in self._rows
+        return key in self._rows
 
     def __bool__(self) -> bool:
         return len(self._rows) > 0
@@ -301,10 +359,10 @@ class KRelation:
         semiring = target_semiring or self.semiring
         result = KRelation(semiring, self.schema)
         result_rows = result._rows
-        for tup, annotation in self._rows.items():
+        for key, annotation in self._rows.items():
             value = semiring.coerce(function(annotation))
             if not semiring.is_zero(value):
-                result_rows[tup] = value
+                result_rows[key] = value
         return result
 
     def to_semiring(
@@ -381,8 +439,8 @@ class KRelation:
         if len(self._rows) != len(other._rows):
             return False
         other_get = other._rows.get
-        for tup, annotation in self._rows.items():
-            theirs = other_get(tup, _MISSING)
+        for key, annotation in self._rows.items():
+            theirs = other_get(key, _MISSING)
             if theirs is _MISSING:
                 return False
             if theirs is not annotation and theirs != annotation:
@@ -416,9 +474,14 @@ class KRelation:
         self._require_same_semiring(other, "compare")
         if self.schema.attribute_set != other.schema.attribute_set:
             raise SchemaError("containment requires union-compatible relations")
-        leq = self.semiring.leq
-        for tup in self._rows.keys() | other._rows.keys():
-            if not leq(self.annotation(tup), other.annotation(tup)):
+        leq, zero = self.semiring.leq, self.semiring.zero
+        mine, theirs = self._rows, other._rows
+        for key in mine.keys() | theirs.keys():
+            left, right = mine.get(key, _MISSING), theirs.get(key, _MISSING)
+            if not leq(
+                zero() if left is _MISSING else left,
+                zero() if right is _MISSING else right,
+            ):
                 return False
         return True
 
@@ -455,10 +518,11 @@ class KRelation:
         Every stored annotation must be a non-zero carrier element (a stored
         zero violates the finite-support representation).
         """
-        for tup, annotation in self._rows.items():
+        for key, annotation in self._rows.items():
             if not self.semiring.contains(annotation):
                 raise SemiringError(
-                    f"annotation {annotation!r} of {tup} is not in {self.semiring.name}"
+                    f"annotation {annotation!r} of {self.schema.tup_of(key)} "
+                    f"is not in {self.semiring.name}"
                 )
             if self.semiring.is_zero(annotation):
-                raise SemiringError(f"stored zero annotation for {tup}")
+                raise SemiringError(f"stored zero annotation for {self.schema.tup_of(key)}")

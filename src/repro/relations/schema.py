@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError
+from repro.relations.tuples import Tup
 
 __all__ = ["Schema"]
 
@@ -15,15 +16,36 @@ class Schema:
     Semantically a schema is just the finite attribute set ``U`` of the named
     perspective; the order is retained only so that relations print in a
     stable, human-friendly column order (matching the paper's figures).
+
+    A stored row is keyed by its values in the *key order*: the attribute
+    names sorted (:attr:`key_attributes`), the order a :class:`Tup` keeps
+    its items in.  It depends on the attribute set alone, so
+    union-compatible relations share keys.  :meth:`key_of` and
+    :meth:`values_of` convert between display-order values and keys;
+    :meth:`tup_of` builds the :class:`Tup` of a key for callers.
     """
 
-    __slots__ = ("_attributes",)
+    __slots__ = ("_attributes", "_sorted", "_to_key", "_to_display")
 
     def __init__(self, attributes: Iterable[str]):
-        ordered = [str(a) for a in attributes]
+        ordered = tuple(str(a) for a in attributes)
         if len(set(ordered)) != len(ordered):
-            raise SchemaError(f"duplicate attributes in schema {ordered}")
-        object.__setattr__(self, "_attributes", tuple(ordered))
+            raise SchemaError(f"duplicate attributes in schema {list(ordered)}")
+        by_name = sorted(range(len(ordered)), key=ordered.__getitem__)
+        identity = by_name == list(range(len(ordered)))
+        object.__setattr__(self, "_attributes", ordered)
+        object.__setattr__(self, "_sorted", tuple(ordered[i] for i in by_name))
+        # Display positions in key order, and key positions in display
+        # order; ``None`` when the display order is already sorted.
+        object.__setattr__(self, "_to_key", None if identity else tuple(by_name))
+        object.__setattr__(
+            self,
+            "_to_display",
+            None if identity else tuple(sorted(range(len(ordered)), key=by_name.__getitem__)),
+        )
+
+    def __reduce__(self):
+        return (Schema, (self._attributes,))
 
     # -- structure ------------------------------------------------------------
     @property
@@ -35,6 +57,32 @@ class Schema:
     def attribute_set(self) -> frozenset[str]:
         """Attribute names as a set (the ``U`` of the named perspective)."""
         return frozenset(self._attributes)
+
+    @property
+    def key_attributes(self) -> tuple[str, ...]:
+        """Attribute names in key order (sorted): the positions of a row key."""
+        return self._sorted
+
+    # -- row keys -------------------------------------------------------------
+    def key_of(self, values: Sequence[Any]) -> tuple:
+        """The row key of ``values`` given in display order (no length check)."""
+        order = self._to_key
+        if order is None:
+            return values if type(values) is tuple else tuple(values)
+        return tuple([values[i] for i in order])
+
+    def key_positions(self, attributes: Iterable[str]) -> tuple[int, ...]:
+        """Where each of ``attributes`` sits in a row key."""
+        return tuple(self._sorted.index(attribute) for attribute in attributes)
+
+    def values_of(self, key: tuple) -> tuple:
+        """The values of a row key in display order."""
+        order = self._to_display
+        return key if order is None else tuple([key[i] for i in order])
+
+    def tup_of(self, key: tuple) -> Tup:
+        """The :class:`Tup` of a row key: how a stored row is handed out."""
+        return Tup._from_sorted_items(tuple(zip(self._sorted, key)))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._attributes)

@@ -54,7 +54,7 @@ class TaggedDatabase:
     def variable_for(self, relation_name: str, row: Any) -> str:
         """The provenance variable assigned to a given input tuple."""
         relation = self.database.relation(relation_name)
-        tup = row if isinstance(row, Tup) else relation._coerce_tuple(row)
+        tup = relation.schema.tup_of(relation._key(row))
         return self.tuple_ids[(relation_name, tup)]
 
     def tuple_for(self, variable: str) -> tuple[str, Tup]:
@@ -100,7 +100,7 @@ def abstractly_tag(
     explicit: Dict[Tup, str] = {}
     if ids:
         for row, variable in ids.items():
-            explicit[relation._coerce_tuple(row)] = str(variable)
+            explicit[relation.schema.tup_of(relation._key(row))] = str(variable)
 
     for index, (tup, annotation) in enumerate(
         sorted(relation.items(), key=lambda item: str(item[0])), start=1
@@ -108,7 +108,7 @@ def abstractly_tag(
         variable = explicit.get(tup) or id_format.format(name=relation_name.lower(), index=index)
         if variable in valuation:
             raise ValueError(f"duplicate tuple id {variable!r}")
-        tagged.set(tup, _variable_annotation(provenance, variable))
+        tagged._set(tup, _variable_annotation(provenance, variable))
         valuation[variable] = annotation
         tuple_ids[(relation_name, tup)] = variable
     return tagged, valuation, tuple_ids

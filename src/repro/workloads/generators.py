@@ -108,7 +108,7 @@ def random_relation(
             continue
         seen.add(values)
         index += 1
-        relation.set(values, random_annotation(semiring, rng, index))
+        relation._set(values, random_annotation(semiring, rng, index))
     return relation
 
 
@@ -167,7 +167,7 @@ def _edge_relation(
     rng = random.Random(seed)
     relation = KRelation(semiring, ["x", "y"])
     for index, (source, target) in enumerate(sorted(set(edges)), start=1):
-        relation.set((source, target), random_annotation(semiring, rng, index))
+        relation._set((source, target), random_annotation(semiring, rng, index))
     return relation
 
 
@@ -261,7 +261,7 @@ def random_update_stream(
     for name in names:
         relation = database.relation(name)
         schemas[name] = relation.schema.attributes
-        live[name] = {tup.values_for(schemas[name]): None for tup in relation}
+        live[name] = dict.fromkeys(map(relation.schema.values_of, relation._rows))
     index = sum(len(rows) for rows in live.values())
     stream = []
     for _ in range(batches):

@@ -85,7 +85,7 @@ def section2_relation(semiring: Semiring, annotations: Dict[tuple, object] | Non
     relation = KRelation(semiring, ["a", "b", "c"])
     for values in SECTION2_TUPLES:
         annotation = (annotations or {}).get(values, semiring.one())
-        relation.set(values, annotation)
+        relation._set(values, annotation)
     return relation
 
 
@@ -241,11 +241,11 @@ def figure7_database(semiring: Semiring | None = None) -> Database:
     relation = KRelation(semiring, ["x", "y"])
     for values, count in multiplicities.items():
         if isinstance(semiring, (NaturalsSemiring, CompletedNaturalsSemiring)):
-            relation.set(values, semiring.coerce(count))
+            relation._set(values, semiring.coerce(count))
         elif isinstance(semiring, BooleanSemiring):
-            relation.set(values, True)
+            relation._set(values, True)
         else:
-            relation.set(values, semiring.one())
+            relation._set(values, semiring.one())
     database.register("R", relation)
     return database
 

@@ -221,7 +221,7 @@ def test_three_targets_build_the_program_once():
         lambda relation, row, node: relation.add(row, node),
         lambda relation, row, node: relation.discard(row),
         lambda relation, row, node: relation._annotations.__setitem__(
-            relation._coerce_tuple(row), node
+            relation._key(row), node
         ),
     ],
     ids=["set", "add", "discard", "_annotations"],

@@ -219,10 +219,10 @@ def test_flush_leaves_rows_indexes_and_relations_consistent(linear):
     for store in engine.stores.values():
         assert store.audit() is None
         store.relation.check_consistency()
-        assert {tup for _, tup in store.rows} == set(store.relation._annotations)
-    # one flush wrote every derived tuple, and the changelog names each
+        assert set(store.rows) == set(store.relation._rows)
+    # one flush wrote every derived row, and the changelog names each
     idb = engine.stores[program.output]
-    assert changelog == {program.output: {tup for _, tup in idb.rows}}
+    assert changelog == {program.output: set(idb.rows)}
     reference = _row_engine(program, database, maintain_edb=True)
     reference.run(100)
     assert _state(engine) == _state(reference)
@@ -247,7 +247,7 @@ def _wide_database():
 def _unliftable_database():
     database = _graph()
     relation = database.relation("R")
-    first = next(iter(relation))
+    first = next(iter(relation._rows))
     # A carrier element ``coerce`` accepts but float64 cannot hold, stored
     # past validation (the raw view the engines themselves write through).
     relation._annotations[first] = NatInf(2)

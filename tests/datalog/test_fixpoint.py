@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.datalog import GroundAtom, Program, evaluate, evaluate_program
-from repro.errors import DivergenceError
+from repro.errors import DivergenceError, GroundingError
 from repro.relations import Database, Tup
 from repro.semirings import (
     BooleanSemiring,
@@ -127,3 +127,15 @@ class TestResultObject:
         db = figure6_database()
         result = evaluate_program(figure6_program(), db)
         assert result.annotations[GroundAtom("Q", ("a", "b"))] == 18
+
+    @pytest.mark.parametrize("semiring", [TropicalSemiring(), NaturalsSemiring()])
+    def test_an_idb_relation_of_another_arity_is_a_grounding_error(self, semiring):
+        """A database relation named like an IDB predicate fixes its schema,
+        so its arity must be the program's (the round loops used to derive
+        atoms of the relation's arity, the ground solver to crash)."""
+        db = Database(semiring)
+        db.create("E", ["a", "b"], [(("x", "y"), 1), (("y", "z"), 1)])
+        db.create("T", ["p", "q", "r"], [])
+        program = Program.parse("T(x, y) :- E(x, y)\nT(x, z) :- T(x, y), E(y, z)")
+        with pytest.raises(GroundingError, match="arity 3, program expects 2"):
+            evaluate_program(program, db)

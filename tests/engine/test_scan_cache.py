@@ -105,13 +105,13 @@ def _mutate(data, database, maintained, counter):
     elif kind == "discard":
         relation.discard(row)
     elif kind == "merge_delta":
-        relation.merge_delta([(relation._coerce_tuple(row), semiring.coerce(value))])
+        relation.merge_delta([(row, semiring.coerce(value))])
     elif kind == "accumulate":
-        relation._accumulate(relation._coerce_tuple(row), semiring.coerce(value))
+        relation._accumulate(relation._key(row), semiring.coerce(value))
     elif kind == "raw write":
-        relation._annotations[relation._coerce_tuple(row)] = semiring.coerce(value)
+        relation._annotations[relation._key(row)] = semiring.coerce(value)
     elif kind == "raw delete":
-        relation._annotations.pop(relation._coerce_tuple(row), None)
+        relation._annotations.pop(relation._key(row), None)
     elif kind == "apply_delta":
         apply_delta(relation, KRelation(semiring, relation.schema, [(row, value)]))
     elif kind == "datalog insert":
@@ -203,7 +203,7 @@ def _mutate_once(kind, relation, maintained):
     semiring = relation.semiring
     one = semiring.one()
     row = ("y", "z") if kind in REMOVALS else ("w", "y")
-    tup = relation._coerce_tuple(row)
+    key = relation._key(row)
     if kind == "add":
         relation.add(row, one)
     elif kind == "set":
@@ -211,13 +211,13 @@ def _mutate_once(kind, relation, maintained):
     elif kind == "discard":
         relation.discard(row)
     elif kind == "merge_delta":
-        relation.merge_delta([(tup, one)])
+        relation.merge_delta([(row, one)])
     elif kind == "accumulate":
-        relation._accumulate(tup, one)
+        relation._accumulate(key, one)
     elif kind == "raw write":
-        relation._annotations[tup] = one
+        relation._annotations[key] = one
     elif kind == "raw delete":
-        del relation._annotations[tup]
+        del relation._annotations[key]
     elif kind == "apply_delta":
         apply_delta(relation, KRelation(semiring, relation.schema, [(row, one)]))
     elif kind == "datalog insert":

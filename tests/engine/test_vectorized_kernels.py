@@ -599,13 +599,13 @@ class TestGroupDecode:
 
 
 @requires_numpy
-def test_shared_pair_tuples_are_ordinary_tuples(monkeypatch):
+def test_materialized_row_keys_give_ordinary_tuples(monkeypatch):
     from repro import Q
     from repro.relations import tuples
     from repro.relations.tuples import Tup
     from tests.relations.test_serialization import roundtrip
 
-    # Debug mode re-validates every bulk-built row (sorted, distinct pairs).
+    # Debug mode re-validates every bulk-built row key and every Tup handed out.
     monkeypatch.setattr(tuples, "_DEBUG_TUPLES", True)
     database = random_graph_database(
         get_semiring("bag"), nodes=12, edge_probability=0.35, seed=3
@@ -620,11 +620,9 @@ def test_shared_pair_tuples_are_ordinary_tuples(monkeypatch):
         plain = Tup(**dict(tup._items))
         assert tup == plain
         assert hash(tup) == hash(plain)
-    # Equal values in one column share one immutable pair object.
-    pairs = {}
-    for tup in result.support:
-        for pair in tup._items:
-            assert pairs.setdefault(pair, pair) is pair
+    # The store holds plain value tuples in sorted-attribute order.
+    for key in result._rows:
+        assert type(key) is tuple and len(key) == 2
     clone = roundtrip(result)
     assert clone == result
     assert all(hash(tup) == hash(Tup(**dict(tup._items))) for tup in clone.support)
@@ -632,7 +630,7 @@ def test_shared_pair_tuples_are_ordinary_tuples(monkeypatch):
 
 @requires_numpy
 def test_nullary_plans_decline_to_the_row_engine():
-    # No columns means no key to group on and no pairs to build a Tup from:
+    # No columns means no key to group on and no column to zip a row key from:
     # the vectorized path declines instead of dropping the one nullary row.
     from repro import Database, Q
 

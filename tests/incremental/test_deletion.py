@@ -589,7 +589,7 @@ def test_check_consistency_audits_indexes_and_positions():
     bucket.append(stale)
     maintained.check_consistency()
 
-    first = store.rows[0][1]
+    first = store.rows[0]
     store._positions[first] += 1
     with pytest.raises(DatalogError, match="position map"):
         maintained.check_consistency()

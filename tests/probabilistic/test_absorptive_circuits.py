@@ -173,15 +173,22 @@ class TestErrors:
         pdb.add_relation("R", ["x", "y"], [(("a", "b"), "e1", 0.5)])
         return pdb
 
-    @pytest.mark.parametrize("call", ["probabilities", "top_k"])
+    @pytest.mark.parametrize("call", ["probabilities", "top_k", "events"])
     def test_a_missing_relation_is_a_schema_error(self, call):
-        program = "T(x, y) :- R(x, y)\nT(x, y) :- S(x, z), T(z, y)"
-        pdb = self._pdb()
-        with pytest.raises(SchemaError, match="unknown relation 'S'"):
-            if call == "probabilities":
-                pdb.datalog_probabilities(program)
-            else:
-                pdb.datalog_top_k(program, 2)
+        """Every datalog entry point looks the EDB relations up first, as a
+        query does (``datalog_events`` used to raise a GroundingError)."""
+        for program in (
+            "T(x, y) :- R(x, y)\nT(x, y) :- S(x, z), T(z, y)",
+            "T(x, y) :- R(x, y)\nT(x, z) :- T(x, y), S(y, z)",
+        ):
+            pdb = self._pdb()
+            with pytest.raises(SchemaError, match="unknown relation 'S'"):
+                if call == "probabilities":
+                    pdb.datalog_probabilities(program)
+                elif call == "top_k":
+                    pdb.datalog_top_k(program, 2)
+                else:
+                    pdb.datalog_events(program)
 
     def test_a_wrong_arity_is_a_grounding_error(self):
         with pytest.raises(GroundingError, match="arity 2, program expects 1"):

@@ -75,11 +75,9 @@ def test_check_consistency_after_arbitrary_interleavings(semiring_name, data):
         elif kind == "discard":
             relation.discard(row)
         else:
-            # merge_delta is the engines' fast path: canonical tuples and
+            # merge_delta takes any row form but does not coerce values:
             # carrier values, exactly what the coercing mutators produce.
-            updates = [
-                (relation._coerce_tuple(r), semiring.coerce(v)) for r, v in payload
-            ]
+            updates = [(r, semiring.coerce(v)) for r, v in payload]
             delta = relation.merge_delta(updates)
             delta.check_consistency()
         relation.check_consistency()

@@ -1,6 +1,12 @@
 """K-relations: finite-support annotated relations (Definition 3.1)."""
 
+import pickle
+from collections.abc import Mapping
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from strategies import semiring_elements
 
 from repro.errors import SchemaError, SemiringError
 from repro.relations import Database, KRelation, Tup
@@ -97,7 +103,7 @@ class TestSupportSemantics:
         bag = NaturalsSemiring()
         relation = KRelation(bag, ["a"], [(("x",), 2)])
         relation.check_consistency()
-        relation._annotations[Tup(a="bad")] = -1
+        relation._annotations[("bad",)] = -1
         with pytest.raises(SemiringError):
             relation.check_consistency()
 
@@ -116,7 +122,7 @@ class TestStoredZeroRule:
     def test_accumulate_cancellation_removes_the_tuple(self):
         relation = KRelation(IntegerRing(), ["a"])
         tup = relation.add(("1",), 3)
-        relation._accumulate(tup, -3)
+        relation._accumulate(relation._key(tup), -3)
         assert tup not in relation.support
         relation.check_consistency()
 
@@ -124,7 +130,7 @@ class TestStoredZeroRule:
         # Regression: the first update reported the tuple, the second one
         # cancelled it, and the stale report stayed in the returned delta.
         relation = KRelation(IntegerRing(), ["a"])
-        tup = relation._coerce_tuple(("1",))
+        tup = Tup(a="1")
         delta = relation.merge_delta([(tup, -1), (tup, 1)])
         assert len(relation) == 0 and len(delta) == 0
         relation.check_consistency()
@@ -132,8 +138,7 @@ class TestStoredZeroRule:
 
     def test_zero_update_of_an_absent_tuple_is_a_noop(self):
         relation = KRelation(IntegerRing(), ["a"])
-        tup = relation._coerce_tuple(("9",))
-        delta = relation.merge_delta([(tup, 0)])
+        delta = relation.merge_delta([(("9",), 0)])
         assert len(relation) == 0 and len(delta) == 0
         relation.add(("9",), 0)
         relation.discard(("9",))
@@ -144,7 +149,7 @@ class TestStoredZeroRule:
         relation = KRelation(IntegerRing(), ["a"], [(("1",), 1)])
         # The raw dictionary bypasses the relation layer's zero handling;
         # the audit must catch what slips through it.
-        relation._annotations[relation._coerce_tuple(("1",))] = 0
+        relation._annotations[relation._key(("1",))] = 0
         with pytest.raises(SemiringError, match="stored zero"):
             relation.check_consistency()
 
@@ -168,18 +173,18 @@ class TestStoredZeroRule:
         semiring = get_semiring(name)
         zero, one = semiring.zero(), semiring.one()
         relation = KRelation(semiring, ["a"], [(("0",), zero), (("1",), one)])
-        kept = relation._coerce_tuple(("1",))
+        kept = Tup(a="1")
         assert list(relation) == [kept]
         relation.add(("2",), zero)
         relation.set(("3",), zero)
-        relation.merge_delta([(relation._coerce_tuple(("4",)), zero)])
-        relation._accumulate(relation._coerce_tuple(("5",)), zero)
+        relation.merge_delta([(("4",), zero)])
+        relation._accumulate(relation._key(("5",)), zero)
         assert relation.support == {kept} and relation.annotation(kept) == one
         relation.check_consistency()
         relation.set(("1",), zero)  # overwriting with zero leaves the support
         assert len(relation) == 0 and kept not in relation
         built = KRelation.from_dict(semiring, ["a"], {("6",): zero, ("7",): one})
-        assert list(built) == [built._coerce_tuple(("7",))]
+        assert list(built) == [Tup(a="7")]
         assert len(built.map_annotations(lambda value: zero)) == 0
         built.check_consistency()
 
@@ -188,7 +193,7 @@ class TestStoredZeroRule:
         semiring = get_semiring(name)
         relation = KRelation(semiring, ["a"], [(("1",), semiring.one())])
         relation.check_consistency()
-        relation._annotations[relation._coerce_tuple(("1",))] = semiring.zero()
+        relation._annotations[relation._key(("1",))] = semiring.zero()
         with pytest.raises(SemiringError, match="stored zero"):
             relation.check_consistency()
 
@@ -318,3 +323,191 @@ class TestDisplayAndProvenanceRelations:
     def test_empty_relation_renders_placeholder(self):
         relation = KRelation(NaturalsSemiring(), ["a", "b"])
         assert "(empty)" in relation.to_table()
+
+
+# -- the store against a {Tup: annotation} model -----------------------------------
+
+#: Attribute names whose sorted order differs from any natural display order
+#: (``c10`` sorts before ``c2``, capitals before lower case).
+MODEL_NAMES = ("b", "a", "c10", "c2", "Z", "x1")
+#: ``1``, ``1.0`` and ``True`` are one value; so are ``0`` and ``False``.
+MODEL_VALUES = (1, 1.0, True, 0, False, "a", 2)
+MODEL_SEMIRING_NAMES = ("bag", "z", "tropical", "posbool")
+
+
+class _TupModel:
+    """The reference store: one ``{Tup: annotation}`` dict whose rows are
+    coerced as the relation layer always has (``Tup`` as is, a mapping
+    through ``Tup(...)``, a sequence zipped with the display order)."""
+
+    def __init__(self, semiring, attributes):
+        self.semiring = semiring
+        self.attributes = tuple(attributes)
+        self.rows = {}
+
+    def tup(self, row):
+        if isinstance(row, Tup):
+            candidate = row
+        elif isinstance(row, Mapping):
+            candidate = Tup(row)
+        elif isinstance(row, (tuple, list)):
+            candidate = Tup.from_values(self.attributes, row)
+        else:
+            raise SchemaError(row)
+        if candidate.attributes != frozenset(self.attributes):
+            raise SchemaError(row)
+        return candidate
+
+    def _store(self, tup, value):
+        if self.semiring.is_zero(value):
+            self.rows.pop(tup, None)
+        else:
+            self.rows[tup] = value
+
+    def add(self, row, value):
+        tup = self.tup(row)
+        value = self.semiring.coerce(value)
+        current = self.rows.get(tup)
+        self._store(tup, value if current is None else self.semiring.add(current, value))
+        return tup
+
+    def set(self, row, value):
+        tup = self.tup(row)
+        self._store(tup, self.semiring.coerce(value))
+        return tup
+
+    def discard(self, row):
+        self.rows.pop(self.tup(row), None)
+
+    def merge_delta(self, updates):
+        delta = {}
+        for row, value in updates:
+            tup = self.tup(row)
+            current = self.rows.get(tup)
+            combined = value if current is None else self.semiring.add(current, value)
+            if current is None and self.semiring.is_zero(combined):
+                continue
+            if combined != current:
+                self._store(tup, combined)
+                if self.semiring.is_zero(combined):
+                    delta.pop(tup, None)
+                else:
+                    delta[tup] = combined
+        return delta
+
+    def annotation(self, row):
+        return self.rows.get(self.tup(row), self.semiring.zero())
+
+
+def _row_forms(draw, attributes):
+    """One row over ``attributes`` as a Tup, a dict, a tuple or a list."""
+    values = [draw(st.sampled_from(MODEL_VALUES)) for _ in attributes]
+    form = draw(st.sampled_from(("tup", "dict", "tuple", "list")))
+    if form == "tup":
+        return Tup(zip(attributes, values))
+    if form == "dict":
+        return dict(zip(attributes, values))
+    return tuple(values) if form == "tuple" else values
+
+
+def _agrees(relation, model):
+    assert len(relation) == len(model.rows)
+    assert dict(relation.items()) == model.rows
+    assert relation.support == frozenset(model.rows)
+    assert list(relation) == list(model.rows)
+    relation.check_consistency()
+
+
+@pytest.mark.parametrize("semiring_name", MODEL_SEMIRING_NAMES)
+@given(data=st.data())
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_the_store_behaves_like_a_tup_keyed_model(semiring_name, data):
+    """Every mutator, ``merge_delta``, ``copy``, pickling,
+    ``map_annotations``, ``equal_to`` and ``contained_in`` against the
+    ``{Tup: annotation}`` model, over schemas whose display order is not
+    sorted (nullary ones included) and rows given in every form."""
+    semiring = get_semiring(semiring_name)
+    attributes = data.draw(
+        st.permutations(MODEL_NAMES).flatmap(
+            lambda names: st.integers(0, len(names)).map(lambda n: names[:n])
+        ),
+        label="attributes",
+    )
+    relation = KRelation(semiring, attributes)
+    model = _TupModel(semiring, attributes)
+
+    def row():
+        return _row_forms(data.draw, attributes)
+
+    def value():
+        return data.draw(semiring_elements(semiring))
+
+    for _ in range(data.draw(st.integers(1, 12), label="steps")):
+        kind = data.draw(
+            st.sampled_from(
+                ("add", "set", "discard", "merge_delta", "bulk", "read", "copy",
+                 "pickle", "map", "compare")
+            ),
+            label="operation",
+        )
+        if kind in ("add", "set"):
+            r, v = row(), value()
+            assert getattr(relation, kind)(r, v) == getattr(model, kind)(r, v)
+        elif kind == "discard":
+            r = row()
+            relation.discard(r)
+            model.discard(r)
+        elif kind == "merge_delta":
+            updates = [(row(), value()) for _ in range(data.draw(st.integers(0, 4)))]
+            delta = relation.merge_delta(updates)
+            assert dict(delta.items()) == model.merge_delta(updates)
+            delta.check_consistency()
+        elif kind == "bulk":
+            entries = [(row(), value()) for _ in range(data.draw(st.integers(0, 4)))]
+            loaded = KRelation(semiring, attributes, entries)
+            reference = _TupModel(semiring, attributes)
+            for r, v in entries:
+                reference.add(r, v)
+            _agrees(loaded, reference)
+        elif kind == "read":
+            r = row()
+            assert relation.annotation(r) == model.annotation(r)
+            assert (r in relation) == (model.tup(r) in model.rows)
+        elif kind == "copy":
+            clone = relation.copy()
+            r = row()
+            clone.set(r, semiring.one())
+            _agrees(relation, model)
+            assert clone.annotation(r) == semiring.one()
+        elif kind == "pickle":
+            _agrees(pickle.loads(pickle.dumps(relation)), model)
+        elif kind == "map":
+            mapped = relation.map_annotations(lambda v: semiring.add(v, v))
+            expected = {
+                tup: semiring.add(v, v)
+                for tup, v in model.rows.items()
+                if not semiring.is_zero(semiring.add(v, v))
+            }
+            assert dict(mapped.items()) == expected
+        else:
+            # The same support in another display order is equal, and
+            # containment follows the model annotation by annotation.
+            other = KRelation(semiring, attributes[::-1], list(model.rows.items()))
+            assert relation.equal_to(other) and other.equal_to(relation)
+            bigger = other.copy()
+            r, v = row(), value()
+            bigger.add(r, v)
+            assert relation.equal_to(bigger) == (dict(bigger.items()) == model.rows)
+            if not semiring.has_negation:  # a ring has no natural order to decide
+                expected = all(
+                    semiring.leq(model.rows.get(tup, semiring.zero()), bigger.annotation(tup))
+                    for tup in set(model.rows) | set(bigger)
+                )
+                assert relation.contained_in(bigger) == expected
+        _agrees(relation, model)
+

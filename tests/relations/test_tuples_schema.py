@@ -71,6 +71,25 @@ class TestSchema:
     def test_join_unions_attributes(self):
         assert Schema(["a", "b"]).join(Schema(["b", "c"])).attribute_set == {"a", "b", "c"}
 
+    def test_row_keys_follow_the_sorted_attribute_order(self):
+        schema = Schema(["c2", "b", "c10"])
+        assert schema.key_attributes == ("b", "c10", "c2")
+        key = schema.key_of(("x", "y", "z"))
+        assert key == ("y", "z", "x")
+        assert schema.values_of(key) == ("x", "y", "z")
+        assert schema.tup_of(key) == Tup(c2="x", b="y", c10="z")
+        # an already-sorted schema keys a value tuple as it is
+        values = (1, 2)
+        assert Schema(["a", "b"]).key_of(values) is values
+        assert Schema([]).key_of(()) == () and Schema([]).tup_of(()) == Tup()
+
+    def test_pickles_with_its_key_order(self):
+        import pickle
+
+        schema = pickle.loads(pickle.dumps(Schema(["c2", "b"])))
+        assert schema.attributes == ("c2", "b")
+        assert schema.key_of(("x", "y")) == ("y", "x")
+
     def test_compatibility(self):
         assert Schema(["a", "b"]).is_compatible_with(Schema(["b", "a"]))
         assert not Schema(["a"]).is_compatible_with(Schema(["a", "b"]))
@@ -79,9 +98,10 @@ class TestSchema:
 class TestFromSortedItemsDebugMode:
     """The ``Tup._from_sorted_items`` fast path and its env-gated validation.
 
-    The fast constructor trusts its caller (the physical kernels) and skips
+    The fast constructor trusts its caller (a relation handing out a stored
+    row, the row pipeline's opaque-predicate filter) and skips
     sorting/validation; ``REPRO_DEBUG_TUPLES=1`` (or flipping the module
-    flag, as these tests do) re-enables the bypassed checks so a kernel bug
+    flag, as these tests do) re-enables the bypassed checks so a bug
     surfaces as a :class:`SchemaError` instead of a malformed tuple.
     """
 
