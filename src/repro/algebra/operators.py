@@ -138,18 +138,9 @@ def join(left: KRelation, right: KRelation) -> KRelation:
 
     swapped = len(left) > len(right)
     build, probe = (right, left) if swapped else (left, right)
-    build_names = build.schema.key_attributes
-    probe_names = probe.schema.key_attributes
     build_key = build.schema.key_positions(shared)
     probe_key = probe.schema.key_positions(shared)
-    # The merged tuple's key: each result attribute read from the build row
-    # (position len(probe row) + i of ``probe row + build row``) or, when
-    # only the probe side has it, the probe row (position i).
-    width = len(probe_names)
-    merged = tuple(
-        width + build_names.index(a) if a in build_names else probe_names.index(a)
-        for a in result_schema.key_attributes
-    )
+    merged = _merge_order(probe.schema, build.schema, result_schema)
 
     index: dict[tuple, list[tuple[tuple, Any]]] = {}
     for key, annotation in build._rows.items():
@@ -168,6 +159,23 @@ def join(left: KRelation, right: KRelation) -> KRelation:
                 value = mul(annotation_build, annotation_probe)
             result._accumulate(tuple([row[i] for i in merged]), value)
     return result
+
+
+def _merge_order(first: Schema, second: Schema, target: Schema) -> tuple:
+    """Where each key position of the join result ``target`` sits in the
+    concatenated key ``first key + second key``: read from the ``second``
+    row (position ``len(first key) + i``) or, when only ``first`` has the
+    attribute, from the ``first`` row (position ``i``).
+
+    Shared with :class:`~repro.incremental.view.MaterializedView`, whose
+    delta joins build the same result keys from index probes.
+    """
+    first_names, second_names = first.key_attributes, second.key_attributes
+    width = len(first_names)
+    return tuple(
+        width + second_names.index(a) if a in second_names else first_names.index(a)
+        for a in target.key_attributes
+    )
 
 
 def intersection(left: KRelation, right: KRelation) -> KRelation:

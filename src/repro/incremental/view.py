@@ -9,16 +9,32 @@ change-valued deltas bottom-up through the tree:
   delta through themselves;
 * a join node uses the two-term rule ``Δ(L ⋈ R) = ΔL ⋈ R_old ∪ L_new ⋈ ΔR``
   against its children's *materialized* relations, so no subquery is ever
-  re-evaluated -- the work per update is proportional to the deltas and the
-  tuples they join with, not to the view size.
+  re-evaluated.  Each term probes a hash index the join node keeps on the
+  other child's materialization, so the work per update is proportional to
+  the deltas and the tuples they join with -- not to the other side, and not
+  to the view size.
 
-Every node is evaluated operator-at-a-time (:mod:`repro.algebra.operators`),
-both when the view is built and on every delta, and maintained on its
-relation's row keys; a :class:`~repro.relations.tuples.Tup` is built only
-for a selection predicate and for the changed rows :meth:`MaterializedView.apply`
-returns.  Subtrees whose base
-relations are untouched by a batch are skipped entirely.  Deletions take one
-of two paths (``last_apply_mode`` records which ran):
+The view is built operator-at-a-time (:mod:`repro.algebra.operators`), and
+the linear operators' deltas run through the same operators; it is
+maintained on its relations' row keys, and a
+:class:`~repro.relations.tuples.Tup` is built only for a selection predicate
+and for the changed rows :meth:`MaterializedView.apply` returns.  Subtrees
+whose base relations are untouched by a batch are skipped entirely.
+
+**Child indexes.**  A join node indexes each child on the shared attributes,
+and a projection node indexes its child on the kept attributes, as
+``{index key: {row key: None}}`` (insertion-ordered buckets, so a probe's
+order never depends on the hash seed).  An index holds row keys only; a
+probe reads the annotations from the child's materialization, so only
+support membership has to be kept in sync.  An index is built by one scan
+of the child the first time a probe needs it, and from then on is kept in
+sync from the keys every call on that child reports as touched (its delta's
+keys, or the changed keys of a delete/rederive pass) -- right after that
+child advances, so a join's first term still probes ``R_old`` and its second
+``L_new``.  Children no probe ever reads (the fact table of a star view, whose
+deltas only probe the dimensions) are never indexed.
+
+Deletions take one of two paths (``last_apply_mode`` records which ran):
 
 * **ring** semirings (``has_negation``, e.g. ``Z`` or ``Z[X]``): a deletion
   is the negated annotation delta ``-R(t)`` and propagates through the
@@ -26,15 +42,15 @@ of two paths (``last_apply_mode`` records which ran):
 * plain semirings: a **delete/rederive pass** walks the node tree bottom-up
   recomputing only the *affected keys* of each materialization -- removed
   leaf tuples, the union/selection/rename images of changed child tuples,
-  the projection groups they collapse into, and for joins the output keys
-  reachable from a changed child tuple (found by probing the maintained
-  children, each output recomputed in O(1) from the two child annotations)
-  (``"delete_rederive"``).
+  the projection groups they collapse into (re-aggregated from the
+  projection's child index), and for joins the output keys reachable from
+  a changed child tuple (found by probing the child indexes, each output
+  recomputed in O(1) from the two child annotations) (``"delete_rederive"``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, Iterable, List, Mapping
 
 from repro.algebra import operators
 from repro.algebra.ast import (
@@ -62,6 +78,52 @@ from repro.relations.tuples import Tup
 __all__ = ["MaterializedView"]
 
 
+class _Index:
+    """A hash index on one child's materialization: ``{index key: {row key:
+    None}}``, where the index key is the row key restricted to ``positions``.
+
+    ``buckets`` is ``None`` until the first probe builds it (:meth:`built`);
+    :meth:`sync` keeps a built index in step with the child's support.
+    """
+
+    __slots__ = ("relation", "positions", "buckets")
+
+    def __init__(self, relation: KRelation, positions: tuple):
+        self.relation = relation
+        self.positions = positions
+        self.buckets: Dict[tuple, Dict[tuple, None]] | None = None
+
+    def built(self) -> Dict[tuple, Dict[tuple, None]]:
+        """The buckets, built by one scan of the child on first use."""
+        if self.buckets is None:
+            positions = self.positions
+            buckets: Dict[tuple, Dict[tuple, None]] = {}
+            for key in self.relation._rows:
+                buckets.setdefault(tuple([key[i] for i in positions]), {})[key] = None
+            self.buckets = buckets
+        return self.buckets
+
+    def sync(self, keys: Iterable[tuple]) -> None:
+        """Re-file ``keys`` (row keys the child just touched) by whether they
+        are in its support now; a no-op until the index is built."""
+        buckets = self.buckets
+        if buckets is None:
+            return
+        positions, rows = self.positions, self.relation._rows
+        for key in keys:
+            index_key = tuple([key[i] for i in positions])
+            bucket = buckets.get(index_key)
+            if key in rows:
+                if bucket is None:
+                    buckets[index_key] = {key: None}
+                else:
+                    bucket[key] = None
+            elif bucket is not None:
+                bucket.pop(key, None)
+                if not bucket:
+                    del buckets[index_key]
+
+
 class _Node:
     """One operator of the compiled view: the query node, children, and the
     materialized K-relation of the subquery rooted here.
@@ -70,15 +132,36 @@ class _Node:
     each leaf occurrence advances from old to new state exactly when the
     propagation pass reaches it, which is what keeps the two-term join rule
     correct even when the same base relation feeds both sides of a join.
+
+    ``indexes`` holds one lazily built :class:`_Index` per child a probe
+    reads: a join indexes both children on their shared attributes (and
+    ``merge`` places a result key's values in ``left key + right key``), a
+    projection indexes its child on the kept attributes; other nodes have
+    none.  Only this node mutates its children, and it syncs their indexes
+    right after each child call returns.
     """
 
-    __slots__ = ("query", "children", "relation", "base_names")
+    __slots__ = ("query", "children", "relation", "base_names", "indexes", "merge")
 
     def __init__(self, query: Query, children: List["_Node"], relation: KRelation):
         self.query = query
         self.children = children
         self.relation = relation
         self.base_names = query.relation_names()
+        self.indexes: tuple = ()
+        self.merge: tuple = ()
+        schema = relation.schema
+        if isinstance(query, Join):
+            left, right = (child.relation for child in children)
+            shared = sorted(left.schema.attribute_set & right.schema.attribute_set)
+            self.indexes = (
+                _Index(left, left.schema.key_positions(shared)),
+                _Index(right, right.schema.key_positions(shared)),
+            )
+            self.merge = operators._merge_order(left.schema, right.schema, schema)
+        elif isinstance(query, Project):
+            child = children[0].relation
+            self.indexes = (_Index(child, child.schema.key_positions(schema.key_attributes)),)
 
 
 def _build(query: Query, database: Database) -> _Node:
@@ -109,6 +192,33 @@ def _evaluate_node(query: Query, children: List[_Node]) -> KRelation:
     )
 
 
+def _delta_join(node: _Node, delta: KRelation, side: int) -> KRelation:
+    """``ΔL ⋈ R`` (``side`` 0) or ``L ⋈ ΔR`` (``side`` 1) for the join
+    ``node``: each delta row probes the other child's index, and every match
+    is multiplied ``left · right`` and accumulated once, exactly as
+    :func:`~repro.algebra.operators.join` would."""
+    result = node.relation.empty_like()
+    if not delta._rows:
+        return result
+    positions = node.indexes[side].positions
+    buckets = node.indexes[1 - side].built()
+    other = node.children[1 - side].relation._rows
+    merge, mul, accumulate = node.merge, node.relation.semiring.mul, result._accumulate
+    for key, value in delta._rows.items():
+        bucket = buckets.get(tuple([key[i] for i in positions]))
+        if bucket is None:
+            continue
+        if side == 0:
+            for match in bucket:
+                row = key + match
+                accumulate(tuple([row[i] for i in merge]), mul(value, other[match]))
+        else:
+            for match in bucket:
+                row = match + key
+                accumulate(tuple([row[i] for i in merge]), mul(other[match], value))
+    return result
+
+
 def _propagate(
     node: _Node,
     deltas: Mapping[str, KRelation],
@@ -136,19 +246,26 @@ def _propagate(
             _propagate(node.children[0], deltas), _propagate(node.children[1], deltas)
         )
     elif isinstance(query, Project):
-        delta = operators.project(_propagate(node.children[0], deltas), query.attributes)
+        child_delta = _propagate(node.children[0], deltas)
+        node.indexes[0].sync(child_delta._rows)
+        delta = operators.project(child_delta, query.attributes)
     elif isinstance(query, Select):
         delta = operators.select(_propagate(node.children[0], deltas), query.predicate)
     elif isinstance(query, Rename):
         delta = operators.rename(_propagate(node.children[0], deltas), query.mapping)
     elif isinstance(query, Join):
         left, right = node.children
+        left_index, right_index = node.indexes
         # Two-term bilinear rule: the left child advances first, so the
         # first term joins ΔL with R's *old* relation and the second joins
         # L's *new* relation with ΔR (absorbing the ΔL ⋈ ΔR cross term).
-        delta = operators.join(_propagate(left, deltas), right.relation)
+        # Each child's index is synced as soon as that child has advanced.
+        left_delta = _propagate(left, deltas)
+        left_index.sync(left_delta._rows)
+        delta = _delta_join(node, left_delta, 0)
         right_delta = _propagate(right, deltas)
-        delta = operators.union(delta, operators.join(left.relation, right_delta))
+        right_index.sync(right_delta._rows)
+        delta = operators.union(delta, _delta_join(node, right_delta, 1))
     else:  # pragma: no cover - _build already rejected exotic nodes
         raise QueryError(f"no delta rule for {type(query).__name__}")
     applied = _apply_delta(node.relation, delta)
@@ -195,13 +312,15 @@ def _delete_rederive(node: _Node, removed: Mapping[str, set], semiring) -> set:
     from them (already applied to the database).  Every operator recomputes
     just the keys a changed child row can reach: unions, selections and
     renames re-read the one child annotation, projections re-aggregate only
-    the groups a changed child row collapses into (one scan of the child
-    materialization), and joins probe the maintained children for the output
-    keys reachable from a changed child row, recomputing each in O(1) as
-    the product of the two child annotations.  No negation is needed --
-    deletion works in every semiring because affected values are recomputed,
-    not subtracted.  Returns the node's row keys whose materialized
-    annotation changed (removed or revalued).
+    the groups a changed child row collapses into (each group's members read
+    off the node's child index), and joins probe the child indexes for the
+    output keys reachable from a changed child row, recomputing each in O(1)
+    as the product of the two child annotations.  Each child index is synced
+    from the changed keys its child returns, as in :func:`_propagate`, before
+    anything probes it.  No negation is needed -- deletion works in every
+    semiring because affected values are recomputed, not subtracted.
+    Returns the node's row keys whose materialized annotation changed
+    (removed or revalued).
     """
     if not (node.base_names & removed.keys()):
         return set()
@@ -238,19 +357,19 @@ def _delete_rederive(node: _Node, removed: Mapping[str, set], semiring) -> set:
         child_changed = _delete_rederive(child, removed, semiring)
         if not child_changed:
             return set()
-        restrict = _restriction(child.relation, relation)
-        groups = {restrict(key) for key in child_changed}
-        totals: Dict[tuple, Any] = {}
-        for key, value in child.relation._rows.items():
-            group = restrict(key)
-            if group in groups:
-                current = totals.get(group)
-                totals[group] = value if current is None else semiring.add(current, value)
-        return {
-            group
-            for group in groups
-            if _refresh_value(relation, group, totals.get(group), semiring)
-        }
+        index = node.indexes[0]
+        index.sync(child_changed)
+        buckets, kept = index.built(), index.positions
+        rows = child.relation._rows
+        changed = set()
+        for group in dict.fromkeys(tuple([key[i] for i in kept]) for key in child_changed):
+            total = None
+            for key in buckets.get(group, ()):
+                value = rows[key]
+                total = value if total is None else semiring.add(total, value)
+            if _refresh_value(relation, group, total, semiring):
+                changed.add(group)
+        return changed
     if isinstance(query, Select):
         child = node.children[0]
         tup_of = child.relation.schema.tup_of
@@ -276,26 +395,35 @@ def _delete_rederive(node: _Node, removed: Mapping[str, set], semiring) -> set:
         return changed
     if isinstance(query, Join):
         left, right = node.children
+        left_index, right_index = node.indexes
         left_changed = _delete_rederive(left, removed, semiring)
+        left_index.sync(left_changed)
         right_changed = _delete_rederive(right, removed, semiring)
+        right_index.sync(right_changed)
         # Every output key whose value may have changed joins a changed
         # child row with the other side's old state.  Old supports are
-        # covered by (new support) ∪ (changed keys) on each side, so three
-        # probe joins against the *maintained* children find them all; the
-        # probes carry annotation 1 so they only enumerate keys.
-        probes: List[KRelation] = []
-        temp_left = temp_right = None
-        if left_changed:
-            temp_left = _keyed_probe(left.relation, left_changed, semiring)
-            probes.append(operators.join(temp_left, right.relation))
-        if right_changed:
-            temp_right = _keyed_probe(right.relation, right_changed, semiring)
-            probes.append(operators.join(left.relation, temp_right))
-        if temp_left is not None and temp_right is not None:
-            probes.append(operators.join(temp_left, temp_right))
-        affected = set()
-        for probe in probes:
-            affected.update(probe._rows)
+        # covered by (new support) ∪ (changed keys) on each side, so probing
+        # each side's changed keys against the other side's index, plus the
+        # changed-by-changed cross join, finds them all.
+        merge = node.merge
+        affected: Dict[tuple, None] = {}
+        for changed_keys, side in ((left_changed, 0), (right_changed, 1)):
+            if not changed_keys:
+                continue
+            positions = node.indexes[side].positions
+            buckets = node.indexes[1 - side].built()
+            for key in changed_keys:
+                for match in buckets.get(tuple([key[i] for i in positions]), ()):
+                    row = key + match if side == 0 else match + key
+                    affected[tuple([row[i] for i in merge])] = None
+        if left_changed and right_changed:
+            # the probes carry annotation 1 so the join only enumerates keys
+            affected.update(
+                operators.join(
+                    _keyed_probe(left.relation, left_changed, semiring),
+                    _keyed_probe(right.relation, right_changed, semiring),
+                )._rows
+            )
         left_key = _restriction(relation, left.relation)
         right_key = _restriction(relation, right.relation)
         left_annotations = left.relation._rows
