@@ -21,9 +21,8 @@ maintained on its relations' row keys, and a
 and for the changed rows :meth:`MaterializedView.apply` returns.  Subtrees
 whose base relations are untouched by a batch are skipped entirely.
 
-**Child indexes.**  A join node indexes each child on the shared attributes,
-and a projection node indexes its child on the kept attributes, as
-``{index key: {row key: None}}`` (insertion-ordered buckets, so a probe's
+**Child indexes.**  A join node indexes each child on the shared attributes
+as ``{index key: {row key: None}}`` (insertion-ordered buckets, so a probe's
 order never depends on the hash seed).  An index holds row keys only; a
 probe reads the annotations from the child's materialization, so only
 support membership has to be kept in sync.  An index is built by one scan
@@ -42,10 +41,11 @@ Deletions take one of two paths (``last_apply_mode`` records which ran):
 * plain semirings: a **delete/rederive pass** walks the node tree bottom-up
   recomputing only the *affected keys* of each materialization -- removed
   leaf tuples, the union/selection/rename images of changed child tuples,
-  the projection groups they collapse into (re-aggregated from the
-  projection's child index), and for joins the output keys reachable from
-  a changed child tuple (found by probing the child indexes, each output
-  recomputed in O(1) from the two child annotations) (``"delete_rederive"``).
+  the projection groups they collapse into (re-aggregated by one scan of
+  the projection's child), and for joins the output keys reachable from a
+  changed child tuple (found by probing the join's child indexes, each
+  output recomputed in O(1) from the two child annotations)
+  (``"delete_rederive"``).
 """
 
 from __future__ import annotations
@@ -133,12 +133,11 @@ class _Node:
     propagation pass reaches it, which is what keeps the two-term join rule
     correct even when the same base relation feeds both sides of a join.
 
-    ``indexes`` holds one lazily built :class:`_Index` per child a probe
-    reads: a join indexes both children on their shared attributes (and
-    ``merge`` places a result key's values in ``left key + right key``), a
-    projection indexes its child on the kept attributes; other nodes have
-    none.  Only this node mutates its children, and it syncs their indexes
-    right after each child call returns.
+    A join node keeps ``indexes``, one lazily built :class:`_Index` per child
+    on their shared attributes, and ``merge``, the positions of a result
+    key's values in ``left key + right key``; other nodes have neither.
+    Only this node mutates its children, and it syncs their indexes right
+    after each child call returns.
     """
 
     __slots__ = ("query", "children", "relation", "base_names", "indexes", "merge")
@@ -150,7 +149,6 @@ class _Node:
         self.base_names = query.relation_names()
         self.indexes: tuple = ()
         self.merge: tuple = ()
-        schema = relation.schema
         if isinstance(query, Join):
             left, right = (child.relation for child in children)
             shared = sorted(left.schema.attribute_set & right.schema.attribute_set)
@@ -158,10 +156,7 @@ class _Node:
                 _Index(left, left.schema.key_positions(shared)),
                 _Index(right, right.schema.key_positions(shared)),
             )
-            self.merge = operators._merge_order(left.schema, right.schema, schema)
-        elif isinstance(query, Project):
-            child = children[0].relation
-            self.indexes = (_Index(child, child.schema.key_positions(schema.key_attributes)),)
+            self.merge = operators._merge_order(left.schema, right.schema, relation.schema)
 
 
 def _build(query: Query, database: Database) -> _Node:
@@ -192,30 +187,37 @@ def _evaluate_node(query: Query, children: List[_Node]) -> KRelation:
     )
 
 
+def _probe(node: _Node, keys: Iterable[tuple], side: int):
+    """Yield ``(result key, left key, right key)`` for every pair that joins
+    a row key in ``keys`` of child ``side`` with a row of the other child,
+    found in the other child's index."""
+    positions = node.indexes[side].positions
+    buckets = node.indexes[1 - side].built()
+    merge = node.merge
+    for key in keys:
+        bucket = buckets.get(tuple([key[i] for i in positions]))
+        if bucket is None:
+            continue
+        for match in bucket:
+            left, right = (key, match) if side == 0 else (match, key)
+            row = left + right
+            yield tuple([row[i] for i in merge]), left, right
+
+
 def _delta_join(node: _Node, delta: KRelation, side: int) -> KRelation:
     """``ΔL ⋈ R`` (``side`` 0) or ``L ⋈ ΔR`` (``side`` 1) for the join
     ``node``: each delta row probes the other child's index, and every match
     is multiplied ``left · right`` and accumulated once, exactly as
     :func:`~repro.algebra.operators.join` would."""
     result = node.relation.empty_like()
-    if not delta._rows:
+    rows = delta._rows
+    if not rows:
         return result
-    positions = node.indexes[side].positions
-    buckets = node.indexes[1 - side].built()
     other = node.children[1 - side].relation._rows
-    merge, mul, accumulate = node.merge, node.relation.semiring.mul, result._accumulate
-    for key, value in delta._rows.items():
-        bucket = buckets.get(tuple([key[i] for i in positions]))
-        if bucket is None:
-            continue
-        if side == 0:
-            for match in bucket:
-                row = key + match
-                accumulate(tuple([row[i] for i in merge]), mul(value, other[match]))
-        else:
-            for match in bucket:
-                row = match + key
-                accumulate(tuple([row[i] for i in merge]), mul(other[match], value))
+    left_rows, right_rows = (rows, other) if side == 0 else (other, rows)
+    mul, accumulate = node.relation.semiring.mul, result._accumulate
+    for key, left, right in _probe(node, rows, side):
+        accumulate(key, mul(left_rows[left], right_rows[right]))
     return result
 
 
@@ -246,9 +248,7 @@ def _propagate(
             _propagate(node.children[0], deltas), _propagate(node.children[1], deltas)
         )
     elif isinstance(query, Project):
-        child_delta = _propagate(node.children[0], deltas)
-        node.indexes[0].sync(child_delta._rows)
-        delta = operators.project(child_delta, query.attributes)
+        delta = operators.project(_propagate(node.children[0], deltas), query.attributes)
     elif isinstance(query, Select):
         delta = operators.select(_propagate(node.children[0], deltas), query.predicate)
     elif isinstance(query, Rename):
@@ -312,13 +312,13 @@ def _delete_rederive(node: _Node, removed: Mapping[str, set], semiring) -> set:
     from them (already applied to the database).  Every operator recomputes
     just the keys a changed child row can reach: unions, selections and
     renames re-read the one child annotation, projections re-aggregate only
-    the groups a changed child row collapses into (each group's members read
-    off the node's child index), and joins probe the child indexes for the
-    output keys reachable from a changed child row, recomputing each in O(1)
-    as the product of the two child annotations.  Each child index is synced
-    from the changed keys its child returns, as in :func:`_propagate`, before
-    anything probes it.  No negation is needed -- deletion works in every
-    semiring because affected values are recomputed, not subtracted.
+    the groups a changed child row collapses into (one scan of the child),
+    and joins probe their child indexes for the output keys reachable from a
+    changed child row, recomputing each in O(1) as the product of the two
+    child annotations.  A join syncs each child index from the changed keys
+    that child returns, as in :func:`_propagate`, before anything probes it.
+    No negation is needed -- deletion works in every semiring because
+    affected values are recomputed, not subtracted.
     Returns the node's row keys whose materialized annotation changed
     (removed or revalued).
     """
@@ -357,19 +357,19 @@ def _delete_rederive(node: _Node, removed: Mapping[str, set], semiring) -> set:
         child_changed = _delete_rederive(child, removed, semiring)
         if not child_changed:
             return set()
-        index = node.indexes[0]
-        index.sync(child_changed)
-        buckets, kept = index.built(), index.positions
-        rows = child.relation._rows
-        changed = set()
-        for group in dict.fromkeys(tuple([key[i] for i in kept]) for key in child_changed):
-            total = None
-            for key in buckets.get(group, ()):
-                value = rows[key]
-                total = value if total is None else semiring.add(total, value)
-            if _refresh_value(relation, group, total, semiring):
-                changed.add(group)
-        return changed
+        restrict = _restriction(child.relation, relation)
+        groups = {restrict(key) for key in child_changed}
+        totals: Dict[tuple, Any] = {}
+        for key, value in child.relation._rows.items():
+            group = restrict(key)
+            if group in groups:
+                current = totals.get(group)
+                totals[group] = value if current is None else semiring.add(current, value)
+        return {
+            group
+            for group in groups
+            if _refresh_value(relation, group, totals.get(group), semiring)
+        }
     if isinstance(query, Select):
         child = node.children[0]
         tup_of = child.relation.schema.tup_of
@@ -405,17 +405,10 @@ def _delete_rederive(node: _Node, removed: Mapping[str, set], semiring) -> set:
         # covered by (new support) ∪ (changed keys) on each side, so probing
         # each side's changed keys against the other side's index, plus the
         # changed-by-changed cross join, finds them all.
-        merge = node.merge
         affected: Dict[tuple, None] = {}
         for changed_keys, side in ((left_changed, 0), (right_changed, 1)):
-            if not changed_keys:
-                continue
-            positions = node.indexes[side].positions
-            buckets = node.indexes[1 - side].built()
-            for key in changed_keys:
-                for match in buckets.get(tuple([key[i] for i in positions]), ()):
-                    row = key + match if side == 0 else match + key
-                    affected[tuple([row[i] for i in merge])] = None
+            if changed_keys:
+                affected.update((key, None) for key, _, _ in _probe(node, changed_keys, side))
         if left_changed and right_changed:
             # the probes carry annotation 1 so the join only enumerates keys
             affected.update(

@@ -1,4 +1,4 @@
-"""The child indexes of :class:`MaterializedView`'s join and projection nodes.
+"""The child indexes of :class:`MaterializedView`'s join nodes.
 
 A delta join probes a hash index on the other child's materialization, so a
 batch that touches only the fact table of a star view must not iterate the
@@ -117,7 +117,7 @@ def test_fact_batches_do_not_iterate_the_dimensions(semiring_name, mode):
 def test_only_probed_children_are_indexed():
     view = MaterializedView(STAR_QUERY, _star_database("z"))
     view.apply(UpdateBatch(insertions={"F": _fact_rows(100, 3)}))
-    # neither the fact side of a join nor the projection's child
+    # never the fact side of a join
     built = {
         child.query.name if isinstance(child.query, RelationRef) else type(child.query).__name__
         for node in _nodes(view._root)
