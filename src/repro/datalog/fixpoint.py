@@ -114,7 +114,10 @@ class DatalogResult:
         record them (that is where their speed comes from), so ``ground``
         holds the derivable atoms and EDB annotations but an empty rule list
         (a Boolean 2-cycle's ``ground.ground_rules`` is empty, not 6 rules).
-        Callers who need the instantiation call
+        Those two views are decoded on first read too, from a snapshot
+        taken when the result is made (the IDB atoms and a copy of the EDB
+        rows): editing ``annotations`` or updating the database afterwards
+        does not change them.  Callers who need the instantiation call
         :func:`~repro.datalog.grounding.ground_program`.
     """
 

@@ -25,6 +25,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 from repro.errors import GroundingError
 from repro.datalog.syntax import Program
 from repro.relations.database import Database
+from repro.relations.krelation import KRelation
+from repro.relations.schema import Schema
 
 __all__ = [
     "GroundAtom",
@@ -63,6 +65,11 @@ class GroundRule:
 
     def __str__(self) -> str:
         return f"{self.head} :- {', '.join(str(a) for a in self.body)}"
+
+
+#: EDB rows per predicate: the relation's schema and its rows (row key ->
+#: annotation).
+EdbRows = Dict[str, Tuple[Schema, Dict[tuple, Any]]]
 
 
 class AtomTable:
@@ -106,8 +113,10 @@ class GroundProgram:
     keyed by atom id.  The ground solver and the cycle analyses run on that
     form; ``ground_rules``, ``edb_annotations``, ``derivable`` and the other
     :class:`GroundAtom`-level views are decoded on first read.  The
-    constructor takes the object form and encodes it on first use, so a
-    rule-less grounding (the idempotent results) never pays for encoding.
+    constructor takes the object form and encodes it on first use;
+    :meth:`from_ids` takes the int-coded form and :meth:`from_snapshot` the
+    rule-less snapshot of the idempotent results, which never pay for
+    encoding.
     """
 
     def __init__(
@@ -125,6 +134,7 @@ class GroundProgram:
         self._derivable: frozenset[GroundAtom] | None = frozenset(derivable)
         self._table: AtomTable | None = None
         self._facts: Dict[int, Any] | None = None
+        self._snapshot: Tuple[Tuple[GroundAtom, ...], EdbRows] | None = None
         self._rules_by_head: Dict[GroundAtom, List[GroundRule]] | None = None
 
     @classmethod
@@ -138,13 +148,34 @@ class GroundProgram:
         ground._table, ground._facts = table, facts
         return ground
 
+    @classmethod
+    def from_snapshot(
+        cls,
+        program: Program,
+        database: Database,
+        idb_atoms: Tuple[GroundAtom, ...],
+        edb_rows: EdbRows,
+    ) -> "GroundProgram":
+        """A rule-less grounding: the derivable IDB atoms and, per EDB
+        predicate, its relation's schema and a copy of its rows (row key ->
+        annotation).
+
+        ``derivable`` and ``edb_annotations`` are decoded on first read.  The
+        caller hands over copies it no longer mutates, so the views report
+        the state at the time of the snapshot.
+        """
+        ground = cls(program, database, (), {}, ())
+        ground._edb_annotations = ground._derivable = None
+        ground._snapshot = (idb_atoms, edb_rows)
+        return ground
+
     def int_form(self) -> Tuple[AtomTable, Dict[int, Any]]:
         """``(atom table, EDB annotation per fact id)``, encoded on first use."""
         if self._table is None:
             ids: Dict[GroundAtom, int] = {}
             for atom in chain(
-                self._derivable,
-                self._edb_annotations,
+                self.derivable,
+                self.edb_annotations,
                 (a for rule in self._ground_rules for a in (rule.head, *rule.body)),
             ):
                 ids.setdefault(atom, len(ids))
@@ -158,7 +189,7 @@ class GroundProgram:
             )
             table._objects = list(ids)
             self._table = table
-            self._facts = {ids[atom]: v for atom, v in self._edb_annotations.items()}
+            self._facts = {ids[atom]: v for atom, v in self.edb_annotations.items()}
         return self._table, self._facts
 
     # -- basic accessors --------------------------------------------------------
@@ -177,15 +208,23 @@ class GroundProgram:
     def edb_annotations(self) -> Dict[GroundAtom, Any]:
         """The EDB facts and their annotations."""
         if self._edb_annotations is None:
-            atom = self._table.atom
-            self._edb_annotations = {atom(i): v for i, v in self._facts.items()}
+            if self._snapshot is not None:
+                self._edb_annotations = _decode_edb_rows(self._snapshot[1])
+            else:
+                atom = self._table.atom
+                self._edb_annotations = {atom(i): v for i, v in self._facts.items()}
         return self._edb_annotations
 
     @property
     def derivable(self) -> frozenset[GroundAtom]:
         """Every derivable ground atom, EDB facts included."""
         if self._derivable is None:
-            self._derivable = frozenset(map(self._table.atom, range(len(self._table.atoms))))
+            if self._snapshot is not None:
+                self._derivable = frozenset(self._snapshot[0]).union(self.edb_annotations)
+            else:
+                self._derivable = frozenset(
+                    map(self._table.atom, range(len(self._table.atoms)))
+                )
         return self._derivable
 
     @property
@@ -337,13 +376,13 @@ def ground_program(program: Program, database: Database) -> GroundProgram:
     return engine.ground_program()
 
 
-def collect_edb_annotations(program: Program, database: Database) -> Dict[GroundAtom, Any]:
-    """Read the program's EDB facts out of ``database`` as annotated ground atoms.
+def edb_relations(program: Program, database: Database) -> Dict[str, KRelation]:
+    """The database relation of every EDB predicate, in sorted predicate order.
 
     Validates that every EDB predicate names a database relation of the right
     arity -- the shared input contract of grounding and the round loops.
     """
-    edb_annotations: Dict[GroundAtom, Any] = {}
+    relations: Dict[str, KRelation] = {}
     for predicate in sorted(program.edb_predicates):
         if predicate not in database:
             raise GroundingError(
@@ -355,10 +394,29 @@ def collect_edb_annotations(program: Program, database: Database) -> Dict[Ground
                 f"relation {predicate!r} has arity {len(relation.schema)}, "
                 f"program expects {program.arity(predicate)}"
             )
-        values_of = relation.schema.values_of
-        for key, annotation in relation._rows.items():
+        relations[predicate] = relation
+    return relations
+
+
+def _decode_edb_rows(edb_rows: EdbRows) -> Dict[GroundAtom, Any]:
+    """EDB rows keyed by predicate as annotated ground atoms."""
+    edb_annotations: Dict[GroundAtom, Any] = {}
+    for predicate, (schema, rows) in edb_rows.items():
+        values_of = schema.values_of
+        for key, annotation in rows.items():
             edb_annotations[GroundAtom(predicate, values_of(key))] = annotation
     return edb_annotations
+
+
+def collect_edb_annotations(program: Program, database: Database) -> Dict[GroundAtom, Any]:
+    """Read the program's EDB facts out of ``database`` as annotated ground atoms
+    (validated as by :func:`edb_relations`)."""
+    return _decode_edb_rows(
+        {
+            predicate: (relation.schema, relation._rows)
+            for predicate, relation in edb_relations(program, database).items()
+        }
+    )
 
 
 def strongly_connected_components(successors: Sequence[Iterable[int]]) -> List[List[int]]:

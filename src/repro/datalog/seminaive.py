@@ -59,7 +59,7 @@ from repro.datalog.grounding import (
     AtomTable,
     GroundAtom,
     GroundProgram,
-    collect_edb_annotations,
+    edb_relations,
 )
 from repro.datalog.syntax import Program, Rule
 from repro.logic import Atom, Constant, Variable
@@ -432,7 +432,10 @@ class _SemiNaiveEngine:
             semiring.one(), semiring.zero()
         ):
             self._attains = semiring.may_attain
-        self.edb_annotations = collect_edb_annotations(program, database)
+        #: The database relation of each EDB predicate (validated); in
+        #: collect mode the stores hold Boolean copies, so these carry the
+        #: annotations.
+        self._edb = edb_relations(program, database)
         #: Collect mode's atom interner -- ``(predicate, row key)`` in
         #: discovery order, ``_ids[predicate][row key]`` its position -- and
         #: the fired instantiations as ``(rule index, head id, body ids)``.
@@ -473,8 +476,7 @@ class _SemiNaiveEngine:
         # predicates are absent (their eventual size is unknown at compile
         # time) and therefore sort last among equally-bound probe candidates.
         sizes: Dict[str, int] = {}
-        for predicate in sorted(program.edb_predicates):
-            relation = database.relation(predicate)
+        for predicate, relation in self._edb.items():
             sizes[predicate] = len(relation)
             if collect:
                 relation = relation.map_annotations(lambda _: True, self.semiring)
@@ -894,8 +896,6 @@ class _SemiNaiveEngine:
         rows = [key for key in keys if key in known]
         if not rows:
             return (0, 0, 0)
-        for key in rows:
-            self.edb_annotations.pop(self._atom(predicate, key), None)
 
         # Phase 1: over-delete, one round per support layer.
         attains = self._attains
@@ -965,8 +965,8 @@ class _SemiNaiveEngine:
         rederivation revives every over-deleted head with an instantiation
         over live atoms left -- no join refires, and the result is exact
         because the shrunk database's instantiations are a subset of the
-        fired ones.  Dead atoms leave the Boolean stores, the interner, the
-        instantiations and ``edb_annotations``.
+        fired ones.  Dead atoms leave the Boolean stores, the interner and
+        the instantiations.
 
         Returns ``(overdeleted, rederived, dead_atoms)``: counts of IDB atoms
         over-deleted and revived, and the ground atoms (deleted EDB facts
@@ -981,7 +981,6 @@ class _SemiNaiveEngine:
         for key in keys:
             if key in known:
                 deleted_atoms.add(ids[key])
-                self.edb_annotations.pop(self._atom(predicate, key), None)
         if not deleted_atoms:
             return (0, 0, frozenset())
 
@@ -1087,13 +1086,6 @@ class _SemiNaiveEngine:
         return delta
 
     # -- results ----------------------------------------------------------------
-    def derivable_atoms(self) -> Set[GroundAtom]:
-        known = set(self.edb_annotations)
-        for predicate in self.program.idb_predicates:
-            for key in self.stores[predicate].rows:
-                known.add(self._atom(predicate, key))
-        return known
-
     def annotations(self) -> Dict[GroundAtom, Any]:
         values: Dict[GroundAtom, Any] = {}
         for predicate in self.program.idb_predicates:
@@ -1104,18 +1096,35 @@ class _SemiNaiveEngine:
                 values[GroundAtom(predicate, values_of(key))] = annotations[key]
         return values
 
+    def result_ground(self, annotations: Dict[GroundAtom, Any]) -> GroundProgram:
+        """The rule-less ``ground`` of a round-loop result: its IDB atoms and
+        a snapshot of the EDB rows, decoded on first read."""
+        edb_rows = {
+            predicate: (relation.schema, dict(relation._rows))
+            for predicate, relation in self._edb.items()
+        }
+        return GroundProgram.from_snapshot(
+            self.program, self.database, tuple(annotations), edb_rows
+        )
+
     def ground_program(self) -> GroundProgram:
         """The instantiation recorded by a collect-mode run, int-coded.
 
         The rules are sorted by ``(rule index, head id, body ids)``: atom ids
         follow discovery order, which the program and the database's row
-        order fix, so the grounding does not depend on hash seeds.
+        order fix, so the grounding does not depend on hash seeds.  The
+        facts are the database relations' rows, by the ids the interner gave
+        them; a row written to the database behind a maintained engine's
+        back has none and is left out.
         """
+        facts: Dict[int, Any] = {}
+        for predicate, relation in self._edb.items():
+            ids = self._ids[predicate]
+            for key, value in relation._rows.items():
+                atom = ids.get(key)
+                if atom is not None:
+                    facts[atom] = value
         schemas = self._schemas
-        facts = {
-            self._intern(atom.relation, schemas[atom.relation].key_of(atom.values)): value
-            for atom, value in self.edb_annotations.items()
-        }
         atoms = [
             (predicate, schemas[predicate].values_of(key)) for predicate, key in self._atoms
         ]
@@ -1147,12 +1156,10 @@ def evaluate_program_seminaive(
         )
     engine = _SemiNaiveEngine(program, database, collect=False)
     iterations = engine.run(max_iterations)
-    ground = GroundProgram(
-        program, database, [], engine.edb_annotations, engine.derivable_atoms()
-    )
+    annotations = engine.annotations()
     return DatalogResult(
-        annotations=engine.annotations(),
+        annotations=annotations,
         iterations=iterations,
         divergent_atoms=frozenset(),
-        ground=ground,
+        ground=engine.result_ground(annotations),
     )

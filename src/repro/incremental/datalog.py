@@ -58,7 +58,7 @@ from repro.datalog.fixpoint import (
     check_on_divergence,
     solve_ground,
 )
-from repro.datalog.grounding import GroundAtom, GroundProgram, collect_edb_annotations
+from repro.datalog.grounding import GroundAtom
 from repro.datalog.seminaive import _SemiNaiveEngine
 from repro.datalog.syntax import Program
 from repro.incremental.delta import UpdateBatch
@@ -142,18 +142,12 @@ class IncrementalDatalog:
     def _compute_result(self) -> DatalogResult:
         engine = self._engine
         if self._idempotent:
-            ground = GroundProgram(
-                self.program,
-                self.database,
-                [],
-                engine.edb_annotations,
-                engine.derivable_atoms(),
-            )
+            annotations = engine.annotations()
             return DatalogResult(
-                annotations=engine.annotations(),
+                annotations=annotations,
                 iterations=self._rounds,
                 divergent_atoms=frozenset(),
-                ground=ground,
+                ground=engine.result_ground(annotations),
             )
         return solve_ground(
             engine.ground_program(),
@@ -167,40 +161,35 @@ class IncrementalDatalog:
 
         A maintained update touches O(affected) atoms, so recomputing the
         result's annotation map from the stores -- an O(fixpoint) scan --
-        would dominate small deltas.  Instead the changed tuples recorded by
-        the engine (row keys) are re-read from the stores and spliced into a copy of
-        the cached maps.  With no cached result there is nothing to patch
-        and the next :attr:`result` access rebuilds it lazily as before.
+        would dominate small deltas.  Instead the changed IDB tuples recorded
+        by the engine (row keys) are re-read from the stores and spliced into
+        a copy of the cached annotations; ``ground`` is a fresh snapshot,
+        decoded only if read.  With no cached result there is nothing to
+        patch and the next :attr:`result` access rebuilds it lazily as before.
         """
         old = self._result
         if old is None:
             return
         engine = self._engine
         annotations = dict(old.annotations)
-        derivable = set(old.ground.derivable)
         idb = self.program.idb_predicates
         for predicate, keys in changelog.items():
+            if predicate not in idb:
+                continue
             relation = engine.stores[predicate].relation
             known, values_of = relation._rows, relation.schema.values_of
-            is_idb = predicate in idb
             for key in keys:
                 atom = GroundAtom(predicate, values_of(key))
                 value = known.get(key)
                 if value is None:
-                    derivable.discard(atom)
-                    if is_idb:
-                        annotations.pop(atom, None)
+                    annotations.pop(atom, None)
                 else:
-                    derivable.add(atom)
-                    if is_idb:
-                        annotations[atom] = value
+                    annotations[atom] = value
         self._result = DatalogResult(
             annotations=annotations,
             iterations=self._rounds,
             divergent_atoms=frozenset(),
-            ground=GroundProgram(
-                self.program, self.database, [], engine.edb_annotations, derivable
-            ),
+            ground=engine.result_ground(annotations),
         )
 
     def relation(self, predicate: str) -> KRelation:
@@ -265,7 +254,6 @@ class IncrementalDatalog:
                 )
             finally:
                 self._engine.end_changelog()
-            self._refresh_edb_annotations(predicate, base, updates)
             self._patch_result(changelog)
             return self.result
         else:
@@ -289,22 +277,8 @@ class IncrementalDatalog:
                 list(changed._rows.items()),
                 max(self.max_iterations, DEFAULT_MAX_ITERATIONS),
             )
-        self._refresh_edb_annotations(predicate, base, updates)
         self._result = None
         return self.result
-
-    def _refresh_edb_annotations(
-        self, predicate: str, base: KRelation, updates: List[Tuple[tuple, Any]]
-    ) -> None:
-        values_of = base.schema.values_of
-        edb_annotations: Dict[GroundAtom, Any] = self._engine.edb_annotations
-        for key, _ in updates:
-            atom = GroundAtom(predicate, values_of(key))
-            current = base._rows.get(key)
-            if current is None:
-                edb_annotations.pop(atom, None)
-            else:
-                edb_annotations[atom] = current
 
     def remove(self, predicate: str, rows: Iterable[Any]) -> DatalogResult:
         """Remove EDB facts and shrink the fixpoint incrementally.
@@ -464,11 +438,14 @@ class IncrementalDatalog:
                 deleted_vars.add(value.name)
             else:
                 return None
-        values_of = base.schema.values_of
-        deleted_atoms = {GroundAtom(predicate, values_of(key)) for key in present}
-        for atom, value in self._engine.edb_annotations.items():
-            if atom in deleted_atoms:
-                continue
+        deleted = set(present)
+        surviving = (
+            value
+            for name, relation in self._engine._edb.items()
+            for key, value in relation._rows.items()
+            if name != predicate or key not in deleted
+        )
+        for value in surviving:
             if isinstance(value, (Polynomial, ZPolynomial)):
                 mentioned = value.variables
             elif isinstance(value, Node):
@@ -507,24 +484,16 @@ class IncrementalDatalog:
 
     # -- invariants --------------------------------------------------------------
     def check_consistency(self) -> None:
-        """Verify the maintained state against a from-scratch grounding.
+        """Verify the maintained stores, indexes and array state.
 
-        The engine's ``edb_annotations`` must equal
-        :func:`~repro.datalog.grounding.collect_edb_annotations` on the
-        current database (the audit for mixed insert/delete batches), every
-        maintained store must satisfy the stored-zero invariant, the row
-        lists must cover exactly the stored supports, every binding index
-        (and the removal position map) must mirror the row list, and so must
-        the array-resident state when the engine holds one.  Raises
-        :class:`~repro.errors.DatalogError` on any mismatch.
+        Every maintained store must satisfy the stored-zero invariant, the
+        row lists must cover exactly the stored supports, the Boolean EDB
+        stores of collect mode must hold the database's supports, every
+        binding index (and the removal position map) must mirror the row
+        list, and so must the array-resident state when the engine holds
+        one.  Raises :class:`~repro.errors.DatalogError` on any mismatch.
         """
         engine = self._engine
-        expected = collect_edb_annotations(self.program, self.database)
-        if engine.edb_annotations != expected:
-            raise DatalogError(
-                "maintained EDB annotations diverged from the database "
-                f"({len(engine.edb_annotations)} maintained, {len(expected)} expected)"
-            )
         for name, store in engine.stores.items():
             store.relation.check_consistency()
             rows = set(store.rows)

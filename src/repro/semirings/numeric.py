@@ -77,25 +77,43 @@ class NatInf:
         return self._value
 
     # -- arithmetic -------------------------------------------------------------
+    # Both operators run on ``_value`` directly (``None`` is infinity): the
+    # datalog solver calls them once per rule body factor, so an exact
+    # ``NatInf`` operand skips ``of`` and the results skip ``__init__``'s
+    # validation -- a sum or product of naturals is a natural.
     def __add__(self, other: "NatInf | int") -> "NatInf":
-        other = NatInf.of(other)
-        if self.is_infinite or other.is_infinite:
+        if type(other) is not NatInf:
+            other = NatInf.of(other)
+        a, b = self._value, other._value
+        if a is None or b is None:
             return INFINITY
-        return NatInf(self._value + other._value)
+        if not a:
+            return other
+        if not b:
+            return self
+        result = object.__new__(NatInf)
+        result._value = a + b
+        return result
 
     __radd__ = __add__
 
     def __mul__(self, other: "NatInf | int") -> "NatInf":
-        other = NatInf.of(other)
+        if type(other) is not NatInf:
+            other = NatInf.of(other)
+        a, b = self._value, other._value
         # infinity . 0 = 0 . infinity = 0, everything else with an infinite
         # factor is infinite (Section 5 of the paper).
-        if (self.is_finite and self._value == 0) or (
-            other.is_finite and other._value == 0
-        ):
+        if a == 0 or b == 0:
             return _ZERO
-        if self.is_infinite or other.is_infinite:
+        if a is None or b is None:
             return INFINITY
-        return NatInf(self._value * other._value)
+        if a == 1:
+            return other
+        if b == 1:
+            return self
+        result = object.__new__(NatInf)
+        result._value = a * b
+        return result
 
     __rmul__ = __mul__
 
@@ -216,10 +234,10 @@ class CompletedNaturalsSemiring(Semiring):
         return value == _ONE
 
     def add(self, a: NatInf, b: NatInf) -> NatInf:
-        return NatInf.of(a) + NatInf.of(b)
+        return NatInf.__add__(a if type(a) is NatInf else NatInf.of(a), b)
 
     def mul(self, a: NatInf, b: NatInf) -> NatInf:
-        return NatInf.of(a) * NatInf.of(b)
+        return NatInf.__mul__(a if type(a) is NatInf else NatInf.of(a), b)
 
     def contains(self, value: Any) -> bool:
         if isinstance(value, NatInf):

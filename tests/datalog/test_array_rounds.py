@@ -199,10 +199,10 @@ def _row_engine(program, database, **options):
 
 
 def _state(engine):
-    """What the stores hold: annotations, derivable atoms, per-store audits."""
+    """What the stores hold: annotations, row keys per store, per-store audits."""
     return (
         engine.annotations(),
-        engine.derivable_atoms(),
+        {predicate: set(store.rows) for predicate, store in engine.stores.items()},
         [store.audit() for store in engine.stores.values()],
     )
 

@@ -6,9 +6,8 @@ random insert/delete update stream, over every supported semiring and for
 five program shapes (linear and quadratic
 transitive closure, a 3-atom rule body, a mutually recursive pair, constants
 and repeated variables in heads and bodies) -- and
-:meth:`check_consistency` must hold throughout (the maintained
-``edb_annotations``, stores, binding indexes and database supports all agree
-with a from-scratch grounding).  The exact leg draws exactly representable
+:meth:`check_consistency` must hold throughout (the maintained stores,
+binding indexes and database supports all agree).  The exact leg draws exactly representable
 annotations and compares with ``==``; a second leg draws non-dyadic floats,
 whose products depend on the association order, and compares within a
 relative 1e-9.

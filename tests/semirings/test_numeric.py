@@ -55,6 +55,81 @@ class TestNatInf:
         assert NatInf(a) * NatInf(b) == NatInf(a * b)
 
 
+#: Table operands: ``None`` is infinity.
+TABLE = (0, 1, 2, 5, None)
+PAIRS = [(a, b) for a in TABLE for b in TABLE]
+
+
+def _natinf(value):
+    return INFINITY if value is None else NatInf(value)
+
+
+def _reference_sum(a, b):
+    return None if a is None or b is None else a + b
+
+
+def _reference_product(a, b):
+    # infinity absorbs, except that infinity . 0 = 0 (Section 5)
+    if a == 0 or b == 0:
+        return 0
+    return None if a is None or b is None else a * b
+
+
+class TestNatInfTable:
+    """``+`` and ``.`` over every ordered pair of {0, 1, 2, 5, infinity}, on the
+    operators and on the semiring, against the reference formulas."""
+
+    semiring = CompletedNaturalsSemiring()
+
+    @staticmethod
+    def _check(result, expected):
+        assert type(result) is NatInf
+        assert result._value == expected
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_sum(self, a, b):
+        expected = _reference_sum(a, b)
+        x, y = _natinf(a), _natinf(b)
+        self._check(x + y, expected)
+        self._check(self.semiring.add(x, y), expected)
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_product(self, a, b):
+        expected = _reference_product(a, b)
+        x, y = _natinf(a), _natinf(b)
+        self._check(x * y, expected)
+        self._check(self.semiring.mul(x, y), expected)
+
+    @pytest.mark.parametrize("a, b", [(a, b) for a, b in PAIRS if b is not None])
+    def test_int_operands_are_coerced(self, a, b):
+        x = _natinf(a)
+        self._check(x + b, _reference_sum(a, b))
+        self._check(b + x, _reference_sum(a, b))
+        self._check(x * b, _reference_product(a, b))
+        self._check(b * x, _reference_product(a, b))
+        self._check(self.semiring.add(b, x), _reference_sum(a, b))
+        self._check(self.semiring.add(x, b), _reference_sum(a, b))
+        self._check(self.semiring.mul(b, x), _reference_product(a, b))
+        self._check(self.semiring.mul(x, b), _reference_product(a, b))
+
+    @pytest.mark.parametrize("a", TABLE)
+    @pytest.mark.parametrize("flag", (False, True))
+    def test_bool_operands_are_rejected(self, a, flag):
+        x = _natinf(a)
+        for operation in (
+            lambda: x + flag,
+            lambda: flag + x,
+            lambda: x * flag,
+            lambda: flag * x,
+            lambda: self.semiring.add(x, flag),
+            lambda: self.semiring.add(flag, x),
+            lambda: self.semiring.mul(x, flag),
+            lambda: self.semiring.mul(flag, x),
+        ):
+            with pytest.raises(InvalidAnnotationError):
+                operation()
+
+
 class TestNaturalsSemiring:
     def setup_method(self):
         self.semiring = NaturalsSemiring()
