@@ -21,11 +21,7 @@ from repro.datalog.fixpoint import (
     solve_ground,
 )
 from repro.datalog.grounding import GroundAtom, GroundProgram, GroundRule, ground_program
-from repro.datalog.lattice_eval import (
-    LatticeDatalogResult,
-    evaluate_on_lattice,
-    lattice_condition_provenance,
-)
+from repro.datalog.lattice_eval import LatticeDatalogResult, lattice_condition_provenance
 from repro.datalog.monomial_coefficient import MonomialCoefficientResult, monomial_coefficient
 from repro.datalog.provenance import (
     DatalogCircuitProvenance,
@@ -66,7 +62,6 @@ __all__ = [
     "analyze_finiteness",
     "LatticeDatalogResult",
     "lattice_condition_provenance",
-    "evaluate_on_lattice",
     "DatalogProvenance",
     "DatalogCircuitProvenance",
     "datalog_provenance",

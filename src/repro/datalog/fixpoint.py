@@ -235,6 +235,13 @@ def evaluate_program(
     solves it component by component on atom ids; that pair is also the
     reference the round loops are tested against.
 
+    Over a finite distributive lattice (``B``, Fuzzy, ``PosBool``,
+    ``P(Omega)``) the round loops are Section 8's terminating evaluation:
+    absorption (``1 + a = 1``) bounds the rounds by the size of the ground
+    program, not by the number of derivation trees, and by Theorem 6.4 the
+    fixpoint equals ``Eval_v`` of the minimal-fringe conditions
+    (:func:`~repro.datalog.lattice_eval.lattice_condition_provenance`).
+
     ``engine`` and ``storage`` select nothing: only the values the end-to-end
     benchmark passes are accepted (see
     :func:`~repro.relations.database.accept_pinned_keywords`).
@@ -498,7 +505,11 @@ def evaluate(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     on_divergence: str = "top",
 ) -> KRelation:
-    """Convenience wrapper: evaluate and return the output predicate's K-relation."""
+    """Evaluate and return the output predicate's K-relation.
+
+    Over a distributive lattice this is the Section 8 evaluation (see
+    :func:`evaluate_program`).
+    """
     result = evaluate_program(
         program, database, max_iterations=max_iterations, on_divergence=on_divergence
     )

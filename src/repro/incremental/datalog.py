@@ -33,15 +33,15 @@ state instead of rebuilding it:
   (``mode="dred"``);
 * **collect mode**: the recorded rule instantiations *are* the support
   graph, so over-delete/rederive walks them without refiring a single join,
-  and the exact annotations re-solve lazily from the pruned grounding.
-  Under rings (``Z``, ``Z[X]``) the database-side removal is a negative
-  ``merge_delta`` that cancels exactly (``mode="ring"``); otherwise the
-  support is discarded directly (``mode="dred"``);
+  and the exact annotations re-solve lazily from the pruned grounding
+  (``mode="dred"``);
 * **provenance-assisted**: when every deleted fact is tagged with a fresh
-  ``N[X]``/``Z[X]``/circuit variable no surviving EDB fact mentions, the
-  cached result is patched by specializing those variables to zero
-  (:meth:`Polynomial.drop_variables` / :func:`repro.circuits.restrict_vars`)
-  -- exact new annotations without re-solving anything (``mode="provenance"``);
+  ``N[X]``/``Z[X]`` variable no surviving EDB fact mentions, the cached
+  result is patched by specializing those variables to zero
+  (:meth:`Polynomial.drop_variables`) -- exact new annotations without
+  re-solving anything (``mode="provenance"``).  Circuits take the plain
+  collect-mode pass: re-solving the pruned grounding is cheaper than
+  restricting every cached circuit;
 * a full engine rebuild remains only as the last-resort recovery when a
   rederive drain exhausts its iteration budget (``mode="rebuild"``).
 """
@@ -83,10 +83,15 @@ class IncrementalDatalog:
     ``1``); annotations combine into existing EDB facts with the semiring's
     ``+``.  ``remove`` deletes facts *incrementally* with a delete/rederive
     (DRed) pass over the maintained state; :attr:`last_delete_mode` records
-    which strategy the last deletion used (``"dred"``, ``"ring"``,
-    ``"provenance"``, ``"noop"`` or ``"rebuild"`` -- see the module
-    docstring).  Removing an absent fact is a defined no-op, mirroring
-    ``merge_delta``'s zero handling.
+    which strategy the last deletion used (``"dred"``, ``"provenance"``,
+    ``"noop"`` or ``"rebuild"`` -- see the module docstring).  Removing an
+    absent fact is a defined no-op, mirroring ``merge_delta``'s zero
+    handling.
+
+    The EDB relations change only through :meth:`insert`, :meth:`remove` and
+    :meth:`apply`.  A direct write to a database relation (``KRelation.add``
+    / ``discard`` / ``set``) bypasses the maintained state, and the fixpoint
+    goes stale; :meth:`check_consistency` reports it.
     """
 
     def __init__(
@@ -364,23 +369,12 @@ class IncrementalDatalog:
         old_result = self._result
         if old_result is not None and not old_result.divergent_atoms:
             specializer = self._provenance_specializer(predicate, base, present)
-        semiring = self.semiring
-        if semiring.has_negation:
-            # Ring path: deletion is a negative insertion that cancels
-            # exactly (merge_delta's zero handling drops the tuples from the
-            # support).
-            base._merge_keys(
-                [(key, semiring.negate(base._rows[key])) for key in present]
-            )
-            mode = "ring"
-        else:
-            stored = base._annotations
-            for key in present:
-                stored.pop(key, None)
-            mode = "dred"
+        stored = base._annotations
+        for key in present:
+            stored.pop(key, None)
         overdeleted, rederived, dead = self._engine.delete_support(predicate, present)
         if specializer is not None:
-            # Every surviving atom's polynomial/circuit factors through the
+            # Every surviving atom's polynomial factors through the
             # deleted facts' variables; setting them to zero is a semiring
             # homomorphism, so patching the cached annotations is exact --
             # no rule refires, no re-solve.
@@ -394,10 +388,9 @@ class IncrementalDatalog:
                 divergent_atoms=frozenset(),
                 ground=self._engine.ground_program(),
             )
-            mode = "provenance"
-        else:
-            self._result = None
-        return (mode, overdeleted, rederived, 0)
+            return ("provenance", overdeleted, rederived, 0)
+        self._result = None
+        return ("dred", overdeleted, rederived, 0)
 
     def _provenance_specializer(
         self, predicate: str, base: KRelation, present: List[tuple]
@@ -405,65 +398,42 @@ class IncrementalDatalog:
         """A function patching pre-delete annotations to post-delete ones.
 
         Licensed when every deleted fact's annotation is a *bare provenance
-        variable* (``N[X]``, ``Z[X]`` or a circuit ``Var``) that no surviving
-        EDB fact mentions: those variables then tag exactly the derivations
-        the deleted facts support, and specializing them to zero (the
-        evaluation homomorphism ``v -> 0``) computes the exact new annotation
-        of every surviving atom -- the paper's specialization machinery
-        turned on its own maintenance problem.  Returns ``None`` when the
-        license does not hold.
+        variable* (``N[X]`` or ``Z[X]``) that no surviving EDB fact mentions:
+        those variables then tag exactly the derivations the deleted facts
+        support, and specializing them to zero (the evaluation homomorphism
+        ``v -> 0``) computes the exact new annotation of every surviving atom
+        -- the paper's specialization machinery turned on its own maintenance
+        problem.  Returns ``None`` when the license does not hold.
         """
-        from repro.circuits.evaluate import restrict_vars
-        from repro.circuits.nodes import Node, Var, iter_nodes
         from repro.semirings.integers import ZPolynomial
         from repro.semirings.polynomial import Polynomial
 
         deleted_vars: set = set()
         for key in present:
             value = base._rows[key]
-            if isinstance(value, (Polynomial, ZPolynomial)):
-                terms = value.terms
-                if len(terms) != 1:
-                    return None
-                monomial, coefficient = terms[0]
-                if coefficient != 1:
-                    return None
-                powers = monomial.powers
-                if len(powers) != 1 or powers[0][1] != 1:
-                    return None
-                deleted_vars.add(powers[0][0])
-            elif isinstance(value, Node):
-                if not isinstance(value, Var):
-                    return None
-                deleted_vars.add(value.name)
-            else:
+            if not isinstance(value, (Polynomial, ZPolynomial)):
                 return None
+            terms = value.terms
+            if len(terms) != 1:
+                return None
+            monomial, coefficient = terms[0]
+            if coefficient != 1:
+                return None
+            powers = monomial.powers
+            if len(powers) != 1 or powers[0][1] != 1:
+                return None
+            deleted_vars.add(powers[0][0])
         deleted = set(present)
-        surviving = (
-            value
-            for name, relation in self._engine._edb.items()
-            for key, value in relation._rows.items()
-            if name != predicate or key not in deleted
-        )
-        for value in surviving:
-            if isinstance(value, (Polynomial, ZPolynomial)):
-                mentioned = value.variables
-            elif isinstance(value, Node):
-                mentioned = {
-                    node.name for node in iter_nodes(value) if isinstance(node, Var)
-                }
-            else:
-                return None
-            if mentioned & deleted_vars:
-                return None
+        for name, relation in self._engine._edb.items():
+            for key, value in relation._rows.items():
+                if name == predicate and key in deleted:
+                    continue
+                if not isinstance(value, (Polynomial, ZPolynomial)):
+                    return None
+                if value.variables & deleted_vars:
+                    return None
         frozen = frozenset(deleted_vars)
-
-        def specialize(value: Any) -> Any:
-            if isinstance(value, Node):
-                return restrict_vars(value, frozen)
-            return value.drop_variables(frozen)
-
-        return specialize
+        return lambda value: value.drop_variables(frozen)
 
     def apply(self, batch: "UpdateBatch | Mapping[str, Any]") -> DatalogResult:
         """Apply a mixed :class:`~repro.incremental.delta.UpdateBatch`.

@@ -6,7 +6,11 @@ point has one implementation, chosen by what it returns:
 * **events** (``query_events`` / ``datalog_events``) are sets of worlds, so
   they come from intensional evaluation over the explicitly constructed
   world space in ``P(Omega)`` (Fuhr-Roelleke, Figure 4 of the paper),
-  exponential in the number of uncertain tuples;
+  exponential in the number of uncertain tuples.  A query runs
+  :meth:`~repro.algebra.ast.Query.evaluate` and a datalog program
+  :func:`~repro.datalog.fixpoint.evaluate`, both directly in ``P(Omega)``:
+  it is a finite distributive lattice, so the datalog fixpoint terminates
+  (Section 8);
 * **probabilities, top-k and MAP** come from compiled lineage: evaluate the
   query over a *lineage* database annotated in ``Circ[X]`` (one variable per
   base event), knowledge-compile the answers' provenance circuits to one
@@ -34,8 +38,7 @@ from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.algebra.ast import Query
 from repro.circuits.evaluate import top_k_many, wmc_many
-from repro.datalog.fixpoint import idb_schema
-from repro.datalog.lattice_eval import evaluate_on_lattice
+from repro.datalog.fixpoint import evaluate, idb_schema
 from repro.datalog.provenance import absorptive_circuit_provenance
 from repro.datalog.syntax import Program
 from repro.errors import SemiringError
@@ -248,12 +251,13 @@ class ProbabilisticDatabase:
 
     # -- datalog -------------------------------------------------------------------
     def datalog_events(self, program: Program | str) -> KRelation:
-        """Evaluate a datalog program (Section 8: P(Omega) is a finite lattice).
+        """Evaluate a datalog program, returning the event of each output tuple.
 
         As with :meth:`query_events`, events force the explicit world space:
-        the program's PosBool(X) conditions are evaluated in ``P(Omega)``.
+        the program runs :func:`~repro.datalog.fixpoint.evaluate` directly in
+        ``P(Omega)``, a finite lattice, so the fixpoint terminates (Section 8).
         """
-        return evaluate_on_lattice(_with_edb(program, self.database), self.database)
+        return evaluate(_with_edb(program, self.database), self.database)
 
     def _compile_output(self, program: Program | str) -> Dict[Tup, Any]:
         """The compiled lineage of every output tuple of ``program``.

@@ -1,19 +1,24 @@
 """Section 8 (datalog on finite distributive lattices), Theorem 6.4 factorization,
 Propositions 5.3/6.2 (RA+/datalog translation agreement) and Proposition 5.7."""
 
+import functools
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from strategies import programs_with_databases
 
 from repro.algebra import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.datalog import (
     GroundAtom,
     evaluate,
-    evaluate_on_lattice,
-    ground_program,
+    evaluate_program,
     lattice_condition_provenance,
     ucq_to_program,
 )
 from repro.algebra import Q
-from repro.errors import DatalogError, GroundingError, SemiringError
+from repro.datalog.grounding import collect_edb_annotations
+from repro.errors import DatalogError, GroundingError
 from repro.relations import Database, Tup, abstractly_tag_database
 from repro.semirings import (
     BooleanSemiring,
@@ -53,19 +58,99 @@ def _fuzzy_figure7_database():
     return database
 
 
+def _theorem_6_4(provenance, lattice, database):
+    """``Eval_v`` of every minimal-fringe condition in the lattice ``K``.
+
+    ``v`` sends each tuple id to its fact's annotation in ``database``; a
+    condition's clauses become meets of their variables, joined.  By
+    Theorem 6.4 (restricted to lattices, Section 8) this is the least
+    fixpoint in ``K``.  Zero values are left out, as the engine leaves them.
+    """
+    facts = collect_edb_annotations(provenance.program, database)
+    valuation = {provenance.edb_ids[atom]: value for atom, value in facts.items()}
+    values = {}
+    for atom, condition in provenance.conditions.items():
+        value = lattice.zero()
+        for clause in condition.clauses:
+            meet = lattice.one()
+            for variable in clause:
+                meet = lattice.mul(meet, valuation[variable])
+            value = lattice.add(value, meet)
+        if not lattice.is_zero(value):
+            values[atom] = value
+    return values
+
+
+def _complete_digraph(semiring, nodes):
+    """Every edge between ``nodes`` distinct nodes; Fuzzy degrees vary by edge."""
+    names = [f"v{i}" for i in range(nodes)]
+    edges = [(a, b) for a in names for b in names if a != b]
+    degrees = (1.0, 0.75, 0.5, 0.25, 0.125)
+    database = Database(semiring)
+    database.create(
+        "R",
+        ["x", "y"],
+        [
+            (edge, True if semiring.name == "B" else degrees[index % len(degrees)])
+            for index, edge in enumerate(edges)
+        ],
+    )
+    return database
+
+
+LINEAR_TC = "T(x, y) :- R(x, y)\nT(x, y) :- R(x, z), T(z, y)"
+QUADRATIC_TC = "T(x, y) :- R(x, y)\nT(x, y) :- T(x, z), T(z, y)"
+
+
+@functools.lru_cache(maxsize=None)
+def _complete_digraph_conditions(nodes):
+    """The minimal-fringe conditions of transitive closure on the complete
+    digraph.  A PosBool(X) element is a positive Boolean function, and the
+    linear and quadratic rules define the same reachability function, so
+    the (much cheaper) linear fixpoint serves both programs."""
+    return lattice_condition_provenance(LINEAR_TC, _complete_digraph(BooleanSemiring(), nodes))
+
+
 class TestLatticeEvaluation:
+    """Section 8 is ``evaluate`` in the lattice; the PosBool(X) conditions
+    of :func:`lattice_condition_provenance` are its Theorem 6.4 oracle."""
+
     def test_boolean_sanity_check(self):
         """Section 8 sanity check: over B every derivable tuple gets true."""
-        result = evaluate_on_lattice(figure7_program(), figure7_database(BooleanSemiring()))
+        result = evaluate(figure7_program(), figure7_database(BooleanSemiring()))
         assert len(result) == 7
         assert all(value is True for value in result.annotations())
 
-    def test_agrees_with_generic_fixpoint_on_lattices(self):
-        """The minimal-fringe evaluation and the direct fixpoint must coincide."""
-        for db in (figure7_database(BooleanSemiring()), _fuzzy_figure7_database()):
-            via_lattice = evaluate_on_lattice(figure7_program(), db)
-            via_fixpoint = evaluate(figure7_program(), db)
-            assert via_lattice.equal_to(via_fixpoint)
+    @pytest.mark.parametrize("semiring_name", ["bool", "fuzzy", "posbool"])
+    @given(data=st.data())
+    @settings(
+        max_examples=25,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_fixpoint_in_the_lattice_is_eval_of_the_conditions(self, semiring_name, data):
+        """Theorem 6.4 on random (often cyclic) programs: the fixpoint that
+        ``evaluate_program`` computes in ``K`` equals the conditions expanded
+        into ``K``, for every IDB atom."""
+        program, database = data.draw(
+            programs_with_databases(semiring_name, recursive=data.draw(st.booleans()))
+        )
+        provenance = lattice_condition_provenance(program, database)
+        assert evaluate_program(program, database).annotations == (
+            _theorem_6_4(provenance, database.semiring, database)
+        )
+
+    @pytest.mark.parametrize("program", [LINEAR_TC, QUADRATIC_TC], ids=["linear", "quadratic"])
+    @pytest.mark.parametrize("semiring", [BooleanSemiring(), FuzzySemiring()], ids=["B", "Fuzzy"])
+    def test_transitive_closure_on_the_complete_6_node_digraph(self, program, semiring):
+        """The minimal-fringe DNF has one clause per simple path; the
+        fixpoint in ``K`` never builds it, so either rule answers at once."""
+        database = _complete_digraph(semiring, 6)
+        result = evaluate(program, database)
+        expected = _theorem_6_4(_complete_digraph_conditions(6), semiring, database)
+        assert len(result) == len(expected) == 36
+        assert all(result.annotation(atom.values) == value for atom, value in expected.items())
 
     def test_datalog_on_ctables_conditions(self):
         """'Datalog on boolean c-tables' -- new for incomplete databases (Section 8)."""
@@ -81,7 +166,7 @@ class TestLatticeEvaluation:
                 (("c", "d"), BoolExpr.var("e4")),
             ],
         )
-        result = evaluate_on_lattice(transitive_closure_program(), db)
+        result = evaluate(transitive_closure_program(), db)
         assert result.annotation(("a", "c")) == BoolExpr.var("e1") & BoolExpr.var("e2")
         assert result.annotation(("a", "d")) == (
             BoolExpr.var("e1") & BoolExpr.var("e2") & BoolExpr.var("e4")
@@ -93,35 +178,17 @@ class TestLatticeEvaluation:
 
     def test_condition_provenance_is_reusable_across_lattices(self):
         provenance = lattice_condition_provenance(figure7_program(), figure7_database())
-        conditions = provenance.conditions
-        assert GroundAtom("Q", ("a", "d")) in conditions
+        assert GroundAtom("Q", ("a", "d")) in provenance.conditions
         # specialize to B: everything true
-        valuation = {name: True for name in provenance.edb_ids.values()}
-        values = provenance.evaluate(BooleanSemiring(), valuation)
+        boolean = figure7_database(BooleanSemiring())
+        values = _theorem_6_4(provenance, BooleanSemiring(), boolean)
+        assert len(values) == len(provenance.conditions)
         assert all(v is True for v in values.values())
-        # specialize to the fuzzy lattice: the direct lattice evaluation's values
+        # specialize to the fuzzy lattice: the direct fixpoint's values
         fuzzy = _fuzzy_figure7_database()
-        ground = ground_program(figure7_program(), fuzzy)
-        valuation = {
-            provenance.edb_ids[atom]: ground.edb_annotation(atom)
-            for atom in ground.edb_atoms
-        }
-        values = provenance.evaluate(FuzzySemiring(), valuation)
-        direct = evaluate_on_lattice(figure7_program(), fuzzy)
-        assert values == {atom: direct.annotation(atom.values) for atom in values}
+        values = _theorem_6_4(provenance, FuzzySemiring(), fuzzy)
+        assert values == evaluate_program(figure7_program(), fuzzy).annotations
         assert values[GroundAtom("Q", ("a", "d"))] == 0.5
-
-    def test_a_missing_tuple_id_names_the_variable(self):
-        provenance = lattice_condition_provenance(figure7_program(), figure7_database())
-        valuation = {name: True for name in provenance.edb_ids.values()}
-        missing = sorted(valuation)[0]
-        del valuation[missing]
-        with pytest.raises(SemiringError, match=f"valuation is missing variable '{missing}'"):
-            provenance.evaluate(BooleanSemiring(), valuation)
-
-    def test_non_lattice_semiring_rejected(self):
-        with pytest.raises(DatalogError):
-            evaluate_on_lattice(figure7_program(), figure7_database())
 
 
 class TestTranslationAgreement:

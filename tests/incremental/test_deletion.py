@@ -1,4 +1,4 @@
-"""Incremental deletion: DRed, ring and provenance-assisted paths.
+"""Incremental deletion: DRed and provenance-assisted paths.
 
 The maintained :class:`IncrementalDatalog` must agree with from-scratch
 semi-naive evaluation *annotation-for-annotation* after every step of a
@@ -13,11 +13,11 @@ whose products depend on the association order, and compares within a
 relative 1e-9.
 
 Alongside the differential harness, targeted tests pin which deletion
-strategy engages (``last_delete_mode``): ``"dred"`` for idempotent and plain
-collect-mode semirings, ``"ring"`` for ``Z``/``Z[X]``, ``"provenance"`` when
-every deleted fact is tagged with a fresh variable no surviving fact
-mentions, ``"noop"`` for absent tuples, and ``"rebuild"`` only as the forced
-last resort.
+strategy engages (``last_delete_mode``): ``"dred"`` for idempotent and
+collect-mode semirings (rings and circuits included), ``"provenance"`` when
+every deleted fact is tagged with a fresh ``N[X]`` / ``Z[X]`` variable no
+surviving fact mentions, ``"noop"`` for absent tuples, and ``"rebuild"`` only
+as the forced last resort.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ PROGRAMS = {
 
 #: B, N, Tropical, Fuzzy, Viterbi, PosBool[X], Z, Z[X], N[X] and circuits --
 #: both engine regimes, the attained-support bound and the plain over-delete,
-#: both ring paths, and both provenance representations.
+#: both rings, and both provenance representations.
 DELETION_SEMIRING_NAMES = (
     "bool",
     "bag",
@@ -155,7 +155,7 @@ def _run_stream(program, semiring_name, data, annotate, same=None):
                 for i in range(count)
             ]
             maintained.remove("R", rows)
-            assert maintained.last_delete_mode in ("dred", "ring", "provenance")
+            assert maintained.last_delete_mode in ("dred", "provenance")
             stats = maintained.last_delete_stats
             assert stats["mode"] == maintained.last_delete_mode
             assert 0 <= stats["overdeleted"] <= stats["idb_rows"]
@@ -416,15 +416,20 @@ def test_ring_deletion_cancels_through_negative_deltas():
     maintained = IncrementalDatalog(TC_PROGRAM, database)
     engine = maintained._engine
     maintained.remove("R", [("a", "b")])
-    assert maintained.last_delete_mode == "ring"
+    assert maintained.last_delete_mode == "dred"
     assert maintained._engine is engine
     assert ("a", "b") not in database.relation("R")
     _assert_matches_fresh(maintained, database)
     maintained.check_consistency()
 
 
-@pytest.mark.parametrize("semiring_name", ("nx", "circuit"))
-def test_provenance_assisted_deletion_patches_the_cached_result(semiring_name):
+@pytest.mark.parametrize(
+    "semiring_name, mode",
+    (("nx", "provenance"), ("circuit", "dred")),
+    ids=("nx", "circuit"),
+)
+def test_provenance_assisted_deletion_patches_the_cached_result(semiring_name, mode):
+    """N[X] patches the cached result; circuits re-solve the pruned grounding."""
     semiring = get_semiring(semiring_name)
     database = Database(semiring)
     database.create(
@@ -441,7 +446,7 @@ def test_provenance_assisted_deletion_patches_the_cached_result(semiring_name):
     assert maintained.result is not None  # prime the cache
     engine = maintained._engine
     maintained.remove("R", [("b", "c")])
-    assert maintained.last_delete_mode == "provenance"
+    assert maintained.last_delete_mode == mode
     assert maintained._engine is engine
     _assert_matches_fresh(maintained, database)
     maintained.check_consistency()

@@ -143,6 +143,23 @@ def test_insert_rejects_non_edb_predicates():
         maintained.insert("unknown", [("a", "b")])
 
 
+@pytest.mark.parametrize(
+    "semiring_name, message",
+    [("bool", "store rows .* out of sync"), ("natinf", "boolean support .* diverged")],
+)
+def test_a_direct_edb_write_is_caught_by_check_consistency(semiring_name, message):
+    """EDB relations change only through ``insert`` / ``remove`` / ``apply``:
+    a direct ``KRelation.add`` bypasses the maintained fixpoint, which goes
+    stale, and ``check_consistency`` is what reports it."""
+    database = Database(get_semiring(semiring_name))
+    database.create("R", ["x", "y"], [("a", "b"), ("b", "c")])
+    maintained = IncrementalDatalog(TC_PROGRAM, database)
+    maintained.check_consistency()
+    database.relation("R").add(("c", "d"))
+    with pytest.raises(DatalogError, match=message):
+        maintained.check_consistency()
+
+
 def test_dominated_reinsert_is_a_noop():
     semiring = get_semiring("tropical")
     database = Database(semiring)

@@ -30,7 +30,7 @@ from repro import (
 from repro import datalog, planner
 from repro.algebra.ast import Query
 from repro.circuits import CircuitCompiler, compile_circuit, var
-from repro.datalog import evaluate_on_lattice, lattice_condition_provenance
+from repro.datalog import LatticeDatalogResult, lattice_condition_provenance
 from repro.datalog.seminaive import evaluate_program_seminaive
 from repro.engine import vectorized
 from repro.planner import explain, optimize
@@ -59,12 +59,6 @@ def _event_table() -> EventTable:
     return EventTable.tuple_independent(["x", "y"], [(EDGES[0], "e0", 0.5)])
 
 
-def _lattice_evaluate(**kw):
-    result = lattice_condition_provenance(PROGRAM, _bool_database())
-    valuation = {name: True for name in result.edb_ids.values()}
-    return result.evaluate(BooleanSemiring(), valuation, **kw)
-
-
 CALLS = {
     "ProbabilisticDatabase.query_lineage": lambda **kw: _pdb().query_lineage(QUERY, **kw),
     "ProbabilisticDatabase.query_events": lambda **kw: _pdb().query_events(QUERY, **kw),
@@ -84,11 +78,9 @@ CALLS = {
     ),
     "EventTable.probability": lambda **kw: _event_table().probability(EDGES[0], **kw),
     "EventTable.probabilities": lambda **kw: _event_table().probabilities(**kw),
-    "LatticeDatalogResult.evaluate": _lattice_evaluate,
     "lattice_condition_provenance": (
         lambda **kw: lattice_condition_provenance(PROGRAM, _bool_database(), **kw)
     ),
-    "evaluate_on_lattice": lambda **kw: evaluate_on_lattice(PROGRAM, _bool_database(), **kw),
     "MaterializedView": lambda **kw: MaterializedView(QUERY, _bool_database(), **kw),
     "KRelation": lambda **kw: KRelation(BooleanSemiring(), ["x", "y"], EDGES, **kw),
     "IncrementalDatalog": lambda **kw: IncrementalDatalog(PROGRAM, _bool_database(), **kw),
@@ -123,13 +115,8 @@ REMOVED = [
     ),
     ("EventTable.probability", "method", "compile"),
     ("EventTable.probabilities", "method", "compile"),
-    ("LatticeDatalogResult.evaluate", "method", "expand"),
     ("lattice_condition_provenance", "engine", "seminaive"),
     ("lattice_condition_provenance", "storage", "row"),
-    ("evaluate_on_lattice", "engine", "seminaive"),
-    ("evaluate_on_lattice", "method", "expand"),
-    ("evaluate_on_lattice", "storage", "row"),
-    ("evaluate_on_lattice", "output_only", True),
     *(("MaterializedView", keyword, value) for keyword, value in QUERY_KNOBS.items()),
     ("KRelation", "storage", "columnar"),
     ("IncrementalDatalog", "storage", "columnar"),
@@ -153,7 +140,7 @@ REMOVED = [
 
 
 def test_every_removed_keyword_is_listed_once():
-    assert len(REMOVED) == len(set(REMOVED)) == 53
+    assert len(REMOVED) == len(set(REMOVED)) == 48
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -190,6 +177,25 @@ REMOVED_NAMES = [
 def test_cost_model_name_is_gone(module, name):
     assert not hasattr(module, name)
     assert name not in module.__all__
+
+
+#: (owner, name) pairs of the deleted second Section 8 route: datalog over a
+#: distributive lattice is ``datalog.evaluate`` in the lattice itself.
+REMOVED_LATTICE_NAMES = [
+    (datalog, "evaluate_on_lattice"),
+    (LatticeDatalogResult, "evaluate"),
+    (LatticeDatalogResult, "condition"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    REMOVED_LATTICE_NAMES,
+    ids=[f"{o.__name__}.{n}" for o, n in REMOVED_LATTICE_NAMES],
+)
+def test_lattice_expansion_name_is_gone(owner, name):
+    assert not hasattr(owner, name)
+    assert name not in getattr(owner, "__all__", ())
 
 
 def test_cost_model_module_and_report_fields_are_gone():
